@@ -21,7 +21,6 @@ from .backend import ModelBackend, StepResult, Usage, extract_json_document
 
 logger = logging.getLogger(__name__)
 
-ROLE_DATA_COLLECTOR = "data_collector"
 ROLE_ANALYZER = "root_cause_analyzer"
 ROLE_CHALLENGER = "root_cause_challenger"
 ROLE_ORACLE_GENERATOR = "oracle_generator"
@@ -29,7 +28,6 @@ ROLE_REPRODUCER = "poc_reproducer"
 ROLE_VALIDATOR = "poc_validator"
 
 ROLES = (
-    ROLE_DATA_COLLECTOR,
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
     ROLE_ORACLE_GENERATOR,
@@ -174,7 +172,7 @@ _REPRODUCER_SCHEMA = {
 def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]:
     """Validate a role's document; returns (typed output, error list).
 
-    Structural checks come from the workspace schema registry; role-specific
+    Structural checks come from the workspace schemas; role-specific
     cross-field rules are enforced here.
     """
     if role == ROLE_ANALYZER:
@@ -190,9 +188,6 @@ def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]
                     workspace.check_document(root_cause, workspace.SCHEMAS["root_cause"])
                 )
         return (AnalysisResult(doc), errors) if not errors else (None, errors)
-    if role == ROLE_DATA_COLLECTOR:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["collection_summary"])
-        return (doc, errors) if not errors else (None, errors)
     if role == ROLE_CHALLENGER:
         errors = workspace.check_document(doc, workspace.SCHEMAS["challenge_result"])
         if not errors and doc["status"] == "Pass" and doc["missing_evidence"]:

@@ -222,21 +222,11 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     verdict = _latest_engine_verdict(session.root)
     if verdict is None:
         raise UsageError("session has no reproduction verdicts to judge")
-    validated = (
-        session.root
-        / workspace.POC_STAGE_DIR
-        / "poc_validator"
-        / "poc_validated_result.json"
-    )
-    oracle_pass = False
-    if validated.is_file():
-        doc = json.loads(validated.read_text(encoding="utf-8"))
-        oracle_pass = doc.get("overall_status") == "Pass"
     return {
         "project_root": str(project_root),
         "root_cause": json.loads(root_cause_path.read_text(encoding="utf-8")),
         "correctness": verdict.get("rubric", {}).get("correctness", {}),
-        "oracle_pass": oracle_pass,
+        "oracle_pass": _validated(session.root),
     }
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Protocol
 
-from . import workspace
+from . import harness, workspace
 
 logger = logging.getLogger(__name__)
 
@@ -337,57 +337,26 @@ class HeuristicEvaluator:
 
 _ASSERT_RE = re.compile(r"\b(assert\w*|require)\s*\(")
 _LABEL_RE = re.compile(r"\b(vm\.label|makeAddr|vm\.addr)\s*\(")
-_ADDRESS_RE = re.compile(r"0x[0-9a-fA-F]{40}")
 _COMMENT_RE = re.compile(r"(^\s*//|/\*|^\s*\*)")
 _EXTERNAL_CALL_RE = re.compile(r"\.\w+\s*\(")
-_HEX_LITERAL_RE = re.compile(r"0x[0-9a-fA-F]{8,}")
 
 
-def _solidity_sources(project_root: Path) -> list[tuple[str, str]]:
-    sources = []
-    for path in sorted(project_root.rglob("*.sol")):
-        rel = str(path.relative_to(project_root))
-        if rel.startswith(("lib/", "out/", "cache/")):
-            continue
-        try:
-            sources.append((rel, path.read_text(encoding="utf-8")))
-        except OSError:
-            continue
-    return sources
-
-
-def _scan_literals(
-    sources: list[tuple[str, str]], needles: set[str]
-) -> list[tuple[str, int, str]]:
-    hits = []
-    lowered = {n.lower() for n in needles if n}
-    if not lowered:
-        return hits
-    for rel, text in sources:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            low = line.lower()
-            for needle in lowered:
-                if needle in low:
-                    hits.append((rel, lineno, needle))
-    return hits
-
-
-def _spans(hits: list[tuple[str, int, str]]) -> str:
-    return ", ".join(f"{rel}:{lineno}" for rel, lineno, _ in hits[:5])
+def _spans(hits: list[tuple[str, str, int]]) -> str:
+    return ", ".join(f"{rel}:{lineno}" for rel, _, lineno in hits[:5])
 
 
 def heuristic_quality_checks(
     project_root: Path, root_cause: Mapping[str, Any]
 ) -> dict[str, tuple[bool, str]]:
     """Deterministic Q1 to Q6 suggestions with evidence spans in the reasons."""
-    sources = _solidity_sources(project_root)
+    sources = harness.solidity_sources(project_root)
     roles = root_cause.get("roles", {})
     attacker_contracts = set(roles.get("attacker_contracts", []))
     attacker_all = attacker_contracts | set(roles.get("attacker_eoas", []))
 
     results: dict[str, tuple[bool, str]] = {}
 
-    contract_hits = _scan_literals(sources, attacker_contracts)
+    contract_hits = harness.scan_for_addresses(sources, attacker_contracts)
     results["no_attacker_side_artifacts"] = (
         not contract_hits,
         "no attacker-deployed contract is referenced"
@@ -395,7 +364,7 @@ def heuristic_quality_checks(
         else f"attacker contract referenced at {_spans(contract_hits)}",
     )
 
-    address_hits = _scan_literals(sources, attacker_all)
+    address_hits = harness.scan_for_addresses(sources, attacker_all)
     results["no_real_attacker_side_address"] = (
         not address_hits,
         "no attacker-side address appears in the sources"
@@ -407,7 +376,7 @@ def heuristic_quality_checks(
     # raw amounts) plus the incident transaction hashes themselves.
     needles = {str(c) for c in root_cause.get("incident_constants", [])}
     needles.update(entry.get("txhash", "") for entry in root_cause.get("lifecycle", []))
-    constant_hits = _scan_literals(sources, needles)
+    constant_hits = harness.scan_for_addresses(sources, needles)
     results["no_attacker_designed_constants"] = (
         not constant_hits,
         "no incident-specific constant is hard-coded"
@@ -416,7 +385,7 @@ def heuristic_quality_checks(
     )
 
     assert_hits = [
-        (rel, i, "assert")
+        (rel, "assert", i)
         for rel, text in sources
         for i, line in enumerate(text.splitlines(), start=1)
         if _ASSERT_RE.search(line)
@@ -443,7 +412,7 @@ def heuristic_quality_checks(
     )
 
     label_hits = [
-        (rel, i, "label")
+        (rel, "label", i)
         for rel, text in sources
         for i, line in enumerate(text.splitlines(), start=1)
         if _LABEL_RE.search(line)

@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import workspace
-from ..domain import SeedRef, TxHash
+from ..domain import TxHash
 from .base import BootstrapError, ChainAdapter, GatewayError
 from .types import (
     BalanceDelta,
@@ -172,7 +172,3 @@ def read_storage_slot(
         )
     )
     return payload["value_hex"]
-
-
-def seed_reference(session: workspace.Session) -> SeedRef:
-    return session.seed

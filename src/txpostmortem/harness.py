@@ -14,10 +14,9 @@ import re
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional, Protocol
+from typing import Iterable, Mapping, Optional, Protocol
 
 from . import workspace
-from .domain import Address
 from .oracles import OracleDefinition
 
 logger = logging.getLogger(__name__)
@@ -368,22 +367,36 @@ def extract_observations(raw_output: str, expected: list[str]) -> ObservationRep
     )
 
 
-def scan_for_addresses(
-    project_root: Path, deny: set[Address] | frozenset[Address]
-) -> list[tuple[str, str, int]]:
-    """Find deny-listed addresses in project sources: (file, address, line)."""
-    hits: list[tuple[str, str, int]] = []
-    wanted = {a.value for a in deny}
-    if not wanted:
-        return hits
-    pattern = re.compile(r"0x[0-9a-fA-F]{40}")
-    for path in sorted(p for p in project_root.rglob("*") if p.is_file()):
+def solidity_sources(project_root: Path) -> list[tuple[str, str]]:
+    """The project's own ``.sol`` files as (relative path, text), skipping
+    dependencies and build output under ``lib/``, ``out/`` and ``cache/``."""
+    sources = []
+    for path in sorted(project_root.rglob("*.sol")):
+        rel = str(path.relative_to(project_root))
+        if rel.startswith(("lib/", "out/", "cache/")):
+            continue
         try:
-            text = path.read_text(encoding="utf-8")
+            sources.append((rel, path.read_text(encoding="utf-8")))
         except (UnicodeDecodeError, OSError):
             continue
-        for line_no, line in enumerate(text.splitlines(), 1):
-            for match in pattern.findall(line):
-                if match.lower() in wanted:
-                    hits.append((str(path.relative_to(project_root)), match.lower(), line_no))
-    return hits
+    return sources
+
+
+def scan_for_addresses(
+    sources: list[tuple[str, str]], needles: Iterable[str]
+) -> list[tuple[str, str, int]]:
+    """Find needles (addresses or other literals) in sources, ignoring case.
+
+    Returns one (file, needle, line) per occurrence, in file, line and
+    column order; needles are reported lowercased.
+    """
+    wanted = sorted({n.lower() for n in needles if n}, key=len, reverse=True)
+    if not wanted:
+        return []
+    pattern = re.compile("|".join(map(re.escape, wanted)))
+    return [
+        (rel, match.group(), line_no)
+        for rel, text in sources
+        for line_no, line in enumerate(text.splitlines(), 1)
+        for match in pattern.finditer(line.lower())
+    ]

@@ -1,7 +1,8 @@
 """Control loop: seed in, validated root cause and reproduction out.
 
-Two stages.  The root-cause stage alternates analyzer and collector until
-the analyzer closes its evidence, then submits the draft to the challenger;
+Two stages.  In the root-cause stage the gateway fetches each batch of
+evidence the analyzer requests, with no model turn of its own, until the
+analyzer closes its evidence; the draft then goes to the challenger, and
 rejections route back by reason.  The PoC stage generates oracles once, then
 loops reproducer, harness run, oracle evaluation, and validator until the
 reproduction passes or budgets run out.  Every model turn, fetch, rejection,
@@ -20,7 +21,6 @@ from . import harness, lifecycle, oracles, workspace
 from .agents import (
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
-    ROLE_DATA_COLLECTOR,
     ROLE_ORACLE_GENERATOR,
     ROLE_REPRODUCER,
     ROLE_VALIDATOR,
@@ -64,10 +64,6 @@ class StageFailed(OrchestratorError):
         super().__init__(f"{stage}: {reason}")
 
 
-class InconsistentState(OrchestratorError):
-    """A rejection reason arrived in a stage where it cannot apply."""
-
-
 # --------------------------------------------------------------------------
 # Rejection reasons and routing.
 
@@ -100,15 +96,16 @@ ACTION_RE_REPRODUCE = "re_reproduce"
 
 @dataclass(frozen=True)
 class RejectReason:
-    """A challenger/validator rejection; unknown codes collapse to other."""
+    """A challenger/validator rejection; a code that is unknown, or that
+    belongs to the other stage, collapses to other."""
 
     code: str
     detail: str = ""
 
     @classmethod
-    def parse(cls, raw: str) -> "RejectReason":
+    def parse(cls, raw: str, stage_reasons: frozenset[str]) -> "RejectReason":
         raw = raw.strip()
-        if raw in ROOT_CAUSE_REASONS or raw in POC_REASONS:
+        if raw in stage_reasons:
             return cls(code=raw)
         if raw.startswith("other:"):
             return cls(code=REASON_OTHER, detail=raw[len("other:") :].strip())
@@ -126,23 +123,6 @@ _ROOT_CAUSE_ROUTES = {
     REASON_MISSING_TRACES: ACTION_RE_COLLECT,
     REASON_INCOMPLETE_LIFECYCLE: ACTION_EXPAND_LIFECYCLE,
 }
-
-
-def route_rejection(reason: RejectReason, stage: str) -> str:
-    """Deterministic total routing of a rejection within its stage."""
-    if stage == STAGE_ROOT_CAUSE:
-        if reason.code in POC_REASONS:
-            raise InconsistentState(
-                f"PoC rejection reason {reason.code} raised during the root-cause stage"
-            )
-        return _ROOT_CAUSE_ROUTES.get(reason.code, ACTION_RE_ANALYZE)
-    if stage == STAGE_POC:
-        if reason.code in ROOT_CAUSE_REASONS:
-            raise InconsistentState(
-                f"root-cause rejection reason {reason.code} raised during the PoC stage"
-            )
-        return ACTION_RE_REPRODUCE
-    raise InconsistentState(f"no rejection routing for stage {stage!r}")
 
 
 # --------------------------------------------------------------------------
@@ -184,8 +164,17 @@ class _StageLedger:
         self.role_calls[role] = self.role_calls.get(role, 0) + 1
         self.role_seconds[role] = self.role_seconds.get(role, 0.0) + seconds
 
-    def elapsed(self) -> float:
-        return self.clock() - self.started
+    def close(self, outcome: "SessionOutcome") -> None:
+        """Add this stage's turns, usage, role counts and latencies to the
+        session outcome."""
+        outcome.usage = outcome.usage + self.usage
+        outcome.turns[self.stage] = self.turns_used
+        outcome.latencies[self.stage] = self.clock() - self.started
+        for role, count in self.role_calls.items():
+            outcome.iterations[role] = outcome.iterations.get(role, 0) + count
+        for role, seconds in self.role_seconds.items():
+            key = f"role:{role}"
+            outcome.latencies[key] = outcome.latencies.get(key, 0.0) + seconds
 
 
 @dataclass
@@ -365,42 +354,20 @@ class Orchestrator:
     def _collect(
         self,
         session: workspace.Session,
-        ledger: _StageLedger,
         requests: list[DataRequest],
         outcome: SessionOutcome,
     ) -> None:
-        """One model-visible collection iteration over a request batch."""
-        iter_dir = workspace.next_iteration_dir(session, ROLE_DATA_COLLECTOR)
-        gateway_summary = execute_data_requests(session, requests, self.adapter, iter_dir)
-        run = _run_budgeted_role(
-            ledger,
-            self.backend,
-            ROLE_DATA_COLLECTOR,
-            {
-                "session_dir": session.root,
-                "chainid": session.seed.chainid,
-                "requests": json.dumps([r.to_doc() for r in requests], indent=2),
-                "results": json.dumps(gateway_summary.to_doc(), indent=2),
-            },
-            message=json.dumps(gateway_summary.to_doc(), indent=2),
-        )
-        # The gateway's own counts are authoritative; the model's summary is
-        # recorded for the analyst but cannot inflate accounting.
-        doc = gateway_summary.to_doc(iteration=int(iter_dir.name.split("_")[1]))
+        """Fetch one request batch into the next collection ``iter_k`` and
+        record the gateway's summary of it; no model turn is involved."""
+        iter_dir = workspace.next_iteration_dir(session, workspace.COLLECTION_DIR)
+        summary = execute_data_requests(session, requests, self.adapter, iter_dir)
         workspace.write_artifact(
             session,
             iter_dir.relative_to(session.root) / "data_collection_summary.json",
-            doc,
+            summary.to_doc(iteration=int(iter_dir.name.split("_")[1])),
             schema_id="collection_summary",
         )
-        workspace.write_artifact(
-            session,
-            f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_DATA_COLLECTOR}/data_collection_summary.json",
-            doc,
-            schema_id="collection_summary",
-        )
-        del run  # the reconciliation text lives in the transcript only
-        outcome.fetched_items += gateway_summary.fetched_count
+        outcome.fetched_items += summary.fetched_count
         outcome.collection_runs_total += 1
 
     # -- root-cause stage ---------------------------------------------------
@@ -413,20 +380,16 @@ class Orchestrator:
         ledger = _StageLedger(STAGE_ROOT_CAUSE, self.budgets, self.clock)
         feedback = ""
         analyzer_iterations = 0
-        pending_requests: list[DataRequest] = []
-        draft: Optional[dict[str, Any]] = None
         try:
             while True:
-                if pending_requests:
-                    self._collect(session, ledger, pending_requests, outcome)
-                    pending_requests = []
-                    continue
                 if analyzer_iterations >= self.budgets.analyzer_iterations:
                     raise StageFailed(
                         STAGE_ROOT_CAUSE,
                         f"analyzer iteration budget ({self.budgets.analyzer_iterations}) exhausted",
                     )
-                iter_dir = workspace.next_iteration_dir(session, ROLE_ANALYZER)
+                iter_dir = workspace.next_iteration_dir(
+                    session, f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_ANALYZER}"
+                )
                 run = _run_budgeted_role(
                     ledger,
                     self.backend,
@@ -448,7 +411,7 @@ class Orchestrator:
                     schema_id="analysis_result",
                 )
                 if not analysis.is_final:
-                    pending_requests = analysis.data_requests
+                    self._collect(session, analysis.data_requests, outcome)
                     continue
 
                 draft = dict(analysis.root_cause or {})
@@ -463,10 +426,14 @@ class Orchestrator:
                     outcome.is_act = True
                     return draft
 
-                reasons = [RejectReason.parse(r) for r in challenge.reject_reasons] or [
-                    RejectReason(REASON_OTHER, "challenger rejected without reasons")
-                ]
-                actions = {route_rejection(reason, STAGE_ROOT_CAUSE) for reason in reasons}
+                reasons = [
+                    RejectReason.parse(r, ROOT_CAUSE_REASONS)
+                    for r in challenge.reject_reasons
+                ] or [RejectReason(REASON_OTHER, "challenger rejected without reasons")]
+                actions = {
+                    _ROOT_CAUSE_ROUTES.get(reason.code, ACTION_RE_ANALYZE)
+                    for reason in reasons
+                }
                 outcome.reject_log.append(
                     {
                         "stage": STAGE_ROOT_CAUSE,
@@ -478,19 +445,13 @@ class Orchestrator:
                 if ACTION_EXPAND_LIFECYCLE in actions:
                     self._expand_lifecycle(session, draft)
                 if ACTION_RE_COLLECT in actions:
-                    pending_requests = _requests_from_missing_evidence(
+                    requests = _requests_from_missing_evidence(
                         challenge.missing_evidence, session.seed.chainid
                     )
+                    if requests:
+                        self._collect(session, requests, outcome)
         finally:
-            outcome.usage = outcome.usage + ledger.usage
-            outcome.turns[STAGE_ROOT_CAUSE] = ledger.turns_used
-            outcome.latencies[STAGE_ROOT_CAUSE] = ledger.elapsed()
-            for role, count in ledger.role_calls.items():
-                outcome.iterations[role] = outcome.iterations.get(role, 0) + count
-            for role, seconds in ledger.role_seconds.items():
-                outcome.latencies[f"role:{role}"] = (
-                    outcome.latencies.get(f"role:{role}", 0.0) + seconds
-                )
+            ledger.close(outcome)
 
     def _challenge(
         self, session: workspace.Session, ledger: _StageLedger, draft: dict[str, Any]
@@ -577,7 +538,7 @@ class Orchestrator:
             feedback = ""
             for _ in range(self.budgets.reproducer_iterations):
                 verdict, validation, project = self._reproduce_once(
-                    session, ledger, definition, bound, expected, feedback, outcome
+                    session, ledger, definition, bound, expected, deny, feedback, outcome
                 )
                 if validation is not None and validation.passed:
                     outcome.poc_validated = True
@@ -595,12 +556,10 @@ class Orchestrator:
                     return
                 outcome.poc_rejects += 1
                 reasons = (
-                    [RejectReason.parse(r) for r in validation.reject_reasons]
+                    [RejectReason.parse(r, POC_REASONS) for r in validation.reject_reasons]
                     if validation is not None
                     else [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
                 )
-                for reason in reasons:
-                    route_rejection(reason, STAGE_POC)
                 outcome.reject_log.append(
                     {
                         "stage": STAGE_POC,
@@ -614,15 +573,7 @@ class Orchestrator:
                 f"reproducer iteration budget ({self.budgets.reproducer_iterations}) exhausted",
             )
         finally:
-            outcome.usage = outcome.usage + ledger.usage
-            outcome.turns[STAGE_POC] = ledger.turns_used
-            outcome.latencies[STAGE_POC] = ledger.elapsed()
-            for role, count in ledger.role_calls.items():
-                outcome.iterations[role] = outcome.iterations.get(role, 0) + count
-            for role, seconds in ledger.role_seconds.items():
-                outcome.latencies[f"role:{role}"] = (
-                    outcome.latencies.get(f"role:{role}", 0.0) + seconds
-                )
+            ledger.close(outcome)
 
     def _generate_oracles(
         self,
@@ -657,6 +608,7 @@ class Orchestrator:
         definition: oracles.OracleDefinition,
         bound: oracles.OracleDefinition,
         expected: list[str],
+        deny: frozenset[Address],
         feedback: str,
         outcome: SessionOutcome,
     ) -> tuple[
@@ -666,7 +618,7 @@ class Orchestrator:
     ]:
         """One reproducer/validator round; None validation means launch failure."""
         iter_dir = workspace.next_iteration_dir(
-            session, ROLE_REPRODUCER, workspace.POC_STAGE_DIR
+            session, f"{workspace.POC_STAGE_DIR}/{ROLE_REPRODUCER}"
         )
         run = _run_budgeted_role(
             ledger,
@@ -718,8 +670,7 @@ class Orchestrator:
         obs_report = harness.extract_observations(result.raw_output, expected)
         verdict = oracles.evaluate_constraints(bound, obs_report.observations)
         taint_hits = harness.scan_for_addresses(
-            project.root,
-            {Address(a) for a in _attacker_addresses(session)},
+            harness.solidity_sources(project.root), {a.value for a in deny}
         )
         rubric = {
             "correctness": checks.to_doc(),
@@ -793,9 +744,9 @@ class Orchestrator:
                 outcome.stage = STAGE_FAILED
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
                 return outcome
-            # The seed fetch is collection run zero; model-driven runs start
-            # at iter_1 so per-role numbering stays dense.
-            iter0 = workspace.next_iteration_dir(session, ROLE_DATA_COLLECTOR)
+            # The seed fetch is collection run zero; the analyzer's batches
+            # follow from iter_1 on, so the numbering stays dense.
+            iter0 = workspace.next_iteration_dir(session, workspace.COLLECTION_DIR)
             workspace.write_artifact(
                 session,
                 iter0.relative_to(session.root) / "data_collection_summary.json",
@@ -825,12 +776,3 @@ class Orchestrator:
                 outcome.summary_doc(),
                 schema_id="session_summary",
             )
-
-
-def _attacker_addresses(session: workspace.Session) -> list[str]:
-    try:
-        draft = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC)
-    except workspace.WorkspaceError:
-        return []
-    roles = draft.get("roles", {})
-    return list(roles.get("attacker_eoas", [])) + list(roles.get("attacker_contracts", []))

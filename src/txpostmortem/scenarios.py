@@ -906,10 +906,6 @@ def _prxvt_script_entries() -> dict[str, list[dict[str, Any]]]:
             ),
             final,
         ],
-        "data_collector": [
-            {"fetched": [], "failed": []},
-            {"fetched": [], "failed": []},
-        ],
         "root_cause_challenger": [
             {
                 "status": "Pass",
@@ -1950,7 +1946,6 @@ def _val_script_entries() -> dict[str, list[dict[str, Any]]]:
             root_cause=_val_root_cause(second_pass=True),
         ),
     ]
-    collector = [{"fetched": [], "failed": []} for _ in range(5)]
     challengers = [
         {
             "status": "Reject",
@@ -2013,7 +2008,6 @@ def _val_script_entries() -> dict[str, list[dict[str, Any]]]:
     ]
     return {
         "root_cause_analyzer": analyzers,
-        "data_collector": collector,
         "root_cause_challenger": challengers,
         "oracle_generator": [_val_oracle_definition_doc()],
         "poc_reproducer": [
@@ -2122,13 +2116,12 @@ def _prxvt_expected() -> dict[str, Any]:
             "outcome": {"stage": "done", "is_act": True},
             "iterations": {
                 "root_cause_analyzer": 3,
-                "data_collector": 2,
                 "root_cause_challenger": 1,
                 "oracle_generator": 1,
                 "poc_reproducer": 1,
                 "poc_validator": 1,
             },
-            "turns": {"root_cause": 6, "poc": 3},
+            "turns": {"root_cause": 4, "poc": 3},
             "fetched_items": 17,
             "collection_runs_total": 3,
             "poc": {"reproducer_iterations": 1, "rejects": 0, "validated": True},
@@ -2165,13 +2158,12 @@ def _val_expected() -> dict[str, Any]:
             "outcome": {"stage": "done", "is_act": True},
             "iterations": {
                 "root_cause_analyzer": 6,
-                "data_collector": 5,
                 "root_cause_challenger": 2,
                 "oracle_generator": 1,
                 "poc_reproducer": 3,
                 "poc_validator": 3,
             },
-            "turns": {"root_cause": 13, "poc": 7},
+            "turns": {"root_cause": 8, "poc": 7},
             "fetched_items": 18,
             "collection_runs_total": 6,
             "poc": {"reproducer_iterations": 3, "rejects": 2, "validated": True},

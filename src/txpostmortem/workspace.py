@@ -64,6 +64,8 @@ SESSION_SUMMARY = "session_summary.json"
 SCHEMA_DIR = "schema"
 SEED_DIR = "artifacts/root_cause/seed"
 ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
+#: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
+COLLECTION_DIR = "artifacts/root_cause/data_collector"
 POC_STAGE_DIR = "artifacts/poc"
 EVALUATION_DIR = "artifacts/evaluation"
 RPC_MAP_COPY = "artifacts/rpc/chainid_rpc_map.json"
@@ -445,28 +447,6 @@ SCHEMAS: dict[str, Any] = {
 }
 
 
-class SchemaRegistry:
-    """Lookup table from schema id to structural document schema."""
-
-    def __init__(self, schemas: Mapping[str, Any] | None = None):
-        self._schemas = dict(SCHEMAS if schemas is None else schemas)
-
-    def ids(self) -> list[str]:
-        return sorted(self._schemas)
-
-    def get(self, schema_id: str) -> Any:
-        try:
-            return self._schemas[schema_id]
-        except KeyError:
-            raise UnknownSchema(f"unknown schema id {schema_id!r}") from None
-
-    def validate(self, schema_id: str, doc: Any) -> list[str]:
-        return check_document(doc, self.get(schema_id))
-
-
-DEFAULT_REGISTRY = SchemaRegistry()
-
-
 # --------------------------------------------------------------------------
 # Sessions.
 
@@ -525,7 +505,6 @@ def create_session(
     base_dir: str | Path,
     seed: SeedRef,
     attributions: list[str] | None = None,
-    registry: SchemaRegistry = DEFAULT_REGISTRY,
     now: datetime | None = None,
 ) -> Session:
     """Create the session directory skeleton and record the seed input."""
@@ -549,8 +528,8 @@ def create_session(
         SOURCES_META,
         {"attributions": sorted(set(attributions or ["manual"]))},
     )
-    for schema_id in registry.ids():
-        write_artifact(session, f"{SCHEMA_DIR}/{schema_id}.json", registry.get(schema_id))
+    for schema_id in sorted(SCHEMAS):
+        write_artifact(session, f"{SCHEMA_DIR}/{schema_id}.json", SCHEMAS[schema_id])
     logger.info("created session %s at %s", session_id, root)
     return session
 
@@ -565,7 +544,7 @@ def open_session(root: str | Path) -> Session:
         doc = json.loads(raw_path.read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
         raise CorruptArtifact(f"unreadable {RAW_INPUT}: {exc}") from exc
-    errors = DEFAULT_REGISTRY.validate("raw_input", doc)
+    errors = check_document(doc, SCHEMAS["raw_input"])
     if errors:
         raise SchemaError(errors)
     targets = doc["targets"]
@@ -579,11 +558,12 @@ def write_artifact(
     relpath: str | Path,
     doc: Any,
     schema_id: str | None = None,
-    registry: SchemaRegistry = DEFAULT_REGISTRY,
 ) -> Path:
     """Validate (when a schema id is given) and atomically write a JSON doc."""
     if schema_id is not None:
-        errors = registry.validate(schema_id, doc)
+        if schema_id not in SCHEMAS:
+            raise UnknownSchema(f"unknown schema id {schema_id!r}")
+        errors = check_document(doc, SCHEMAS[schema_id])
         if errors:
             raise SchemaError(errors)
     target = resolve_inside(session.root, relpath)
@@ -613,23 +593,10 @@ def read_artifact(session: Session, relpath: str | Path) -> Any:
 _ITER_RE = re.compile(r"^iter_(\d+)$")
 
 
-def iteration_dirs(session: Session, role: str, stage_dir: str = ROOT_CAUSE_STAGE_DIR) -> list[Path]:
-    base = session.root / stage_dir / role
-    if not base.is_dir():
-        return []
-    found = []
-    for entry in base.iterdir():
-        match = _ITER_RE.match(entry.name)
-        if match and entry.is_dir():
-            found.append((int(match.group(1)), entry))
-    return [path for _, path in sorted(found)]
-
-
-def next_iteration_dir(
-    session: Session, role: str, stage_dir: str = ROOT_CAUSE_STAGE_DIR
-) -> Path:
-    """Allocate the next dense ``iter_k`` directory for a role."""
-    base = session.root / stage_dir / role
+def next_iteration_dir(session: Session, parent: str | Path) -> Path:
+    """Allocate the next dense ``iter_k`` directory under ``parent``, a
+    directory relative to the session root."""
+    base = session.root / parent
     existing = [
         int(m.group(1))
         for entry in (base.iterdir() if base.is_dir() else [])
