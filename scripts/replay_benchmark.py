@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from txpostmortem import CASE_BUILDERS, Orchestrator, workspace
+from txpostmortem import CASE_BUILDERS, Orchestrator
 from txpostmortem.cli import evaluation_context, export_dataset
 from txpostmortem.evaluator import default_agents, evaluate_project, write_reports
 from txpostmortem.metrics import load_session_summaries, sessions_report

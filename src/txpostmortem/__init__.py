@@ -11,7 +11,6 @@ deterministically offline.
 
 from __future__ import annotations
 
-from .act import classify_act, compute_fees, evaluate_profit_predicate
 from .agents import (
     ModelBackend,
     OpenAIChatBackend,
@@ -20,7 +19,7 @@ from .agents import (
     Usage,
     run_role,
 )
-from .domain import Address, OutcomeLabel, SeedRef, TokenAmount, TxHash, validate_chain
+from .domain import Address, OutcomeLabel, SeedRef, TxHash, validate_chain
 from .gateway import (
     ChainAdapter,
     DataRequest,
@@ -73,15 +72,11 @@ __all__ = [
     "SimulatedRunner",
     "StepResult",
     "SubprocessRunner",
-    "TokenAmount",
     "TxHash",
     "Usage",
     "bind_variables",
-    "classify_act",
-    "compute_fees",
     "create_session",
     "evaluate_constraints",
-    "evaluate_profit_predicate",
     "execute_data_requests",
     "fetch_seed_artifacts",
     "fixture_key",

@@ -44,13 +44,6 @@ class UnknownRole(AgentError):
     pass
 
 
-class MalformedRoleOutput(AgentError):
-    def __init__(self, role: str, errors: list[str]):
-        self.role = role
-        self.errors = list(errors)
-        super().__init__(f"{role}: " + "; ".join(errors))
-
-
 class TurnBudgetExceeded(AgentError):
     def __init__(self, role: str, turns: int, errors: list[str] | None = None):
         self.role = role
@@ -100,10 +93,6 @@ class AnalysisResult:
     @property
     def root_cause(self) -> Optional[dict[str, Any]]:
         return self.doc.get("root_cause")
-
-    @property
-    def all_relevant_txs(self) -> list[str]:
-        return list(self.doc["all_relevant_txs"])
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ variables, then a ``--config`` JSON file, then built-in defaults.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -156,25 +157,14 @@ def cmd_postmortem(args: argparse.Namespace, config: dict[str, Any]) -> int:
         else:
             raise UsageError(f"unknown backend {backend_kind!r}")
 
-    budgets = Budgets()
-    if args.stage_turns is not None:
-        budgets = Budgets(
-            stage_turns=args.stage_turns,
-            analyzer_iterations=budgets.analyzer_iterations,
-            reproducer_iterations=budgets.reproducer_iterations,
-        )
-    if args.analyzer_iterations is not None:
-        budgets = Budgets(
-            stage_turns=budgets.stage_turns,
-            analyzer_iterations=args.analyzer_iterations,
-            reproducer_iterations=budgets.reproducer_iterations,
-        )
-    if args.reproducer_iterations is not None:
-        budgets = Budgets(
-            stage_turns=budgets.stage_turns,
-            analyzer_iterations=budgets.analyzer_iterations,
-            reproducer_iterations=args.reproducer_iterations,
-        )
+    budgets = dataclasses.replace(
+        Budgets(),
+        **{
+            f.name: getattr(args, f.name)
+            for f in dataclasses.fields(Budgets)
+            if getattr(args, f.name) is not None
+        },
+    )
 
     orchestrator = Orchestrator(
         backend=backend,
@@ -437,7 +427,7 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
                 if not src.is_file():
                     continue
                 rel_path = src.relative_to(project)
-                if rel_path.parts and rel_path.parts[0] in ("lib", "out", "cache"):
+                if rel_path.parts[0] in harness.BUILD_DIRS:
                     continue
                 dest = target / "poc" / rel_path
                 dest.parent.mkdir(parents=True, exist_ok=True)

@@ -109,7 +109,6 @@ METRICS: tuple[ChecklistMetric, ...] = (
 
 METRIC_KEYS: tuple[str, ...] = tuple(m.key for m in METRICS)
 METRIC_BY_KEY: Mapping[str, ChecklistMetric] = {m.key: m for m in METRICS}
-METRIC_BY_ID: Mapping[str, ChecklistMetric] = {m.metric_id: m for m in METRICS}
 
 ACTION_INITIAL = "Initial"
 ACTION_MAINTAIN = "Maintain"

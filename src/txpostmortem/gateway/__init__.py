@@ -14,10 +14,7 @@ from .base import (
 from .collect import (
     SEED_ARTIFACT_KINDS,
     execute_data_requests,
-    fetch_balance_diff,
-    fetch_contract_meta,
     fetch_seed_artifacts,
-    fetch_trace,
     fetch_tx_metadata,
     fetch_txlist,
     read_storage_slot,
@@ -27,7 +24,6 @@ from .live import LiveAdapter, disassemble
 from .types import (
     BalanceDelta,
     CollectionSummary,
-    ContractMeta,
     DataRequest,
     TraceNode,
     TxRecord,
@@ -38,7 +34,6 @@ __all__ = [
     "BootstrapError",
     "ChainAdapter",
     "CollectionSummary",
-    "ContractMeta",
     "DataRequest",
     "FixtureStore",
     "GatewayError",
@@ -54,10 +49,7 @@ __all__ = [
     "UpstreamError",
     "disassemble",
     "execute_data_requests",
-    "fetch_balance_diff",
-    "fetch_contract_meta",
     "fetch_seed_artifacts",
-    "fetch_trace",
     "fetch_tx_metadata",
     "fetch_txlist",
     "fixture_key",

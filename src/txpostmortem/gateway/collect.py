@@ -16,14 +16,7 @@ from typing import Any
 from .. import workspace
 from ..domain import TxHash
 from .base import BootstrapError, ChainAdapter, GatewayError
-from .types import (
-    BalanceDelta,
-    CollectionSummary,
-    ContractMeta,
-    DataRequest,
-    TraceNode,
-    TxRecord,
-)
+from .types import CollectionSummary, DataRequest, TxRecord
 
 logger = logging.getLogger(__name__)
 
@@ -129,35 +122,12 @@ def fetch_txlist(
     return sorted(records, key=TxRecord.order_key)
 
 
-def fetch_trace(adapter: ChainAdapter, chainid: int, txhash: str | TxHash) -> TraceNode:
-    payload = adapter.fetch(
-        DataRequest(kind="tx_trace", chainid=chainid, target=str(txhash))
-    )
-    return TraceNode.from_doc(payload["root"])
-
-
-def fetch_balance_diff(
-    adapter: ChainAdapter, chainid: int, txhash: str | TxHash
-) -> list[BalanceDelta]:
-    payload = adapter.fetch(
-        DataRequest(kind="balance_diff", chainid=chainid, target=str(txhash))
-    )
-    return [BalanceDelta.from_doc(doc) for doc in payload.get("entries", [])]
-
-
 def fetch_tx_metadata(
     adapter: ChainAdapter, chainid: int, txhash: str | TxHash
 ) -> dict[str, Any]:
     return adapter.fetch(
         DataRequest(kind="tx_metadata", chainid=chainid, target=str(txhash))
     )
-
-
-def fetch_contract_meta(adapter: ChainAdapter, chainid: int, address: str) -> ContractMeta:
-    payload = adapter.fetch(
-        DataRequest(kind="contract_meta", chainid=chainid, target=address)
-    )
-    return ContractMeta.from_doc(payload)
 
 
 def read_storage_slot(

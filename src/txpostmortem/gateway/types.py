@@ -12,24 +12,6 @@ from typing import Any, Optional
 
 from ..domain import Address, TxHash
 
-TRACE_CALL_TYPES = (
-    "CALL",
-    "DELEGATECALL",
-    "STATICCALL",
-    "CALLCODE",
-    "CREATE",
-    "CREATE2",
-    "SELFDESTRUCT",
-)
-
-SOURCE_KINDS = (
-    "verified_source",
-    "bytecode",
-    "disassembly",
-    "decompiled",
-    "unavailable",
-)
-
 
 @dataclass(frozen=True)
 class DataRequest:
@@ -202,42 +184,6 @@ class BalanceDelta:
             asset=doc["asset"],
             delta=doc["delta"],
             decimals=doc.get("decimals", 18),
-        )
-
-
-@dataclass(frozen=True)
-class ContractMeta:
-    """What we could learn about a contract's code, best source first."""
-
-    address: Address
-    chainid: int
-    verified: bool
-    source_kind: str
-    name: Optional[str] = None
-    content: str = ""
-    implementation: Optional[Address] = None
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "address": self.address.value,
-            "chainid": self.chainid,
-            "verified": self.verified,
-            "source_kind": self.source_kind,
-            "name": self.name,
-            "content": self.content,
-            "implementation": self.implementation.value if self.implementation else None,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict[str, Any]) -> "ContractMeta":
-        return cls(
-            address=Address(doc["address"]),
-            chainid=doc["chainid"],
-            verified=bool(doc["verified"]),
-            source_kind=doc["source_kind"],
-            name=doc.get("name"),
-            content=doc.get("content", ""),
-            implementation=Address(doc["implementation"]) if doc.get("implementation") else None,
         )
 
 

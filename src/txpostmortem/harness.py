@@ -244,10 +244,6 @@ class RunResult:
     duration_seconds: Optional[float]
     raw_output: str
 
-    @property
-    def all_passed(self) -> bool:
-        return bool(self.tests) and all(t.passed for t in self.tests)
-
     def to_doc(self) -> dict:
         return {
             "compiled": self.compiled,
@@ -367,16 +363,21 @@ def extract_observations(raw_output: str, expected: list[str]) -> ObservationRep
     )
 
 
+#: Top-level project directories holding dependencies and build output,
+#: never the project's own sources.
+BUILD_DIRS = ("lib", "out", "cache")
+
+
 def solidity_sources(project_root: Path) -> list[tuple[str, str]]:
     """The project's own ``.sol`` files as (relative path, text), skipping
-    dependencies and build output under ``lib/``, ``out/`` and ``cache/``."""
+    everything under ``BUILD_DIRS``."""
     sources = []
     for path in sorted(project_root.rglob("*.sol")):
-        rel = str(path.relative_to(project_root))
-        if rel.startswith(("lib/", "out/", "cache/")):
+        rel = path.relative_to(project_root)
+        if rel.parts[0] in BUILD_DIRS:
             continue
         try:
-            sources.append((rel, path.read_text(encoding="utf-8")))
+            sources.append((str(rel), path.read_text(encoding="utf-8")))
         except (UnicodeDecodeError, OSError):
             continue
     return sources

@@ -1,4 +1,4 @@
-"""Token, cost, outcome-rate, checklist, and latency accounting.
+"""Token cost, checklist, latency and session-summary accounting.
 
 Monetary arithmetic is exact: prices are decimals, accumulation happens in
 rationals, and rounding is applied only at display time.  Rates are returned
@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from .agents import InvalidUsage, Usage
+from .agents import Usage
 
 
 class MetricsError(Exception):
@@ -43,17 +43,6 @@ class PriceTable:
 DEFAULT_PRICES = PriceTable()
 
 
-def token_accounting(usage: Usage) -> dict[str, int]:
-    """Split input into uncached and cached: uncached = input - cached."""
-    if usage.cached_input_tokens > usage.input_tokens:
-        raise InvalidUsage("cached input exceeds total input")
-    return {
-        "uncached": usage.uncached_input_tokens,
-        "cached": usage.cached_input_tokens,
-        "output": usage.output_tokens,
-    }
-
-
 def estimate_cost(usage: Usage, prices: PriceTable = DEFAULT_PRICES) -> Decimal:
     """Exact session cost: (p_u*T_u + p_c*T_c + p_o*T_o) / 1e6."""
     total = (
@@ -72,60 +61,7 @@ def display_usd(cost: Decimal) -> str:
 
 
 # --------------------------------------------------------------------------
-# Outcome rates.
-
-
-@dataclass(frozen=True)
-class OutcomeTally:
-    """Root-cause outcome counts plus reproduction outcomes.
-
-    aligned/misaligned/missed/not_act mirror the AL/MA/MS/NA labels; the
-    reproduction counts cover only incidents the pipeline took to the PoC
-    stage, with invalid marking upstream misalignment or misses.
-    """
-
-    aligned: int = 0
-    misaligned: int = 0
-    missed: int = 0
-    not_act: int = 0
-    poc_correct: int = 0
-    poc_failed: int = 0
-    poc_invalid: int = 0
-
-    def __post_init__(self) -> None:
-        for name in (
-            "aligned",
-            "misaligned",
-            "missed",
-            "not_act",
-            "poc_correct",
-            "poc_failed",
-            "poc_invalid",
-        ):
-            if getattr(self, name) < 0:
-                raise MetricsError(f"count {name} must be non-negative")
-
-    def validate(self) -> list[str]:
-        errors = []
-        if self.poc_invalid != self.misaligned + self.missed + self.not_act:
-            errors.append(
-                "invalid reproductions must equal the misaligned+missed+not_act total"
-            )
-        return errors
-
-
-def outcome_rates(tally: OutcomeTally) -> dict[str, Optional[Fraction]]:
-    """Misalignment, miss, and reproduction rates; None when undefined."""
-
-    def rate(num: int, den: int) -> Optional[Fraction]:
-        return Fraction(num, den) if den > 0 else None
-
-    act_total = tally.aligned + tally.misaligned + tally.missed
-    return {
-        "misalignment_rate": rate(tally.misaligned, tally.aligned + tally.misaligned),
-        "miss_rate": rate(tally.missed, tally.aligned + tally.missed),
-        "reproduction_rate": rate(tally.poc_correct, act_total),
-    }
+# Percent rendering.
 
 
 def as_percent(rate: Optional[Fraction], digits: int = 2) -> Optional[Decimal]:

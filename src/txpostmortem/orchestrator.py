@@ -25,6 +25,7 @@ from .agents import (
     ROLE_REPRODUCER,
     ROLE_VALIDATOR,
     AnalysisResult,
+    BackendError,
     ChallengeResult,
     ModelBackend,
     RoleRun,
@@ -34,7 +35,7 @@ from .agents import (
     build_role_prompt,
     run_role,
 )
-from .domain import Address, SeedRef, TxHash, validate_chain
+from .domain import Address, SeedRef, validate_chain
 from .gateway import (
     BootstrapError,
     ChainAdapter,
@@ -767,6 +768,10 @@ class Orchestrator:
         except StageFailed as exc:
             outcome.stage = STAGE_FAILED
             outcome.failure = str(exc)
+            return outcome
+        except BackendError as exc:
+            outcome.failure = f"{outcome.stage}: {type(exc).__name__}: {exc}"
+            outcome.stage = STAGE_FAILED
             return outcome
         finally:
             outcome.latencies["session"] = self.clock() - started

@@ -61,14 +61,12 @@ ROOT_CAUSE_DOC = "root_cause.json"
 ROOT_CAUSE_REPORT = "root_cause_report.md"
 POC_REPORT = "poc_report.md"
 SESSION_SUMMARY = "session_summary.json"
-SCHEMA_DIR = "schema"
 SEED_DIR = "artifacts/root_cause/seed"
 ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
 #: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
 COLLECTION_DIR = "artifacts/root_cause/data_collector"
 POC_STAGE_DIR = "artifacts/poc"
 EVALUATION_DIR = "artifacts/evaluation"
-RPC_MAP_COPY = "artifacts/rpc/chainid_rpc_map.json"
 FORGE_PROJECT_DIR = "forge_poc"
 
 
@@ -460,10 +458,6 @@ class Session:
     seed: SeedRef
     created_at: datetime
 
-    @property
-    def raw_input_path(self) -> Path:
-        return self.root / RAW_INPUT
-
 
 def _dump_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -519,7 +513,7 @@ def create_session(
         bump += 1
         session_id = f"{stamp}_{prefix}-{bump}"
         root = base / session_id
-    for sub in (SEED_DIR, POC_STAGE_DIR, EVALUATION_DIR, SCHEMA_DIR):
+    for sub in (SEED_DIR, POC_STAGE_DIR, EVALUATION_DIR):
         (root / sub).mkdir(parents=True, exist_ok=True)
     session = Session(session_id=session_id, root=root, seed=seed, created_at=created)
     write_artifact(session, RAW_INPUT, raw_input_doc(seed), schema_id="raw_input")
@@ -528,8 +522,6 @@ def create_session(
         SOURCES_META,
         {"attributions": sorted(set(attributions or ["manual"]))},
     )
-    for schema_id in sorted(SCHEMAS):
-        write_artifact(session, f"{SCHEMA_DIR}/{schema_id}.json", SCHEMAS[schema_id])
     logger.info("created session %s at %s", session_id, root)
     return session
 

@@ -1,0 +1,74 @@
+"""Entry points run end to end: each bundled script in its own interpreter,
+so that a script importing a name the package no longer has fails here,
+and the command line's budget flags."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from txpostmortem import cli
+
+REPO = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        ["run_offline_case.py", "prxvt"],
+        ["replay_benchmark.py"],
+        ["mine_lifecycle_demo.py"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_script_exits_cleanly(script, tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / script[0]), *script[1:],
+         "--workdir", str(tmp_path / "work")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _postmortem(tmp_path: Path, capsys, *flags: str) -> tuple[int, dict]:
+    code = cli.main(
+        ["postmortem", "--case", "prxvt", "--workdir", str(tmp_path), *flags]
+    )
+    return code, json.loads(capsys.readouterr().out)
+
+
+class TestBudgetFlags:
+    def test_defaults_complete_the_case(self, tmp_path, capsys):
+        code, doc = _postmortem(tmp_path, capsys)
+        assert (code, doc["outcome"]["stage"]) == (0, "done")
+
+    @pytest.mark.parametrize(
+        "flag, value, failure",
+        [
+            ("--stage-turns", "1", "root_cause: stage turn budget exhausted"),
+            (
+                "--analyzer-iterations",
+                "1",
+                "root_cause: analyzer iteration budget (1) exhausted",
+            ),
+            (
+                "--reproducer-iterations",
+                "0",
+                "poc: reproducer iteration budget (0) exhausted",
+            ),
+        ],
+    )
+    def test_each_flag_caps_its_budget(self, flag, value, failure, tmp_path, capsys):
+        code, doc = _postmortem(tmp_path, capsys, flag, value)
+        assert code == 1
+        assert doc["outcome"]["stage"] == "failed"
+        assert doc["outcome"]["failure"] == failure

@@ -1,6 +1,7 @@
 """End-to-end sessions: the bundled cases against their goldens, the
 artifacts they leave, rejection codes arriving in the stage they do not
-belong to, and the schema lookup and source scan sessions rely on."""
+belong to, model-backend failures, and the schema lookup and source scan
+sessions rely on."""
 
 from __future__ import annotations
 
@@ -64,6 +65,11 @@ class TestArtifacts:
             {"file": "test/Exploit.sol", "address": scenarios.VAL_ROUTER, "line": 34}
         ]
 
+    @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
+    def test_no_schema_copies(self, fixture, request):
+        root = request.getfixturevalue(fixture).session_root
+        assert not (root / "schema").exists()
+
 
 def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
     bundle = scenarios.build_prxvt_case(tmp_path / "case")
@@ -122,6 +128,20 @@ class TestWrongStageRejection:
                 "actions": ["re_reproduce"],
             }
         ]
+
+
+class TestBackendFailure:
+    def test_exhausted_script_ends_the_session_failed(self, tmp_path):
+        entries = scenarios._prxvt_script_entries()
+        entries["root_cause_analyzer"] = entries["root_cause_analyzer"][:1]
+        outcome = _run_prxvt(
+            tmp_path, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+        )
+        persisted = _read(outcome.session.root, workspace.SESSION_SUMMARY)
+        assert persisted == outcome.summary_doc()
+        assert persisted["outcome"]["stage"] == "failed"
+        assert persisted["outcome"]["failure"].startswith("root_cause: ScriptExhausted: ")
+        assert workspace.check_document(persisted, workspace.SCHEMAS["session_summary"]) == []
 
 
 class TestSchemaLookup:
