@@ -11,6 +11,7 @@ deterministically offline.
 
 from __future__ import annotations
 
+from .act import compute_fees, evaluate_profit_predicate
 from .agents import (
     ModelBackend,
     OpenAIChatBackend,
@@ -19,7 +20,7 @@ from .agents import (
     Usage,
     run_role,
 )
-from .domain import Address, OutcomeLabel, SeedRef, TxHash, validate_chain
+from .domain import Address, OutcomeLabel, SeedRef, TokenAmount, TxHash, validate_chain
 from .gateway import (
     ChainAdapter,
     DataRequest,
@@ -72,11 +73,14 @@ __all__ = [
     "SimulatedRunner",
     "StepResult",
     "SubprocessRunner",
+    "TokenAmount",
     "TxHash",
     "Usage",
     "bind_variables",
+    "compute_fees",
     "create_session",
     "evaluate_constraints",
+    "evaluate_profit_predicate",
     "execute_data_requests",
     "fetch_seed_artifacts",
     "fixture_key",

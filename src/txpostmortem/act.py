@@ -1,35 +1,22 @@
-"""Semantics of anyone-can-take (ACT) opportunities.
+"""The monetary predicate of anyone-can-take (ACT) opportunities.
 
-An incident is ACT when a permissionless adversary, playing by standard
-transaction-submission rules, either extracts strictly positive value in a
-reference asset after fees, or deterministically violates a stated safety
-or liveness property.  All value arithmetic is exact integer math in base
-units; nothing here rounds.
+An incident is monetarily ACT when a permissionless adversary extracts
+strictly positive value in a reference asset after fees.  All value
+arithmetic is exact integer math in base units; nothing here rounds.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping
 
 from .domain import Address, TokenAmount
 from .gateway.types import TxRecord
 
-logger = logging.getLogger(__name__)
 
-
-class ActError(Exception):
-    pass
-
-
-class ValuationError(ActError):
+class ValuationError(Exception):
     """A holding could not be priced in the reference asset."""
-
-
-class InsufficientEvidence(ActError):
-    """A predicate references an observation that was never measured."""
 
 
 @dataclass(frozen=True)
@@ -51,48 +38,6 @@ class ProfitAssessment:
             "margin": self.margin.raw,
             "decimals": self.margin.decimals,
             "satisfied": self.satisfied,
-        }
-
-
-@dataclass(frozen=True)
-class SafetyPredicate:
-    """Deterministic non-monetary violation check over named observations."""
-
-    predicate_id: str
-    description: str
-    kind: str  # "safety" | "liveness"
-    lhs: str
-    comparator: str  # eq | gt | lt | ge | le
-    rhs: Union[int, bool, str]
-
-
-@dataclass(frozen=True)
-class FeasibilityCheck:
-    """Standard-submission feasibility: what the adversary must NOT need."""
-
-    standard_submission: bool
-    reasons: tuple[str, ...] = ()
-
-    def to_doc(self) -> dict:
-        return {
-            "standard_submission": self.standard_submission,
-            "reasons": list(self.reasons),
-        }
-
-
-@dataclass(frozen=True)
-class ActAssessment:
-    is_act: bool
-    profit: Optional[ProfitAssessment]
-    nonmonetary_violations: tuple[str, ...]
-    feasibility: FeasibilityCheck
-
-    def to_doc(self) -> dict:
-        return {
-            "is_act": self.is_act,
-            "profit": self.profit.to_doc() if self.profit else None,
-            "nonmonetary_violations": list(self.nonmonetary_violations),
-            "feasibility": self.feasibility.to_doc(),
         }
 
 
@@ -153,73 +98,4 @@ def evaluate_profit_predicate(
         fees=fees,
         margin=margin,
         satisfied=margin.raw > 0,
-    )
-
-
-_COMPARATORS = {
-    "eq": lambda a, b: a == b,
-    "gt": lambda a, b: a > b,
-    "lt": lambda a, b: a < b,
-    "ge": lambda a, b: a >= b,
-    "le": lambda a, b: a <= b,
-}
-
-
-def evaluate_nonmonetary(
-    predicate: SafetyPredicate,
-    observations: Mapping[str, Union[int, bool, str]],
-) -> bool:
-    """Evaluate one safety/liveness predicate against measured observations."""
-    if predicate.lhs not in observations:
-        raise InsufficientEvidence(
-            f"predicate {predicate.predicate_id} needs observation {predicate.lhs!r}"
-        )
-    measured = observations[predicate.lhs]
-    expected = predicate.rhs
-    if isinstance(expected, str) and expected in observations:
-        expected = observations[expected]
-    try:
-        op = _COMPARATORS[predicate.comparator]
-    except KeyError:
-        raise ActError(f"unknown comparator {predicate.comparator!r}") from None
-    try:
-        return bool(op(measured, expected))
-    except TypeError as exc:
-        raise InsufficientEvidence(
-            f"predicate {predicate.predicate_id}: incomparable values "
-            f"{measured!r} vs {expected!r}"
-        ) from exc
-
-
-def check_feasibility(
-    uses_victim_keys: bool = False,
-    needs_privileged_role: bool = False,
-    breaks_cryptography: bool = False,
-) -> FeasibilityCheck:
-    reasons = []
-    if uses_victim_keys:
-        reasons.append("requires victim private keys")
-    if needs_privileged_role:
-        reasons.append("requires a privileged protocol role")
-    if breaks_cryptography:
-        reasons.append("requires breaking cryptographic assumptions")
-    return FeasibilityCheck(standard_submission=not reasons, reasons=tuple(reasons))
-
-
-def classify_act(
-    profit: Optional[ProfitAssessment],
-    nonmonetary: Mapping[str, bool] | None,
-    feasibility: FeasibilityCheck,
-) -> ActAssessment:
-    """Combine predicate outcomes: ACT needs feasibility and one satisfied route."""
-    violations = tuple(
-        sorted(name for name, violated in (nonmonetary or {}).items() if violated)
-    )
-    monetary_ok = bool(profit and profit.satisfied)
-    is_act = feasibility.standard_submission and (monetary_ok or bool(violations))
-    return ActAssessment(
-        is_act=is_act,
-        profit=profit,
-        nonmonetary_violations=violations,
-        feasibility=feasibility,
     )

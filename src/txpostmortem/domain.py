@@ -1,7 +1,7 @@
 """Core value types shared across the postmortem pipeline.
 
-Chain identifiers, transaction hashes, addresses, seeds and outcome
-labels.  Everything here is immutable and canonicalized at
+Chain identifiers, transaction hashes, addresses, token amounts, and
+outcome labels.  Everything here is immutable and canonicalized at
 construction time so downstream modules can compare values structurally.
 """
 
@@ -10,7 +10,7 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Union
 
 
 class DomainError(Exception):
@@ -27,6 +27,10 @@ class InvalidAddress(DomainError):
 
 class UnsupportedChain(DomainError):
     pass
+
+
+class MixedAssetError(DomainError):
+    """Arithmetic attempted across different assets or decimal scales."""
 
 
 #: EVM networks the pipeline understands, keyed by chain id.
@@ -56,6 +60,9 @@ CHAIN_NAMES: dict[int, str] = {
 }
 
 SUPPORTED_CHAINS: frozenset[int] = frozenset(CHAIN_NAMES)
+
+#: Sentinel asset identifier for the chain's native coin.
+NATIVE_ASSET = "native"
 
 _HEX_DIGITS = frozenset(string.hexdigits)
 
@@ -115,6 +122,90 @@ class Address:
 
     def __str__(self) -> str:
         return self.value
+
+
+#: Asset identifier: a token contract address or the native-coin sentinel.
+AssetId = Union[Address, str]
+
+
+def _check_asset(asset: AssetId) -> AssetId:
+    if isinstance(asset, Address):
+        return asset
+    if asset == NATIVE_ASSET:
+        return asset
+    # Late canonicalization lets callers pass plain hex strings for tokens.
+    return Address(str(asset))
+
+
+@dataclass(frozen=True)
+class TokenAmount:
+    """Arbitrary-precision token quantity in base units.
+
+    ``raw`` is the integer amount in the asset's smallest unit; ``decimals``
+    is the display scale (0..36).  Arithmetic is defined only between
+    amounts of the same asset and scale.
+    """
+
+    raw: int
+    decimals: int
+    asset: AssetId
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.raw, int) or isinstance(self.raw, bool):
+            raise MixedAssetError(f"raw amount must be an integer, got {self.raw!r}")
+        if not (0 <= self.decimals <= 36):
+            raise MixedAssetError(f"decimals out of range 0..36: {self.decimals}")
+        object.__setattr__(self, "asset", _check_asset(self.asset))
+
+    def _compatible(self, other: "TokenAmount") -> None:
+        if not isinstance(other, TokenAmount):
+            raise MixedAssetError(f"expected TokenAmount, got {type(other).__name__}")
+        if other.asset != self.asset or other.decimals != self.decimals:
+            raise MixedAssetError(
+                f"mixed-asset arithmetic: {self.asset}/{self.decimals}d vs "
+                f"{other.asset}/{other.decimals}d"
+            )
+
+    def __add__(self, other: "TokenAmount") -> "TokenAmount":
+        self._compatible(other)
+        return TokenAmount(self.raw + other.raw, self.decimals, self.asset)
+
+    def __sub__(self, other: "TokenAmount") -> "TokenAmount":
+        self._compatible(other)
+        return TokenAmount(self.raw - other.raw, self.decimals, self.asset)
+
+    def __neg__(self) -> "TokenAmount":
+        return TokenAmount(-self.raw, self.decimals, self.asset)
+
+    def __lt__(self, other: "TokenAmount") -> bool:
+        self._compatible(other)
+        return self.raw < other.raw
+
+    def __le__(self, other: "TokenAmount") -> bool:
+        self._compatible(other)
+        return self.raw <= other.raw
+
+    def __gt__(self, other: "TokenAmount") -> bool:
+        self._compatible(other)
+        return self.raw > other.raw
+
+    def __ge__(self, other: "TokenAmount") -> bool:
+        self._compatible(other)
+        return self.raw >= other.raw
+
+    def is_positive(self) -> bool:
+        return self.raw > 0
+
+    def to_decimal_string(self) -> str:
+        """Render as a signed decimal string at the asset's display scale."""
+        sign = "-" if self.raw < 0 else ""
+        mag = abs(self.raw)
+        if self.decimals == 0:
+            return f"{sign}{mag}"
+        digits = str(mag).rjust(self.decimals + 1, "0")
+        whole, frac = digits[: -self.decimals], digits[-self.decimals :]
+        frac = frac.rstrip("0")
+        return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
 
 
 class OutcomeLabel(str, Enum):

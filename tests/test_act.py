@@ -1,4 +1,4 @@
-"""ACT predicates: fee accounting, exact profit margin, feasibility routes.
+"""ACT monetary predicate: fee accounting, exact profit margin, valuation.
 
 The profit figures for the loan-disparity incident are checked against an
 independent hand computation in wei, not against constants exported by the
@@ -14,14 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from txpostmortem.act import (
-    ActError,
-    InsufficientEvidence,
-    SafetyPredicate,
     ValuationError,
-    check_feasibility,
-    classify_act,
     compute_fees,
-    evaluate_nonmonetary,
     evaluate_profit_predicate,
     value_portfolio,
 )
@@ -186,90 +180,3 @@ class TestPortfolioValuation:
         holdings = [TokenAmount(raw, 18, self.TOKEN) for raw in raws]
         expected = int(sum(Fraction(raw) * price for raw in raws))
         assert value_portfolio(holdings, {self.TOKEN: price}).raw == expected
-
-
-class TestNonmonetaryPredicates:
-    def _pred(self, lhs: str, comparator: str, rhs) -> SafetyPredicate:
-        return SafetyPredicate(
-            predicate_id="p1",
-            description="supply must not grow",
-            kind="safety",
-            lhs=lhs,
-            comparator=comparator,
-            rhs=rhs,
-        )
-
-    def test_simple_comparison(self):
-        assert evaluate_nonmonetary(self._pred("supply", "gt", 100), {"supply": 150})
-        assert not evaluate_nonmonetary(self._pred("supply", "gt", 100), {"supply": 100})
-
-    def test_rhs_may_name_another_observation(self):
-        pred = self._pred("after", "gt", "before")
-        assert evaluate_nonmonetary(pred, {"after": 5, "before": 3})
-        assert not evaluate_nonmonetary(pred, {"after": 3, "before": 3})
-
-    def test_missing_observation_is_insufficient_evidence(self):
-        with pytest.raises(InsufficientEvidence):
-            evaluate_nonmonetary(self._pred("supply", "gt", 0), {})
-
-    def test_incomparable_values_are_insufficient_evidence(self):
-        with pytest.raises(InsufficientEvidence):
-            evaluate_nonmonetary(self._pred("supply", "lt", 5), {"supply": "plenty"})
-
-    def test_unknown_comparator_is_an_error(self):
-        with pytest.raises(ActError):
-            evaluate_nonmonetary(self._pred("supply", "spaceship", 5), {"supply": 1})
-
-
-class TestFeasibilityAndClassification:
-    def test_clean_submission(self):
-        check = check_feasibility()
-        assert check.standard_submission is True
-        assert check.reasons == ()
-
-    def test_each_obstacle_is_named(self):
-        check = check_feasibility(
-            uses_victim_keys=True, needs_privileged_role=True, breaks_cryptography=True
-        )
-        assert check.standard_submission is False
-        assert len(check.reasons) == 3
-
-    def _profit(self, satisfied: bool):
-        after = _native(2 if satisfied else 0)
-        return evaluate_profit_predicate(_native(0), after, _native(1))
-
-    def test_profit_route(self):
-        verdict = classify_act(self._profit(True), None, check_feasibility())
-        assert verdict.is_act is True
-
-    def test_violation_route_without_profit(self):
-        verdict = classify_act(
-            self._profit(False), {"supply_inflated": True}, check_feasibility()
-        )
-        assert verdict.is_act is True
-        assert verdict.nonmonetary_violations == ("supply_inflated",)
-
-    def test_infeasible_is_never_act(self):
-        verdict = classify_act(
-            self._profit(True),
-            {"supply_inflated": True},
-            check_feasibility(uses_victim_keys=True),
-        )
-        assert verdict.is_act is False
-
-    def test_no_route_no_act(self):
-        verdict = classify_act(self._profit(False), {"ok": False}, check_feasibility())
-        assert verdict.is_act is False
-
-    @given(
-        profitable=st.booleans(),
-        violated=st.booleans(),
-        feasible=st.booleans(),
-    )
-    def test_classification_truth_table(self, profitable, violated, feasible):
-        verdict = classify_act(
-            self._profit(profitable),
-            {"v": violated},
-            check_feasibility(uses_victim_keys=not feasible),
-        )
-        assert verdict.is_act == (feasible and (profitable or violated))
