@@ -1,7 +1,8 @@
 """Specialist roles: prompts, output contracts, and the run loop.
 
-Each role is a structured-I/O function: it receives a context-instantiated
-instruction prompt, speaks through a ModelBackend, and must produce a
+Each role is a structured-I/O function: it receives an instruction prompt
+filled in with the session's coordinates, is sent each context document once
+as the user message, speaks through a ModelBackend, and must produce a
 document that validates against its output contract.  Malformed output is
 echoed back with the validation errors for another attempt; every attempt
 consumes one turn from the caller's budget.
@@ -10,14 +11,14 @@ consumes one turn from the caller's budget.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from string import Template
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Optional
 
 from .. import oracles, workspace
 from ..gateway.types import DataRequest
-from .backend import ModelBackend, StepResult, Usage, extract_json_document
+from .backend import ModelBackend, Usage, extract_json_document
 
 logger = logging.getLogger(__name__)
 
@@ -63,10 +64,17 @@ def load_template(role: str) -> str:
     )
 
 
-def build_role_prompt(role: str, context: Mapping[str, Any]) -> str:
-    """Instantiate a role's instruction template with session context."""
-    return Template(load_template(role)).safe_substitute(
-        {key: str(value) for key, value in context.items()}
+def build_role_prompt(role: str, session: workspace.Session) -> str:
+    """Fill a role's instruction template with the session's coordinates.
+
+    The templates keep every placeholder in their closing workspace block,
+    so the instructions before it are the same for every session.  A
+    placeholder the session cannot fill raises ``KeyError``.
+    """
+    return Template(load_template(role)).substitute(
+        session_dir=session.root,
+        chainid=session.seed.chainid,
+        seed_txs=", ".join(t.value for t in session.seed.txs),
     )
 
 
@@ -213,7 +221,6 @@ class RoleRun:
     doc: dict[str, Any]
     turns_used: int
     usage: Usage
-    transcript: list[StepResult] = field(default_factory=list)
 
 
 def run_role(
@@ -234,12 +241,10 @@ def run_role(
     validate = validator or (lambda doc: validate_role_output(role, doc))
     conversation = backend.open_conversation(role, prompt)
     usage = Usage()
-    transcript: list[StepResult] = []
     errors: list[str] = []
     next_message = message
     for turn in range(1, turn_cap + 1):
         result = backend.step(conversation, next_message)
-        transcript.append(result)
         usage = usage + result.usage
         doc = result.structured_output
         if doc is None:
@@ -255,7 +260,6 @@ def run_role(
                     doc=doc,
                     turns_used=turn,
                     usage=usage,
-                    transcript=transcript,
                 )
         logger.info("%s output invalid on turn %d: %s", role, turn, errors)
         next_message = (

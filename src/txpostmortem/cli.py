@@ -186,8 +186,8 @@ def cmd_postmortem(args: argparse.Namespace, config: dict[str, Any]) -> int:
 # evaluate
 
 
-def _latest_engine_verdict(session_root: Path) -> dict[str, Any] | None:
-    base = session_root / workspace.POC_STAGE_DIR / "poc_reproducer"
+def _latest_engine_verdict(session: workspace.Session) -> dict[str, Any] | None:
+    base = session.root / workspace.REPRODUCER_DIR
     best: tuple[int, Path] | None = None
     for path in base.glob("iter_*/engine_verdict.json"):
         try:
@@ -198,7 +198,7 @@ def _latest_engine_verdict(session_root: Path) -> dict[str, Any] | None:
             best = (index, path)
     if best is None:
         return None
-    return json.loads(best[1].read_text(encoding="utf-8"))
+    return workspace.read_artifact(session, best[1].relative_to(session.root))
 
 
 def evaluation_context(session: workspace.Session) -> dict[str, Any]:
@@ -209,12 +209,12 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
         raise UsageError(f"session has no {workspace.FORGE_PROJECT_DIR}/ project")
     if not root_cause_path.is_file():
         raise UsageError(f"session has no {workspace.ROOT_CAUSE_DOC}")
-    verdict = _latest_engine_verdict(session.root)
+    verdict = _latest_engine_verdict(session)
     if verdict is None:
         raise UsageError("session has no reproduction verdicts to judge")
     return {
         "project_root": str(project_root),
-        "root_cause": json.loads(root_cause_path.read_text(encoding="utf-8")),
+        "root_cause": workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC),
         "correctness": verdict.get("rubric", {}).get("correctness", {}),
         "oracle_pass": _validated(session.root),
     }
@@ -223,10 +223,7 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     session = workspace.open_session(args.session)
     context = evaluation_context(session)
-    agents = evaluator.default_agents(args.evaluators)
-    reports, consensus = evaluator.evaluate_project(
-        context, agents, max_rounds=args.max_rounds
-    )
+    reports, consensus = evaluator.evaluate_project(context, evaluator.default_agents())
     written = evaluator.write_reports(session, reports, consensus)
     doc = consensus.to_doc()
     doc["written"] = written
@@ -349,12 +346,7 @@ def _session_dirs(sessions_dir: Path) -> list[Path]:
 
 
 def _validated(session_root: Path) -> bool:
-    path = (
-        session_root
-        / workspace.POC_STAGE_DIR
-        / "poc_validator"
-        / "poc_validated_result.json"
-    )
+    path = session_root / workspace.POC_VALIDATED_RESULT
     if not path.is_file():
         return False
     try:
@@ -366,8 +358,8 @@ def _validated(session_root: Path) -> bool:
 
 _EXPORT_DOCS = (
     workspace.ROOT_CAUSE_DOC,
-    "artifacts/poc/oracle_generator/oracle_definition.json",
-    "artifacts/poc/poc_validator/poc_validated_result.json",
+    workspace.ORACLE_DEFINITION,
+    workspace.POC_VALIDATED_RESULT,
 )
 _EXPORT_TEXT = (
     workspace.ROOT_CAUSE_REPORT,
@@ -503,9 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ev = sub.add_parser("evaluate", help="score a finished reproduction")
     ev.add_argument("--session", required=True, help="session directory")
-    ev.add_argument("--evaluators", type=int, default=evaluator.DEFAULT_EVALUATOR_COUNT)
-    ev.add_argument("--max-rounds", dest="max_rounds", type=int,
-                    default=evaluator.DEFAULT_MAX_ROUNDS)
     ev.set_defaults(func=cmd_evaluate)
 
     met = sub.add_parser("metrics", help="aggregate finished session summaries")

@@ -116,7 +116,6 @@ ACTION_CHANGE = "Change"
 
 FAILURE_REASON = "evaluation failure"
 DEFAULT_MAX_ROUNDS = 5
-DEFAULT_EVALUATOR_COUNT = 3
 
 
 # --------------------------------------------------------------------------
@@ -600,7 +599,12 @@ def evaluate_project(
     return reports, consensus
 
 
-def default_agents(n: int = DEFAULT_EVALUATOR_COUNT) -> dict[str, EvaluatorAgent]:
+def default_agents(n: int = 1) -> dict[str, EvaluatorAgent]:
+    """A panel of ``n`` heuristic evaluators.
+
+    The heuristic is deterministic, so its copies always agree and one is
+    enough; negotiation only matters for panels that mix in other agents.
+    """
     if n < 1:
         raise EvaluatorError("evaluator count must be at least 1")
     return {f"evaluator_{i}": HeuristicEvaluator() for i in range(n)}

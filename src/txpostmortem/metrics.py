@@ -187,13 +187,15 @@ def sessions_report(
 ) -> dict[str, Any]:
     """Aggregate usage, cost, and latency across finished sessions.
 
-    Latency is summarized twice: per whole session and per stage, since
-    either grain can be the unit of interest.
+    Latency is summarized per whole session, per stage and per role, since
+    any grain can be the unit of interest.  Summaries key role latencies
+    ``role:<name>``; the report keys them by the bare role name.
     """
     total_usage = Usage()
     per_session: list[dict[str, Any]] = []
     session_durations: list[float] = []
     stage_durations: dict[str, list[float]] = {}
+    role_durations: dict[str, list[float]] = {}
     outcomes: dict[str, int] = {}
     fetched_total = 0
     for doc in summaries:
@@ -209,7 +211,10 @@ def sessions_report(
         for key, value in latencies.items():
             if key == "session":
                 continue
-            stage_durations.setdefault(key, []).append(float(value))
+            if key.startswith("role:"):
+                role_durations.setdefault(key[len("role:"):], []).append(float(value))
+            else:
+                stage_durations.setdefault(key, []).append(float(value))
         per_session.append(
             {
                 "session_id": doc.get("session_id"),
@@ -230,6 +235,10 @@ def sessions_report(
         "latency_per_stage": {
             key: latency_summary(values)
             for key, values in sorted(stage_durations.items())
+        },
+        "latency_per_role": {
+            key: latency_summary(values)
+            for key, values in sorted(role_durations.items())
         },
         "per_session": per_session,
     }

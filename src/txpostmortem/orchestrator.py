@@ -298,12 +298,12 @@ def _run_budgeted_role(
     ledger: _StageLedger,
     backend: ModelBackend,
     role: str,
-    context: dict[str, Any],
+    session: workspace.Session,
     message: str,
 ) -> RoleRun:
     if ledger.turns_remaining <= 0:
         raise StageFailed(ledger.stage, "stage turn budget exhausted")
-    prompt = build_role_prompt(role, context)
+    prompt = build_role_prompt(role, session)
     started = ledger.clock()
     try:
         run = run_role(backend, role, prompt, message, turn_cap=ledger.turns_remaining)
@@ -395,12 +395,7 @@ class Orchestrator:
                     ledger,
                     self.backend,
                     ROLE_ANALYZER,
-                    {
-                        "session_dir": session.root,
-                        "chainid": session.seed.chainid,
-                        "seed_txs": ", ".join(t.value for t in session.seed.txs),
-                        "feedback": feedback,
-                    },
+                    session,
                     message=feedback or "Begin the analysis from the seed evidence.",
                 )
                 analyzer_iterations += 1
@@ -461,11 +456,7 @@ class Orchestrator:
             ledger,
             self.backend,
             ROLE_CHALLENGER,
-            {
-                "session_dir": session.root,
-                "chainid": session.seed.chainid,
-                "root_cause": json.dumps(draft, indent=2),
-            },
+            session,
             message=json.dumps(draft, indent=2),
         )
         challenge: ChallengeResult = run.output
@@ -586,17 +577,13 @@ class Orchestrator:
             ledger,
             self.backend,
             ROLE_ORACLE_GENERATOR,
-            {
-                "session_dir": session.root,
-                "chainid": session.seed.chainid,
-                "root_cause": json.dumps(draft, indent=2),
-            },
+            session,
             message=json.dumps(draft, indent=2),
         )
         definition = oracles.normalize_definition(run.output.definition())
         workspace.write_artifact(
             session,
-            f"{workspace.POC_STAGE_DIR}/{ROLE_ORACLE_GENERATOR}/oracle_definition.json",
+            workspace.ORACLE_DEFINITION,
             definition.to_doc(),
             schema_id="oracle_definition",
         )
@@ -618,21 +605,11 @@ class Orchestrator:
         Optional[harness.PoCProject],
     ]:
         """One reproducer/validator round; None validation means launch failure."""
-        iter_dir = workspace.next_iteration_dir(
-            session, f"{workspace.POC_STAGE_DIR}/{ROLE_REPRODUCER}"
-        )
-        run = _run_budgeted_role(
-            ledger,
-            self.backend,
-            ROLE_REPRODUCER,
-            {
-                "session_dir": session.root,
-                "chainid": session.seed.chainid,
-                "oracle_definition": json.dumps(definition.to_doc(), indent=2),
-                "feedback": feedback,
-            },
-            message=feedback or "Produce the reproduction project.",
-        )
+        iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
+        message = json.dumps(definition.to_doc(), indent=2)
+        if feedback:
+            message += f"\n\nValidator feedback on the previous attempt: {feedback}"
+        run = _run_budgeted_role(ledger, self.backend, ROLE_REPRODUCER, session, message)
         outcome.poc_reproducer_iterations += 1
         files = run.output.files
         workspace.write_artifact(
@@ -698,18 +675,11 @@ class Orchestrator:
             ledger,
             self.backend,
             ROLE_VALIDATOR,
-            {
-                "session_dir": session.root,
-                "chainid": session.seed.chainid,
-                "run_evidence": json.dumps(
-                    {"checks": checks.to_doc(), "observations": obs_report.observations,
-                     "missing": list(obs_report.missing)},
-                    indent=2,
-                    default=str,
-                ),
-                "engine_verdict": json.dumps(engine_doc, indent=2),
-            },
-            message=json.dumps(engine_doc, indent=2),
+            session,
+            message=json.dumps(
+                {"engine_verdict": engine_doc, "observations": obs_report.observations},
+                indent=2,
+            ),
         )
         validation: ValidationResult = vrun.output
         workspace.write_artifact(
@@ -720,7 +690,7 @@ class Orchestrator:
         )
         workspace.write_artifact(
             session,
-            f"{workspace.POC_STAGE_DIR}/{ROLE_VALIDATOR}/poc_validated_result.json",
+            workspace.POC_VALIDATED_RESULT,
             validation.doc,
             schema_id="poc_validation",
         )

@@ -66,6 +66,11 @@ ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
 #: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
 COLLECTION_DIR = "artifacts/root_cause/data_collector"
 POC_STAGE_DIR = "artifacts/poc"
+#: One ``iter_k`` per reproduction attempt.
+REPRODUCER_DIR = "artifacts/poc/poc_reproducer"
+ORACLE_DEFINITION = "artifacts/poc/oracle_generator/oracle_definition.json"
+#: The validator's verdict on the latest reproduction attempt.
+POC_VALIDATED_RESULT = "artifacts/poc/poc_validator/poc_validated_result.json"
 EVALUATION_DIR = "artifacts/evaluation"
 FORGE_PROJECT_DIR = "forge_poc"
 

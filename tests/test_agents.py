@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from txpostmortem import workspace
+from txpostmortem.agents import roles
 from txpostmortem.agents.backend import (
     SCRIPTED_STEP_USAGE,
     BackendError,
@@ -34,7 +36,9 @@ from txpostmortem.agents.roles import (
     run_role,
     validate_role_output,
 )
+from txpostmortem.domain import SeedRef
 
+SESSION_BLOCK = "Session workspace:"
 TX = "0x" + "aa" * 32
 EOA = "0x" + "11" * 20
 VICTIM = "0x" + "22" * 20
@@ -255,15 +259,29 @@ class TestTemplates:
                 found.add(name)
         return found
 
-    def test_prompt_substitutes_every_placeholder(self):
-        for role in ROLES:
-            identifiers = self._placeholders(load_template(role))
-            assert identifiers, role
-            context = {name: f"<{name}>" for name in identifiers}
-            prompt = build_role_prompt(role, context)
-            for name in identifiers:
-                assert f"<{name}>" in prompt
-            assert "$" + "{" not in prompt
+    @pytest.mark.parametrize("role", ROLES)
+    def test_prompt_is_static_up_to_the_session_block(
+        self, role, prxvt_run, valinity_run
+    ):
+        template = load_template(role)
+        block = template.index("\n" + SESSION_BLOCK)
+        assert template.count(SESSION_BLOCK) == 1
+        assert not self._placeholders(template[:block])
+        assert self._placeholders(template[block:])
+        heads = []
+        for run in (prxvt_run, valinity_run):
+            prompt = build_role_prompt(role, run.outcome.session)
+            assert "$" not in prompt
+            heads.append(prompt[: prompt.index("\n" + SESSION_BLOCK)])
+        assert heads[0] == heads[1]
+
+    def test_unfilled_placeholder_raises(self, monkeypatch, tmp_path):
+        session = workspace.create_session(tmp_path, SeedRef.from_strings(1, [TX]))
+        monkeypatch.setattr(
+            roles, "load_template", lambda role: "Session workspace: $session_dir $draft"
+        )
+        with pytest.raises(KeyError):
+            build_role_prompt(ROLE_CHALLENGER, session)
 
 
 def _analysis_doc(final: bool) -> dict:

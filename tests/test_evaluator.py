@@ -1,14 +1,15 @@
 """Evaluator panel: negotiation to consensus, tie-breaking, the round bound,
-protocol violations, crash degradation, history invariants and the
-persisted report shapes."""
+protocol violations, crash degradation, history invariants, the persisted
+report shapes and the ``evaluate`` command over a finished session."""
 
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
-from txpostmortem import workspace
+from txpostmortem import cli, workspace
 from txpostmortem.domain import SeedRef
 from txpostmortem.evaluator import (
     ACTION_CHANGE,
@@ -168,3 +169,28 @@ class TestWriteReports:
             "evaluator_1": True,
             "evaluator_2": True,
         }
+
+
+class TestEvaluateCommand:
+    @pytest.fixture
+    def session_root(self, prxvt_run, tmp_path):
+        root = tmp_path / "session"
+        shutil.copytree(prxvt_run.session_root, root)
+        return root
+
+    def test_one_heuristic_judge_passes_every_metric(self, session_root, capsys):
+        assert cli.main(["evaluate", "--session", str(session_root)]) == 0
+        written = sorted(p.name for p in (session_root / workspace.EVALUATION_DIR).iterdir())
+        assert written == ["consensus_report.json", "evaluator_0_evaluation_result.json"]
+        final = json.loads(capsys.readouterr().out)["final"]
+        assert len(final) == len(METRIC_KEYS) == 9
+        assert all(final.values())
+
+    def test_corrupt_engine_verdict_is_an_error_not_a_crash(self, session_root, capsys):
+        latest = max(
+            (session_root / workspace.REPRODUCER_DIR).glob("iter_*/engine_verdict.json"),
+            key=lambda path: int(path.parent.name.split("_")[1]),
+        )
+        latest.write_text(latest.read_text(encoding="utf-8")[:40], encoding="utf-8")
+        assert cli.main(["evaluate", "--session", str(session_root)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")

@@ -1,7 +1,8 @@
 """End-to-end sessions: the bundled cases against their goldens, the
-artifacts they leave, rejection codes arriving in the stage they do not
-belong to, model-backend failures, and the schema lookup and source scan
-sessions rely on."""
+artifacts they leave, what they send the model, rejection codes arriving in
+the stage they do not belong to, model-backend failures, the metrics report
+over their summaries, and the schema lookup and source scan sessions rely
+on."""
 
 from __future__ import annotations
 
@@ -10,13 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from txpostmortem import scenarios, workspace
-from txpostmortem.agents import ScriptedBackend
+from txpostmortem import metrics, scenarios, workspace
+from txpostmortem.agents import ROLES, ScriptedBackend, StepResult
 from txpostmortem.domain import SeedRef
 from txpostmortem.harness import SimulatedRunner, scan_for_addresses, solidity_sources
 from txpostmortem.orchestrator import Orchestrator
-
-ORACLE_DEFINITION = f"{workspace.POC_STAGE_DIR}/oracle_generator/oracle_definition.json"
 
 
 def _read(root: Path, relpath: str) -> dict:
@@ -38,7 +37,7 @@ class TestGoldens:
 
     def test_oracle_ids_match_in_order(self, fixture, request):
         run = request.getfixturevalue(fixture)
-        definition = _read(run.session_root, ORACLE_DEFINITION)
+        definition = _read(run.session_root, workspace.ORACLE_DEFINITION)
         ids = [c["id"] for kind in ("pre_check", "hard", "soft") for c in definition[kind]]
         assert ids == run.bundle.expected["oracle_ids"]
 
@@ -59,7 +58,7 @@ class TestArtifacts:
     def test_attacker_router_hit_in_first_reproduction(self, valinity_run):
         verdict = _read(
             valinity_run.session_root,
-            f"{workspace.POC_STAGE_DIR}/poc_reproducer/iter_0/engine_verdict.json",
+            f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json",
         )
         assert verdict["rubric"]["attacker_address_hits"] == [
             {"file": "test/Exploit.sol", "address": scenarios.VAL_ROUTER, "line": 34}
@@ -69,6 +68,46 @@ class TestArtifacts:
     def test_no_schema_copies(self, fixture, request):
         root = request.getfixturevalue(fixture).session_root
         assert not (root / "schema").exists()
+
+
+class _RecordingBackend:
+    """Passes every call through and keeps what each conversation was sent."""
+
+    def __init__(self, inner: ScriptedBackend):
+        self.inner = inner
+        self.prompts: dict[str, str] = {}
+        self.messages: dict[str, list[str]] = {}
+
+    def open_conversation(self, role: str, system_prompt: str) -> str:
+        conversation = self.inner.open_conversation(role, system_prompt)
+        self.prompts[conversation] = system_prompt
+        self.messages[conversation] = []
+        return conversation
+
+    def step(self, conversation_id: str, message: str) -> StepResult:
+        self.messages[conversation_id].append(message)
+        return self.inner.step(conversation_id, message)
+
+
+class TestModelInput:
+    @pytest.mark.parametrize("case", sorted(scenarios.CASE_BUILDERS))
+    def test_no_document_is_sent_twice(self, tmp_path, case):
+        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        backend = _RecordingBackend(bundle.backend())
+        orch = Orchestrator(
+            backend=backend, adapter=bundle.adapter(), runner=bundle.runner()
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "done"
+        documents = [
+            (conversation, message)
+            for conversation, messages in backend.messages.items()
+            for message in messages
+            if len(message) > 40
+        ]
+        assert documents
+        for conversation, message in documents:
+            assert message not in backend.prompts[conversation]
 
 
 def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
@@ -142,6 +181,14 @@ class TestBackendFailure:
         assert persisted["outcome"]["stage"] == "failed"
         assert persisted["outcome"]["failure"].startswith("root_cause: ScriptExhausted: ")
         assert workspace.check_document(persisted, workspace.SCHEMAS["session_summary"]) == []
+
+
+class TestMetricsReport:
+    def test_role_latencies_are_reported_apart_from_stages(self, valinity_run):
+        report = metrics.sessions_report([valinity_run.doc])
+        assert set(report["latency_per_stage"]) == {"root_cause", "poc"}
+        assert set(report["latency_per_role"]) == set(ROLES)
+        assert report["latency_per_role"]["poc_validator"]["count"] == 1
 
 
 class TestSchemaLookup:
