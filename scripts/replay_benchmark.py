@@ -26,8 +26,6 @@ from txpostmortem.metrics import load_session_summaries, sessions_report
 @dataclass(frozen=True)
 class BenchmarkConfig:
     workdir: Path
-    evaluators: int = 3
-    max_rounds: int = 5
 
 
 def run_benchmark(config: BenchmarkConfig) -> dict:
@@ -43,9 +41,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         outcome = orchestrator.run_postmortem(bundle.seed(), str(sessions_dir))
         session = outcome.session
         reports, consensus = evaluate_project(
-            evaluation_context(session),
-            default_agents(config.evaluators),
-            max_rounds=config.max_rounds,
+            evaluation_context(session), default_agents()
         )
         write_reports(session, reports, consensus)
         doc = outcome.summary_doc()
@@ -69,14 +65,11 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workdir", default="benchmark_runs", type=Path)
-    parser.add_argument("--evaluators", type=int, default=3)
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args()
     logging.basicConfig(level=logging.INFO if args.verbose else logging.WARNING)
 
-    result = run_benchmark(
-        BenchmarkConfig(workdir=args.workdir, evaluators=args.evaluators)
-    )
+    result = run_benchmark(BenchmarkConfig(workdir=args.workdir))
     print(json.dumps(result, indent=2, sort_keys=True))
 
     ok = all(

@@ -12,11 +12,14 @@ from .base import (
     resolve_rpc_url,
 )
 from .collect import (
+    FETCH_WORKERS,
     SEED_ARTIFACT_KINDS,
     execute_data_requests,
+    fetch_many,
     fetch_seed_artifacts,
     fetch_tx_metadata,
     fetch_txlist,
+    fetch_txlists,
     read_storage_slot,
 )
 from .fixtures import FixtureStore, RecordingAdapter, ReplayAdapter, fixture_key
@@ -35,6 +38,7 @@ __all__ = [
     "ChainAdapter",
     "CollectionSummary",
     "DataRequest",
+    "FETCH_WORKERS",
     "FixtureStore",
     "GatewayError",
     "LiveAdapter",
@@ -49,9 +53,11 @@ __all__ = [
     "UpstreamError",
     "disassemble",
     "execute_data_requests",
+    "fetch_many",
     "fetch_seed_artifacts",
     "fetch_tx_metadata",
     "fetch_txlist",
+    "fetch_txlists",
     "fixture_key",
     "load_rpc_map",
     "read_storage_slot",

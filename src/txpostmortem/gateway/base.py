@@ -51,7 +51,10 @@ class BootstrapError(GatewayError):
 
 class ChainAdapter(Protocol):
     def fetch(self, request: DataRequest) -> dict[str, Any]:
-        """Return the JSON payload for one data request."""
+        """Return the JSON payload for one data request.
+
+        It may be called from several threads at once.
+        """
         ...
 
 

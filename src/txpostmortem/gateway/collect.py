@@ -4,14 +4,21 @@ These functions sit between the orchestrator and the adapter: they issue
 requests, land payloads as workspace artifacts, and fold results into
 collection summaries.  Per-request failures never abort a batch; only the
 seed bootstrap treats missing evidence as fatal.
+
+The requests of one batch are independent, so ``fetch_many`` waits on up to
+``FETCH_WORKERS`` of them at once.  Only the waiting overlaps: artifact
+names, workspace writes, summary records and diagnostics are made on the
+calling thread in request order, so a batch lands the same bytes however
+its answers interleave.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .. import workspace
 from ..domain import TxHash
@@ -27,12 +34,42 @@ _SEED_FILENAMES = {
     "balance_diff": "balance_diff.json",
 }
 
+#: Most fetches one ``fetch_many`` call has in flight at once.
+FETCH_WORKERS = 8
+
 _UNSAFE = re.compile(r"[^0-9a-zA-Z_]+")
 
 
 def _safe_name(request: DataRequest) -> str:
     target = _UNSAFE.sub("_", request.normalized_target())[:24].strip("_")
     return f"{request.kind}_{target or 'item'}.json"
+
+
+def fetch_many(
+    adapter: ChainAdapter, requests: Sequence[DataRequest]
+) -> list[dict[str, Any] | GatewayError]:
+    """Fetch every request, with up to ``FETCH_WORKERS`` in flight at once.
+
+    Results come back in request order; a ``GatewayError`` takes its
+    request's slot, without its traceback, whose frames would tie the
+    results into a reference cycle.  Any other exception propagates once
+    the pool has shut down, so no thread outlives the call.  A batch of at
+    most one request runs inline.
+    """
+
+    def fetch_one(request: DataRequest) -> dict[str, Any] | GatewayError:
+        try:
+            return adapter.fetch(request)
+        except GatewayError as exc:
+            return exc.with_traceback(None)
+
+    if len(requests) <= 1:
+        return [fetch_one(request) for request in requests]
+    pool = ThreadPoolExecutor(max_workers=min(FETCH_WORKERS, len(requests)))
+    try:
+        return list(pool.map(fetch_one, requests))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def fetch_seed_artifacts(
@@ -48,17 +85,21 @@ def fetch_seed_artifacts(
     summary = CollectionSummary()
     index: dict[str, Any] = {"targets": [], "artifacts": {}}
     diagnostics: list[str] = []
+    requests = [
+        DataRequest(kind=kind, chainid=seed.chainid, target=tx.value)
+        for tx in seed.txs
+        for kind in SEED_ARTIFACT_KINDS
+    ]
+    results = iter(zip(requests, fetch_many(adapter, requests)))
     for tx in seed.txs:
         index["targets"].append({"chainid": seed.chainid, "txhash": tx.value})
         tx_dir = f"{workspace.SEED_DIR}/{seed.chainid}/{tx.value}"
         files: list[str] = []
         for kind in SEED_ARTIFACT_KINDS:
-            request = DataRequest(kind=kind, chainid=seed.chainid, target=tx.value)
-            try:
-                payload = adapter.fetch(request)
-            except GatewayError as exc:
-                diagnostics.append(f"{kind} {tx.value}: {exc}")
-                summary.record_failure(request, str(exc))
+            request, payload = next(results)
+            if isinstance(payload, GatewayError):
+                diagnostics.append(f"{kind} {tx.value}: {payload}")
+                summary.record_failure(request, str(payload))
                 continue
             relpath = f"{tx_dir}/{_SEED_FILENAMES[kind]}"
             workspace.write_artifact(session, relpath, payload)
@@ -82,12 +123,10 @@ def execute_data_requests(
     """Serve a batch of analyst data requests into one iteration directory."""
     summary = CollectionSummary()
     used_names: set[str] = set()
-    for request in requests:
-        try:
-            payload = adapter.fetch(request)
-        except GatewayError as exc:
-            logger.info("request failed: %s %s: %s", request.kind, request.target, exc)
-            summary.record_failure(request, str(exc))
+    for request, payload in zip(requests, fetch_many(adapter, requests)):
+        if isinstance(payload, GatewayError):
+            logger.info("request failed: %s %s: %s", request.kind, request.target, payload)
+            summary.record_failure(request, str(payload))
             continue
         name = request.out_path or _safe_name(request)
         base, n = name, 1
@@ -106,6 +145,30 @@ def execute_data_requests(
 # -- typed helpers -----------------------------------------------------------
 
 
+def fetch_txlists(
+    adapter: ChainAdapter,
+    chainid: int,
+    addresses: Sequence[str],
+    block_lo: int | None = None,
+    block_hi: int | None = None,
+) -> list[list[TxRecord]]:
+    """Each address's transactions in order; the first failure in address
+    order is raised once every list has been fetched."""
+    requests = [
+        DataRequest(
+            kind="txlist", chainid=chainid, target=address, block_lo=block_lo, block_hi=block_hi
+        )
+        for address in addresses
+    ]
+    lists = []
+    for payload in fetch_many(adapter, requests):
+        if isinstance(payload, GatewayError):
+            raise payload
+        records = [TxRecord.from_doc(doc) for doc in payload.get("records", [])]
+        lists.append(sorted(records, key=TxRecord.order_key))
+    return lists
+
+
 def fetch_txlist(
     adapter: ChainAdapter,
     chainid: int,
@@ -113,13 +176,7 @@ def fetch_txlist(
     block_lo: int | None = None,
     block_hi: int | None = None,
 ) -> list[TxRecord]:
-    payload = adapter.fetch(
-        DataRequest(
-            kind="txlist", chainid=chainid, target=address, block_lo=block_lo, block_hi=block_hi
-        )
-    )
-    records = [TxRecord.from_doc(doc) for doc in payload.get("records", [])]
-    return sorted(records, key=TxRecord.order_key)
+    return fetch_txlists(adapter, chainid, [address], block_lo, block_hi)[0]
 
 
 def fetch_tx_metadata(

@@ -8,6 +8,7 @@ never see provider-specific field names.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import os
 import time
@@ -126,7 +127,7 @@ class LiveAdapter:
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
-        self._rpc_id = 0
+        self._rpc_ids = itertools.count(1)
 
     # -- transport ---------------------------------------------------------
 
@@ -144,8 +145,7 @@ class LiveAdapter:
 
     def _rpc(self, chainid: int, method: str, params: list[Any]) -> Any:
         url = resolve_rpc_url(chainid, self.env, self.rpc_map)
-        self._rpc_id += 1
-        body = {"jsonrpc": "2.0", "id": self._rpc_id, "method": method, "params": params}
+        body = {"jsonrpc": "2.0", "id": next(self._rpc_ids), "method": method, "params": params}
 
         def call() -> dict[str, Any]:
             doc = self.rpc_post(url, body, self.timeout)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .domain import Address, TxHash
-from .gateway import ChainAdapter, fetch_tx_metadata, fetch_txlist
+from .gateway import ChainAdapter, fetch_tx_metadata, fetch_txlists
 from .gateway.types import BalanceDelta, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
@@ -343,14 +343,20 @@ def mine_lifecycle(
     participants: ParticipantSet,
     window: int = DEFAULT_WINDOW,
 ) -> tuple[LifecycleSet, list[TxRecord]]:
-    """Fetch adversary transaction lists around the seed and select the set."""
+    """Fetch adversary transaction lists around the seed and select the set.
+
+    The lists are fetched concurrently once the seed's block is known, and
+    merged in sorted-account order, so the first account to list a
+    transaction supplies its record.
+    """
     metadata = fetch_tx_metadata(adapter, chainid, seed)
     seed_block = metadata.get("block_number", 0)
     lo = max(0, seed_block - window)
     hi = seed_block + window
+    accounts = sorted(participants.adversaries)
     merged: dict[TxHash, TxRecord] = {}
-    for account in sorted(participants.adversary_eoas | participants.adversary_contracts):
-        for record in fetch_txlist(adapter, chainid, account.value, lo, hi):
+    for records in fetch_txlists(adapter, chainid, [a.value for a in accounts], lo, hi):
+        for record in records:
             merged.setdefault(record.txhash, record)
     universe = sorted(merged.values(), key=TxRecord.order_key)
     lifecycle = select_covering_set(universe, seed, participants)

@@ -4,6 +4,9 @@ Posts arrive from a pull-based feed (JSON-lines file or any iterable),
 candidate transaction hashes are extracted textually, chains are resolved by
 probing the gateway, and accepted incidents are enqueued as bare seed
 payloads carrying no narrative context.
+
+A hash is resolved by probing every chain at once (``fetch_many``), and
+once per feed: a hash that several posts repeat reuses its first answer.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from .gateway import ChainAdapter, DataRequest, GatewayError
+from .gateway import ChainAdapter, DataRequest, GatewayError, fetch_many
 
 logger = logging.getLogger(__name__)
 
@@ -128,19 +131,21 @@ def resolve_chain(
     adapter: ChainAdapter,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
 ) -> int:
-    """Probe chains in priority order for the transaction.
+    """Probe every chain for the transaction, concurrently.
 
     Exactly one hit resolves; zero raises ChainNotFound; several raise
-    AmbiguousChain carrying every match so the caller can arbitrate.
+    AmbiguousChain carrying every match, in probe order, so the caller can
+    arbitrate.
     """
-    matches = []
-    for chainid in chains:
-        request = DataRequest(kind="tx_metadata", chainid=chainid, target=txhash.value)
-        try:
-            adapter.fetch(request)
-        except GatewayError:
-            continue
-        matches.append(chainid)
+    requests = [
+        DataRequest(kind="tx_metadata", chainid=chainid, target=txhash.value)
+        for chainid in chains
+    ]
+    matches = [
+        request.chainid
+        for request, payload in zip(requests, fetch_many(adapter, requests))
+        if not isinstance(payload, GatewayError)
+    ]
     if not matches:
         raise ChainNotFound(txhash.value)
     if len(matches) > 1:
@@ -167,37 +172,37 @@ class IncidentCandidate:
 
 
 def candidates_from_post(
-    post: Post,
-    adapter: ChainAdapter,
-    chains: Iterable[int] = DEFAULT_PROBE_ORDER,
+    post: Post, resolve: Callable[[TxHash], int | MonitorError]
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
     """Extract, resolve, and group one post's hashes per chain.
 
-    A post naming transactions on several chains is split into one candidate
-    per chain, with the split logged.
+    ``resolve`` returns the chain id ``resolve_chain`` returns, or the
+    ``ChainNotFound`` or ``AmbiguousChain`` it raises.  A post naming
+    transactions on several chains is split into one candidate per chain,
+    with the split logged.
     """
     notes: list[dict[str, Any]] = []
     by_chain: dict[int, list[TxHash]] = {}
-    probe_order = tuple(chains)
     for txhash in extract_tx_hashes(post.text):
-        try:
-            chainid = resolve_chain(txhash, adapter, probe_order)
-        except ChainNotFound:
+        answer = resolve(txhash)
+        if isinstance(answer, ChainNotFound):
             notes.append(
                 {"event": "hash_unresolved", "txhash": txhash.value, "post": post.source_id}
             )
             continue
-        except AmbiguousChain as exc:
-            chainid = exc.matches[0]
+        if isinstance(answer, AmbiguousChain):
+            chainid = answer.matches[0]
             notes.append(
                 {
                     "event": "ambiguous_chain",
                     "txhash": txhash.value,
-                    "matches": exc.matches,
+                    "matches": answer.matches,
                     "chosen": chainid,
                     "post": post.source_id,
                 }
             )
+        else:
+            chainid = answer
         by_chain.setdefault(chainid, []).append(txhash)
     if len(by_chain) > 1:
         notes.append(
@@ -241,16 +246,32 @@ def dedupe_and_filter(
     classifier: RelevanceClassifier,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
-    """Classify, extract, and deduplicate; first post per incident wins."""
+    """Classify, extract, and deduplicate; first post per incident wins.
+
+    Each distinct hash is resolved once; posts repeating it reuse the answer,
+    and each still logs its own notes.
+    """
     accepted: list[IncidentCandidate] = []
     seen: set[tuple[int, tuple[str, ...]]] = set()
     log: list[dict[str, Any]] = []
     probe_order = tuple(chains)
+    resolved: dict[str, int | MonitorError] = {}
+
+    def resolve(txhash: TxHash) -> int | MonitorError:
+        if txhash.value not in resolved:
+            try:
+                resolved[txhash.value] = resolve_chain(txhash, adapter, probe_order)
+            except (ChainNotFound, AmbiguousChain) as exc:
+                # Kept without its traceback, whose frames lead back to
+                # this dict and would hold the feed until a full collection.
+                resolved[txhash.value] = exc.with_traceback(None)
+        return resolved[txhash.value]
+
     for post in posts:
         if not classifier.is_incident(post):
             log.append({"event": "irrelevant_post", "post": post.source_id})
             continue
-        candidates, notes = candidates_from_post(post, adapter, probe_order)
+        candidates, notes = candidates_from_post(post, resolve)
         log.extend(notes)
         if not candidates:
             log.append({"event": "no_seed_found", "post": post.source_id})

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -322,6 +324,63 @@ class TestExecuteDataRequests:
         ]
         execute_data_requests(session, requests, _StubAdapter(), iter_dir)
         assert (iter_dir / "custom.json").is_file()
+
+
+class _LaterFirstAdapter:
+    """Holds the k-th of ``n`` calls longer than the calls after it, so
+    later requests are answered first."""
+
+    def __init__(self, inner, n: int):
+        self.inner = inner
+        self.n = n
+        self._arrivals = itertools.count()
+
+    def fetch(self, request: DataRequest) -> dict:
+        time.sleep(0.005 * (self.n - next(self._arrivals)))
+        return self.inner.fetch(request)
+
+
+class TestAnswerOrder:
+    """Concurrent batches land as a serial batch would, whatever answers first."""
+
+    def _collect(self, tmp_path, requests, adapter):
+        session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
+        iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
+        summary = execute_data_requests(session, requests, adapter, iter_dir)
+        files = {p.name: p.read_bytes() for p in sorted(iter_dir.iterdir())}
+        return summary.to_doc(), files
+
+    def test_data_requests(self, tmp_path):
+        requests = _one_request_per_kind()
+        requests.insert(2, requests[0])  # a name collision
+        expected = self._collect(tmp_path / "a", requests, _StubAdapter())
+        got = self._collect(
+            tmp_path / "b", requests, _LaterFirstAdapter(_StubAdapter(), len(requests))
+        )
+        assert got == expected
+        assert [f["request"] for f in got[0]["fetched"]] == [
+            r.to_doc() for r in requests if r.kind != "other"
+        ]
+
+    def test_seed_bootstrap(self, tmp_path):
+        txs = tuple("0x" + f"{i:02x}" * 32 for i in range(1, 4))
+        seed = SeedRef(chainid=1, txs=txs)
+        n = len(txs) * 3
+        slow = _LaterFirstAdapter(_SeedAdapter(), n)
+        summary = fetch_seed_artifacts(workspace.create_session(tmp_path / "a", seed), slow)
+        assert [f["request"]["target"] for f in summary.fetched] == [
+            tx for tx in txs for _ in range(3)
+        ]
+        with pytest.raises(BootstrapError) as info:
+            fetch_seed_artifacts(
+                workspace.create_session(tmp_path / "b", seed),
+                _LaterFirstAdapter(_SeedAdapter(fail_kinds={"tx_trace", "balance_diff"}), n),
+            )
+        assert info.value.diagnostics == [
+            f"{kind} {tx}: stub failure for {kind}"
+            for tx in txs
+            for kind in ("tx_trace", "balance_diff")
+        ]
 
 
 class TestTypedFetchers:

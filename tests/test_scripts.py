@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from txpostmortem import cli
+from txpostmortem import CASE_BUILDERS, cli, workspace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -27,16 +27,31 @@ REPO = Path(__file__).resolve().parents[1]
     ids=lambda argv: argv[0],
 )
 def test_script_exits_cleanly(script, tmp_path):
+    result = _run_script(script, tmp_path / "work")
+    assert result.returncode == 0, result.stderr
+
+
+def test_replay_benchmark_writes_one_evaluator_report(tmp_path):
+    workdir = tmp_path / "work"
+    result = _run_script(["replay_benchmark.py"], workdir)
+    assert result.returncode == 0, result.stderr
+    sessions = sorted((workdir / "sessions").iterdir())
+    assert len(sessions) == len(CASE_BUILDERS)
+    for session in sessions:
+        reports = sorted(p.name for p in (session / workspace.EVALUATION_DIR).iterdir())
+        assert reports == ["consensus_report.json", "evaluator_0_evaluation_result.json"]
+
+
+def _run_script(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    result = subprocess.run(
-        [sys.executable, str(REPO / "scripts" / script[0]), *script[1:],
-         "--workdir", str(tmp_path / "work")],
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:],
+         "--workdir", str(workdir)],
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert result.returncode == 0, result.stderr
 
 
 def _postmortem(tmp_path: Path, capsys, *flags: str) -> tuple[int, dict]:
