@@ -11,7 +11,10 @@ from __future__ import annotations
 import itertools
 import logging
 import os
+import threading
 import time
+from collections import OrderedDict
+from concurrent.futures import Future
 from typing import Any, Callable, Mapping, Optional
 
 from ..domain import Address
@@ -19,6 +22,7 @@ from .base import (
     MissingCredential,
     UnsupportedRequest,
     UpstreamError,
+    load_rpc_map,
     resolve_rpc_url,
 )
 from .types import DataRequest
@@ -26,6 +30,9 @@ from .types import DataRequest
 logger = logging.getLogger(__name__)
 
 EXPLORER_API_URL = "https://api.etherscan.io/v2/api"
+
+#: Prestate diffs an adapter keeps for the kinds that share them.
+PRESTATE_CACHE_SIZE = 16
 
 # Opcode mnemonics for the bytecode fallback listing.  Only the common
 # subset; unknown bytes render as raw hex so nothing is silently dropped.
@@ -121,13 +128,17 @@ class LiveAdapter:
         timeout: float = 30.0,
     ):
         self.env = dict(os.environ if env is None else env)
-        self.rpc_map = rpc_map
+        self.rpc_map = load_rpc_map() if rpc_map is None else rpc_map
         self.rpc_post = rpc_post
         self.api_get = api_get
         self.retries = retries
         self.backoff = backoff
         self.timeout = timeout
         self._rpc_ids = itertools.count(1)
+        # One prestateTracer diff per (chain, tx) serves both balance_diff
+        # and state_diff; the first caller fetches, the others wait on it.
+        self._prestate: OrderedDict[tuple[int, str], Future] = OrderedDict()
+        self._prestate_lock = threading.Lock()
 
     # -- transport ---------------------------------------------------------
 
@@ -221,12 +232,38 @@ class LiveAdapter:
 
         return {"root": convert(frame)}
 
+    def _prestate_diff(self, request: DataRequest) -> dict[str, Any]:
+        key = (request.chainid, request.normalized_target())
+        with self._prestate_lock:
+            future = self._prestate.get(key)
+            owner = future is None
+            if owner:
+                future = self._prestate[key] = Future()
+                if len(self._prestate) > PRESTATE_CACHE_SIZE:
+                    self._prestate.popitem(last=False)
+        if owner:
+            try:
+                future.set_result(
+                    self._rpc(
+                        request.chainid,
+                        "debug_traceTransaction",
+                        [
+                            request.target,
+                            {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}},
+                        ],
+                    )
+                )
+            except BaseException as exc:
+                # A failure is shared with the callers already waiting, not
+                # kept: the next request for this tx fetches again.
+                with self._prestate_lock:
+                    if self._prestate.get(key) is future:
+                        del self._prestate[key]
+                future.set_exception(exc)
+        return future.result()
+
     def _fetch_balance_diff(self, request: DataRequest) -> dict[str, Any]:
-        diff = self._rpc(
-            request.chainid,
-            "debug_traceTransaction",
-            [request.target, {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}],
-        )
+        diff = self._prestate_diff(request)
         entries = []
         pre, post = diff.get("pre", {}), diff.get("post", {})
         for account in sorted(set(pre) | set(post)):
@@ -246,11 +283,7 @@ class LiveAdapter:
         return {"entries": entries}
 
     def _fetch_state_diff(self, request: DataRequest) -> dict[str, Any]:
-        diff = self._rpc(
-            request.chainid,
-            "debug_traceTransaction",
-            [request.target, {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}],
-        )
+        diff = self._prestate_diff(request)
         return {"pre": diff.get("pre", {}), "post": diff.get("post", {})}
 
     def _fetch_receipt_logs(self, request: DataRequest) -> dict[str, Any]:

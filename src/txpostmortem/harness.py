@@ -314,6 +314,10 @@ class CorrectnessChecks:
             "pinned_fork": self.pinned_fork,
         }
 
+    @property
+    def passed(self) -> bool:
+        return self.compiles and self.runs_clean and self.pinned_fork
+
 
 def correctness_checks(project: PoCProject, result: RunResult) -> CorrectnessChecks:
     runs_clean = (

@@ -14,7 +14,7 @@ import hashlib
 import logging
 import re
 from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from .domain import Address, validate_chain
 
@@ -357,15 +357,24 @@ class VerdictReport:
             if not r.satisfied
         ]
 
-    def to_validation_doc(self, rubric: Mapping[str, Any] | None = None) -> dict:
+    def to_validation_doc(
+        self,
+        rubric: Mapping[str, Any] | None = None,
+        reject_reasons: Sequence[str] | None = None,
+    ) -> dict:
+        """The verdict as a ``poc_validation`` document; it rejects exactly
+        when ``reject_reasons`` is non-empty, which by default holds
+        ``oracle_validation_failed`` when an oracle is unsatisfied."""
+        if reject_reasons is None:
+            reject_reasons = [] if self.overall_pass else ["oracle_validation_failed"]
         doc: dict[str, Any] = {
-            "overall_status": "Pass" if self.overall_pass else "Reject",
+            "overall_status": "Reject" if reject_reasons else "Pass",
             "oracle_results": [r.to_doc() for r in self.constraint_results],
             "pre_check_results": [r.to_doc() for r in self.pre_check_results],
             "rubric": dict(rubric or {}),
         }
-        if not self.overall_pass:
-            doc["reject_reasons"] = ["oracle_validation_failed"]
+        if reject_reasons:
+            doc["reject_reasons"] = list(reject_reasons)
         return doc
 
 

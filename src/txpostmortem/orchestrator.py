@@ -1,12 +1,20 @@
 """Control loop: seed in, validated root cause and reproduction out.
 
-Two stages.  In the root-cause stage the gateway fetches each batch of
-evidence the analyzer requests, with no model turn of its own, until the
-analyzer closes its evidence; the draft then goes to the challenger, and
-rejections route back by reason.  The PoC stage generates oracles once, then
-loops reproducer, harness run, oracle evaluation, and validator until the
-reproduction passes or budgets run out.  Every model turn, fetch, rejection,
-and stage latency is accounted for in the session summary.
+Model turns are spent only on judgment; what code can check, code decides.
+The bootstrap lands the seed artifacts plus a best-effort context (receipt
+logs, state diff, and metadata of every contract the seed trace calls), and
+the analyzer's first message carries a digest of that context.  In the
+root-cause stage the gateway fetches each batch of evidence the analyzer
+requests, with no model turn of its own, until the analyzer closes its
+evidence; the draft then goes to the challenger, and rejections route back
+by reason.  The PoC stage generates oracles once, then loops reproducer and
+harness run until the reproduction passes or budgets run out.  Each run
+gets an engine verdict first: the oracles, the compile, clean-run and
+pinned-fork checks, and a scan for attacker addresses, with reject codes
+from the validator's vocabulary.  Only a run the engine passes gets a
+validator turn, and a PoC is validated only when both pass.  Every model
+turn, fetch, rejection, and stage latency is accounted for in the session
+summary.
 """
 
 from __future__ import annotations
@@ -374,11 +382,15 @@ class Orchestrator:
     # -- root-cause stage ---------------------------------------------------
 
     def run_root_cause_stage(
-        self, session: workspace.Session, outcome: SessionOutcome
+        self, session: workspace.Session, outcome: SessionOutcome, seed_digest: str = ""
     ) -> Optional[dict[str, Any]]:
         """Drive analysis to a challenged root cause; returns the accepted
-        draft, or None when the incident is not ACT."""
+        draft, or None when the incident is not ACT.  The analyzer's first
+        message carries ``seed_digest``, the digest of the seed context."""
         ledger = _StageLedger(STAGE_ROOT_CAUSE, self.budgets, self.clock)
+        opening = "Begin the analysis from the seed evidence."
+        if seed_digest:
+            opening += "\n\n" + seed_digest
         feedback = ""
         analyzer_iterations = 0
         try:
@@ -396,7 +408,7 @@ class Orchestrator:
                     self.backend,
                     ROLE_ANALYZER,
                     session,
-                    message=feedback or "Begin the analysis from the seed evidence.",
+                    message=feedback or opening,
                 )
                 analyzer_iterations += 1
                 analysis: AnalysisResult = run.output
@@ -520,19 +532,26 @@ class Orchestrator:
         ledger = _StageLedger(STAGE_POC, self.budgets, self.clock)
         try:
             definition = self._generate_oracles(session, ledger, draft)
-            deny = frozenset(
-                Address(a)
-                for key in ("attacker_eoas", "attacker_contracts")
-                for a in draft.get("roles", {}).get(key, [])
+            roles = draft.get("roles", {})
+            # The reject code a source hit on each attacker-side address earns.
+            taint = {
+                Address(a).value: code
+                for key, code in (
+                    ("attacker_eoas", REASON_ATTACKER_VALUES),
+                    ("attacker_contracts", REASON_ATTACKER_CONTRACT),
+                )
+                for a in roles.get(key, [])
+            }
+            bound = oracles.bind_variables(
+                definition, {}, frozenset(Address(a) for a in taint)
             )
-            bound = oracles.bind_variables(definition, {}, deny)
             expected = oracles.observation_names(bound)
             feedback = ""
             for _ in range(self.budgets.reproducer_iterations):
-                verdict, validation, project = self._reproduce_once(
-                    session, ledger, definition, bound, expected, deny, feedback, outcome
+                verdict, reasons, project = self._reproduce_once(
+                    session, ledger, definition, bound, expected, taint, feedback, outcome
                 )
-                if validation is not None and validation.passed:
+                if not reasons:
                     outcome.poc_validated = True
                     workspace.write_text_artifact(
                         session,
@@ -547,11 +566,6 @@ class Orchestrator:
                     )
                     return
                 outcome.poc_rejects += 1
-                reasons = (
-                    [RejectReason.parse(r, POC_REASONS) for r in validation.reject_reasons]
-                    if validation is not None
-                    else [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
-                )
                 outcome.reject_log.append(
                     {
                         "stage": STAGE_POC,
@@ -596,19 +610,24 @@ class Orchestrator:
         definition: oracles.OracleDefinition,
         bound: oracles.OracleDefinition,
         expected: list[str],
-        deny: frozenset[Address],
+        taint: dict[str, str],
         feedback: str,
         outcome: SessionOutcome,
     ) -> tuple[
         oracles.VerdictReport,
-        Optional[ValidationResult],
+        list[RejectReason],
         Optional[harness.PoCProject],
     ]:
-        """One reproducer/validator round; None validation means launch failure."""
+        """One reproducer round; no reject reasons means the PoC is validated.
+
+        The engine decides what code can check: the oracles, the three
+        correctness checks and the attacker-address scan.  Only a
+        reproduction the engine passes goes to the validator turn.
+        """
         iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
         message = json.dumps(definition.to_doc(), indent=2)
         if feedback:
-            message += f"\n\nValidator feedback on the previous attempt: {feedback}"
+            message += f"\n\nReject codes of the previous attempt: {feedback}"
         run = _run_budgeted_role(ledger, self.backend, ROLE_REPRODUCER, session, message)
         outcome.poc_reproducer_iterations += 1
         files = run.output.files
@@ -617,6 +636,7 @@ class Orchestrator:
             iter_dir.relative_to(session.root) / "project_manifest.json",
             {"files": sorted(files), "notes": run.output.notes},
         )
+        launch_failed = [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
         empty_verdict = oracles.evaluate_constraints(bound, {})
         try:
             project = harness.scaffold_project(session, files, definition)
@@ -627,7 +647,7 @@ class Orchestrator:
                 iter_dir.relative_to(session.root) / "harness_error.json",
                 {"error": str(exc), "phase": "scaffold"},
             )
-            return empty_verdict, None, None
+            return empty_verdict, launch_failed, None
         if self.runner is None:
             raise StageFailed(STAGE_POC, "no project runner configured")
         try:
@@ -639,7 +659,7 @@ class Orchestrator:
                 iter_dir.relative_to(session.root) / "harness_error.json",
                 {"error": str(exc), "phase": "run"},
             )
-            return empty_verdict, None, project
+            return empty_verdict, launch_failed, project
 
         workspace.write_text_artifact(
             session, iter_dir.relative_to(session.root) / "forge_output.txt", result.raw_output
@@ -647,9 +667,15 @@ class Orchestrator:
         checks = harness.correctness_checks(project, result)
         obs_report = harness.extract_observations(result.raw_output, expected)
         verdict = oracles.evaluate_constraints(bound, obs_report.observations)
-        taint_hits = harness.scan_for_addresses(
-            harness.solidity_sources(project.root), {a.value for a in deny}
-        )
+        taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
+        hit_codes = {taint[address] for _, address, _ in taint_hits}
+        engine_reasons = (
+            [] if verdict.overall_pass and checks.passed else [REASON_ORACLE_FAILED]
+        ) + [
+            code
+            for code in (REASON_ATTACKER_CONTRACT, REASON_ATTACKER_VALUES)
+            if code in hit_codes
+        ]
         rubric = {
             "correctness": checks.to_doc(),
             "observations_missing": list(obs_report.missing),
@@ -658,7 +684,7 @@ class Orchestrator:
                 {"file": f, "address": a, "line": n} for f, a, n in taint_hits
             ],
         }
-        engine_doc = verdict.to_validation_doc(rubric=rubric)
+        engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=engine_reasons)
         workspace.write_artifact(
             session,
             iter_dir.relative_to(session.root) / "engine_verdict.json",
@@ -670,6 +696,8 @@ class Orchestrator:
             iter_dir.relative_to(session.root) / "run_result.json",
             result.to_doc(),
         )
+        if engine_reasons:
+            return verdict, [RejectReason(code) for code in engine_reasons], project
 
         vrun = _run_budgeted_role(
             ledger,
@@ -694,7 +722,8 @@ class Orchestrator:
             validation.doc,
             schema_id="poc_validation",
         )
-        return verdict, validation, project
+        reasons = [RejectReason.parse(r, POC_REASONS) for r in validation.reject_reasons]
+        return verdict, [] if validation.passed else reasons, project
 
     # -- end to end ----------------------------------------------------------
 
@@ -710,7 +739,7 @@ class Orchestrator:
         started = self.clock()
         try:
             try:
-                summary = fetch_seed_artifacts(session, self.adapter)
+                bootstrap = fetch_seed_artifacts(session, self.adapter)
             except BootstrapError as exc:
                 outcome.stage = STAGE_FAILED
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
@@ -721,13 +750,13 @@ class Orchestrator:
             workspace.write_artifact(
                 session,
                 iter0.relative_to(session.root) / "data_collection_summary.json",
-                summary.to_doc(iteration=0),
+                bootstrap.to_doc(iteration=0),
                 schema_id="collection_summary",
             )
             outcome.collection_runs_total = 1
 
             outcome.stage = STAGE_ROOT_CAUSE
-            draft = self.run_root_cause_stage(session, outcome)
+            draft = self.run_root_cause_stage(session, outcome, bootstrap.digest)
             if draft is None:
                 outcome.stage = STAGE_ABORTED_NON_ACT
                 return outcome

@@ -357,7 +357,7 @@ def _prxvt_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
             )
         )
 
-    # First analyst batch: neighboring transactions and contract code.
+    # First analyst batch: neighboring transactions.
     for txhash in (PRXVT_TX_PREPARE, PRXVT_TX_LOOP_A):
         items.append(
             (
@@ -420,6 +420,7 @@ def _prxvt_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
                 },
             )
         )
+    # Seed context: every contract the seed trace calls.
     items.append(
         (
             DataRequest(kind="contract_meta", chainid=chain, target=PRXVT_ORCH),
@@ -530,12 +531,6 @@ def _prxvt_requests_batch_1() -> list[DataRequest]:
                     reason="confirm the dust stake that opens the reward account"),
         DataRequest(kind="balance_diff", chainid=chain, target=PRXVT_TX_PREPARE,
                     reason="principal flow of the preparatory stake"),
-        DataRequest(kind="contract_meta", chainid=chain, target=PRXVT_ORCH,
-                    reason="entrypoint contract receiving the seed call"),
-        DataRequest(kind="contract_meta", chainid=chain, target=PRXVT_STAKING,
-                    reason="reward accounting of the drained pool"),
-        DataRequest(kind="contract_meta", chainid=chain, target=PRXVT_TOKEN,
-                    reason="reward asset transfer semantics (burn tithe)"),
         DataRequest(kind="tx_trace", chainid=chain, target=PRXVT_TX_LOOP_A,
                     reason="first claim routed through the helper"),
         DataRequest(kind="balance_diff", chainid=chain, target=PRXVT_TX_LOOP_A,
@@ -543,8 +538,6 @@ def _prxvt_requests_batch_1() -> list[DataRequest]:
         DataRequest(kind="txlist", chainid=chain, target=PRXVT_EOA,
                     block_lo=lo, block_hi=hi,
                     reason="full adversary activity around the seed"),
-        DataRequest(kind="contract_meta", chainid=chain, target=PRXVT_HELPER,
-                    reason="helper used to re-enter claims"),
     ]
 
 
@@ -886,7 +879,8 @@ def _prxvt_script_entries() -> dict[str, list[dict[str, Any]]]:
                 summary=(
                     "Seed call drains the staking pool's reward token to the "
                     "entrypoint contract while a tenth burns; need the "
-                    "preparatory stake, the helper path, and contract code."
+                    "preparatory stake, the helper path, and the adversary's "
+                    "activity around the seed."
                 ),
                 hypothesis="reward accounting inflated through repeated claims",
                 contracts=[PRXVT_ORCH, PRXVT_STAKING, PRXVT_TOKEN],
@@ -1194,7 +1188,8 @@ def _val_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
         )
     )
 
-    # Batch 1: the unverified router, event log, and the two reserve tokens.
+    # Seed context: the event log, the storage diff, and every contract the
+    # seed trace calls.
     items.append(
         (
             DataRequest(kind="contract_meta", chainid=chain, target=VAL_ROUTER),
@@ -1230,8 +1225,6 @@ def _val_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
                            "// capped gold-backed token"),
         )
     )
-
-    # Batch 2: protocol contracts around the loan path.
     items.append(
         (
             DataRequest(kind="contract_meta", chainid=chain, target=VAL_VY),
@@ -1267,7 +1260,7 @@ def _val_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
         )
     )
 
-    # Batch 3: pre-state reads and the router's decompilation.
+    # Batch 1: pre-state reads and the router's decompilation.
     items.append(
         (
             DataRequest(kind="storage_slot", chainid=chain, target=VAL_PAXG,
@@ -1322,7 +1315,7 @@ def _val_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
         )
     )
 
-    # Batch 4: the second beneficiary and remaining pre-state.
+    # Batch 2: the second beneficiary and remaining pre-state.
     items.append(
         (
             DataRequest(kind="contract_meta", chainid=chain, target=VAL_EOA_2),
@@ -1344,7 +1337,8 @@ def _val_fixture_items() -> list[tuple[DataRequest, dict[str, Any]]]:
         )
     )
 
-    # Post-challenge batch: the loan officer implementation itself.
+    # Post-challenge batch: the seed trace and balance diff again, and the
+    # loan officer implementation.
     items.append(
         (
             DataRequest(kind="contract_meta", chainid=chain, target=VAL_OFFICER),
@@ -1360,26 +1354,6 @@ def _val_requests_batches() -> list[list[DataRequest]]:
     lo = VAL_SEED_BLOCK - DEFAULT_WINDOW
     hi = VAL_SEED_BLOCK + DEFAULT_WINDOW
     return [
-        [
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_ROUTER,
-                        reason="unverified entry contract of the seed call"),
-            DataRequest(kind="receipt_logs", chainid=chain, target=VAL_SEED,
-                        reason="events emitted during settlement"),
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_WETH9,
-                        reason="reserve that lost native value"),
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_PAXG,
-                        reason="collateral token whose cap moved"),
-        ],
-        [
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_VY,
-                        reason="loan token minted during the call"),
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_PROXY,
-                        reason="proxy fronting the loan officer"),
-            DataRequest(kind="contract_meta", chainid=chain, target=VAL_REGISTRAR,
-                        reason="registrar that applied the cap raise"),
-            DataRequest(kind="state_diff", chainid=chain, target=VAL_SEED,
-                        reason="storage movement of cap and supply"),
-        ],
         [
             DataRequest(kind="storage_slot", chainid=chain, target=VAL_PAXG,
                         extra={"slot": "0x5", "block": VAL_FORK_BLOCK},
@@ -1880,36 +1854,13 @@ def _val_script_entries() -> dict[str, list[dict[str, Any]]]:
     analyzers = [
         _analysis_doc(
             summary=(
-                "Single seed call: origin pays in native value through an "
-                "unverified router and receives more back; wrapped-ether "
-                "reserve funds the difference. Need the router's code and the "
-                "settlement events."
-            ),
-            hypothesis="loan settlement mints against a moved supply cap",
-            contracts=[VAL_ROUTER, VAL_WETH9, VAL_PAXG],
-            relevant=[VAL_SEED],
-            requests=batches[0],
-        ),
-        _analysis_doc(
-            summary=(
-                "Settlement raised the collateral cap and minted loan tokens "
-                "in the same call; need the loan path contracts and the "
-                "storage movement."
-            ),
-            hypothesis="collateral checked at stale cap, minted at raised cap",
-            contracts=[VAL_VY, VAL_PROXY, VAL_REGISTRAR],
-            relevant=[VAL_SEED],
-            requests=batches[1],
-        ),
-        _analysis_doc(
-            summary=(
                 "Cap and supply pre-state needed at the fork block, plus the "
                 "router's decompiled sequence and origin activity."
             ),
             hypothesis="queued raise applies on second capOf read",
             contracts=[VAL_PAXG, VAL_PROXY, VAL_ROUTER],
             relevant=[VAL_SEED, VAL_TX_DEPLOY],
-            requests=batches[2],
+            requests=batches[0],
         ),
         _analysis_doc(
             summary=(
@@ -1919,7 +1870,7 @@ def _val_script_entries() -> dict[str, list[dict[str, Any]]]:
             hypothesis="two beneficiaries split the native exit",
             contracts=[VAL_VY, VAL_WETH9],
             relevant=[VAL_SEED, VAL_TX_DEPLOY],
-            requests=batches[3],
+            requests=batches[1],
         ),
         _analysis_doc(
             summary=(
@@ -1970,31 +1921,6 @@ def _val_script_entries() -> dict[str, list[dict[str, Any]]]:
         },
     ]
     validators = [
-        {
-            "overall_status": "Reject",
-            "oracle_results": [
-                {"id": oid, "satisfied": True} for oid in VAL_ORACLE_IDS
-            ],
-            "rubric": {
-                "taint": (
-                    "test/Exploit.sol drives the attacker's on-chain router "
-                    "deployment instead of a clean replica"
-                ),
-            },
-            "reject_reasons": ["uses_attacker_contract"],
-        },
-        {
-            "overall_status": "Reject",
-            "oracle_results": [
-                {"id": oid, "satisfied": False, "reason": "insufficient observation"}
-                for oid in VAL_ORACLE_IDS
-            ],
-            "rubric": {
-                "revert": "acquireByLTVDisparity: collateral above cap",
-                "note": "raise applied before the loan re-arms the stale-cap check",
-            },
-            "reject_reasons": ["oracle_validation_failed"],
-        },
         {
             "overall_status": "Pass",
             "oracle_results": [
@@ -2122,7 +2048,7 @@ def _prxvt_expected() -> dict[str, Any]:
                 "poc_validator": 1,
             },
             "turns": {"root_cause": 4, "poc": 3},
-            "fetched_items": 17,
+            "fetched_items": 13,
             "collection_runs_total": 3,
             "poc": {"reproducer_iterations": 1, "rejects": 0, "validated": True},
             "reject_log": [],
@@ -2157,15 +2083,15 @@ def _val_expected() -> dict[str, Any]:
         "session": {
             "outcome": {"stage": "done", "is_act": True},
             "iterations": {
-                "root_cause_analyzer": 6,
+                "root_cause_analyzer": 4,
                 "root_cause_challenger": 2,
                 "oracle_generator": 1,
                 "poc_reproducer": 3,
-                "poc_validator": 3,
+                "poc_validator": 1,
             },
-            "turns": {"root_cause": 8, "poc": 7},
-            "fetched_items": 18,
-            "collection_runs_total": 6,
+            "turns": {"root_cause": 6, "poc": 5},
+            "fetched_items": 10,
+            "collection_runs_total": 4,
             "poc": {"reproducer_iterations": 3, "rejects": 2, "validated": True},
             "reject_log": [
                 {

@@ -16,6 +16,7 @@ import re
 import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -62,6 +63,8 @@ ROOT_CAUSE_REPORT = "root_cause_report.md"
 POC_REPORT = "poc_report.md"
 SESSION_SUMMARY = "session_summary.json"
 SEED_DIR = "artifacts/root_cause/seed"
+#: Best-effort evidence around the seed, fetched at bootstrap.
+SEED_CONTEXT_DIR = "artifacts/root_cause/seed/context"
 ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
 #: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
 COLLECTION_DIR = "artifacts/root_cause/data_collector"
@@ -69,7 +72,7 @@ POC_STAGE_DIR = "artifacts/poc"
 #: One ``iter_k`` per reproduction attempt.
 REPRODUCER_DIR = "artifacts/poc/poc_reproducer"
 ORACLE_DEFINITION = "artifacts/poc/oracle_generator/oracle_definition.json"
-#: The validator's verdict on the latest reproduction attempt.
+#: The validator's verdict on the latest reproduction the engine passed.
 POC_VALIDATED_RESULT = "artifacts/poc/poc_validator/poc_validated_result.json"
 EVALUATION_DIR = "artifacts/evaluation"
 FORGE_PROJECT_DIR = "forge_poc"
@@ -463,6 +466,11 @@ class Session:
     seed: SeedRef
     created_at: datetime
 
+    @cached_property
+    def resolved_root(self) -> Path:
+        """``root`` with symlinks resolved, once per session handle."""
+        return self.root.resolve()
+
 
 def _dump_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
@@ -483,10 +491,11 @@ def _atomic_write(target: Path, data: str) -> None:
         raise
 
 
-def resolve_inside(root: Path, relpath: str | Path) -> Path:
-    """Resolve ``relpath`` under ``root``, refusing traversal outside it."""
+def resolve_inside(session: Session, relpath: str | Path) -> Path:
+    """Resolve ``relpath`` under the session root, refusing traversal
+    outside it."""
+    root = session.resolved_root
     candidate = (root / relpath).resolve()
-    root = root.resolve()
     if candidate != root and root not in candidate.parents:
         raise PathEscapeError(f"path escapes session root: {relpath}")
     return candidate
@@ -563,20 +572,20 @@ def write_artifact(
         errors = check_document(doc, SCHEMAS[schema_id])
         if errors:
             raise SchemaError(errors)
-    target = resolve_inside(session.root, relpath)
+    target = resolve_inside(session, relpath)
     _atomic_write(target, _dump_json(doc))
     return target
 
 
 def write_text_artifact(session: Session, relpath: str | Path, text: str) -> Path:
     """Atomically write a text artifact (reports, project sources)."""
-    target = resolve_inside(session.root, relpath)
+    target = resolve_inside(session, relpath)
     _atomic_write(target, text)
     return target
 
 
 def read_artifact(session: Session, relpath: str | Path) -> Any:
-    target = resolve_inside(session.root, relpath)
+    target = resolve_inside(session, relpath)
     if not target.is_file():
         raise ArtifactNotFound(str(relpath))
     try:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -23,7 +24,12 @@ from txpostmortem.gateway.base import (
     resolve_rpc_url,
 )
 from txpostmortem.gateway.collect import (
+    SEED_ARTIFACT_KINDS,
+    SEED_CONTEXT_KINDS,
+    SEED_DIGEST_CHARS,
+    SEED_DIGEST_LINE_CHARS,
     execute_data_requests,
+    fetch_many,
     fetch_seed_artifacts,
     fetch_txlist,
     read_storage_slot,
@@ -34,6 +40,7 @@ from txpostmortem.gateway.fixtures import (
     ReplayAdapter,
     fixture_key,
 )
+from txpostmortem.gateway import live
 from txpostmortem.gateway.live import LiveAdapter, disassemble
 from txpostmortem.gateway.types import DataRequest, TxRecord
 from txpostmortem.lifecycle import DEFAULT_WINDOW
@@ -298,6 +305,88 @@ class TestSeedBootstrap:
         assert any("tx_trace" in line for line in info.value.diagnostics)
 
 
+class _ContextAdapter:
+    """Serves a seed whose trace calls ``contracts`` addresses, each with a
+    selector, plus logs, state diff and long-named contract metadata;
+    ``fail_kinds`` fail."""
+
+    def __init__(self, contracts: int, fail_kinds=()):
+        self.addresses = [f"0x{i:040x}" for i in range(1, contracts + 1)]
+        self.fail_kinds = set(fail_kinds)
+
+    def fetch(self, request: DataRequest) -> dict:
+        if request.kind in self.fail_kinds:
+            raise UpstreamError(f"stub failure for {request.kind}")
+        if request.kind == "tx_trace":
+            children = [
+                {"call_type": "CALL", "from": ADDR, "to": a, "selector": "0x12345678",
+                 "children": []}
+                for a in reversed(self.addresses)
+            ]
+            # A value transfer without a selector is not a contract call.
+            children.append({"call_type": "CALL", "from": ADDR, "to": "0x" + "ee" * 20,
+                             "selector": None, "children": []})
+            return {"root": {"call_type": "CALL", "from": ADDR, "to": ADDR,
+                             "selector": None, "children": children}}
+        if request.kind == "receipt_logs":
+            return {"logs": [{"address": a, "event": "Ping"} for a in self.addresses[:3]]}
+        if request.kind == "state_diff":
+            return {"pre": {a: {} for a in self.addresses[:2]}, "post": {}}
+        if request.kind == "contract_meta":
+            return {"address": request.target, "name": "Contract" * 40,
+                    "source_kind": "verified_source"}
+        return _SeedAdapter().fetch(request)
+
+
+class TestSeedContext:
+    def _bootstrap(self, tmp_path, adapter):
+        session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
+        return session, fetch_seed_artifacts(session, adapter)
+
+    def test_context_lands_in_its_directory(self, tmp_path):
+        session, summary = self._bootstrap(tmp_path, _ContextAdapter(3))
+        context = session.root / workspace.SEED_CONTEXT_DIR
+        assert sorted(p.name for p in context.iterdir()) == sorted(
+            [f"receipt_logs_{TX}.json", f"state_diff_{TX}.json"]
+            + [f"contract_meta_0x{i:040x}.json" for i in (1, 2, 3)]
+        )
+        assert summary.fetched_count == 3 + 5
+        assert summary.failed == []
+        lines = summary.digest.splitlines()
+        assert lines[0].startswith(f"Seed context already fetched into {workspace.SEED_CONTEXT_DIR}/")
+        assert lines[1] == (
+            f"- receipt_logs_{TX}.json: 3 logs: "
+            + ", ".join(f"Ping at 0x{i:040x}" for i in (1, 2, 3))
+        )
+        assert [line.split(":")[0] for line in lines[3:]] == [
+            f"- contract_meta_0x{i:040x}.json" for i in (1, 2, 3)
+        ]
+
+    def test_context_misses_are_recorded_not_fatal(self, tmp_path):
+        session, summary = self._bootstrap(
+            tmp_path, _ContextAdapter(2, fail_kinds={"receipt_logs", "contract_meta"})
+        )
+        assert [f["request"]["kind"] for f in summary.failed] == [
+            "receipt_logs", "contract_meta", "contract_meta"
+        ]
+        assert summary.digest.count("not available (stub failure for") == 3
+
+    def test_digest_is_capped(self, tmp_path):
+        _, summary = self._bootstrap(tmp_path, _ContextAdapter(200))
+        assert summary.fetched_count == 3 + 2 + 200
+        assert len(summary.digest) <= SEED_DIGEST_CHARS
+        assert all(len(line) <= SEED_DIGEST_LINE_CHARS for line in summary.digest.splitlines())
+        assert summary.digest.endswith(f"more entries in {workspace.SEED_CONTEXT_DIR}/")
+
+    def test_digest_ignores_answer_order(self, tmp_path):
+        _, expected = self._bootstrap(tmp_path / "a", _ContextAdapter(200))
+        # Both batches answered later-first: 5 seed requests, then 200.
+        slow = _LaterFirstAdapter(_ContextAdapter(200), 205, step=0.0002)
+        _, got = self._bootstrap(tmp_path / "b", slow)
+        assert got.digest.encode() == expected.digest.encode()
+        assert got.to_doc() == expected.to_doc()
+
+
 class TestExecuteDataRequests:
     def test_failures_recorded_without_aborting(self, tmp_path):
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
@@ -327,16 +416,17 @@ class TestExecuteDataRequests:
 
 
 class _LaterFirstAdapter:
-    """Holds the k-th of ``n`` calls longer than the calls after it, so
-    later requests are answered first."""
+    """Holds the k-th of ``n`` calls ``step`` seconds longer than the call
+    after it, so later requests are answered first."""
 
-    def __init__(self, inner, n: int):
+    def __init__(self, inner, n: int, step: float = 0.005):
         self.inner = inner
         self.n = n
+        self.step = step
         self._arrivals = itertools.count()
 
     def fetch(self, request: DataRequest) -> dict:
-        time.sleep(0.005 * (self.n - next(self._arrivals)))
+        time.sleep(self.step * (self.n - next(self._arrivals)))
         return self.inner.fetch(request)
 
 
@@ -365,7 +455,7 @@ class TestAnswerOrder:
     def test_seed_bootstrap(self, tmp_path):
         txs = tuple("0x" + f"{i:02x}" * 32 for i in range(1, 4))
         seed = SeedRef(chainid=1, txs=txs)
-        n = len(txs) * 3
+        n = len(txs) * len(SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS)
         slow = _LaterFirstAdapter(_SeedAdapter(), n)
         summary = fetch_seed_artifacts(workspace.create_session(tmp_path / "a", seed), slow)
         assert [f["request"]["target"] for f in summary.fetched] == [
@@ -595,6 +685,92 @@ class TestLiveAdapter:
         )
         assert slots[0] == [ADDR, "0x1", "0xff"]
         assert doc["value_hex"] == "0x2a"
+
+
+_PRESTATE = {
+    "pre": {ADDR: {"balance": "0x10", "nonce": 1}, "0x" + "ef" * 20: {"balance": "0x5"}},
+    "post": {ADDR: {"balance": "0x4"}, "0x" + "ef" * 20: {"nonce": 2}},
+}
+
+
+class TestLiveAdapterCalls:
+    """What the live adapter sends upstream, counted at its transport."""
+
+    def test_rpc_map_is_loaded_once(self, monkeypatch):
+        loads = []
+
+        def counting_load(path=None):
+            loads.append(path)
+            return load_rpc_map(path)
+
+        monkeypatch.setattr(live, "load_rpc_map", counting_load)
+        adapter = LiveAdapter(
+            env={"QUICKNODE_ENDPOINT": "node", "QUICKNODE_API_KEY": "key"},
+            rpc_post=lambda url, body, timeout: {"result": "0x2a"},
+            api_get=lambda url, params, timeout: {},
+        )
+        for slot in range(5):
+            adapter.fetch(
+                DataRequest(kind="storage_slot", chainid=1, target=ADDR, extra={"slot": hex(slot)})
+            )
+        assert len(loads) == 1
+
+    def _prestate_adapter(self, reply=lambda: {"result": _PRESTATE}):
+        calls = []
+
+        def rpc_post(url, body, timeout):
+            assert body["method"] == "debug_traceTransaction"
+            calls.append(body["params"])
+            time.sleep(0.05)  # long enough for the other thread to ask
+            return reply()
+
+        adapter = LiveAdapter(
+            env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post, retries=1, backoff=0.0
+        )
+        return adapter, calls
+
+    def test_balance_and_state_diff_share_one_prestate_call(self):
+        adapter, calls = self._prestate_adapter()
+        requests = [
+            DataRequest(kind="balance_diff", chainid=1, target=TX),
+            DataRequest(kind="state_diff", chainid=1, target=TX.upper().replace("0X", "0x")),
+        ]
+        balance, state = fetch_many(adapter, requests)
+        assert len(calls) == 1
+        assert calls[0][1] == {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}
+        assert balance == {
+            "entries": [
+                {"address": ADDR, "asset": "native", "delta": 4 - 16, "decimals": 18}
+            ]
+        }
+        assert state == {"pre": _PRESTATE["pre"], "post": _PRESTATE["post"]}
+
+    def test_concurrent_kinds_make_one_prestate_call_per_tx(self):
+        adapter, calls = self._prestate_adapter()
+        txs = ["0x" + f"{i:02x}" * 32 for i in range(1, 5)]
+        requests = [
+            DataRequest(kind=kind, chainid=1, target=tx)
+            for _ in range(2)
+            for tx in txs
+            for kind in ("balance_diff", "state_diff")
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads = fetch_many(adapter, requests)
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(params[0] for params in calls) == txs
+        assert all(not isinstance(p, Exception) for p in payloads)
+
+    def test_a_failed_prestate_call_is_not_kept(self):
+        replies = iter([{"error": {"code": -32000, "message": "busy"}}, {"result": _PRESTATE}])
+        adapter, calls = self._prestate_adapter(lambda: next(replies))
+        request = DataRequest(kind="balance_diff", chainid=1, target=TX)
+        with pytest.raises(UpstreamError):
+            adapter.fetch(request)
+        assert adapter.fetch(request)["entries"][0]["delta"] == -12
+        assert len(calls) == 2
 
 
 class TestDisassembler:

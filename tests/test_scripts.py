@@ -1,6 +1,6 @@
-"""Entry points run end to end: each bundled script in its own interpreter,
-so that a script importing a name the package no longer has fails here,
-and the command line's budget flags."""
+"""Entry points run end to end: each bundled script and ``python -m
+txpostmortem`` in its own interpreter, so that a script importing a name the
+package no longer has fails here, and the command line's budget flags."""
 
 from __future__ import annotations
 
@@ -40,6 +40,18 @@ def test_replay_benchmark_writes_one_evaluator_report(tmp_path):
     for session in sessions:
         reports = sorted(p.name for p in (session / workspace.EVALUATION_DIR).iterdir())
         assert reports == ["consensus_report.json", "evaluator_0_evaluation_result.json"]
+
+
+def test_module_entry_point_runs():
+    result = subprocess.run(
+        [sys.executable, "-m", "txpostmortem", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: txpostmortem")
 
 
 def _run_script(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:

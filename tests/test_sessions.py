@@ -14,8 +14,9 @@ import pytest
 from txpostmortem import metrics, scenarios, workspace
 from txpostmortem.agents import ROLES, ScriptedBackend, StepResult
 from txpostmortem.domain import SeedRef
+from txpostmortem.gateway import MissingFixture
 from txpostmortem.harness import SimulatedRunner, scan_for_addresses, solidity_sources
-from txpostmortem.orchestrator import Orchestrator
+from txpostmortem.orchestrator import Budgets, Orchestrator
 
 
 def _read(root: Path, relpath: str) -> dict:
@@ -76,17 +77,28 @@ class _RecordingBackend:
     def __init__(self, inner: ScriptedBackend):
         self.inner = inner
         self.prompts: dict[str, str] = {}
+        self.roles: dict[str, str] = {}
         self.messages: dict[str, list[str]] = {}
 
     def open_conversation(self, role: str, system_prompt: str) -> str:
         conversation = self.inner.open_conversation(role, system_prompt)
         self.prompts[conversation] = system_prompt
+        self.roles[conversation] = role
         self.messages[conversation] = []
         return conversation
 
     def step(self, conversation_id: str, message: str) -> StepResult:
         self.messages[conversation_id].append(message)
         return self.inner.step(conversation_id, message)
+
+    def sent(self, role: str) -> list[str]:
+        """Every message sent to ``role``, in order."""
+        return [
+            message
+            for conversation, messages in self.messages.items()
+            if self.roles[conversation] == role
+            for message in messages
+        ]
 
 
 class TestModelInput:
@@ -167,6 +179,197 @@ class TestWrongStageRejection:
                 "actions": ["re_reproduce"],
             }
         ]
+
+
+def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=None):
+    """prxvt's PoC stage with one reproducer attempt: Exploit.sol gets
+    ``exploit_suffix`` appended, the runner answers ``run``, and the
+    validator is scripted to ``validator`` (a Pass by default)."""
+    entries = scenarios._prxvt_script_entries()
+    files = entries["poc_reproducer"][0]["files"]
+    files["test/Exploit.sol"] += exploit_suffix
+    if validator is not None:
+        entries["poc_validator"] = [validator]
+    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    backend = _RecordingBackend(ScriptedBackend(entries))
+    orch = Orchestrator(
+        backend=backend,
+        adapter=bundle.adapter(),
+        runner=SimulatedRunner(queue=[run]),
+        budgets=Budgets(reproducer_iterations=1),
+    )
+    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend
+
+
+_FAILING_RUN = scenarios._PRXVT_RUN_0.replace(
+    "[PASS] testExploit()", "[FAIL. Reason: revert: drained] testExploit()"
+)
+
+
+class TestEngineGate:
+    """The engine verdict decides what code can check; the validator turn
+    runs only on what it passes, and both must pass to validate."""
+
+    def test_engine_reject_never_consumes_the_validator_script(self, tmp_path):
+        outcome, backend = _gated_prxvt(tmp_path, _FAILING_RUN)
+        assert backend.sent("poc_validator") == []
+        assert outcome.stage == "failed"
+        assert outcome.poc_validated is False
+        assert outcome.iterations.get("poc_validator", 0) == 0
+
+    def test_validator_pass_over_failing_engine_does_not_validate(self, tmp_path):
+        outcome, _ = _gated_prxvt(tmp_path, _FAILING_RUN)
+        root = outcome.session.root
+        assert not (root / workspace.POC_VALIDATED_RESULT).exists()
+        assert not (root / workspace.POC_REPORT).exists()
+        summary = _read(root, workspace.SESSION_SUMMARY)
+        assert summary["poc"]["validated"] is False
+        verdict = _read(root, f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json")
+        assert verdict["overall_status"] == "Reject"
+
+    def test_engine_pass_with_validator_reject_does_not_validate(self, tmp_path):
+        reject = {
+            "overall_status": "Reject",
+            "oracle_results": [],
+            "rubric": {},
+            "reject_reasons": ["uses_attacker_designed_values"],
+        }
+        outcome, backend = _gated_prxvt(
+            tmp_path, scenarios._PRXVT_RUN_0, validator=reject
+        )
+        assert len(backend.sent("poc_validator")) == 1
+        verdict = _read(
+            outcome.session.root, f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json"
+        )
+        assert verdict["overall_status"] == "Pass"
+        assert outcome.poc_validated is False
+        assert outcome.reject_log == [
+            {
+                "stage": "poc",
+                "reasons": ["uses_attacker_designed_values"],
+                "actions": ["re_reproduce"],
+            }
+        ]
+
+    @pytest.mark.parametrize(
+        "run, suffix, reasons",
+        [
+            pytest.param(
+                "\n".join(
+                    line for line in scenarios._PRXVT_RUN_0.splitlines()
+                    if "OBS " not in line
+                ),
+                "",
+                ["oracle_validation_failed"],
+                id="no-oracle-observed",
+            ),
+            pytest.param(
+                _FAILING_RUN, "", ["oracle_validation_failed"], id="run-not-clean"
+            ),
+            pytest.param(
+                "Compiler run failed\n" + scenarios._PRXVT_RUN_0,
+                "",
+                ["oracle_validation_failed"],
+                id="does-not-compile",
+            ),
+            pytest.param(
+                scenarios._PRXVT_RUN_0,
+                f"// {scenarios.PRXVT_HELPER}\n",
+                ["uses_attacker_contract"],
+                id="attacker-contract",
+            ),
+            pytest.param(
+                scenarios._PRXVT_RUN_0,
+                f"// {scenarios.PRXVT_EOA.upper().replace('0X', '0x')}\n",
+                ["uses_attacker_designed_values"],
+                id="attacker-eoa",
+            ),
+            pytest.param(
+                _FAILING_RUN,
+                f"// {scenarios.PRXVT_EOA} {scenarios.PRXVT_ORCH}\n",
+                [
+                    "oracle_validation_failed",
+                    "uses_attacker_contract",
+                    "uses_attacker_designed_values",
+                ],
+                id="all-three",
+            ),
+        ],
+    )
+    def test_reject_codes(self, tmp_path, run, suffix, reasons):
+        outcome, backend = _gated_prxvt(tmp_path, run, exploit_suffix=suffix)
+        assert backend.sent("poc_validator") == []
+        assert outcome.reject_log == [
+            {"stage": "poc", "reasons": reasons, "actions": ["re_reproduce"]}
+        ]
+        verdict = _read(
+            outcome.session.root, f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json"
+        )
+        assert verdict["reject_reasons"] == reasons
+
+
+class _FailingKinds:
+    """Adapter wrapper whose fetches of the given kinds fail."""
+
+    def __init__(self, inner, kinds: set[str]):
+        self.inner = inner
+        self.kinds = kinds
+
+    def fetch(self, request):
+        if request.kind in self.kinds:
+            raise MissingFixture(f"withheld {request.kind}")
+        return self.inner.fetch(request)
+
+
+def _bootstrap_prxvt(tmp_path: Path, failing: set[str]):
+    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    backend = _RecordingBackend(bundle.backend())
+    orch = Orchestrator(
+        backend=backend,
+        adapter=_FailingKinds(bundle.adapter(), failing),
+        runner=bundle.runner(),
+    )
+    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend
+
+
+class TestSeedContext:
+    def test_context_misses_are_recorded_and_the_session_finishes(self, tmp_path):
+        outcome, backend = _bootstrap_prxvt(tmp_path, {"contract_meta"})
+        assert outcome.stage == "done"
+        summary = _read(
+            outcome.session.root,
+            f"{workspace.COLLECTION_DIR}/iter_0/data_collection_summary.json",
+        )
+        assert sorted(f["request"]["kind"] for f in summary["failed"]) == [
+            "contract_meta"
+        ] * 4 + ["receipt_logs", "state_diff"]
+        assert summary["fetched_count"] == 3
+        first = backend.sent("root_cause_analyzer")[0]
+        assert first.count("not available") == 6
+
+    def test_first_message_carries_the_digest(self, tmp_path):
+        bundle = scenarios.build_valinity_case(tmp_path / "case")
+        backend = _RecordingBackend(bundle.backend())
+        orch = Orchestrator(
+            backend=backend, adapter=bundle.adapter(), runner=bundle.runner()
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        first = backend.sent("root_cause_analyzer")[0]
+        context = outcome.session.root / workspace.SEED_CONTEXT_DIR
+        names = sorted(p.name for p in context.iterdir())
+        assert len(names) == 9
+        for name in names:
+            assert f"- {name}: " in first
+        assert "ValinityLoanOfficer" in first
+
+    def test_missing_seed_trace_fails_bootstrap(self, tmp_path):
+        outcome, backend = _bootstrap_prxvt(tmp_path, {"tx_trace"})
+        persisted = _read(outcome.session.root, workspace.SESSION_SUMMARY)
+        assert persisted["outcome"]["stage"] == "failed"
+        assert persisted["outcome"]["failure"].startswith("bootstrap: ")
+        assert "tx_trace" in persisted["outcome"]["failure"]
+        assert backend.messages == {}
+        assert not (outcome.session.root / workspace.SEED_CONTEXT_DIR).exists()
 
 
 class TestBackendFailure:
