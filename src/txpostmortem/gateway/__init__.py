@@ -14,6 +14,7 @@ from .base import (
 from .collect import (
     FETCH_WORKERS,
     SEED_ARTIFACT_KINDS,
+    SessionMemo,
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
@@ -47,6 +48,7 @@ __all__ = [
     "RecordingAdapter",
     "ReplayAdapter",
     "SEED_ARTIFACT_KINDS",
+    "SessionMemo",
     "TraceNode",
     "TxRecord",
     "UnsupportedRequest",

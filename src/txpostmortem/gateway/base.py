@@ -11,14 +11,19 @@ from __future__ import annotations
 import json
 import logging
 import string
+import threading
+from collections import OrderedDict
+from concurrent.futures import Future
 from importlib import resources
 from pathlib import Path
-from typing import Any, Mapping, Protocol
+from typing import Any, Callable, Hashable, Mapping, Optional, Protocol, TypeVar
 
 from ..domain import UnsupportedChain, validate_chain
 from .types import DataRequest
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 class GatewayError(Exception):
@@ -56,6 +61,39 @@ class ChainAdapter(Protocol):
         It may be called from several threads at once.
         """
         ...
+
+
+class SharedResults:
+    """Results by key, each computed once by its first caller.
+
+    Callers that ask for a key while its first call is running wait on that
+    call.  A failure goes to the callers already waiting and is not kept, so
+    the next caller computes again.  With ``maxsize`` the oldest keys are
+    dropped first.  Safe to use from several threads at once.
+    """
+
+    def __init__(self, maxsize: Optional[int] = None):
+        self.maxsize = maxsize
+        self._futures: OrderedDict[Hashable, Future] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, compute: Callable[[], T]) -> T:
+        with self._lock:
+            future = self._futures.get(key)
+            owner = future is None
+            if owner:
+                future = self._futures[key] = Future()
+                if self.maxsize is not None and len(self._futures) > self.maxsize:
+                    self._futures.popitem(last=False)
+        if owner:
+            try:
+                future.set_result(compute())
+            except BaseException as exc:
+                with self._lock:
+                    if self._futures.get(key) is future:
+                        del self._futures[key]
+                future.set_exception(exc)
+        return future.result()
 
 
 def load_rpc_map(path: str | Path | None = None) -> dict[int, str]:

@@ -10,6 +10,10 @@ The requests of one batch are independent, so ``fetch_many`` waits on up to
 names, workspace writes, summary records and diagnostics are made on the
 calling thread in request order, so a batch lands the same bytes however
 its answers interleave.
+
+A session fetches through one ``SessionMemo``, so a request it repeats is
+answered from the payload it already holds, and still lands as a file of
+its own batch.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from typing import Any, Sequence
 
 from .. import workspace
 from ..domain import DomainError, TxHash
-from .base import BootstrapError, ChainAdapter, GatewayError
+from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
+from .fixtures import fixture_key
 from .types import CollectionSummary, DataRequest, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
@@ -77,6 +82,23 @@ def fetch_many(
         return list(pool.map(fetch_one, requests))
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+class SessionMemo:
+    """A ``ChainAdapter`` that fetches each request once per session.
+
+    It keeps every successful payload by ``fixture_key`` for as long as it
+    lives, one postmortem session, and hands the same payload to every later
+    request for that key; a request made while the first is in flight waits
+    for it.  A failure is not kept, so a later batch asks the adapter again.
+    """
+
+    def __init__(self, adapter: ChainAdapter):
+        self.adapter = adapter
+        self._payloads = SharedResults()
+
+    def fetch(self, request: DataRequest) -> dict[str, Any]:
+        return self._payloads.get(fixture_key(request), lambda: self.adapter.fetch(request))
 
 
 @dataclass

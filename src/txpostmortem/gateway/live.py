@@ -11,15 +11,13 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import Future
 from typing import Any, Callable, Mapping, Optional
 
 from ..domain import Address
 from .base import (
     MissingCredential,
+    SharedResults,
     UnsupportedRequest,
     UpstreamError,
     load_rpc_map,
@@ -84,6 +82,11 @@ def disassemble(bytecode_hex: str, limit: int = 4096) -> str:
     return "\n".join(lines)
 
 
+class RpcErrorReply(UpstreamError):
+    """The node answered with a JSON-RPC error.  The same request gets the
+    same answer, so it is final and never retried."""
+
+
 def _default_rpc_post(url: str, body: dict[str, Any], timeout: float) -> dict[str, Any]:
     import requests
 
@@ -137,8 +140,7 @@ class LiveAdapter:
         self._rpc_ids = itertools.count(1)
         # One prestateTracer diff per (chain, tx) serves both balance_diff
         # and state_diff; the first caller fetches, the others wait on it.
-        self._prestate: OrderedDict[tuple[int, str], Future] = OrderedDict()
-        self._prestate_lock = threading.Lock()
+        self._prestate = SharedResults(maxsize=PRESTATE_CACHE_SIZE)
 
     # -- transport ---------------------------------------------------------
 
@@ -147,7 +149,9 @@ class LiveAdapter:
         for attempt in range(self.retries):
             try:
                 return call()
-            except Exception as exc:  # provider errors are opaque; retry all
+            except RpcErrorReply:
+                raise
+            except Exception as exc:  # transport errors are opaque; retry them
                 last = exc
                 logger.warning("%s failed (attempt %d/%d): %s", what, attempt + 1, self.retries, exc)
                 if attempt + 1 < self.retries:
@@ -160,8 +164,8 @@ class LiveAdapter:
 
         def call() -> dict[str, Any]:
             doc = self.rpc_post(url, body, self.timeout)
-            if "error" in doc and doc["error"]:
-                raise UpstreamError(f"{method}: {doc['error']}")
+            if doc.get("error"):
+                raise RpcErrorReply(f"rpc {method} chain {chainid}: {doc['error']}")
             return doc
 
         return self._with_retries(call, f"rpc {method} chain {chainid}")["result"]
@@ -233,34 +237,14 @@ class LiveAdapter:
         return {"root": convert(frame)}
 
     def _prestate_diff(self, request: DataRequest) -> dict[str, Any]:
-        key = (request.chainid, request.normalized_target())
-        with self._prestate_lock:
-            future = self._prestate.get(key)
-            owner = future is None
-            if owner:
-                future = self._prestate[key] = Future()
-                if len(self._prestate) > PRESTATE_CACHE_SIZE:
-                    self._prestate.popitem(last=False)
-        if owner:
-            try:
-                future.set_result(
-                    self._rpc(
-                        request.chainid,
-                        "debug_traceTransaction",
-                        [
-                            request.target,
-                            {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}},
-                        ],
-                    )
-                )
-            except BaseException as exc:
-                # A failure is shared with the callers already waiting, not
-                # kept: the next request for this tx fetches again.
-                with self._prestate_lock:
-                    if self._prestate.get(key) is future:
-                        del self._prestate[key]
-                future.set_exception(exc)
-        return future.result()
+        return self._prestate.get(
+            (request.chainid, request.normalized_target()),
+            lambda: self._rpc(
+                request.chainid,
+                "debug_traceTransaction",
+                [request.target, {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}],
+            ),
+        )
 
     def _fetch_balance_diff(self, request: DataRequest) -> dict[str, Any]:
         diff = self._prestate_diff(request)

@@ -1,20 +1,23 @@
 """Control loop: seed in, validated root cause and reproduction out.
 
 Model turns are spent only on judgment; what code can check, code decides.
-The bootstrap lands the seed artifacts plus a best-effort context (receipt
-logs, state diff, and metadata of every contract the seed trace calls), and
-the analyzer's first message carries a digest of that context.  In the
-root-cause stage the gateway fetches each batch of evidence the analyzer
-requests, with no model turn of its own, until the analyzer closes its
-evidence; the draft then goes to the challenger, and rejections route back
-by reason.  The PoC stage generates oracles once, then loops reproducer and
-harness run until the reproduction passes or budgets run out.  Each run
-gets an engine verdict first: the oracles, the compile, clean-run and
-pinned-fork checks, and a scan for attacker addresses, with reject codes
-from the validator's vocabulary.  Only a run the engine passes gets a
-validator turn, and a PoC is validated only when both pass.  Every model
-turn, fetch, rejection, and stage latency is accounted for in the session
-summary.
+Every fetch of a session goes through one memo, so evidence the session
+already holds is never fetched twice.  The bootstrap lands the seed
+artifacts plus a best-effort context (receipt logs, state diff, and
+metadata of every contract the seed trace calls), and the analyzer's first
+message carries a digest of that context.  In the root-cause stage the
+gateway fetches each batch of evidence the analyzer requests, with no model
+turn of its own, until the analyzer closes its evidence; the draft then
+goes to the challenger, and rejections route back by reason.  The PoC stage
+generates oracles once, then loops reproducer and harness run until the
+reproduction passes or budgets run out.  Each attempt is scanned, then
+launched: a project whose sources name an attacker address is rejected
+before the runner sees it.  A run gets an engine verdict first: the
+oracles and the compile, clean-run and pinned-fork checks, with reject
+codes from the validator's vocabulary.  Only a run the engine passes gets a
+validator turn, and a PoC is validated only when both pass.  Any error ends
+the session failed, with a terminal summary.  Every model turn, fetch,
+rejection, and stage latency is accounted for in the session summary.
 """
 
 from __future__ import annotations
@@ -33,7 +36,6 @@ from .agents import (
     ROLE_REPRODUCER,
     ROLE_VALIDATOR,
     AnalysisResult,
-    BackendError,
     ChallengeResult,
     ModelBackend,
     RoleRun,
@@ -48,6 +50,7 @@ from .gateway import (
     BootstrapError,
     ChainAdapter,
     DataRequest,
+    SessionMemo,
     execute_data_requests,
     fetch_seed_artifacts,
 )
@@ -363,13 +366,14 @@ class Orchestrator:
     def _collect(
         self,
         session: workspace.Session,
+        fetches: SessionMemo,
         requests: list[DataRequest],
         outcome: SessionOutcome,
     ) -> None:
         """Fetch one request batch into the next collection ``iter_k`` and
         record the gateway's summary of it; no model turn is involved."""
         iter_dir = workspace.next_iteration_dir(session, workspace.COLLECTION_DIR)
-        summary = execute_data_requests(session, requests, self.adapter, iter_dir)
+        summary = execute_data_requests(session, requests, fetches, iter_dir)
         workspace.write_artifact(
             session,
             iter_dir.relative_to(session.root) / "data_collection_summary.json",
@@ -382,11 +386,16 @@ class Orchestrator:
     # -- root-cause stage ---------------------------------------------------
 
     def run_root_cause_stage(
-        self, session: workspace.Session, outcome: SessionOutcome, seed_digest: str = ""
+        self,
+        session: workspace.Session,
+        outcome: SessionOutcome,
+        fetches: SessionMemo,
+        seed_digest: str = "",
     ) -> Optional[dict[str, Any]]:
         """Drive analysis to a challenged root cause; returns the accepted
-        draft, or None when the incident is not ACT.  The analyzer's first
-        message carries ``seed_digest``, the digest of the seed context."""
+        draft, or None when the incident is not ACT.  Evidence is fetched
+        through the session's ``fetches``; the analyzer's first message
+        carries ``seed_digest``, the digest of the seed context."""
         ledger = _StageLedger(STAGE_ROOT_CAUSE, self.budgets, self.clock)
         opening = "Begin the analysis from the seed evidence."
         if seed_digest:
@@ -419,7 +428,7 @@ class Orchestrator:
                     schema_id="analysis_result",
                 )
                 if not analysis.is_final:
-                    self._collect(session, analysis.data_requests, outcome)
+                    self._collect(session, fetches, analysis.data_requests, outcome)
                     continue
 
                 draft = dict(analysis.root_cause or {})
@@ -451,13 +460,13 @@ class Orchestrator:
                 )
                 feedback = challenge.feedback
                 if ACTION_EXPAND_LIFECYCLE in actions:
-                    self._expand_lifecycle(session, draft)
+                    self._expand_lifecycle(session, fetches, draft)
                 if ACTION_RE_COLLECT in actions:
                     requests = _requests_from_missing_evidence(
                         challenge.missing_evidence, session.seed.chainid
                     )
                     if requests:
-                        self._collect(session, requests, outcome)
+                        self._collect(session, fetches, requests, outcome)
         finally:
             ledger.close(outcome)
 
@@ -492,7 +501,9 @@ class Orchestrator:
             render_root_cause_report(draft, session.seed),
         )
 
-    def _expand_lifecycle(self, session: workspace.Session, draft: dict[str, Any]) -> None:
+    def _expand_lifecycle(
+        self, session: workspace.Session, fetches: SessionMemo, draft: dict[str, Any]
+    ) -> None:
         """Re-mine the lifecycle over a doubled window; best effort."""
         roles = draft.get("roles", {})
         try:
@@ -506,7 +517,7 @@ class Orchestrator:
                 helpers=frozenset(Address(a) for a in roles.get("helpers", [])),
             )
             mined, universe = lifecycle.mine_lifecycle(
-                self.adapter,
+                fetches,
                 session.seed.chainid,
                 session.seed.primary,
                 participants,
@@ -614,17 +625,21 @@ class Orchestrator:
         feedback: str,
         outcome: SessionOutcome,
     ) -> tuple[
-        oracles.VerdictReport,
+        Optional[oracles.VerdictReport],
         list[RejectReason],
         Optional[harness.PoCProject],
     ]:
         """One reproducer round; no reject reasons means the PoC is validated.
+        The verdict is None when nothing ran.
 
-        The engine decides what code can check: the oracles, the three
-        correctness checks and the attacker-address scan.  Only a
+        The engine decides what code can check.  The sources are scanned
+        for attacker addresses before the runner is launched: a hit is
+        rejected whatever the run would show, so it is never run.  A run
+        then gets the oracles and the three correctness checks.  Only a
         reproduction the engine passes goes to the validator turn.
         """
         iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
+        rel = iter_dir.relative_to(session.root)
         message = json.dumps(definition.to_doc(), indent=2)
         if feedback:
             message += f"\n\nReject codes of the previous attempt: {feedback}"
@@ -633,21 +648,37 @@ class Orchestrator:
         files = run.output.files
         workspace.write_artifact(
             session,
-            iter_dir.relative_to(session.root) / "project_manifest.json",
+            rel / "project_manifest.json",
             {"files": sorted(files), "notes": run.output.notes},
         )
         launch_failed = [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
-        empty_verdict = oracles.evaluate_constraints(bound, {})
         try:
             project = harness.scaffold_project(session, files, definition)
         except harness.ScaffoldError as exc:
             logger.info("scaffold failed: %s", exc)
             workspace.write_artifact(
-                session,
-                iter_dir.relative_to(session.root) / "harness_error.json",
-                {"error": str(exc), "phase": "scaffold"},
+                session, rel / "harness_error.json", {"error": str(exc), "phase": "scaffold"}
             )
-            return empty_verdict, launch_failed, None
+            return None, launch_failed, None
+
+        taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
+        hit_codes = {taint[address] for _, address, _ in taint_hits}
+        scan_reasons = [
+            code
+            for code in (REASON_ATTACKER_CONTRACT, REASON_ATTACKER_VALUES)
+            if code in hit_codes
+        ]
+        hits_doc = [{"file": f, "address": a, "line": n} for f, a, n in taint_hits]
+        if scan_reasons:
+            # Nothing ran, so no oracle was evaluated.
+            engine_doc = oracles.VerdictReport((), (), False).to_validation_doc(
+                rubric={"attacker_address_hits": hits_doc}, reject_reasons=scan_reasons
+            )
+            workspace.write_artifact(
+                session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
+            )
+            return None, [RejectReason(code) for code in scan_reasons], project
+
         if self.runner is None:
             raise StageFailed(STAGE_POC, "no project runner configured")
         try:
@@ -655,47 +686,26 @@ class Orchestrator:
         except harness.HarnessError as exc:
             logger.info("run failed to launch: %s", exc)
             workspace.write_artifact(
-                session,
-                iter_dir.relative_to(session.root) / "harness_error.json",
-                {"error": str(exc), "phase": "run"},
+                session, rel / "harness_error.json", {"error": str(exc), "phase": "run"}
             )
-            return empty_verdict, launch_failed, project
+            return None, launch_failed, project
 
-        workspace.write_text_artifact(
-            session, iter_dir.relative_to(session.root) / "forge_output.txt", result.raw_output
-        )
+        workspace.write_text_artifact(session, rel / "forge_output.txt", result.raw_output)
         checks = harness.correctness_checks(project, result)
         obs_report = harness.extract_observations(result.raw_output, expected)
         verdict = oracles.evaluate_constraints(bound, obs_report.observations)
-        taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
-        hit_codes = {taint[address] for _, address, _ in taint_hits}
-        engine_reasons = (
-            [] if verdict.overall_pass and checks.passed else [REASON_ORACLE_FAILED]
-        ) + [
-            code
-            for code in (REASON_ATTACKER_CONTRACT, REASON_ATTACKER_VALUES)
-            if code in hit_codes
-        ]
+        engine_reasons = [] if verdict.overall_pass and checks.passed else [REASON_ORACLE_FAILED]
         rubric = {
             "correctness": checks.to_doc(),
             "observations_missing": list(obs_report.missing),
             "observation_warnings": list(obs_report.warnings),
-            "attacker_address_hits": [
-                {"file": f, "address": a, "line": n} for f, a, n in taint_hits
-            ],
+            "attacker_address_hits": hits_doc,
         }
         engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=engine_reasons)
         workspace.write_artifact(
-            session,
-            iter_dir.relative_to(session.root) / "engine_verdict.json",
-            engine_doc,
-            schema_id="poc_validation",
+            session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
         )
-        workspace.write_artifact(
-            session,
-            iter_dir.relative_to(session.root) / "run_result.json",
-            result.to_doc(),
-        )
+        workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
         if engine_reasons:
             return verdict, [RejectReason(code) for code in engine_reasons], project
 
@@ -711,10 +721,7 @@ class Orchestrator:
         )
         validation: ValidationResult = vrun.output
         workspace.write_artifact(
-            session,
-            iter_dir.relative_to(session.root) / "poc_validation.json",
-            validation.doc,
-            schema_id="poc_validation",
+            session, rel / "poc_validation.json", validation.doc, schema_id="poc_validation"
         )
         workspace.write_artifact(
             session,
@@ -736,10 +743,11 @@ class Orchestrator:
         validate_chain(seed.chainid)
         session = workspace.create_session(base_dir, seed, attributions)
         outcome = SessionOutcome(session=session, stage=STAGE_BOOTSTRAP)
+        fetches = SessionMemo(self.adapter)
         started = self.clock()
         try:
             try:
-                bootstrap = fetch_seed_artifacts(session, self.adapter)
+                bootstrap = fetch_seed_artifacts(session, fetches)
             except BootstrapError as exc:
                 outcome.stage = STAGE_FAILED
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
@@ -756,7 +764,7 @@ class Orchestrator:
             outcome.collection_runs_total = 1
 
             outcome.stage = STAGE_ROOT_CAUSE
-            draft = self.run_root_cause_stage(session, outcome, bootstrap.digest)
+            draft = self.run_root_cause_stage(session, outcome, fetches, bootstrap.digest)
             if draft is None:
                 outcome.stage = STAGE_ABORTED_NON_ACT
                 return outcome
@@ -768,7 +776,10 @@ class Orchestrator:
             outcome.stage = STAGE_FAILED
             outcome.failure = str(exc)
             return outcome
-        except BackendError as exc:
+        except Exception as exc:
+            # Whatever the model, the chain or the runner raised, the
+            # session ends failed at the stage it reached.
+            logger.warning("session %s failed", session.session_id, exc_info=True)
             outcome.failure = f"{outcome.stage}: {type(exc).__name__}: {exc}"
             outcome.stage = STAGE_FAILED
             return outcome

@@ -1434,7 +1434,7 @@ def _val_root_cause(second_pass: bool) -> dict[str, Any]:
     if second_pass:
         doc["evidence"] = [
             "artifacts/root_cause/seed/1/" + VAL_SEED + "/trace.json",
-            "artifacts/root_cause/data_collector/iter_5",
+            "artifacts/root_cause/data_collector/iter_3",
         ]
     return doc
 
@@ -1809,20 +1809,7 @@ def _val_obs_lines() -> str:
     return "\n".join(lines)
 
 
-_VAL_RUN_0 = f"""\
-Compiling 19 files with Solc 0.8.24
-Compiler run successful!
-
-Ran 1 test for test/Exploit.sol:ExploitTest
-[PASS] testExploit() (gas: 2954411)
-Logs:
-  Router: incident deployment reused at {VAL_ROUTER}
-{_val_obs_lines()}
-
-Suite result: ok. 1 passed; 0 failed; 0 skipped; finished in 3.96s (2.12s CPU time)
-"""
-
-_VAL_RUN_1 = """\
+_VAL_RUN_0 = """\
 Compiling 20 files with Solc 0.8.24
 Compiler run successful!
 
@@ -1832,7 +1819,7 @@ Ran 1 test for test/Exploit.sol:ExploitTest
 Suite result: FAILED. 0 passed; 1 failed; 0 skipped; finished in 1.12s (0.64s CPU time)
 """
 
-_VAL_RUN_2 = f"""\
+_VAL_RUN_1 = f"""\
 Compiling 20 files with Solc 0.8.24
 Compiler run successful!
 
@@ -2161,7 +2148,7 @@ def build_valinity_case(case_dir: str | Path) -> CaseBundle:
         seed_txhash=VAL_SEED,
         fixture_items=_val_fixture_items(),
         script_entries=_val_script_entries(),
-        runs=[_VAL_RUN_0, _VAL_RUN_1, _VAL_RUN_2],
+        runs=[_VAL_RUN_0, _VAL_RUN_1],
         expected=_val_expected(),
     )
 

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import settings
 
 from txpostmortem import scenarios
+from txpostmortem.harness import SimulatedRunner
 from txpostmortem.orchestrator import Orchestrator, SessionOutcome
 from txpostmortem.scenarios import CaseBundle
 
@@ -34,6 +35,7 @@ class ReplayRun:
     """One scripted end-to-end session plus everything assertions need."""
 
     bundle: CaseBundle
+    runner: SimulatedRunner
     outcome: SessionOutcome
     doc: dict[str, Any]
     elapsed: float
@@ -45,13 +47,13 @@ class ReplayRun:
 
 def run_case(name: str, root: Path) -> ReplayRun:
     bundle = scenarios.CASE_BUILDERS[name](root / name)
-    orch = Orchestrator(
-        backend=bundle.backend(), adapter=bundle.adapter(), runner=bundle.runner()
-    )
+    runner = bundle.runner()
+    orch = Orchestrator(backend=bundle.backend(), adapter=bundle.adapter(), runner=runner)
     started = time.monotonic()
     outcome = orch.run_postmortem(bundle.seed(), str(root / name / "runs"))
     return ReplayRun(
         bundle=bundle,
+        runner=runner,
         outcome=outcome,
         doc=outcome.summary_doc(),
         elapsed=time.monotonic() - started,

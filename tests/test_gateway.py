@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from txpostmortem.gateway.collect import (
     SEED_CONTEXT_KINDS,
     SEED_DIGEST_CHARS,
     SEED_DIGEST_LINE_CHARS,
+    SessionMemo,
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
@@ -473,6 +475,77 @@ class TestAnswerOrder:
         ]
 
 
+class _CountingStub:
+    """Counts calls; the first ``failures`` of them fail."""
+
+    def __init__(self, failures: int = 0, delay: float = 0.0):
+        self.failures = failures
+        self.delay = delay
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def fetch(self, request: DataRequest) -> dict:
+        with self._lock:
+            self.calls += 1
+            call = self.calls
+        time.sleep(self.delay)
+        if call <= self.failures:
+            raise UpstreamError(f"call {call} failed")
+        return {"target": request.normalized_target(), "window": request.block_hi}
+
+
+class TestSessionMemo:
+    def test_a_repeated_request_reaches_the_adapter_once(self):
+        inner = _CountingStub(delay=0.02)
+        memo = SessionMemo(inner)
+        request = DataRequest(kind="tx_trace", chainid=1, target=TX)
+        again = DataRequest(
+            kind="tx_trace", chainid=1, target=TX.upper().replace("0X", "0x"), reason="again"
+        )
+        # Three at once: the later two wait on the first call in flight.
+        first = fetch_many(memo, [request, again, request])
+        second = fetch_many(memo, [again])
+        assert inner.calls == 1
+        assert first == second * 3 == [{"target": TX, "window": None}] * 3
+
+    def test_concurrent_repeats_under_fast_switching(self):
+        inner = _CountingStub()
+        memo = SessionMemo(inner)
+        txs = ["0x" + f"{i:02x}" * 32 for i in range(1, 5)]
+        requests = [
+            DataRequest(kind="tx_trace", chainid=1, target=tx) for _ in range(8) for tx in txs
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads = fetch_many(memo, requests)
+        finally:
+            sys.setswitchinterval(interval)
+        assert inner.calls == len(txs)
+        assert [p["target"] for p in payloads] == txs * 8
+
+    def test_distinct_requests_are_fetched_apart(self):
+        inner = _CountingStub()
+        memo = SessionMemo(inner)
+        requests = [
+            DataRequest(kind="txlist", chainid=1, target=ADDR, block_lo=1, block_hi=hi)
+            for hi in (10, 20)
+        ]
+        assert [p["window"] for p in fetch_many(memo, requests)] == [10, 20]
+        assert inner.calls == 2
+
+    def test_a_failed_fetch_is_fetched_again_by_a_later_batch(self):
+        inner = _CountingStub(failures=1)
+        memo = SessionMemo(inner)
+        request = DataRequest(kind="tx_trace", chainid=1, target=TX)
+        [failed] = fetch_many(memo, [request])
+        assert isinstance(failed, UpstreamError)
+        [payload] = fetch_many(memo, [request])
+        assert payload == {"target": TX, "window": None}
+        assert fetch_many(memo, [request]) == [payload]
+        assert inner.calls == 2
+
+
 class TestTypedFetchers:
     def test_txlist_is_sorted_by_order_key(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -633,6 +706,41 @@ class TestLiveAdapter:
         adapter = self._adapter(rpc_post=rpc_post, retries=1)
         with pytest.raises(UpstreamError):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+
+    def test_rpc_error_reply_is_final(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        calls = []
+
+        def rpc_post(url, body, timeout):
+            calls.append(body["method"])
+            return {"id": body["id"], "error": {"code": -32000, "message": "header not found"}}
+
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
+        with pytest.raises(UpstreamError) as info:
+            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert calls == ["eth_getStorageAt"]
+        assert sleeps == []
+        assert "header not found" in str(info.value)
+
+    def test_transport_errors_are_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        replies = iter([OSError("connection reset"), {"result": "0x2a"}])
+        calls = []
+
+        def rpc_post(url, body, timeout):
+            calls.append(body["method"])
+            reply = next(replies)
+            if isinstance(reply, Exception):
+                raise reply
+            return reply
+
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
+        doc = adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert doc["value_hex"] == "0x2a"
+        assert len(calls) == 2
+        assert sleeps == [adapter.backoff]
 
     def test_txlist_requires_explorer_credential(self):
         adapter = self._adapter()

@@ -1,20 +1,23 @@
 """End-to-end sessions: the bundled cases against their goldens, the
 artifacts they leave, what they send the model, rejection codes arriving in
-the stage they do not belong to, model-backend failures, the metrics report
-over their summaries, and the schema lookup and source scan sessions rely
-on."""
+the stage they do not belong to, the scan that keeps tainted projects from
+the runner, the per-session fetch memo, failures of any kind ending the
+session failed, the metrics report over their summaries, and the schema
+lookup and source scan sessions rely on."""
 
 from __future__ import annotations
 
 import json
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from txpostmortem import metrics, scenarios, workspace
+from txpostmortem import metrics, oracles, scenarios, workspace
 from txpostmortem.agents import ROLES, ScriptedBackend, StepResult
 from txpostmortem.domain import SeedRef
-from txpostmortem.gateway import MissingFixture
+from txpostmortem.gateway import DataRequest, MissingFixture, fixture_key
 from txpostmortem.harness import SimulatedRunner, scan_for_addresses, solidity_sources
 from txpostmortem.orchestrator import Budgets, Orchestrator
 
@@ -69,6 +72,20 @@ class TestArtifacts:
     def test_no_schema_copies(self, fixture, request):
         root = request.getfixturevalue(fixture).session_root
         assert not (root / "schema").exists()
+
+    @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
+    def test_every_transcript_is_launched(self, fixture, request):
+        # The runner plays its transcripts in launch order, so one left over
+        # means the case's transcripts and its launches have drifted apart.
+        assert request.getfixturevalue(fixture).runner.queue == []
+
+    @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
+    def test_evidence_citations_resolve(self, fixture, request):
+        root = request.getfixturevalue(fixture).session_root
+        evidence = _read(root, workspace.ROOT_CAUSE_DOC)["evidence"]
+        assert evidence
+        for relpath in evidence:
+            assert (root / relpath).exists(), relpath
 
 
 class _RecordingBackend:
@@ -181,10 +198,23 @@ class TestWrongStageRejection:
         ]
 
 
+class _CountingRunner:
+    """Runner wrapper that counts launches."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.launches = 0
+
+    def run(self, project, rpc_url=None):
+        self.launches += 1
+        return self.inner.run(project, rpc_url)
+
+
 def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=None):
     """prxvt's PoC stage with one reproducer attempt: Exploit.sol gets
     ``exploit_suffix`` appended, the runner answers ``run``, and the
-    validator is scripted to ``validator`` (a Pass by default)."""
+    validator is scripted to ``validator`` (a Pass by default).  Returns
+    the outcome, the recording backend and the counting runner."""
     entries = scenarios._prxvt_script_entries()
     files = entries["poc_reproducer"][0]["files"]
     files["test/Exploit.sol"] += exploit_suffix
@@ -192,13 +222,14 @@ def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=N
         entries["poc_validator"] = [validator]
     bundle = scenarios.build_prxvt_case(tmp_path / "case")
     backend = _RecordingBackend(ScriptedBackend(entries))
+    runner = _CountingRunner(SimulatedRunner(queue=[run]))
     orch = Orchestrator(
         backend=backend,
         adapter=bundle.adapter(),
-        runner=SimulatedRunner(queue=[run]),
+        runner=runner,
         budgets=Budgets(reproducer_iterations=1),
     )
-    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend
+    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend, runner
 
 
 _FAILING_RUN = scenarios._PRXVT_RUN_0.replace(
@@ -211,14 +242,14 @@ class TestEngineGate:
     runs only on what it passes, and both must pass to validate."""
 
     def test_engine_reject_never_consumes_the_validator_script(self, tmp_path):
-        outcome, backend = _gated_prxvt(tmp_path, _FAILING_RUN)
+        outcome, backend, _ = _gated_prxvt(tmp_path, _FAILING_RUN)
         assert backend.sent("poc_validator") == []
         assert outcome.stage == "failed"
         assert outcome.poc_validated is False
         assert outcome.iterations.get("poc_validator", 0) == 0
 
     def test_validator_pass_over_failing_engine_does_not_validate(self, tmp_path):
-        outcome, _ = _gated_prxvt(tmp_path, _FAILING_RUN)
+        outcome, _, _ = _gated_prxvt(tmp_path, _FAILING_RUN)
         root = outcome.session.root
         assert not (root / workspace.POC_VALIDATED_RESULT).exists()
         assert not (root / workspace.POC_REPORT).exists()
@@ -234,7 +265,7 @@ class TestEngineGate:
             "rubric": {},
             "reject_reasons": ["uses_attacker_designed_values"],
         }
-        outcome, backend = _gated_prxvt(
+        outcome, backend, _ = _gated_prxvt(
             tmp_path, scenarios._PRXVT_RUN_0, validator=reject
         )
         assert len(backend.sent("poc_validator")) == 1
@@ -287,17 +318,15 @@ class TestEngineGate:
             pytest.param(
                 _FAILING_RUN,
                 f"// {scenarios.PRXVT_EOA} {scenarios.PRXVT_ORCH}\n",
-                [
-                    "oracle_validation_failed",
-                    "uses_attacker_contract",
-                    "uses_attacker_designed_values",
-                ],
+                # A tainted project is never run, so the failing run is
+                # never seen.
+                ["uses_attacker_contract", "uses_attacker_designed_values"],
                 id="all-three",
             ),
         ],
     )
     def test_reject_codes(self, tmp_path, run, suffix, reasons):
-        outcome, backend = _gated_prxvt(tmp_path, run, exploit_suffix=suffix)
+        outcome, backend, _ = _gated_prxvt(tmp_path, run, exploit_suffix=suffix)
         assert backend.sent("poc_validator") == []
         assert outcome.reject_log == [
             {"stage": "poc", "reasons": reasons, "actions": ["re_reproduce"]}
@@ -306,6 +335,113 @@ class TestEngineGate:
             outcome.session.root, f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json"
         )
         assert verdict["reject_reasons"] == reasons
+
+
+class TestScanBeforeLaunch:
+    @pytest.mark.parametrize(
+        "address, code",
+        [
+            (scenarios.PRXVT_HELPER, "uses_attacker_contract"),
+            (scenarios.PRXVT_EOA, "uses_attacker_designed_values"),
+        ],
+        ids=["attacker-contract", "attacker-eoa"],
+    )
+    def test_tainted_project_never_reaches_the_runner(self, tmp_path, address, code):
+        exploit = scenarios._prxvt_script_entries()["poc_reproducer"][0]["files"][
+            "test/Exploit.sol"
+        ]
+        outcome, backend, runner = _gated_prxvt(
+            tmp_path, scenarios._PRXVT_RUN_0, exploit_suffix=f"// {address}\n"
+        )
+        assert runner.launches == 0
+        assert backend.sent("poc_validator") == []
+        iter_dir = outcome.session.root / workspace.REPRODUCER_DIR / "iter_0"
+        assert _read(iter_dir, "engine_verdict.json") == {
+            "overall_status": "Reject",
+            "oracle_results": [],
+            "pre_check_results": [],
+            "rubric": {
+                "attacker_address_hits": [
+                    {
+                        "file": "test/Exploit.sol",
+                        "address": address,
+                        "line": len(exploit.splitlines()) + 1,
+                    }
+                ]
+            },
+            "reject_reasons": [code],
+        }
+        assert not (iter_dir / "forge_output.txt").exists()
+        assert not (iter_dir / "run_result.json").exists()
+
+
+class _CountingAdapter:
+    """Adapter wrapper that counts fetches by fixture key."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def fetch(self, request):
+        with self._lock:
+            self.calls[fixture_key(request)] += 1
+        return self.inner.fetch(request)
+
+
+def _fetched_files(root: Path, iteration: int) -> dict[str, list[str]]:
+    """Files of each request a collection run fetched, by fixture key."""
+    summary = _read(
+        root, f"{workspace.COLLECTION_DIR}/iter_{iteration}/data_collection_summary.json"
+    )
+    return {
+        fixture_key(DataRequest.from_doc(item["request"])): item["files"]
+        for item in summary["fetched"]
+    }
+
+
+class TestSessionMemo:
+    def test_repeated_requests_hit_the_adapter_once(self, tmp_path):
+        bundle = scenarios.build_valinity_case(tmp_path / "case")
+        adapter = _CountingAdapter(bundle.adapter())
+        orch = Orchestrator(
+            backend=bundle.backend(), adapter=adapter, runner=bundle.runner()
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "done"
+        assert set(adapter.calls.values()) == {1}
+        root = outcome.session.root
+        # The post-challenge batch asks again for the seed trace, the seed
+        # balance diff and the loan officer's metadata; each still lands in
+        # its own directory, byte for byte as the bootstrap wrote it.
+        seed = _fetched_files(root, 0)
+        again = _fetched_files(root, 3)
+        assert len(again) == 3 and set(again) <= set(seed)
+        for key, files in again.items():
+            assert [(root / f).read_bytes() for f in files] == [
+                (root / f).read_bytes() for f in seed[key]
+            ]
+
+    def test_two_sessions_each_fetch_their_seed(self, tmp_path):
+        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        entries = {
+            role: docs * 2 for role, docs in scenarios._prxvt_script_entries().items()
+        }
+        adapter = _CountingAdapter(bundle.adapter())
+        run = scenarios._PRXVT_RUN_0
+        orch = Orchestrator(
+            backend=ScriptedBackend(entries),
+            adapter=adapter,
+            runner=SimulatedRunner(queue=[run, run]),
+        )
+        for _ in range(2):
+            outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+            assert outcome.stage == "done"
+        seed_keys = _fetched_files(outcome.session.root, 0)
+        assert seed_keys
+        for key in seed_keys:
+            assert adapter.calls[key] == 2
+        assert set(adapter.calls.values()) == {2}
 
 
 class _FailingKinds:
@@ -370,6 +506,63 @@ class TestSeedContext:
         assert "tx_trace" in persisted["outcome"]["failure"]
         assert backend.messages == {}
         assert not (outcome.session.root / workspace.SEED_CONTEXT_DIR).exists()
+
+
+def _assert_failed_closed(outcome, prefix: str) -> None:
+    persisted = _read(outcome.session.root, workspace.SESSION_SUMMARY)
+    assert persisted == outcome.summary_doc()
+    assert persisted["outcome"]["stage"] == "failed"
+    assert persisted["outcome"]["failure"].startswith(prefix)
+    assert workspace.check_document(persisted, workspace.SCHEMAS["session_summary"]) == []
+
+
+class _RaisingAdapter:
+    """Adapter wrapper that raises ``OSError`` for one request kind."""
+
+    def __init__(self, inner, kind: str):
+        self.inner = inner
+        self.kind = kind
+
+    def fetch(self, request):
+        if request.kind == self.kind:
+            raise OSError(f"socket closed fetching {request.kind}")
+        return self.inner.fetch(request)
+
+
+class _RaisingRunner:
+    def run(self, project, rpc_url=None):
+        raise RuntimeError("runner crashed")
+
+
+class TestFailClosed:
+    """Errors of any class end the session failed at the stage they hit,
+    with a terminal, schema-valid summary."""
+
+    def test_oracle_error(self, tmp_path, monkeypatch):
+        def broken(definition):
+            raise oracles.OracleError("cannot normalize")
+
+        monkeypatch.setattr(oracles, "normalize_definition", broken)
+        outcome = _run_prxvt(
+            tmp_path,
+            scenarios._prxvt_script_entries(),
+            SimulatedRunner(queue=[scenarios._PRXVT_RUN_0]),
+        )
+        _assert_failed_closed(outcome, "poc: OracleError: cannot normalize")
+
+    def test_adapter_os_error(self, tmp_path):
+        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        orch = Orchestrator(
+            backend=bundle.backend(),
+            adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
+            runner=bundle.runner(),
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        _assert_failed_closed(outcome, "root_cause: OSError: socket closed fetching txlist")
+
+    def test_runner_runtime_error(self, tmp_path):
+        outcome = _run_prxvt(tmp_path, scenarios._prxvt_script_entries(), _RaisingRunner())
+        _assert_failed_closed(outcome, "poc: RuntimeError: runner crashed")
 
 
 class TestBackendFailure:
