@@ -5,8 +5,10 @@ requests, land payloads as workspace artifacts, and fold results into
 collection summaries.  Per-request failures never abort a batch; only a
 missing seed artifact is fatal to the seed bootstrap.
 
-The requests of one batch are independent, so ``fetch_many`` waits on up to
-``FETCH_WORKERS`` of them at once.  Only the waiting overlaps: artifact
+The requests of one batch are independent, so ``fetch_many`` waits on all
+of them at once, with at most ``FETCH_WORKERS`` in flight on any one chain:
+a batch probing every chain for a hash is one wave, and a batch on one chain
+keeps ``FETCH_WORKERS`` in flight.  Only the waiting overlaps: artifact
 names, workspace writes, summary records and diagnostics are made on the
 calling thread in request order, so a batch lands the same bytes however
 its answers interleave.
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import logging
 import re
+import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,7 +46,8 @@ _SEED_FILENAMES = {
     "balance_diff": "balance_diff.json",
 }
 
-#: Most fetches one ``fetch_many`` call has in flight at once.
+#: Most fetches one ``fetch_many`` call has in flight at once on one chain,
+#: that is, on one RPC endpoint.
 FETCH_WORKERS = 8
 
 #: Longest digest of the seed context, and longest line in it, in characters.
@@ -60,7 +65,16 @@ def _safe_name(request: DataRequest) -> str:
 def fetch_many(
     adapter: ChainAdapter, requests: Sequence[DataRequest]
 ) -> list[dict[str, Any] | GatewayError]:
-    """Fetch every request, with up to ``FETCH_WORKERS`` in flight at once.
+    """Fetch every request, with up to ``FETCH_WORKERS`` in flight per chain.
+
+    Each chain's JSON-RPC endpoint is its own, so the cap is per endpoint
+    and requests on different chains never wait for each other's slots.
+    Explorer requests (``txlist``, ``contract_meta``) share one endpoint,
+    ``EXPLORER_API_URL``, across chains.  No caller batches them across
+    chains: the seed bootstrap, lifecycle txlists and post-challenge batches
+    are all on the seed's chain.  Only an analyst batch naming several
+    chains could have more than ``FETCH_WORKERS`` explorer requests in
+    flight.
 
     Results come back in request order; a ``GatewayError`` takes its
     request's slot, without its traceback, whose frames would tie the
@@ -68,16 +82,20 @@ def fetch_many(
     the pool has shut down, so no thread outlives the call.  A batch of at
     most one request runs inline.
     """
+    per_chain = Counter(request.chainid for request in requests)
+    slots = {chainid: threading.BoundedSemaphore(FETCH_WORKERS) for chainid in per_chain}
 
     def fetch_one(request: DataRequest) -> dict[str, Any] | GatewayError:
         try:
-            return adapter.fetch(request)
+            with slots[request.chainid]:
+                return adapter.fetch(request)
         except GatewayError as exc:
             return exc.with_traceback(None)
 
     if len(requests) <= 1:
         return [fetch_one(request) for request in requests]
-    pool = ThreadPoolExecutor(max_workers=min(FETCH_WORKERS, len(requests)))
+    workers = sum(min(FETCH_WORKERS, n) for n in per_chain.values())
+    pool = ThreadPoolExecutor(max_workers=workers)
     try:
         return list(pool.map(fetch_one, requests))
     finally:
@@ -273,7 +291,11 @@ def execute_data_requests(
     adapter: ChainAdapter,
     iter_dir: Path,
 ) -> CollectionSummary:
-    """Serve a batch of analyst data requests into one iteration directory."""
+    """Serve a batch of analyst data requests into one iteration directory.
+
+    ``iter_dir`` need not exist: the first write creates it, once every
+    fetch has returned.
+    """
     summary = CollectionSummary()
     used_names: set[str] = set()
     for request, payload in zip(requests, fetch_many(adapter, requests)):

@@ -3,7 +3,8 @@
 Network access is isolated behind two injectable callables (``rpc_post`` and
 ``api_get``) so the adapter logic is testable without sockets.  Payloads are
 normalized into the canonical document shapes defined in ``types``; callers
-never see provider-specific field names.
+never see provider-specific field names.  Transport errors and explorer
+rate limits are retried with backoff; any other error reply is final.
 """
 
 from __future__ import annotations
@@ -82,9 +83,10 @@ def disassemble(bytecode_hex: str, limit: int = 4096) -> str:
     return "\n".join(lines)
 
 
-class RpcErrorReply(UpstreamError):
-    """The node answered with a JSON-RPC error.  The same request gets the
-    same answer, so it is final and never retried."""
+class ErrorReply(UpstreamError):
+    """The node answered with a JSON-RPC error, or the explorer with an
+    error other than a rate limit.  The same request gets the same answer,
+    so it is final and never retried."""
 
 
 def _default_rpc_post(url: str, body: dict[str, Any], timeout: float) -> dict[str, Any]:
@@ -149,7 +151,7 @@ class LiveAdapter:
         for attempt in range(self.retries):
             try:
                 return call()
-            except RpcErrorReply:
+            except ErrorReply:
                 raise
             except Exception as exc:  # transport errors are opaque; retry them
                 last = exc
@@ -165,7 +167,7 @@ class LiveAdapter:
         def call() -> dict[str, Any]:
             doc = self.rpc_post(url, body, self.timeout)
             if doc.get("error"):
-                raise RpcErrorReply(f"rpc {method} chain {chainid}: {doc['error']}")
+                raise ErrorReply(f"rpc {method} chain {chainid}: {doc['error']}")
             return doc
 
         return self._with_retries(call, f"rpc {method} chain {chainid}")["result"]
@@ -178,10 +180,11 @@ class LiveAdapter:
 
         def call() -> dict[str, Any]:
             doc = self.api_get(EXPLORER_API_URL, query, self.timeout)
-            if str(doc.get("status")) == "0" and doc.get("message") not in (
-                "No transactions found",
-            ):
-                raise UpstreamError(f"explorer: {doc.get('result') or doc.get('message')}")
+            if str(doc.get("status")) == "0" and doc.get("message") != "No transactions found":
+                text = f"explorer: {doc.get('result') or doc.get('message')}"
+                if "rate limit" in text.lower():
+                    raise UpstreamError(text)  # transient: retried after a backoff
+                raise ErrorReply(text)
             return doc
 
         return self._with_retries(call, f"explorer {params.get('action')} chain {chainid}")["result"]

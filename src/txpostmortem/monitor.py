@@ -5,8 +5,10 @@ candidate transaction hashes are extracted textually, chains are resolved by
 probing the gateway, and accepted incidents are enqueued as bare seed
 payloads carrying no narrative context.
 
-A hash is resolved by probing every chain at once (``fetch_many``), and
-once per feed: a hash that several posts repeat reuses its first answer.
+A hash is resolved once per feed, by one ``fetch_many`` batch holding one
+probe per chain: ``fetch_many`` caps what is in flight per chain, so all the
+probes are in flight together and the hash costs one round trip.  A hash
+that several posts repeat reuses its first answer.
 """
 
 from __future__ import annotations
@@ -131,7 +133,10 @@ def resolve_chain(
     adapter: ChainAdapter,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
 ) -> int:
-    """Probe every chain for the transaction, concurrently.
+    """Probe every chain for the transaction, all at once.
+
+    The probes go out as one ``fetch_many`` batch, one per chain, so they
+    are in flight together and the call takes as long as the slowest one.
 
     Exactly one hit resolves; zero raises ChainNotFound; several raise
     AmbiguousChain carrying every match, in probe order, so the caller can

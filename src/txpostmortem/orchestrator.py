@@ -371,13 +371,20 @@ class Orchestrator:
         outcome: SessionOutcome,
     ) -> None:
         """Fetch one request batch into the next collection ``iter_k`` and
-        record the gateway's summary of it; no model turn is involved."""
-        iter_dir = workspace.next_iteration_dir(session, workspace.COLLECTION_DIR)
+        record the gateway's summary of it; no model turn is involved.
+
+        Collection runs are numbered densely from the seed's ``iter_0``, so
+        this batch's directory is ``iter_<runs so far>``.  Its first write
+        creates it once every fetch has returned, so a batch whose fetches
+        raise leaves no directory behind.
+        """
+        iteration = outcome.collection_runs_total
+        iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{iteration}"
         summary = execute_data_requests(session, requests, fetches, iter_dir)
         workspace.write_artifact(
             session,
             iter_dir.relative_to(session.root) / "data_collection_summary.json",
-            summary.to_doc(iteration=int(iter_dir.name.split("_")[1])),
+            summary.to_doc(iteration=iteration),
             schema_id="collection_summary",
         )
         outcome.fetched_items += summary.fetched_count

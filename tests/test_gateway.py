@@ -742,6 +742,43 @@ class TestLiveAdapter:
         assert len(calls) == 2
         assert sleeps == [adapter.backoff]
 
+    def _explorer_adapter(self, monkeypatch, reply):
+        sleeps, calls = [], []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+
+        def api_get(url, params, timeout):
+            calls.append(params["action"])
+            return reply
+
+        adapter = LiveAdapter(
+            env={"ETHERSCAN_API_KEY": "k"}, rpc_map={1: "http://node"}, api_get=api_get
+        )
+        return adapter, calls, sleeps
+
+    def test_explorer_error_reply_is_final(self, monkeypatch):
+        reply = {"status": "0", "message": "NOTOK", "result": "Invalid API Key"}
+        adapter, calls, sleeps = self._explorer_adapter(monkeypatch, reply)
+        with pytest.raises(UpstreamError, match="Invalid API Key"):
+            adapter.fetch(DataRequest(kind="txlist", chainid=1, target=ADDR))
+        assert calls == ["txlist"]
+        assert sleeps == []
+
+    def test_explorer_rate_limit_is_retried(self, monkeypatch):
+        reply = {"status": "0", "message": "NOTOK", "result": "Max rate limit reached"}
+        adapter, calls, sleeps = self._explorer_adapter(monkeypatch, reply)
+        with pytest.raises(UpstreamError, match="after 3 attempts"):
+            adapter.fetch(DataRequest(kind="txlist", chainid=1, target=ADDR))
+        assert calls == ["txlist"] * adapter.retries
+        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
+
+    def test_explorer_no_transactions_is_empty(self, monkeypatch):
+        reply = {"status": "0", "message": "No transactions found", "result": []}
+        adapter, calls, sleeps = self._explorer_adapter(monkeypatch, reply)
+        doc = adapter.fetch(DataRequest(kind="txlist", chainid=1, target=ADDR))
+        assert doc == {"records": []}
+        assert calls == ["txlist"]
+        assert sleeps == []
+
     def test_txlist_requires_explorer_credential(self):
         adapter = self._adapter()
         with pytest.raises(MissingCredential) as info:

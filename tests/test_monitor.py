@@ -6,12 +6,13 @@ import gc
 import sys
 import threading
 import time
+from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
 
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from txpostmortem.gateway import FETCH_WORKERS, LiveAdapter, MissingFixture
+from txpostmortem.gateway import FETCH_WORKERS, LiveAdapter, MissingFixture, fetch_many
 from txpostmortem.gateway.types import DataRequest
 from txpostmortem.monitor import (
     DEFAULT_PROBE_ORDER,
@@ -31,16 +32,19 @@ HOME, SECOND = DEFAULT_PROBE_ORDER[1], DEFAULT_PROBE_ORDER[9]
 
 
 class _ChainsAdapter:
-    """Finds each transaction on the chains listed for it; counts every call."""
+    """Finds each transaction on the chains listed for it; counts every call
+    and keeps the most threads seen alive during one."""
 
     def __init__(self, hosts: dict[str, set[int]]):
         self.hosts = hosts
         self.calls: list[DataRequest] = []
+        self.threads = 0
         self._lock = threading.Lock()
 
     def fetch(self, request: DataRequest) -> dict:
         with self._lock:
             self.calls.append(request)
+            self.threads = max(self.threads, threading.active_count())
         self.wait(request)
         if request.chainid not in self.hosts.get(request.target, set()):
             raise MissingFixture(f"{request.target} not on {request.chainid}")
@@ -50,46 +54,80 @@ class _ChainsAdapter:
         pass
 
 
-class _BarrierAdapter(_ChainsAdapter):
-    """Every call waits until ``parties`` calls are in flight together."""
-
-    def __init__(self, hosts: dict[str, set[int]], parties: int):
-        super().__init__(hosts)
-        self.barrier = threading.Barrier(parties, timeout=5)
-
-    def wait(self, request: DataRequest) -> None:
-        self.barrier.wait()
-
-
 class _PeakAdapter(_ChainsAdapter):
-    """Sleeps in every call and keeps the most calls seen in flight at once."""
+    """Keeps, per chain, the most calls seen in flight at once.  Every call
+    is held 10 ms, or until ``parties`` calls are in flight together."""
 
-    def __init__(self, hosts: dict[str, set[int]]):
+    def __init__(self, hosts: dict[str, set[int]], parties: int | None = None):
         super().__init__(hosts)
-        self.in_flight = 0
-        self.peak = 0
+        self.barrier = threading.Barrier(parties, timeout=5) if parties else None
+        self.in_flight: Counter[int] = Counter()
+        self.peaks: Counter[int] = Counter()
 
     def wait(self, request: DataRequest) -> None:
         with self._lock:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        time.sleep(0.01)
+            self.in_flight[request.chainid] += 1
+            self.peaks[request.chainid] = max(
+                self.peaks[request.chainid], self.in_flight[request.chainid]
+            )
+        if self.barrier:
+            self.barrier.wait()
+        else:
+            time.sleep(0.01)
         with self._lock:
-            self.in_flight -= 1
+            self.in_flight[request.chainid] -= 1
+
+
+def _probes(chains, txs=(TX,)) -> list[DataRequest]:
+    return [
+        DataRequest(kind="tx_metadata", chainid=chainid, target=tx.value)
+        for tx in txs
+        for chainid in chains
+    ]
 
 
 class TestConcurrentProbes:
-    @pytest.mark.parametrize("n", [2, FETCH_WORKERS, 2 * FETCH_WORKERS])
+    @pytest.mark.parametrize(
+        "n", [2, FETCH_WORKERS, 2 * FETCH_WORKERS, len(SUPPORTED_CHAINS)]
+    )
     def test_probes_overlap(self, n):
-        adapter = _BarrierAdapter({TX.value: {HOME}}, min(n, FETCH_WORKERS))
+        adapter = _PeakAdapter({TX.value: {HOME}}, parties=n)
+        before = threading.active_count()
         assert resolve_chain(TX, adapter, DEFAULT_PROBE_ORDER[:n]) == HOME
         assert len(adapter.calls) == n
+        assert adapter.threads - before <= n
 
-    def test_in_flight_never_exceeds_the_cap(self):
+    def test_in_flight_per_chain_never_exceeds_the_cap(self):
+        # Twice the cap on one chain, then a probe on every chain.
+        requests = _probes([HOME] * 2 * FETCH_WORKERS) + _probes(DEFAULT_PROBE_ORDER)
         adapter = _PeakAdapter({TX.value: {HOME}})
-        assert resolve_chain(TX, adapter) == HOME
-        assert len(adapter.calls) == len(SUPPORTED_CHAINS)
-        assert 1 < adapter.peak <= FETCH_WORKERS
+        payloads = fetch_many(adapter, requests)
+        assert len(adapter.calls) == len(requests)
+        assert set(adapter.peaks) == set(SUPPORTED_CHAINS)
+        assert max(adapter.peaks.values()) <= FETCH_WORKERS
+        assert sum(not isinstance(p, MissingFixture) for p in payloads) == 1 + 2 * FETCH_WORKERS
+
+    def test_single_chain_batch_peaks_at_the_cap(self):
+        adapter = _PeakAdapter({TX.value: {HOME}}, parties=FETCH_WORKERS)
+        before = threading.active_count()
+        payloads = fetch_many(adapter, _probes([HOME] * 2 * FETCH_WORKERS))
+        assert payloads == [{"txhash": TX.value, "chainid": HOME}] * 2 * FETCH_WORKERS
+        assert adapter.peaks == {HOME: FETCH_WORKERS}
+        assert adapter.threads - before <= FETCH_WORKERS
+
+    def test_mixed_chain_batch_keeps_request_order(self):
+        requests = _probes(DEFAULT_PROBE_ORDER[:6], (TX, OTHER_TX, STRAY_TX))
+        position = {(r.chainid, r.target): k for k, r in enumerate(requests)}
+
+        class LaterAnswersFirst(_ChainsAdapter):
+            def wait(self, request):
+                time.sleep(0.002 * (len(requests) - position[request.chainid, request.target]))
+
+        every_chain = set(DEFAULT_PROBE_ORDER)
+        adapter = LaterAnswersFirst({tx.value: every_chain for tx in (TX, OTHER_TX, STRAY_TX)})
+        assert fetch_many(adapter, requests) == [
+            {"txhash": r.target, "chainid": r.chainid} for r in requests
+        ]
 
     def test_ambiguous_matches_keep_probe_order(self):
         class LaterAnswersFirst(_ChainsAdapter):

@@ -46,6 +46,13 @@ class TestGoldens:
         assert ids == run.bundle.expected["oracle_ids"]
 
 
+def _assert_collection_dirs_summarised(root: Path, runs: int) -> None:
+    dirs = sorted(p for p in (root / workspace.COLLECTION_DIR).iterdir() if p.is_dir())
+    assert [p.name for p in dirs] == [f"iter_{k}" for k in range(runs)]
+    for path in dirs:
+        assert (path / "data_collection_summary.json").is_file(), path.name
+
+
 class TestArtifacts:
     def test_one_collection_summary_per_run(self, valinity_run):
         root = valinity_run.session_root
@@ -67,6 +74,11 @@ class TestArtifacts:
         assert verdict["rubric"]["attacker_address_hits"] == [
             {"file": "test/Exploit.sol", "address": scenarios.VAL_ROUTER, "line": 34}
         ]
+
+    @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
+    def test_every_collection_dir_holds_a_summary(self, fixture, request):
+        run = request.getfixturevalue(fixture)
+        _assert_collection_dirs_summarised(run.session_root, run.doc["collection_runs_total"])
 
     @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
     def test_no_schema_copies(self, fixture, request):
@@ -559,6 +571,18 @@ class TestFailClosed:
         )
         outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
         _assert_failed_closed(outcome, "root_cause: OSError: socket closed fetching txlist")
+
+    def test_a_raising_batch_leaves_no_collection_dir(self, tmp_path):
+        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        orch = Orchestrator(
+            backend=bundle.backend(),
+            adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
+            runner=bundle.runner(),
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "failed"
+        assert outcome.collection_runs_total == 1
+        _assert_collection_dirs_summarised(outcome.session.root, outcome.collection_runs_total)
 
     def test_runner_runtime_error(self, tmp_path):
         outcome = _run_prxvt(tmp_path, scenarios._prxvt_script_entries(), _RaisingRunner())
