@@ -3,8 +3,9 @@
 Network access is isolated behind two injectable callables (``rpc_post`` and
 ``api_get``) so the adapter logic is testable without sockets.  Payloads are
 normalized into the canonical document shapes defined in ``types``; callers
-never see provider-specific field names.  Transport errors and explorer
-rate limits are retried with backoff; any other error reply is final.
+never see provider-specific field names.  Transport errors, HTTP 408, 429
+and 5xx, and explorer rate limits are retried with backoff; any other HTTP
+4xx or error reply is final.
 """
 
 from __future__ import annotations
@@ -84,9 +85,25 @@ def disassemble(bytecode_hex: str, limit: int = 4096) -> str:
 
 
 class ErrorReply(UpstreamError):
-    """The node answered with a JSON-RPC error, or the explorer with an
-    error other than a rate limit.  The same request gets the same answer,
-    so it is final and never retried."""
+    """The node answered with a JSON-RPC error, the explorer with an error
+    other than a rate limit, or either with an HTTP 4xx status other than
+    408 and 429.  The same request gets the same answer, so it is final and
+    never retried."""
+
+
+#: HTTP 4xx statuses that say "try again later", not "this request is wrong".
+_RETRIED_4XX = (408, 429)
+
+
+def _final_status(exc: Exception) -> int | None:
+    """The HTTP status of a transport error that retrying cannot change, or
+    None.  The status is read from ``exc.response.status_code`` when there
+    is one, as ``requests`` sets it; other transports carry none and are
+    retried."""
+    status = getattr(getattr(exc, "response", None), "status_code", None)
+    if isinstance(status, int) and 400 <= status < 500 and status not in _RETRIED_4XX:
+        return status
+    return None
 
 
 def _default_rpc_post(url: str, body: dict[str, Any], timeout: float) -> dict[str, Any]:
@@ -154,6 +171,8 @@ class LiveAdapter:
             except ErrorReply:
                 raise
             except Exception as exc:  # transport errors are opaque; retry them
+                if (status := _final_status(exc)) is not None:
+                    raise ErrorReply(f"{what}: HTTP {status}: {exc}") from exc
                 last = exc
                 logger.warning("%s failed (attempt %d/%d): %s", what, attempt + 1, self.retries, exc)
                 if attempt + 1 < self.retries:

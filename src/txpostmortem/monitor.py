@@ -5,10 +5,13 @@ candidate transaction hashes are extracted textually, chains are resolved by
 probing the gateway, and accepted incidents are enqueued as bare seed
 payloads carrying no narrative context.
 
-A hash is resolved once per feed, by one ``fetch_many`` batch holding one
-probe per chain: ``fetch_many`` caps what is in flight per chain, so all the
-probes are in flight together and the hash costs one round trip.  A hash
-that several posts repeat reuses its first answer.
+A feed's hashes are resolved together, by one ``fetch_many`` batch holding
+one probe per distinct hash and chain.  ``fetch_many`` caps what is in
+flight per chain, not per batch, so a feed naming up to ``FETCH_WORKERS``
+distinct hashes has all its probes in flight at once and costs one round
+trip.  The batch runs Σ over chains of ``min(FETCH_WORKERS, hashes)``
+threads, never more than ``FETCH_WORKERS`` per chain.  A hash that several
+posts repeat is probed once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol
+from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
@@ -128,34 +131,63 @@ def extract_tx_hashes(text: str) -> list[TxHash]:
 DEFAULT_PROBE_ORDER: tuple[int, ...] = tuple(sorted(SUPPORTED_CHAINS))
 
 
+def resolve_chains(
+    txhashes: Sequence[TxHash],
+    adapter: ChainAdapter,
+    chains: Iterable[int] = DEFAULT_PROBE_ORDER,
+) -> dict[str, int | MonitorError]:
+    """Probe every chain for every transaction, all in one wave.
+
+    The probes go out as one ``fetch_many`` batch, one per distinct hash
+    and chain, so the call takes as long as the slowest probe.  Up to
+    ``FETCH_WORKERS`` hashes are all in flight together; the pool holds
+    Σ over chains of ``min(FETCH_WORKERS, hashes)`` threads.
+
+    Returns each hash's answer keyed by its value: the one chain that has
+    it, or a ``ChainNotFound`` (no chain) or ``AmbiguousChain`` (several,
+    carrying every match in probe order so the caller can arbitrate).  The
+    errors are made, not raised, so they carry no traceback.
+    """
+    probe_order = tuple(chains)
+    distinct = list(dict.fromkeys(txhash.value for txhash in txhashes))
+    requests = [
+        DataRequest(kind="tx_metadata", chainid=chainid, target=value)
+        for value in distinct
+        for chainid in probe_order
+    ]
+    payloads = fetch_many(adapter, requests)
+    answers: dict[str, int | MonitorError] = {}
+    for k, value in enumerate(distinct):
+        probes = payloads[k * len(probe_order) : (k + 1) * len(probe_order)]
+        matches = [
+            chainid
+            for chainid, payload in zip(probe_order, probes)
+            if not isinstance(payload, GatewayError)
+        ]
+        if not matches:
+            answers[value] = ChainNotFound(value)
+        elif len(matches) > 1:
+            answers[value] = AmbiguousChain(value, matches)
+        else:
+            answers[value] = matches[0]
+    return answers
+
+
 def resolve_chain(
     txhash: TxHash,
     adapter: ChainAdapter,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
 ) -> int:
-    """Probe every chain for the transaction, all at once.
+    """Probe every chain for one transaction, all at once.
 
-    The probes go out as one ``fetch_many`` batch, one per chain, so they
-    are in flight together and the call takes as long as the slowest one.
-
-    Exactly one hit resolves; zero raises ChainNotFound; several raise
-    AmbiguousChain carrying every match, in probe order, so the caller can
-    arbitrate.
+    One ``resolve_chains`` wave of one probe per chain.  Exactly one hit
+    resolves; zero raises ChainNotFound; several raise AmbiguousChain
+    carrying every match, in probe order, so the caller can arbitrate.
     """
-    requests = [
-        DataRequest(kind="tx_metadata", chainid=chainid, target=txhash.value)
-        for chainid in chains
-    ]
-    matches = [
-        request.chainid
-        for request, payload in zip(requests, fetch_many(adapter, requests))
-        if not isinstance(payload, GatewayError)
-    ]
-    if not matches:
-        raise ChainNotFound(txhash.value)
-    if len(matches) > 1:
-        raise AmbiguousChain(txhash.value, matches)
-    return matches[0]
+    answer = resolve_chains([txhash], adapter, chains)[txhash.value]
+    if isinstance(answer, MonitorError):
+        raise answer
+    return answer
 
 
 # --------------------------------------------------------------------------
@@ -181,8 +213,8 @@ def candidates_from_post(
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
     """Extract, resolve, and group one post's hashes per chain.
 
-    ``resolve`` returns the chain id ``resolve_chain`` returns, or the
-    ``ChainNotFound`` or ``AmbiguousChain`` it raises.  A post naming
+    ``resolve`` returns the hash's answer from ``resolve_chains``: a chain
+    id, or a ``ChainNotFound`` or ``AmbiguousChain``.  A post naming
     transactions on several chains is split into one candidate per chain,
     with the split logged.
     """
@@ -253,30 +285,33 @@ def dedupe_and_filter(
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
     """Classify, extract, and deduplicate; first post per incident wins.
 
-    Each distinct hash is resolved once; posts repeating it reuse the answer,
-    and each still logs its own notes.
+    The whole feed is read and classified first, each post once and in
+    order, so a malformed post fails the feed before any probe is sent.
+    Then the distinct hashes of the relevant posts, in first-appearance
+    order, are resolved by one ``resolve_chains`` call: one wave with at
+    most ``FETCH_WORKERS`` probes in flight per chain.  Hashes named only
+    in irrelevant posts are never probed.  Posts repeating a hash reuse its
+    answer, and each still logs its own notes.
     """
     accepted: list[IncidentCandidate] = []
     seen: set[tuple[int, tuple[str, ...]]] = set()
     log: list[dict[str, Any]] = []
-    probe_order = tuple(chains)
-    resolved: dict[str, int | MonitorError] = {}
+    classified = [(post, classifier.is_incident(post)) for post in posts]
+    hashes = [
+        txhash
+        for post, relevant in classified
+        if relevant
+        for txhash in extract_tx_hashes(post.text)
+    ]
+    resolved = resolve_chains(hashes, adapter, chains)
 
-    def resolve(txhash: TxHash) -> int | MonitorError:
-        if txhash.value not in resolved:
-            try:
-                resolved[txhash.value] = resolve_chain(txhash, adapter, probe_order)
-            except (ChainNotFound, AmbiguousChain) as exc:
-                # Kept without its traceback, whose frames lead back to
-                # this dict and would hold the feed until a full collection.
-                resolved[txhash.value] = exc.with_traceback(None)
-        return resolved[txhash.value]
-
-    for post in posts:
-        if not classifier.is_incident(post):
+    for post, relevant in classified:
+        if not relevant:
             log.append({"event": "irrelevant_post", "post": post.source_id})
             continue
-        candidates, notes = candidates_from_post(post, resolve)
+        candidates, notes = candidates_from_post(
+            post, lambda txhash: resolved[txhash.value]
+        )
         log.extend(notes)
         if not candidates:
             log.append({"event": "no_seed_found", "post": post.source_id})

@@ -416,9 +416,6 @@ class Orchestrator:
                         STAGE_ROOT_CAUSE,
                         f"analyzer iteration budget ({self.budgets.analyzer_iterations}) exhausted",
                     )
-                iter_dir = workspace.next_iteration_dir(
-                    session, f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_ANALYZER}"
-                )
                 run = _run_budgeted_role(
                     ledger,
                     self.backend,
@@ -428,6 +425,11 @@ class Orchestrator:
                 )
                 analyzer_iterations += 1
                 analysis: AnalysisResult = run.output
+                # Allocated once the turn returns, so a raising turn leaves
+                # no empty iteration directory.
+                iter_dir = workspace.next_iteration_dir(
+                    session, f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_ANALYZER}"
+                )
                 workspace.write_artifact(
                     session,
                     iter_dir.relative_to(session.root) / "current_analysis_result.json",
@@ -645,13 +647,14 @@ class Orchestrator:
         then gets the oracles and the three correctness checks.  Only a
         reproduction the engine passes goes to the validator turn.
         """
-        iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
-        rel = iter_dir.relative_to(session.root)
         message = json.dumps(definition.to_doc(), indent=2)
         if feedback:
             message += f"\n\nReject codes of the previous attempt: {feedback}"
         run = _run_budgeted_role(ledger, self.backend, ROLE_REPRODUCER, session, message)
         outcome.poc_reproducer_iterations += 1
+        # Allocated once the turn returns, as the analyzer's is.
+        iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
+        rel = iter_dir.relative_to(session.root)
         files = run.output.files
         workspace.write_artifact(
             session,

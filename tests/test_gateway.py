@@ -645,6 +645,14 @@ def _metadata_rpc(responses: dict[str, dict]):
     return rpc_post, calls
 
 
+def _http_error(status: int) -> Exception:
+    """What ``requests`` raises for a reply with this HTTP status."""
+    requests = pytest.importorskip("requests")
+    response = requests.Response()
+    response.status_code = status
+    return requests.HTTPError(f"{status} for url: http://node", response=response)
+
+
 class TestLiveAdapter:
     def _adapter(self, rpc_post=None, api_get=None, env=None, retries=3):
         return LiveAdapter(
@@ -741,6 +749,52 @@ class TestLiveAdapter:
         assert doc["value_hex"] == "0x2a"
         assert len(calls) == 2
         assert sleeps == [adapter.backoff]
+
+    def _failing_rpc_adapter(self, monkeypatch, error):
+        sleeps, calls = [], []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+
+        def rpc_post(url, body, timeout):
+            calls.append(body["method"])
+            raise error
+
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
+        return adapter, calls, sleeps
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_http_client_error_is_final(self, monkeypatch, status):
+        adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, _http_error(status))
+        with pytest.raises(live.ErrorReply, match=f"HTTP {status}"):
+            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert calls == ["eth_getStorageAt"]
+        assert sleeps == []
+
+    def test_status_is_read_from_any_transport(self, monkeypatch):
+        class Rejected(Exception):
+            response = type("Reply", (), {"status_code": 403})()
+
+        adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, Rejected("forbidden"))
+        with pytest.raises(live.ErrorReply, match="HTTP 403"):
+            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert calls == ["eth_getStorageAt"]
+        assert sleeps == []
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_http_transient_statuses_are_retried(self, monkeypatch, status):
+        adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, _http_error(status))
+        with pytest.raises(UpstreamError, match="after 3 attempts"):
+            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert calls == ["eth_getStorageAt"] * adapter.retries
+        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
+
+    def test_connection_error_is_retried(self, monkeypatch):
+        requests = pytest.importorskip("requests")
+        error = requests.ConnectionError("connection reset")
+        adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, error)
+        with pytest.raises(UpstreamError, match="after 3 attempts"):
+            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
+        assert calls == ["eth_getStorageAt"] * adapter.retries
+        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
 
     def _explorer_adapter(self, monkeypatch, reply):
         sleeps, calls = [], []

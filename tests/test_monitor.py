@@ -1,8 +1,10 @@
-"""Feed monitor: concurrent chain probes and one resolution per hash."""
+"""Feed monitor: concurrent chain probes, one resolution per hash and one
+probe wave per feed."""
 
 from __future__ import annotations
 
 import gc
+import json
 import sys
 import threading
 import time
@@ -18,11 +20,15 @@ from txpostmortem.monitor import (
     DEFAULT_PROBE_ORDER,
     AmbiguousChain,
     ChainNotFound,
+    FeedError,
     IncidentCandidate,
     Post,
     ScriptedClassifier,
     dedupe_and_filter,
+    read_feed,
     resolve_chain,
+    resolve_chains,
+    run_monitor,
 )
 
 TX = TxHash("0x" + "ab" * 32)
@@ -238,3 +244,131 @@ class TestResolveOncePerFeed:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def _hashes(n: int) -> list[TxHash]:
+    return [TxHash("0x" + f"{k + 1:064x}") for k in range(n)]
+
+
+class _RecordingClassifier:
+    """Calls every post an incident unless it is listed; records each call."""
+
+    def __init__(self, irrelevant: set[str] = frozenset()):
+        self.irrelevant = irrelevant
+        self.seen: list[str] = []
+
+    def is_incident(self, post: Post) -> bool:
+        self.seen.append(post.source_id)
+        return post.source_id not in self.irrelevant
+
+
+class TestOneWavePerFeed:
+    def test_every_hash_of_a_feed_is_in_flight_at_once(self):
+        txs = _hashes(3)
+        posts = [_post("p1", txs[0]), _post("p2", txs[1], txs[0]), _post("p3", txs[2])]
+        adapter = _PeakAdapter(
+            {tx.value: {HOME} for tx in txs}, parties=3 * len(SUPPORTED_CHAINS)
+        )
+        before = threading.active_count()
+        accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
+        assert len(adapter.calls) == 3 * len(SUPPORTED_CHAINS)
+        assert adapter.threads - before <= 3 * len(SUPPORTED_CHAINS)
+        assert [c.seed for c in accepted] == [
+            SeedRef(chainid=HOME, txs=(txs[0],)),
+            SeedRef(chainid=HOME, txs=(txs[1], txs[0])),
+            SeedRef(chainid=HOME, txs=(txs[2],)),
+        ]
+        assert log == []
+
+    def test_many_hashes_keep_the_per_chain_cap(self):
+        txs = _hashes(10)
+        posts = [_post(f"p{k}", tx) for k, tx in enumerate(txs)]
+        adapter = _PeakAdapter({tx.value: {SECOND} for tx in txs})
+        before = threading.active_count()
+        accepted, _ = dedupe_and_filter(posts, adapter, ScriptedClassifier())
+        assert len(adapter.calls) == 10 * len(SUPPORTED_CHAINS)
+        assert set(adapter.peaks) == set(SUPPORTED_CHAINS)
+        assert max(adapter.peaks.values()) <= FETCH_WORKERS
+        assert adapter.threads - before <= FETCH_WORKERS * len(SUPPORTED_CHAINS)
+        assert [c.seed.txs for c in accepted] == [(tx,) for tx in txs]
+
+    def test_answers_are_sliced_per_hash_in_probe_order(self):
+        txs = _hashes(3)
+        hosts = {txs[0].value: {SECOND, HOME}, txs[2].value: {SECOND}}
+        position = {chainid: k for k, chainid in enumerate(DEFAULT_PROBE_ORDER)}
+
+        class LaterAnswersFirst(_ChainsAdapter):
+            def wait(self, request):
+                time.sleep(0.001 * (len(position) - position[request.chainid]))
+
+        answers = resolve_chains(txs + [txs[0]], LaterAnswersFirst(hosts))
+        assert list(answers) == [tx.value for tx in txs]
+        assert isinstance(answers[txs[0].value], AmbiguousChain)
+        assert answers[txs[0].value].matches == [HOME, SECOND]
+        assert isinstance(answers[txs[1].value], ChainNotFound)
+        assert answers[txs[1].value].__traceback__ is None
+        assert answers[txs[2].value] == SECOND
+
+    def test_classifier_sees_each_post_once_in_order(self):
+        txs = _hashes(4)
+        posts = [
+            _post("p1", txs[0]),
+            _post("noise", txs[1], txs[0]),
+            _post("p2", txs[2]),
+            _post("spam", txs[3]),
+        ]
+        classifier = _RecordingClassifier({"noise", "spam"})
+        adapter = _ChainsAdapter({tx.value: {HOME} for tx in txs})
+        accepted, log = dedupe_and_filter(posts, adapter, classifier)
+        assert classifier.seen == ["p1", "noise", "p2", "spam"]
+        assert {request.target for request in adapter.calls} == {txs[0].value, txs[2].value}
+        assert [c.first_post.source_id for c in accepted] == ["p1", "p2"]
+        assert log == [
+            {"event": "irrelevant_post", "post": "noise"},
+            {"event": "irrelevant_post", "post": "spam"},
+        ]
+
+    def test_a_feed_without_hashes_fetches_nothing(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        posts = [
+            Post(
+                source_id=f"p{k}",
+                author="watcher",
+                timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
+                text="quiet day on chain",
+            )
+            for k in range(3)
+        ]
+        adapter = _ChainsAdapter({})
+        accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
+        assert accepted == []
+        assert adapter.calls == []
+        assert started == []
+        assert log == [{"event": "no_seed_found", "post": f"p{k}"} for k in range(3)]
+
+    def test_a_malformed_feed_line_fails_before_any_probe(self, tmp_path):
+        feed = tmp_path / "feed.jsonl"
+        lines = [
+            json.dumps(
+                {
+                    "source_id": post.source_id,
+                    "timestamp": post.timestamp.isoformat(),
+                    "text": post.text,
+                }
+            )
+            for post in (_post("p1", TX), _post("p2", OTHER_TX))
+        ]
+        feed.write_text("\n".join(lines + ["{not json"]) + "\n", encoding="utf-8")
+        adapter = _ChainsAdapter({TX.value: {HOME}, OTHER_TX.value: {HOME}})
+        queue = tmp_path / "queue"
+        with pytest.raises(FeedError, match=":3: invalid JSON"):
+            run_monitor(read_feed(feed), adapter, queue)
+        assert adapter.calls == []
+        assert list(queue.iterdir()) == []

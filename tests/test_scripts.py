@@ -1,6 +1,7 @@
 """Entry points run end to end: each bundled script and ``python -m
 txpostmortem`` in its own interpreter, so that a script importing a name the
-package no longer has fails here, and the command line's budget flags."""
+package no longer has fails here, the command line's budget flags, and the
+paper's checklist table as ``txpostmortem metrics --baseline`` prints it."""
 
 from __future__ import annotations
 
@@ -99,3 +100,32 @@ class TestBudgetFlags:
         assert code == 1
         assert doc["outcome"]["stage"] == "failed"
         assert doc["outcome"]["failure"] == failure
+
+
+class TestChecklistTable:
+    def test_baseline_rows_give_the_papers_lifts(self, tmp_path, capsys):
+        """The pipeline's pass-rate lift over DeFiHackLabs, in percentage
+        points per checklist item, over the 105 rows both sides scored."""
+        sessions = tmp_path / "sessions"
+        sessions.mkdir()
+        code = cli.main(
+            [
+                "metrics",
+                "--sessions", str(sessions),
+                "--baseline", str(REPO / "tests" / "data" / "baseline_comparison_rows.json"),
+            ]
+        )
+        checklist = json.loads(capsys.readouterr().out)["checklist"]
+        assert code == 0
+        assert checklist["aligned"] == 105
+        assert checklist["lift_pp"] == {
+            "c1": "0.0",
+            "c2": "1.9",
+            "c3": "0.0",
+            "q1": "1.0",
+            "q2": "22.9",
+            "q3": "34.3",
+            "q4": "98.1",
+            "q5": "28.6",
+            "q6": "10.5",
+        }

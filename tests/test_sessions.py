@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from txpostmortem import metrics, oracles, scenarios, workspace
-from txpostmortem.agents import ROLES, ScriptedBackend, StepResult
+from txpostmortem.agents import ROLE_ANALYZER, ROLES, ScriptedBackend, StepResult
 from txpostmortem.domain import SeedRef
 from txpostmortem.gateway import DataRequest, MissingFixture, fixture_key
 from txpostmortem.harness import SimulatedRunner, scan_for_addresses, solidity_sources
@@ -601,6 +601,26 @@ class TestBackendFailure:
         assert persisted["outcome"]["stage"] == "failed"
         assert persisted["outcome"]["failure"].startswith("root_cause: ScriptExhausted: ")
         assert workspace.check_document(persisted, workspace.SCHEMAS["session_summary"]) == []
+
+    @pytest.mark.parametrize(
+        "role, kept, analyzer_dirs",
+        [("root_cause_analyzer", 1, 1), ("poc_reproducer", 0, 3)],
+    )
+    def test_a_raising_turn_leaves_no_empty_iteration_dir(
+        self, tmp_path, role, kept, analyzer_dirs
+    ):
+        entries = scenarios._prxvt_script_entries()
+        entries[role] = entries[role][:kept]
+        outcome = _run_prxvt(
+            tmp_path, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+        )
+        assert outcome.stage == "failed"
+        root = outcome.session.root
+        analyzer = sorted((root / workspace.ROOT_CAUSE_STAGE_DIR / ROLE_ANALYZER).glob("iter_*"))
+        reproducer = sorted((root / workspace.REPRODUCER_DIR).glob("iter_*"))
+        assert len(analyzer) == analyzer_dirs
+        for path in analyzer + reproducer:
+            assert any(p.is_file() for p in path.rglob("*")), path
 
 
 class TestMetricsReport:
