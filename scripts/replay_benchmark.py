@@ -2,10 +2,11 @@
 """Replay every bundled case, score the reproductions, and export a dataset.
 
 The closest thing to a full experiment this repository ships: each case runs
-end to end offline, each produced exploit project goes through the evaluator
-panel, usage and cost aggregate across sessions, and validated incidents are
-exported to a deduplicated dataset directory.  Everything is deterministic,
-so repeated runs produce identical numbers and identical dataset bytes.
+end to end offline, each produced exploit project is scored against the
+paper's checklist, usage and cost aggregate across sessions, and validated
+incidents are exported to a deduplicated dataset directory.  Everything is
+deterministic, so repeated runs produce identical numbers and identical
+dataset bytes.
 """
 
 from __future__ import annotations
@@ -40,10 +41,10 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
         )
         outcome = orchestrator.run_postmortem(bundle.seed(), str(sessions_dir))
         session = outcome.session
-        reports, consensus = evaluate_project(
+        reports, verdict = evaluate_project(
             evaluation_context(session), default_agents()
         )
-        write_reports(session, reports, consensus)
+        write_reports(session, reports, verdict)
         doc = outcome.summary_doc()
         rows.append(
             {
@@ -53,8 +54,7 @@ def run_benchmark(config: BenchmarkConfig) -> dict:
                 "fetched_items": doc["fetched_items"],
                 "poc_validated": doc["poc"]["validated"],
                 "poc_iterations": doc["poc"]["reproducer_iterations"],
-                "evaluation_all_pass": all(consensus.final.values()),
-                "evaluation_converged": consensus.converged,
+                "evaluation_all_pass": all(verdict.final.values()),
             }
         )
     aggregate = sessions_report(load_session_summaries(sessions_dir))

@@ -1,7 +1,7 @@
 """Command-line front end for the postmortem pipeline.
 
 Subcommands cover the full workflow: run a postmortem for a seed
-transaction, score a finished reproduction with the evaluator panel,
+transaction, score a finished reproduction against the paper's checklist,
 aggregate session metrics, scan a social feed for incident candidates,
 record or replay single evidence fixtures, and export validated incidents
 as a benchmark dataset.
@@ -25,7 +25,7 @@ from typing import Any, Mapping, Sequence
 
 from . import evaluator, harness, metrics, monitor, scenarios, workspace
 from .agents import OpenAIChatBackend, ScriptedBackend
-from .domain import SeedRef
+from .domain import DomainError, SeedRef, validate_chain
 from .gateway import (
     DataRequest,
     FixtureStore,
@@ -132,7 +132,10 @@ def cmd_postmortem(args: argparse.Namespace, config: dict[str, Any]) -> int:
     else:
         if not args.chainid or not args.tx:
             raise UsageError("need --chainid and at least one --tx (or --case)")
-        seed = SeedRef.from_strings(args.chainid, args.tx)
+        try:
+            seed = SeedRef.from_strings(args.chainid, args.tx)
+        except DomainError as exc:
+            raise UsageError(f"bad --chainid/--tx: {exc}") from exc
         if backend_kind == "scripted":
             backend, adapter, runner = _scripted_stack(
                 _setting(args.fixtures, "fixtures", config),
@@ -223,12 +226,12 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
 def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
     session = workspace.open_session(args.session)
     context = evaluation_context(session)
-    reports, consensus = evaluator.evaluate_project(context, evaluator.default_agents())
-    written = evaluator.write_reports(session, reports, consensus)
-    doc = consensus.to_doc()
+    reports, verdict = evaluator.evaluate_project(context, evaluator.default_agents())
+    written = evaluator.write_reports(session, reports, verdict)
+    doc = verdict.to_doc()
     doc["written"] = written
     _print_doc(doc)
-    return 0 if all(consensus.final.values()) else 1
+    return 0 if all(verdict.final.values()) else 1
 
 
 # --------------------------------------------------------------------------
@@ -246,6 +249,10 @@ def cmd_metrics(args: argparse.Namespace, config: dict[str, Any]) -> int:
             rows = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise UsageError(f"unreadable baseline rows: {exc}") from exc
+        if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+            raise UsageError(
+                f"baseline file {args.baseline} must hold a JSON list of objects"
+            )
         counts = metrics.checklist_pass_counts(rows)
         report["checklist"] = {
             "aligned": len(metrics.aligned_rows(rows)),
@@ -276,11 +283,14 @@ def cmd_monitor(args: argparse.Namespace, config: dict[str, Any]) -> int:
         adapter = LiveAdapter(rpc_map=load_rpc_map(rpc_map_path))
     else:
         raise UsageError("need --fixtures (offline) or --rpc-map (live probing)")
-    chains = (
-        tuple(int(c) for c in args.chains.split(","))
-        if args.chains
-        else monitor.DEFAULT_PROBE_ORDER
-    )
+    try:
+        chains = (
+            tuple(validate_chain(int(c)) for c in args.chains.split(","))
+            if args.chains
+            else monitor.DEFAULT_PROBE_ORDER
+        )
+    except (ValueError, DomainError) as exc:
+        raise UsageError(f"--chains must be supported chain ids: {exc}") from exc
     posts = list(monitor.read_feed(args.feed))
     outcome = monitor.run_monitor(posts, adapter, args.queue, chains=chains)
     _print_doc(

@@ -1,6 +1,6 @@
-"""Evaluator panel: negotiation to consensus, tie-breaking, the round bound,
-protocol violations, crash degradation, history invariants, the persisted
-report shapes and the ``evaluate`` command over a finished session."""
+"""Checklist evaluation: majority with ties breaking to false, degradation of
+a crashing or ill-typed judge, the persisted report shapes and the
+``evaluate`` command over both bundled cases."""
 
 from __future__ import annotations
 
@@ -12,21 +12,25 @@ import pytest
 from txpostmortem import cli, workspace
 from txpostmortem.domain import SeedRef
 from txpostmortem.evaluator import (
-    ACTION_CHANGE,
     ACTION_INITIAL,
-    ACTION_MAINTAIN,
     FAILURE_REASON,
     METRIC_KEYS,
-    EvaluationEntry,
-    ProtocolViolation,
-    ScriptedEvaluatorAgent,
     evaluate_project,
-    validate_history,
     write_reports,
 )
 
 C1 = "compiles_under_foundry"
 Q1 = METRIC_KEYS[3]
+
+
+class _FixedJudge:
+    """Returns the same stance whatever the context."""
+
+    def __init__(self, stance):
+        self.stance = stance
+
+    def initial(self, context):
+        return self.stance
 
 
 def _stance(value: bool = True, **overrides: bool) -> dict[str, tuple[bool, str]]:
@@ -35,114 +39,73 @@ def _stance(value: bool = True, **overrides: bool) -> dict[str, tuple[bool, str]
     return stance
 
 
-def _history(report, key: str) -> list[tuple[int, str, bool]]:
-    return [(e.round, e.action, e.result) for e in report.histories[key]]
-
-
-def _two_against_one() -> dict[str, ScriptedEvaluatorAgent]:
+def _two_against_one() -> dict[str, _FixedJudge]:
     return {
-        "evaluator_0": ScriptedEvaluatorAgent(_stance()),
-        "evaluator_1": ScriptedEvaluatorAgent(_stance()),
-        "evaluator_2": ScriptedEvaluatorAgent(
-            _stance(**{C1: False}), moves=[{C1: (True, "the build log shows success")}]
-        ),
+        "evaluator_0": _FixedJudge(_stance()),
+        "evaluator_1": _FixedJudge(_stance()),
+        "evaluator_2": _FixedJudge(_stance(**{C1: False})),
     }
 
 
-class TestNegotiation:
-    def test_two_against_one_converges_in_one_round(self):
-        reports, consensus = evaluate_project({}, _two_against_one())
-        assert consensus.converged
-        assert consensus.rounds_used == 1
-        assert consensus.negotiation_log == [{"round": 1, "conflicts": [C1]}]
-        assert consensus.final == {key: True for key in METRIC_KEYS}
-        by_id = {r.evaluator_id: r for r in reports}
-        assert _history(by_id["evaluator_2"], C1) == [
-            (0, ACTION_INITIAL, False),
-            (1, ACTION_CHANGE, True),
-        ]
-        assert _history(by_id["evaluator_0"], C1) == [
-            (0, ACTION_INITIAL, True),
-            (1, ACTION_MAINTAIN, True),
-        ]
-        # Only conflicted metrics get negotiation entries.
-        assert _history(by_id["evaluator_0"], Q1) == [(0, ACTION_INITIAL, True)]
-        assert all(report.validate() == [] for report in reports)
+class TestMajority:
+    def test_two_against_one_keeps_the_majority(self):
+        reports, verdict = evaluate_project({}, _two_against_one())
+        assert verdict.final == {key: True for key in METRIC_KEYS}
+        assert not verdict.converged
+        assert verdict.rounds_used == 0
+        dissent = {r.evaluator_id: r for r in reports}["evaluator_2"]
+        assert dissent.results[C1] == (False, "dissent")
+        assert dissent.results[Q1] == (True, "initial judgment")
 
     def test_tie_breaks_to_false(self):
         agents = {
-            "evaluator_0": ScriptedEvaluatorAgent(_stance()),
-            "evaluator_1": ScriptedEvaluatorAgent(_stance(**{C1: False})),
+            "evaluator_0": _FixedJudge(_stance()),
+            "evaluator_1": _FixedJudge(_stance(**{C1: False})),
         }
-        _, consensus = evaluate_project({}, agents, max_rounds=1)
-        assert consensus.final[C1] is False
-        assert consensus.final[Q1] is True
+        _, verdict = evaluate_project({}, agents)
+        assert verdict.final[C1] is False
+        assert verdict.final[Q1] is True
 
-    def test_stubborn_panel_stops_at_the_round_bound(self):
-        agents = {
-            "evaluator_0": ScriptedEvaluatorAgent(_stance()),
-            "evaluator_1": ScriptedEvaluatorAgent(_stance()),
-            "evaluator_2": ScriptedEvaluatorAgent(_stance(**{C1: False})),
-        }
-        reports, consensus = evaluate_project({}, agents, max_rounds=3)
-        assert not consensus.converged
-        assert consensus.rounds_used == 3
-        assert [entry["round"] for entry in consensus.negotiation_log] == [1, 2, 3]
-        assert consensus.final[C1] is True
-        dissent = {r.evaluator_id: r for r in reports}["evaluator_2"]
-        assert _history(dissent, C1) == [(0, ACTION_INITIAL, False)] + [
-            (k, ACTION_MAINTAIN, False) for k in (1, 2, 3)
-        ]
-
-    def test_move_outside_the_conflict_set_is_a_violation(self):
-        agents = _two_against_one()
-        agents["evaluator_2"] = ScriptedEvaluatorAgent(
-            _stance(**{C1: False}), moves=[{Q1: (False, "second thoughts")}]
-        )
-        with pytest.raises(ProtocolViolation, match=Q1):
-            evaluate_project({}, agents)
+    def test_unanimous_judges_converge(self):
+        _, verdict = evaluate_project({}, {"evaluator_0": _FixedJudge(_stance())})
+        assert verdict.converged
+        assert all(verdict.final.values())
 
 
 class _CrashingAgent:
     def initial(self, context):
         raise RuntimeError("model unavailable")
 
-    def negotiate(self, round_k, conflicts, own, peers):
-        raise RuntimeError("model unavailable")
-
 
 class TestDegradation:
-    def test_crashing_agent_degrades_to_all_false(self):
+    @staticmethod
+    def _degraded(judge):
         agents = {
-            "evaluator_0": ScriptedEvaluatorAgent(_stance()),
-            "evaluator_1": ScriptedEvaluatorAgent(_stance()),
-            "evaluator_2": _CrashingAgent(),
+            "evaluator_0": _FixedJudge(_stance()),
+            "evaluator_1": _FixedJudge(_stance()),
+            "evaluator_2": judge,
         }
-        reports, consensus = evaluate_project({}, agents, max_rounds=1)
-        crashed = {r.evaluator_id: r for r in reports}["evaluator_2"]
-        for key in METRIC_KEYS:
-            first = crashed.histories[key][0]
-            assert (first.round, first.action, first.result) == (0, ACTION_INITIAL, False)
-            assert first.reason == FAILURE_REASON
-        assert consensus.final == {key: True for key in METRIC_KEYS}
-        assert not consensus.converged
+        reports, verdict = evaluate_project({}, agents)
+        assert verdict.final == {key: True for key in METRIC_KEYS}
+        assert not verdict.converged
+        return {r.evaluator_id: r for r in reports}["evaluator_2"]
 
+    def test_crashing_agent_degrades_to_all_false(self):
+        degraded = self._degraded(_CrashingAgent())
+        assert degraded.results == {key: (False, FAILURE_REASON) for key in METRIC_KEYS}
 
-class TestHistory:
-    def test_change_without_a_flip_is_rejected(self):
-        entries = [
-            EvaluationEntry(0, ACTION_INITIAL, True, "initial"),
-            EvaluationEntry(1, ACTION_CHANGE, True, "claims to change"),
-        ]
-        assert validate_history(entries) == ["round 1: Change without a result flip"]
-
-    def test_well_formed_history_passes(self):
-        entries = [
-            EvaluationEntry(0, ACTION_INITIAL, False, "initial"),
-            EvaluationEntry(1, ACTION_CHANGE, True, "persuaded"),
-            EvaluationEntry(2, ACTION_MAINTAIN, True, "maintained"),
-        ]
-        assert validate_history(entries) == []
+    @pytest.mark.parametrize(
+        "stance",
+        [
+            {key: True for key in METRIC_KEYS},
+            {key: (True, None) for key in METRIC_KEYS},
+            _stance() | {"extra_metric": (True, "not on the checklist")},
+        ],
+        ids=["bare-bool", "non-string-reason", "extra-key"],
+    )
+    def test_ill_typed_stance_degrades_to_all_false(self, stance):
+        degraded = self._degraded(_FixedJudge(stance))
+        assert degraded.results == {key: (False, FAILURE_REASON) for key in METRIC_KEYS}
 
 
 class TestWriteReports:
@@ -150,8 +113,8 @@ class TestWriteReports:
         session = workspace.create_session(
             tmp_path, SeedRef.from_strings(1, ["0x" + "ab" * 32])
         )
-        reports, consensus = evaluate_project({}, _two_against_one())
-        written = write_reports(session, reports, consensus)
+        reports, verdict = evaluate_project({}, _two_against_one())
+        written = write_reports(session, reports, verdict)
         assert written == [
             f"{workspace.EVALUATION_DIR}/evaluator_{i}_evaluation_result.json"
             for i in range(3)
@@ -161,14 +124,12 @@ class TestWriteReports:
             assert set(doc) == set(METRIC_KEYS)
             schema = workspace.SCHEMAS["evaluation_result"]
             assert workspace.check_document(doc, schema) == []
+        dissent = json.loads((session.root / written[2]).read_text(encoding="utf-8"))
+        assert dissent[C1]["evaluation_history"] == [
+            {"round": 0, "action": ACTION_INITIAL, "result": False, "reason": "dissent"}
+        ]
         consolidated = json.loads((session.root / written[-1]).read_text(encoding="utf-8"))
-        assert consolidated["converged"] is True
-        assert consolidated["evaluators"] == ["evaluator_0", "evaluator_1", "evaluator_2"]
-        assert consolidated["votes"][C1] == {
-            "evaluator_0": True,
-            "evaluator_1": True,
-            "evaluator_2": True,
-        }
+        assert consolidated == {"final": {key: True for key in METRIC_KEYS}}
 
 
 class TestEvaluateCommand:
@@ -185,6 +146,27 @@ class TestEvaluateCommand:
         final = json.loads(capsys.readouterr().out)["final"]
         assert len(final) == len(METRIC_KEYS) == 9
         assert all(final.values())
+
+    @pytest.mark.parametrize("case", ["prxvt", "valinity"])
+    def test_bundled_case_reports(self, case, request, tmp_path, capsys):
+        root = tmp_path / "session"
+        shutil.copytree(request.getfixturevalue(f"{case}_run").session_root, root)
+        assert cli.main(["evaluate", "--session", str(root)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        evaluation = root / workspace.EVALUATION_DIR
+        consensus = json.loads((evaluation / "consensus_report.json").read_text(encoding="utf-8"))
+        assert consensus == {"final": {key: True for key in METRIC_KEYS}}
+        assert out == dict(consensus, written=[
+            f"{workspace.EVALUATION_DIR}/evaluator_0_evaluation_result.json",
+            f"{workspace.EVALUATION_DIR}/consensus_report.json",
+        ])
+        report = json.loads(
+            (evaluation / "evaluator_0_evaluation_result.json").read_text(encoding="utf-8")
+        )
+        assert list(report) == list(METRIC_KEYS)
+        for body in report.values():
+            [entry] = body["evaluation_history"]
+            assert (entry["round"], entry["action"], entry["result"]) == (0, ACTION_INITIAL, True)
 
     def test_corrupt_engine_verdict_is_an_error_not_a_crash(self, session_root, capsys):
         latest = max(

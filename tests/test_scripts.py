@@ -1,7 +1,7 @@
 """Entry points run end to end: each bundled script and ``python -m
 txpostmortem`` in its own interpreter, so that a script importing a name the
-package no longer has fails here, the command line's budget flags, and the
-paper's checklist table as ``txpostmortem metrics --baseline`` prints it."""
+package no longer has fails here, the command line's budget flags, its
+rejection of malformed input, and the paper's checklist table as ``txpostmortem metrics --baseline`` prints it."""
 
 from __future__ import annotations
 
@@ -100,6 +100,28 @@ class TestBudgetFlags:
         assert code == 1
         assert doc["outcome"]["stage"] == "failed"
         assert doc["outcome"]["failure"] == failure
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["postmortem", "--chainid", "1", "--tx", "0xzz"],
+        ["postmortem", "--chainid", "999999", "--tx", "0x" + "ab" * 32],
+        ["monitor", "--feed", "{doc}", "--queue", "{tmp}/queue", "--fixtures", "{tmp}",
+         "--chains", "1,x"],
+        ["monitor", "--feed", "{doc}", "--queue", "{tmp}/queue", "--fixtures", "{tmp}",
+         "--chains", "1,999999"],
+        ["metrics", "--sessions", "{tmp}", "--baseline", "{doc}"],
+    ],
+    ids=["bad-tx", "unsupported-chain", "bad-chains", "unsupported-chains",
+         "baseline-not-a-list"],
+)
+def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
+    doc = tmp_path / "object.json"
+    doc.write_text('{"source_id": "post-0"}\n', encoding="utf-8")
+    argv = [arg.format(doc=doc, tmp=tmp_path) for arg in argv]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestChecklistTable:
