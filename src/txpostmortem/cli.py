@@ -7,8 +7,10 @@ record or replay single evidence fixtures, and export validated incidents
 as a benchmark dataset.
 
 Exit codes: 0 success, 1 pipeline or stage failure, 2 usage errors.
-Settings resolve as command-line flags, then ``TXPM_<NAME>`` environment
-variables, then a ``--config`` JSON file, then built-in defaults.
+Command-line flags are the only settings; each has its default in the
+parser. Credentials come from the environment alone: ``OPENAI_API_KEY``
+for the live backend, ``ETHERSCAN_API_KEY`` for explorer queries, and any
+``${NAME}`` variable an ``--rpc-map`` endpoint template references.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from . import evaluator, harness, metrics, monitor, scenarios, workspace
 from .agents import OpenAIChatBackend, ScriptedBackend
@@ -41,41 +43,11 @@ from .orchestrator import Budgets, Orchestrator
 
 logger = logging.getLogger(__name__)
 
-ENV_PREFIX = "TXPM_"
 DEFAULT_WORKDIR = "postmortem_runs"
 
 
 class UsageError(Exception):
-    """Bad flags or missing configuration; maps to exit code 2."""
-
-
-def _load_config(path: str | None) -> dict[str, Any]:
-    if not path:
-        return {}
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise UsageError(f"unreadable config file {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config file {path} must hold a JSON object")
-    return doc
-
-
-def _setting(
-    flag_value: Any,
-    name: str,
-    config: Mapping[str, Any],
-    default: Any = None,
-) -> Any:
-    """Resolve one setting: flag beats environment beats config beats default."""
-    if flag_value is not None:
-        return flag_value
-    env_value = os.environ.get(ENV_PREFIX + name.upper())
-    if env_value is not None:
-        return env_value
-    if name in config:
-        return config[name]
-    return default
+    """Bad or missing flags; maps to exit code 2."""
 
 
 def _print_doc(doc: Any) -> None:
@@ -87,9 +59,9 @@ def _print_doc(doc: Any) -> None:
 
 
 def _scripted_stack(
-    fixtures: str | None,
-    script: str | None,
-    transcripts: str | None,
+    fixtures: str | Path | None,
+    script: str | Path | None,
+    transcripts: str | Path | None,
 ) -> tuple[ScriptedBackend, ReplayAdapter, harness.SimulatedRunner]:
     missing = [
         flag
@@ -111,23 +83,17 @@ def _scripted_stack(
     )
 
 
-def cmd_postmortem(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    workdir = Path(_setting(args.workdir, "workdir", config, DEFAULT_WORKDIR))
-    backend_kind = _setting(args.backend, "backend", config, "scripted")
+def cmd_postmortem(args: argparse.Namespace) -> int:
+    workdir = Path(args.workdir)
     rpc_url = None
 
     if args.case:
         if args.tx or args.chainid:
             raise UsageError("--case already fixes the seed; drop --chainid/--tx")
-        builder = scenarios.CASE_BUILDERS.get(args.case)
-        if builder is None:
-            raise UsageError(f"unknown case {args.case!r}")
-        bundle = builder(workdir / "cases" / args.case)
+        bundle = scenarios.CASE_BUILDERS[args.case](workdir / "cases" / args.case)
         seed = bundle.seed()
-        backend, adapter, runner = (
-            bundle.backend(),
-            bundle.adapter(),
-            bundle.runner(),
+        backend, adapter, runner = _scripted_stack(
+            bundle.fixtures_dir, bundle.script_dir, bundle.transcripts_dir
         )
     else:
         if not args.chainid or not args.tx:
@@ -136,29 +102,24 @@ def cmd_postmortem(args: argparse.Namespace, config: dict[str, Any]) -> int:
             seed = SeedRef.from_strings(args.chainid, args.tx)
         except DomainError as exc:
             raise UsageError(f"bad --chainid/--tx: {exc}") from exc
-        if backend_kind == "scripted":
+        if args.backend == "scripted":
             backend, adapter, runner = _scripted_stack(
-                _setting(args.fixtures, "fixtures", config),
-                _setting(args.script, "script", config),
-                _setting(args.transcripts, "transcripts", config),
+                args.fixtures, args.script, args.transcripts
             )
-        elif backend_kind == "live":
+        else:
             api_key = os.environ.get("OPENAI_API_KEY")
             if not api_key:
                 raise UsageError("live backend needs OPENAI_API_KEY in the environment")
-            model = _setting(args.model, "model", config, "gpt-5")
-            backend = OpenAIChatBackend(api_key=api_key, model=model)
-            rpc_map_path = _setting(args.rpc_map, "rpc_map", config)
-            rpc_map = load_rpc_map(rpc_map_path)
+            backend = OpenAIChatBackend(api_key=api_key, model=args.model)
+            rpc_map = load_rpc_map(args.rpc_map)
             live = LiveAdapter(rpc_map=rpc_map)
-            record_dir = _setting(args.record_fixtures, "record_fixtures", config)
             adapter = (
-                RecordingAdapter(live, FixtureStore(record_dir)) if record_dir else live
+                RecordingAdapter(live, FixtureStore(args.record_fixtures))
+                if args.record_fixtures
+                else live
             )
             runner = harness.SubprocessRunner()
             rpc_url = resolve_rpc_url(seed.chainid, dict(os.environ), rpc_map)
-        else:
-            raise UsageError(f"unknown backend {backend_kind!r}")
 
     budgets = dataclasses.replace(
         Budgets(),
@@ -223,7 +184,7 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     }
 
 
-def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
     session = workspace.open_session(args.session)
     context = evaluation_context(session)
     reports, verdict = evaluator.evaluate_project(context, evaluator.default_agents())
@@ -238,11 +199,10 @@ def cmd_evaluate(args: argparse.Namespace, config: dict[str, Any]) -> int:
 # metrics
 
 
-def cmd_metrics(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    sessions_dir = _setting(args.sessions, "sessions", config)
-    if not sessions_dir:
+def cmd_metrics(args: argparse.Namespace) -> int:
+    if not args.sessions:
         raise UsageError("need --sessions")
-    summaries = metrics.load_session_summaries(sessions_dir)
+    summaries = metrics.load_session_summaries(args.sessions)
     report = metrics.sessions_report(summaries)
     if args.baseline:
         try:
@@ -274,13 +234,11 @@ def cmd_metrics(args: argparse.Namespace, config: dict[str, Any]) -> int:
 # monitor
 
 
-def cmd_monitor(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    fixtures = _setting(args.fixtures, "fixtures", config)
-    rpc_map_path = _setting(args.rpc_map, "rpc_map", config)
-    if fixtures:
-        adapter = ReplayAdapter(FixtureStore(fixtures))
-    elif rpc_map_path:
-        adapter = LiveAdapter(rpc_map=load_rpc_map(rpc_map_path))
+def cmd_monitor(args: argparse.Namespace) -> int:
+    if args.fixtures:
+        adapter = ReplayAdapter(FixtureStore(args.fixtures))
+    elif args.rpc_map:
+        adapter = LiveAdapter(rpc_map=load_rpc_map(args.rpc_map))
     else:
         raise UsageError("need --fixtures (offline) or --rpc-map (live probing)")
     try:
@@ -327,15 +285,13 @@ def _request_from_args(args: argparse.Namespace) -> DataRequest:
     )
 
 
-def cmd_fixtures(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    fixtures = _setting(args.fixtures, "fixtures", config)
-    if not fixtures:
+def cmd_fixtures(args: argparse.Namespace) -> int:
+    if not args.fixtures:
         raise UsageError("need --fixtures")
-    store = FixtureStore(fixtures)
+    store = FixtureStore(args.fixtures)
     request = _request_from_args(args)
     if args.action == "record":
-        rpc_map_path = _setting(args.rpc_map, "rpc_map", config)
-        rpc_map = load_rpc_map(rpc_map_path)
+        rpc_map = load_rpc_map(args.rpc_map)
         adapter = RecordingAdapter(LiveAdapter(rpc_map=rpc_map), store)
         payload = adapter.fetch(request)
         _print_doc({"saved": str(store.path_for(fixture_key(request))), "payload": payload})
@@ -452,12 +408,10 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     return index_doc
 
 
-def cmd_dataset(args: argparse.Namespace, config: dict[str, Any]) -> int:
-    sessions_dir = _setting(args.sessions, "sessions", config)
-    out_dir = _setting(args.out, "out", config)
-    if not sessions_dir or not out_dir:
+def cmd_dataset(args: argparse.Namespace) -> int:
+    if not args.sessions or not args.out:
         raise UsageError("need --sessions and --out")
-    index = export_dataset(sessions_dir, out_dir)
+    index = export_dataset(args.sessions, args.out)
     _print_doc(index)
     return 0
 
@@ -471,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="txpostmortem",
         description="Postmortem pipeline for on-chain incidents.",
     )
-    parser.add_argument("--config", help="JSON file with default settings")
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="log at INFO level"
     )
@@ -483,18 +436,18 @@ def build_parser() -> argparse.ArgumentParser:
     post.add_argument("--chainid", type=int)
     post.add_argument("--tx", action="append", help="seed transaction hash (repeatable)")
     post.add_argument("--case", choices=sorted(scenarios.CASE_BUILDERS))
-    post.add_argument("--backend", choices=("scripted", "live"))
+    post.add_argument("--backend", choices=("scripted", "live"), default="scripted")
     post.add_argument("--fixtures", help="recorded evidence directory")
     post.add_argument("--script", help="scripted role outputs directory")
     post.add_argument("--transcripts", help="canned test-run transcripts directory")
-    post.add_argument("--workdir")
+    post.add_argument("--workdir", default=DEFAULT_WORKDIR)
     post.add_argument("--rpc-map", dest="rpc_map", help="chain-id to endpoint map")
     post.add_argument(
         "--record-fixtures",
         dest="record_fixtures",
         help="record live fetches into this fixture directory",
     )
-    post.add_argument("--model", help="model name for the live backend")
+    post.add_argument("--model", default="gpt-5", help="model name for the live backend")
     post.add_argument("--attribution", action="append")
     post.add_argument("--stage-turns", dest="stage_turns", type=int)
     post.add_argument("--analyzer-iterations", dest="analyzer_iterations", type=int)
@@ -550,8 +503,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
+        return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

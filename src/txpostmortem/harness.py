@@ -8,7 +8,6 @@ output into structured results plus named runtime observations.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 import subprocess
@@ -143,17 +142,6 @@ def scaffold_project(
     )
 
 
-def project_content_hash(root: Path) -> str:
-    """Content hash over every file in the project tree, path-ordered."""
-    digest = hashlib.sha256()
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(str(path.relative_to(root)).encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
 class ProjectRunner(Protocol):
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
         """Execute the project's tests and return raw combined output."""
@@ -190,42 +178,26 @@ class SubprocessRunner:
 
 
 class SimulatedRunner:
-    """Replays canned run transcripts; used for offline scripted sessions.
+    """Replays canned run transcripts, one per run in launch order; used for
+    offline scripted sessions."""
 
-    Transcripts are keyed by project content hash; unkeyed transcripts are
-    consumed from an ordered queue, one per run.
-    """
-
-    def __init__(
-        self,
-        transcripts: Mapping[str, str] | None = None,
-        queue: list[str] | None = None,
-    ):
-        self.transcripts = dict(transcripts or {})
+    def __init__(self, queue: list[str] | None = None):
         self.queue = list(queue or [])
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "SimulatedRunner":
-        """Load ``run_<n>.txt`` files as the queue and ``<hash>.txt`` as keyed."""
-        path = Path(path)
-        keyed: dict[str, str] = {}
+        """Load ``run_<n>.txt`` files as the queue; other files are ignored."""
         ordered: list[tuple[int, str]] = []
-        for entry in sorted(path.glob("*.txt")):
-            text = entry.read_text(encoding="utf-8")
+        for entry in Path(path).glob("*.txt"):
             match = re.match(r"^run_(\d+)$", entry.stem)
             if match:
-                ordered.append((int(match.group(1)), text))
-            else:
-                keyed[entry.stem] = text
-        return cls(keyed, [text for _, text in sorted(ordered)])
+                ordered.append((int(match.group(1)), entry.read_text(encoding="utf-8")))
+        return cls([text for _, text in sorted(ordered)])
 
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
-        key = project_content_hash(project.root)
-        if key in self.transcripts:
-            return self.transcripts[key]
         if self.queue:
             return self.queue.pop(0)
-        raise HarnessError(f"no transcript for project hash {key}")
+        raise HarnessError("no transcript left for this run")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .gateway.types import BalanceDelta, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
 
-#: Block radius mined around the seed when no explicit window is given.
+#: Block radius mined on each side of the seed.
 DEFAULT_WINDOW = 5000
 
 PHASES = ("funding", "setup", "exploit", "exit")
@@ -341,7 +341,6 @@ def mine_lifecycle(
     chainid: int,
     seed: TxHash,
     participants: ParticipantSet,
-    window: int = DEFAULT_WINDOW,
 ) -> tuple[LifecycleSet, list[TxRecord]]:
     """Fetch adversary transaction lists around the seed and select the set.
 
@@ -351,8 +350,8 @@ def mine_lifecycle(
     """
     metadata = fetch_tx_metadata(adapter, chainid, seed)
     seed_block = metadata.get("block_number", 0)
-    lo = max(0, seed_block - window)
-    hi = seed_block + window
+    lo = max(0, seed_block - DEFAULT_WINDOW)
+    hi = seed_block + DEFAULT_WINDOW
     accounts = sorted(participants.adversaries)
     merged: dict[TxHash, TxRecord] = {}
     for records in fetch_txlists(adapter, chainid, [a.value for a in accounts], lo, hi):

@@ -178,7 +178,13 @@ def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
     root = Path(sessions_dir)
     summaries = []
     for path in sorted(root.glob("*/session_summary.json")):
-        summaries.append(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise MetricsError(f"{path}: invalid JSON") from exc
+        if not isinstance(doc, dict):
+            raise MetricsError(f"{path}: not a JSON object")
+        summaries.append(doc)
     return summaries
 
 

@@ -102,6 +102,8 @@ def read_feed(path: str | Path) -> Iterator[Post]:
                 doc = json.loads(line)
             except ValueError as exc:
                 raise FeedError(f"{feed_path}:{lineno}: invalid JSON") from exc
+            if not isinstance(doc, dict):
+                raise FeedError(f"{feed_path}:{lineno}: not a JSON object")
             try:
                 yield Post.from_doc(doc)
             except (KeyError, MonitorError) as exc:

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from . import harness, lifecycle, oracles, workspace
+from . import harness, oracles, workspace
 from .agents import (
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
@@ -102,7 +102,6 @@ POC_REASONS = frozenset(
 
 ACTION_RE_ANALYZE = "re_analyze"
 ACTION_RE_COLLECT = "re_collect"
-ACTION_EXPAND_LIFECYCLE = "expand_lifecycle"
 ACTION_RE_REPRODUCE = "re_reproduce"
 
 
@@ -133,7 +132,7 @@ _ROOT_CAUSE_ROUTES = {
     REASON_SPECULATIVE: ACTION_RE_ANALYZE,
     REASON_UNKNOWN_CONTENT: ACTION_RE_ANALYZE,
     REASON_MISSING_TRACES: ACTION_RE_COLLECT,
-    REASON_INCOMPLETE_LIFECYCLE: ACTION_EXPAND_LIFECYCLE,
+    REASON_INCOMPLETE_LIFECYCLE: ACTION_RE_ANALYZE,
 }
 
 
@@ -468,8 +467,6 @@ class Orchestrator:
                     }
                 )
                 feedback = challenge.feedback
-                if ACTION_EXPAND_LIFECYCLE in actions:
-                    self._expand_lifecycle(session, fetches, draft)
                 if ACTION_RE_COLLECT in actions:
                     requests = _requests_from_missing_evidence(
                         challenge.missing_evidence, session.seed.chainid
@@ -508,37 +505,6 @@ class Orchestrator:
             session,
             workspace.ROOT_CAUSE_REPORT,
             render_root_cause_report(draft, session.seed),
-        )
-
-    def _expand_lifecycle(
-        self, session: workspace.Session, fetches: SessionMemo, draft: dict[str, Any]
-    ) -> None:
-        """Re-mine the lifecycle over a doubled window; best effort."""
-        roles = draft.get("roles", {})
-        try:
-            participants = lifecycle.ParticipantSet(
-                origin=Address(roles["attacker_eoas"][0]),
-                adversary_eoas=frozenset(Address(a) for a in roles["attacker_eoas"]),
-                adversary_contracts=frozenset(
-                    Address(a) for a in roles.get("attacker_contracts", [])
-                ),
-                victims=frozenset(Address(a) for a in roles.get("victim_contracts", [])),
-                helpers=frozenset(Address(a) for a in roles.get("helpers", [])),
-            )
-            mined, universe = lifecycle.mine_lifecycle(
-                fetches,
-                session.seed.chainid,
-                session.seed.primary,
-                participants,
-                window=2 * lifecycle.DEFAULT_WINDOW,
-            )
-        except Exception as exc:
-            logger.info("lifecycle expansion unavailable: %s", exc)
-            return
-        workspace.write_artifact(
-            session,
-            f"{workspace.ROOT_CAUSE_STAGE_DIR}/lifecycle_expansion.json",
-            {"universe_size": len(universe), **mined.to_doc()},
         )
 
     # -- PoC stage -----------------------------------------------------------

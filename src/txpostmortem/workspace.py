@@ -20,7 +20,7 @@ from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
 
-from .domain import SeedRef
+from .domain import DomainError, SeedRef
 
 logger = logging.getLogger(__name__)
 
@@ -554,7 +554,10 @@ def open_session(root: str | Path) -> Session:
     if errors:
         raise SchemaError(errors)
     targets = doc["targets"]
-    seed = SeedRef.from_strings(targets[0]["chainid"], [t["txhash"] for t in targets])
+    try:
+        seed = SeedRef.from_strings(targets[0]["chainid"], [t["txhash"] for t in targets])
+    except (IndexError, DomainError) as exc:
+        raise CorruptArtifact(f"{raw_path}: bad targets: {exc}") from exc
     mtime = datetime.fromtimestamp(raw_path.stat().st_mtime, timezone.utc)
     return Session(session_id=root.name, root=root, seed=seed, created_at=mtime)
 

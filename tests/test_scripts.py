@@ -1,7 +1,13 @@
-"""Entry points run end to end: each bundled script and ``python -m
-txpostmortem`` in its own interpreter, so that a script importing a name the
-package no longer has fails here, the command line's budget flags, its
-rejection of malformed input, and the paper's checklist table as ``txpostmortem metrics --baseline`` prints it."""
+"""Entry points run end to end: the bundled demo script and ``python -m
+txpostmortem`` in their own interpreters, so that a script importing a name
+the package no longer has fails here; the whole command-line pipeline
+(``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
+bundled cases; the budget flags; the rejection of malformed flags and of
+malformed files the commands read; and the paper's checklist table as
+``txpostmortem metrics --baseline`` prints it.
+
+Flags are the command line's only settings. The credentials a live run
+needs come from the environment and never from a flag."""
 
 from __future__ import annotations
 
@@ -20,27 +26,12 @@ REPO = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "script",
-    [
-        ["run_offline_case.py", "prxvt"],
-        ["replay_benchmark.py"],
-        ["mine_lifecycle_demo.py"],
-    ],
+    [["mine_lifecycle_demo.py"]],
     ids=lambda argv: argv[0],
 )
 def test_script_exits_cleanly(script, tmp_path):
     result = _run_script(script, tmp_path / "work")
     assert result.returncode == 0, result.stderr
-
-
-def test_replay_benchmark_writes_one_evaluator_report(tmp_path):
-    workdir = tmp_path / "work"
-    result = _run_script(["replay_benchmark.py"], workdir)
-    assert result.returncode == 0, result.stderr
-    sessions = sorted((workdir / "sessions").iterdir())
-    assert len(sessions) == len(CASE_BUILDERS)
-    for session in sessions:
-        reports = sorted(p.name for p in (session / workspace.EVALUATION_DIR).iterdir())
-        assert reports == ["consensus_report.json", "evaluator_0_evaluation_result.json"]
 
 
 def test_module_entry_point_runs():
@@ -53,6 +44,45 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: txpostmortem")
+
+
+def _cli(capsys, *argv: str) -> tuple[int, dict]:
+    code = cli.main(list(argv))
+    return code, json.loads(capsys.readouterr().out)
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in sorted(root.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_cli_pipeline_over_the_bundled_cases(tmp_path, capsys):
+    """Each case runs, validates and is judged; the sessions aggregate; the
+    export is deterministic when re-run into the same directory."""
+    for case in sorted(CASE_BUILDERS):
+        code, doc = _cli(capsys, "postmortem", "--case", case, "--workdir", str(tmp_path))
+        assert (code, doc["outcome"]["stage"], doc["poc"]["validated"]) == (0, "done", True)
+        code, verdict = _cli(capsys, "evaluate", "--session", doc["session_root"])
+        assert code == 0
+        assert all(verdict["final"].values())
+        evaluation = Path(doc["session_root"]) / workspace.EVALUATION_DIR
+        assert sorted(p.name for p in evaluation.iterdir()) == [
+            "consensus_report.json",
+            "evaluator_0_evaluation_result.json",
+        ]
+    sessions = str(tmp_path / "sessions")
+    code, report = _cli(capsys, "metrics", "--sessions", sessions)
+    assert (code, report["sessions"], report["outcomes"]) == (0, 2, {"done": 2})
+    out = tmp_path / "dataset"
+    trees = []
+    for _ in range(2):
+        code, index = _cli(capsys, "dataset", "export", "--sessions", sessions, "--out", str(out))
+        assert (code, index["count"]) == (0, 2)
+        trees.append(_tree(out))
+    assert trees[0] == trees[1]
 
 
 def _run_script(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:
@@ -68,10 +98,7 @@ def _run_script(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:
 
 
 def _postmortem(tmp_path: Path, capsys, *flags: str) -> tuple[int, dict]:
-    code = cli.main(
-        ["postmortem", "--case", "prxvt", "--workdir", str(tmp_path), *flags]
-    )
-    return code, json.loads(capsys.readouterr().out)
+    return _cli(capsys, "postmortem", "--case", "prxvt", "--workdir", str(tmp_path), *flags)
 
 
 class TestBudgetFlags:
@@ -122,6 +149,59 @@ def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     argv = [arg.format(doc=doc, tmp=tmp_path) for arg in argv]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_RAW_BAD_HASH = json.dumps({"targets": [{"chainid": 1, "txhash": "0xzz"}]})
+
+
+@pytest.mark.parametrize(
+    "files, argv, named",
+    [
+        (
+            {"feed.jsonl": "[1, 2]\n"},
+            ["monitor", "--feed", "{tmp}/feed.jsonl", "--queue", "{tmp}/queue",
+             "--fixtures", "{tmp}"],
+            "feed.jsonl:1",
+        ),
+        (
+            {"s/0/session_summary.json": "{"},
+            ["metrics", "--sessions", "{tmp}/s"],
+            "session_summary.json",
+        ),
+        (
+            {"s/0/session_summary.json": "[]"},
+            ["metrics", "--sessions", "{tmp}/s"],
+            "session_summary.json",
+        ),
+        (
+            {"s/0/raw.json": '{"targets": []}'},
+            ["evaluate", "--session", "{tmp}/s/0"],
+            "raw.json",
+        ),
+        (
+            {
+                "s/0/session_summary.json": "{}",
+                f"s/0/{workspace.POC_VALIDATED_RESULT}": '{"overall_status": "Pass"}',
+                "s/0/raw.json": _RAW_BAD_HASH,
+            },
+            ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
+            "raw.json",
+        ),
+    ],
+    ids=["feed-line-not-an-object", "summary-not-json", "summary-not-an-object",
+         "raw-without-targets", "raw-with-a-bad-hash"],
+)
+def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
+    """A malformed file a command reads ends it with exit 1 and one
+    ``error:`` line naming the file, not a traceback."""
+    for rel, text in files.items():
+        path = tmp_path / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named in err
 
 
 class TestChecklistTable:

@@ -3,7 +3,7 @@ artifacts they leave, what they send the model, rejection codes arriving in
 the stage they do not belong to, the scan that keeps tainted projects from
 the runner, the per-session fetch memo, failures of any kind ending the
 session failed, the metrics report over their summaries, and the schema
-lookup and source scan sessions rely on."""
+lookup, source scan and transcript runner sessions rely on."""
 
 from __future__ import annotations
 
@@ -18,7 +18,12 @@ from txpostmortem import metrics, oracles, scenarios, workspace
 from txpostmortem.agents import ROLE_ANALYZER, ROLES, ScriptedBackend, StepResult
 from txpostmortem.domain import SeedRef
 from txpostmortem.gateway import DataRequest, MissingFixture, fixture_key
-from txpostmortem.harness import SimulatedRunner, scan_for_addresses, solidity_sources
+from txpostmortem.harness import (
+    HarnessError,
+    SimulatedRunner,
+    scan_for_addresses,
+    solidity_sources,
+)
 from txpostmortem.orchestrator import Budgets, Orchestrator
 
 
@@ -163,28 +168,30 @@ def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
 
 class TestWrongStageRejection:
     def test_poc_code_in_root_cause_stage_reanalyzes(self, tmp_path):
-        entries = scenarios._prxvt_script_entries()
-        entries["root_cause_challenger"].insert(
-            0,
-            {
-                "status": "Reject",
-                "feedback": "rejected with a PoC-stage code",
-                "missing_evidence": [],
-                "reject_reasons": ["uses_attacker_contract"],
-            },
-        )
-        entries["root_cause_analyzer"].append(entries["root_cause_analyzer"][-1])
-        outcome = _run_prxvt(
-            tmp_path, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
-        )
-        assert outcome.stage == "done"
-        assert outcome.reject_log == [
-            {
-                "stage": "root_cause",
-                "reasons": ["other:uses_attacker_contract"],
-                "actions": ["re_analyze"],
-            }
-        ]
+        """A PoC-stage code parses as other:; an incomplete lifecycle is the
+        analyzer's to complete. Both send the draft back to the analyzer."""
+        for code, reason in (
+            ("uses_attacker_contract", "other:uses_attacker_contract"),
+            ("incomplete_act_lifecycle", "incomplete_act_lifecycle"),
+        ):
+            entries = scenarios._prxvt_script_entries()
+            entries["root_cause_challenger"].insert(
+                0,
+                {
+                    "status": "Reject",
+                    "feedback": f"rejected with {code}",
+                    "missing_evidence": [],
+                    "reject_reasons": [code],
+                },
+            )
+            entries["root_cause_analyzer"].append(entries["root_cause_analyzer"][-1])
+            outcome = _run_prxvt(
+                tmp_path / code, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+            )
+            assert outcome.stage == "done"
+            assert outcome.reject_log == [
+                {"stage": "root_cause", "reasons": [reason], "actions": ["re_analyze"]}
+            ]
 
     def test_root_cause_code_in_poc_stage_reproduces(self, tmp_path):
         entries = scenarios._prxvt_script_entries()
@@ -208,6 +215,17 @@ class TestWrongStageRejection:
                 "actions": ["re_reproduce"],
             }
         ]
+
+
+class TestSimulatedRunner:
+    def test_plays_run_transcripts_in_launch_order(self, tmp_path):
+        for name, text in (("run_10", "ten"), ("run_2", "two"), ("0xabc", "x")):
+            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        (tmp_path / "notes.md").write_text("stray", encoding="utf-8")
+        runner = SimulatedRunner.from_dir(tmp_path)
+        assert [runner.run(None), runner.run(None)] == ["two", "ten"]
+        with pytest.raises(HarnessError):
+            runner.run(None)
 
 
 class _CountingRunner:
