@@ -14,7 +14,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from .. import oracles, workspace
 from ..gateway.types import DataRequest
@@ -46,10 +46,16 @@ class UnknownRole(AgentError):
 
 
 class TurnBudgetExceeded(AgentError):
-    def __init__(self, role: str, turns: int, errors: list[str] | None = None):
+    """A role spent ``turns`` turns, and ``usage`` tokens, without a valid
+    document."""
+
+    def __init__(
+        self, role: str, turns: int, errors: list[str] | None = None, usage: Usage = Usage()
+    ):
         self.role = role
         self.turns = turns
         self.errors = list(errors or [])
+        self.usage = usage
         detail = f" (last errors: {'; '.join(self.errors)})" if self.errors else ""
         super().__init__(f"{role} exhausted {turns} turn(s) without valid output{detail}")
 
@@ -216,9 +222,7 @@ def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]
 class RoleRun:
     """Outcome of one role invocation: parsed output plus accounting."""
 
-    role: str
     output: Any
-    doc: dict[str, Any]
     turns_used: int
     usage: Usage
 
@@ -229,16 +233,15 @@ def run_role(
     prompt: str,
     message: str,
     turn_cap: int,
-    validator: Callable[[Any], tuple[Optional[Any], list[str]]] | None = None,
 ) -> RoleRun:
     """Drive one role until it yields a valid document or exhausts turns.
 
     Every backend step consumes one turn.  Invalid documents are retried
     with the validation errors echoed back; the retry costs a turn too.
+    Running out of turns raises ``TurnBudgetExceeded`` with what they cost.
     """
     if turn_cap < 1:
         raise TurnBudgetExceeded(role, 0)
-    validate = validator or (lambda doc: validate_role_output(role, doc))
     conversation = backend.open_conversation(role, prompt)
     usage = Usage()
     errors: list[str] = []
@@ -252,18 +255,12 @@ def run_role(
         if doc is None:
             errors = ["no structured output found in response"]
         else:
-            output, errors = validate(doc)
+            output, errors = validate_role_output(role, doc)
             if not errors:
-                return RoleRun(
-                    role=role,
-                    output=output,
-                    doc=doc,
-                    turns_used=turn,
-                    usage=usage,
-                )
+                return RoleRun(output=output, turns_used=turn, usage=usage)
         logger.info("%s output invalid on turn %d: %s", role, turn, errors)
         next_message = (
             "The previous document failed validation. Fix these problems and "
             "resend the full corrected JSON document:\n- " + "\n- ".join(errors)
         )
-    raise TurnBudgetExceeded(role, turn_cap, errors)
+    raise TurnBudgetExceeded(role, turn_cap, errors, usage)

@@ -83,13 +83,29 @@ def _scripted_stack(
     )
 
 
+#: Flags only the live backend reads.
+_LIVE_FLAGS = ("--rpc-map", "--record-fixtures")
+#: Flags a bundled case fixes itself; it runs on the scripted backend.
+_CASE_FLAGS = ("--chainid", "--tx", "--fixtures", "--script", "--transcripts")
+
+
+def _reject_flags(args: argparse.Namespace, flags: Sequence[str], why: str) -> None:
+    """Refuse any of ``flags`` that was given, rather than ignore it."""
+    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
+    if given:
+        raise UsageError(f"{why}; drop {', '.join(given)}")
+
+
 def cmd_postmortem(args: argparse.Namespace) -> int:
     workdir = Path(args.workdir)
     rpc_url = None
+    if args.backend == "scripted":
+        _reject_flags(args, _LIVE_FLAGS, "the scripted backend makes no live fetches")
 
     if args.case:
-        if args.tx or args.chainid:
-            raise UsageError("--case already fixes the seed; drop --chainid/--tx")
+        if args.backend == "live":
+            raise UsageError("--case replays a scripted case; drop --backend live")
+        _reject_flags(args, _CASE_FLAGS, "--case fixes the seed and its replay inputs")
         bundle = scenarios.CASE_BUILDERS[args.case](workdir / "cases" / args.case)
         seed = bundle.seed()
         backend, adapter, runner = _scripted_stack(
@@ -349,10 +365,13 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             continue
         session = workspace.open_session(root)
         key = (session.seed.chainid, tuple(sorted(t.value for t in session.seed.txs)))
-        sources = json.loads(
-            (root / workspace.SOURCES_META).read_text(encoding="utf-8")
-        )
-        attributions = set(sources.get("attributions", []))
+        sources = workspace.read_artifact(session, workspace.SOURCES_META)
+        errors = workspace.check_document(sources, workspace.SCHEMAS["sources"])
+        if errors:
+            raise workspace.CorruptArtifact(
+                f"{root / workspace.SOURCES_META}: {'; '.join(errors)}"
+            )
+        attributions = set(sources["attributions"])
         entry = incidents.get(key)
         if entry is None:
             incidents[key] = {"session": session, "attributions": attributions}

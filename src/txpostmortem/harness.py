@@ -20,8 +20,8 @@ from .oracles import OracleDefinition
 
 logger = logging.getLogger(__name__)
 
-#: Run command recorded in every project README; consumers substitute their
-#: own archival endpoint.
+#: Run command recorded in every project README and PoC report; consumers
+#: substitute their own archival endpoint.
 RUN_COMMAND_TEMPLATE = "RPC_URL=<your-archival-endpoint> forge test -vvv"
 
 TEST_FILE = "test/Exploit.sol"
@@ -58,7 +58,6 @@ class PoCProject:
     fork_block: int
     files: tuple[str, ...]
     fork_pinned: bool
-    run_command: str = RUN_COMMAND_TEMPLATE
 
 
 _FORK_BLOCK_PATTERNS = (

@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
+from . import workspace
 from .agents import Usage
 
 
@@ -182,8 +183,9 @@ def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
             doc = json.loads(path.read_text(encoding="utf-8"))
         except ValueError as exc:
             raise MetricsError(f"{path}: invalid JSON") from exc
-        if not isinstance(doc, dict):
-            raise MetricsError(f"{path}: not a JSON object")
+        errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
+        if errors:
+            raise MetricsError(f"{path}: not a session summary: {'; '.join(errors)}")
         summaries.append(doc)
     return summaries
 

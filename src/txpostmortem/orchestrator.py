@@ -16,8 +16,14 @@ before the runner sees it.  A run gets an engine verdict first: the
 oracles and the compile, clean-run and pinned-fork checks, with reject
 codes from the validator's vocabulary.  Only a run the engine passes gets a
 validator turn, and a PoC is validated only when both pass.  Any error ends
-the session failed, with a terminal summary.  Every model turn, fetch,
-rejection, and stage latency is accounted for in the session summary.
+the session failed, with a terminal summary.
+
+Each role run is charged once, as it ends, straight to the session outcome
+(``Orchestrator._turn``): its turns to its stage and its tokens to the
+session, failed turns included, its seconds to its role, and one iteration
+of its role when it yields a document.  A stage timer records each stage's
+latency.  Every fetch and rejection is recorded there too, and the outcome
+becomes the session summary.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ from __future__ import annotations
 import json
 import logging
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from . import harness, oracles, workspace
 from .agents import (
@@ -38,7 +45,6 @@ from .agents import (
     AnalysisResult,
     ChallengeResult,
     ModelBackend,
-    RoleRun,
     TurnBudgetExceeded,
     Usage,
     ValidationResult,
@@ -49,6 +55,7 @@ from .domain import Address, SeedRef, validate_chain
 from .gateway import (
     BootstrapError,
     ChainAdapter,
+    CollectionSummary,
     DataRequest,
     SessionMemo,
     execute_data_requests,
@@ -137,7 +144,7 @@ _ROOT_CAUSE_ROUTES = {
 
 
 # --------------------------------------------------------------------------
-# Budgets and accounting.
+# Budgets and the session outcome.
 
 
 @dataclass(frozen=True)
@@ -147,45 +154,6 @@ class Budgets:
     stage_turns: int = 60
     analyzer_iterations: int = 10
     reproducer_iterations: int = 6
-
-
-@dataclass
-class _StageLedger:
-    """Mutable accounting for one stage run."""
-
-    stage: str
-    budgets: Budgets
-    clock: Callable[[], float]
-    turns_used: int = 0
-    usage: Usage = field(default_factory=Usage)
-    role_calls: dict[str, int] = field(default_factory=dict)
-    role_seconds: dict[str, float] = field(default_factory=dict)
-    started: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.started = self.clock()
-
-    @property
-    def turns_remaining(self) -> int:
-        return self.budgets.stage_turns - self.turns_used
-
-    def charge(self, role: str, run: RoleRun, seconds: float) -> None:
-        self.turns_used += run.turns_used
-        self.usage = self.usage + run.usage
-        self.role_calls[role] = self.role_calls.get(role, 0) + 1
-        self.role_seconds[role] = self.role_seconds.get(role, 0.0) + seconds
-
-    def close(self, outcome: "SessionOutcome") -> None:
-        """Add this stage's turns, usage, role counts and latencies to the
-        session outcome."""
-        outcome.usage = outcome.usage + self.usage
-        outcome.turns[self.stage] = self.turns_used
-        outcome.latencies[self.stage] = self.clock() - self.started
-        for role, count in self.role_calls.items():
-            outcome.iterations[role] = outcome.iterations.get(role, 0) + count
-        for role, seconds in self.role_seconds.items():
-            key = f"role:{role}"
-            outcome.latencies[key] = outcome.latencies.get(key, 0.0) + seconds
 
 
 @dataclass
@@ -202,8 +170,6 @@ class SessionOutcome:
     latencies: dict[str, float] = field(default_factory=dict)
     fetched_items: int = 0
     collection_runs_total: int = 0
-    poc_reproducer_iterations: int = 0
-    poc_rejects: int = 0
     poc_validated: bool = False
     reject_log: list[dict[str, Any]] = field(default_factory=list)
 
@@ -223,8 +189,8 @@ class SessionOutcome:
             "fetched_items": self.fetched_items,
             "collection_runs_total": self.collection_runs_total,
             "poc": {
-                "reproducer_iterations": self.poc_reproducer_iterations,
-                "rejects": self.poc_rejects,
+                "reproducer_iterations": self.iterations.get(ROLE_REPRODUCER, 0),
+                "rejects": sum(1 for e in self.reject_log if e["stage"] == STAGE_POC),
                 "validated": self.poc_validated,
             },
             "reject_log": list(self.reject_log),
@@ -276,7 +242,6 @@ def render_root_cause_report(draft: dict[str, Any], seed: SeedRef) -> str:
 def render_poc_report(
     definition: oracles.OracleDefinition,
     verdict: oracles.VerdictReport,
-    project: harness.PoCProject,
     iterations: int,
     rejects: int,
 ) -> str:
@@ -286,7 +251,7 @@ def render_poc_report(
         f"- Chain: {definition.chainid}",
         f"- Fork block: {definition.fork_block}",
         f"- Project: `{workspace.FORGE_PROJECT_DIR}/`",
-        f"- Run command: `{project.run_command}`",
+        f"- Run command: `{harness.RUN_COMMAND_TEMPLATE}`",
         f"- Reproducer iterations: {iterations} ({rejects} rejected)",
         f"- Oracle verdict: {'Pass' if verdict.overall_pass else 'Reject'}",
         "",
@@ -302,26 +267,6 @@ def render_poc_report(
 
 # --------------------------------------------------------------------------
 # Stage helpers.
-
-
-def _run_budgeted_role(
-    ledger: _StageLedger,
-    backend: ModelBackend,
-    role: str,
-    session: workspace.Session,
-    message: str,
-) -> RoleRun:
-    if ledger.turns_remaining <= 0:
-        raise StageFailed(ledger.stage, "stage turn budget exhausted")
-    prompt = build_role_prompt(role, session)
-    started = ledger.clock()
-    try:
-        run = run_role(backend, role, prompt, message, turn_cap=ledger.turns_remaining)
-    except TurnBudgetExceeded as exc:
-        ledger.turns_used += exc.turns
-        raise StageFailed(ledger.stage, str(exc)) from exc
-    ledger.charge(role, run, ledger.clock() - started)
-    return run
 
 
 def _requests_from_missing_evidence(
@@ -360,7 +305,61 @@ class Orchestrator:
         self.rpc_url = rpc_url
         self.clock = clock
 
+    # -- accounting ---------------------------------------------------------
+
+    @contextmanager
+    def _stage(self, stage: str, outcome: SessionOutcome) -> Iterator[None]:
+        """Time one stage.  Its ``turns`` and ``latencies`` keys go in as it
+        starts, ahead of the role latencies its turns add."""
+        outcome.turns[stage] = 0
+        outcome.latencies[stage] = 0.0
+        started = self.clock()
+        try:
+            yield
+        finally:
+            outcome.latencies[stage] = self.clock() - started
+
+    def _turn(self, outcome: SessionOutcome, stage: str, role: str, message: str) -> Any:
+        """Run one role within the stage's turn budget; returns its output.
+
+        What the run spends is charged to ``outcome`` as it ends: its
+        seconds, turns and tokens, failed turns included.  A run that yields
+        a document also counts one iteration of its role.
+        """
+        remaining = self.budgets.stage_turns - outcome.turns[stage]
+        if remaining <= 0:
+            raise StageFailed(stage, "stage turn budget exhausted")
+        prompt = build_role_prompt(role, outcome.session)
+        started = self.clock()
+        try:
+            run = run_role(self.backend, role, prompt, message, turn_cap=remaining)
+        except TurnBudgetExceeded as exc:
+            outcome.turns[stage] += exc.turns
+            outcome.usage += exc.usage
+            raise StageFailed(stage, str(exc)) from exc
+        finally:
+            key = f"role:{role}"
+            outcome.latencies[key] = outcome.latencies.get(key, 0.0) + self.clock() - started
+        outcome.turns[stage] += run.turns_used
+        outcome.usage += run.usage
+        outcome.iterations[role] = outcome.iterations.get(role, 0) + 1
+        return run.output
+
     # -- collection ---------------------------------------------------------
+
+    def _record_collection(
+        self, session: workspace.Session, outcome: SessionOutcome, summary: CollectionSummary
+    ) -> None:
+        """Write one collection run's summary into ``iter_<runs so far>`` and
+        count the run.  Runs are numbered densely from the seed's ``iter_0``."""
+        iteration = outcome.collection_runs_total
+        workspace.write_artifact(
+            session,
+            f"{workspace.COLLECTION_DIR}/iter_{iteration}/data_collection_summary.json",
+            summary.to_doc(iteration=iteration),
+            schema_id="collection_summary",
+        )
+        outcome.collection_runs_total += 1
 
     def _collect(
         self,
@@ -370,24 +369,13 @@ class Orchestrator:
         outcome: SessionOutcome,
     ) -> None:
         """Fetch one request batch into the next collection ``iter_k`` and
-        record the gateway's summary of it; no model turn is involved.
-
-        Collection runs are numbered densely from the seed's ``iter_0``, so
-        this batch's directory is ``iter_<runs so far>``.  Its first write
+        record it; no model turn is involved.  The directory's first write
         creates it once every fetch has returned, so a batch whose fetches
-        raise leaves no directory behind.
-        """
-        iteration = outcome.collection_runs_total
-        iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{iteration}"
+        raise leaves no directory behind."""
+        iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{outcome.collection_runs_total}"
         summary = execute_data_requests(session, requests, fetches, iter_dir)
-        workspace.write_artifact(
-            session,
-            iter_dir.relative_to(session.root) / "data_collection_summary.json",
-            summary.to_doc(iteration=iteration),
-            schema_id="collection_summary",
-        )
         outcome.fetched_items += summary.fetched_count
-        outcome.collection_runs_total += 1
+        self._record_collection(session, outcome, summary)
 
     # -- root-cause stage ---------------------------------------------------
 
@@ -402,28 +390,20 @@ class Orchestrator:
         draft, or None when the incident is not ACT.  Evidence is fetched
         through the session's ``fetches``; the analyzer's first message
         carries ``seed_digest``, the digest of the seed context."""
-        ledger = _StageLedger(STAGE_ROOT_CAUSE, self.budgets, self.clock)
         opening = "Begin the analysis from the seed evidence."
         if seed_digest:
             opening += "\n\n" + seed_digest
         feedback = ""
-        analyzer_iterations = 0
-        try:
+        with self._stage(STAGE_ROOT_CAUSE, outcome):
             while True:
-                if analyzer_iterations >= self.budgets.analyzer_iterations:
+                if outcome.iterations.get(ROLE_ANALYZER, 0) >= self.budgets.analyzer_iterations:
                     raise StageFailed(
                         STAGE_ROOT_CAUSE,
                         f"analyzer iteration budget ({self.budgets.analyzer_iterations}) exhausted",
                     )
-                run = _run_budgeted_role(
-                    ledger,
-                    self.backend,
-                    ROLE_ANALYZER,
-                    session,
-                    message=feedback or opening,
+                analysis: AnalysisResult = self._turn(
+                    outcome, STAGE_ROOT_CAUSE, ROLE_ANALYZER, feedback or opening
                 )
-                analyzer_iterations += 1
-                analysis: AnalysisResult = run.output
                 # Allocated once the turn returns, so a raising turn leaves
                 # no empty iteration directory.
                 iter_dir = workspace.next_iteration_dir(
@@ -445,7 +425,7 @@ class Orchestrator:
                     outcome.is_act = False
                     return None
 
-                challenge = self._challenge(session, ledger, draft)
+                challenge = self._challenge(session, outcome, draft)
                 if challenge.passed:
                     self._finalize_root_cause(session, draft)
                     outcome.is_act = True
@@ -473,20 +453,13 @@ class Orchestrator:
                     )
                     if requests:
                         self._collect(session, fetches, requests, outcome)
-        finally:
-            ledger.close(outcome)
 
     def _challenge(
-        self, session: workspace.Session, ledger: _StageLedger, draft: dict[str, Any]
+        self, session: workspace.Session, outcome: SessionOutcome, draft: dict[str, Any]
     ) -> ChallengeResult:
-        run = _run_budgeted_role(
-            ledger,
-            self.backend,
-            ROLE_CHALLENGER,
-            session,
-            message=json.dumps(draft, indent=2),
+        challenge: ChallengeResult = self._turn(
+            outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, json.dumps(draft, indent=2)
         )
-        challenge: ChallengeResult = run.output
         workspace.write_artifact(
             session,
             f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_CHALLENGER}/root_cause_challenge_result.json",
@@ -515,9 +488,8 @@ class Orchestrator:
         outcome: SessionOutcome,
         draft: dict[str, Any],
     ) -> None:
-        ledger = _StageLedger(STAGE_POC, self.budgets, self.clock)
-        try:
-            definition = self._generate_oracles(session, ledger, draft)
+        with self._stage(STAGE_POC, outcome):
+            definition = self._generate_oracles(session, outcome, draft)
             roles = draft.get("roles", {})
             # The reject code a source hit on each attacker-side address earns.
             taint = {
@@ -533,25 +505,21 @@ class Orchestrator:
             )
             expected = oracles.observation_names(bound)
             feedback = ""
-            for _ in range(self.budgets.reproducer_iterations):
-                verdict, reasons, project = self._reproduce_once(
-                    session, ledger, definition, bound, expected, taint, feedback, outcome
+            for attempt in range(self.budgets.reproducer_iterations):
+                verdict, reasons = self._reproduce_once(
+                    session, outcome, definition, bound, expected, taint, feedback
                 )
                 if not reasons:
                     outcome.poc_validated = True
+                    # Every earlier attempt was rejected.
                     workspace.write_text_artifact(
                         session,
                         workspace.POC_REPORT,
                         render_poc_report(
-                            definition,
-                            verdict,
-                            project,
-                            iterations=outcome.poc_reproducer_iterations,
-                            rejects=outcome.poc_rejects,
+                            definition, verdict, iterations=attempt + 1, rejects=attempt
                         ),
                     )
                     return
-                outcome.poc_rejects += 1
                 outcome.reject_log.append(
                     {
                         "stage": STAGE_POC,
@@ -564,23 +532,17 @@ class Orchestrator:
                 STAGE_POC,
                 f"reproducer iteration budget ({self.budgets.reproducer_iterations}) exhausted",
             )
-        finally:
-            ledger.close(outcome)
 
     def _generate_oracles(
         self,
         session: workspace.Session,
-        ledger: _StageLedger,
+        outcome: SessionOutcome,
         draft: dict[str, Any],
     ) -> oracles.OracleDefinition:
-        run = _run_budgeted_role(
-            ledger,
-            self.backend,
-            ROLE_ORACLE_GENERATOR,
-            session,
-            message=json.dumps(draft, indent=2),
+        generated = self._turn(
+            outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
         )
-        definition = oracles.normalize_definition(run.output.definition())
+        definition = oracles.normalize_definition(generated.definition())
         workspace.write_artifact(
             session,
             workspace.ORACLE_DEFINITION,
@@ -592,18 +554,13 @@ class Orchestrator:
     def _reproduce_once(
         self,
         session: workspace.Session,
-        ledger: _StageLedger,
+        outcome: SessionOutcome,
         definition: oracles.OracleDefinition,
         bound: oracles.OracleDefinition,
         expected: list[str],
         taint: dict[str, str],
         feedback: str,
-        outcome: SessionOutcome,
-    ) -> tuple[
-        Optional[oracles.VerdictReport],
-        list[RejectReason],
-        Optional[harness.PoCProject],
-    ]:
+    ) -> tuple[Optional[oracles.VerdictReport], list[RejectReason]]:
         """One reproducer round; no reject reasons means the PoC is validated.
         The verdict is None when nothing ran.
 
@@ -616,16 +573,15 @@ class Orchestrator:
         message = json.dumps(definition.to_doc(), indent=2)
         if feedback:
             message += f"\n\nReject codes of the previous attempt: {feedback}"
-        run = _run_budgeted_role(ledger, self.backend, ROLE_REPRODUCER, session, message)
-        outcome.poc_reproducer_iterations += 1
+        reproduction = self._turn(outcome, STAGE_POC, ROLE_REPRODUCER, message)
         # Allocated once the turn returns, as the analyzer's is.
         iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
         rel = iter_dir.relative_to(session.root)
-        files = run.output.files
+        files = reproduction.files
         workspace.write_artifact(
             session,
             rel / "project_manifest.json",
-            {"files": sorted(files), "notes": run.output.notes},
+            {"files": sorted(files), "notes": reproduction.notes},
         )
         launch_failed = [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
         try:
@@ -635,7 +591,7 @@ class Orchestrator:
             workspace.write_artifact(
                 session, rel / "harness_error.json", {"error": str(exc), "phase": "scaffold"}
             )
-            return None, launch_failed, None
+            return None, launch_failed
 
         taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
         hit_codes = {taint[address] for _, address, _ in taint_hits}
@@ -653,7 +609,7 @@ class Orchestrator:
             workspace.write_artifact(
                 session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
             )
-            return None, [RejectReason(code) for code in scan_reasons], project
+            return None, [RejectReason(code) for code in scan_reasons]
 
         if self.runner is None:
             raise StageFailed(STAGE_POC, "no project runner configured")
@@ -664,7 +620,7 @@ class Orchestrator:
             workspace.write_artifact(
                 session, rel / "harness_error.json", {"error": str(exc), "phase": "run"}
             )
-            return None, launch_failed, project
+            return None, launch_failed
 
         workspace.write_text_artifact(session, rel / "forge_output.txt", result.raw_output)
         checks = harness.correctness_checks(project, result)
@@ -683,19 +639,17 @@ class Orchestrator:
         )
         workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
         if engine_reasons:
-            return verdict, [RejectReason(code) for code in engine_reasons], project
+            return verdict, [RejectReason(code) for code in engine_reasons]
 
-        vrun = _run_budgeted_role(
-            ledger,
-            self.backend,
+        validation: ValidationResult = self._turn(
+            outcome,
+            STAGE_POC,
             ROLE_VALIDATOR,
-            session,
-            message=json.dumps(
+            json.dumps(
                 {"engine_verdict": engine_doc, "observations": obs_report.observations},
                 indent=2,
             ),
         )
-        validation: ValidationResult = vrun.output
         workspace.write_artifact(
             session, rel / "poc_validation.json", validation.doc, schema_id="poc_validation"
         )
@@ -706,7 +660,7 @@ class Orchestrator:
             schema_id="poc_validation",
         )
         reasons = [RejectReason.parse(r, POC_REASONS) for r in validation.reject_reasons]
-        return verdict, [] if validation.passed else reasons, project
+        return verdict, [] if validation.passed else reasons
 
     # -- end to end ----------------------------------------------------------
 
@@ -728,16 +682,8 @@ class Orchestrator:
                 outcome.stage = STAGE_FAILED
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
                 return outcome
-            # The seed fetch is collection run zero; the analyzer's batches
-            # follow from iter_1 on, so the numbering stays dense.
-            iter0 = workspace.next_iteration_dir(session, workspace.COLLECTION_DIR)
-            workspace.write_artifact(
-                session,
-                iter0.relative_to(session.root) / "data_collection_summary.json",
-                bootstrap.to_doc(iteration=0),
-                schema_id="collection_summary",
-            )
-            outcome.collection_runs_total = 1
+            # The seed fetch is collection run zero.
+            self._record_collection(session, outcome, bootstrap)
 
             outcome.stage = STAGE_ROOT_CAUSE
             draft = self.run_root_cause_stage(session, outcome, fetches, bootstrap.digest)

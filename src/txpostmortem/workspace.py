@@ -251,6 +251,7 @@ SCHEMAS: dict[str, Any] = {
             }
         }
     },
+    "sources": {"object": {"required": {"attributions": {"array_of": "string"}}}},
     "analysis_result": {
         "object": {
             "required": {
@@ -535,6 +536,7 @@ def create_session(
         session,
         SOURCES_META,
         {"attributions": sorted(set(attributions or ["manual"]))},
+        schema_id="sources",
     )
     logger.info("created session %s at %s", session_id, root)
     return session

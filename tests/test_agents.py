@@ -431,15 +431,3 @@ class TestRunRole:
         backend = ScriptedBackend({ROLE_CHALLENGER: [entry]})
         run = run_role(backend, ROLE_CHALLENGER, "p", "go", turn_cap=2)
         assert run.output.passed is True
-
-    def test_custom_validator_wins(self):
-        backend = ScriptedBackend({"custom": [{"anything": 1}]})
-        run = run_role(
-            backend,
-            "custom",
-            "p",
-            "go",
-            turn_cap=2,
-            validator=lambda doc: (doc, []),
-        )
-        assert run.doc == {"anything": 1}

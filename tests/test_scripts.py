@@ -2,9 +2,9 @@
 txpostmortem`` in their own interpreters, so that a script importing a name
 the package no longer has fails here; the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
-bundled cases; the budget flags; the rejection of malformed flags and of
-malformed files the commands read; and the paper's checklist table as
-``txpostmortem metrics --baseline`` prints it.
+bundled cases; the budget flags; the rejection of malformed flags, of flags
+a command would ignore and of malformed files the commands read; and the
+paper's checklist table as ``txpostmortem metrics --baseline`` prints it.
 
 Flags are the command line's only settings. The credentials a live run
 needs come from the environment and never from a flag."""
@@ -129,6 +129,10 @@ class TestBudgetFlags:
         assert doc["outcome"]["failure"] == failure
 
 
+_SCRIPTED_SEED = ["--chainid", "1", "--tx", "0x" + "ab" * 32, "--fixtures", "{tmp}",
+                  "--script", "{tmp}", "--transcripts", "{tmp}"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -139,19 +143,45 @@ class TestBudgetFlags:
         ["monitor", "--feed", "{doc}", "--queue", "{tmp}/queue", "--fixtures", "{tmp}",
          "--chains", "1,999999"],
         ["metrics", "--sessions", "{tmp}", "--baseline", "{doc}"],
+        ["postmortem", "--case", "prxvt", "--backend", "live"],
+        ["postmortem", "--case", "prxvt", "--fixtures", "{tmp}"],
+        ["postmortem", "--case", "prxvt", "--script", "{tmp}"],
+        ["postmortem", "--case", "prxvt", "--transcripts", "{tmp}"],
+        ["postmortem", "--case", "prxvt", "--rpc-map", "{doc}"],
+        ["postmortem", "--case", "prxvt", "--record-fixtures", "{tmp}/rec"],
+        ["postmortem", *_SCRIPTED_SEED, "--rpc-map", "{doc}"],
+        ["postmortem", *_SCRIPTED_SEED, "--record-fixtures", "{tmp}/rec"],
     ],
     ids=["bad-tx", "unsupported-chain", "bad-chains", "unsupported-chains",
-         "baseline-not-a-list"],
+         "baseline-not-a-list", "case-live", "case-fixtures", "case-script",
+         "case-transcripts", "case-rpc-map", "case-record-fixtures",
+         "scripted-rpc-map", "scripted-record-fixtures"],
 )
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
+    """A flag the command would ignore is refused too, before any work."""
     doc = tmp_path / "object.json"
     doc.write_text('{"source_id": "post-0"}\n', encoding="utf-8")
     argv = [arg.format(doc=doc, tmp=tmp_path) for arg in argv]
+    if argv[0] == "postmortem":
+        argv += ["--workdir", str(tmp_path / "work")]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "work").exists()
 
 
 _RAW_BAD_HASH = json.dumps({"targets": [{"chainid": 1, "txhash": "0xzz"}]})
+
+
+def _validated_session(**files: str) -> dict[str, str]:
+    """Files of one exported-looking session ``s/0``, with ``files`` on top."""
+    return {
+        "s/0/session_summary.json": "{}",
+        f"s/0/{workspace.POC_VALIDATED_RESULT}": '{"overall_status": "Pass"}',
+        "s/0/raw.json": json.dumps(
+            {"targets": [{"chainid": 1, "txhash": "0x" + "ab" * 32}]}
+        ),
+        **{f"s/0/{name}": text for name, text in files.items()},
+    }
 
 
 @pytest.mark.parametrize(
@@ -174,22 +204,34 @@ _RAW_BAD_HASH = json.dumps({"targets": [{"chainid": 1, "txhash": "0xzz"}]})
             "session_summary.json",
         ),
         (
+            {"s/0/session_summary.json": "{}"},
+            ["metrics", "--sessions", "{tmp}/s"],
+            "session_summary.json",
+        ),
+        (
             {"s/0/raw.json": '{"targets": []}'},
             ["evaluate", "--session", "{tmp}/s/0"],
             "raw.json",
         ),
         (
-            {
-                "s/0/session_summary.json": "{}",
-                f"s/0/{workspace.POC_VALIDATED_RESULT}": '{"overall_status": "Pass"}',
-                "s/0/raw.json": _RAW_BAD_HASH,
-            },
+            _validated_session(**{"raw.json": _RAW_BAD_HASH}),
             ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
             "raw.json",
         ),
+        (
+            _validated_session(**{"sources.json": "{"}),
+            ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
+            "sources.json",
+        ),
+        (
+            _validated_session(**{"sources.json": "[]"}),
+            ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
+            "sources.json",
+        ),
     ],
     ids=["feed-line-not-an-object", "summary-not-json", "summary-not-an-object",
-         "raw-without-targets", "raw-with-a-bad-hash"],
+         "summary-without-fields", "raw-without-targets", "raw-with-a-bad-hash",
+         "sources-not-json", "sources-not-an-object"],
 )
 def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
     """A malformed file a command reads ends it with exit 1 and one

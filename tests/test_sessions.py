@@ -2,8 +2,9 @@
 artifacts they leave, what they send the model, rejection codes arriving in
 the stage they do not belong to, the scan that keeps tainted projects from
 the runner, the per-session fetch memo, failures of any kind ending the
-session failed, the metrics report over their summaries, and the schema
-lookup, source scan and transcript runner sessions rely on."""
+session failed, the charge of every model step to the summary, the non-ACT
+route, the metrics report over their summaries, and the schema lookup,
+source scan and transcript runner sessions rely on."""
 
 from __future__ import annotations
 
@@ -15,7 +16,16 @@ from pathlib import Path
 import pytest
 
 from txpostmortem import metrics, oracles, scenarios, workspace
-from txpostmortem.agents import ROLE_ANALYZER, ROLES, ScriptedBackend, StepResult
+from txpostmortem.agents import (
+    ROLE_ANALYZER,
+    ROLE_CHALLENGER,
+    ROLE_REPRODUCER,
+    ROLES,
+    SCRIPTED_STEP_USAGE,
+    ScriptedBackend,
+    StepResult,
+    Usage,
+)
 from txpostmortem.domain import SeedRef
 from txpostmortem.gateway import DataRequest, MissingFixture, fixture_key
 from txpostmortem.harness import (
@@ -639,6 +649,76 @@ class TestBackendFailure:
         assert len(analyzer) == analyzer_dirs
         for path in analyzer + reproducer:
             assert any(p.is_file() for p in path.rglob("*")), path
+
+
+_INVALID_CHALLENGE = {"status": "Pass", "feedback": "ok", "missing_evidence": ["x"]}
+
+
+def _recorded_session(tmp_path: Path, name: str):
+    """Run a bundled case through a recording backend; ``turn-exhaustion``
+    is prxvt whose challenger never sends a valid document, under a 6-turn
+    stage budget.  Returns the outcome and the backend."""
+    if name == "turn-exhaustion":
+        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        entries = scenarios._prxvt_script_entries()
+        entries[ROLE_CHALLENGER] = [_INVALID_CHALLENGE] * 3
+        inner, budgets = ScriptedBackend(entries), Budgets(stage_turns=6)
+    else:
+        bundle = scenarios.CASE_BUILDERS[name](tmp_path / "case")
+        inner, budgets = bundle.backend(), Budgets()
+    backend = _RecordingBackend(inner)
+    orch = Orchestrator(
+        backend=backend, adapter=bundle.adapter(), runner=bundle.runner(), budgets=budgets
+    )
+    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend
+
+
+def _scripted_usage(steps: int) -> Usage:
+    return sum([SCRIPTED_STEP_USAGE] * steps, Usage())
+
+
+class TestAccounting:
+    """Each model step is charged once: the summary's turns and tokens add
+    up to the steps the backend took, and its PoC counts agree with the
+    role iterations and the reject log."""
+
+    @pytest.mark.parametrize("name", ["prxvt", "valinity", "turn-exhaustion"])
+    def test_summary_adds_up_to_the_steps_taken(self, tmp_path, name):
+        outcome, backend = _recorded_session(tmp_path, name)
+        steps = sum(len(messages) for messages in backend.messages.values())
+        doc = _read(outcome.session.root, workspace.SESSION_SUMMARY)
+        assert sum(doc["turns"].values()) == steps
+        assert doc["usage"] == _scripted_usage(steps).to_doc()
+        assert doc["poc"]["reproducer_iterations"] == doc["iterations"].get(ROLE_REPRODUCER, 0)
+        assert doc["poc"]["rejects"] == sum(1 for e in doc["reject_log"] if e["stage"] == "poc")
+
+    def test_turns_spent_without_a_valid_document_are_charged(self, tmp_path):
+        outcome, _ = _recorded_session(tmp_path, "turn-exhaustion")
+        assert outcome.stage == "failed"
+        assert "root_cause_challenger exhausted 3 turn(s)" in outcome.failure
+        assert outcome.turns == {"root_cause": 6}
+        assert outcome.usage == _scripted_usage(6)
+
+
+class TestNonActRoute:
+    def test_a_non_act_analysis_ends_the_session_before_the_poc_stage(self, tmp_path):
+        reason = "the drained rewards were never claimable by an unprivileged account"
+        entries = scenarios._prxvt_script_entries()
+        entries[ROLE_ANALYZER][-1]["root_cause"]["act"] = {
+            "is_act": False,
+            "rejection_reason": reason,
+        }
+        runner = _CountingRunner(SimulatedRunner(queue=[scenarios._PRXVT_RUN_0]))
+        outcome = _run_prxvt(tmp_path, entries, runner)
+        assert (outcome.stage, outcome.is_act) == ("aborted_non_act", False)
+        assert outcome.turns == {"root_cause": 3}
+        assert set(outcome.latencies) == {"root_cause", "role:root_cause_analyzer", "session"}
+        root = outcome.session.root
+        report = (root / workspace.ROOT_CAUSE_REPORT).read_text(encoding="utf-8")
+        assert f"- Why not ACT: {reason}" in report
+        assert _read(root, workspace.SESSION_SUMMARY)["poc"]["reproducer_iterations"] == 0
+        assert not (root / workspace.REPRODUCER_DIR).exists()
+        assert runner.launches == 0
 
 
 class TestMetricsReport:
