@@ -99,6 +99,9 @@ class ModelBackend(Protocol):
         ...
 
 
+#: Model the live backend asks for unless told otherwise.
+DEFAULT_MODEL = "gpt-5"
+
 #: Fixed per-step usage reported by the scripted backend unless an entry
 #: overrides it; tests rely on it being deterministic.
 SCRIPTED_STEP_USAGE = Usage(input_tokens=1200, cached_input_tokens=800, output_tokens=150)
@@ -200,7 +203,7 @@ class OpenAIChatBackend:
     def __init__(
         self,
         api_key: str,
-        model: str = "gpt-5",
+        model: str = DEFAULT_MODEL,
         base_url: str = "https://api.openai.com/v1",
         post: Optional[Callable[[str, dict[str, Any], dict[str, str]], dict[str, Any]]] = None,
         temperature: float = 0.0,

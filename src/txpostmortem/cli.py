@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import evaluator, harness, metrics, monitor, scenarios, workspace
-from .agents import OpenAIChatBackend, ScriptedBackend
+from .agents import DEFAULT_MODEL, OpenAIChatBackend, ScriptedBackend
 from .domain import DomainError, SeedRef, validate_chain
 from .gateway import (
     DataRequest,
@@ -84,7 +84,7 @@ def _scripted_stack(
 
 
 #: Flags only the live backend reads.
-_LIVE_FLAGS = ("--rpc-map", "--record-fixtures")
+_LIVE_FLAGS = ("--rpc-map", "--record-fixtures", "--model")
 #: Flags a bundled case fixes itself; it runs on the scripted backend.
 _CASE_FLAGS = ("--chainid", "--tx", "--fixtures", "--script", "--transcripts")
 
@@ -126,7 +126,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
             api_key = os.environ.get("OPENAI_API_KEY")
             if not api_key:
                 raise UsageError("live backend needs OPENAI_API_KEY in the environment")
-            backend = OpenAIChatBackend(api_key=api_key, model=args.model)
+            backend = OpenAIChatBackend(api_key=api_key, model=args.model or DEFAULT_MODEL)
             rpc_map = load_rpc_map(args.rpc_map)
             live = LiveAdapter(rpc_map=rpc_map)
             adapter = (
@@ -466,7 +466,9 @@ def build_parser() -> argparse.ArgumentParser:
         dest="record_fixtures",
         help="record live fetches into this fixture directory",
     )
-    post.add_argument("--model", default="gpt-5", help="model name for the live backend")
+    post.add_argument(
+        "--model", help=f"model name for the live backend (default {DEFAULT_MODEL})"
+    )
     post.add_argument("--attribution", action="append")
     post.add_argument("--stage-turns", dest="stage_turns", type=int)
     post.add_argument("--analyzer-iterations", dest="analyzer_iterations", type=int)

@@ -58,7 +58,10 @@ class ChainAdapter(Protocol):
     def fetch(self, request: DataRequest) -> dict[str, Any]:
         """Return the JSON payload for one data request.
 
-        It may be called from several threads at once.
+        It may be called from several threads at once: ``fetch_many`` runs
+        fetches on the threads of the process's shared fetch pool.  An
+        adapter must not call ``fetch_many`` itself, since its lanes would
+        wait for threads that its own caller's lanes may be holding.
         """
         ...
 

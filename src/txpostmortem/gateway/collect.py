@@ -6,12 +6,14 @@ collection summaries.  Per-request failures never abort a batch; only a
 missing seed artifact is fatal to the seed bootstrap.
 
 The requests of one batch are independent, so ``fetch_many`` waits on all
-of them at once, with at most ``FETCH_WORKERS`` in flight on any one chain:
-a batch probing every chain for a hash is one wave, and a batch on one chain
-keeps ``FETCH_WORKERS`` in flight.  Only the waiting overlaps: artifact
-names, workspace writes, summary records and diagnostics are made on the
-calling thread in request order, so a batch lands the same bytes however
-its answers interleave.
+of them at once on the process's one fetch pool, whose threads are started
+as needed and kept for later batches.  A batch runs as lanes, at most
+``FETCH_WORKERS`` per chain, each taking its chain's next request until
+none is left: a batch probing every chain for a hash is one wave, and a
+batch on one chain keeps ``FETCH_WORKERS`` in flight.  Only the waiting
+overlaps: artifact names, workspace writes, summary records and
+diagnostics are made on the calling thread in request order, so a batch
+lands the same bytes however its answers interleave.
 
 A session fetches through one ``SessionMemo``, so a request it repeats is
 answered from the payload it already holds, and still lands as a file of
@@ -23,14 +25,14 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 from .. import workspace
-from ..domain import DomainError, TxHash
+from ..domain import SUPPORTED_CHAINS, DomainError, TxHash
 from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
 from .fixtures import fixture_key
 from .types import CollectionSummary, DataRequest, TraceNode, TxRecord
@@ -50,6 +52,13 @@ _SEED_FILENAMES = {
 #: that is, on one RPC endpoint.
 FETCH_WORKERS = 8
 
+#: The process's fetch threads, shared by every ``fetch_many`` call: enough
+#: for a full set of lanes on every chain, started only when no idle one is
+#: left, and kept for later batches.
+_POOL = ThreadPoolExecutor(
+    max_workers=FETCH_WORKERS * len(SUPPORTED_CHAINS), thread_name_prefix="fetch"
+)
+
 #: Longest digest of the seed context, and longest line in it, in characters.
 SEED_DIGEST_CHARS = 4000
 SEED_DIGEST_LINE_CHARS = 400
@@ -67,39 +76,63 @@ def fetch_many(
 ) -> list[dict[str, Any] | GatewayError]:
     """Fetch every request, with up to ``FETCH_WORKERS`` in flight per chain.
 
-    Each chain's JSON-RPC endpoint is its own, so the cap is per endpoint
-    and requests on different chains never wait for each other's slots.
-    Explorer requests (``txlist``, ``contract_meta``) share one endpoint,
-    ``EXPLORER_API_URL``, across chains.  No caller batches them across
-    chains: the seed bootstrap, lifecycle txlists and post-challenge batches
-    are all on the seed's chain.  Only an analyst batch naming several
-    chains could have more than ``FETCH_WORKERS`` explorer requests in
-    flight.
+    Each chain gets ``min(FETCH_WORKERS, n)`` lanes on the shared pool for
+    its ``n`` requests, and each lane fetches its chain's next request until
+    none is left, so no lane ever waits for another.  Each chain's JSON-RPC
+    endpoint is its own, so the cap is per endpoint and requests on
+    different chains never wait for each other's lanes.  Explorer requests
+    (``txlist``, ``contract_meta``) share one endpoint, ``EXPLORER_API_URL``,
+    across chains.  No caller batches them across chains: the seed
+    bootstrap, lifecycle txlists and post-challenge batches are all on the
+    seed's chain.  Only an analyst batch naming several chains could have
+    more than ``FETCH_WORKERS`` explorer requests in flight.
 
     Results come back in request order; a ``GatewayError`` takes its
     request's slot, without its traceback, whose frames would tie the
-    results into a reference cycle.  Any other exception propagates once
-    the pool has shut down, so no thread outlives the call.  A batch of at
-    most one request runs inline.
+    results into a reference cycle.  Any other exception stops every lane
+    from starting another fetch; once all lanes have returned, the first
+    such exception in request order propagates, so no fetch outlives the
+    call.  A batch of at most one request runs inline.
     """
-    per_chain = Counter(request.chainid for request in requests)
-    slots = {chainid: threading.BoundedSemaphore(FETCH_WORKERS) for chainid in per_chain}
 
     def fetch_one(request: DataRequest) -> dict[str, Any] | GatewayError:
         try:
-            with slots[request.chainid]:
-                return adapter.fetch(request)
+            return adapter.fetch(request)
         except GatewayError as exc:
             return exc.with_traceback(None)
 
     if len(requests) <= 1:
         return [fetch_one(request) for request in requests]
-    workers = sum(min(FETCH_WORKERS, n) for n in per_chain.values())
-    pool = ThreadPoolExecutor(max_workers=workers)
-    try:
-        return list(pool.map(fetch_one, requests))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    results: list[Any] = [None] * len(requests)
+    errors: dict[int, BaseException] = {}
+    stop = threading.Event()
+    per_chain: dict[int, deque[int]] = {}
+    for index, request in enumerate(requests):
+        per_chain.setdefault(request.chainid, deque()).append(index)
+
+    def lane(indices: deque[int]) -> None:
+        while not stop.is_set():
+            try:
+                index = indices.popleft()
+            except IndexError:
+                return
+            try:
+                results[index] = fetch_one(requests[index])
+            except BaseException as exc:
+                # Raised again on the calling thread once every lane is done.
+                errors[index] = exc
+                stop.set()
+
+    wait(
+        [
+            _POOL.submit(lane, indices)
+            for indices in per_chain.values()
+            for _ in range(min(FETCH_WORKERS, len(indices)))
+        ]
+    )
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 class SessionMemo:

@@ -9,9 +9,10 @@ A feed's hashes are resolved together, by one ``fetch_many`` batch holding
 one probe per distinct hash and chain.  ``fetch_many`` caps what is in
 flight per chain, not per batch, so a feed naming up to ``FETCH_WORKERS``
 distinct hashes has all its probes in flight at once and costs one round
-trip.  The batch runs Σ over chains of ``min(FETCH_WORKERS, hashes)``
-threads, never more than ``FETCH_WORKERS`` per chain.  A hash that several
-posts repeat is probed once.
+trip.  The batch runs as ``min(FETCH_WORKERS, hashes)`` lanes per chain on
+the shared fetch pool, which holds at most ``FETCH_WORKERS ×
+len(SUPPORTED_CHAINS)`` threads per process and reuses them from feed to
+feed.  A hash that several posts repeat is probed once.
 """
 
 from __future__ import annotations
@@ -142,8 +143,10 @@ def resolve_chains(
 
     The probes go out as one ``fetch_many`` batch, one per distinct hash
     and chain, so the call takes as long as the slowest probe.  Up to
-    ``FETCH_WORKERS`` hashes are all in flight together; the pool holds
-    Σ over chains of ``min(FETCH_WORKERS, hashes)`` threads.
+    ``FETCH_WORKERS`` hashes are all in flight together, as
+    ``min(FETCH_WORKERS, hashes)`` lanes per chain on the shared fetch
+    pool, capped at ``FETCH_WORKERS × len(SUPPORTED_CHAINS)`` threads per
+    process.
 
     Returns each hash's answer keyed by its value: the one chain that has
     it, or a ``ChainNotFound`` (no chain) or ``AmbiguousChain`` (several,

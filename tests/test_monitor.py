@@ -92,6 +92,10 @@ def _probes(chains, txs=(TX,)) -> list[DataRequest]:
     ]
 
 
+def _hashes(n: int) -> list[TxHash]:
+    return [TxHash("0x" + f"{k + 1:064x}") for k in range(n)]
+
+
 class TestConcurrentProbes:
     @pytest.mark.parametrize(
         "n", [2, FETCH_WORKERS, 2 * FETCH_WORKERS, len(SUPPORTED_CHAINS)]
@@ -150,16 +154,105 @@ class TestConcurrentProbes:
             resolve_chain(TX, _ChainsAdapter({}))
         assert info.value.txhash == TX.value
 
-    def test_other_errors_propagate_and_no_thread_outlives_the_call(self):
+    def test_other_errors_propagate_and_no_fetch_outlives_the_call(self):
         class Broken(_ChainsAdapter):
+            in_flight = 0
+
+            def fetch(self, request):
+                with self._lock:
+                    self.in_flight += 1
+                try:
+                    return super().fetch(request)
+                finally:
+                    with self._lock:
+                        self.in_flight -= 1
+
             def wait(self, request):
                 if request.chainid == SECOND:
                     raise RuntimeError("adapter bug")
+                time.sleep(0.005)
 
-        before = threading.active_count()
+        adapter = Broken({TX.value: {HOME}})
         with pytest.raises(RuntimeError, match="adapter bug"):
-            resolve_chain(TX, Broken({TX.value: {HOME}}))
-        assert threading.active_count() == before
+            fetch_many(adapter, _probes(DEFAULT_PROBE_ORDER, _hashes(2 * FETCH_WORKERS)))
+        # Each of the failing chain's lanes stops at its first failure.
+        assert sum(r.chainid == SECOND for r in adapter.calls) <= FETCH_WORKERS
+        assert adapter.in_flight == 0
+        calls = len(adapter.calls)
+        time.sleep(0.05)
+        assert len(adapter.calls) == calls
+
+    def test_the_first_error_in_request_order_propagates(self):
+        earlier_started = threading.Event()
+
+        class TwoBugs(_ChainsAdapter):
+            def wait(self, request):
+                if request.chainid == HOME:
+                    earlier_started.set()
+                    time.sleep(0.05)
+                    raise RuntimeError("earlier request")
+                if request.chainid == SECOND:
+                    earlier_started.wait(5)
+                    raise ValueError("later request")
+
+        with pytest.raises(RuntimeError, match="earlier request"):
+            fetch_many(TwoBugs({}), _probes(DEFAULT_PROBE_ORDER))
+
+    def test_a_second_call_starts_no_thread(self, monkeypatch):
+        n = len(SUPPORTED_CHAINS)
+        requests = _probes(DEFAULT_PROBE_ORDER)
+        fetch_many(_PeakAdapter({TX.value: {HOME}}, parties=n), requests)
+        # The first call's threads go idle once its lanes have returned.
+        time.sleep(0.05)
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        adapter = _PeakAdapter({TX.value: {HOME}}, parties=n)
+        payloads = fetch_many(adapter, requests)
+        assert len(adapter.calls) == n
+        assert sum(not isinstance(p, MissingFixture) for p in payloads) == 1
+        assert started == []
+
+    def test_concurrent_calls_share_the_pool(self):
+        requests = _probes(DEFAULT_PROBE_ORDER, _hashes(5))
+        every_chain = set(SUPPORTED_CHAINS)
+        adapters = [
+            _PeakAdapter({r.target: every_chain for r in requests}) for _ in range(2)
+        ]
+        results = [None, None]
+        go = threading.Event()
+
+        def call(k):
+            go.wait(5)
+            results[k] = fetch_many(adapters[k], requests)
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            go.set()
+            for caller in callers:
+                caller.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        expected = [{"txhash": r.target, "chainid": r.chainid} for r in requests]
+        assert results == [expected, expected]
+        for adapter in adapters:
+            assert sorted((r.chainid, r.target) for r in adapter.calls) == sorted(
+                (r.chainid, r.target) for r in requests
+            )
+            assert set(adapter.peaks) == every_chain
+            assert max(adapter.peaks.values()) <= FETCH_WORKERS
+            assert adapter.threads <= before + FETCH_WORKERS * len(SUPPORTED_CHAINS)
 
     def test_live_adapter_gives_every_concurrent_request_its_own_id(self):
         ids = []
@@ -244,10 +337,6 @@ class TestResolveOncePerFeed:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-
-def _hashes(n: int) -> list[TxHash]:
-    return [TxHash("0x" + f"{k + 1:064x}") for k in range(n)]
 
 
 class _RecordingClassifier:

@@ -151,11 +151,13 @@ _SCRIPTED_SEED = ["--chainid", "1", "--tx", "0x" + "ab" * 32, "--fixtures", "{tm
         ["postmortem", "--case", "prxvt", "--record-fixtures", "{tmp}/rec"],
         ["postmortem", *_SCRIPTED_SEED, "--rpc-map", "{doc}"],
         ["postmortem", *_SCRIPTED_SEED, "--record-fixtures", "{tmp}/rec"],
+        ["postmortem", "--case", "prxvt", "--model", "nope"],
+        ["postmortem", *_SCRIPTED_SEED, "--model", "nope"],
     ],
     ids=["bad-tx", "unsupported-chain", "bad-chains", "unsupported-chains",
          "baseline-not-a-list", "case-live", "case-fixtures", "case-script",
          "case-transcripts", "case-rpc-map", "case-record-fixtures",
-         "scripted-rpc-map", "scripted-record-fixtures"],
+         "scripted-rpc-map", "scripted-record-fixtures", "case-model", "scripted-model"],
 )
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     """A flag the command would ignore is refused too, before any work."""
