@@ -47,11 +47,12 @@ class FixtureStore:
         return self.path_for(fixture_key(request)).is_file()
 
     def load(self, request: DataRequest) -> dict[str, Any]:
-        path = self.path_for(fixture_key(request))
+        key = fixture_key(request)
+        path = self.path_for(key)
         if not path.is_file():
             raise MissingFixture(
                 f"no fixture for {request.kind} {request.target} on chain "
-                f"{request.chainid} (key {fixture_key(request)})"
+                f"{request.chainid} (key {key})"
             )
         with path.open("r", encoding="utf-8") as handle:
             doc = json.load(handle)

@@ -3,7 +3,9 @@
 The two scripted sessions are expensive enough (a few hundred artifact
 writes each) that every module asserting against them shares one run.
 The suite as a whole must pass with no network access, so an autouse
-guard refuses every socket connection attempt.
+guard refuses every socket connection attempt.  Tests that edit a case's
+script or transcripts load them with ``load_script_entries`` and
+``load_transcripts``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from txpostmortem import scenarios
+from txpostmortem.agents import ScriptedBackend
 from txpostmortem.harness import SimulatedRunner
 from txpostmortem.orchestrator import Orchestrator, SessionOutcome
 from txpostmortem.scenarios import CaseBundle
@@ -28,6 +31,18 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+def load_script_entries(case_root: Path) -> dict[str, list[dict[str, Any]]]:
+    """A case's scripted role outputs by role, in step order, read as
+    ``CaseBundle.backend`` reads them and parsed afresh on each call, so that
+    a test may edit them."""
+    return ScriptedBackend.from_dir(case_root / "script")._entries
+
+
+def load_transcripts(case_root: Path) -> list[str]:
+    """A case's run transcripts in launch order."""
+    return SimulatedRunner.from_dir(case_root / "transcripts").queue
 
 
 @dataclass

@@ -42,7 +42,7 @@ from txpostmortem.gateway.fixtures import (
     ReplayAdapter,
     fixture_key,
 )
-from txpostmortem.gateway import live
+from txpostmortem.gateway import fixtures, live
 from txpostmortem.gateway.live import LiveAdapter, disassemble
 from txpostmortem.gateway.types import DataRequest, TxRecord
 from txpostmortem.lifecycle import DEFAULT_WINDOW
@@ -114,6 +114,28 @@ class TestFixtureStore:
         assert not store.has(_request())
         with pytest.raises(MissingFixture):
             store.load(_request())
+
+    @pytest.mark.parametrize("present", [True, False], ids=["hit", "miss"])
+    def test_load_hashes_the_request_once(self, tmp_path, monkeypatch, present):
+        store = FixtureStore(tmp_path)
+        request = _request()
+        key = fixture_key(request)
+        if present:
+            store.save(request, {"root": {}})
+        calls = []
+
+        def counting_key(req):
+            calls.append(req)
+            return fixture_key(req)
+
+        monkeypatch.setattr(fixtures, "fixture_key", counting_key)
+        if present:
+            store.load(request)
+        else:
+            # A miss names the key, so the recording to add can be found.
+            with pytest.raises(MissingFixture, match=f"key {key}"):
+                store.load(request)
+        assert calls == [request]
 
     def test_files_are_byte_stable(self, tmp_path):
         request = _request()

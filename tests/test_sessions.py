@@ -9,11 +9,13 @@ source scan and transcript runner sessions rely on."""
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import DATA_DIR, load_script_entries, load_transcripts
 
 from txpostmortem import metrics, oracles, scenarios, workspace
 from txpostmortem.agents import (
@@ -35,6 +37,10 @@ from txpostmortem.harness import (
     solidity_sources,
 )
 from txpostmortem.orchestrator import Budgets, Orchestrator
+
+#: The committed prxvt tree, which every built prxvt case copies.
+PRXVT_CASE = scenarios.CASES_DIR / "prxvt"
+(PRXVT_RUN_0,) = load_transcripts(PRXVT_CASE)
 
 
 def _read(root: Path, relpath: str) -> dict:
@@ -184,7 +190,7 @@ class TestWrongStageRejection:
             ("uses_attacker_contract", "other:uses_attacker_contract"),
             ("incomplete_act_lifecycle", "incomplete_act_lifecycle"),
         ):
-            entries = scenarios._prxvt_script_entries()
+            entries = load_script_entries(PRXVT_CASE)
             entries["root_cause_challenger"].insert(
                 0,
                 {
@@ -196,7 +202,7 @@ class TestWrongStageRejection:
             )
             entries["root_cause_analyzer"].append(entries["root_cause_analyzer"][-1])
             outcome = _run_prxvt(
-                tmp_path / code, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+                tmp_path / code, entries, SimulatedRunner(queue=[PRXVT_RUN_0])
             )
             assert outcome.stage == "done"
             assert outcome.reject_log == [
@@ -204,7 +210,7 @@ class TestWrongStageRejection:
             ]
 
     def test_root_cause_code_in_poc_stage_reproduces(self, tmp_path):
-        entries = scenarios._prxvt_script_entries()
+        entries = load_script_entries(PRXVT_CASE)
         entries["poc_validator"].insert(
             0,
             {
@@ -215,7 +221,7 @@ class TestWrongStageRejection:
             },
         )
         entries["poc_reproducer"].append(entries["poc_reproducer"][-1])
-        run = scenarios._PRXVT_RUN_0
+        run = PRXVT_RUN_0
         outcome = _run_prxvt(tmp_path, entries, SimulatedRunner(queue=[run, run]))
         assert outcome.stage == "done"
         assert outcome.reject_log == [
@@ -255,7 +261,7 @@ def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=N
     ``exploit_suffix`` appended, the runner answers ``run``, and the
     validator is scripted to ``validator`` (a Pass by default).  Returns
     the outcome, the recording backend and the counting runner."""
-    entries = scenarios._prxvt_script_entries()
+    entries = load_script_entries(PRXVT_CASE)
     files = entries["poc_reproducer"][0]["files"]
     files["test/Exploit.sol"] += exploit_suffix
     if validator is not None:
@@ -272,7 +278,7 @@ def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=N
     return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), backend, runner
 
 
-_FAILING_RUN = scenarios._PRXVT_RUN_0.replace(
+_FAILING_RUN = PRXVT_RUN_0.replace(
     "[PASS] testExploit()", "[FAIL. Reason: revert: drained] testExploit()"
 )
 
@@ -306,7 +312,7 @@ class TestEngineGate:
             "reject_reasons": ["uses_attacker_designed_values"],
         }
         outcome, backend, _ = _gated_prxvt(
-            tmp_path, scenarios._PRXVT_RUN_0, validator=reject
+            tmp_path, PRXVT_RUN_0, validator=reject
         )
         assert len(backend.sent("poc_validator")) == 1
         verdict = _read(
@@ -327,7 +333,7 @@ class TestEngineGate:
         [
             pytest.param(
                 "\n".join(
-                    line for line in scenarios._PRXVT_RUN_0.splitlines()
+                    line for line in PRXVT_RUN_0.splitlines()
                     if "OBS " not in line
                 ),
                 "",
@@ -338,19 +344,19 @@ class TestEngineGate:
                 _FAILING_RUN, "", ["oracle_validation_failed"], id="run-not-clean"
             ),
             pytest.param(
-                "Compiler run failed\n" + scenarios._PRXVT_RUN_0,
+                "Compiler run failed\n" + PRXVT_RUN_0,
                 "",
                 ["oracle_validation_failed"],
                 id="does-not-compile",
             ),
             pytest.param(
-                scenarios._PRXVT_RUN_0,
+                PRXVT_RUN_0,
                 f"// {scenarios.PRXVT_HELPER}\n",
                 ["uses_attacker_contract"],
                 id="attacker-contract",
             ),
             pytest.param(
-                scenarios._PRXVT_RUN_0,
+                PRXVT_RUN_0,
                 f"// {scenarios.PRXVT_EOA.upper().replace('0X', '0x')}\n",
                 ["uses_attacker_designed_values"],
                 id="attacker-eoa",
@@ -387,11 +393,11 @@ class TestScanBeforeLaunch:
         ids=["attacker-contract", "attacker-eoa"],
     )
     def test_tainted_project_never_reaches_the_runner(self, tmp_path, address, code):
-        exploit = scenarios._prxvt_script_entries()["poc_reproducer"][0]["files"][
+        exploit = load_script_entries(PRXVT_CASE)["poc_reproducer"][0]["files"][
             "test/Exploit.sol"
         ]
         outcome, backend, runner = _gated_prxvt(
-            tmp_path, scenarios._PRXVT_RUN_0, exploit_suffix=f"// {address}\n"
+            tmp_path, PRXVT_RUN_0, exploit_suffix=f"// {address}\n"
         )
         assert runner.launches == 0
         assert backend.sent("poc_validator") == []
@@ -465,10 +471,10 @@ class TestSessionMemo:
     def test_two_sessions_each_fetch_their_seed(self, tmp_path):
         bundle = scenarios.build_prxvt_case(tmp_path / "case")
         entries = {
-            role: docs * 2 for role, docs in scenarios._prxvt_script_entries().items()
+            role: docs * 2 for role, docs in load_script_entries(PRXVT_CASE).items()
         }
         adapter = _CountingAdapter(bundle.adapter())
-        run = scenarios._PRXVT_RUN_0
+        run = PRXVT_RUN_0
         orch = Orchestrator(
             backend=ScriptedBackend(entries),
             adapter=adapter,
@@ -585,8 +591,8 @@ class TestFailClosed:
         monkeypatch.setattr(oracles, "normalize_definition", broken)
         outcome = _run_prxvt(
             tmp_path,
-            scenarios._prxvt_script_entries(),
-            SimulatedRunner(queue=[scenarios._PRXVT_RUN_0]),
+            load_script_entries(PRXVT_CASE),
+            SimulatedRunner(queue=[PRXVT_RUN_0]),
         )
         _assert_failed_closed(outcome, "poc: OracleError: cannot normalize")
 
@@ -613,16 +619,16 @@ class TestFailClosed:
         _assert_collection_dirs_summarised(outcome.session.root, outcome.collection_runs_total)
 
     def test_runner_runtime_error(self, tmp_path):
-        outcome = _run_prxvt(tmp_path, scenarios._prxvt_script_entries(), _RaisingRunner())
+        outcome = _run_prxvt(tmp_path, load_script_entries(PRXVT_CASE), _RaisingRunner())
         _assert_failed_closed(outcome, "poc: RuntimeError: runner crashed")
 
 
 class TestBackendFailure:
     def test_exhausted_script_ends_the_session_failed(self, tmp_path):
-        entries = scenarios._prxvt_script_entries()
+        entries = load_script_entries(PRXVT_CASE)
         entries["root_cause_analyzer"] = entries["root_cause_analyzer"][:1]
         outcome = _run_prxvt(
-            tmp_path, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+            tmp_path, entries, SimulatedRunner(queue=[PRXVT_RUN_0])
         )
         persisted = _read(outcome.session.root, workspace.SESSION_SUMMARY)
         assert persisted == outcome.summary_doc()
@@ -637,10 +643,10 @@ class TestBackendFailure:
     def test_a_raising_turn_leaves_no_empty_iteration_dir(
         self, tmp_path, role, kept, analyzer_dirs
     ):
-        entries = scenarios._prxvt_script_entries()
+        entries = load_script_entries(PRXVT_CASE)
         entries[role] = entries[role][:kept]
         outcome = _run_prxvt(
-            tmp_path, entries, SimulatedRunner(queue=[scenarios._PRXVT_RUN_0])
+            tmp_path, entries, SimulatedRunner(queue=[PRXVT_RUN_0])
         )
         assert outcome.stage == "failed"
         root = outcome.session.root
@@ -660,7 +666,7 @@ def _recorded_session(tmp_path: Path, name: str):
     stage budget.  Returns the outcome and the backend."""
     if name == "turn-exhaustion":
         bundle = scenarios.build_prxvt_case(tmp_path / "case")
-        entries = scenarios._prxvt_script_entries()
+        entries = load_script_entries(PRXVT_CASE)
         entries[ROLE_CHALLENGER] = [_INVALID_CHALLENGE] * 3
         inner, budgets = ScriptedBackend(entries), Budgets(stage_turns=6)
     else:
@@ -702,21 +708,24 @@ class TestAccounting:
 
 class TestNonActRoute:
     def test_a_non_act_analysis_ends_the_session_before_the_poc_stage(self, tmp_path):
+        # The overlay replaces prxvt's final analysis with a non-ACT one and
+        # holds the golden of the session that ends on it.
         reason = "the drained rewards were never claimable by an unprivileged account"
-        entries = scenarios._prxvt_script_entries()
-        entries[ROLE_ANALYZER][-1]["root_cause"]["act"] = {
-            "is_act": False,
-            "rejection_reason": reason,
-        }
-        runner = _CountingRunner(SimulatedRunner(queue=[scenarios._PRXVT_RUN_0]))
-        outcome = _run_prxvt(tmp_path, entries, runner)
+        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        shutil.copytree(DATA_DIR / "cases" / "prxvt_non_act", bundle.root, dirs_exist_ok=True)
+        runner = _CountingRunner(bundle.runner())
+        orch = Orchestrator(backend=bundle.backend(), adapter=bundle.adapter(), runner=runner)
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
         assert (outcome.stage, outcome.is_act) == ("aborted_non_act", False)
         assert outcome.turns == {"root_cause": 3}
         assert set(outcome.latencies) == {"root_cause", "role:root_cause_analyzer", "session"}
         root = outcome.session.root
         report = (root / workspace.ROOT_CAUSE_REPORT).read_text(encoding="utf-8")
         assert f"- Why not ACT: {reason}" in report
-        assert _read(root, workspace.SESSION_SUMMARY)["poc"]["reproducer_iterations"] == 0
+        summary = _read(root, workspace.SESSION_SUMMARY)
+        assert summary["poc"]["reproducer_iterations"] == 0
+        for key, want in _read(bundle.root, "expected.json")["session"].items():
+            assert summary.get(key) == want, key
         assert not (root / workspace.REPRODUCER_DIR).exists()
         assert runner.launches == 0
 
