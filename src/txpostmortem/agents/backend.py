@@ -8,6 +8,7 @@ call order and is the workhorse of the offline test suite.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import re
@@ -214,7 +215,9 @@ class OpenAIChatBackend:
         self.post = post or self._default_post
         self.temperature = temperature
         self._histories: dict[str, list[dict[str, str]]] = {}
-        self._seq = 0
+        # ``next`` on a count is one step, so threads opening conversations
+        # at once never share an id.
+        self._ids = itertools.count(1)
 
     @staticmethod
     def _default_post(url: str, body: dict[str, Any], headers: dict[str, str]) -> dict[str, Any]:
@@ -225,8 +228,7 @@ class OpenAIChatBackend:
         return response.json()
 
     def open_conversation(self, role: str, system_prompt: str) -> str:
-        self._seq += 1
-        conversation_id = f"{role}#{self._seq}"
+        conversation_id = f"{role}#{next(self._ids)}"
         self._histories[conversation_id] = [{"role": "system", "content": system_prompt}]
         return conversation_id
 

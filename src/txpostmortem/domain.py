@@ -7,7 +7,7 @@ construction time so downstream modules can compare values structurally.
 
 from __future__ import annotations
 
-import string
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Union
@@ -64,7 +64,8 @@ SUPPORTED_CHAINS: frozenset[int] = frozenset(CHAIN_NAMES)
 #: Sentinel asset identifier for the chain's native coin.
 NATIVE_ASSET = "native"
 
-_HEX_DIGITS = frozenset(string.hexdigits)
+#: ASCII hex digits only: ``str.isdigit`` and ``\d`` also take other scripts' digits.
+_HEX_BODY = re.compile(r"[0-9a-fA-F]*")
 
 
 def validate_chain(chainid: int) -> int:
@@ -89,7 +90,7 @@ def _canonical_hex(value: str, nibbles: int, err: type[DomainError], what: str) 
         raise err(f"{what} must be 0x-prefixed: {value!r}")
     if len(body) != nibbles:
         raise err(f"{what} must be 0x plus {nibbles} hex chars, got {len(body)}: {value!r}")
-    if not all(c in _HEX_DIGITS for c in body):
+    if not _HEX_BODY.fullmatch(body):
         raise err(f"{what} contains non-hex characters: {value!r}")
     return "0x" + body.lower()
 

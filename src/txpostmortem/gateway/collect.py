@@ -6,14 +6,17 @@ collection summaries.  Per-request failures never abort a batch; only a
 missing seed artifact is fatal to the seed bootstrap.
 
 The requests of one batch are independent, so ``fetch_many`` waits on all
-of them at once on the process's one fetch pool, whose threads are started
-as needed and kept for later batches.  A batch runs as lanes, at most
-``FETCH_WORKERS`` per chain, each taking its chain's next request until
-none is left: a batch probing every chain for a hash is one wave, and a
-batch on one chain keeps ``FETCH_WORKERS`` in flight.  Only the waiting
-overlaps: artifact names, workspace writes, summary records and
-diagnostics are made on the calling thread in request order, so a batch
-lands the same bytes however its answers interleave.
+of them at once.  A batch runs as lanes, at most ``FETCH_WORKERS`` per
+chain, each taking its chain's next request until none is left: a batch
+probing every chain for a hash is one wave, and a batch on one chain keeps
+``FETCH_WORKERS`` in flight.  The calling thread runs one lane itself and
+hands each other lane, as one item on a queue, to the process's one fetch
+pool, whose threads are started only when no idle one is left and are kept
+for later batches; it then waits on one countdown of the handed lanes, with
+no future per lane.  Only the waiting overlaps: artifact names, workspace
+writes, summary records and diagnostics are made on the calling thread in
+request order, so a batch lands the same bytes however its answers
+interleave.
 
 A session fetches through one ``SessionMemo``, so a request it repeats is
 answered from the payload it already holds, and still lands as a file of
@@ -26,10 +29,10 @@ import logging
 import re
 import threading
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from queue import SimpleQueue
+from typing import Any, Callable, Sequence
 
 from .. import workspace
 from ..domain import SUPPORTED_CHAINS, DomainError, TxHash
@@ -52,12 +55,76 @@ _SEED_FILENAMES = {
 #: that is, on one RPC endpoint.
 FETCH_WORKERS = 8
 
-#: The process's fetch threads, shared by every ``fetch_many`` call: enough
-#: for a full set of lanes on every chain, started only when no idle one is
-#: left, and kept for later batches.
-_POOL = ThreadPoolExecutor(
-    max_workers=FETCH_WORKERS * len(SUPPORTED_CHAINS), thread_name_prefix="fetch"
-)
+
+class _FetchPool:
+    """The process's fetch threads, shared by every ``fetch_many`` call.
+
+    ``run`` hands each lane but the first to the threads as one item on a
+    ``SimpleQueue``, runs the first on the calling thread, then waits for a
+    countdown of the handed lanes.  A thread is started only when the queue
+    holds more lanes than idle threads wait for, and at most ``max_threads``
+    are ever started; a thread whose lane has returned waits for the next.
+    They are daemon threads: between calls they only wait on the queue, so
+    they never hold up the interpreter's exit.
+    """
+
+    def __init__(self, max_threads: int):
+        self.max_threads = max_threads
+        self._lanes: SimpleQueue[tuple[Callable[[Any], None], Any, _Countdown]] = SimpleQueue()
+        #: Guards the counts below and every countdown.
+        self._lock = threading.Lock()
+        self._threads = 0
+        #: Idle threads less the lanes queued for them; below zero, lanes
+        #: wait for a thread.
+        self._spare = 0
+
+    def run(self, lane: Callable[[Any], None], args: Sequence[Any]) -> None:
+        """Call ``lane``, which must not raise, on each of ``args``; return
+        once every call has returned."""
+        if not args:
+            return
+        handed = args[1:]
+        countdown = _Countdown(len(handed))
+        with self._lock:
+            self._spare -= len(handed)
+            start = max(0, min(-self._spare, self.max_threads - self._threads))
+            numbers = range(self._threads, self._threads + start)
+            self._threads += start
+            self._spare += start
+        for arg in handed:
+            self._lanes.put((lane, arg, countdown))
+        for n in numbers:
+            threading.Thread(target=self._serve, name=f"fetch_{n}", daemon=True).start()
+        lane(args[0])
+        if handed:
+            countdown.done.acquire()
+
+    def _serve(self) -> None:
+        while True:
+            self._finish(*self._lanes.get())
+
+    def _finish(self, lane: Callable[[Any], None], arg: Any, countdown: _Countdown) -> None:
+        lane(arg)
+        with self._lock:
+            # Idle before the caller wakes, so its next batch reuses this thread.
+            self._spare += 1
+            countdown.pending -= 1
+            last = not countdown.pending
+        if last:
+            countdown.done.release()
+
+
+class _Countdown:
+    """Lanes of one ``run`` still out; ``done`` is released when none is."""
+
+    def __init__(self, pending: int):
+        self.pending = pending
+        self.done = threading.Lock()
+        self.done.acquire()
+
+
+#: Enough threads for a full set of lanes on every chain.
+_POOL = _FetchPool(FETCH_WORKERS * len(SUPPORTED_CHAINS))
 
 #: Longest digest of the seed context, and longest line in it, in characters.
 SEED_DIGEST_CHARS = 4000
@@ -76,9 +143,11 @@ def fetch_many(
 ) -> list[dict[str, Any] | GatewayError]:
     """Fetch every request, with up to ``FETCH_WORKERS`` in flight per chain.
 
-    Each chain gets ``min(FETCH_WORKERS, n)`` lanes on the shared pool for
-    its ``n`` requests, and each lane fetches its chain's next request until
-    none is left, so no lane ever waits for another.  Each chain's JSON-RPC
+    Each chain gets ``min(FETCH_WORKERS, n)`` lanes for its ``n``
+    requests, and each lane fetches its chain's next request until none is
+    left, so no lane ever waits for another.  The calling thread runs the
+    first lane and the shared pool the others, so a batch of one lane, such
+    as a single request, starts and wakes no thread.  Each chain's JSON-RPC
     endpoint is its own, so the cap is per endpoint and requests on
     different chains never wait for each other's lanes.  Explorer requests
     (``txlist``, ``contract_meta``) share one endpoint, ``EXPLORER_API_URL``,
@@ -92,43 +161,35 @@ def fetch_many(
     results into a reference cycle.  Any other exception stops every lane
     from starting another fetch; once all lanes have returned, the first
     such exception in request order propagates, so no fetch outlives the
-    call.  A batch of at most one request runs inline.
+    call.
     """
-
-    def fetch_one(request: DataRequest) -> dict[str, Any] | GatewayError:
-        try:
-            return adapter.fetch(request)
-        except GatewayError as exc:
-            return exc.with_traceback(None)
-
-    if len(requests) <= 1:
-        return [fetch_one(request) for request in requests]
     results: list[Any] = [None] * len(requests)
     errors: dict[int, BaseException] = {}
-    stop = threading.Event()
     per_chain: dict[int, deque[int]] = {}
     for index, request in enumerate(requests):
         per_chain.setdefault(request.chainid, deque()).append(index)
 
     def lane(indices: deque[int]) -> None:
-        while not stop.is_set():
+        while not errors:
             try:
                 index = indices.popleft()
             except IndexError:
                 return
             try:
-                results[index] = fetch_one(requests[index])
+                results[index] = adapter.fetch(requests[index])
+            except GatewayError as exc:
+                results[index] = exc.with_traceback(None)
             except BaseException as exc:
                 # Raised again on the calling thread once every lane is done.
                 errors[index] = exc
-                stop.set()
 
-    wait(
+    _POOL.run(
+        lane,
         [
-            _POOL.submit(lane, indices)
+            indices
             for indices in per_chain.values()
             for _ in range(min(FETCH_WORKERS, len(indices)))
-        ]
+        ],
     )
     if errors:
         raise errors[min(errors)]

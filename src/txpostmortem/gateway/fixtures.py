@@ -2,14 +2,16 @@
 
 Fixture identity is a stable hash over the request's semantic fields (kind,
 chain, normalized target, block window, extras), so the same logical request
-replays to byte-identical payloads regardless of who issued it or when.
+replays to byte-identical payloads regardless of who issued it or when.  A
+request computes its key once, however many layers ask for it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
+import os
+import threading
 from pathlib import Path
 from typing import Any
 
@@ -20,58 +22,87 @@ logger = logging.getLogger(__name__)
 
 
 def fixture_key(request: DataRequest) -> str:
-    """Stable content key for a request, independent of reason/out_path."""
-    identity = {
-        "kind": request.kind,
-        "chainid": request.chainid,
-        "target": request.normalized_target(),
-        "block_lo": request.block_lo,
-        "block_hi": request.block_hi,
-        "extra": request.extra,
-    }
-    blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
-    return f"{request.kind}_{request.chainid}_{digest}"
+    """Stable content key for a request, independent of reason/out_path.
+
+    The request hashes its fields once and keeps the key (``DataRequest.key``).
+    """
+    return request.key
+
+
+def _json_file_stems(root: Path) -> set[str]:
+    """Stems of the ``*.json`` names in ``root`` that ``Path.is_file`` accepts."""
+    try:
+        with os.scandir(root) as entries:
+            return {
+                entry.name[: -len(".json")]
+                for entry in entries
+                if entry.name.endswith(".json") and entry.is_file()
+            }
+    except (FileNotFoundError, NotADirectoryError):
+        return set()
 
 
 class FixtureStore:
-    """Directory of recorded payloads, one JSON file per fixture key."""
+    """Directory of recorded payloads, one JSON file per fixture key.
+
+    The store lists the names of its directory's files once, on its first
+    lookup, and its own ``save`` adds to that listing.  So a miss costs no
+    system call and a hit opens its file once.  A store does not see files
+    that another writer adds to the directory after its first lookup: make
+    a new store to see them.
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        #: Keys of the files in ``root``, listed on the first lookup.
+        self._keys: set[str] | None = None
+        self._lock = threading.Lock()
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
+    def _listing(self) -> set[str]:
+        if self._keys is None:
+            with self._lock:
+                if self._keys is None:
+                    self._keys = _json_file_stems(self.root)
+        return self._keys
+
     def has(self, request: DataRequest) -> bool:
-        return self.path_for(fixture_key(request)).is_file()
+        return fixture_key(request) in self._listing()
 
     def load(self, request: DataRequest) -> dict[str, Any]:
         key = fixture_key(request)
-        path = self.path_for(key)
-        if not path.is_file():
-            raise MissingFixture(
-                f"no fixture for {request.kind} {request.target} on chain "
-                f"{request.chainid} (key {key})"
-            )
-        with path.open("r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-        return doc["payload"]
+        if key in self._listing():
+            try:
+                handle = self.path_for(key).open("r", encoding="utf-8")
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                pass  # gone or replaced since the listing: a miss
+            else:
+                with handle:
+                    return json.load(handle)["payload"]
+        raise MissingFixture(
+            f"no fixture for {request.kind} {request.target} on chain "
+            f"{request.chainid} (key {key})"
+        )
 
     def save(self, request: DataRequest, payload: dict[str, Any]) -> Path:
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(fixture_key(request))
+        key = fixture_key(request)
+        path = self.path_for(key)
         doc = {"request": request.to_doc(), "payload": payload}
         path.write_text(
             json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+        # After the write, so that a listing made meanwhile holds the key too.
+        with self._lock:
+            if self._keys is not None:
+                self._keys.add(key)
         return path
 
     def keys(self) -> list[str]:
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.json"))
+        return sorted(self._listing())
 
 
 class ReplayAdapter:

@@ -7,6 +7,8 @@ exist so analysis code never touches loose dicts.
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -25,6 +27,30 @@ class DataRequest:
     reason: str = ""
     out_path: Optional[str] = None
     extra: dict[str, Any] = field(default_factory=dict)
+    _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def key(self) -> str:
+        """Stable content key, independent of ``reason`` and ``out_path``.
+
+        Hashed over the semantic fields (kind, chain, normalized target,
+        block window, extras) by the first caller and kept on the request,
+        so ``extra`` must not change once the key has been read.  A request
+        whose ``extra`` is not JSON fails here, at fetch time, every time.
+        """
+        if self._key is None:
+            identity = {
+                "kind": self.kind,
+                "chainid": self.chainid,
+                "target": self.normalized_target(),
+                "block_lo": self.block_lo,
+                "block_hi": self.block_hi,
+                "extra": self.extra,
+            }
+            blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_key", f"{self.kind}_{self.chainid}_{digest}")
+        return self._key
 
     def normalized_target(self) -> str:
         target = self.target.strip()

@@ -522,12 +522,16 @@ def create_session(
     stamp = created.strftime("%Y%m%dT%H%M%SZ")
     prefix = seed.primary.value[2:10]
     session_id = f"{stamp}_{prefix}"
-    root = base / session_id
     bump = 0
-    while root.exists():
-        bump += 1
-        session_id = f"{stamp}_{prefix}-{bump}"
+    # Claimed by the mkdir itself, so concurrent sessions never share one.
+    while True:
         root = base / session_id
+        try:
+            root.mkdir(parents=True)
+            break
+        except FileExistsError:
+            bump += 1
+            session_id = f"{stamp}_{prefix}-{bump}"
     for sub in (SEED_DIR, POC_STAGE_DIR, EVALUATION_DIR):
         (root / sub).mkdir(parents=True, exist_ok=True)
     session = Session(session_id=session_id, root=root, seed=seed, created_at=created)

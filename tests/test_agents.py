@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 from string import Template
 
 import pytest
@@ -230,6 +232,28 @@ class TestOpenAIChatBackend:
         conv = backend.open_conversation("analyst", "p")
         with pytest.raises(BackendError):
             backend.step(conv, "go")
+
+    def test_concurrent_conversations_get_distinct_ids(self):
+        backend, _ = self._backend([])
+        opened: list[list[str]] = [[] for _ in range(8)]
+
+        def open_many(k):
+            for _ in range(50):
+                opened[k].append(backend.open_conversation("analyst", "p"))
+
+        threads = [threading.Thread(target=open_many, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        ids = [conversation for ids in opened for conversation in ids]
+        assert len(ids) == len(set(ids)) == 400
 
     def test_unknown_conversation(self):
         backend, _ = self._backend([])

@@ -61,6 +61,15 @@ class TestHexValues:
         with pytest.raises(InvalidTxHash):
             TxHash(raw)
 
+    @pytest.mark.parametrize(
+        "digit", ["\u0663", "\uff41", "\uff11"], ids=["arabic-indic-3", "fullwidth-a", "fullwidth-1"]
+    )
+    def test_non_ascii_digits_are_rejected(self, digit: str):
+        with pytest.raises(InvalidTxHash, match="transaction hash contains non-hex characters"):
+            TxHash("0x" + digit + "a" * 63)
+        with pytest.raises(InvalidAddress, match="address contains non-hex characters"):
+            Address("0x" + "a" * 39 + digit)
+
     def test_txhash_rejects_non_string(self):
         with pytest.raises(InvalidTxHash):
             TxHash(123)  # type: ignore[arg-type]

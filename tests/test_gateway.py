@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import builtins
+import hashlib
+import io
 import itertools
 import json
+import os
 import sys
 import threading
 import time
@@ -136,6 +140,47 @@ class TestFixtureStore:
             with pytest.raises(MissingFixture, match=f"key {key}"):
                 store.load(request)
         assert calls == [request]
+
+    @pytest.mark.parametrize("listed", [False, True], ids=["before-listing", "after-listing"])
+    def test_a_directory_named_like_a_fixture_is_a_miss(self, tmp_path, listed):
+        store = FixtureStore(tmp_path)
+        key = fixture_key(_request())
+        if listed:
+            store.save(_request(), {"root": {}})
+            store.load(_request())
+            store.path_for(key).unlink()
+        store.path_for(key).mkdir()
+        with pytest.raises(MissingFixture, match=f"key {key}"):
+            store.load(_request())
+
+    def test_a_store_sees_its_own_save_after_a_load(self, tmp_path):
+        store = FixtureStore(tmp_path / "fresh")
+        with pytest.raises(MissingFixture):
+            store.load(_request())
+        store.save(_request(), {"root": {"x": 1}})
+        assert store.has(_request())
+        assert store.load(_request()) == {"root": {"x": 1}}
+        assert store.keys() == [fixture_key(_request())]
+
+    def test_a_miss_makes_no_system_call_and_a_hit_one_open(self, tmp_path, monkeypatch):
+        store = FixtureStore(tmp_path)
+        store.save(_request(), {"root": {}})
+        store.load(_request())
+        calls = []
+        for module, name in [
+            (os, "stat"), (os, "lstat"), (os, "open"), (os, "scandir"), (os, "listdir"),
+            (io, "open"), (builtins, "open"),
+        ]:
+            def counting(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        with pytest.raises(MissingFixture):
+            store.load(_request(kind="tx_metadata"))
+        assert calls == []
+        assert store.load(_request()) == {"root": {}}
+        assert calls == ["open"]
 
     def test_files_are_byte_stable(self, tmp_path):
         request = _request()
@@ -566,6 +611,42 @@ class TestSessionMemo:
         assert payload == {"target": TX, "window": None}
         assert fetch_many(memo, [request]) == [payload]
         assert inner.calls == 2
+
+
+class TestOneKeyPerRequest:
+    """Each request is hashed once, however many layers key it."""
+
+    @pytest.mark.parametrize("inner", ["replay", "record"])
+    def test_a_memoised_fetch_hashes_each_request_once(self, tmp_path, monkeypatch, inner):
+        store = FixtureStore(tmp_path)
+        hit, miss = _request(), _request(kind="tx_metadata")
+        if inner == "replay":
+            store.save(_request(), {"root": {}})
+            adapter = ReplayAdapter(store)
+        else:
+            adapter = RecordingAdapter(_StubAdapter(), store)
+        hashes = []
+        sha256 = hashlib.sha256
+
+        def counting_sha256(*args):
+            hashes.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        payloads = fetch_many(SessionMemo(adapter), [hit, miss])
+        assert len(hashes) == 2
+        if inner == "replay":
+            assert payloads[0] == {"root": {}}
+            assert isinstance(payloads[1], MissingFixture)
+        else:
+            assert store.keys() == sorted([fixture_key(hit), fixture_key(miss)])
+
+    def test_an_unserialisable_extra_fails_at_fetch_time(self, tmp_path):
+        request = _request(extra={"slot": object()})
+        with pytest.raises(TypeError):
+            ReplayAdapter(FixtureStore(tmp_path)).fetch(request)
+        with pytest.raises(TypeError):
+            fixture_key(request)
 
 
 class TestTypedFetchers:

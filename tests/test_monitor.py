@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 import pytest
 
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from txpostmortem.gateway import FETCH_WORKERS, LiveAdapter, MissingFixture, fetch_many
+from txpostmortem.gateway import FETCH_WORKERS, LiveAdapter, MissingFixture, collect, fetch_many
 from txpostmortem.gateway.types import DataRequest
 from txpostmortem.monitor import (
     DEFAULT_PROBE_ORDER,
@@ -217,6 +217,33 @@ class TestConcurrentProbes:
         assert len(adapter.calls) == n
         assert sum(not isinstance(p, MissingFixture) for p in payloads) == 1
         assert started == []
+
+    @pytest.mark.parametrize("n", [1, 2, FETCH_WORKERS])
+    def test_the_caller_runs_one_lane_and_the_pool_the_rest(self, monkeypatch, n):
+        # A pool of its own, so that no idle thread of an earlier test is reused.
+        monkeypatch.setattr(
+            collect, "_POOL", collect._FetchPool(FETCH_WORKERS * len(SUPPORTED_CHAINS))
+        )
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        callers = []
+
+        class CallerNoting(_PeakAdapter):
+            def wait(self, request):
+                callers.append(threading.current_thread() is threading.main_thread())
+                super().wait(request)
+
+        adapter = CallerNoting({TX.value: {HOME}}, parties=n)
+        payloads = fetch_many(adapter, _probes([HOME] * n))
+        assert payloads == [{"txhash": TX.value, "chainid": HOME}] * n
+        assert len(started) == n - 1
+        assert sorted(callers) == [False] * (n - 1) + [True]
 
     def test_concurrent_calls_share_the_pool(self):
         requests = _probes(DEFAULT_PROBE_ORDER, _hashes(5))

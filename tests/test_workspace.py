@@ -1,7 +1,11 @@
 """The session path guard: every artifact read and write stays inside the
-session directory."""
+session directory; concurrent sessions each claim a directory of their own."""
 
 from __future__ import annotations
+
+import sys
+import threading
+from datetime import datetime, timezone
 
 import pytest
 
@@ -55,3 +59,39 @@ class TestResolveInside:
             workspace.write_artifact(session, f"artifacts/{n}.json", {})
         # One resolution per candidate path; none for the root.
         assert len(resolved) == 3
+
+
+class TestCreateSession:
+    NOW = datetime(2025, 1, 1, tzinfo=timezone.utc)
+
+    def test_serial_sessions_bump_the_id(self, tmp_path):
+        seed = SeedRef.from_strings(1, [TX])
+        ids = [
+            workspace.create_session(tmp_path, seed, now=self.NOW).session_id
+            for _ in range(3)
+        ]
+        assert ids == ["20250101T000000Z_abababab" + suffix for suffix in ("", "-1", "-2")]
+
+    def test_concurrent_sessions_never_share_a_directory(self, tmp_path):
+        seed = SeedRef.from_strings(1, [TX])
+        barrier = threading.Barrier(8, timeout=5)
+        sessions = []
+
+        def create():
+            barrier.wait()
+            sessions.append(workspace.create_session(tmp_path, seed, now=self.NOW))
+
+        threads = [threading.Thread(target=create) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len({s.session_id for s in sessions}) == 8
+        assert len({s.root for s in sessions}) == 8
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(s.session_id for s in sessions)
