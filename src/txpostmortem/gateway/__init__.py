@@ -15,6 +15,7 @@ from .collect import (
     FETCH_WORKERS,
     SEED_ARTIFACT_KINDS,
     SessionMemo,
+    adapter_memo,
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
@@ -53,6 +54,7 @@ __all__ = [
     "TxRecord",
     "UnsupportedRequest",
     "UpstreamError",
+    "adapter_memo",
     "disassemble",
     "execute_data_requests",
     "fetch_many",

@@ -13,7 +13,6 @@ import logging
 import string
 import threading
 from collections import OrderedDict
-from concurrent.futures import Future
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Optional, Protocol, TypeVar
@@ -62,8 +61,33 @@ class ChainAdapter(Protocol):
         fetches on the threads of the process's shared fetch pool.  An
         adapter must not call ``fetch_many`` itself, since its lanes would
         wait for threads that its own caller's lanes may be holding.
+
+        An adapter must be weakly referenceable and hashed by identity (the
+        default for a class without ``__slots__``, ``__eq__`` or
+        ``__hash__``): ``adapter_memo`` keeps payloads per adapter object,
+        in a table that drops them with the adapter.
         """
         ...
+
+
+class _Pending:
+    """A key whose first call is still running.
+
+    ``gate`` is made, held, only when a second caller arrives.  The first
+    caller then leaves its result or failure here and releases the gate,
+    and each waiter releases it again for the next.  With no waiter the
+    outcome is not left here, so a failure ties no traceback to it.
+    """
+
+    __slots__ = ("gate", "result", "error")
+
+    def __init__(self) -> None:
+        self.gate: Optional[threading.Lock] = None
+        self.result: Any = None
+        self.error: Optional[BaseException] = None
+
+
+_ABSENT = object()
 
 
 class SharedResults:
@@ -73,30 +97,58 @@ class SharedResults:
     call.  A failure goes to the callers already waiting and is not kept, so
     the next caller computes again.  With ``maxsize`` the oldest keys are
     dropped first.  Safe to use from several threads at once.
+
+    A key holds its result, or a ``_Pending`` while its first call runs, so
+    a lookup with no one to wait for makes no lock, event or future.
     """
 
     def __init__(self, maxsize: Optional[int] = None):
         self.maxsize = maxsize
-        self._futures: OrderedDict[Hashable, Future] = OrderedDict()
+        self._entries: OrderedDict[Hashable, Any] = OrderedDict()
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], T]) -> T:
         with self._lock:
-            future = self._futures.get(key)
-            owner = future is None
-            if owner:
-                future = self._futures[key] = Future()
-                if self.maxsize is not None and len(self._futures) > self.maxsize:
-                    self._futures.popitem(last=False)
-        if owner:
-            try:
-                future.set_result(compute())
-            except BaseException as exc:
-                with self._lock:
-                    if self._futures.get(key) is future:
-                        del self._futures[key]
-                future.set_exception(exc)
-        return future.result()
+            entry = self._entries.get(key, _ABSENT)
+            if entry is _ABSENT:
+                pending = self._entries[key] = _Pending()
+                if self.maxsize is not None and len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+            elif type(entry) is not _Pending:
+                return entry
+            elif entry.gate is None:
+                entry.gate = threading.Lock()
+                entry.gate.acquire()
+        if entry is not _ABSENT:
+            # Made before the lock was let go, so the first caller sees it.
+            entry.gate.acquire()
+            entry.gate.release()
+            if entry.error is not None:
+                raise entry.error
+            return entry.result
+        try:
+            result = compute()
+        except BaseException as exc:
+            self._settle(key, pending, None, exc)
+            raise
+        self._settle(key, pending, result, None)
+        return result
+
+    def _settle(
+        self, key: Hashable, pending: _Pending, result: Any, error: Optional[BaseException]
+    ) -> None:
+        """Replace ``pending`` by its result, or drop it on failure, then
+        let its waiters read the outcome.  Once ``pending`` has left the
+        table no caller can make a gate for it, so ``gate`` is final here."""
+        with self._lock:
+            if self._entries.get(key) is pending:
+                if error is None:
+                    self._entries[key] = result
+                else:
+                    del self._entries[key]
+        if pending.gate is not None:
+            pending.result, pending.error = result, error
+            pending.gate.release()
 
 
 def load_rpc_map(path: str | Path | None = None) -> dict[int, str]:

@@ -20,7 +20,10 @@ interleave.
 
 A session fetches through one ``SessionMemo``, so a request it repeats is
 answered from the payload it already holds, and still lands as a file of
-its own batch.
+its own batch.  Outside a session, ``adapter_memo`` gives a ``SessionMemo``
+whose payloads belong to the adapter object itself and are dropped with
+it: the monitor's probe wave fetches through it, and so does the lifecycle
+miner's seed lookup, which is then answered from the wave's payload.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
+import weakref
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,14 +207,40 @@ class SessionMemo:
     lives, one postmortem session, and hands the same payload to every later
     request for that key; a request made while the first is in flight waits
     for it.  A failure is not kept, so a later batch asks the adapter again.
+    Given ``payloads``, it keeps them there instead, as ``adapter_memo``
+    does with the table of its adapter.
     """
 
-    def __init__(self, adapter: ChainAdapter):
+    def __init__(self, adapter: ChainAdapter, payloads: SharedResults | None = None):
         self.adapter = adapter
-        self._payloads = SharedResults()
+        self._payloads = SharedResults() if payloads is None else payloads
 
     def fetch(self, request: DataRequest) -> dict[str, Any]:
         return self._payloads.get(fixture_key(request), lambda: self.adapter.fetch(request))
+
+
+#: Payloads by adapter, for ``adapter_memo``.  A value must not refer to its
+#: adapter, or the entry would never be dropped.
+_ADAPTER_PAYLOADS: weakref.WeakKeyDictionary[Any, SharedResults] = weakref.WeakKeyDictionary()
+_ADAPTER_PAYLOADS_LOCK = threading.Lock()
+
+
+def adapter_memo(adapter: ChainAdapter) -> SessionMemo:
+    """A ``SessionMemo`` over ``adapter`` whose payloads live as long as it.
+
+    Every memo made for one adapter object shares one table, which is
+    dropped with the adapter.  A ``SessionMemo`` is returned unchanged, so
+    code running inside a session fetches through the session's memo.  Use
+    it only for data that cannot change once it exists, such as what a
+    transaction hash addresses.
+    """
+    if isinstance(adapter, SessionMemo):
+        return adapter
+    with _ADAPTER_PAYLOADS_LOCK:
+        payloads = _ADAPTER_PAYLOADS.get(adapter)
+        if payloads is None:
+            payloads = _ADAPTER_PAYLOADS[adapter] = SharedResults()
+    return SessionMemo(adapter, payloads)
 
 
 @dataclass

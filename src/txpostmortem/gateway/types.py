@@ -14,6 +14,10 @@ from typing import Any, Optional
 
 from ..domain import Address, TxHash
 
+#: Encodes a request's identity for its key; made once, where ``json.dumps``
+#: with these options would build an encoder per call.
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
 
 @dataclass(frozen=True)
 class DataRequest:
@@ -47,7 +51,7 @@ class DataRequest:
                 "block_hi": self.block_hi,
                 "extra": self.extra,
             }
-            blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+            blob = _KEY_ENCODER.encode(identity)
             digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
             object.__setattr__(self, "_key", f"{self.kind}_{self.chainid}_{digest}")
         return self._key

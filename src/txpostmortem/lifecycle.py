@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .domain import Address, TxHash
-from .gateway import ChainAdapter, fetch_tx_metadata, fetch_txlists
+from .gateway import ChainAdapter, adapter_memo, fetch_tx_metadata, fetch_txlists
 from .gateway.types import BalanceDelta, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
@@ -189,7 +189,17 @@ def classify_phases(
     universe = sorted(records, key=TxRecord.order_key)
     if clusters is None:
         clusters = cluster_records(universe)
-    qualifying = exploit_clusters(clusters, seed, participants)
+    return _phases(universe, seed, participants, exploit_clusters(clusters, seed, participants))
+
+
+def _phases(
+    universe: list[TxRecord],
+    seed: TxHash,
+    participants: ParticipantSet,
+    qualifying: list[TxCluster],
+) -> dict[TxHash, str]:
+    """``classify_phases`` over a sorted universe whose qualifying exploit
+    clusters are known; the phases come in universe order."""
     exploit_hashes: set[TxHash] = set()
     for cluster in qualifying:
         exploit_hashes |= cluster.hashes()
@@ -264,12 +274,18 @@ class _CoverageRequirements:
 def coverage_requirements(
     records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
 ) -> _CoverageRequirements:
-    universe = sorted(records, key=TxRecord.order_key)
+    return _requirements(sorted(records, key=TxRecord.order_key), seed, participants)[0]
+
+
+def _requirements(
+    universe: list[TxRecord], seed: TxHash, participants: ParticipantSet
+) -> tuple[_CoverageRequirements, dict[TxHash, str]]:
+    """``coverage_requirements`` of a sorted universe, with the phases
+    (in universe order) that its pools come from."""
     if not any(r.txhash == seed for r in universe):
         raise MinerError(f"seed transaction {seed} not present in mined window")
-    clusters = cluster_records(universe)
-    qualifying = exploit_clusters(clusters, seed, participants)
-    phases = classify_phases(universe, seed, participants, clusters)
+    qualifying = exploit_clusters(cluster_records(universe), seed, participants)
+    phases = _phases(universe, seed, participants, qualifying)
     endpoints = tuple(
         frozenset({c.first.txhash, c.last.txhash}) for c in qualifying
     )
@@ -278,7 +294,8 @@ def coverage_requirements(
         pool = frozenset(h for h, p in phases.items() if p == phase)
         if pool:
             pools[phase] = pool
-    return _CoverageRequirements(seed=seed, cluster_endpoints=endpoints, phase_pools=pools)
+    req = _CoverageRequirements(seed=seed, cluster_endpoints=endpoints, phase_pools=pools)
+    return req, phases
 
 
 def covers(
@@ -309,10 +326,7 @@ def select_covering_set(
     so dropping any one of them breaks coverage.
     """
     universe = sorted(records, key=TxRecord.order_key)
-    req = coverage_requirements(universe, seed, participants)
-    clusters = cluster_records(universe)
-    phases = classify_phases(universe, seed, participants, clusters)
-    by_hash = {r.txhash: r for r in universe}
+    req, phases = _requirements(universe, seed, participants)
 
     chosen: set[TxHash] = {seed}
     for endpoints in req.cluster_endpoints:
@@ -321,7 +335,7 @@ def select_covering_set(
         if chosen & pool:
             # The seed may sit inside a phase pool; it already witnesses it.
             continue
-        members = sorted(pool, key=lambda h: by_hash[h].order_key())
+        members = [h for h, p in phases.items() if p == phase]  # block order
         chosen.add(members[-1] if phase == "exit" else members[0])
 
     entries = tuple(
@@ -344,11 +358,16 @@ def mine_lifecycle(
 ) -> tuple[LifecycleSet, list[TxRecord]]:
     """Fetch adversary transaction lists around the seed and select the set.
 
-    The lists are fetched concurrently once the seed's block is known, and
-    merged in sorted-account order, so the first account to list a
-    transaction supplies its record.
+    The seed's block comes from its ``tx_metadata``, fetched through
+    ``adapter_memo(adapter)``: after ``monitor.resolve_chains`` on the same
+    adapter it is the payload the probe wave found, read from memory, and
+    given a ``SessionMemo`` it comes through that memo.  The lists are fetched
+    concurrently once the seed's block is known, straight from the adapter
+    since a window may reach past the chain head, and merged in
+    sorted-account order, so the first account to list a transaction
+    supplies its record.
     """
-    metadata = fetch_tx_metadata(adapter, chainid, seed)
+    metadata = fetch_tx_metadata(adapter_memo(adapter), chainid, seed)
     seed_block = metadata.get("block_number", 0)
     lo = max(0, seed_block - DEFAULT_WINDOW)
     hi = seed_block + DEFAULT_WINDOW

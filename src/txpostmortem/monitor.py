@@ -12,7 +12,11 @@ distinct hashes has all its probes in flight at once and costs one round
 trip.  The batch runs as ``min(FETCH_WORKERS, hashes)`` lanes per chain on
 the shared fetch pool, which holds at most ``FETCH_WORKERS ×
 len(SUPPORTED_CHAINS)`` threads per process and reuses them from feed to
-feed.  A hash that several posts repeat is probed once.
+feed.  A hash that several posts repeat is probed once.  The wave fetches
+through ``adapter_memo``, so the payloads it finds are kept for as long as
+the adapter lives: mining a seed's lifecycle afterwards reads the seed's
+metadata from memory.  A probe that found nothing is not kept, so the next
+feed asks again.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequen
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from .gateway import ChainAdapter, DataRequest, GatewayError, fetch_many
+from .gateway import ChainAdapter, DataRequest, GatewayError, adapter_memo, fetch_many
 
 logger = logging.getLogger(__name__)
 
@@ -146,7 +150,11 @@ def resolve_chains(
     ``FETCH_WORKERS`` hashes are all in flight together, as
     ``min(FETCH_WORKERS, hashes)`` lanes per chain on the shared fetch
     pool, capped at ``FETCH_WORKERS × len(SUPPORTED_CHAINS)`` threads per
-    process.
+    process.  The batch goes through ``adapter_memo(adapter)``: each
+    payload found is kept for the adapter's life, as a transaction hash
+    addresses data that does not change once mined, and a later wave or
+    ``lifecycle.mine_lifecycle`` on the same adapter reads it from there.
+    Misses are not kept and are probed again by the next call.
 
     Returns each hash's answer keyed by its value: the one chain that has
     it, or a ``ChainNotFound`` (no chain) or ``AmbiguousChain`` (several,
@@ -160,7 +168,7 @@ def resolve_chains(
         for value in distinct
         for chainid in probe_order
     ]
-    payloads = fetch_many(adapter, requests)
+    payloads = fetch_many(adapter_memo(adapter), requests)
     answers: dict[str, int | MonitorError] = {}
     for k, value in enumerate(distinct):
         probes = payloads[k * len(probe_order) : (k + 1) * len(probe_order)]

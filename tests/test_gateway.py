@@ -23,6 +23,7 @@ from txpostmortem.gateway.base import (
     BootstrapError,
     MissingCredential,
     MissingFixture,
+    SharedResults,
     UnsupportedRequest,
     UpstreamError,
     load_rpc_map,
@@ -611,6 +612,102 @@ class TestSessionMemo:
         assert payload == {"target": TX, "window": None}
         assert fetch_many(memo, [request]) == [payload]
         assert inner.calls == 2
+
+
+class TestSharedResults:
+    def test_waiters_get_the_first_callers_failure_and_it_is_not_kept(self):
+        results = SharedResults()
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def failing():
+            calls.append("failing")
+            started.set()
+            release.wait(5)
+            raise UpstreamError("busy")
+
+        outcomes: list[BaseException] = []
+
+        def call():
+            try:
+                results.get("k", failing)
+            except UpstreamError as exc:
+                outcomes.append(exc)
+
+        first = threading.Thread(target=call)
+        first.start()
+        started.wait(5)
+        waiter = threading.Thread(target=call)
+        waiter.start()
+        # The waiter makes the gate, so once it exists the waiter is bound
+        # to this call.
+        while results._entries["k"].gate is None:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, waiter):
+            thread.join(5)
+        assert calls == ["failing"]
+        assert len(outcomes) == 2 and outcomes[0] is outcomes[1]
+        assert results.get("k", lambda: "again") == "again"
+        assert results.get("k", lambda: "not asked") == "again"
+
+    def test_waiters_get_the_first_callers_result(self):
+        results = SharedResults()
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(5)
+            return ["payload"]
+
+        got = []
+        first = threading.Thread(target=lambda: got.append(results.get("k", slow)))
+        first.start()
+        started.wait(5)
+        waiter = threading.Thread(target=lambda: got.append(results.get("k", list)))
+        waiter.start()
+        while results._entries["k"].gate is None:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, waiter):
+            thread.join(5)
+        assert got == [["payload"]] * 2 and got[0] is got[1]
+
+    def test_maxsize_drops_the_oldest_key_first(self):
+        results = SharedResults(maxsize=2)
+        for key in "abc":
+            results.get(key, lambda key=key: key.upper())
+        assert results.get("c", lambda: "not asked") == "C"
+        assert results.get("a", lambda: "again") == "again"
+        # "a" pushed out "b", the oldest left; "c" and "a" are kept.
+        assert results.get("c", lambda: "not asked") == "C"
+        assert results.get("a", lambda: "not asked") == "again"
+        assert results.get("b", lambda: "again") == "again"
+
+    def test_a_key_dropped_in_flight_still_answers_its_waiters(self):
+        results = SharedResults(maxsize=1)
+        started, release = threading.Event(), threading.Event()
+
+        def slow():
+            started.set()
+            release.wait(5)
+            return "first"
+
+        got = []
+        first = threading.Thread(target=lambda: got.append(results.get("k", slow)))
+        first.start()
+        started.wait(5)
+        waiter = threading.Thread(target=lambda: got.append(results.get("k", str)))
+        waiter.start()
+        while results._entries["k"].gate is None:
+            time.sleep(0.001)
+        assert results.get("other", lambda: "other") == "other"
+        release.set()
+        for thread in (first, waiter):
+            thread.join(5)
+        assert got == ["first", "first"]
+        assert results.get("other", lambda: "not asked") == "other"
+        assert results.get("k", lambda: "again") == "again"
 
 
 class TestOneKeyPerRequest:

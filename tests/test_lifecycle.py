@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import itertools
 import random
+import threading
+from collections import Counter
 
 import pytest
 
-from txpostmortem.domain import Address, TxHash
+from txpostmortem.domain import SUPPORTED_CHAINS, Address, TxHash
 from txpostmortem.gateway.types import BalanceDelta, TraceNode, TxRecord
 from txpostmortem.lifecycle import (
     DEFAULT_WINDOW,
@@ -27,6 +29,7 @@ from txpostmortem.lifecycle import (
     mine_lifecycle,
     select_covering_set,
 )
+from txpostmortem.monitor import resolve_chains
 from txpostmortem.scenarios import (
     PRXVT_ALL_RELEVANT,
     PRXVT_CHAIN,
@@ -326,6 +329,27 @@ class TestBundledIncidents:
         assert len(lifecycle.entries) == brute_force_minimum(
             universe, TxHash(VAL_SEED), VAL_PARTICIPANTS
         )
+
+    def test_mining_after_resolving_reads_the_seed_from_the_probe(self, prxvt_run):
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+                self.calls: Counter[tuple[str, int, str]] = Counter()
+                self._lock = threading.Lock()
+
+            def fetch(self, request):
+                with self._lock:
+                    self.calls[(request.kind, request.chainid, request.target)] += 1
+                return self.inner.fetch(request)
+
+        adapter = Counting(prxvt_run.bundle.adapter())
+        seed = TxHash(PRXVT_SEED)
+        assert resolve_chains([seed], adapter) == {seed.value: PRXVT_CHAIN}
+        lifecycle, _ = mine_lifecycle(adapter, PRXVT_CHAIN, seed, PRXVT_PARTICIPANTS)
+        assert lifecycle.hashes() == [tx for tx, _ in PRXVT_LIFECYCLE]
+        assert adapter.calls[("tx_metadata", PRXVT_CHAIN, seed.value)] == 1
+        metadata = [key for key in adapter.calls.elements() if key[0] == "tx_metadata"]
+        assert len(metadata) == len(SUPPORTED_CHAINS)
 
     def test_window_default_radius(self):
         assert DEFAULT_WINDOW == 5000

@@ -8,13 +8,22 @@ import json
 import sys
 import threading
 import time
+import weakref
 from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
 
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from txpostmortem.gateway import FETCH_WORKERS, LiveAdapter, MissingFixture, collect, fetch_many
+from txpostmortem.gateway import (
+    FETCH_WORKERS,
+    LiveAdapter,
+    MissingFixture,
+    SessionMemo,
+    adapter_memo,
+    collect,
+    fetch_many,
+)
 from txpostmortem.gateway.types import DataRequest
 from txpostmortem.monitor import (
     DEFAULT_PROBE_ORDER,
@@ -364,6 +373,68 @@ class TestResolveOncePerFeed:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+class TestProbePayloadsOutliveTheWave:
+    """A wave's payloads are kept for its adapter's life; its misses are not."""
+
+    def test_a_failed_probe_is_asked_again_by_the_next_wave(self):
+        adapter = _ChainsAdapter({TX.value: {HOME}})
+        answers = resolve_chains([TX, STRAY_TX], adapter)
+        assert answers[TX.value] == HOME
+        assert isinstance(answers[STRAY_TX.value], ChainNotFound)
+        first = adapter.calls[:]
+        assert len(first) == 2 * len(SUPPORTED_CHAINS)
+        # The stray hash turns up: the next wave asks every probe again but
+        # the one that found something.
+        adapter.hosts[STRAY_TX.value] = {SECOND}
+        answers = resolve_chains([TX, STRAY_TX], adapter)
+        assert answers == {TX.value: HOME, STRAY_TX.value: SECOND}
+        again = adapter.calls[len(first):]
+        assert sorted((r.chainid, r.target) for r in again) == sorted(
+            (r.chainid, r.target) for r in first if (r.chainid, r.target) != (HOME, TX.value)
+        )
+
+    def test_the_table_goes_with_the_adapter(self):
+        gc.collect()
+        before = len(collect._ADAPTER_PAYLOADS)
+        adapter = _ChainsAdapter({TX.value: {HOME}})
+        assert resolve_chains([TX], adapter) == {TX.value: HOME}
+        assert len(collect._ADAPTER_PAYLOADS) == before + 1
+        gone = weakref.ref(adapter)
+        del adapter
+        gc.collect()
+        assert gone() is None
+        assert len(collect._ADAPTER_PAYLOADS) == before
+
+    def test_two_concurrent_waves_fetch_each_key_once(self):
+        every_chain = set(SUPPORTED_CHAINS)
+        adapter = _PeakAdapter({TX.value: every_chain, OTHER_TX.value: every_chain})
+        go = threading.Event()
+        answers = [None, None]
+
+        def call(k):
+            go.wait(5)
+            answers[k] = resolve_chains([TX, OTHER_TX], adapter)
+
+        callers = [threading.Thread(target=call, args=(k,)) for k in range(2)]
+        for caller in callers:
+            caller.start()
+        go.set()
+        for caller in callers:
+            caller.join(10)
+        assert not any(caller.is_alive() for caller in callers)
+        probes = Counter((r.chainid, r.target) for r in adapter.calls)
+        assert len(probes) == 2 * len(SUPPORTED_CHAINS)
+        assert set(probes.values()) == {1}
+        for answer in answers:
+            assert [answer[tx.value].matches for tx in (TX, OTHER_TX)] == [
+                list(DEFAULT_PROBE_ORDER)
+            ] * 2
+
+    def test_a_session_memo_is_its_own_adapter_memo(self):
+        memo = SessionMemo(_ChainsAdapter({}))
+        assert adapter_memo(memo) is memo
 
 
 class _RecordingClassifier:
