@@ -6,6 +6,11 @@ as the user message, speaks through a ModelBackend, and must produce a
 document that validates against its output contract.  Malformed output is
 echoed back with the validation errors for another attempt; every attempt
 consumes one turn from the caller's budget.
+
+The contract is the only check of a role's document: its schema in
+``workspace.SCHEMAS`` plus the role's cross-field rules, and for the oracle
+generator the normalized definition's semantic checks.  The orchestrator
+writes what the contract accepted without checking it again.
 """
 
 from __future__ import annotations
@@ -132,10 +137,9 @@ class ChallengeResult:
 
 @dataclass(frozen=True)
 class OracleGenerationResult:
-    doc: dict[str, Any]
+    """The generator's definition, normalized and validated."""
 
-    def definition(self) -> oracles.OracleDefinition:
-        return oracles.OracleDefinition.from_doc(self.doc)
+    definition: oracles.OracleDefinition
 
 
 @dataclass(frozen=True)
@@ -164,19 +168,13 @@ class ValidationResult:
         return list(self.doc.get("reject_reasons", []))
 
 
-_REPRODUCER_SCHEMA = {
-    "object": {
-        "required": {"files": {"map_of": "string"}},
-        "optional": {"notes": "string"},
-    }
-}
-
-
 def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]:
     """Validate a role's document; returns (typed output, error list).
 
     Structural checks come from the workspace schemas; role-specific
-    cross-field rules are enforced here.
+    cross-field rules are enforced here.  The oracle generator's document
+    is parsed and normalized once, and the normalized definition is
+    validated once.
     """
     if role == ROLE_ANALYZER:
         errors = workspace.check_document(doc, workspace.SCHEMAS["analysis_result"])
@@ -198,15 +196,17 @@ def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]
         return (ChallengeResult(doc), errors) if not errors else (None, errors)
     if role == ROLE_ORACLE_GENERATOR:
         errors = workspace.check_document(doc, workspace.SCHEMAS["oracle_definition"])
-        if not errors:
-            try:
-                definition = oracles.OracleDefinition.from_doc(doc)
-                errors.extend(oracles.validate_definition(definition))
-            except Exception as exc:
-                errors.append(f"definition: {exc}")
-        return (OracleGenerationResult(doc), errors) if not errors else (None, errors)
+        if errors:
+            return None, errors
+        try:
+            definition = oracles.normalize_definition(oracles.OracleDefinition.from_doc(doc))
+        except oracles.InvalidDefinition as exc:
+            return None, exc.errors
+        except Exception as exc:
+            return None, [f"definition: {exc}"]
+        return OracleGenerationResult(definition), []
     if role == ROLE_REPRODUCER:
-        errors = workspace.check_document(doc, _REPRODUCER_SCHEMA)
+        errors = workspace.check_document(doc, workspace.SCHEMAS["reproducer_result"])
         if not errors and not doc["files"]:
             errors.append("files: at least one project file required")
         return (ReproducerResult(doc), errors) if not errors else (None, errors)

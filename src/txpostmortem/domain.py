@@ -77,11 +77,6 @@ def validate_chain(chainid: int) -> int:
     return chainid
 
 
-def chain_name(chainid: int) -> str:
-    validate_chain(chainid)
-    return CHAIN_NAMES[chainid]
-
-
 def _canonical_hex(value: str, nibbles: int, err: type[DomainError], what: str) -> str:
     if not isinstance(value, str):
         raise err(f"{what} must be a string, got {type(value).__name__}")
@@ -193,9 +188,6 @@ class TokenAmount:
     def __ge__(self, other: "TokenAmount") -> bool:
         self._compatible(other)
         return self.raw >= other.raw
-
-    def is_positive(self) -> bool:
-        return self.raw > 0
 
     def to_decimal_string(self) -> str:
         """Render as a signed decimal string at the asset's display scale."""

@@ -20,9 +20,7 @@ from .collect import (
     fetch_many,
     fetch_seed_artifacts,
     fetch_tx_metadata,
-    fetch_txlist,
     fetch_txlists,
-    read_storage_slot,
 )
 from .fixtures import FixtureStore, RecordingAdapter, ReplayAdapter, fixture_key
 from .live import LiveAdapter, disassemble
@@ -60,10 +58,8 @@ __all__ = [
     "fetch_many",
     "fetch_seed_artifacts",
     "fetch_tx_metadata",
-    "fetch_txlist",
     "fetch_txlists",
     "fixture_key",
     "load_rpc_map",
-    "read_storage_slot",
     "resolve_rpc_url",
 ]

@@ -468,33 +468,9 @@ def fetch_txlists(
     return lists
 
 
-def fetch_txlist(
-    adapter: ChainAdapter,
-    chainid: int,
-    address: str,
-    block_lo: int | None = None,
-    block_hi: int | None = None,
-) -> list[TxRecord]:
-    return fetch_txlists(adapter, chainid, [address], block_lo, block_hi)[0]
-
-
 def fetch_tx_metadata(
     adapter: ChainAdapter, chainid: int, txhash: str | TxHash
 ) -> dict[str, Any]:
     return adapter.fetch(
         DataRequest(kind="tx_metadata", chainid=chainid, target=str(txhash))
     )
-
-
-def read_storage_slot(
-    adapter: ChainAdapter, chainid: int, address: str, slot: str, block: int | str = "latest"
-) -> str:
-    payload = adapter.fetch(
-        DataRequest(
-            kind="storage_slot",
-            chainid=chainid,
-            target=address,
-            extra={"slot": slot, "block": block},
-        )
-    )
-    return payload["value_hex"]

@@ -220,6 +220,9 @@ class LiveAdapter:
         tx = self._rpc(request.chainid, "eth_getTransactionByHash", [request.target])
         if tx is None:
             raise UpstreamError(f"transaction not found: {request.target}")
+        if tx.get("blockNumber") is None:
+            # Pending: no block, no receipt, and nothing a window can be mined around.
+            raise UpstreamError(f"transaction pending: {request.target}")
         receipt = self._rpc(request.chainid, "eth_getTransactionReceipt", [request.target]) or {}
         return {
             "txhash": request.normalized_target(),

@@ -18,6 +18,11 @@ codes from the validator's vocabulary.  Only a run the engine passes gets a
 validator turn, and a PoC is validated only when both pass.  Any error ends
 the session failed, with a terminal summary.
 
+Role documents are written as their role contract accepted them, without
+a second schema check; only the documents the orchestrator builds itself
+(collection summaries, engine verdicts, the session summary) are checked
+as they are written.
+
 Each role run is charged once, as it ends, straight to the session outcome
 (``Orchestrator._turn``): its turns to its stage and its tokens to the
 session, failed turns included, its seconds to its role, and one iteration
@@ -45,13 +50,14 @@ from .agents import (
     AnalysisResult,
     ChallengeResult,
     ModelBackend,
+    OracleGenerationResult,
     TurnBudgetExceeded,
     Usage,
     ValidationResult,
     build_role_prompt,
     run_role,
 )
-from .domain import Address, SeedRef, validate_chain
+from .domain import Address, SeedRef
 from .gateway import (
     BootstrapError,
     ChainAdapter,
@@ -93,7 +99,6 @@ REASON_INCOMPLETE_LIFECYCLE = "incomplete_act_lifecycle"
 REASON_ORACLE_FAILED = "oracle_validation_failed"
 REASON_ATTACKER_VALUES = "uses_attacker_designed_values"
 REASON_ATTACKER_CONTRACT = "uses_attacker_contract"
-REASON_OTHER = "other"
 
 ROOT_CAUSE_REASONS = frozenset(
     {
@@ -112,35 +117,16 @@ ACTION_RE_COLLECT = "re_collect"
 ACTION_RE_REPRODUCE = "re_reproduce"
 
 
-@dataclass(frozen=True)
-class RejectReason:
-    """A challenger/validator rejection; a code that is unknown, or that
-    belongs to the other stage, collapses to other."""
-
-    code: str
-    detail: str = ""
-
-    @classmethod
-    def parse(cls, raw: str, stage_reasons: frozenset[str]) -> "RejectReason":
-        raw = raw.strip()
-        if raw in stage_reasons:
-            return cls(code=raw)
-        if raw.startswith("other:"):
-            return cls(code=REASON_OTHER, detail=raw[len("other:") :].strip())
-        return cls(code=REASON_OTHER, detail=raw)
-
-    def serialize(self) -> str:
-        if self.code == REASON_OTHER:
-            return f"other:{self.detail}" if self.detail else "other"
-        return self.code
-
-
-_ROOT_CAUSE_ROUTES = {
-    REASON_SPECULATIVE: ACTION_RE_ANALYZE,
-    REASON_UNKNOWN_CONTENT: ACTION_RE_ANALYZE,
-    REASON_MISSING_TRACES: ACTION_RE_COLLECT,
-    REASON_INCOMPLETE_LIFECYCLE: ACTION_RE_ANALYZE,
-}
+def _reject_codes(raw: list[str], stage_reasons: frozenset[str]) -> list[str]:
+    """A challenger's or validator's reject codes as recorded: a code of the
+    stage is kept as given, and any other code becomes ``other:<detail>``."""
+    codes = []
+    for code in (r.strip() for r in raw):
+        if code not in stage_reasons:
+            detail = code[len("other:") :].strip() if code.startswith("other:") else code
+            code = f"other:{detail}" if detail else "other"
+        codes.append(code)
+    return codes
 
 
 # --------------------------------------------------------------------------
@@ -351,7 +337,8 @@ class Orchestrator:
         self, session: workspace.Session, outcome: SessionOutcome, summary: CollectionSummary
     ) -> None:
         """Write one collection run's summary into ``iter_<runs so far>`` and
-        count the run.  Runs are numbered densely from the seed's ``iter_0``."""
+        count the run and its fetched items.  Runs are numbered densely from
+        the seed's ``iter_0``."""
         iteration = outcome.collection_runs_total
         workspace.write_artifact(
             session,
@@ -360,6 +347,7 @@ class Orchestrator:
             schema_id="collection_summary",
         )
         outcome.collection_runs_total += 1
+        outcome.fetched_items += summary.fetched_count
 
     def _collect(
         self,
@@ -374,7 +362,6 @@ class Orchestrator:
         raise leaves no directory behind."""
         iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{outcome.collection_runs_total}"
         summary = execute_data_requests(session, requests, fetches, iter_dir)
-        outcome.fetched_items += summary.fetched_count
         self._record_collection(session, outcome, summary)
 
     # -- root-cause stage ---------------------------------------------------
@@ -413,7 +400,6 @@ class Orchestrator:
                     session,
                     iter_dir.relative_to(session.root) / "current_analysis_result.json",
                     analysis.doc,
-                    schema_id="analysis_result",
                 )
                 if not analysis.is_final:
                     self._collect(session, fetches, analysis.data_requests, outcome)
@@ -431,20 +417,15 @@ class Orchestrator:
                     outcome.is_act = True
                     return draft
 
-                reasons = [
-                    RejectReason.parse(r, ROOT_CAUSE_REASONS)
-                    for r in challenge.reject_reasons
-                ] or [RejectReason(REASON_OTHER, "challenger rejected without reasons")]
+                codes = _reject_codes(challenge.reject_reasons, ROOT_CAUSE_REASONS) or [
+                    "other:challenger rejected without reasons"
+                ]
                 actions = {
-                    _ROOT_CAUSE_ROUTES.get(reason.code, ACTION_RE_ANALYZE)
-                    for reason in reasons
+                    ACTION_RE_COLLECT if code == REASON_MISSING_TRACES else ACTION_RE_ANALYZE
+                    for code in codes
                 }
                 outcome.reject_log.append(
-                    {
-                        "stage": STAGE_ROOT_CAUSE,
-                        "reasons": [r.serialize() for r in reasons],
-                        "actions": sorted(actions),
-                    }
+                    {"stage": STAGE_ROOT_CAUSE, "reasons": codes, "actions": sorted(actions)}
                 )
                 feedback = challenge.feedback
                 if ACTION_RE_COLLECT in actions:
@@ -464,16 +445,13 @@ class Orchestrator:
             session,
             f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_CHALLENGER}/root_cause_challenge_result.json",
             challenge.doc,
-            schema_id="challenge_result",
         )
         return challenge
 
     def _finalize_root_cause(
         self, session: workspace.Session, draft: dict[str, Any]
     ) -> None:
-        workspace.write_artifact(
-            session, workspace.ROOT_CAUSE_DOC, draft, schema_id="root_cause"
-        )
+        workspace.write_artifact(session, workspace.ROOT_CAUSE_DOC, draft)
         workspace.write_text_artifact(
             session,
             workspace.ROOT_CAUSE_REPORT,
@@ -506,10 +484,10 @@ class Orchestrator:
             expected = oracles.observation_names(bound)
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
-                verdict, reasons = self._reproduce_once(
+                verdict, codes = self._reproduce_once(
                     session, outcome, definition, bound, expected, taint, feedback
                 )
-                if not reasons:
+                if not codes:
                     outcome.poc_validated = True
                     # Every earlier attempt was rejected.
                     workspace.write_text_artifact(
@@ -521,13 +499,9 @@ class Orchestrator:
                     )
                     return
                 outcome.reject_log.append(
-                    {
-                        "stage": STAGE_POC,
-                        "reasons": [r.serialize() for r in reasons],
-                        "actions": [ACTION_RE_REPRODUCE],
-                    }
+                    {"stage": STAGE_POC, "reasons": codes, "actions": [ACTION_RE_REPRODUCE]}
                 )
-                feedback = "; ".join(r.serialize() for r in reasons)
+                feedback = "; ".join(codes)
             raise StageFailed(
                 STAGE_POC,
                 f"reproducer iteration budget ({self.budgets.reproducer_iterations}) exhausted",
@@ -539,17 +513,13 @@ class Orchestrator:
         outcome: SessionOutcome,
         draft: dict[str, Any],
     ) -> oracles.OracleDefinition:
-        generated = self._turn(
+        generated: OracleGenerationResult = self._turn(
             outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
         )
-        definition = oracles.normalize_definition(generated.definition())
         workspace.write_artifact(
-            session,
-            workspace.ORACLE_DEFINITION,
-            definition.to_doc(),
-            schema_id="oracle_definition",
+            session, workspace.ORACLE_DEFINITION, generated.definition.to_doc()
         )
-        return definition
+        return generated.definition
 
     def _reproduce_once(
         self,
@@ -560,8 +530,8 @@ class Orchestrator:
         expected: list[str],
         taint: dict[str, str],
         feedback: str,
-    ) -> tuple[Optional[oracles.VerdictReport], list[RejectReason]]:
-        """One reproducer round; no reject reasons means the PoC is validated.
+    ) -> tuple[Optional[oracles.VerdictReport], list[str]]:
+        """One reproducer round; no reject codes means the PoC is validated.
         The verdict is None when nothing ran.
 
         The engine decides what code can check.  The sources are scanned
@@ -583,7 +553,7 @@ class Orchestrator:
             rel / "project_manifest.json",
             {"files": sorted(files), "notes": reproduction.notes},
         )
-        launch_failed = [RejectReason(REASON_OTHER, "project failed to scaffold or launch")]
+        launch_failed = ["other:project failed to scaffold or launch"]
         try:
             project = harness.scaffold_project(session, files, definition)
         except harness.ScaffoldError as exc:
@@ -609,7 +579,7 @@ class Orchestrator:
             workspace.write_artifact(
                 session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
             )
-            return None, [RejectReason(code) for code in scan_reasons]
+            return None, scan_reasons
 
         if self.runner is None:
             raise StageFailed(STAGE_POC, "no project runner configured")
@@ -639,7 +609,7 @@ class Orchestrator:
         )
         workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
         if engine_reasons:
-            return verdict, [RejectReason(code) for code in engine_reasons]
+            return verdict, engine_reasons
 
         validation: ValidationResult = self._turn(
             outcome,
@@ -650,17 +620,11 @@ class Orchestrator:
                 indent=2,
             ),
         )
-        workspace.write_artifact(
-            session, rel / "poc_validation.json", validation.doc, schema_id="poc_validation"
-        )
-        workspace.write_artifact(
-            session,
-            workspace.POC_VALIDATED_RESULT,
-            validation.doc,
-            schema_id="poc_validation",
-        )
-        reasons = [RejectReason.parse(r, POC_REASONS) for r in validation.reject_reasons]
-        return verdict, [] if validation.passed else reasons
+        workspace.write_artifact(session, rel / "poc_validation.json", validation.doc)
+        workspace.write_artifact(session, workspace.POC_VALIDATED_RESULT, validation.doc)
+        if validation.passed:
+            return verdict, []
+        return verdict, _reject_codes(validation.reject_reasons, POC_REASONS)
 
     # -- end to end ----------------------------------------------------------
 
@@ -670,7 +634,6 @@ class Orchestrator:
         base_dir: str,
         attributions: list[str] | None = None,
     ) -> SessionOutcome:
-        validate_chain(seed.chainid)
         session = workspace.create_session(base_dir, seed, attributions)
         outcome = SessionOutcome(session=session, stage=STAGE_BOOTSTRAP)
         fetches = SessionMemo(self.adapter)

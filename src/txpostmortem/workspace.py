@@ -2,9 +2,16 @@
 
 A session is a directory rooted at ``<base>/<session_id>/`` holding the raw
 seed input, per-role iteration artifacts, final reports, and the scaffolded
-exploit project.  All JSON artifacts pass through a structural schema check
-before hitting disk, and writes are atomic (temp file + rename) so a crashed
-run never leaves half-written documents behind.
+exploit project.  Writes are atomic (temp file + rename) so a crashed run
+never leaves half-written documents behind.
+
+Every schema lives in ``SCHEMAS``, and each document is checked against its
+schema once.  A model-written document (analysis, challenge, root cause,
+oracle definition, reproducer project, validator verdict) is checked when
+its role returns, by ``agents.roles.validate_role_output``, and written
+as accepted.  A document the program builds itself (raw input, sources,
+collection summaries, engine verdicts, evaluation results, the session
+summary) is checked as it is written, by ``write_artifact(schema_id=...)``.
 """
 
 from __future__ import annotations
@@ -371,6 +378,12 @@ SCHEMAS: dict[str, Any] = {
                 "success_criteria": "string",
             },
             "optional": {"setup": "string"},
+        }
+    },
+    "reproducer_result": {
+        "object": {
+            "required": {"files": {"map_of": "string"}},
+            "optional": {"notes": "string"},
         }
     },
     "poc_validation": {

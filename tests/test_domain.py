@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from txpostmortem.domain import (
-    CHAIN_NAMES,
     NATIVE_ASSET,
     SUPPORTED_CHAINS,
     Address,
@@ -23,7 +22,6 @@ from txpostmortem.domain import (
     TokenAmount,
     TxHash,
     UnsupportedChain,
-    chain_name,
     validate_chain,
 )
 
@@ -90,7 +88,6 @@ class TestChains:
     def test_every_supported_chain_validates(self):
         for chainid in SUPPORTED_CHAINS:
             assert validate_chain(chainid) == chainid
-            assert chain_name(chainid) == CHAIN_NAMES[chainid]
 
     @pytest.mark.parametrize("bad", [2, 0, -1, 10**9])
     def test_unknown_chain_rejected(self, bad: int):

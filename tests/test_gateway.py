@@ -35,11 +35,11 @@ from txpostmortem.gateway.collect import (
     SEED_DIGEST_CHARS,
     SEED_DIGEST_LINE_CHARS,
     SessionMemo,
+    adapter_memo,
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
-    fetch_txlist,
-    read_storage_slot,
+    fetch_txlists,
 )
 from txpostmortem.gateway.fixtures import (
     FixtureStore,
@@ -762,7 +762,7 @@ class TestTypedFetchers:
              "status": True, "index": 0},
         ]
         store.save(request, {"records": rows})
-        records = fetch_txlist(ReplayAdapter(store), 1, ADDR)
+        [records] = fetch_txlists(ReplayAdapter(store), 1, [ADDR])
         assert [r.block_number for r in records] == [3, 9, 9]
         assert [r.index for r in records] == [0, 0, 1]
 
@@ -776,8 +776,8 @@ class TestTypedFetchers:
         )
         store.save(request, {"address": ADDR, "slot": "0x2", "block": 123,
                              "value_hex": "0x" + "00" * 31 + "2a"})
-        value = read_storage_slot(ReplayAdapter(store), 1, ADDR, "0x2", 123)
-        assert value == "0x" + "00" * 31 + "2a"
+        payload = ReplayAdapter(store).fetch(request)
+        assert payload["value_hex"] == "0x" + "00" * 31 + "2a"
 
 
 class TestCaseFixtures:
@@ -787,10 +787,11 @@ class TestCaseFixtures:
         adapter = valinity_run.bundle.adapter()
         lo = VAL_SEED_BLOCK - DEFAULT_WINDOW
         hi = VAL_SEED_BLOCK + DEFAULT_WINDOW
-        eoa = fetch_txlist(adapter, VAL_CHAIN, VAL_EOA, lo, hi)
+        eoa, eoa_2, router = fetch_txlists(
+            adapter, VAL_CHAIN, [VAL_EOA, VAL_EOA_2, VAL_ROUTER], lo, hi
+        )
         assert len(eoa) == 14
-        assert fetch_txlist(adapter, VAL_CHAIN, VAL_EOA_2, lo, hi) == []
-        router = fetch_txlist(adapter, VAL_CHAIN, VAL_ROUTER, lo, hi)
+        assert eoa_2 == []
         assert len(router) == 2
 
     def test_replaying_twice_is_byte_identical(self, valinity_run):
@@ -893,6 +894,19 @@ class TestLiveAdapter:
         assert doc["selector"] == "0xa9059cbb"
         assert doc["status"] == 1
         assert calls[0]["method"] == "eth_getTransactionByHash"
+
+    def test_pending_transaction_is_an_error_and_is_not_kept(self):
+        # A pending transaction has no block yet; answering block 0 would
+        # send a miner to the window around the genesis block.
+        rpc_post, calls = _metadata_rpc(
+            {"eth_getTransactionByHash": {"blockNumber": None, "from": ADDR, "input": "0x"}}
+        )
+        adapter = self._adapter(rpc_post=rpc_post)
+        request = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+        for _ in range(2):
+            with pytest.raises(UpstreamError, match="pending"):
+                adapter_memo(adapter).fetch(request)
+        assert [c["method"] for c in calls] == ["eth_getTransactionByHash"] * 2
 
     def test_retries_then_upstream_error(self):
         attempts = []

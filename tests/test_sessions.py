@@ -21,6 +21,7 @@ from txpostmortem import metrics, oracles, scenarios, workspace
 from txpostmortem.agents import (
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
+    ROLE_ORACLE_GENERATOR,
     ROLE_REPRODUCER,
     ROLES,
     SCRIPTED_STEP_USAGE,
@@ -100,6 +101,18 @@ class TestArtifacts:
     def test_every_collection_dir_holds_a_summary(self, fixture, request):
         run = request.getfixturevalue(fixture)
         _assert_collection_dirs_summarised(run.session_root, run.doc["collection_runs_total"])
+
+    @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
+    def test_fetched_items_add_up_over_every_collection_run(self, fixture, request):
+        # The bootstrap is collection run zero, and its fetches count too.
+        run = request.getfixturevalue(fixture)
+        collection = run.session_root / workspace.COLLECTION_DIR
+        counts = [
+            json.loads(path.read_text(encoding="utf-8"))["fetched_count"]
+            for path in collection.glob("iter_*/data_collection_summary.json")
+        ]
+        assert len(counts) == run.doc["collection_runs_total"]
+        assert run.doc["fetched_items"] == sum(counts)
 
     @pytest.mark.parametrize("fixture", ["prxvt_run", "valinity_run"])
     def test_no_schema_copies(self, fixture, request):
@@ -585,16 +598,18 @@ class TestFailClosed:
     with a terminal, schema-valid summary."""
 
     def test_oracle_error(self, tmp_path, monkeypatch):
-        def broken(definition):
-            raise oracles.OracleError("cannot normalize")
+        # Raised after the generator's contract accepted the definition, as
+        # the PoC stage binds its roles.
+        def broken(definition, bindings=None, deny=frozenset()):
+            raise oracles.OracleError("cannot bind")
 
-        monkeypatch.setattr(oracles, "normalize_definition", broken)
+        monkeypatch.setattr(oracles, "bind_variables", broken)
         outcome = _run_prxvt(
             tmp_path,
             load_script_entries(PRXVT_CASE),
             SimulatedRunner(queue=[PRXVT_RUN_0]),
         )
-        _assert_failed_closed(outcome, "poc: OracleError: cannot normalize")
+        _assert_failed_closed(outcome, "poc: OracleError: cannot bind")
 
     def test_adapter_os_error(self, tmp_path):
         bundle = scenarios.build_prxvt_case(tmp_path / "case")
@@ -736,6 +751,51 @@ class TestMetricsReport:
         assert set(report["latency_per_stage"]) == {"root_cause", "poc"}
         assert set(report["latency_per_role"]) == set(ROLES)
         assert report["latency_per_role"]["poc_validator"]["count"] == 1
+
+
+class TestCheckOnce:
+    """Each document is checked against its schema once: a role's document
+    when its contract accepts it, a document the program builds as it is
+    written."""
+
+    @pytest.mark.parametrize("name, checks", [("prxvt", 15), ("valinity", 23)])
+    def test_schema_checks_per_session(self, tmp_path, monkeypatch, name, checks):
+        checked = []
+        depth = [0]
+        check_document = workspace.check_document
+
+        def counting_check(doc, spec, path=""):
+            # check_document recurses through the module attribute; only
+            # the outermost call is a check of a document.
+            if depth[0] == 0:
+                checked.append(doc)
+            depth[0] += 1
+            try:
+                return check_document(doc, spec, path)
+            finally:
+                depth[0] -= 1
+
+        validated = []
+        validate_definition = oracles.validate_definition
+
+        def counting_validate(definition):
+            validated.append(definition)
+            return validate_definition(definition)
+
+        monkeypatch.setattr(workspace, "check_document", counting_check)
+        monkeypatch.setattr(oracles, "validate_definition", counting_validate)
+        bundle = getattr(scenarios, f"build_{name}_case")(tmp_path / "case")
+        orch = Orchestrator(
+            backend=bundle.backend(),
+            adapter=bundle.adapter(),
+            runner=bundle.runner(),
+            clock=lambda: 0.0,
+        )
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "done"
+        assert len(checked) == checks
+        assert len({id(doc) for doc in checked}) == checks
+        assert len(validated) == outcome.iterations[ROLE_ORACLE_GENERATOR] == 1
 
 
 class TestSchemaLookup:
