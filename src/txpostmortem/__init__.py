@@ -20,7 +20,7 @@ from .agents import (
     Usage,
     run_role,
 )
-from .domain import Address, OutcomeLabel, SeedRef, TokenAmount, TxHash, validate_chain
+from .domain import Address, SeedRef, TokenAmount, TxHash, validate_chain
 from .gateway import (
     ChainAdapter,
     DataRequest,
@@ -62,7 +62,6 @@ __all__ = [
     "OpenAIChatBackend",
     "OracleDefinition",
     "Orchestrator",
-    "OutcomeLabel",
     "ParticipantSet",
     "RecordingAdapter",
     "ReplayAdapter",

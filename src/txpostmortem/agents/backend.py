@@ -207,13 +207,11 @@ class OpenAIChatBackend:
         model: str = DEFAULT_MODEL,
         base_url: str = "https://api.openai.com/v1",
         post: Optional[Callable[[str, dict[str, Any], dict[str, str]], dict[str, Any]]] = None,
-        temperature: float = 0.0,
     ):
         self.api_key = api_key
         self.model = model
         self.base_url = base_url.rstrip("/")
         self.post = post or self._default_post
-        self.temperature = temperature
         self._histories: dict[str, list[dict[str, str]]] = {}
         # ``next`` on a count is one step, so threads opening conversations
         # at once never share an id.
@@ -240,7 +238,7 @@ class OpenAIChatBackend:
         body = {
             "model": self.model,
             "messages": history,
-            "temperature": self.temperature,
+            "temperature": 0.0,
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         try:

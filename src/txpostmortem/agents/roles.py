@@ -98,10 +98,6 @@ class AnalysisResult:
     doc: dict[str, Any]
 
     @property
-    def summary(self) -> str:
-        return self.doc["summary"]
-
-    @property
     def data_requests(self) -> list[DataRequest]:
         return [DataRequest.from_doc(d) for d in self.doc["data_requests"]]
 

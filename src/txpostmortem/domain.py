@@ -1,15 +1,14 @@
 """Core value types shared across the postmortem pipeline.
 
-Chain identifiers, transaction hashes, addresses, token amounts, and
-outcome labels.  Everything here is immutable and canonicalized at
-construction time so downstream modules can compare values structurally.
+Chain identifiers, transaction hashes, addresses and token amounts.
+Everything here is immutable and canonicalized at construction time so
+downstream modules can compare values structurally.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable, Union
 
 
@@ -199,15 +198,6 @@ class TokenAmount:
         whole, frac = digits[: -self.decimals], digits[-self.decimals :]
         frac = frac.rstrip("0")
         return f"{sign}{whole}.{frac}" if frac else f"{sign}{whole}"
-
-
-class OutcomeLabel(str, Enum):
-    """Manual audit outcome for one incident's root-cause report."""
-
-    ALIGNED = "AL"
-    MISALIGNED = "MA"
-    MISSED = "MS"
-    NON_ACT = "NA"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from .collect import (
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
-    fetch_tx_metadata,
     fetch_txlists,
 )
 from .fixtures import FixtureStore, RecordingAdapter, ReplayAdapter, fixture_key
@@ -57,7 +56,6 @@ __all__ = [
     "execute_data_requests",
     "fetch_many",
     "fetch_seed_artifacts",
-    "fetch_tx_metadata",
     "fetch_txlists",
     "fixture_key",
     "load_rpc_map",

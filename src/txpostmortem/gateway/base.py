@@ -168,15 +168,10 @@ def load_rpc_map(path: str | Path | None = None) -> dict[int, str]:
     return {int(chainid): url for chainid, url in raw.items()}
 
 
-def resolve_rpc_url(
-    chainid: int,
-    env: Mapping[str, str],
-    rpc_map: Mapping[int, str] | None = None,
-) -> str:
+def resolve_rpc_url(chainid: int, env: Mapping[str, str], rpc_map: Mapping[int, str]) -> str:
     """Substitute credentials into the endpoint template for a chain."""
     validate_chain(chainid)
-    mapping = load_rpc_map() if rpc_map is None else rpc_map
-    template = mapping.get(chainid)
+    template = rpc_map.get(chainid)
     if template is None:
         raise UnsupportedChain(f"no RPC endpoint configured for chain {chainid}")
     try:

@@ -39,7 +39,7 @@ from queue import SimpleQueue
 from typing import Any, Callable, Sequence
 
 from .. import workspace
-from ..domain import SUPPORTED_CHAINS, DomainError, TxHash
+from ..domain import SUPPORTED_CHAINS, DomainError
 from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
 from .fixtures import fixture_key
 from .types import CollectionSummary, DataRequest, TraceNode, TxRecord
@@ -466,11 +466,3 @@ def fetch_txlists(
         records = [TxRecord.from_doc(doc) for doc in payload.get("records", [])]
         lists.append(sorted(records, key=TxRecord.order_key))
     return lists
-
-
-def fetch_tx_metadata(
-    adapter: ChainAdapter, chainid: int, txhash: str | TxHash
-) -> dict[str, Any]:
-    return adapter.fetch(
-        DataRequest(kind="tx_metadata", chainid=chainid, target=str(txhash))
-    )

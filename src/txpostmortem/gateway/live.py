@@ -4,8 +4,9 @@ Network access is isolated behind two injectable callables (``rpc_post`` and
 ``api_get``) so the adapter logic is testable without sockets.  Payloads are
 normalized into the canonical document shapes defined in ``types``; callers
 never see provider-specific field names.  Transport errors, HTTP 408, 429
-and 5xx, and explorer rate limits are retried with backoff; any other HTTP
-4xx or error reply is final.
+and 5xx, and explorer rate limits are retried: ``RETRIES`` attempts in all,
+``BACKOFF_S`` doubling between them, each call given ``TIMEOUT_S``.  Any
+other HTTP 4xx or error reply is final.
 """
 
 from __future__ import annotations
@@ -31,8 +32,17 @@ logger = logging.getLogger(__name__)
 
 EXPLORER_API_URL = "https://api.etherscan.io/v2/api"
 
+#: Attempts per upstream call, the wait before the second (doubled before
+#: each later one), and each attempt's transport timeout.
+RETRIES = 3
+BACKOFF_S = 0.5
+TIMEOUT_S = 30.0
+
 #: Prestate diffs an adapter keeps for the kinds that share them.
 PRESTATE_CACHE_SIZE = 16
+
+#: Lines of the mnemonic listing kept for one contract.
+DISASSEMBLY_LINES = 4096
 
 # Opcode mnemonics for the bytecode fallback listing.  Only the common
 # subset; unknown bytes render as raw hex so nothing is silently dropped.
@@ -64,13 +74,13 @@ for _n in range(5):
     _OPCODES[0xA0 + _n] = f"LOG{_n}"
 
 
-def disassemble(bytecode_hex: str, limit: int = 4096) -> str:
+def disassemble(bytecode_hex: str) -> str:
     """Render deployed bytecode as a flat mnemonic listing."""
     body = bytecode_hex[2:] if bytecode_hex[:2] in ("0x", "0X") else bytecode_hex
     data = bytes.fromhex(body)
     lines: list[str] = []
     pc = 0
-    while pc < len(data) and len(lines) < limit:
+    while pc < len(data) and len(lines) < DISASSEMBLY_LINES:
         op = data[pc]
         if 0x60 <= op <= 0x7F:
             width = op - 0x5F
@@ -145,17 +155,11 @@ class LiveAdapter:
         rpc_map: Mapping[int, str] | None = None,
         rpc_post: Callable[[str, dict[str, Any], float], dict[str, Any]] = _default_rpc_post,
         api_get: Callable[[str, dict[str, Any], float], dict[str, Any]] = _default_api_get,
-        retries: int = 3,
-        backoff: float = 0.5,
-        timeout: float = 30.0,
     ):
         self.env = dict(os.environ if env is None else env)
         self.rpc_map = load_rpc_map() if rpc_map is None else rpc_map
         self.rpc_post = rpc_post
         self.api_get = api_get
-        self.retries = retries
-        self.backoff = backoff
-        self.timeout = timeout
         self._rpc_ids = itertools.count(1)
         # One prestateTracer diff per (chain, tx) serves both balance_diff
         # and state_diff; the first caller fetches, the others wait on it.
@@ -165,7 +169,7 @@ class LiveAdapter:
 
     def _with_retries(self, call: Callable[[], dict[str, Any]], what: str) -> dict[str, Any]:
         last: Exception | None = None
-        for attempt in range(self.retries):
+        for attempt in range(RETRIES):
             try:
                 return call()
             except ErrorReply:
@@ -174,17 +178,17 @@ class LiveAdapter:
                 if (status := _final_status(exc)) is not None:
                     raise ErrorReply(f"{what}: HTTP {status}: {exc}") from exc
                 last = exc
-                logger.warning("%s failed (attempt %d/%d): %s", what, attempt + 1, self.retries, exc)
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
-        raise UpstreamError(f"{what} failed after {self.retries} attempts: {last}")
+                logger.warning("%s failed (attempt %d/%d): %s", what, attempt + 1, RETRIES, exc)
+                if attempt + 1 < RETRIES:
+                    time.sleep(BACKOFF_S * (2**attempt))
+        raise UpstreamError(f"{what} failed after {RETRIES} attempts: {last}")
 
     def _rpc(self, chainid: int, method: str, params: list[Any]) -> Any:
         url = resolve_rpc_url(chainid, self.env, self.rpc_map)
         body = {"jsonrpc": "2.0", "id": next(self._rpc_ids), "method": method, "params": params}
 
         def call() -> dict[str, Any]:
-            doc = self.rpc_post(url, body, self.timeout)
+            doc = self.rpc_post(url, body, TIMEOUT_S)
             if doc.get("error"):
                 raise ErrorReply(f"rpc {method} chain {chainid}: {doc['error']}")
             return doc
@@ -198,7 +202,7 @@ class LiveAdapter:
         query = {"chainid": chainid, "apikey": key, **params}
 
         def call() -> dict[str, Any]:
-            doc = self.api_get(EXPLORER_API_URL, query, self.timeout)
+            doc = self.api_get(EXPLORER_API_URL, query, TIMEOUT_S)
             if str(doc.get("status")) == "0" and doc.get("message") != "No transactions found":
                 text = f"explorer: {doc.get('result') or doc.get('message')}"
                 if "rate limit" in text.lower():

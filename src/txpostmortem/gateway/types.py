@@ -1,8 +1,8 @@
 """Typed payloads exchanged with chain data providers.
 
-Every payload has a JSON document form (``to_doc``/``from_doc``) because the
-record/replay layer and the workspace both persist raw JSON; the dataclasses
-exist so analysis code never touches loose dicts.
+Adapters return raw JSON documents, which the record/replay layer and the
+workspace persist as they are; ``from_doc`` turns one into a dataclass, so
+analysis code never touches loose dicts.
 """
 
 from __future__ import annotations
@@ -112,20 +112,6 @@ class TxRecord:
     def order_key(self) -> tuple[int, int]:
         return (self.block_number, self.index)
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "txhash": self.txhash.value,
-            "block_number": self.block_number,
-            "from": self.from_address.value,
-            "to": self.to_address.value if self.to_address else None,
-            "selector": self.selector,
-            "value": self.value,
-            "gas_used": self.gas_used,
-            "effective_gas_price": self.effective_gas_price,
-            "status": self.status,
-            "index": self.index,
-        }
-
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "TxRecord":
         return cls(
@@ -164,18 +150,6 @@ class TraceNode:
         for child in self.children:
             yield from child.walk()
 
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "call_type": self.call_type,
-            "from": self.from_address.value,
-            "to": self.to_address.value if self.to_address else None,
-            "value": self.value,
-            "gas_used": self.gas_used,
-            "selector": self.selector,
-            "error": self.error,
-            "children": [c.to_doc() for c in self.children],
-        }
-
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "TraceNode":
         return cls(
@@ -198,14 +172,6 @@ class BalanceDelta:
     asset: str
     delta: int
     decimals: int = 18
-
-    def to_doc(self) -> dict[str, Any]:
-        return {
-            "address": self.address.value,
-            "asset": self.asset,
-            "delta": self.delta,
-            "decimals": self.decimals,
-        }
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "BalanceDelta":
@@ -234,12 +200,10 @@ class CollectionSummary:
     def record_failure(self, request: DataRequest, error: str) -> None:
         self.failed.append({"request": request.to_doc(), "error": error})
 
-    def to_doc(self, iteration: Optional[int] = None) -> dict[str, Any]:
-        doc: dict[str, Any] = {
+    def to_doc(self, iteration: int) -> dict[str, Any]:
+        return {
             "fetched": self.fetched,
             "failed": self.failed,
             "fetched_count": self.fetched_count,
+            "iteration": iteration,
         }
-        if iteration is not None:
-            doc["iteration"] = iteration
-        return doc

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+import shutil
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,6 +28,13 @@ RUN_COMMAND_TEMPLATE = "RPC_URL=<your-archival-endpoint> forge test -vvv"
 TEST_FILE = "test/Exploit.sol"
 CONFIG_FILE = "foundry.toml"
 README_FILE = "README.md"
+
+#: Top-level project directories holding dependencies and build output,
+#: never the project's own sources.
+BUILD_DIRS = ("lib", "out", "cache")
+
+#: Seconds one ``forge test`` run may take before it counts as failed.
+RUN_TIMEOUT_S = 900.0
 
 DEFAULT_FOUNDRY_TOML = """\
 [profile.default]
@@ -100,7 +108,12 @@ def scaffold_project(
     The project must contain exactly one exploit test at ``test/Exploit.sol``;
     a missing ``foundry.toml`` gets a default, and the README with the run
     command template is always (re)generated.  A fork block pinned in the
-    test must equal the oracle definition's fork block.
+    test must equal the oracle definition's fork block.  No file may lie
+    under ``BUILD_DIRS``, where the source scan, the evaluator and the
+    dataset export do not look.
+
+    Each attempt gets a fresh project: whatever an earlier attempt left
+    under ``forge_poc/`` is deleted first, except ``BUILD_DIRS``.
     """
     if TEST_FILE not in files:
         raise ScaffoldError(f"project must include {TEST_FILE}")
@@ -114,8 +127,11 @@ def scaffold_project(
             f"project must contain exactly one exploit test; extra: {sorted(extra_tests)}"
         )
     for name in files:
-        if Path(name).is_absolute() or ".." in Path(name).parts:
+        parts = Path(name).parts
+        if Path(name).is_absolute() or ".." in parts:
             raise ScaffoldError(f"unsafe project path: {name}")
+        if parts and parts[0] in BUILD_DIRS:
+            raise ScaffoldError(f"project file in a build directory: {name}")
 
     pinned = detect_fork_block(files[TEST_FILE])
     if pinned is not None and pinned != definition.fork_block:
@@ -124,6 +140,15 @@ def scaffold_project(
             f"{definition.fork_block}"
         )
 
+    root = session.root / workspace.FORGE_PROJECT_DIR
+    if root.is_dir():
+        for entry in root.iterdir():
+            if entry.name in BUILD_DIRS:
+                continue
+            if entry.is_dir() and not entry.is_symlink():
+                shutil.rmtree(entry)
+            else:
+                entry.unlink()
     staged = dict(files)
     staged.setdefault(CONFIG_FILE, DEFAULT_FOUNDRY_TOML)
     staged[README_FILE] = project_readme(definition)
@@ -131,7 +156,6 @@ def scaffold_project(
         workspace.write_text_artifact(
             session, f"{workspace.FORGE_PROJECT_DIR}/{name}", content
         )
-    root = session.root / workspace.FORGE_PROJECT_DIR
     return PoCProject(
         root=root,
         chainid=definition.chainid,
@@ -150,9 +174,8 @@ class ProjectRunner(Protocol):
 class SubprocessRunner:
     """Runs ``forge test -vvv`` in the project directory."""
 
-    def __init__(self, forge_bin: str = "forge", timeout: float = 900.0):
+    def __init__(self, forge_bin: str = "forge"):
         self.forge_bin = forge_bin
-        self.timeout = timeout
 
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
         import os
@@ -167,12 +190,12 @@ class SubprocessRunner:
                 env=env,
                 capture_output=True,
                 text=True,
-                timeout=self.timeout,
+                timeout=RUN_TIMEOUT_S,
             )
         except FileNotFoundError as exc:
             raise HarnessError(f"runner binary not found: {self.forge_bin}") from exc
         except subprocess.TimeoutExpired as exc:
-            raise HarnessError(f"test run timed out after {self.timeout}s") from exc
+            raise HarnessError(f"test run timed out after {RUN_TIMEOUT_S}s") from exc
         return (completed.stdout or "") + (completed.stderr or "")
 
 
@@ -336,11 +359,6 @@ def extract_observations(raw_output: str, expected: list[str]) -> ObservationRep
     return ObservationReport(
         observations=observations, missing=missing, warnings=tuple(warnings)
     )
-
-
-#: Top-level project directories holding dependencies and build output,
-#: never the project's own sources.
-BUILD_DIRS = ("lib", "out", "cache")
 
 
 def solidity_sources(project_root: Path) -> list[tuple[str, str]]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 from .domain import Address, TxHash
-from .gateway import ChainAdapter, adapter_memo, fetch_tx_metadata, fetch_txlists
+from .gateway import ChainAdapter, DataRequest, adapter_memo, fetch_txlists
 from .gateway.types import BalanceDelta, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
@@ -367,7 +367,9 @@ def mine_lifecycle(
     sorted-account order, so the first account to list a transaction
     supplies its record.
     """
-    metadata = fetch_tx_metadata(adapter_memo(adapter), chainid, seed)
+    metadata = adapter_memo(adapter).fetch(
+        DataRequest(kind="tx_metadata", chainid=chainid, target=str(seed))
+    )
     seed_block = metadata.get("block_number", 0)
     lo = max(0, seed_block - DEFAULT_WINDOW)
     hi = seed_block + DEFAULT_WINDOW

@@ -1,15 +1,15 @@
 """Token cost, checklist, latency and session-summary accounting.
 
-Monetary arithmetic is exact: prices are decimals, accumulation happens in
-rationals, and rounding is applied only at display time.  Rates are returned
-as rationals (or None when the denominator is zero) with explicit helpers
-for fixed-precision percent rendering.
+Monetary arithmetic is exact: the token prices are the rationals
+``PRICE_UNCACHED_INPUT``, ``PRICE_CACHED_INPUT`` and ``PRICE_OUTPUT`` (USD
+per million tokens), accumulation happens in rationals, and rounding is
+applied only at display time.  Rates are returned as rationals (or None when
+the denominator is zero) and rendered as percents to one decimal place.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -27,29 +27,18 @@ class MetricsError(Exception):
 # Token accounting and cost.
 
 
-@dataclass(frozen=True)
-class PriceTable:
-    """Per-million-token USD rates."""
-
-    uncached_input: Decimal = Decimal("1.25")
-    cached_input: Decimal = Decimal("0.125")
-    output: Decimal = Decimal("10.00")
-
-    def __post_init__(self) -> None:
-        for name in ("uncached_input", "cached_input", "output"):
-            if getattr(self, name) < 0:
-                raise MetricsError(f"price {name} must be non-negative")
+#: USD per million tokens.
+PRICE_UNCACHED_INPUT = Fraction("1.25")
+PRICE_CACHED_INPUT = Fraction("0.125")
+PRICE_OUTPUT = Fraction(10)
 
 
-DEFAULT_PRICES = PriceTable()
-
-
-def estimate_cost(usage: Usage, prices: PriceTable = DEFAULT_PRICES) -> Decimal:
+def estimate_cost(usage: Usage) -> Decimal:
     """Exact session cost: (p_u*T_u + p_c*T_c + p_o*T_o) / 1e6."""
     total = (
-        Fraction(prices.uncached_input) * usage.uncached_input_tokens
-        + Fraction(prices.cached_input) * usage.cached_input_tokens
-        + Fraction(prices.output) * usage.output_tokens
+        PRICE_UNCACHED_INPUT * usage.uncached_input_tokens
+        + PRICE_CACHED_INPUT * usage.cached_input_tokens
+        + PRICE_OUTPUT * usage.output_tokens
     ) / 1_000_000
     with localcontext() as ctx:
         ctx.prec = 60
@@ -65,14 +54,12 @@ def display_usd(cost: Decimal) -> str:
 # Percent rendering.
 
 
-def as_percent(rate: Optional[Fraction], digits: int = 2) -> Optional[Decimal]:
-    if rate is None:
-        return None
-    quantum = Decimal(1).scaleb(-digits)
+def as_percent(rate: Fraction) -> Decimal:
+    """``rate`` in percent, rounded half up to one decimal place."""
     with localcontext() as ctx:
         ctx.prec = 60
         value = Decimal(rate.numerator) * 100 / Decimal(rate.denominator)
-    return value.quantize(quantum, rounding=ROUND_HALF_UP)
+    return value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP)
 
 
 # --------------------------------------------------------------------------
@@ -89,8 +76,6 @@ def aligned_rows(rows: Iterable[Mapping[str, Any]]) -> list[Mapping[str, Any]]:
 
 def checklist_pass_counts(
     rows: Iterable[Mapping[str, Any]],
-    systems: Sequence[str] = SYSTEMS,
-    metrics: Sequence[str] = CHECKLIST_METRICS,
 ) -> dict[str, dict[str, dict[str, int]]]:
     """Per-system, per-metric pass counts over the aligned subset.
 
@@ -99,9 +84,9 @@ def checklist_pass_counts(
     """
     subset = aligned_rows(rows)
     counts: dict[str, dict[str, dict[str, int]]] = {}
-    for system in systems:
+    for system in SYSTEMS:
         counts[system] = {}
-        for metric in metrics:
+        for metric in CHECKLIST_METRICS:
             cells = [row.get(f"{system}_{metric}") for row in subset]
             counts[system][metric] = {
                 "passes": sum(1 for c in cells if c is True),
@@ -121,18 +106,14 @@ def pass_rate(
 
 
 def pass_rate_lift(
-    counts: Mapping[str, Mapping[str, Mapping[str, int]]],
-    metric: str,
-    better: str = "pipeline",
-    worse: str = "baseline",
-    digits: int = 1,
+    counts: Mapping[str, Mapping[str, Mapping[str, int]]], metric: str
 ) -> Optional[Decimal]:
-    """Percentage-point lift of one system over another on a metric."""
-    a = pass_rate(counts, better, metric)
-    b = pass_rate(counts, worse, metric)
+    """Percentage-point lift of the pipeline over the baseline on a metric."""
+    a = pass_rate(counts, "pipeline", metric)
+    b = pass_rate(counts, "baseline", metric)
     if a is None or b is None:
         return None
-    return as_percent(a - b, digits)
+    return as_percent(a - b)
 
 
 # --------------------------------------------------------------------------
@@ -190,9 +171,7 @@ def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
     return summaries
 
 
-def sessions_report(
-    summaries: Sequence[Mapping[str, Any]], prices: PriceTable = DEFAULT_PRICES
-) -> dict[str, Any]:
+def sessions_report(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
     """Aggregate usage, cost, and latency across finished sessions.
 
     Latency is summarized per whole session, per stage and per role, since
@@ -209,7 +188,7 @@ def sessions_report(
     for doc in summaries:
         usage = Usage.from_doc(doc["usage"])
         total_usage = total_usage + usage
-        cost = estimate_cost(usage, prices)
+        cost = estimate_cost(usage)
         stage = doc.get("outcome", {}).get("stage", "unknown")
         outcomes[stage] = outcomes.get(stage, 0) + 1
         fetched_total += int(doc.get("fetched_items", 0))
@@ -231,7 +210,7 @@ def sessions_report(
                 "usage": usage.to_doc(),
             }
         )
-    total_cost = estimate_cost(total_usage, prices)
+    total_cost = estimate_cost(total_usage)
     return {
         "sessions": len(per_session),
         "outcomes": outcomes,

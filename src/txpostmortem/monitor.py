@@ -280,14 +280,13 @@ class RelevanceClassifier(Protocol):
 
 
 class ScriptedClassifier:
-    """Fixed verdicts keyed by post source_id; unknown posts use the default."""
+    """Fixed verdicts keyed by post source_id; unknown posts are incidents."""
 
-    def __init__(self, verdicts: dict[str, bool] | None = None, default: bool = True):
+    def __init__(self, verdicts: dict[str, bool] | None = None):
         self.verdicts = dict(verdicts or {})
-        self.default = default
 
     def is_incident(self, post: Post) -> bool:
-        return self.verdicts.get(post.source_id, self.default)
+        return self.verdicts.get(post.source_id, True)
 
 
 def dedupe_and_filter(

@@ -289,19 +289,17 @@ def observation_names(definition: OracleDefinition) -> list[str]:
 
 def bind_variables(
     definition: OracleDefinition,
-    bindings: Mapping[str, Address] | None = None,
     deny: set[Address] | frozenset[Address] = frozenset(),
 ) -> OracleDefinition:
     """Fill role variables with addresses, refusing attacker-side identities.
 
-    Role variables missing from ``bindings`` get deterministic fresh
-    addresses derived from their names.
+    Each role variable gets a deterministic fresh address derived from its
+    name.
     """
-    bindings = dict(bindings or {})
     bound = []
     for var in definition.variables:
         if var.kind in ROLE_KINDS:
-            address = bindings.get(var.name) or fresh_role_address(var.name)
+            address = fresh_role_address(var.name)
             if address in deny:
                 raise TaintedBinding(
                     f"role {var.name} bound to deny-listed address {address}"
@@ -358,20 +356,15 @@ class VerdictReport:
         ]
 
     def to_validation_doc(
-        self,
-        rubric: Mapping[str, Any] | None = None,
-        reject_reasons: Sequence[str] | None = None,
+        self, rubric: Mapping[str, Any], reject_reasons: Sequence[str]
     ) -> dict:
         """The verdict as a ``poc_validation`` document; it rejects exactly
-        when ``reject_reasons`` is non-empty, which by default holds
-        ``oracle_validation_failed`` when an oracle is unsatisfied."""
-        if reject_reasons is None:
-            reject_reasons = [] if self.overall_pass else ["oracle_validation_failed"]
+        when ``reject_reasons`` is non-empty."""
         doc: dict[str, Any] = {
             "overall_status": "Reject" if reject_reasons else "Pass",
             "oracle_results": [r.to_doc() for r in self.constraint_results],
             "pre_check_results": [r.to_doc() for r in self.pre_check_results],
-            "rubric": dict(rubric or {}),
+            "rubric": dict(rubric),
         }
         if reject_reasons:
             doc["reject_reasons"] = list(reject_reasons)

@@ -279,7 +279,7 @@ class Orchestrator:
         self,
         backend: ModelBackend,
         adapter: ChainAdapter,
-        runner: Optional[harness.ProjectRunner] = None,
+        runner: harness.ProjectRunner,
         budgets: Budgets = Budgets(),
         rpc_url: Optional[str] = None,
         clock: Callable[[], float] = time.monotonic,
@@ -371,15 +371,13 @@ class Orchestrator:
         session: workspace.Session,
         outcome: SessionOutcome,
         fetches: SessionMemo,
-        seed_digest: str = "",
+        seed_digest: str,
     ) -> Optional[dict[str, Any]]:
         """Drive analysis to a challenged root cause; returns the accepted
         draft, or None when the incident is not ACT.  Evidence is fetched
         through the session's ``fetches``; the analyzer's first message
         carries ``seed_digest``, the digest of the seed context."""
-        opening = "Begin the analysis from the seed evidence."
-        if seed_digest:
-            opening += "\n\n" + seed_digest
+        opening = "Begin the analysis from the seed evidence.\n\n" + seed_digest
         feedback = ""
         with self._stage(STAGE_ROOT_CAUSE, outcome):
             while True:
@@ -478,9 +476,7 @@ class Orchestrator:
                 )
                 for a in roles.get(key, [])
             }
-            bound = oracles.bind_variables(
-                definition, {}, frozenset(Address(a) for a in taint)
-            )
+            bound = oracles.bind_variables(definition, frozenset(Address(a) for a in taint))
             expected = oracles.observation_names(bound)
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
@@ -581,8 +577,6 @@ class Orchestrator:
             )
             return None, scan_reasons
 
-        if self.runner is None:
-            raise StageFailed(STAGE_POC, "no project runner configured")
         try:
             result = harness.run_project(project, self.runner, self.rpc_url)
         except harness.HarnessError as exc:

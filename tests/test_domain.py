@@ -17,7 +17,6 @@ from txpostmortem.domain import (
     InvalidAddress,
     InvalidTxHash,
     MixedAssetError,
-    OutcomeLabel,
     SeedRef,
     TokenAmount,
     TxHash,
@@ -198,10 +197,3 @@ class TestSeedRef:
     def test_coerces_plain_strings(self):
         seed = SeedRef(chainid=8453, txs=("0x" + "AB" * 32,))  # type: ignore[arg-type]
         assert seed.primary.value == "0x" + "ab" * 32
-
-
-def test_outcome_labels():
-    assert OutcomeLabel.ALIGNED.value == "AL"
-    assert OutcomeLabel.MISALIGNED.value == "MA"
-    assert OutcomeLabel.MISSED.value == "MS"
-    assert OutcomeLabel.NON_ACT.value == "NA"

@@ -301,9 +301,14 @@ class TestRequestTypes:
             effective_gas_price=10,
             status=True,
         )
-        doc = record.to_doc()
-        assert doc["from"] == ADDR
-        assert doc["to"] is None
+        doc = {
+            "txhash": TX,
+            "block_number": 7,
+            "from": ADDR,
+            "to": None,
+            "gas_used": 21000,
+            "effective_gas_price": 10,
+        }
         assert TxRecord.from_doc(doc) == record
 
     @given(
@@ -454,7 +459,7 @@ class TestSeedContext:
         slow = _LaterFirstAdapter(_ContextAdapter(200), 205, step=0.0002)
         _, got = self._bootstrap(tmp_path / "b", slow)
         assert got.digest.encode() == expected.digest.encode()
-        assert got.to_doc() == expected.to_doc()
+        assert got.to_doc(0) == expected.to_doc(0)
 
 
 class TestExecuteDataRequests:
@@ -508,7 +513,7 @@ class TestAnswerOrder:
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
         summary = execute_data_requests(session, requests, adapter, iter_dir)
         files = {p.name: p.read_bytes() for p in sorted(iter_dir.iterdir())}
-        return summary.to_doc(), files
+        return summary.to_doc(1), files
 
     def test_data_requests(self, tmp_path):
         requests = _one_request_per_kind()
@@ -855,14 +860,12 @@ def _http_error(status: int) -> Exception:
 
 
 class TestLiveAdapter:
-    def _adapter(self, rpc_post=None, api_get=None, env=None, retries=3):
+    def _adapter(self, rpc_post=None, api_get=None, env=None):
         return LiveAdapter(
             env=env or {},
             rpc_map={1: "http://node"},
             rpc_post=rpc_post or (lambda url, body, timeout: {"result": None}),
             api_get=api_get or (lambda url, params, timeout: {}),
-            retries=retries,
-            backoff=0.0,
         )
 
     def test_tx_metadata_normalization(self):
@@ -908,24 +911,27 @@ class TestLiveAdapter:
                 adapter_memo(adapter).fetch(request)
         assert [c["method"] for c in calls] == ["eth_getTransactionByHash"] * 2
 
-    def test_retries_then_upstream_error(self):
+    def test_retries_then_upstream_error(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
         attempts = []
 
         def rpc_post(url, body, timeout):
-            attempts.append(1)
+            attempts.append(timeout)
             raise OSError("connection refused")
 
-        adapter = self._adapter(rpc_post=rpc_post, retries=3)
+        adapter = self._adapter(rpc_post=rpc_post)
         with pytest.raises(UpstreamError) as info:
             adapter.fetch(DataRequest(kind="tx_metadata", chainid=1, target=TX))
-        assert len(attempts) == 3
-        assert "3 attempts" in str(info.value)
+        assert attempts == [live.TIMEOUT_S] * live.RETRIES
+        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
+        assert f"{live.RETRIES} attempts" in str(info.value)
 
     def test_rpc_error_payloads_are_upstream_errors(self):
         def rpc_post(url, body, timeout):
             return {"error": {"code": -32000, "message": "header not found"}}
 
-        adapter = self._adapter(rpc_post=rpc_post, retries=1)
+        adapter = self._adapter(rpc_post=rpc_post)
         with pytest.raises(UpstreamError):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
 
@@ -962,7 +968,7 @@ class TestLiveAdapter:
         doc = adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
         assert doc["value_hex"] == "0x2a"
         assert len(calls) == 2
-        assert sleeps == [adapter.backoff]
+        assert sleeps == [live.BACKOFF_S]
 
     def _failing_rpc_adapter(self, monkeypatch, error):
         sleeps, calls = [], []
@@ -998,8 +1004,8 @@ class TestLiveAdapter:
         adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, _http_error(status))
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
-        assert calls == ["eth_getStorageAt"] * adapter.retries
-        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
+        assert calls == ["eth_getStorageAt"] * live.RETRIES
+        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
 
     def test_connection_error_is_retried(self, monkeypatch):
         requests = pytest.importorskip("requests")
@@ -1007,8 +1013,8 @@ class TestLiveAdapter:
         adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, error)
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
-        assert calls == ["eth_getStorageAt"] * adapter.retries
-        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
+        assert calls == ["eth_getStorageAt"] * live.RETRIES
+        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
 
     def _explorer_adapter(self, monkeypatch, reply):
         sleeps, calls = [], []
@@ -1036,8 +1042,8 @@ class TestLiveAdapter:
         adapter, calls, sleeps = self._explorer_adapter(monkeypatch, reply)
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="txlist", chainid=1, target=ADDR))
-        assert calls == ["txlist"] * adapter.retries
-        assert sleeps == [adapter.backoff * 2**k for k in range(adapter.retries - 1)]
+        assert calls == ["txlist"] * live.RETRIES
+        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
 
     def test_explorer_no_transactions_is_empty(self, monkeypatch):
         reply = {"status": "0", "message": "No transactions found", "result": []}
@@ -1137,9 +1143,7 @@ class TestLiveAdapterCalls:
             time.sleep(0.05)  # long enough for the other thread to ask
             return reply()
 
-        adapter = LiveAdapter(
-            env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post, retries=1, backoff=0.0
-        )
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
         return adapter, calls
 
     def test_balance_and_state_diff_share_one_prestate_call(self):
@@ -1200,5 +1204,5 @@ class TestDisassembler:
         assert "UNKNOWN_0x0c" in listing
 
     def test_limit_caps_output(self):
-        listing = disassemble("0x" + "00" * 100, limit=5)
-        assert len(listing.splitlines()) == 5
+        listing = disassemble("0x" + "00" * (live.DISASSEMBLY_LINES + 5))
+        assert len(listing.splitlines()) == live.DISASSEMBLY_LINES

@@ -304,7 +304,6 @@ class TestConcurrentProbes:
             env={},
             rpc_map={chainid: f"http://node/{chainid}" for chainid in SUPPORTED_CHAINS},
             rpc_post=rpc_post,
-            backoff=0.0,
         )
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

