@@ -22,6 +22,7 @@ import logging
 import os
 import shutil
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -167,18 +168,11 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 
 
 def _latest_engine_verdict(session: workspace.Session) -> dict[str, Any] | None:
-    base = session.root / workspace.REPRODUCER_DIR
-    best: tuple[int, Path] | None = None
-    for path in base.glob("iter_*/engine_verdict.json"):
-        try:
-            index = int(path.parent.name.split("_", 1)[1])
-        except ValueError:
-            continue
-        if best is None or index > best[0]:
-            best = (index, path)
-    if best is None:
-        return None
-    return workspace.read_artifact(session, best[1].relative_to(session.root))
+    for _, path in reversed(workspace.iteration_dirs(session, workspace.REPRODUCER_DIR)):
+        verdict = path / "engine_verdict.json"
+        if verdict.is_file():
+            return workspace.read_artifact(session, verdict.relative_to(session.root))
+    return None
 
 
 def evaluation_context(session: workspace.Session) -> dict[str, Any]:
@@ -321,21 +315,13 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 # dataset export
 
 
-def _session_dirs(sessions_dir: Path) -> list[Path]:
-    return sorted(
-        p.parent for p in sessions_dir.glob("*/" + workspace.SESSION_SUMMARY)
-    )
-
-
 def _validated(session_root: Path) -> bool:
-    path = session_root / workspace.POC_VALIDATED_RESULT
-    if not path.is_file():
-        return False
+    """Whether the validator passed; a missing or corrupt verdict did not."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError:
+        doc = workspace.read_json(session_root / workspace.POC_VALIDATED_RESULT)
+    except workspace.WorkspaceError:
         return False
-    return doc.get("overall_status") == "Pass"
+    return isinstance(doc, dict) and doc.get("overall_status") == "Pass"
 
 
 _EXPORT_DOCS = (
@@ -349,17 +335,25 @@ _EXPORT_TEXT = (
 )
 
 
+def _canonical_json(doc: Any) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, Any]:
     """Export every validated incident once, merging repeat attributions.
 
-    Deterministic by construction: sessions are visited in name order, JSON
-    is re-serialized canonically, and project files are copied byte for
-    byte, so re-running the export reproduces the same tree.
+    An incident (chain, sorted seed txs) goes to ``<chainid>_<first tx[2:10]>``;
+    in key order, a name already taken gets ``-1``, ``-2``, ….  Deterministic
+    by construction: sessions are visited in name order, JSON is re-serialized
+    canonically, and project files are copied byte for byte, so re-running
+    the export reproduces the same tree.  Files are written whole, after all
+    of an incident's documents are read: a corrupt one raises
+    ``CorruptArtifact`` and leaves that incident's directory as it was.
     """
-    sessions_root = Path(sessions_dir)
     out = Path(out_dir)
     incidents: dict[tuple[int, tuple[str, ...]], dict[str, Any]] = {}
-    for root in _session_dirs(sessions_root):
+    summaries = Path(sessions_dir).glob("*/" + workspace.SESSION_SUMMARY)
+    for root in sorted(p.parent for p in summaries):
         if not _validated(root):
             logger.info("skipping %s: no validated reproduction", root.name)
             continue
@@ -371,44 +365,31 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             raise workspace.CorruptArtifact(
                 f"{root / workspace.SOURCES_META}: {'; '.join(errors)}"
             )
-        attributions = set(sources["attributions"])
-        entry = incidents.get(key)
-        if entry is None:
-            incidents[key] = {"session": session, "attributions": attributions}
-        else:
-            entry["attributions"] |= attributions
-    out.mkdir(parents=True, exist_ok=True)
+        entry = incidents.setdefault(key, {"session": session, "attributions": set()})
+        entry["attributions"] |= set(sources["attributions"])
     index: list[dict[str, Any]] = []
+    taken: Counter[str] = Counter()
     for (chainid, txs), entry in sorted(incidents.items()):
         session = entry["session"]
-        name = f"{chainid}_{txs[0][2:10]}"
-        target = out / name
-        if target.exists():
-            shutil.rmtree(target)
-        target.mkdir(parents=True)
+        base = f"{chainid}_{txs[0][2:10]}"
+        name = f"{base}-{taken[base]}" if taken[base] else base
+        taken[base] += 1
+        files: dict[str, str | bytes] = {}
         for rel in _EXPORT_DOCS:
-            src = session.root / rel
-            if not src.is_file():
+            try:
+                doc = workspace.read_json(session.root / rel)
+            except workspace.ArtifactNotFound:
                 continue
-            doc = json.loads(src.read_text(encoding="utf-8"))
-            (target / Path(rel).name).write_text(
-                json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+            files[Path(rel).name] = _canonical_json(doc)
         for rel in _EXPORT_TEXT:
             src = session.root / rel
             if src.is_file():
-                (target / Path(rel).name).write_bytes(src.read_bytes())
+                files[Path(rel).name] = src.read_bytes()
         project = session.root / workspace.FORGE_PROJECT_DIR
-        if project.is_dir():
-            for src in sorted(project.rglob("*")):
-                if not src.is_file():
-                    continue
-                rel_path = src.relative_to(project)
-                if rel_path.parts[0] in harness.BUILD_DIRS:
-                    continue
-                dest = target / "poc" / rel_path
-                dest.parent.mkdir(parents=True, exist_ok=True)
-                dest.write_bytes(src.read_bytes())
+        for src in sorted(project.rglob("*")):
+            rel_path = src.relative_to(project)
+            if src.is_file() and rel_path.parts[0] not in harness.BUILD_DIRS:
+                files[f"poc/{rel_path}"] = src.read_bytes()
         record = {
             "dir": name,
             "chainid": chainid,
@@ -416,14 +397,15 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             "attributions": sorted(entry["attributions"]),
             "source_session": session.session_id,
         }
-        (target / "incident.json").write_text(
-            json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        files["incident.json"] = _canonical_json(record)
+        target = out / name
+        if target.exists():
+            shutil.rmtree(target)
+        for rel_path, data in files.items():
+            workspace.write_file(target / rel_path, data)
         index.append(record)
     index_doc = {"count": len(index), "entries": index}
-    (out / "index.json").write_text(
-        json.dumps(index_doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    workspace.write_file(out / "index.json", _canonical_json(index_doc))
     return index_doc
 
 

@@ -15,6 +15,7 @@ import threading
 from pathlib import Path
 from typing import Any
 
+from .. import workspace
 from .base import ChainAdapter, MissingFixture
 from .types import DataRequest
 
@@ -87,13 +88,14 @@ class FixtureStore:
         )
 
     def save(self, request: DataRequest, payload: dict[str, Any]) -> Path:
-        self.root.mkdir(parents=True, exist_ok=True)
+        """Record ``payload`` as the fixture for ``request``, written whole
+        (``workspace.write_file``): a crash leaves the earlier fixture or
+        none, never a torn one."""
         key = fixture_key(request)
         path = self.path_for(key)
         doc = {"request": request.to_doc(), "payload": payload}
-        path.write_text(
-            json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n",
-            encoding="utf-8",
+        workspace.write_file(
+            path, json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
         )
         # After the write, so that a listing made meanwhile holds the key too.
         with self._lock:

@@ -9,7 +9,6 @@ the denominator is zero) and rendered as percents to one decimal place.
 
 from __future__ import annotations
 
-import json
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
@@ -157,13 +156,12 @@ def latency_summary(durations: Sequence[float]) -> dict[str, float | int]:
 
 
 def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
+    """Each session summary under ``sessions_dir``; an undecodable one raises
+    ``workspace.CorruptArtifact``, a malformed one ``MetricsError``."""
     root = Path(sessions_dir)
     summaries = []
     for path in sorted(root.glob("*/session_summary.json")):
-        try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            raise MetricsError(f"{path}: invalid JSON") from exc
+        doc = workspace.read_json(path)
         errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
         if errors:
             raise MetricsError(f"{path}: not a session summary: {'; '.join(errors)}")

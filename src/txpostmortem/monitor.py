@@ -363,7 +363,10 @@ def run_monitor(
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
     clock: Callable[[], datetime] | None = None,
 ) -> MonitorOutcome:
-    """Consume a feed and enqueue one seed payload file per unique incident."""
+    """Consume a feed and enqueue one seed payload file per unique incident.
+
+    Seeds are written whole (``workspace.write_file``): a killed monitor
+    leaves no torn seed under a seed's name, only a dot-named temp file."""
     queue_path = Path(queue_dir)
     queue_path.mkdir(parents=True, exist_ok=True)
     now = clock or (lambda: datetime.now(timezone.utc))
@@ -378,9 +381,7 @@ def run_monitor(
         first_hash = candidate.seed.primary.value
         name = f"incident_{index:04d}_{candidate.seed.chainid}_{first_hash[2:10]}.json"
         target = queue_path / name
-        target.write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        workspace.write_file(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         outcome.enqueued.append(target)
         processed_at = now()
         if processed_at < candidate.first_post.timestamp:

@@ -1,9 +1,15 @@
-"""Session workspace: directory layout, atomic artifact IO, document schemas.
+"""Session workspace: directory layout, file IO, document schemas.
 
 A session is a directory rooted at ``<base>/<session_id>/`` holding the raw
 seed input, per-role iteration artifacts, final reports, and the scaffolded
-exploit project.  Writes are atomic (temp file + rename) so a crashed run
-never leaves half-written documents behind.
+exploit project.
+
+Every file the program writes (session artifacts, queue seeds, fixtures,
+dataset exports) goes through ``write_file``: a temp file renamed over the
+target, so a killed run leaves the old file or the whole new one, with the
+mode ``open()`` gives.  Every JSON file it reads back goes through
+``read_json``, which raises ``ArtifactNotFound`` for a missing file and
+``CorruptArtifact`` for an unreadable or undecodable one.
 
 Every schema lives in ``SCHEMAS``, and each document is checked against its
 schema once.  A model-written document (analysis, challenge, root cause,
@@ -20,7 +26,6 @@ import json
 import logging
 import os
 import re
-import tempfile
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
@@ -490,12 +495,15 @@ def _dump_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def _atomic_write(target: Path, data: str) -> None:
+def write_file(target: Path, data: str | bytes) -> None:
+    """Write ``data`` (text as UTF-8) to ``target`` whole or not at all,
+    making its parent directories first."""
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(data)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data.encode("utf-8") if isinstance(data, str) else data)
         os.replace(tmp, target)
     except BaseException:
         try:
@@ -503,6 +511,16 @@ def _atomic_write(target: Path, data: str) -> None:
         except OSError:
             pass
         raise
+
+
+def read_json(path: Path) -> Any:
+    """The JSON document at ``path``."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ArtifactNotFound(f"{path}: no such file") from exc
+    except (OSError, ValueError) as exc:
+        raise CorruptArtifact(f"{path}: {exc}") from exc
 
 
 def resolve_inside(session: Session, relpath: str | Path) -> Path:
@@ -563,12 +581,7 @@ def open_session(root: str | Path) -> Session:
     """Re-open an existing session directory from its raw input."""
     root = Path(root)
     raw_path = root / RAW_INPUT
-    if not raw_path.is_file():
-        raise ArtifactNotFound(f"no {RAW_INPUT} under {root}")
-    try:
-        doc = json.loads(raw_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise CorruptArtifact(f"unreadable {RAW_INPUT}: {exc}") from exc
+    doc = read_json(raw_path)
     errors = check_document(doc, SCHEMAS["raw_input"])
     if errors:
         raise SchemaError(errors)
@@ -595,42 +608,40 @@ def write_artifact(
         if errors:
             raise SchemaError(errors)
     target = resolve_inside(session, relpath)
-    _atomic_write(target, _dump_json(doc))
+    write_file(target, _dump_json(doc))
     return target
 
 
 def write_text_artifact(session: Session, relpath: str | Path, text: str) -> Path:
     """Atomically write a text artifact (reports, project sources)."""
     target = resolve_inside(session, relpath)
-    _atomic_write(target, text)
+    write_file(target, text)
     return target
 
 
 def read_artifact(session: Session, relpath: str | Path) -> Any:
-    target = resolve_inside(session, relpath)
-    if not target.is_file():
-        raise ArtifactNotFound(str(relpath))
-    try:
-        return json.loads(target.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise CorruptArtifact(f"{relpath}: {exc}") from exc
-    except OSError as exc:
-        raise WorkspaceError(f"{relpath}: {exc}") from exc
+    return read_json(resolve_inside(session, relpath))
 
 
 _ITER_RE = re.compile(r"^iter_(\d+)$")
 
 
+def iteration_dirs(session: Session, parent: str | Path) -> list[tuple[int, Path]]:
+    """The ``(k, path)`` of each ``iter_k`` directory under ``parent``, a
+    directory relative to the session root, in ``k`` order."""
+    base = session.root / parent
+    return sorted(
+        (int(m.group(1)), entry)
+        for entry in (base.iterdir() if base.is_dir() else [])
+        if (m := _ITER_RE.match(entry.name)) and entry.is_dir()
+    )
+
+
 def next_iteration_dir(session: Session, parent: str | Path) -> Path:
     """Allocate the next dense ``iter_k`` directory under ``parent``, a
     directory relative to the session root."""
-    base = session.root / parent
-    existing = [
-        int(m.group(1))
-        for entry in (base.iterdir() if base.is_dir() else [])
-        if (m := _ITER_RE.match(entry.name)) and entry.is_dir()
-    ]
-    k = max(existing) + 1 if existing else 0
-    path = base / f"iter_{k}"
+    existing = iteration_dirs(session, parent)
+    k = existing[-1][0] + 1 if existing else 0
+    path = session.root / parent / f"iter_{k}"
     path.mkdir(parents=True, exist_ok=False)
     return path

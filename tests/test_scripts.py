@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -246,6 +247,67 @@ def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, truncated",
+    [
+        (["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
+         workspace.ROOT_CAUSE_DOC),
+        (["metrics", "--sessions", "{tmp}/s"], workspace.SESSION_SUMMARY),
+    ],
+    ids=["export-root-cause", "metrics-summary"],
+)
+def test_truncated_session_file_fails_closed(argv, truncated, prxvt_run, tmp_path, capsys):
+    """A session file cut short, as a killed writer of old left it, ends the
+    command with exit 1 and one ``error:`` line naming the file."""
+    root = tmp_path / "s" / prxvt_run.session_root.name
+    shutil.copytree(prxvt_run.session_root, root)
+    path = root / truncated
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert truncated in err
+
+
+@pytest.mark.parametrize("verdict", [None, '{"overall_status": "Pa', "[]"],
+                         ids=["missing", "truncated", "not-an-object"])
+def test_an_unreadable_verdict_is_not_exported(verdict, prxvt_run, tmp_path, capsys):
+    root = tmp_path / "s" / prxvt_run.session_root.name
+    shutil.copytree(prxvt_run.session_root, root)
+    path = root / workspace.POC_VALIDATED_RESULT
+    path.unlink()
+    if verdict is not None:
+        path.write_text(verdict, encoding="utf-8")
+    code, index = _cli(capsys, "dataset", "export", "--sessions", str(tmp_path / "s"),
+                       "--out", str(tmp_path / "out"))
+    assert (code, index["count"]) == (0, 0)
+
+
+def test_incidents_sharing_a_first_tx_export_apart(prxvt_run, tmp_path, capsys):
+    """Seeds {A} and {A, B} on one chain are two incidents whose names
+    collide: the second in key order takes ``-1``, and neither's files are
+    lost."""
+    sessions = tmp_path / "s"
+    for name, extra in (("a", []), ("b", ["0x" + "ff" * 32])):
+        shutil.copytree(prxvt_run.session_root, sessions / name)
+        raw = json.loads((sessions / name / "raw.json").read_text(encoding="utf-8"))
+        raw["targets"] += [{"chainid": raw["targets"][0]["chainid"], "txhash": tx} for tx in extra]
+        (sessions / name / "raw.json").write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    code, index = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    seed = prxvt_run.bundle.seed()
+    base = f"{seed.chainid}_{seed.primary.value[2:10]}"
+    assert code == 0
+    assert [(e["dir"], len(e["seed_txs"])) for e in index["entries"]] == [
+        (base, 1),
+        (f"{base}-1", 2),
+    ]
+    for entry in index["entries"]:
+        incident = json.loads((out / entry["dir"] / "incident.json").read_text(encoding="utf-8"))
+        assert incident == entry
+        assert (out / entry["dir"] / "root_cause.json").is_file()
 
 
 class TestChecklistTable:

@@ -1,16 +1,23 @@
 """The session path guard: every artifact read and write stays inside the
-session directory; concurrent sessions each claim a directory of their own."""
+session directory; concurrent sessions each claim a directory of their own;
+every file the program writes is written whole, and every JSON file it reads
+back fails as one ``WorkspaceError``."""
 
 from __future__ import annotations
 
+import json
+import os
+import stat
 import sys
 import threading
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
-from txpostmortem import workspace
+from txpostmortem import cli, monitor, workspace
 from txpostmortem.domain import SeedRef
+from txpostmortem.gateway import DataRequest, FixtureStore, MissingFixture
 
 TX = "0x" + "ab" * 32
 
@@ -95,3 +102,125 @@ class TestCreateSession:
         assert len({s.session_id for s in sessions}) == 8
         assert len({s.root for s in sessions}) == 8
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(s.session_id for s in sessions)
+
+
+class _HomeChain:
+    """Finds every transaction on chain 1 only."""
+
+    def fetch(self, request: DataRequest) -> dict:
+        if request.chainid != 1:
+            raise MissingFixture(request.target)
+        return {"txhash": request.target, "chainid": 1}
+
+
+def _write_session_artifact(root: Path) -> Path:
+    session = workspace.open_session(root / "sessions" / "s0")
+    return workspace.write_artifact(session, "artifacts/doc.json", {"n": 1})
+
+
+def _write_queue_seed(root: Path) -> Path:
+    post = monitor.Post(
+        source_id="post-0",
+        author="watcher",
+        timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
+        text=f"Exploit alert: drain in {TX}",
+    )
+    outcome = monitor.run_monitor([post], _HomeChain(), root / "queue", chains=(1,))
+    return outcome.enqueued[0]
+
+
+def _write_fixture(root: Path) -> Path:
+    request = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+    return FixtureStore(root / "fixtures").save(request, {"n": 1})
+
+
+def _write_export_index(root: Path) -> Path:
+    cli.export_dataset(root / "sessions", root / "dataset")
+    return root / "dataset" / "index.json"
+
+
+@pytest.mark.parametrize(
+    "write",
+    [_write_session_artifact, _write_queue_seed, _write_fixture, _write_export_index],
+    ids=["session-artifact", "queue-seed", "fixture", "export-file"],
+)
+class TestWholeWrites:
+    """A write that fails at the rename leaves the target as it was, or
+    absent, and no temp file; a write that completes has the mode that
+    ``open()`` gives a new file."""
+
+    @pytest.fixture
+    def root(self, tmp_path: Path) -> Path:
+        """A session ``sessions/s0`` that the dataset export takes as validated."""
+        session = workspace.create_session(tmp_path / "sessions", SeedRef.from_strings(1, [TX]))
+        session.root.rename(tmp_path / "sessions" / "s0")
+        (tmp_path / "sessions" / "s0" / workspace.SESSION_SUMMARY).write_text("{}")
+        validated = tmp_path / "sessions" / "s0" / workspace.POC_VALIDATED_RESULT
+        validated.parent.mkdir(parents=True)
+        validated.write_text('{"overall_status": "Pass"}')
+        return tmp_path
+
+    @staticmethod
+    def _refuse_rename(monkeypatch: pytest.MonkeyPatch) -> None:
+        def refused(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refused)
+
+    @staticmethod
+    def _temp_files(root: Path) -> list[Path]:
+        return list(root.rglob("*.tmp"))
+
+    def test_a_failed_write_adds_no_file(self, write, root, monkeypatch):
+        def files() -> list[Path]:
+            return sorted(p for p in root.rglob("*") if p.is_file())
+
+        before = files()
+        self._refuse_rename(monkeypatch)
+        with pytest.raises(OSError, match="rename refused"):
+            write(root)
+        assert files() == before
+
+    def test_a_failed_write_keeps_the_previous_bytes(self, write, root, monkeypatch):
+        target = write(root)
+        target.write_bytes(b"previous")
+        self._refuse_rename(monkeypatch)
+        with pytest.raises(OSError, match="rename refused"):
+            write(root)
+        assert target.read_bytes() == b"previous"
+        assert self._temp_files(root) == []
+
+    def test_a_completed_write_has_the_open_mode(self, write, root):
+        probe = root / "probe"
+        probe.write_text("")
+        target = write(root)
+        assert stat.S_IMODE(target.stat().st_mode) == stat.S_IMODE(probe.stat().st_mode)
+        json.loads(target.read_text(encoding="utf-8"))
+        assert self._temp_files(root) == []
+
+
+class TestReadJson:
+    def test_a_missing_file_is_not_found(self, tmp_path):
+        with pytest.raises(workspace.ArtifactNotFound, match="absent.json"):
+            workspace.read_json(tmp_path / "absent.json")
+
+    @pytest.mark.parametrize("text", ['{"n": ', "", "\udcff"], ids=["truncated", "empty", "not-utf8"])
+    def test_an_undecodable_file_is_corrupt(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8", errors="surrogateescape")
+        with pytest.raises(workspace.CorruptArtifact, match="doc.json"):
+            workspace.read_json(path)
+
+
+class TestIterationDirs:
+    def test_lists_iteration_directories_in_numeric_order(self, session):
+        for k in (0, 1, 2, 10):
+            (session.root / "stage" / f"iter_{k}").mkdir(parents=True)
+        (session.root / "stage" / "iter_x").mkdir()
+        (session.root / "stage" / "iter_3").write_text("")
+        assert [k for k, _ in workspace.iteration_dirs(session, "stage")] == [0, 1, 2, 10]
+        assert workspace.next_iteration_dir(session, "stage").name == "iter_11"
+
+    def test_a_missing_parent_has_none(self, session):
+        assert workspace.iteration_dirs(session, "absent") == []
+        assert workspace.next_iteration_dir(session, "absent").name == "iter_0"
