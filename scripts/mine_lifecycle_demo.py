@@ -49,7 +49,7 @@ def main() -> int:
         print(f"  [{mark}] to={to_address} selector={cluster.selector} "
               f"size={len(cluster.members)}")
 
-    phases = classify_phases(universe, seed, participants, clusters)
+    phases = classify_phases(universe, seed, participants)
     print("\nphases:")
     for record in universe:
         print(f"  {record.txhash.value[:18]}... block={record.block_number} "

@@ -349,6 +349,9 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     the export reproduces the same tree.  Files are written whole, after all
     of an incident's documents are read: a corrupt one raises
     ``CorruptArtifact`` and leaves that incident's directory as it was.
+    Then each directory under ``out_dir`` whose ``incident.json`` the index
+    does not list is deleted, so exporting over an earlier export gives a
+    fresh export's tree; other files are left alone.
     """
     out = Path(out_dir)
     incidents: dict[tuple[int, tuple[str, ...]], dict[str, Any]] = {}
@@ -406,6 +409,10 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
         index.append(record)
     index_doc = {"count": len(index), "entries": index}
     workspace.write_file(out / "index.json", _canonical_json(index_doc))
+    exported = {record["dir"] for record in index}
+    for stale in list(out.glob("*/incident.json")):
+        if stale.parent.name not in exported:
+            shutil.rmtree(stale.parent)
     return index_doc
 
 

@@ -9,8 +9,10 @@ output into structured results plus named runtime observations.
 from __future__ import annotations
 
 import logging
+import os
 import re
 import shutil
+import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
@@ -172,31 +174,37 @@ class ProjectRunner(Protocol):
 
 
 class SubprocessRunner:
-    """Runs ``forge test -vvv`` in the project directory."""
+    """Runs ``forge test -vvv`` in the project directory, as its own process
+    group: a run that outlasts ``RUN_TIMEOUT_S`` has the whole group killed
+    and reaped, so no process it started keeps running."""
 
     def __init__(self, forge_bin: str = "forge"):
         self.forge_bin = forge_bin
 
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
-        import os
-
         env = dict(os.environ)
         if rpc_url:
             env["RPC_URL"] = rpc_url
         try:
-            completed = subprocess.run(
+            process = subprocess.Popen(
                 [self.forge_bin, "test", "-vvv"],
                 cwd=project.root,
                 env=env,
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
-                timeout=RUN_TIMEOUT_S,
+                start_new_session=True,
             )
         except FileNotFoundError as exc:
             raise HarnessError(f"runner binary not found: {self.forge_bin}") from exc
-        except subprocess.TimeoutExpired as exc:
-            raise HarnessError(f"test run timed out after {RUN_TIMEOUT_S}s") from exc
-        return (completed.stdout or "") + (completed.stderr or "")
+        with process:
+            try:
+                stdout, stderr = process.communicate(timeout=RUN_TIMEOUT_S)
+            except subprocess.TimeoutExpired as exc:
+                os.killpg(process.pid, signal.SIGKILL)
+                process.communicate()
+                raise HarnessError(f"test run timed out after {RUN_TIMEOUT_S}s") from exc
+        return stdout + stderr
 
 
 class SimulatedRunner:

@@ -1,9 +1,12 @@
 """Lifecycle mining: from one seed transaction to a minimal incident set.
 
-Given the seed's call trace and balance diffs plus transaction lists for the
-adversary-side accounts, this module extracts participant roles, clusters
-repeated entrypoint calls, labels funding/setup/exploit/exit phases, and
-selects a minimal transaction set that still covers every observed phase.
+``extract_participants`` turns the seed's trace and balance diffs into role
+candidates, and ``mine_lifecycle`` fetches the adversaries' transaction
+lists around the seed.  ``_analyse`` then does each step over that universe
+once: block order, the seed check, the clusters of repeated entrypoint
+calls, the qualifying exploit clusters and one funding, setup, exploit or
+exit label per record.  ``classify_phases``, ``covers`` and
+``select_covering_set`` all read it.
 
 All heuristics here are deterministic; they produce candidates for the
 analyst roles to confirm, not final judgments.
@@ -12,7 +15,7 @@ analyst roles to confirm, not final judgments.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .domain import Address, TxHash
@@ -23,8 +26,6 @@ logger = logging.getLogger(__name__)
 
 #: Block radius mined on each side of the seed.
 DEFAULT_WINDOW = 5000
-
-PHASES = ("funding", "setup", "exploit", "exit")
 
 
 class MinerError(Exception):
@@ -44,15 +45,6 @@ class ParticipantSet:
     @property
     def adversaries(self) -> frozenset[Address]:
         return self.adversary_eoas | self.adversary_contracts
-
-    def to_doc(self) -> dict:
-        return {
-            "origin": self.origin.value,
-            "adversary_eoas": sorted(a.value for a in self.adversary_eoas),
-            "adversary_contracts": sorted(a.value for a in self.adversary_contracts),
-            "victims": sorted(a.value for a in self.victims),
-            "helpers": sorted(a.value for a in self.helpers),
-        }
 
 
 def _is_precompile(address: Address) -> bool:
@@ -109,111 +101,74 @@ class TxCluster:
     selector: Optional[str]
     members: tuple[TxRecord, ...]
 
-    @property
-    def first(self) -> TxRecord:
-        return self.members[0]
 
-    @property
-    def last(self) -> TxRecord:
-        return self.members[-1]
-
-    def hashes(self) -> set[TxHash]:
-        return {m.txhash for m in self.members}
-
-
-def cluster_records(records: Iterable[TxRecord]) -> list[TxCluster]:
-    """Partition records by (counterparty, selector), largest cluster first."""
+def cluster_records(universe: Iterable[TxRecord]) -> list[TxCluster]:
+    """Partition a universe in block order (``TxRecord.order_key``) by
+    (counterparty, selector).  Members keep the universe's order, so
+    clusters come out in first-member order."""
     groups: dict[tuple[Optional[str], Optional[str]], list[TxRecord]] = {}
-    for record in records:
+    for record in universe:
         key = (
             record.to_address.value if record.to_address else None,
             record.selector,
         )
         groups.setdefault(key, []).append(record)
-    clusters = []
-    for (to_value, selector), members in groups.items():
-        members.sort(key=TxRecord.order_key)
-        clusters.append(
-            TxCluster(
-                counterparty=Address(to_value) if to_value else None,
-                selector=selector,
-                members=tuple(members),
-            )
+    return [
+        TxCluster(
+            counterparty=Address(to_value) if to_value else None,
+            selector=selector,
+            members=tuple(members),
         )
-    clusters.sort(
-        key=lambda c: (
-            -len(c.members),
-            c.first.order_key(),
-            c.counterparty.value if c.counterparty else "",
-            c.selector or "",
-        )
-    )
-    return clusters
+        for (to_value, selector), members in groups.items()
+    ]
 
 
 def exploit_clusters(
     clusters: list[TxCluster], seed: TxHash, participants: ParticipantSet
 ) -> list[TxCluster]:
-    """Qualifying repeated-entrypoint clusters, dominant (largest) first.
+    """The qualifying repeated-entrypoint clusters, in the given order.
 
     A cluster qualifies when it carries a function selector and either
     contains the seed or repeatedly targets a known participant contract.
-    Ties in size are broken in favor of the cluster containing the seed.
     """
     interesting = participants.victims | participants.helpers | participants.adversary_contracts
-    qualifying = []
-    for cluster in clusters:
-        if cluster.selector is None:
-            continue
-        if any(m.txhash == seed for m in cluster.members):
-            qualifying.append(cluster)
-        elif len(cluster.members) >= 2 and cluster.counterparty in interesting:
-            qualifying.append(cluster)
-    qualifying.sort(
-        key=lambda c: (
-            -len(c.members),
-            0 if any(m.txhash == seed for m in c.members) else 1,
-            c.first.order_key(),
+    return [
+        cluster
+        for cluster in clusters
+        if cluster.selector is not None
+        and (
+            any(m.txhash == seed for m in cluster.members)
+            or (len(cluster.members) >= 2 and cluster.counterparty in interesting)
         )
-    )
-    return qualifying
-
-
-def classify_phases(
-    records: Iterable[TxRecord],
-    seed: TxHash,
-    participants: ParticipantSet,
-    clusters: list[TxCluster] | None = None,
-) -> dict[TxHash, str]:
-    """Assign one lifecycle phase to every record in the universe."""
-    universe = sorted(records, key=TxRecord.order_key)
-    if clusters is None:
-        clusters = cluster_records(universe)
-    return _phases(universe, seed, participants, exploit_clusters(clusters, seed, participants))
-
-
-def _phases(
-    universe: list[TxRecord],
-    seed: TxHash,
-    participants: ParticipantSet,
-    qualifying: list[TxCluster],
-) -> dict[TxHash, str]:
-    """``classify_phases`` over a sorted universe whose qualifying exploit
-    clusters are known; the phases come in universe order."""
-    exploit_hashes: set[TxHash] = set()
-    for cluster in qualifying:
-        exploit_hashes |= cluster.hashes()
-    if not exploit_hashes:
-        exploit_hashes = {seed}
-    exploit_blocks = [
-        r.block_number for r in universe if r.txhash in exploit_hashes
     ]
-    last_exploit_block = max(exploit_blocks) if exploit_blocks else 0
+
+
+def _span(cluster: TxCluster) -> set[TxHash]:
+    return {cluster.members[0].txhash, cluster.members[-1].txhash}
+
+
+def _analyse(
+    records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
+) -> tuple[list[TxRecord], dict[TxHash, str], list[TxCluster]]:
+    """The block-ordered universe, each record's phase (in universe order)
+    and the qualifying exploit clusters.
+
+    Members of the qualifying clusters are the exploit, or the seed alone
+    when none qualifies.  A record paying an adversary EOA from outside is
+    funding, an adversary's record after the last exploit block is exit, and
+    anything else is setup.
+    """
+    universe = sorted(records, key=TxRecord.order_key)
+    if not any(r.txhash == seed for r in universe):
+        raise MinerError(f"seed transaction {seed} not present in mined window")
+    qualifying = exploit_clusters(cluster_records(universe), seed, participants)
+    exploit = {m.txhash for cluster in qualifying for m in cluster.members} or {seed}
+    last_exploit_block = max(r.block_number for r in universe if r.txhash in exploit)
 
     phases: dict[TxHash, str] = {}
     adversaries = participants.adversaries
     for record in universe:
-        if record.txhash in exploit_hashes:
+        if record.txhash in exploit:
             phases[record.txhash] = "exploit"
         elif (
             record.to_address in participants.adversary_eoas
@@ -225,7 +180,15 @@ def _phases(
             phases[record.txhash] = "exit"
         else:
             phases[record.txhash] = "setup"
-    return phases
+    return universe, phases, qualifying
+
+
+def classify_phases(
+    records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
+) -> dict[TxHash, str]:
+    """Assign one lifecycle phase to every record in the universe; raises
+    ``MinerError`` when the seed is not among the records."""
+    return _analyse(records, seed, participants)[1]
 
 
 @dataclass(frozen=True)
@@ -234,68 +197,15 @@ class LifecycleEntry:
     phase: str
     block_number: int
 
-    def to_doc(self) -> dict:
-        return {
-            "txhash": self.txhash.value,
-            "phase": self.phase,
-            "block_number": self.block_number,
-        }
-
 
 @dataclass(frozen=True)
 class LifecycleSet:
     """Minimal phase-covering transaction set, in block order."""
 
     entries: tuple[LifecycleEntry, ...]
-    seed: TxHash
 
     def hashes(self) -> list[str]:
         return [e.txhash.value for e in self.entries]
-
-    def phases_present(self) -> set[str]:
-        return {e.phase for e in self.entries}
-
-    def to_doc(self) -> dict:
-        return {
-            "seed": self.seed.value,
-            "entries": [e.to_doc() for e in self.entries],
-        }
-
-
-@dataclass(frozen=True)
-class _CoverageRequirements:
-    """What a subset must contain to count as covering the incident."""
-
-    seed: TxHash
-    cluster_endpoints: tuple[frozenset[TxHash], ...]  # {first,last} per cluster
-    phase_pools: dict[str, frozenset[TxHash]] = field(default_factory=dict)
-
-
-def coverage_requirements(
-    records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
-) -> _CoverageRequirements:
-    return _requirements(sorted(records, key=TxRecord.order_key), seed, participants)[0]
-
-
-def _requirements(
-    universe: list[TxRecord], seed: TxHash, participants: ParticipantSet
-) -> tuple[_CoverageRequirements, dict[TxHash, str]]:
-    """``coverage_requirements`` of a sorted universe, with the phases
-    (in universe order) that its pools come from."""
-    if not any(r.txhash == seed for r in universe):
-        raise MinerError(f"seed transaction {seed} not present in mined window")
-    qualifying = exploit_clusters(cluster_records(universe), seed, participants)
-    phases = _phases(universe, seed, participants, qualifying)
-    endpoints = tuple(
-        frozenset({c.first.txhash, c.last.txhash}) for c in qualifying
-    )
-    pools: dict[str, frozenset[TxHash]] = {}
-    for phase in ("funding", "setup", "exit"):
-        pool = frozenset(h for h, p in phases.items() if p == phase)
-        if pool:
-            pools[phase] = pool
-    req = _CoverageRequirements(seed=seed, cluster_endpoints=endpoints, phase_pools=pools)
-    return req, phases
 
 
 def covers(
@@ -304,17 +214,12 @@ def covers(
     seed: TxHash,
     participants: ParticipantSet,
 ) -> bool:
-    """True when ``subset`` witnesses every phase and exploit-cluster span."""
-    req = coverage_requirements(records, seed, participants)
-    if req.seed not in subset:
+    """True when ``subset`` holds the seed, both ends of every qualifying
+    exploit cluster, and a witness of every other phase in the universe."""
+    _, phases, qualifying = _analyse(records, seed, participants)
+    if seed not in subset or not all(_span(c) <= subset for c in qualifying):
         return False
-    for endpoints in req.cluster_endpoints:
-        if not endpoints <= subset:
-            return False
-    for pool in req.phase_pools.values():
-        if not pool & subset:
-            return False
-    return True
+    return set(phases.values()) - {"exploit"} <= {phases.get(h) for h in subset}
 
 
 def select_covering_set(
@@ -323,20 +228,18 @@ def select_covering_set(
     """Pick the minimal lifecycle set: seed, cluster spans, phase witnesses.
 
     Every member other than the seed is forced by some coverage requirement,
-    so dropping any one of them breaks coverage.
+    so dropping any one of them breaks coverage.  A missing phase is
+    witnessed by its first record, or by its last for exit.
     """
-    universe = sorted(records, key=TxRecord.order_key)
-    req, phases = _requirements(universe, seed, participants)
-
+    universe, phases, qualifying = _analyse(records, seed, participants)
     chosen: set[TxHash] = {seed}
-    for endpoints in req.cluster_endpoints:
-        chosen |= endpoints
-    for phase, pool in req.phase_pools.items():
-        if chosen & pool:
-            # The seed may sit inside a phase pool; it already witnesses it.
-            continue
+    for cluster in qualifying:
+        chosen |= _span(cluster)
+    witnessed = {phases[h] for h in chosen}
+    for phase in ("funding", "setup", "exit"):
         members = [h for h, p in phases.items() if p == phase]  # block order
-        chosen.add(members[-1] if phase == "exit" else members[0])
+        if members and phase not in witnessed:
+            chosen.add(members[-1] if phase == "exit" else members[0])
 
     entries = tuple(
         LifecycleEntry(
@@ -347,7 +250,7 @@ def select_covering_set(
         for record in universe
         if record.txhash in chosen
     )
-    return LifecycleSet(entries=entries, seed=seed)
+    return LifecycleSet(entries=entries)
 
 
 def mine_lifecycle(

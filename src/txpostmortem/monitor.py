@@ -125,14 +125,7 @@ _TX_HASH_RE = re.compile(r"(?<![0-9a-fA-F])0x[0-9a-fA-F]{64}(?![0-9a-fA-F])")
 
 def extract_tx_hashes(text: str) -> list[TxHash]:
     """All candidate hashes in first-appearance order, deduplicated."""
-    seen: set[str] = set()
-    hashes: list[TxHash] = []
-    for token in _TX_HASH_RE.findall(text):
-        candidate = TxHash(token)
-        if candidate.value not in seen:
-            seen.add(candidate.value)
-            hashes.append(candidate)
-    return hashes
+    return list(dict.fromkeys(map(TxHash, _TX_HASH_RE.findall(text))))
 
 
 DEFAULT_PROBE_ORDER: tuple[int, ...] = tuple(sorted(SUPPORTED_CHAINS))
@@ -142,7 +135,7 @@ def resolve_chains(
     txhashes: Sequence[TxHash],
     adapter: ChainAdapter,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
-) -> dict[str, int | MonitorError]:
+) -> dict[str, list[int]]:
     """Probe every chain for every transaction, all in one wave.
 
     The probes go out as one ``fetch_many`` batch, one per distinct hash
@@ -156,10 +149,9 @@ def resolve_chains(
     ``lifecycle.mine_lifecycle`` on the same adapter reads it from there.
     Misses are not kept and are probed again by the next call.
 
-    Returns each hash's answer keyed by its value: the one chain that has
-    it, or a ``ChainNotFound`` (no chain) or ``AmbiguousChain`` (several,
-    carrying every match in probe order so the caller can arbitrate).  The
-    errors are made, not raised, so they carry no traceback.
+    Returns, for each distinct hash in first-appearance order and keyed by
+    its value, the chains that have it, in probe order: none, one, or
+    several for the caller to arbitrate.
     """
     probe_order = tuple(chains)
     distinct = list(dict.fromkeys(txhash.value for txhash in txhashes))
@@ -168,22 +160,16 @@ def resolve_chains(
         for value in distinct
         for chainid in probe_order
     ]
-    payloads = fetch_many(adapter_memo(adapter), requests)
-    answers: dict[str, int | MonitorError] = {}
-    for k, value in enumerate(distinct):
-        probes = payloads[k * len(probe_order) : (k + 1) * len(probe_order)]
-        matches = [
+    # Each hash's probes are consecutive, in probe order.
+    payloads = iter(fetch_many(adapter_memo(adapter), requests))
+    return {
+        value: [
             chainid
-            for chainid, payload in zip(probe_order, probes)
+            for chainid, payload in zip(probe_order, payloads)
             if not isinstance(payload, GatewayError)
         ]
-        if not matches:
-            answers[value] = ChainNotFound(value)
-        elif len(matches) > 1:
-            answers[value] = AmbiguousChain(value, matches)
-        else:
-            answers[value] = matches[0]
-    return answers
+        for value in distinct
+    }
 
 
 def resolve_chain(
@@ -197,10 +183,12 @@ def resolve_chain(
     resolves; zero raises ChainNotFound; several raise AmbiguousChain
     carrying every match, in probe order, so the caller can arbitrate.
     """
-    answer = resolve_chains([txhash], adapter, chains)[txhash.value]
-    if isinstance(answer, MonitorError):
-        raise answer
-    return answer
+    matches = resolve_chains([txhash], adapter, chains)[txhash.value]
+    if not matches:
+        raise ChainNotFound(txhash.value)
+    if len(matches) > 1:
+        raise AmbiguousChain(txhash.value, matches)
+    return matches[0]
 
 
 # --------------------------------------------------------------------------
@@ -216,43 +204,38 @@ class IncidentCandidate:
     def dedup_key(self) -> tuple[int, tuple[str, ...]]:
         return (self.seed.chainid, tuple(sorted(t.value for t in self.seed.txs)))
 
-    def payload(self) -> dict[str, Any]:
-        """Forwarded seed payload; strips every trace of the source post."""
-        return workspace.raw_input_doc(self.seed)
-
 
 def candidates_from_post(
-    post: Post, resolve: Callable[[TxHash], int | MonitorError]
+    post: Post, resolved: dict[str, list[int]]
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
-    """Extract, resolve, and group one post's hashes per chain.
+    """Extract one post's hashes and group them per chain.
 
-    ``resolve`` returns the hash's answer from ``resolve_chains``: a chain
-    id, or a ``ChainNotFound`` or ``AmbiguousChain``.  A post naming
-    transactions on several chains is split into one candidate per chain,
-    with the split logged.
+    ``resolved`` is ``resolve_chains``' answer for a set of hashes holding
+    the post's.  A hash no chain has is logged as unresolved and dropped; a
+    hash several chains have goes to the first in probe order, with the
+    matches logged.  A post naming transactions on several chains is split
+    into one candidate per chain, with the split logged.
     """
     notes: list[dict[str, Any]] = []
     by_chain: dict[int, list[TxHash]] = {}
     for txhash in extract_tx_hashes(post.text):
-        answer = resolve(txhash)
-        if isinstance(answer, ChainNotFound):
+        matches = resolved[txhash.value]
+        if not matches:
             notes.append(
                 {"event": "hash_unresolved", "txhash": txhash.value, "post": post.source_id}
             )
             continue
-        if isinstance(answer, AmbiguousChain):
-            chainid = answer.matches[0]
+        chainid = matches[0]
+        if len(matches) > 1:
             notes.append(
                 {
                     "event": "ambiguous_chain",
                     "txhash": txhash.value,
-                    "matches": answer.matches,
+                    "matches": matches,
                     "chosen": chainid,
                     "post": post.source_id,
                 }
             )
-        else:
-            chainid = answer
         by_chain.setdefault(chainid, []).append(txhash)
     if len(by_chain) > 1:
         notes.append(
@@ -321,9 +304,7 @@ def dedupe_and_filter(
         if not relevant:
             log.append({"event": "irrelevant_post", "post": post.source_id})
             continue
-        candidates, notes = candidates_from_post(
-            post, lambda txhash: resolved[txhash.value]
-        )
+        candidates, notes = candidates_from_post(post, resolved)
         log.extend(notes)
         if not candidates:
             log.append({"event": "no_seed_found", "post": post.source_id})
@@ -375,9 +356,8 @@ def run_monitor(
     )
     outcome = MonitorOutcome(candidates=accepted, log=log)
     for index, candidate in enumerate(accepted):
-        payload = candidate.payload()
-        if set(payload) != {"targets"}:
-            raise MonitorError("forwarded payload must contain exactly the targets")
+        # The seed alone is forwarded, with no trace of the source post.
+        payload = workspace.raw_input_doc(candidate.seed)
         first_hash = candidate.seed.primary.value
         name = f"incident_{index:04d}_{candidate.seed.chainid}_{first_hash[2:10]}.json"
         target = queue_path / name

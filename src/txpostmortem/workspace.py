@@ -242,7 +242,7 @@ _EVALUATION_ENTRY_SPEC = {
     "object": {
         "required": {
             "round": "int",
-            "action": {"enum": ["Initial", "Maintain", "Change"]},
+            "action": {"enum": ["Initial"]},
             "result": "bool",
             "reason": "string",
         }

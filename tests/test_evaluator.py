@@ -131,6 +131,19 @@ class TestWriteReports:
         consolidated = json.loads((session.root / written[-1]).read_text(encoding="utf-8"))
         assert consolidated == {"final": {key: True for key in METRIC_KEYS}}
 
+    def test_only_an_initial_judgment_passes_the_schema(self, tmp_path):
+        """Every history entry is the one initial judgment; a later round's
+        ``Maintain`` is not a document the program writes."""
+        session = workspace.create_session(
+            tmp_path, SeedRef.from_strings(1, ["0x" + "ab" * 32])
+        )
+        reports, verdict = evaluate_project({}, _two_against_one())
+        rel = write_reports(session, reports, verdict)[0]
+        doc = json.loads((session.root / rel).read_text(encoding="utf-8"))
+        doc[C1]["evaluation_history"][0]["action"] = "Maintain"
+        errors = workspace.check_document(doc, workspace.SCHEMAS["evaluation_result"])
+        assert len(errors) == 1 and "'Maintain'" in errors[0], errors
+
 
 class TestEvaluateCommand:
     @pytest.fixture

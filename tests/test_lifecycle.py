@@ -18,12 +18,10 @@ from txpostmortem.domain import SUPPORTED_CHAINS, Address, TxHash
 from txpostmortem.gateway.types import BalanceDelta, TraceNode, TxRecord
 from txpostmortem.lifecycle import (
     DEFAULT_WINDOW,
-    PHASES,
     MinerError,
     ParticipantSet,
     classify_phases,
     cluster_records,
-    coverage_requirements,
     covers,
     extract_participants,
     mine_lifecycle,
@@ -169,27 +167,21 @@ class TestExtractParticipants:
         participants = extract_participants(self._trace(), diffs)
         assert OUTSIDER in participants.adversary_eoas
 
-    def test_doc_shape_is_sorted(self):
-        doc = extract_participants(self._trace(), self._diffs()).to_doc()
-        assert doc["victims"] == [VICTIM.value]
-        for key in ("adversary_eoas", "adversary_contracts", "victims", "helpers"):
-            assert doc[key] == sorted(doc[key])
-
 
 class TestClustering:
-    def test_largest_cluster_first_members_in_block_order(self):
+    def test_clusters_in_first_member_order_members_in_block_order(self):
         records = [
             _rec(1, 130, VICTIM, SEL_RUN),
             _rec(2, 110, VICTIM, SEL_RUN),
-            _rec(3, 120, HELPER, SEL_STAKE),
+            _rec(3, 105, HELPER, SEL_STAKE),
             _rec(4, 100, VICTIM, SEL_RUN),
         ]
-        clusters = cluster_records(records)
-        assert len(clusters) == 2
-        assert len(clusters[0].members) == 3
+        clusters = cluster_records(sorted(records, key=TxRecord.order_key))
+        assert [(c.counterparty, c.selector) for c in clusters] == [
+            (VICTIM, SEL_RUN),
+            (HELPER, SEL_STAKE),
+        ]
         assert [m.block_number for m in clusters[0].members] == [100, 110, 130]
-        assert clusters[0].first.block_number == 100
-        assert clusters[0].last.block_number == 130
 
     def test_phase_rules(self):
         seed = _rec(10, 120, VICTIM, SEL_RUN)
@@ -206,7 +198,7 @@ class TestClustering:
         assert phases[records[1].txhash] == "setup"
         assert phases[records[3].txhash] == "exploit"
         assert phases[records[4].txhash] == "exit"
-        assert set(phases.values()) <= set(PHASES)
+        assert set(phases.values()) <= {"funding", "setup", "exploit", "exit"}
 
     def test_seed_alone_is_the_exploit(self):
         seed = _rec(1, 100, VICTIM, SEL_RUN)
@@ -217,8 +209,13 @@ class TestClustering:
 class TestCoverage:
     def test_seed_must_be_in_the_window(self):
         absent = TxHash("0x" + "99" * 32)
+        records = [_rec(1, 100, VICTIM, SEL_RUN)]
         with pytest.raises(MinerError):
-            coverage_requirements([_rec(1, 100, VICTIM, SEL_RUN)], absent, PARTICIPANTS)
+            covers({absent}, records, absent, PARTICIPANTS)
+        with pytest.raises(MinerError):
+            classify_phases(records, absent, PARTICIPANTS)
+        with pytest.raises(MinerError):
+            select_covering_set(records, absent, PARTICIPANTS)
 
     def test_subset_without_seed_never_covers(self):
         seed = _rec(1, 100, VICTIM, SEL_RUN)
@@ -238,7 +235,7 @@ class TestSelectionMinimality:
         seed = _rec(1, 100, VICTIM, SEL_RUN)
         lifecycle = assert_selection_is_minimal([seed], seed.txhash, PARTICIPANTS)
         assert lifecycle.hashes() == [seed.txhash.value]
-        assert lifecycle.phases_present() == {"exploit"}
+        assert [e.phase for e in lifecycle.entries] == ["exploit"]
 
     def test_full_lifecycle_universe(self):
         seed = _rec(10, 120, VICTIM, SEL_RUN)
@@ -254,7 +251,7 @@ class TestSelectionMinimality:
         lifecycle = assert_selection_is_minimal(universe, seed.txhash, PARTICIPANTS)
         # funding + one setup witness + cluster span (seed is first) + exit
         assert len(lifecycle.entries) == 5
-        assert lifecycle.phases_present() == {"funding", "setup", "exploit", "exit"}
+        assert {e.phase for e in lifecycle.entries} == {"funding", "setup", "exploit", "exit"}
         blocks = [e.block_number for e in lifecycle.entries]
         assert blocks == sorted(blocks)
 
@@ -344,7 +341,7 @@ class TestBundledIncidents:
 
         adapter = Counting(prxvt_run.bundle.adapter())
         seed = TxHash(PRXVT_SEED)
-        assert resolve_chains([seed], adapter) == {seed.value: PRXVT_CHAIN}
+        assert resolve_chains([seed], adapter) == {seed.value: [PRXVT_CHAIN]}
         lifecycle, _ = mine_lifecycle(adapter, PRXVT_CHAIN, seed, PRXVT_PARTICIPANTS)
         assert lifecycle.hashes() == [tx for tx, _ in PRXVT_LIFECYCLE]
         assert adapter.calls[("tx_metadata", PRXVT_CHAIN, seed.value)] == 1

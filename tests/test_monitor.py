@@ -361,8 +361,9 @@ class TestResolveOncePerFeed:
         ]
 
     def test_a_feed_leaves_no_reference_cycles(self):
-        """Errors kept as values drop their tracebacks, so a feed's objects
-        are freed when it ends, not at the next full collection."""
+        """A feed's answers are chain lists, holding no failed probe or its
+        traceback, so its objects are freed when it ends, not at the next
+        full collection."""
         posts = [_post("p1", OTHER_TX, STRAY_TX, TX), _post("p2", STRAY_TX, OTHER_TX)]
         adapter = _ChainsAdapter({OTHER_TX.value: {HOME, SECOND}, TX.value: {HOME}})
         gc.collect()
@@ -380,15 +381,14 @@ class TestProbePayloadsOutliveTheWave:
     def test_a_failed_probe_is_asked_again_by_the_next_wave(self):
         adapter = _ChainsAdapter({TX.value: {HOME}})
         answers = resolve_chains([TX, STRAY_TX], adapter)
-        assert answers[TX.value] == HOME
-        assert isinstance(answers[STRAY_TX.value], ChainNotFound)
+        assert answers == {TX.value: [HOME], STRAY_TX.value: []}
         first = adapter.calls[:]
         assert len(first) == 2 * len(SUPPORTED_CHAINS)
         # The stray hash turns up: the next wave asks every probe again but
         # the one that found something.
         adapter.hosts[STRAY_TX.value] = {SECOND}
         answers = resolve_chains([TX, STRAY_TX], adapter)
-        assert answers == {TX.value: HOME, STRAY_TX.value: SECOND}
+        assert answers == {TX.value: [HOME], STRAY_TX.value: [SECOND]}
         again = adapter.calls[len(first):]
         assert sorted((r.chainid, r.target) for r in again) == sorted(
             (r.chainid, r.target) for r in first if (r.chainid, r.target) != (HOME, TX.value)
@@ -398,7 +398,7 @@ class TestProbePayloadsOutliveTheWave:
         gc.collect()
         before = len(collect._ADAPTER_PAYLOADS)
         adapter = _ChainsAdapter({TX.value: {HOME}})
-        assert resolve_chains([TX], adapter) == {TX.value: HOME}
+        assert resolve_chains([TX], adapter) == {TX.value: [HOME]}
         assert len(collect._ADAPTER_PAYLOADS) == before + 1
         gone = weakref.ref(adapter)
         del adapter
@@ -427,7 +427,7 @@ class TestProbePayloadsOutliveTheWave:
         assert len(probes) == 2 * len(SUPPORTED_CHAINS)
         assert set(probes.values()) == {1}
         for answer in answers:
-            assert [answer[tx.value].matches for tx in (TX, OTHER_TX)] == [
+            assert [answer[tx.value] for tx in (TX, OTHER_TX)] == [
                 list(DEFAULT_PROBE_ORDER)
             ] * 2
 
@@ -489,11 +489,11 @@ class TestOneWavePerFeed:
 
         answers = resolve_chains(txs + [txs[0]], LaterAnswersFirst(hosts))
         assert list(answers) == [tx.value for tx in txs]
-        assert isinstance(answers[txs[0].value], AmbiguousChain)
-        assert answers[txs[0].value].matches == [HOME, SECOND]
-        assert isinstance(answers[txs[1].value], ChainNotFound)
-        assert answers[txs[1].value].__traceback__ is None
-        assert answers[txs[2].value] == SECOND
+        assert answers == {
+            txs[0].value: [HOME, SECOND],
+            txs[1].value: [],
+            txs[2].value: [SECOND],
+        }
 
     def test_classifier_sees_each_post_once_in_order(self):
         txs = _hashes(4)

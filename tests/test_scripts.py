@@ -1,6 +1,7 @@
 """Entry points run end to end: the bundled demo script and ``python -m
 txpostmortem`` in their own interpreters, so that a script importing a name
-the package no longer has fails here; the whole command-line pipeline
+the package no longer has fails here, and the covering set the demo prints;
+the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
 bundled cases; the budget flags; the rejection of malformed flags, of flags
 a command would ignore and of malformed files the commands read; and the
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from txpostmortem import CASE_BUILDERS, cli, workspace
+from txpostmortem import CASE_BUILDERS, cli, scenarios, workspace
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -33,6 +34,16 @@ REPO = Path(__file__).resolve().parents[1]
 def test_script_exits_cleanly(script, tmp_path):
     result = _run_script(script, tmp_path / "work")
     assert result.returncode == 0, result.stderr
+
+
+def test_lifecycle_demo_prints_the_prxvt_covering_set(tmp_path):
+    result = _run_script(["mine_lifecycle_demo.py"], tmp_path / "work")
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    start = next(k for k, line in enumerate(lines) if line.startswith("selected covering set"))
+    assert lines[start + 1:] == [
+        f"  {tx[:18]}... {phase}" for tx, phase in scenarios.PRXVT_LIFECYCLE
+    ]
 
 
 def test_module_entry_point_runs():
@@ -308,6 +319,31 @@ def test_incidents_sharing_a_first_tx_export_apart(prxvt_run, tmp_path, capsys):
         incident = json.loads((out / entry["dir"] / "incident.json").read_text(encoding="utf-8"))
         assert incident == entry
         assert (out / entry["dir"] / "root_cause.json").is_file()
+
+
+def test_an_incident_gone_from_the_sessions_leaves_the_export(prxvt_run, tmp_path, capsys):
+    """Exporting again after a session is deleted gives a fresh export's
+    tree: the gone incident's directory is deleted, and a file that no
+    export wrote is left alone."""
+    sessions = tmp_path / "s"
+    for name, extra in (("a", []), ("b", ["0x" + "ff" * 32])):
+        shutil.copytree(prxvt_run.session_root, sessions / name)
+        raw = json.loads((sessions / name / "raw.json").read_text(encoding="utf-8"))
+        raw["targets"] += [{"chainid": raw["targets"][0]["chainid"], "txhash": tx} for tx in extra]
+        (sessions / name / "raw.json").write_text(json.dumps(raw), encoding="utf-8")
+    out = tmp_path / "out"
+    code, index = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    assert (code, index["count"]) == (0, 2)
+    (out / "notes").mkdir()
+    (out / "notes" / "keep.txt").write_text("mine", encoding="utf-8")
+    shutil.rmtree(sessions / "b")
+    code, index = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    assert (code, index["count"]) == (0, 1)
+    fresh = tmp_path / "fresh"
+    _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(fresh))
+    tree = _tree(out)
+    assert tree.pop("notes/keep.txt") == b"mine"
+    assert tree == _tree(fresh)
 
 
 class TestChecklistTable:

@@ -4,13 +4,16 @@ the stage they do not belong to, the scan that keeps tainted projects from
 the runner, the fresh project each reproducer attempt gets, the per-session
 fetch memo, failures of any kind ending the session failed, the charge of
 every model step to the summary, the non-ACT route, the metrics report and
-cost over their summaries, and the schema lookup, source scan and transcript
-runner sessions rely on."""
+cost over their summaries, the schema lookup, source scan and transcript
+runner sessions rely on, and the ``forge`` runner's timeout, which kills
+every process a run started."""
 
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import signal
 import threading
 from collections import Counter
 from pathlib import Path
@@ -256,6 +259,41 @@ class TestSimulatedRunner:
         assert [runner.run(None), runner.run(None)] == ["two", "ten"]
         with pytest.raises(HarnessError):
             runner.run(None)
+
+
+def _process_state(pid: int) -> tuple[str, str] | None:
+    """The (command, state) ``/proc/<pid>/stat`` gives, or None when gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return None
+    head, _, tail = stat.rpartition(")")
+    return head.partition("(")[2], tail.split()[0]
+
+
+class TestSubprocessRunner:
+    def test_a_timed_out_run_leaves_no_process_behind(self, tmp_path, monkeypatch):
+        """A stand-in ``forge`` starts a child, records its pid and hangs:
+        the timeout kills the child with the run."""
+        pidfile = tmp_path / "child.pid"
+        forge = tmp_path / "forge"
+        forge.write_text(f'#!/bin/sh\nsleep 30 &\necho $! > "{pidfile}"\nexec sleep 30\n',
+                         encoding="utf-8")
+        forge.chmod(0o755)
+        monkeypatch.setattr(harness, "RUN_TIMEOUT_S", 1)
+        project = harness.PoCProject(
+            root=tmp_path, chainid=1, fork_block=1, files=(), fork_pinned=True
+        )
+        try:
+            with pytest.raises(HarnessError, match="timed out"):
+                harness.SubprocessRunner(str(forge)).run(project)
+            state = _process_state(int(pidfile.read_text(encoding="utf-8")))
+            assert state is None or state[1] == "Z", state
+        finally:
+            if pidfile.is_file():
+                pid = int(pidfile.read_text(encoding="utf-8"))
+                if _process_state(pid) == ("sleep", "S"):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class _CountingRunner:
