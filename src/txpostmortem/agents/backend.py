@@ -170,9 +170,6 @@ class ScriptedBackend:
             output, text, usage = dict(entry), "", SCRIPTED_STEP_USAGE
         return StepResult(text=text, structured_output=output, usage=usage)
 
-    def steps_taken(self, role: str) -> int:
-        return self._cursor.get(role, 0)
-
 
 _JSON_BLOCK = re.compile(r"```(?:json)?\s*(\{.*?\})\s*```", re.DOTALL)
 

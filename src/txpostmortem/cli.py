@@ -342,7 +342,7 @@ def _canonical_json(doc: Any) -> str:
 def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, Any]:
     """Export every validated incident once, merging repeat attributions.
 
-    An incident (chain, sorted seed txs) goes to ``<chainid>_<first tx[2:10]>``;
+    An incident (``SeedRef.incident_key``) goes to ``<chainid>_<first tx[2:10]>``;
     in key order, a name already taken gets ``-1``, ``-2``, ….  Deterministic
     by construction: sessions are visited in name order, JSON is re-serialized
     canonically, and project files are copied byte for byte, so re-running
@@ -361,7 +361,7 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             logger.info("skipping %s: no validated reproduction", root.name)
             continue
         session = workspace.open_session(root)
-        key = (session.seed.chainid, tuple(sorted(t.value for t in session.seed.txs)))
+        key = session.seed.incident_key
         sources = workspace.read_artifact(session, workspace.SOURCES_META)
         errors = workspace.check_document(sources, workspace.SCHEMAS["sources"])
         if errors:

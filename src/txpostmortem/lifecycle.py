@@ -231,7 +231,16 @@ def select_covering_set(
     so dropping any one of them breaks coverage.  A missing phase is
     witnessed by its first record, or by its last for exit.
     """
-    universe, phases, qualifying = _analyse(records, seed, participants)
+    return _covering_set(seed, *_analyse(records, seed, participants))
+
+
+def _covering_set(
+    seed: TxHash,
+    universe: list[TxRecord],
+    phases: dict[TxHash, str],
+    qualifying: list[TxCluster],
+) -> LifecycleSet:
+    """``select_covering_set`` over the answer of ``_analyse``."""
     chosen: set[TxHash] = {seed}
     for cluster in qualifying:
         chosen |= _span(cluster)
@@ -268,7 +277,8 @@ def mine_lifecycle(
     concurrently once the seed's block is known, straight from the adapter
     since a window may reach past the chain head, and merged in
     sorted-account order, so the first account to list a transaction
-    supplies its record.
+    supplies its record.  ``_analyse`` sorts the merged records once, and
+    that block-ordered universe is returned.
     """
     metadata = adapter_memo(adapter).fetch(
         DataRequest(kind="tx_metadata", chainid=chainid, target=str(seed))
@@ -281,8 +291,8 @@ def mine_lifecycle(
     for records in fetch_txlists(adapter, chainid, [a.value for a in accounts], lo, hi):
         for record in records:
             merged.setdefault(record.txhash, record)
-    universe = sorted(merged.values(), key=TxRecord.order_key)
-    lifecycle = select_covering_set(universe, seed, participants)
+    universe, phases, qualifying = _analyse(merged.values(), seed, participants)
+    lifecycle = _covering_set(seed, universe, phases, qualifying)
     logger.info(
         "mined %d-tx lifecycle from %d records in window [%d, %d]",
         len(lifecycle.entries),

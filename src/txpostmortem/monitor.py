@@ -200,25 +200,21 @@ class IncidentCandidate:
     seed: SeedRef
     first_post: Post
 
-    @property
-    def dedup_key(self) -> tuple[int, tuple[str, ...]]:
-        return (self.seed.chainid, tuple(sorted(t.value for t in self.seed.txs)))
-
 
 def candidates_from_post(
-    post: Post, resolved: dict[str, list[int]]
+    post: Post, hashes: list[TxHash], resolved: dict[str, list[int]]
 ) -> tuple[list[IncidentCandidate], list[dict[str, Any]]]:
-    """Extract one post's hashes and group them per chain.
+    """Group one post's hashes, ``extract_tx_hashes(post.text)``, per chain.
 
     ``resolved`` is ``resolve_chains``' answer for a set of hashes holding
-    the post's.  A hash no chain has is logged as unresolved and dropped; a
+    ``hashes``.  A hash no chain has is logged as unresolved and dropped; a
     hash several chains have goes to the first in probe order, with the
     matches logged.  A post naming transactions on several chains is split
     into one candidate per chain, with the split logged.
     """
     notes: list[dict[str, Any]] = []
     by_chain: dict[int, list[TxHash]] = {}
-    for txhash in extract_tx_hashes(post.text):
+    for txhash in hashes:
         matches = resolved[txhash.value]
         if not matches:
             notes.append(
@@ -281,7 +277,8 @@ def dedupe_and_filter(
     """Classify, extract, and deduplicate; first post per incident wins.
 
     The whole feed is read and classified first, each post once and in
-    order, so a malformed post fails the feed before any probe is sent.
+    order, and each relevant post's hashes are extracted once, so a
+    malformed post fails the feed before any probe is sent.
     Then the distinct hashes of the relevant posts, in first-appearance
     order, are resolved by one ``resolve_chains`` call: one wave with at
     most ``FETCH_WORKERS`` probes in flight per chain.  Hashes named only
@@ -291,26 +288,27 @@ def dedupe_and_filter(
     accepted: list[IncidentCandidate] = []
     seen: set[tuple[int, tuple[str, ...]]] = set()
     log: list[dict[str, Any]] = []
-    classified = [(post, classifier.is_incident(post)) for post in posts]
-    hashes = [
-        txhash
-        for post, relevant in classified
-        if relevant
-        for txhash in extract_tx_hashes(post.text)
+    # Each post with its hashes, or None for a post that is not relevant.
+    classified = [
+        (post, extract_tx_hashes(post.text) if classifier.is_incident(post) else None)
+        for post in posts
     ]
-    resolved = resolve_chains(hashes, adapter, chains)
+    resolved = resolve_chains(
+        [txhash for _, hashes in classified if hashes for txhash in hashes], adapter, chains
+    )
 
-    for post, relevant in classified:
-        if not relevant:
+    for post, hashes in classified:
+        if hashes is None:
             log.append({"event": "irrelevant_post", "post": post.source_id})
             continue
-        candidates, notes = candidates_from_post(post, resolved)
+        candidates, notes = candidates_from_post(post, hashes, resolved)
         log.extend(notes)
         if not candidates:
             log.append({"event": "no_seed_found", "post": post.source_id})
             continue
         for candidate in candidates:
-            if candidate.dedup_key in seen:
+            key = candidate.seed.incident_key
+            if key in seen:
                 log.append(
                     {
                         "event": "duplicate_incident",
@@ -319,7 +317,7 @@ def dedupe_and_filter(
                     }
                 )
                 continue
-            seen.add(candidate.dedup_key)
+            seen.add(key)
             accepted.append(candidate)
     return accepted, log
 

@@ -348,13 +348,6 @@ class VerdictReport:
     constraint_results: tuple[ConstraintResult, ...]
     overall_pass: bool
 
-    def failed_ids(self) -> list[str]:
-        return [
-            r.constraint_id
-            for r in self.pre_check_results + self.constraint_results
-            if not r.satisfied
-        ]
-
     def to_validation_doc(
         self, rubric: Mapping[str, Any], reject_reasons: Sequence[str]
     ) -> dict:

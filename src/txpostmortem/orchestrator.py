@@ -333,15 +333,13 @@ class Orchestrator:
 
     # -- collection ---------------------------------------------------------
 
-    def _record_collection(
-        self, session: workspace.Session, outcome: SessionOutcome, summary: CollectionSummary
-    ) -> None:
+    def _record_collection(self, outcome: SessionOutcome, summary: CollectionSummary) -> None:
         """Write one collection run's summary into ``iter_<runs so far>`` and
         count the run and its fetched items.  Runs are numbered densely from
         the seed's ``iter_0``."""
         iteration = outcome.collection_runs_total
         workspace.write_artifact(
-            session,
+            outcome.session,
             f"{workspace.COLLECTION_DIR}/iter_{iteration}/data_collection_summary.json",
             summary.to_doc(iteration=iteration),
             schema_id="collection_summary",
@@ -350,33 +348,27 @@ class Orchestrator:
         outcome.fetched_items += summary.fetched_count
 
     def _collect(
-        self,
-        session: workspace.Session,
-        fetches: SessionMemo,
-        requests: list[DataRequest],
-        outcome: SessionOutcome,
+        self, outcome: SessionOutcome, fetches: SessionMemo, requests: list[DataRequest]
     ) -> None:
         """Fetch one request batch into the next collection ``iter_k`` and
         record it; no model turn is involved.  The directory's first write
         creates it once every fetch has returned, so a batch whose fetches
         raise leaves no directory behind."""
+        session = outcome.session
         iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{outcome.collection_runs_total}"
         summary = execute_data_requests(session, requests, fetches, iter_dir)
-        self._record_collection(session, outcome, summary)
+        self._record_collection(outcome, summary)
 
     # -- root-cause stage ---------------------------------------------------
 
     def run_root_cause_stage(
-        self,
-        session: workspace.Session,
-        outcome: SessionOutcome,
-        fetches: SessionMemo,
-        seed_digest: str,
+        self, outcome: SessionOutcome, fetches: SessionMemo, seed_digest: str
     ) -> Optional[dict[str, Any]]:
         """Drive analysis to a challenged root cause; returns the accepted
         draft, or None when the incident is not ACT.  Evidence is fetched
         through the session's ``fetches``; the analyzer's first message
         carries ``seed_digest``, the digest of the seed context."""
+        session = outcome.session
         opening = "Begin the analysis from the seed evidence.\n\n" + seed_digest
         feedback = ""
         with self._stage(STAGE_ROOT_CAUSE, outcome):
@@ -400,7 +392,7 @@ class Orchestrator:
                     analysis.doc,
                 )
                 if not analysis.is_final:
-                    self._collect(session, fetches, analysis.data_requests, outcome)
+                    self._collect(outcome, fetches, analysis.data_requests)
                     continue
 
                 draft = dict(analysis.root_cause or {})
@@ -409,7 +401,14 @@ class Orchestrator:
                     outcome.is_act = False
                     return None
 
-                challenge = self._challenge(session, outcome, draft)
+                challenge: ChallengeResult = self._turn(
+                    outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, json.dumps(draft, indent=2)
+                )
+                workspace.write_artifact(
+                    session,
+                    f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_CHALLENGER}/root_cause_challenge_result.json",
+                    challenge.doc,
+                )
                 if challenge.passed:
                     self._finalize_root_cause(session, draft)
                     outcome.is_act = True
@@ -431,20 +430,7 @@ class Orchestrator:
                         challenge.missing_evidence, session.seed.chainid
                     )
                     if requests:
-                        self._collect(session, fetches, requests, outcome)
-
-    def _challenge(
-        self, session: workspace.Session, outcome: SessionOutcome, draft: dict[str, Any]
-    ) -> ChallengeResult:
-        challenge: ChallengeResult = self._turn(
-            outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, json.dumps(draft, indent=2)
-        )
-        workspace.write_artifact(
-            session,
-            f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_CHALLENGER}/root_cause_challenge_result.json",
-            challenge.doc,
-        )
-        return challenge
+                        self._collect(outcome, fetches, requests)
 
     def _finalize_root_cause(
         self, session: workspace.Session, draft: dict[str, Any]
@@ -458,14 +444,15 @@ class Orchestrator:
 
     # -- PoC stage -----------------------------------------------------------
 
-    def run_poc_stage(
-        self,
-        session: workspace.Session,
-        outcome: SessionOutcome,
-        draft: dict[str, Any],
-    ) -> None:
+    def run_poc_stage(self, outcome: SessionOutcome, draft: dict[str, Any]) -> None:
         with self._stage(STAGE_POC, outcome):
-            definition = self._generate_oracles(session, outcome, draft)
+            generated: OracleGenerationResult = self._turn(
+                outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
+            )
+            definition = generated.definition
+            workspace.write_artifact(
+                outcome.session, workspace.ORACLE_DEFINITION, definition.to_doc()
+            )
             roles = draft.get("roles", {})
             # The reject code a source hit on each attacker-side address earns.
             taint = {
@@ -481,13 +468,13 @@ class Orchestrator:
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
                 verdict, codes = self._reproduce_once(
-                    session, outcome, definition, bound, expected, taint, feedback
+                    outcome, definition, bound, expected, taint, feedback
                 )
                 if not codes:
                     outcome.poc_validated = True
                     # Every earlier attempt was rejected.
                     workspace.write_text_artifact(
-                        session,
+                        outcome.session,
                         workspace.POC_REPORT,
                         render_poc_report(
                             definition, verdict, iterations=attempt + 1, rejects=attempt
@@ -503,23 +490,8 @@ class Orchestrator:
                 f"reproducer iteration budget ({self.budgets.reproducer_iterations}) exhausted",
             )
 
-    def _generate_oracles(
-        self,
-        session: workspace.Session,
-        outcome: SessionOutcome,
-        draft: dict[str, Any],
-    ) -> oracles.OracleDefinition:
-        generated: OracleGenerationResult = self._turn(
-            outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
-        )
-        workspace.write_artifact(
-            session, workspace.ORACLE_DEFINITION, generated.definition.to_doc()
-        )
-        return generated.definition
-
     def _reproduce_once(
         self,
-        session: workspace.Session,
         outcome: SessionOutcome,
         definition: oracles.OracleDefinition,
         bound: oracles.OracleDefinition,
@@ -536,6 +508,7 @@ class Orchestrator:
         then gets the oracles and the three correctness checks.  Only a
         reproduction the engine passes goes to the validator turn.
         """
+        session = outcome.session
         message = json.dumps(definition.to_doc(), indent=2)
         if feedback:
             message += f"\n\nReject codes of the previous attempt: {feedback}"
@@ -640,15 +613,15 @@ class Orchestrator:
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
                 return outcome
             # The seed fetch is collection run zero.
-            self._record_collection(session, outcome, bootstrap)
+            self._record_collection(outcome, bootstrap)
 
             outcome.stage = STAGE_ROOT_CAUSE
-            draft = self.run_root_cause_stage(session, outcome, fetches, bootstrap.digest)
+            draft = self.run_root_cause_stage(outcome, fetches, bootstrap.digest)
             if draft is None:
                 outcome.stage = STAGE_ABORTED_NON_ACT
                 return outcome
             outcome.stage = STAGE_POC
-            self.run_poc_stage(session, outcome, draft)
+            self.run_poc_stage(outcome, draft)
             outcome.stage = STAGE_DONE
             return outcome
         except StageFailed as exc:

@@ -94,7 +94,6 @@ class TestScriptedBackend:
         # The cursor tracks the role, not the conversation.
         assert backend.step(first, "go").structured_output == {"n": 1}
         assert backend.step(second, "go").structured_output == {"n": 2}
-        assert backend.steps_taken("analyst") == 2
 
     def test_exhaustion_fails_closed(self):
         backend = ScriptedBackend({"analyst": [{"n": 1}]})

@@ -1,24 +1,18 @@
-"""Value types: canonical hex forms, chain guards, exact token arithmetic."""
+"""Value types: canonical hex forms and chain guards."""
 
 from __future__ import annotations
-
-from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from txpostmortem.domain import (
-    NATIVE_ASSET,
     SUPPORTED_CHAINS,
     Address,
     DomainError,
     InvalidAddress,
     InvalidTxHash,
-    MixedAssetError,
     SeedRef,
-    TokenAmount,
     TxHash,
     UnsupportedChain,
     validate_chain,
@@ -101,76 +95,6 @@ class TestChains:
     def test_string_is_not_a_chain_id(self):
         with pytest.raises(UnsupportedChain):
             validate_chain("1")  # type: ignore[arg-type]
-
-
-class TestTokenAmount:
-    def test_same_asset_arithmetic(self):
-        a = TokenAmount(5, 18, NATIVE_ASSET)
-        b = TokenAmount(3, 18, NATIVE_ASSET)
-        assert (a + b).raw == 8
-        assert (a - b).raw == 2
-        assert (-a).raw == -5
-        assert a > b
-        assert b <= a
-
-    def test_mixed_assets_refuse_arithmetic(self):
-        native = TokenAmount(1, 18, NATIVE_ASSET)
-        token = TokenAmount(1, 18, Address("0x" + "11" * 20))
-        with pytest.raises(MixedAssetError):
-            native + token
-        with pytest.raises(MixedAssetError):
-            native < token
-
-    def test_mixed_decimals_refuse_arithmetic(self):
-        with pytest.raises(MixedAssetError):
-            TokenAmount(1, 18, NATIVE_ASSET) + TokenAmount(1, 6, NATIVE_ASSET)
-
-    def test_raw_must_be_a_true_integer(self):
-        with pytest.raises(MixedAssetError):
-            TokenAmount(True, 18, NATIVE_ASSET)
-        with pytest.raises(MixedAssetError):
-            TokenAmount(1.5, 18, NATIVE_ASSET)  # type: ignore[arg-type]
-
-    @pytest.mark.parametrize("decimals", [-1, 37])
-    def test_decimals_bounds(self, decimals: int):
-        with pytest.raises(MixedAssetError):
-            TokenAmount(1, decimals, NATIVE_ASSET)
-
-    def test_token_asset_string_is_canonicalized(self):
-        amount = TokenAmount(1, 18, "0x" + "AB" * 20)
-        assert isinstance(amount.asset, Address)
-        assert amount.asset.value == "0x" + "ab" * 20
-
-    @given(
-        raw=st.integers(min_value=-(10**40), max_value=10**40),
-        decimals=st.integers(min_value=0, max_value=36),
-    )
-    def test_decimal_string_is_exact(self, raw: int, decimals: int):
-        # Independent check: the rendered string must parse back to exactly
-        # raw / 10**decimals with no rounding anywhere.  Fractions avoid the
-        # Decimal context's 28-digit precision limit.
-        rendered = TokenAmount(raw, decimals, NATIVE_ASSET).to_decimal_string()
-        assert Fraction(Decimal(rendered)) == Fraction(raw, 10**decimals)
-        if "." in rendered:
-            assert not rendered.endswith("0")
-            assert not rendered.endswith(".")
-
-    def test_decimal_string_examples(self):
-        assert TokenAmount(0, 18, NATIVE_ASSET).to_decimal_string() == "0"
-        assert TokenAmount(-15, 1, NATIVE_ASSET).to_decimal_string() == "-1.5"
-        assert TokenAmount(10**18, 18, NATIVE_ASSET).to_decimal_string() == "1"
-        assert TokenAmount(1, 18, NATIVE_ASSET).to_decimal_string() == "0.000000000000000001"
-        assert TokenAmount(42, 0, NATIVE_ASSET).to_decimal_string() == "42"
-
-    @given(
-        a=st.integers(min_value=-(10**30), max_value=10**30),
-        b=st.integers(min_value=-(10**30), max_value=10**30),
-    )
-    def test_addition_mirrors_integer_addition(self, a: int, b: int):
-        left = TokenAmount(a, 18, NATIVE_ASSET)
-        right = TokenAmount(b, 18, NATIVE_ASSET)
-        assert (left + right).raw == a + b
-        assert (left + right) == (right + left)
 
 
 class TestSeedRef:

@@ -348,5 +348,31 @@ class TestBundledIncidents:
         metadata = [key for key in adapter.calls.elements() if key[0] == "tx_metadata"]
         assert len(metadata) == len(SUPPORTED_CHAINS)
 
+    @pytest.mark.parametrize(
+        "case, chainid, seed, participants, listed, universe_size",
+        [
+            ("prxvt", PRXVT_CHAIN, PRXVT_SEED, PRXVT_PARTICIPANTS, 14, 8),
+            ("valinity", VAL_CHAIN, VAL_SEED, VAL_PARTICIPANTS, 16, 14),
+        ],
+    )
+    def test_a_mine_sorts_its_universe_once(
+        self, request, monkeypatch, case, chainid, seed, participants, listed, universe_size
+    ):
+        """Each account's list is sorted as it is fetched, and the merged
+        universe once more: one ``order_key`` call per listed record and one
+        per universe record."""
+        adapter = request.getfixturevalue(f"{case}_run").bundle.adapter()
+        calls = []
+        order_key = TxRecord.order_key
+
+        def counting_order_key(record):
+            calls.append(record)
+            return order_key(record)
+
+        monkeypatch.setattr(TxRecord, "order_key", counting_order_key)
+        _, universe = mine_lifecycle(adapter, chainid, TxHash(seed), participants)
+        assert len(universe) == universe_size
+        assert len(calls) == listed + universe_size
+
     def test_window_default_radius(self):
         assert DEFAULT_WINDOW == 5000

@@ -4,6 +4,7 @@ probe wave per feed."""
 from __future__ import annotations
 
 import gc
+import importlib.util
 import json
 import sys
 import threading
@@ -11,9 +12,11 @@ import time
 import weakref
 from collections import Counter
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
+from txpostmortem import monitor, scenarios
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
 from txpostmortem.gateway import (
     FETCH_WORKERS,
@@ -513,6 +516,36 @@ class TestOneWavePerFeed:
             {"event": "irrelevant_post", "post": "noise"},
             {"event": "irrelevant_post", "post": "spam"},
         ]
+
+    def test_each_relevant_post_is_scanned_for_hashes_once(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_feed", Path(__file__).resolve().parents[1] / "perfbench" / "feed.py"
+        )
+        feedgen = importlib.util.module_from_spec(spec)
+        # Its dataclasses look their module up in sys.modules.
+        monkeypatch.setitem(sys.modules, spec.name, feedgen)
+        spec.loader.exec_module(feedgen)
+        feed = feedgen.write_feed(tmp_path / "feed.jsonl", 5)
+        scanned = []
+        extract = monitor.extract_tx_hashes
+
+        def counting_extract(text):
+            scanned.append(text)
+            return extract(text)
+
+        monkeypatch.setattr(monitor, "extract_tx_hashes", counting_extract)
+        adapter = _ChainsAdapter(
+            {
+                scenarios.PRXVT_SEED: {scenarios.PRXVT_CHAIN},
+                scenarios.VAL_SEED: {scenarios.VAL_CHAIN},
+            }
+        )
+        classifier = ScriptedClassifier({source_id: False for source_id in feed.irrelevant})
+        accepted, _ = dedupe_and_filter(read_feed(feed.path), adapter, classifier)
+        assert [(c.seed.chainid, c.seed.primary.value) for c in accepted] == list(
+            feed.candidates
+        )
+        assert len(scanned) == feed.posts - len(feed.irrelevant) == 10
 
     def test_a_feed_without_hashes_fetches_nothing(self, monkeypatch):
         started = []

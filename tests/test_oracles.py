@@ -25,6 +25,7 @@ from txpostmortem.oracles import (
     TaintedBinding,
     Tolerance,
     UnboundRole,
+    VerdictReport,
     bind_variables,
     evaluate_constraints,
     fresh_role_address,
@@ -256,11 +257,19 @@ class TestBinding:
             bind_variables(broken)
 
 
+def _failed_ids(report: VerdictReport) -> list[str]:
+    return [
+        r.constraint_id
+        for r in report.pre_check_results + report.constraint_results
+        if not r.satisfied
+    ]
+
+
 class TestEngine:
     def test_reference_observations_pass(self):
         report = evaluate_constraints(reference_definition(), passing_observations())
         assert report.overall_pass is True
-        assert report.failed_ids() == []
+        assert _failed_ids(report) == []
 
     def test_flipping_any_hard_observation_rejects(self):
         # Exhaustive over the hard constraints: invalidate exactly the
@@ -275,14 +284,14 @@ class TestEngine:
             observations[name] = value
             report = evaluate_constraints(reference_definition(), observations)
             assert report.overall_pass is False, cid
-            assert cid in report.failed_ids()
+            assert cid in _failed_ids(report)
 
     def test_failed_pre_check_rejects(self):
         observations = passing_observations()
         observations["fork_pinned"] = False
         report = evaluate_constraints(reference_definition(), observations)
         assert report.overall_pass is False
-        assert report.failed_ids() == ["P1"]
+        assert _failed_ids(report) == ["P1"]
 
     def test_missing_observation_reports_without_crashing(self):
         observations = passing_observations()
