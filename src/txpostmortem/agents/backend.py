@@ -83,7 +83,12 @@ class Usage:
 
 @dataclass(frozen=True)
 class StepResult:
-    """One assistant turn: free text, optional structured document, usage."""
+    """One assistant turn: free text, optional structured document, usage.
+
+    ``structured_output`` is a document the backend already holds as data,
+    as the scripted backend does; a backend that speaks text leaves it None
+    and ``roles.run_role`` parses the text, once.
+    """
 
     text: str = ""
     structured_output: Optional[dict[str, Any]] = None
@@ -252,6 +257,4 @@ class OpenAIChatBackend:
             cached_input_tokens=details.get("cached_tokens", 0),
             output_tokens=usage_doc.get("completion_tokens", 0),
         )
-        return StepResult(
-            text=text, structured_output=extract_json_document(text), usage=usage
-        )
+        return StepResult(text=text, usage=usage)

@@ -3,14 +3,18 @@
 Each role is a structured-I/O function: it receives an instruction prompt
 filled in with the session's coordinates, is sent each context document once
 as the user message, speaks through a ModelBackend, and must produce a
-document that validates against its output contract.  Malformed output is
-echoed back with the validation errors for another attempt; every attempt
-consumes one turn from the caller's budget.
+document that meets its output contract.  Malformed output is echoed back
+with the contract's errors for another attempt; every attempt consumes one
+turn from the caller's budget.
 
-The contract is the only check of a role's document: its schema in
-``workspace.SCHEMAS`` plus the role's cross-field rules, and for the oracle
-generator the normalized definition's semantic checks.  The orchestrator
-writes what the contract accepted without checking it again.
+``run_role`` is where a reply becomes a document: it takes the document a
+backend hands over as data, or else parses the reply text once with
+``extract_json_document``.  ``_CONTRACTS`` holds each role's contract, its
+schema in ``workspace.SCHEMAS`` plus its cross-field rule, and is the only
+check of a role's document.  ``run_role`` returns the accepted document
+itself, or for the oracle generator the normalized ``OracleDefinition``;
+the orchestrator reads the fields the schema guarantees and writes the
+document without checking it again.
 """
 
 from __future__ import annotations
@@ -19,10 +23,9 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
-from typing import Any, Optional
+from typing import Any, Callable
 
 from .. import oracles, workspace
-from ..gateway.types import DataRequest
 from .backend import ModelBackend, Usage, extract_json_document
 
 logger = logging.getLogger(__name__)
@@ -90,133 +93,77 @@ def build_role_prompt(role: str, session: workspace.Session) -> str:
 
 
 # --------------------------------------------------------------------------
-# Typed role outputs.
+# Output contracts.
 
 
-@dataclass(frozen=True)
-class AnalysisResult:
-    doc: dict[str, Any]
-
-    @property
-    def data_requests(self) -> list[DataRequest]:
-        return [DataRequest.from_doc(d) for d in self.doc["data_requests"]]
-
-    @property
-    def is_final(self) -> bool:
-        return not self.doc["data_requests"]
-
-    @property
-    def root_cause(self) -> Optional[dict[str, Any]]:
-        return self.doc.get("root_cause")
+def _evidence_closure(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+    """A final analysis carries the root-cause document for the challenger
+    to attack."""
+    if doc["data_requests"]:
+        return doc, []
+    root_cause = doc.get("root_cause")
+    if root_cause is None:
+        return None, ["root_cause: required when data_requests is empty"]
+    errors = workspace.check_document(root_cause, workspace.SCHEMAS["root_cause"])
+    return (None, errors) if errors else (doc, [])
 
 
-@dataclass(frozen=True)
-class ChallengeResult:
-    doc: dict[str, Any]
-
-    @property
-    def passed(self) -> bool:
-        return self.doc["status"] == "Pass"
-
-    @property
-    def feedback(self) -> str:
-        return self.doc["feedback"]
-
-    @property
-    def missing_evidence(self) -> list[str]:
-        return list(self.doc["missing_evidence"])
-
-    @property
-    def reject_reasons(self) -> list[str]:
-        return list(self.doc.get("reject_reasons", []))
+def _pass_has_no_missing_evidence(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+    if doc["status"] == "Pass" and doc["missing_evidence"]:
+        return None, ["missing_evidence: must be empty when status is Pass"]
+    return doc, []
 
 
-@dataclass(frozen=True)
-class OracleGenerationResult:
-    """The generator's definition, normalized and validated."""
-
-    definition: oracles.OracleDefinition
-
-
-@dataclass(frozen=True)
-class ReproducerResult:
-    doc: dict[str, Any]
-
-    @property
-    def files(self) -> dict[str, str]:
-        return dict(self.doc["files"])
-
-    @property
-    def notes(self) -> str:
-        return self.doc.get("notes", "")
+def _normalized_definition(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+    """The document parsed and normalized once into an ``OracleDefinition``,
+    whose semantic checks run as it is normalized."""
+    try:
+        return oracles.normalize_definition(oracles.OracleDefinition.from_doc(doc)), []
+    except oracles.InvalidDefinition as exc:
+        return None, exc.errors
+    except Exception as exc:
+        return None, [f"definition: {exc}"]
 
 
-@dataclass(frozen=True)
-class ValidationResult:
-    doc: dict[str, Any]
-
-    @property
-    def passed(self) -> bool:
-        return self.doc["overall_status"] == "Pass"
-
-    @property
-    def reject_reasons(self) -> list[str]:
-        return list(self.doc.get("reject_reasons", []))
+def _at_least_one_file(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+    if not doc["files"]:
+        return None, ["files: at least one project file required"]
+    return doc, []
 
 
-def validate_role_output(role: str, doc: Any) -> tuple[Optional[Any], list[str]]:
-    """Validate a role's document; returns (typed output, error list).
+def _reject_has_reasons(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+    if doc["overall_status"] == "Reject" and not doc.get("reject_reasons"):
+        return None, ["reject_reasons: required when overall_status is Reject"]
+    return doc, []
 
-    Structural checks come from the workspace schemas; role-specific
-    cross-field rules are enforced here.  The oracle generator's document
-    is parsed and normalized once, and the normalized definition is
-    validated once.
-    """
-    if role == ROLE_ANALYZER:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["analysis_result"])
-        if not errors and not doc["data_requests"]:
-            # Evidence closure: the final analysis must carry the root-cause
-            # document for the challenger to attack.
-            root_cause = doc.get("root_cause")
-            if root_cause is None:
-                errors.append("root_cause: required when data_requests is empty")
-            else:
-                errors.extend(
-                    workspace.check_document(root_cause, workspace.SCHEMAS["root_cause"])
-                )
-        return (AnalysisResult(doc), errors) if not errors else (None, errors)
-    if role == ROLE_CHALLENGER:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["challenge_result"])
-        if not errors and doc["status"] == "Pass" and doc["missing_evidence"]:
-            errors.append("missing_evidence: must be empty when status is Pass")
-        return (ChallengeResult(doc), errors) if not errors else (None, errors)
-    if role == ROLE_ORACLE_GENERATOR:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["oracle_definition"])
-        if errors:
-            return None, errors
-        try:
-            definition = oracles.normalize_definition(oracles.OracleDefinition.from_doc(doc))
-        except oracles.InvalidDefinition as exc:
-            return None, exc.errors
-        except Exception as exc:
-            return None, [f"definition: {exc}"]
-        return OracleGenerationResult(definition), []
-    if role == ROLE_REPRODUCER:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["reproducer_result"])
-        if not errors and not doc["files"]:
-            errors.append("files: at least one project file required")
-        return (ReproducerResult(doc), errors) if not errors else (None, errors)
-    if role == ROLE_VALIDATOR:
-        errors = workspace.check_document(doc, workspace.SCHEMAS["poc_validation"])
-        if not errors and doc["overall_status"] == "Reject" and not doc.get("reject_reasons"):
-            errors.append("reject_reasons: required when overall_status is Reject")
-        return (ValidationResult(doc), errors) if not errors else (None, errors)
-    raise UnknownRole(role)
+
+#: Each role's contract: the ``workspace.SCHEMAS`` id its document must
+#: meet, then the cross-field rule that a schema-valid document must pass.
+#: A rule returns what the role yields (the document itself, or for the
+#: oracle generator its ``OracleDefinition``) or the errors that reject it.
+_CONTRACTS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[Any, list[str]]]]] = {
+    ROLE_ANALYZER: ("analysis_result", _evidence_closure),
+    ROLE_CHALLENGER: ("challenge_result", _pass_has_no_missing_evidence),
+    ROLE_ORACLE_GENERATOR: ("oracle_definition", _normalized_definition),
+    ROLE_REPRODUCER: ("reproducer_result", _at_least_one_file),
+    ROLE_VALIDATOR: ("poc_validation", _reject_has_reasons),
+}
+
+
+def validate_role_output(role: str, doc: Any) -> tuple[Any, list[str]]:
+    """Check a role's document against its contract; returns (accepted
+    output, errors), with output None whenever there are errors."""
+    try:
+        schema_id, rule = _CONTRACTS[role]
+    except KeyError:
+        raise UnknownRole(role) from None
+    errors = workspace.check_document(doc, workspace.SCHEMAS[schema_id])
+    return (None, errors) if errors else rule(doc)
 
 
 @dataclass
 class RoleRun:
-    """Outcome of one role invocation: parsed output plus accounting."""
+    """Outcome of one role invocation: the accepted output plus accounting."""
 
     output: Any
     turns_used: int
@@ -230,9 +177,12 @@ def run_role(
     message: str,
     turn_cap: int,
 ) -> RoleRun:
-    """Drive one role until it yields a valid document or exhausts turns.
+    """Drive one role until its contract accepts a document or turns run out.
 
-    Every backend step consumes one turn.  Invalid documents are retried
+    Returns the accepted output: the document, or the generator's
+    ``OracleDefinition``.  Each reply is parsed at most once, here, when
+    the backend handed over no document.  Every backend step consumes one
+    turn.  Invalid documents are retried
     with the validation errors echoed back; the retry costs a turn too.
     Running out of turns raises ``TurnBudgetExceeded`` with what they cost.
     """

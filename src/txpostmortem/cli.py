@@ -169,7 +169,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 
 def _latest_engine_verdict(session: workspace.Session) -> dict[str, Any] | None:
     for _, path in reversed(workspace.iteration_dirs(session, workspace.REPRODUCER_DIR)):
-        verdict = path / "engine_verdict.json"
+        verdict = path / workspace.ENGINE_VERDICT
         if verdict.is_file():
             return workspace.read_artifact(session, verdict.relative_to(session.root))
     return None

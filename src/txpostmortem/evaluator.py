@@ -29,77 +29,43 @@ class EvaluatorError(Exception):
 # Checklist metrics.
 
 
-@dataclass(frozen=True)
-class ChecklistMetric:
-    metric_id: str
-    key: str
-    description: str
-    correctness: bool
-
-
-METRICS: tuple[ChecklistMetric, ...] = (
-    ChecklistMetric(
-        "C1",
-        "compiles_under_foundry",
-        "Does the PoC compile under Foundry (e.g., forge test builds)?",
-        True,
+#: Each checklist metric's key and description, in the paper's order: the
+#: three correctness metrics C1-C3, then the six quality metrics Q1-Q6.
+METRIC_DESCRIPTIONS: Mapping[str, str] = {
+    "compiles_under_foundry": (
+        "Does the PoC compile under Foundry (e.g., forge test builds)?"
     ),
-    ChecklistMetric(
-        "C2",
-        "runs_without_revert_and_satisfies_oracles",
-        "Does the PoC run without reverts and satisfy the intended oracles?",
-        True,
+    "runs_without_revert_and_satisfies_oracles": (
+        "Does the PoC run without reverts and satisfy the intended oracles?"
     ),
-    ChecklistMetric(
-        "C3",
-        "runs_on_pinned_fork",
-        "Does the PoC run on a pinned on-chain fork (not only local mocks)?",
-        True,
+    "runs_on_pinned_fork": (
+        "Does the PoC run on a pinned on-chain fork (not only local mocks)?"
     ),
-    ChecklistMetric(
-        "Q1",
-        "no_attacker_side_artifacts",
+    "no_attacker_side_artifacts": (
         "Does the PoC avoid attacker-side artifacts (e.g., attacker-deployed"
-        " helper contracts), re-implementing the attack from scratch?",
-        False,
+        " helper contracts), re-implementing the attack from scratch?"
     ),
-    ChecklistMetric(
-        "Q2",
-        "no_real_attacker_side_address",
+    "no_real_attacker_side_address": (
         "Does the PoC avoid using the real attacker-side address, and instead"
-        ' use clean/deterministic Foundry addresses/roles (e.g., makeAddr)?',
-        False,
+        " use clean/deterministic Foundry addresses/roles (e.g., makeAddr)?"
     ),
-    ChecklistMetric(
-        "Q3",
-        "no_attacker_designed_constants",
+    "no_attacker_designed_constants": (
         "Does the PoC avoid attacker-specific hard-coded values (e.g.,"
-        " calldata, parameters, amounts, crafted constants)?",
-        False,
+        " calldata, parameters, amounts, crafted constants)?"
     ),
-    ChecklistMetric(
-        "Q4",
-        "has_success_predicate",
+    "has_success_predicate": (
         "Does the PoC assert success predicates (e.g., asset deltas, state"
-        " changes, invariant breaks), not only completion?",
-        False,
+        " changes, invariant breaks), not only completion?"
     ),
-    ChecklistMetric(
-        "Q5",
-        "has_explanatory_comments",
-        "Does the PoC include comments for non-obvious calls and parameters?",
-        False,
+    "has_explanatory_comments": (
+        "Does the PoC include comments for non-obvious calls and parameters?"
     ),
-    ChecklistMetric(
-        "Q6",
-        "uses_address_labels",
-        "Does the PoC label key addresses and roles (e.g., Attacker, Victim)?",
-        False,
+    "uses_address_labels": (
+        "Does the PoC label key addresses and roles (e.g., Attacker, Victim)?"
     ),
-)
+}
 
-METRIC_KEYS: tuple[str, ...] = tuple(m.key for m in METRICS)
-METRIC_BY_KEY: Mapping[str, ChecklistMetric] = {m.key: m for m in METRICS}
+METRIC_KEYS: tuple[str, ...] = tuple(METRIC_DESCRIPTIONS)
 
 ACTION_INITIAL = "Initial"
 FAILURE_REASON = "evaluation failure"
@@ -120,7 +86,7 @@ class EvaluatorReport:
         """Wire shape: metric key to description plus a one-entry history."""
         return {
             key: {
-                "description": METRIC_BY_KEY[key].description,
+                "description": METRIC_DESCRIPTIONS[key],
                 "evaluation_history": [
                     {
                         "round": 0,

@@ -42,7 +42,8 @@ class MissingCredential(GatewayError):
 
 
 class UnsupportedRequest(GatewayError):
-    """The adapter cannot serve this request kind."""
+    """The adapter cannot serve this request: its kind, or a target its
+    kind cannot take.  Final, never retried."""
 
 
 class BootstrapError(GatewayError):

@@ -17,7 +17,7 @@ import os
 import time
 from typing import Any, Callable, Mapping, Optional
 
-from ..domain import Address
+from ..domain import Address, InvalidAddress
 from .base import (
     MissingCredential,
     SharedResults,
@@ -334,7 +334,11 @@ class LiveAdapter:
         return {"records": records}
 
     def _fetch_contract_meta(self, request: DataRequest) -> dict[str, Any]:
-        address = Address(request.target)
+        try:
+            address = Address(request.target)
+        except InvalidAddress as exc:
+            # A model-written target: final, and a failure of its request only.
+            raise UnsupportedRequest(f"contract_meta target: {exc}") from None
         doc: dict[str, Any] = {
             "address": address.value,
             "chainid": request.chainid,

@@ -141,10 +141,6 @@ class TraceNode:
     error: Optional[str] = None
     children: tuple["TraceNode", ...] = ()
 
-    @property
-    def reverted(self) -> bool:
-        return self.error is not None
-
     def walk(self):
         yield self
         for child in self.children:

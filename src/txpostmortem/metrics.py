@@ -160,7 +160,7 @@ def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
     ``workspace.CorruptArtifact``, a malformed one ``MetricsError``."""
     root = Path(sessions_dir)
     summaries = []
-    for path in sorted(root.glob("*/session_summary.json")):
+    for path in sorted(root.glob(f"*/{workspace.SESSION_SUMMARY}")):
         doc = workspace.read_json(path)
         errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
         if errors:

@@ -18,8 +18,11 @@ codes from the validator's vocabulary.  Only a run the engine passes gets a
 validator turn, and a PoC is validated only when both pass.  Any error ends
 the session failed, with a terminal summary.
 
-Role documents are written as their role contract accepted them, without
-a second schema check; only the documents the orchestrator builds itself
+A role turn (``_turn``) hands back what ``agents.run_role`` returns: the
+role's document as its contract in ``agents.roles`` accepted it, or the
+oracle generator's normalized definition.  The orchestrator reads the
+fields the contract's schema guarantees and writes the document as it
+came, without a second check; only the documents it builds itself
 (collection summaries, engine verdicts, the session summary) are checked
 as they are written.
 
@@ -47,13 +50,9 @@ from .agents import (
     ROLE_ORACLE_GENERATOR,
     ROLE_REPRODUCER,
     ROLE_VALIDATOR,
-    AnalysisResult,
-    ChallengeResult,
     ModelBackend,
-    OracleGenerationResult,
     TurnBudgetExceeded,
     Usage,
-    ValidationResult,
     build_role_prompt,
     run_role,
 )
@@ -306,7 +305,8 @@ class Orchestrator:
             outcome.latencies[stage] = self.clock() - started
 
     def _turn(self, outcome: SessionOutcome, stage: str, role: str, message: str) -> Any:
-        """Run one role within the stage's turn budget; returns its output.
+        """Run one role within the stage's turn budget; returns what its
+        contract accepted.
 
         What the run spends is charged to ``outcome`` as it ends: its
         seconds, turns and tokens, failed turns included.  A run that yields
@@ -378,7 +378,7 @@ class Orchestrator:
                         STAGE_ROOT_CAUSE,
                         f"analyzer iteration budget ({self.budgets.analyzer_iterations}) exhausted",
                     )
-                analysis: AnalysisResult = self._turn(
+                analysis = self._turn(
                     outcome, STAGE_ROOT_CAUSE, ROLE_ANALYZER, feedback or opening
                 )
                 # Allocated once the turn returns, so a raising turn leaves
@@ -389,34 +389,35 @@ class Orchestrator:
                 workspace.write_artifact(
                     session,
                     iter_dir.relative_to(session.root) / "current_analysis_result.json",
-                    analysis.doc,
+                    analysis,
                 )
-                if not analysis.is_final:
-                    self._collect(outcome, fetches, analysis.data_requests)
+                if analysis["data_requests"]:
+                    requests = [DataRequest.from_doc(d) for d in analysis["data_requests"]]
+                    self._collect(outcome, fetches, requests)
                     continue
 
-                draft = dict(analysis.root_cause or {})
-                if not draft.get("act", {}).get("is_act", False):
+                draft = analysis["root_cause"]
+                if not draft["act"]["is_act"]:
                     self._finalize_root_cause(session, draft)
                     outcome.is_act = False
                     return None
 
-                challenge: ChallengeResult = self._turn(
+                challenge = self._turn(
                     outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, json.dumps(draft, indent=2)
                 )
                 workspace.write_artifact(
                     session,
                     f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_CHALLENGER}/root_cause_challenge_result.json",
-                    challenge.doc,
+                    challenge,
                 )
-                if challenge.passed:
+                if challenge["status"] == "Pass":
                     self._finalize_root_cause(session, draft)
                     outcome.is_act = True
                     return draft
 
-                codes = _reject_codes(challenge.reject_reasons, ROOT_CAUSE_REASONS) or [
-                    "other:challenger rejected without reasons"
-                ]
+                codes = _reject_codes(
+                    challenge.get("reject_reasons", []), ROOT_CAUSE_REASONS
+                ) or ["other:challenger rejected without reasons"]
                 actions = {
                     ACTION_RE_COLLECT if code == REASON_MISSING_TRACES else ACTION_RE_ANALYZE
                     for code in codes
@@ -424,10 +425,10 @@ class Orchestrator:
                 outcome.reject_log.append(
                     {"stage": STAGE_ROOT_CAUSE, "reasons": codes, "actions": sorted(actions)}
                 )
-                feedback = challenge.feedback
+                feedback = challenge["feedback"]
                 if ACTION_RE_COLLECT in actions:
                     requests = _requests_from_missing_evidence(
-                        challenge.missing_evidence, session.seed.chainid
+                        challenge["missing_evidence"], session.seed.chainid
                     )
                     if requests:
                         self._collect(outcome, fetches, requests)
@@ -446,14 +447,13 @@ class Orchestrator:
 
     def run_poc_stage(self, outcome: SessionOutcome, draft: dict[str, Any]) -> None:
         with self._stage(STAGE_POC, outcome):
-            generated: OracleGenerationResult = self._turn(
+            definition: oracles.OracleDefinition = self._turn(
                 outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
             )
-            definition = generated.definition
             workspace.write_artifact(
                 outcome.session, workspace.ORACLE_DEFINITION, definition.to_doc()
             )
-            roles = draft.get("roles", {})
+            roles = draft["roles"]
             # The reject code a source hit on each attacker-side address earns.
             taint = {
                 Address(a).value: code
@@ -516,11 +516,11 @@ class Orchestrator:
         # Allocated once the turn returns, as the analyzer's is.
         iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
         rel = iter_dir.relative_to(session.root)
-        files = reproduction.files
+        files = reproduction["files"]
         workspace.write_artifact(
             session,
             rel / "project_manifest.json",
-            {"files": sorted(files), "notes": reproduction.notes},
+            {"files": sorted(files), "notes": reproduction.get("notes", "")},
         )
         launch_failed = ["other:project failed to scaffold or launch"]
         try:
@@ -546,7 +546,7 @@ class Orchestrator:
                 rubric={"attacker_address_hits": hits_doc}, reject_reasons=scan_reasons
             )
             workspace.write_artifact(
-                session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
+                session, rel / workspace.ENGINE_VERDICT, engine_doc, schema_id="poc_validation"
             )
             return None, scan_reasons
 
@@ -572,13 +572,13 @@ class Orchestrator:
         }
         engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=engine_reasons)
         workspace.write_artifact(
-            session, rel / "engine_verdict.json", engine_doc, schema_id="poc_validation"
+            session, rel / workspace.ENGINE_VERDICT, engine_doc, schema_id="poc_validation"
         )
         workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
         if engine_reasons:
             return verdict, engine_reasons
 
-        validation: ValidationResult = self._turn(
+        validation = self._turn(
             outcome,
             STAGE_POC,
             ROLE_VALIDATOR,
@@ -587,11 +587,11 @@ class Orchestrator:
                 indent=2,
             ),
         )
-        workspace.write_artifact(session, rel / "poc_validation.json", validation.doc)
-        workspace.write_artifact(session, workspace.POC_VALIDATED_RESULT, validation.doc)
-        if validation.passed:
+        workspace.write_artifact(session, rel / "poc_validation.json", validation)
+        workspace.write_artifact(session, workspace.POC_VALIDATED_RESULT, validation)
+        if validation["overall_status"] == "Pass":
             return verdict, []
-        return verdict, _reject_codes(validation.reject_reasons, POC_REASONS)
+        return verdict, _reject_codes(validation.get("reject_reasons", []), POC_REASONS)
 
     # -- end to end ----------------------------------------------------------
 

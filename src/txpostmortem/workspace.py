@@ -83,6 +83,8 @@ COLLECTION_DIR = "artifacts/root_cause/data_collector"
 POC_STAGE_DIR = "artifacts/poc"
 #: One ``iter_k`` per reproduction attempt.
 REPRODUCER_DIR = "artifacts/poc/poc_reproducer"
+#: The engine's verdict on an attempt, in that attempt's ``iter_k``.
+ENGINE_VERDICT = "engine_verdict.json"
 ORACLE_DEFINITION = "artifacts/poc/oracle_generator/oracle_definition.json"
 #: The validator's verdict on the latest reproduction the engine passed.
 POC_VALIDATED_RESULT = "artifacts/poc/poc_validator/poc_validated_result.json"

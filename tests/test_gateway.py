@@ -1086,6 +1086,32 @@ class TestLiveAdapter:
         assert doc["records"][0]["status"] is True
         assert doc["records"][0]["index"] == 0
 
+    def test_malformed_meta_target_fails_its_request_not_the_batch(self, tmp_path):
+        calls = []
+
+        def rpc_post(url, body, timeout):
+            calls.append(body["method"])
+            return {"result": "0x6080"}
+
+        def api_get(url, params, timeout):
+            calls.append(params["action"])
+            return {"status": "1", "result": [{"SourceCode": "contract V {}"}]}
+
+        adapter = self._adapter(
+            rpc_post=rpc_post, api_get=api_get, env={"ETHERSCAN_API_KEY": "k"}
+        )
+        good, bad = (
+            DataRequest(kind="contract_meta", chainid=1, target=target)
+            for target in (ADDR, "0x" + "zz" * 20)
+        )
+        session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
+        iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
+        summary = execute_data_requests(session, [good, bad], adapter, iter_dir)
+        assert [entry["request"] for entry in summary.fetched] == [good.to_doc()]
+        assert [entry["request"] for entry in summary.failed] == [bad.to_doc()]
+        # The malformed target never reaches the explorer or the node.
+        assert calls == ["getsourcecode"]
+
     def test_storage_slot_hexifies_int_blocks(self):
         slots = []
 
