@@ -55,17 +55,13 @@ class ScaffoldError(HarnessError):
     pass
 
 
-class ConsistencyError(ScaffoldError):
-    """Project files disagree with the oracle definition (fork block)."""
-
-
 @dataclass(frozen=True)
 class PoCProject:
-    """A scaffolded exploit test project rooted inside a session."""
+    """A scaffolded exploit test project rooted inside a session: its
+    root, the files written there, and whether the test pins a fork block
+    (``scaffold_project`` has checked that block against the definition's)."""
 
     root: Path
-    chainid: int
-    fork_block: int
     files: tuple[str, ...]
     fork_pinned: bool
 
@@ -137,7 +133,7 @@ def scaffold_project(
 
     pinned = detect_fork_block(files[TEST_FILE])
     if pinned is not None and pinned != definition.fork_block:
-        raise ConsistencyError(
+        raise ScaffoldError(
             f"test pins fork block {pinned} but the oracle definition says "
             f"{definition.fork_block}"
         )
@@ -160,8 +156,6 @@ def scaffold_project(
         )
     return PoCProject(
         root=root,
-        chainid=definition.chainid,
-        fork_block=definition.fork_block,
         files=tuple(sorted(staged)),
         fork_pinned=pinned is not None,
     )
@@ -294,44 +288,17 @@ def parse_run_output(raw: str, fork_pinned: bool) -> RunResult:
     )
 
 
-def run_project(
-    project: PoCProject, runner: ProjectRunner, rpc_url: Optional[str] = None
-) -> RunResult:
-    raw = runner.run(project, rpc_url)
-    return parse_run_output(raw, fork_pinned=project.fork_pinned)
-
-
-@dataclass(frozen=True)
-class CorrectnessChecks:
-    """The three execution-level checks every reproduction must clear."""
-
-    compiles: bool
-    runs_clean: bool
-    pinned_fork: bool
-
-    def to_doc(self) -> dict:
-        return {
-            "compiles": self.compiles,
-            "runs_clean": self.runs_clean,
-            "pinned_fork": self.pinned_fork,
-        }
-
-    @property
-    def passed(self) -> bool:
-        return self.compiles and self.runs_clean and self.pinned_fork
-
-
-def correctness_checks(project: PoCProject, result: RunResult) -> CorrectnessChecks:
-    runs_clean = (
-        result.compiled
+def correctness_checks(result: RunResult) -> dict[str, bool]:
+    """The three execution-level checks every reproduction must clear, as
+    the ``rubric.correctness`` mapping: the project compiles, every test
+    passes, and the test pins the fork block."""
+    return {
+        "compiles": result.compiled,
+        "runs_clean": result.compiled
         and bool(result.tests)
-        and all(t.passed and not t.reverted for t in result.tests)
-    )
-    return CorrectnessChecks(
-        compiles=result.compiled,
-        runs_clean=runs_clean,
-        pinned_fork=project.fork_block > 0 and result.fork_pinned,
-    )
+        and all(t.passed for t in result.tests),
+        "pinned_fork": result.fork_pinned,
+    }
 
 
 # --------------------------------------------------------------------------

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
@@ -340,7 +340,6 @@ def run_monitor(
     queue_dir: str | Path,
     classifier: RelevanceClassifier | None = None,
     chains: Iterable[int] = DEFAULT_PROBE_ORDER,
-    clock: Callable[[], datetime] | None = None,
 ) -> MonitorOutcome:
     """Consume a feed and enqueue one seed payload file per unique incident.
 
@@ -348,7 +347,6 @@ def run_monitor(
     leaves no torn seed under a seed's name, only a dot-named temp file."""
     queue_path = Path(queue_dir)
     queue_path.mkdir(parents=True, exist_ok=True)
-    now = clock or (lambda: datetime.now(timezone.utc))
     accepted, log = dedupe_and_filter(
         posts, adapter, classifier or ScriptedClassifier(), chains
     )
@@ -361,7 +359,7 @@ def run_monitor(
         target = queue_path / name
         workspace.write_file(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         outcome.enqueued.append(target)
-        processed_at = now()
+        processed_at = datetime.now(timezone.utc)
         if processed_at < candidate.first_post.timestamp:
             logger.warning(
                 "clock skew: post %s timestamp is after processing time",

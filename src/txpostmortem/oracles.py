@@ -448,11 +448,8 @@ def _evaluate_one(
             reason=why_lhs or why_rhs,
         )
     if constraint.kind == "soft":
-        tolerance = constraint.tolerance or Tolerance(
-            "relative_bps", DEFAULT_TOLERANCE_BPS
-        )
         ok, reason = _soft_compare(
-            constraint.check.comparator, measured, expected, tolerance
+            constraint.check.comparator, measured, expected, constraint.tolerance
         )
     else:
         ok, reason = _exact_compare(constraint.check.comparator, measured, expected)
@@ -471,6 +468,8 @@ def evaluate_constraints(
     observations: Mapping[str, ObsValue],
 ) -> VerdictReport:
     """Evaluate every pre-check and constraint; Pass means all satisfied.
+    ``definition`` is as ``normalize_definition`` returns it, so every soft
+    constraint carries its tolerance.
 
     A missing observation never crashes evaluation; the affected constraint
     is reported unsatisfied with an insufficient-observation reason.

@@ -9,14 +9,18 @@ message carries a digest of that context.  In the root-cause stage the
 gateway fetches each batch of evidence the analyzer requests, with no model
 turn of its own, until the analyzer closes its evidence; the draft then
 goes to the challenger, and rejections route back by reason.  The PoC stage
-generates oracles once, then loops reproducer and harness run until the
-reproduction passes or budgets run out.  Each attempt is scanned, then
+generates oracles once and serialises them once as the reproducer's
+message, then loops reproducer and harness run until the reproduction
+passes or budgets run out.  Each attempt is scaffolded, scanned, then
 launched: a project whose sources name an attacker address is rejected
-before the runner sees it.  A run gets an engine verdict first: the
-oracles and the compile, clean-run and pinned-fork checks, with reject
-codes from the validator's vocabulary.  Only a run the engine passes gets a
-validator turn, and a PoC is validated only when both pass.  Any error ends
-the session failed, with a terminal summary.
+before the runner sees it.  A project that fails to scaffold or to launch
+leaves ``harness_error.json`` with its phase and no engine verdict.  Every
+other attempt gets one engine verdict, written in one place: the scan's
+hits, and for a run the oracles and the compile, clean-run and
+pinned-fork checks, with reject codes from the validator's vocabulary.
+Only a run the engine passes gets a validator turn, and a PoC is
+validated only when both pass.  Any error ends the session failed, with a
+terminal summary.
 
 A role turn (``_turn``) hands back what ``agents.run_role`` returns: the
 role's document as its contract in ``agents.roles`` accepted it, or the
@@ -77,11 +81,7 @@ STAGE_ABORTED_NON_ACT = "aborted_non_act"
 STAGE_FAILED = "failed"
 
 
-class OrchestratorError(Exception):
-    pass
-
-
-class StageFailed(OrchestratorError):
+class StageFailed(Exception):
     def __init__(self, stage: str, reason: str):
         self.stage = stage
         self.reason = reason
@@ -465,10 +465,11 @@ class Orchestrator:
             }
             bound = oracles.bind_variables(definition, frozenset(Address(a) for a in taint))
             expected = oracles.observation_names(bound)
+            request = json.dumps(definition.to_doc(), indent=2)
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
                 verdict, codes = self._reproduce_once(
-                    outcome, definition, bound, expected, taint, feedback
+                    outcome, request + feedback, definition, bound, expected, taint
                 )
                 if not codes:
                     outcome.poc_validated = True
@@ -484,7 +485,7 @@ class Orchestrator:
                 outcome.reject_log.append(
                     {"stage": STAGE_POC, "reasons": codes, "actions": [ACTION_RE_REPRODUCE]}
                 )
-                feedback = "; ".join(codes)
+                feedback = "\n\nReject codes of the previous attempt: " + "; ".join(codes)
             raise StageFailed(
                 STAGE_POC,
                 f"reproducer iteration budget ({self.budgets.reproducer_iterations}) exhausted",
@@ -493,25 +494,27 @@ class Orchestrator:
     def _reproduce_once(
         self,
         outcome: SessionOutcome,
+        message: str,
         definition: oracles.OracleDefinition,
         bound: oracles.OracleDefinition,
         expected: list[str],
         taint: dict[str, str],
-        feedback: str,
     ) -> tuple[Optional[oracles.VerdictReport], list[str]]:
-        """One reproducer round; no reject codes means the PoC is validated.
-        The verdict is None when nothing ran.
+        """One reproducer round on ``message``, the stage's serialised
+        oracle definition plus the previous attempt's reject codes; no
+        reject codes means the PoC is validated.  The verdict is None when
+        nothing ran.
 
         The engine decides what code can check.  The sources are scanned
         for attacker addresses before the runner is launched: a hit is
         rejected whatever the run would show, so it is never run.  A run
         then gets the oracles and the three correctness checks.  Only a
-        reproduction the engine passes goes to the validator turn.
+        reproduction the engine passes goes to the validator turn.  One
+        handler covers a project that fails to scaffold or to launch: its
+        ``harness_error.json`` names the phase, and it gets no engine
+        verdict.
         """
         session = outcome.session
-        message = json.dumps(definition.to_doc(), indent=2)
-        if feedback:
-            message += f"\n\nReject codes of the previous attempt: {feedback}"
         reproduction = self._turn(outcome, STAGE_POC, ROLE_REPRODUCER, message)
         # Allocated once the turn returns, as the analyzer's is.
         iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
@@ -522,61 +525,53 @@ class Orchestrator:
             rel / "project_manifest.json",
             {"files": sorted(files), "notes": reproduction.get("notes", "")},
         )
-        launch_failed = ["other:project failed to scaffold or launch"]
+        phase, raw = "scaffold", None
         try:
             project = harness.scaffold_project(session, files, definition)
-        except harness.ScaffoldError as exc:
-            logger.info("scaffold failed: %s", exc)
-            workspace.write_artifact(
-                session, rel / "harness_error.json", {"error": str(exc), "phase": "scaffold"}
-            )
-            return None, launch_failed
-
-        taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
-        hit_codes = {taint[address] for _, address, _ in taint_hits}
-        scan_reasons = [
-            code
-            for code in (REASON_ATTACKER_CONTRACT, REASON_ATTACKER_VALUES)
-            if code in hit_codes
-        ]
-        hits_doc = [{"file": f, "address": a, "line": n} for f, a, n in taint_hits]
-        if scan_reasons:
-            # Nothing ran, so no oracle was evaluated.
-            engine_doc = oracles.VerdictReport((), (), False).to_validation_doc(
-                rubric={"attacker_address_hits": hits_doc}, reject_reasons=scan_reasons
-            )
-            workspace.write_artifact(
-                session, rel / workspace.ENGINE_VERDICT, engine_doc, schema_id="poc_validation"
-            )
-            return None, scan_reasons
-
-        try:
-            result = harness.run_project(project, self.runner, self.rpc_url)
+            taint_hits = harness.scan_for_addresses(harness.solidity_sources(project.root), taint)
+            hit_codes = {taint[address] for _, address, _ in taint_hits}
+            reasons = [
+                code
+                for code in (REASON_ATTACKER_CONTRACT, REASON_ATTACKER_VALUES)
+                if code in hit_codes
+            ]
+            if not reasons:
+                phase = "run"
+                raw = self.runner.run(project, self.rpc_url)
         except harness.HarnessError as exc:
-            logger.info("run failed to launch: %s", exc)
+            logger.info("project failed to %s: %s", phase, exc)
             workspace.write_artifact(
-                session, rel / "harness_error.json", {"error": str(exc), "phase": "run"}
+                session, rel / "harness_error.json", {"error": str(exc), "phase": phase}
             )
-            return None, launch_failed
+            return None, ["other:project failed to scaffold or launch"]
 
-        workspace.write_text_artifact(session, rel / "forge_output.txt", result.raw_output)
-        checks = harness.correctness_checks(project, result)
-        obs_report = harness.extract_observations(result.raw_output, expected)
-        verdict = oracles.evaluate_constraints(bound, obs_report.observations)
-        engine_reasons = [] if verdict.overall_pass and checks.passed else [REASON_ORACLE_FAILED]
-        rubric = {
-            "correctness": checks.to_doc(),
-            "observations_missing": list(obs_report.missing),
-            "observation_warnings": list(obs_report.warnings),
-            "attacker_address_hits": hits_doc,
-        }
-        engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=engine_reasons)
+        hits = [{"file": f, "address": a, "line": n} for f, a, n in taint_hits]
+        rubric: dict[str, Any] = {"attacker_address_hits": hits}
+        # A project the scan refused never ran, so no oracle was evaluated.
+        verdict = oracles.VerdictReport((), (), False)
+        if raw is not None:
+            result = harness.parse_run_output(raw, project.fork_pinned)
+            workspace.write_text_artifact(session, rel / "forge_output.txt", raw)
+            checks = harness.correctness_checks(result)
+            obs_report = harness.extract_observations(raw, expected)
+            verdict = oracles.evaluate_constraints(bound, obs_report.observations)
+            if not (verdict.overall_pass and all(checks.values())):
+                reasons = [REASON_ORACLE_FAILED]
+            rubric = {
+                "correctness": checks,
+                "observations_missing": list(obs_report.missing),
+                "observation_warnings": list(obs_report.warnings),
+                "attacker_address_hits": hits,
+            }
+        engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=reasons)
         workspace.write_artifact(
             session, rel / workspace.ENGINE_VERDICT, engine_doc, schema_id="poc_validation"
         )
+        if raw is None:
+            return None, reasons
         workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
-        if engine_reasons:
-            return verdict, engine_reasons
+        if reasons:
+            return verdict, reasons
 
         validation = self._turn(
             outcome,

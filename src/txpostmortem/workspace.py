@@ -485,7 +485,6 @@ class Session:
     session_id: str
     root: Path
     seed: SeedRef
-    created_at: datetime
 
     @cached_property
     def resolved_root(self) -> Path:
@@ -551,8 +550,7 @@ def create_session(
 ) -> Session:
     """Create the session directory skeleton and record the seed input."""
     base = Path(base_dir)
-    created = now or datetime.now(timezone.utc)
-    stamp = created.strftime("%Y%m%dT%H%M%SZ")
+    stamp = (now or datetime.now(timezone.utc)).strftime("%Y%m%dT%H%M%SZ")
     prefix = seed.primary.value[2:10]
     session_id = f"{stamp}_{prefix}"
     bump = 0
@@ -567,7 +565,7 @@ def create_session(
             session_id = f"{stamp}_{prefix}-{bump}"
     for sub in (SEED_DIR, POC_STAGE_DIR, EVALUATION_DIR):
         (root / sub).mkdir(parents=True, exist_ok=True)
-    session = Session(session_id=session_id, root=root, seed=seed, created_at=created)
+    session = Session(session_id=session_id, root=root, seed=seed)
     write_artifact(session, RAW_INPUT, raw_input_doc(seed), schema_id="raw_input")
     write_artifact(
         session,
@@ -592,8 +590,7 @@ def open_session(root: str | Path) -> Session:
         seed = SeedRef.from_strings(targets[0]["chainid"], [t["txhash"] for t in targets])
     except (IndexError, DomainError) as exc:
         raise CorruptArtifact(f"{raw_path}: bad targets: {exc}") from exc
-    mtime = datetime.fromtimestamp(raw_path.stat().st_mtime, timezone.utc)
-    return Session(session_id=root.name, root=root, seed=seed, created_at=mtime)
+    return Session(session_id=root.name, root=root, seed=seed)
 
 
 def write_artifact(

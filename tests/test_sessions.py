@@ -1,12 +1,12 @@
 """End-to-end sessions: the bundled cases against their goldens, the
 artifacts they leave, what they send the model, rejection codes arriving in
 the stage they do not belong to, the scan that keeps tainted projects from
-the runner, the fresh project each reproducer attempt gets, the per-session
-fetch memo, failures of any kind ending the session failed, the charge of
-every model step to the summary, the non-ACT route, the metrics report and
-cost over their summaries, the schema lookup, source scan and transcript
-runner sessions rely on, and the ``forge`` runner's timeout, which kills
-every process a run started."""
+the runner, the fresh project each reproducer attempt gets, the attempt
+whose run fails to launch, the per-session fetch memo, failures of any kind
+ending the session failed, the charge of every model step to the summary,
+the non-ACT route, the metrics report and cost over their summaries, the
+schema lookup, source scan and transcript runner sessions rely on, and the
+``forge`` runner's timeout, which kills every process a run started."""
 
 from __future__ import annotations
 
@@ -15,6 +15,7 @@ import os
 import shutil
 import signal
 import threading
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -281,13 +282,18 @@ class TestSubprocessRunner:
                          encoding="utf-8")
         forge.chmod(0o755)
         monkeypatch.setattr(harness, "RUN_TIMEOUT_S", 1)
-        project = harness.PoCProject(
-            root=tmp_path, chainid=1, fork_block=1, files=(), fork_pinned=True
-        )
+        project = harness.PoCProject(root=tmp_path, files=(), fork_pinned=True)
         try:
             with pytest.raises(HarnessError, match="timed out"):
                 harness.SubprocessRunner(str(forge)).run(project)
-            state = _process_state(int(pidfile.read_text(encoding="utf-8")))
+            pid = int(pidfile.read_text(encoding="utf-8"))
+            # The run reaps only the group leader, so the SIGKILL the child
+            # was sent may still be in delivery: give it a few seconds.
+            deadline = time.monotonic() + 5.0
+            state = _process_state(pid)
+            while state is not None and state[1] != "Z" and time.monotonic() < deadline:
+                time.sleep(0.01)
+                state = _process_state(pid)
             assert state is None or state[1] == "Z", state
         finally:
             if pidfile.is_file():
@@ -539,11 +545,32 @@ class TestFreshProject:
         outcome, runner = _prxvt_attempts(tmp_path, [files], [PRXVT_RUN_0])
         assert runner.launches == 0
         assert outcome.poc_validated is False
-        error = _read(
-            outcome.session.root, f"{workspace.REPRODUCER_DIR}/iter_0/harness_error.json"
-        )
+        iter_dir = outcome.session.root / workspace.REPRODUCER_DIR / "iter_0"
+        error = _read(iter_dir, "harness_error.json")
         assert error["phase"] == "scaffold"
         assert name in error["error"]
+        assert not (iter_dir / workspace.ENGINE_VERDICT).exists()
+
+
+class TestLaunchFailure:
+    def test_a_run_that_fails_to_launch_gets_no_engine_verdict(self, tmp_path):
+        # A transcript runner with no transcript left fails to launch.
+        files = load_script_entries(PRXVT_CASE)["poc_reproducer"][0]["files"]
+        outcome, runner = _prxvt_attempts(tmp_path, [files], [])
+        assert runner.launches == 1
+        assert outcome.poc_validated is False
+        assert outcome.reject_log == [
+            {
+                "stage": "poc",
+                "reasons": ["other:project failed to scaffold or launch"],
+                "actions": ["re_reproduce"],
+            }
+        ]
+        iter_dir = outcome.session.root / workspace.REPRODUCER_DIR / "iter_0"
+        error = _read(iter_dir, "harness_error.json")
+        assert error == {"error": "no transcript left for this run", "phase": "run"}
+        assert not (iter_dir / workspace.ENGINE_VERDICT).exists()
+        assert not (iter_dir / "forge_output.txt").exists()
 
 
 class _CountingAdapter:
