@@ -79,14 +79,13 @@ def load_template(role: str) -> str:
 
 
 def build_role_prompt(role: str, session: workspace.Session) -> str:
-    """Fill a role's instruction template with the session's coordinates.
+    """Fill a role's instruction template with the session's seed.
 
-    The templates keep every placeholder in their closing workspace block,
-    so the instructions before it are the same for every session.  A
-    placeholder the session cannot fill raises ``KeyError``.
+    The templates keep every placeholder in their closing block, so the
+    instructions before it are the same for every session.  A placeholder
+    the session cannot fill raises ``KeyError``.
     """
     return Template(load_template(role)).substitute(
-        session_dir=session.root,
         chainid=session.seed.chainid,
         seed_txs=", ".join(t.value for t in session.seed.txs),
     )

@@ -167,11 +167,11 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _latest_engine_verdict(session: workspace.Session) -> dict[str, Any] | None:
-    for _, path in reversed(workspace.iteration_dirs(session, workspace.REPRODUCER_DIR)):
-        verdict = path / workspace.ENGINE_VERDICT
-        if verdict.is_file():
-            return workspace.read_artifact(session, verdict.relative_to(session.root))
+def _last_judged_attempt(session_root: Path) -> Path | None:
+    """The last reproducer ``iter_k`` that holds an engine verdict, if any."""
+    for _, path in reversed(workspace.iteration_dirs(session_root, workspace.REPRODUCER_DIR)):
+        if (path / workspace.ENGINE_VERDICT).is_file():
+            return path
     return None
 
 
@@ -183,14 +183,15 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
         raise UsageError(f"session has no {workspace.FORGE_PROJECT_DIR}/ project")
     if not root_cause_path.is_file():
         raise UsageError(f"session has no {workspace.ROOT_CAUSE_DOC}")
-    verdict = _latest_engine_verdict(session)
-    if verdict is None:
+    attempt = _last_judged_attempt(session.root)
+    if attempt is None:
         raise UsageError("session has no reproduction verdicts to judge")
+    verdict = workspace.read_json(attempt / workspace.ENGINE_VERDICT)
     return {
         "project_root": str(project_root),
         "root_cause": workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC),
         "correctness": verdict.get("rubric", {}).get("correctness", {}),
-        "oracle_pass": _validated(session.root),
+        "oracle_pass": _validated(attempt),
     }
 
 
@@ -315,24 +316,17 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 # dataset export
 
 
-def _validated(session_root: Path) -> bool:
-    """Whether the validator passed; a missing or corrupt verdict did not."""
+def _validated(attempt: Path) -> bool:
+    """Whether the validator passed ``attempt``; a missing or corrupt verdict did not."""
     try:
-        doc = workspace.read_json(session_root / workspace.POC_VALIDATED_RESULT)
+        doc = workspace.read_json(attempt / workspace.POC_VALIDATION)
     except workspace.WorkspaceError:
         return False
     return isinstance(doc, dict) and doc.get("overall_status") == "Pass"
 
 
-_EXPORT_DOCS = (
-    workspace.ROOT_CAUSE_DOC,
-    workspace.ORACLE_DEFINITION,
-    workspace.POC_VALIDATED_RESULT,
-)
-_EXPORT_TEXT = (
-    workspace.ROOT_CAUSE_REPORT,
-    workspace.POC_REPORT,
-)
+_EXPORT_DOCS = (workspace.ROOT_CAUSE_DOC, workspace.ORACLE_DEFINITION)
+_EXPORT_TEXT = (workspace.ROOT_CAUSE_REPORT, workspace.POC_REPORT)
 
 
 def _canonical_json(doc: Any) -> str:
@@ -357,7 +351,8 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     incidents: dict[tuple[int, tuple[str, ...]], dict[str, Any]] = {}
     summaries = Path(sessions_dir).glob("*/" + workspace.SESSION_SUMMARY)
     for root in sorted(p.parent for p in summaries):
-        if not _validated(root):
+        attempt = _last_judged_attempt(root)
+        if not (attempt and _validated(attempt)):
             logger.info("skipping %s: no validated reproduction", root.name)
             continue
         session = workspace.open_session(root)
@@ -368,7 +363,9 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             raise workspace.CorruptArtifact(
                 f"{root / workspace.SOURCES_META}: {'; '.join(errors)}"
             )
-        entry = incidents.setdefault(key, {"session": session, "attributions": set()})
+        entry = incidents.setdefault(
+            key, {"session": session, "attempt": attempt, "attributions": set()}
+        )
         entry["attributions"] |= set(sources["attributions"])
     index: list[dict[str, Any]] = []
     taken: Counter[str] = Counter()
@@ -384,6 +381,8 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             except workspace.ArtifactNotFound:
                 continue
             files[Path(rel).name] = _canonical_json(doc)
+        validation = workspace.read_json(entry["attempt"] / workspace.POC_VALIDATION)
+        files["poc_validated_result.json"] = _canonical_json(validation)
         for rel in _EXPORT_TEXT:
             src = session.root / rel
             if src.is_file():

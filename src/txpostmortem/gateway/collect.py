@@ -18,12 +18,13 @@ writes, summary records and diagnostics are made on the calling thread in
 request order, so a batch lands the same bytes however its answers
 interleave.
 
-A session fetches through one ``SessionMemo``, so a request it repeats is
-answered from the payload it already holds, and still lands as a file of
-its own batch.  Outside a session, ``adapter_memo`` gives a ``SessionMemo``
-whose payloads belong to the adapter object itself and are dropped with
-it: the monitor's probe wave fetches through it, and so does the lifecycle
-miner's seed lookup, which is then answered from the wave's payload.
+A session fetches and lands through one ``SessionMemo``: a request it
+repeats is answered from the payload it already holds and writes nothing,
+and its summary entry names the file that holds it.  Outside a session,
+``adapter_memo`` gives a ``SessionMemo`` whose payloads belong to the
+adapter object itself and are dropped with it: the monitor's probe wave
+fetches through it, and so does the lifecycle miner's seed lookup, which
+is then answered from the wave's payload.
 """
 
 from __future__ import annotations
@@ -207,13 +208,14 @@ class SessionMemo:
     lives, one postmortem session, and hands the same payload to every later
     request for that key; a request made while the first is in flight waits
     for it.  A failure is not kept, so a later batch asks the adapter again.
-    Given ``payloads``, it keeps them there instead, as ``adapter_memo``
-    does with the table of its adapter.
+    Given ``payloads``, it keeps them there, as ``adapter_memo`` does with its
+    adapter's table.  ``landed`` holds the file each payload first landed in.
     """
 
     def __init__(self, adapter: ChainAdapter, payloads: SharedResults | None = None):
         self.adapter = adapter
         self._payloads = SharedResults() if payloads is None else payloads
+        self.landed: dict[str, str] = {}
 
     def fetch(self, request: DataRequest) -> dict[str, Any]:
         return self._payloads.get(fixture_key(request), lambda: self.adapter.fetch(request))
@@ -266,10 +268,27 @@ def _called_contracts(traces: Sequence[dict[str, Any]]) -> list[str]:
     return sorted(found)
 
 
-def fetch_seed_artifacts(
+def _land(
     session: workspace.Session,
-    adapter: ChainAdapter,
-) -> SeedBootstrap:
+    fetches: SessionMemo,
+    summary: CollectionSummary,
+    request: DataRequest,
+    payload: dict[str, Any],
+    relpath: str,
+) -> bool:
+    """Record ``request`` in ``summary`` with the file that holds its
+    payload: where the session first landed it, or else ``relpath``, written
+    now.  Returns whether it wrote ``relpath``."""
+    key = fixture_key(request)
+    wrote = key not in fetches.landed
+    if wrote:
+        workspace.write_artifact(session, relpath, payload)
+        fetches.landed[key] = relpath
+    summary.record_success(request, [fetches.landed[key]])
+    return wrote
+
+
+def fetch_seed_artifacts(session: workspace.Session, fetches: SessionMemo) -> SeedBootstrap:
     """Land the seed artifacts and a best-effort context around them.
 
     The first batch fetches each seed transaction's metadata, trace and
@@ -278,24 +297,22 @@ def fetch_seed_artifacts(
     gets one error carrying all diagnostics.  The second batch fetches the
     metadata of every contract the seed traces call with a selector.  The
     context lands under ``SEED_CONTEXT_DIR``; a context miss is recorded in
-    the summary and fails nothing.
+    the summary and fails nothing.  Both go through ``fetches``, the
+    session's memo, which records where each payload lands.
     """
     seed = session.seed
     summary = SeedBootstrap()
-    index: dict[str, Any] = {"targets": [], "artifacts": {}}
     diagnostics: list[str] = []
     requests = [
         DataRequest(kind=kind, chainid=seed.chainid, target=tx.value)
         for tx in seed.txs
         for kind in SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS
     ]
-    results = iter(zip(requests, fetch_many(adapter, requests)))
+    results = iter(zip(requests, fetch_many(fetches, requests)))
     context: list[tuple[DataRequest, dict[str, Any] | GatewayError]] = []
     traces: list[dict[str, Any]] = []
     for tx in seed.txs:
-        index["targets"].append({"chainid": seed.chainid, "txhash": tx.value})
         tx_dir = f"{workspace.SEED_DIR}/{seed.chainid}/{tx.value}"
-        files: list[str] = []
         for kind in SEED_ARTIFACT_KINDS:
             request, payload = next(results)
             if isinstance(payload, GatewayError):
@@ -303,14 +320,10 @@ def fetch_seed_artifacts(
                 summary.record_failure(request, str(payload))
                 continue
             relpath = f"{tx_dir}/{_SEED_FILENAMES[kind]}"
-            workspace.write_artifact(session, relpath, payload)
-            files.append(relpath)
-            summary.record_success(request, [relpath])
+            _land(session, fetches, summary, request, payload, relpath)
             if kind == "tx_trace":
                 traces.append(payload)
-        index["artifacts"][tx.value] = files
         context += [next(results) for _ in SEED_CONTEXT_KINDS]
-    workspace.write_artifact(session, f"{workspace.SEED_DIR}/index.json", index)
     if diagnostics:
         raise BootstrapError(
             f"seed bootstrap failed for {len(diagnostics)} artifact(s)", diagnostics
@@ -319,14 +332,13 @@ def fetch_seed_artifacts(
         DataRequest(kind="contract_meta", chainid=seed.chainid, target=address)
         for address in _called_contracts(traces)
     ]
-    context += zip(contracts, fetch_many(adapter, contracts))
+    context += zip(contracts, fetch_many(fetches, contracts))
     for request, payload in context:
         if isinstance(payload, GatewayError):
             summary.record_failure(request, str(payload))
             continue
         relpath = f"{workspace.SEED_CONTEXT_DIR}/{_context_name(request)}"
-        workspace.write_artifact(session, relpath, payload)
-        summary.record_success(request, [relpath])
+        _land(session, fetches, summary, request, payload, relpath)
     summary.digest = _context_digest(context)
     return summary
 
@@ -412,17 +424,19 @@ def _context_digest(
 def execute_data_requests(
     session: workspace.Session,
     requests: list[DataRequest],
-    adapter: ChainAdapter,
+    fetches: SessionMemo,
     iter_dir: Path,
 ) -> CollectionSummary:
     """Serve a batch of analyst data requests into one iteration directory.
 
-    ``iter_dir`` need not exist: the first write creates it, once every
-    fetch has returned.
+    Each goes through ``fetches``, the session's memo; a payload the session
+    already landed is not written again, and its entry names the file that
+    holds it.  ``iter_dir`` need not exist: the first write creates it, once
+    every fetch has returned.
     """
     summary = CollectionSummary()
     used_names: set[str] = set()
-    for request, payload in zip(requests, fetch_many(adapter, requests)):
+    for request, payload in zip(requests, fetch_many(fetches, requests)):
         if isinstance(payload, GatewayError):
             logger.info("request failed: %s %s: %s", request.kind, request.target, payload)
             summary.record_failure(request, str(payload))
@@ -433,11 +447,9 @@ def execute_data_requests(
             stem, dot, ext = base.partition(".")
             name = f"{stem}_{n}{dot}{ext}"
             n += 1
-        used_names.add(name)
-        target = iter_dir / name
-        relpath = target.relative_to(session.root)
-        workspace.write_artifact(session, relpath, payload)
-        summary.record_success(request, [str(relpath)])
+        relpath = (iter_dir / name).relative_to(session.root).as_posix()
+        if _land(session, fetches, summary, request, payload, relpath):
+            used_names.add(name)
     return summary
 
 

@@ -186,20 +186,11 @@ class CollectionSummary:
     fetched: list[dict[str, Any]] = field(default_factory=list)
     failed: list[dict[str, Any]] = field(default_factory=list)
 
-    @property
-    def fetched_count(self) -> int:
-        return len(self.fetched)
-
     def record_success(self, request: DataRequest, files: list[str]) -> None:
         self.fetched.append({"request": request.to_doc(), "files": list(files)})
 
     def record_failure(self, request: DataRequest, error: str) -> None:
         self.failed.append({"request": request.to_doc(), "error": error})
 
-    def to_doc(self, iteration: int) -> dict[str, Any]:
-        return {
-            "fetched": self.fetched,
-            "failed": self.failed,
-            "fetched_count": self.fetched_count,
-            "iteration": iteration,
-        }
+    def to_doc(self) -> dict[str, Any]:
+        return {"fetched": self.fetched, "failed": self.failed}

@@ -2,8 +2,8 @@
 
 Model turns are spent only on judgment; what code can check, code decides.
 Every fetch of a session goes through one memo, so evidence the session
-already holds is never fetched twice.  The bootstrap lands the seed
-artifacts plus a best-effort context (receipt logs, state diff, and
+already holds is never fetched or landed twice.  The bootstrap lands the
+seed artifacts plus a best-effort context (receipt logs, state diff, and
 metadata of every contract the seed trace calls), and the analyzer's first
 message carries a digest of that context.  In the root-cause stage the
 gateway fetches each batch of evidence the analyzer requests, with no model
@@ -18,9 +18,9 @@ leaves ``harness_error.json`` with its phase and no engine verdict.  Every
 other attempt gets one engine verdict, written in one place: the scan's
 hits, and for a run the oracles and the compile, clean-run and
 pinned-fork checks, with reject codes from the validator's vocabulary.
-Only a run the engine passes gets a validator turn, and a PoC is
-validated only when both pass.  Any error ends the session failed, with a
-terminal summary.
+Only a run the engine passes gets a validator turn, whose verdict is
+written beside the engine's; a PoC is validated only when both pass.  Any
+error ends the session failed, with a terminal summary.
 
 A role turn (``_turn``) hands back what ``agents.run_role`` returns: the
 role's document as its contract in ``agents.roles`` accepted it, or the
@@ -341,11 +341,11 @@ class Orchestrator:
         workspace.write_artifact(
             outcome.session,
             f"{workspace.COLLECTION_DIR}/iter_{iteration}/data_collection_summary.json",
-            summary.to_doc(iteration=iteration),
+            summary.to_doc(),
             schema_id="collection_summary",
         )
         outcome.collection_runs_total += 1
-        outcome.fetched_items += summary.fetched_count
+        outcome.fetched_items += len(summary.fetched)
 
     def _collect(
         self, outcome: SessionOutcome, fetches: SessionMemo, requests: list[DataRequest]
@@ -582,8 +582,7 @@ class Orchestrator:
                 indent=2,
             ),
         )
-        workspace.write_artifact(session, rel / "poc_validation.json", validation)
-        workspace.write_artifact(session, workspace.POC_VALIDATED_RESULT, validation)
+        workspace.write_artifact(session, rel / workspace.POC_VALIDATION, validation)
         if validation["overall_status"] == "Pass":
             return verdict, []
         return verdict, _reject_codes(validation.get("reject_reasons", []), POC_REASONS)

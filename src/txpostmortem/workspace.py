@@ -79,15 +79,16 @@ SEED_DIR = "artifacts/root_cause/seed"
 SEED_CONTEXT_DIR = "artifacts/root_cause/seed/context"
 ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
 #: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
+#: Each holds its summary and the payloads the session had not landed before.
 COLLECTION_DIR = "artifacts/root_cause/data_collector"
 POC_STAGE_DIR = "artifacts/poc"
 #: One ``iter_k`` per reproduction attempt.
 REPRODUCER_DIR = "artifacts/poc/poc_reproducer"
 #: The engine's verdict on an attempt, in that attempt's ``iter_k``.
 ENGINE_VERDICT = "engine_verdict.json"
+#: The validator's verdict on an attempt, beside its engine verdict.
+POC_VALIDATION = "poc_validation.json"
 ORACLE_DEFINITION = "artifacts/poc/oracle_generator/oracle_definition.json"
-#: The validator's verdict on the latest reproduction the engine passed.
-POC_VALIDATED_RESULT = "artifacts/poc/poc_validator/poc_validated_result.json"
 EVALUATION_DIR = "artifacts/evaluation"
 FORGE_PROJECT_DIR = "forge_poc"
 
@@ -302,7 +303,6 @@ SCHEMAS: dict[str, Any] = {
                     }
                 },
             },
-            "optional": {"iteration": "int", "fetched_count": "int"},
         }
     },
     "challenge_result": {
@@ -625,10 +625,10 @@ def read_artifact(session: Session, relpath: str | Path) -> Any:
 _ITER_RE = re.compile(r"^iter_(\d+)$")
 
 
-def iteration_dirs(session: Session, parent: str | Path) -> list[tuple[int, Path]]:
+def iteration_dirs(root: Path, parent: str | Path) -> list[tuple[int, Path]]:
     """The ``(k, path)`` of each ``iter_k`` directory under ``parent``, a
-    directory relative to the session root, in ``k`` order."""
-    base = session.root / parent
+    directory relative to the session root ``root``, in ``k`` order."""
+    base = root / parent
     return sorted(
         (int(m.group(1)), entry)
         for entry in (base.iterdir() if base.is_dir() else [])
@@ -639,7 +639,7 @@ def iteration_dirs(session: Session, parent: str | Path) -> list[tuple[int, Path
 def next_iteration_dir(session: Session, parent: str | Path) -> Path:
     """Allocate the next dense ``iter_k`` directory under ``parent``, a
     directory relative to the session root."""
-    existing = iteration_dirs(session, parent)
+    existing = iteration_dirs(session.root, parent)
     k = existing[-1][0] + 1 if existing else 0
     path = session.root / parent / f"iter_{k}"
     path.mkdir(parents=True, exist_ok=False)

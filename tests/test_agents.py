@@ -40,7 +40,7 @@ from txpostmortem.agents.roles import (
 )
 from txpostmortem.domain import SeedRef
 
-SESSION_BLOCK = "Session workspace:"
+SESSION_BLOCK = "Chain:"
 TX = "0x" + "aa" * 32
 EOA = "0x" + "11" * 20
 VICTIM = "0x" + "22" * 20
@@ -301,11 +301,19 @@ class TestTemplates:
 
     def test_unfilled_placeholder_raises(self, monkeypatch, tmp_path):
         session = workspace.create_session(tmp_path, SeedRef.from_strings(1, [TX]))
-        monkeypatch.setattr(
-            roles, "load_template", lambda role: "Session workspace: $session_dir $draft"
-        )
+        monkeypatch.setattr(roles, "load_template", lambda role: "Chain: $chainid $draft")
         with pytest.raises(KeyError):
             build_role_prompt(ROLE_CHALLENGER, session)
+
+    def test_prompts_name_no_session_directory(self, tmp_path):
+        """Two sessions of one seed under base directories of different
+        lengths get the same prompt for every role."""
+        seed = SeedRef.from_strings(1, [TX])
+        near, far = (
+            workspace.create_session(tmp_path / base, seed) for base in ("a", "b" * 40 + "/c")
+        )
+        for role in ROLES:
+            assert build_role_prompt(role, near) == build_role_prompt(role, far), role
 
 
 def _analysis_doc(final: bool) -> dict:

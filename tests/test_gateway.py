@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -363,19 +364,18 @@ class TestSeedBootstrap:
 
     def test_lands_three_artifacts_per_seed_tx(self, tmp_path):
         session = self._session(tmp_path)
-        summary = fetch_seed_artifacts(session, _SeedAdapter())
-        assert summary.fetched_count == 3
-        base = session.root / workspace.SEED_DIR / "1" / TX
-        for name in ("metadata.json", "trace.json", "balance_diff.json"):
-            assert (base / name).is_file()
-        index = json.loads((session.root / workspace.SEED_DIR / "index.json").read_text())
-        assert index["targets"] == [{"chainid": 1, "txhash": TX}]
-        assert len(index["artifacts"][TX]) == 3
+        summary = fetch_seed_artifacts(session, SessionMemo(_SeedAdapter()))
+        assert len(summary.fetched) == 3
+        seed_dir = session.root / workspace.SEED_DIR
+        assert [p.name for p in seed_dir.iterdir()] == ["1"]
+        assert sorted(p.name for p in (seed_dir / "1" / TX).iterdir()) == [
+            "balance_diff.json", "metadata.json", "trace.json"
+        ]
 
     def test_any_failure_is_fatal_with_diagnostics(self, tmp_path):
         session = self._session(tmp_path)
         with pytest.raises(BootstrapError) as info:
-            fetch_seed_artifacts(session, _SeedAdapter(fail_kinds={"tx_trace"}))
+            fetch_seed_artifacts(session, SessionMemo(_SeedAdapter(fail_kinds={"tx_trace"})))
         assert info.value.diagnostics
         assert any("tx_trace" in line for line in info.value.diagnostics)
 
@@ -416,7 +416,7 @@ class _ContextAdapter:
 class TestSeedContext:
     def _bootstrap(self, tmp_path, adapter):
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
-        return session, fetch_seed_artifacts(session, adapter)
+        return session, fetch_seed_artifacts(session, SessionMemo(adapter))
 
     def test_context_lands_in_its_directory(self, tmp_path):
         session, summary = self._bootstrap(tmp_path, _ContextAdapter(3))
@@ -425,7 +425,7 @@ class TestSeedContext:
             [f"receipt_logs_{TX}.json", f"state_diff_{TX}.json"]
             + [f"contract_meta_0x{i:040x}.json" for i in (1, 2, 3)]
         )
-        assert summary.fetched_count == 3 + 5
+        assert len(summary.fetched) == 3 + 5
         assert summary.failed == []
         lines = summary.digest.splitlines()
         assert lines[0].startswith(f"Seed context already fetched into {workspace.SEED_CONTEXT_DIR}/")
@@ -448,7 +448,7 @@ class TestSeedContext:
 
     def test_digest_is_capped(self, tmp_path):
         _, summary = self._bootstrap(tmp_path, _ContextAdapter(200))
-        assert summary.fetched_count == 3 + 2 + 200
+        assert len(summary.fetched) == 3 + 2 + 200
         assert len(summary.digest) <= SEED_DIGEST_CHARS
         assert all(len(line) <= SEED_DIGEST_LINE_CHARS for line in summary.digest.splitlines())
         assert summary.digest.endswith(f"more entries in {workspace.SEED_CONTEXT_DIR}/")
@@ -459,7 +459,7 @@ class TestSeedContext:
         slow = _LaterFirstAdapter(_ContextAdapter(200), 205, step=0.0002)
         _, got = self._bootstrap(tmp_path / "b", slow)
         assert got.digest.encode() == expected.digest.encode()
-        assert got.to_doc(0) == expected.to_doc(0)
+        assert got.to_doc() == expected.to_doc()
 
 
 class TestExecuteDataRequests:
@@ -471,10 +471,10 @@ class TestExecuteDataRequests:
         requests = [
             DataRequest(kind="tx_trace", chainid=1, target=TX),
             DataRequest(kind="other", chainid=1, target="nope"),
-            DataRequest(kind="tx_trace", chainid=1, target=TX),  # name collision
+            DataRequest(kind="tx_trace", chainid=1, target=TX, block_hi=7),  # name collision
         ]
-        summary = execute_data_requests(session, requests, _StubAdapter(), iter_dir)
-        assert summary.fetched_count == 2
+        summary = execute_data_requests(session, requests, SessionMemo(_StubAdapter()), iter_dir)
+        assert len(summary.fetched) == 2
         assert len(summary.failed) == 1
         names = sorted(p.name for p in iter_dir.glob("*.json"))
         assert len(names) == 2
@@ -486,8 +486,32 @@ class TestExecuteDataRequests:
         requests = [
             DataRequest(kind="tx_trace", chainid=1, target=TX, out_path="custom.json")
         ]
-        execute_data_requests(session, requests, _StubAdapter(), iter_dir)
+        execute_data_requests(session, requests, SessionMemo(_StubAdapter()), iter_dir)
         assert (iter_dir / "custom.json").is_file()
+
+    def test_a_payload_the_session_holds_lands_once(self, tmp_path):
+        """A repeat writes nothing and names the file that holds it, even
+        within one batch; a failure is not kept, so a later success lands."""
+        session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
+        memo = SessionMemo(_CountingStub(failures=1))
+        held = DataRequest(kind="tx_trace", chainid=1, target=TX)
+        failed = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+        first = execute_data_requests(session, [failed], memo, session.root / "a")
+        assert [entry["request"] for entry in first.failed] == [failed.to_doc()]
+        second = execute_data_requests(session, [held, held], memo, session.root / "b")
+        third = execute_data_requests(session, [failed, held], memo, session.root / "c")
+        assert [entry["files"] for entry in second.fetched + third.fetched] == [
+            [f"b/tx_trace_{TX[:24]}.json"],
+            [f"b/tx_trace_{TX[:24]}.json"],
+            [f"c/tx_metadata_{TX[:24]}.json"],
+            [f"b/tx_trace_{TX[:24]}.json"],
+        ]
+        assert not (session.root / "a").exists()
+        assert [p.name for p in (session.root / "b").iterdir()] == [f"tx_trace_{TX[:24]}.json"]
+        assert [p.name for p in (session.root / "c").iterdir()] == [
+            f"tx_metadata_{TX[:24]}.json"
+        ]
+        assert memo.adapter.calls == 3
 
 
 class _LaterFirstAdapter:
@@ -511,13 +535,13 @@ class TestAnswerOrder:
     def _collect(self, tmp_path, requests, adapter):
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
-        summary = execute_data_requests(session, requests, adapter, iter_dir)
+        summary = execute_data_requests(session, requests, SessionMemo(adapter), iter_dir)
         files = {p.name: p.read_bytes() for p in sorted(iter_dir.iterdir())}
-        return summary.to_doc(1), files
+        return summary.to_doc(), files
 
     def test_data_requests(self, tmp_path):
         requests = _one_request_per_kind()
-        requests.insert(2, requests[0])  # a name collision
+        requests.insert(2, dataclasses.replace(requests[0], block_hi=7))  # a name collision
         expected = self._collect(tmp_path / "a", requests, _StubAdapter())
         got = self._collect(
             tmp_path / "b", requests, _LaterFirstAdapter(_StubAdapter(), len(requests))
@@ -532,14 +556,18 @@ class TestAnswerOrder:
         seed = SeedRef(chainid=1, txs=txs)
         n = len(txs) * len(SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS)
         slow = _LaterFirstAdapter(_SeedAdapter(), n)
-        summary = fetch_seed_artifacts(workspace.create_session(tmp_path / "a", seed), slow)
+        summary = fetch_seed_artifacts(
+            workspace.create_session(tmp_path / "a", seed), SessionMemo(slow)
+        )
         assert [f["request"]["target"] for f in summary.fetched] == [
             tx for tx in txs for _ in range(3)
         ]
         with pytest.raises(BootstrapError) as info:
             fetch_seed_artifacts(
                 workspace.create_session(tmp_path / "b", seed),
-                _LaterFirstAdapter(_SeedAdapter(fail_kinds={"tx_trace", "balance_diff"}), n),
+                SessionMemo(
+                    _LaterFirstAdapter(_SeedAdapter(fail_kinds={"tx_trace", "balance_diff"}), n)
+                ),
             )
         assert info.value.diagnostics == [
             f"{kind} {tx}: stub failure for {kind}"
@@ -1106,7 +1134,7 @@ class TestLiveAdapter:
         )
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
-        summary = execute_data_requests(session, [good, bad], adapter, iter_dir)
+        summary = execute_data_requests(session, [good, bad], SessionMemo(adapter), iter_dir)
         assert [entry["request"] for entry in summary.fetched] == [good.to_doc()]
         assert [entry["request"] for entry in summary.failed] == [bad.to_doc()]
         # The malformed target never reaches the explorer or the node.

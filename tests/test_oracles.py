@@ -312,6 +312,27 @@ class TestEngine:
         observations["attacker_token_delta"] = GAIN - abs(GAIN) // 10 - 1
         assert not evaluate_constraints(reference_definition(), observations).overall_pass
 
+    def test_a_measurement_exactly_the_slack_away_is_satisfied(self):
+        definition = OracleDefinition(
+            chainid=1,
+            fork_block=10,
+            variables=(),
+            pre_checks=(),
+            hard=(),
+            soft=(
+                Constraint(
+                    "S1",
+                    "soft",
+                    Comparison("x", "within_tolerance", "1000"),
+                    tolerance=Tolerance("absolute", 500),
+                ),
+            ),
+            success_criteria="x",
+        )
+        for measured, satisfied in ((500, True), (1500, True), (499, False), (1501, False)):
+            report = evaluate_constraints(definition, {"x": measured})
+            assert report.overall_pass is satisfied, measured
+
     def test_boolean_operands_fail_ordered_comparators(self):
         definition = OracleDefinition(
             chainid=1,

@@ -188,9 +188,11 @@ _RAW_BAD_HASH = json.dumps({"targets": [{"chainid": 1, "txhash": "0xzz"}]})
 
 def _validated_session(**files: str) -> dict[str, str]:
     """Files of one exported-looking session ``s/0``, with ``files`` on top."""
+    attempt = f"s/0/{workspace.REPRODUCER_DIR}/iter_0"
     return {
         "s/0/session_summary.json": "{}",
-        f"s/0/{workspace.POC_VALIDATED_RESULT}": '{"overall_status": "Pass"}',
+        f"{attempt}/{workspace.ENGINE_VERDICT}": "{}",
+        f"{attempt}/{workspace.POC_VALIDATION}": '{"overall_status": "Pass"}',
         "s/0/raw.json": json.dumps(
             {"targets": [{"chainid": 1, "txhash": "0x" + "ab" * 32}]}
         ),
@@ -287,7 +289,8 @@ def test_truncated_session_file_fails_closed(argv, truncated, prxvt_run, tmp_pat
 def test_an_unreadable_verdict_is_not_exported(verdict, prxvt_run, tmp_path, capsys):
     root = tmp_path / "s" / prxvt_run.session_root.name
     shutil.copytree(prxvt_run.session_root, root)
-    path = root / workspace.POC_VALIDATED_RESULT
+    (*_, (_, attempt)) = workspace.iteration_dirs(root, workspace.REPRODUCER_DIR)
+    path = attempt / workspace.POC_VALIDATION
     path.unlink()
     if verdict is not None:
         path.write_text(verdict, encoding="utf-8")

@@ -5,8 +5,9 @@ the runner, the fresh project each reproducer attempt gets, the attempt
 whose run fails to launch, the per-session fetch memo, failures of any kind
 ending the session failed, the charge of every model step to the summary,
 the non-ACT route, the metrics report and cost over their summaries, the
-schema lookup, source scan and transcript runner sessions rely on, and the
-``forge`` runner's timeout, which kills every process a run started."""
+schema lookup, source scan, correctness checks, fork pin and transcript
+runner sessions rely on, and the ``forge`` runner's timeout, which kills
+every process a run started."""
 
 from __future__ import annotations
 
@@ -113,7 +114,7 @@ class TestArtifacts:
         run = request.getfixturevalue(fixture)
         collection = run.session_root / workspace.COLLECTION_DIR
         counts = [
-            json.loads(path.read_text(encoding="utf-8"))["fetched_count"]
+            len(json.loads(path.read_text(encoding="utf-8"))["fetched"])
             for path in collection.glob("iter_*/data_collection_summary.json")
         ]
         assert len(counts) == run.doc["collection_runs_total"]
@@ -275,7 +276,8 @@ def _process_state(pid: int) -> tuple[str, str] | None:
 class TestSubprocessRunner:
     def test_a_timed_out_run_leaves_no_process_behind(self, tmp_path, monkeypatch):
         """A stand-in ``forge`` starts a child, records its pid and hangs:
-        the timeout kills the child with the run."""
+        the timeout kills the child with the run, so the run raises without
+        waiting out the child's hold on its output pipe."""
         pidfile = tmp_path / "child.pid"
         forge = tmp_path / "forge"
         forge.write_text(f'#!/bin/sh\nsleep 30 &\necho $! > "{pidfile}"\nexec sleep 30\n',
@@ -284,8 +286,10 @@ class TestSubprocessRunner:
         monkeypatch.setattr(harness, "RUN_TIMEOUT_S", 1)
         project = harness.PoCProject(root=tmp_path, files=(), fork_pinned=True)
         try:
+            started = time.monotonic()
             with pytest.raises(HarnessError, match="timed out"):
                 harness.SubprocessRunner(str(forge)).run(project)
+            assert time.monotonic() - started < harness.RUN_TIMEOUT_S + 5
             pid = int(pidfile.read_text(encoding="utf-8"))
             # The run reaps only the group leader, so the SIGKILL the child
             # was sent may still be in delivery: give it a few seconds.
@@ -314,12 +318,15 @@ class _CountingRunner:
         return self.inner.run(project, rpc_url)
 
 
-def _gated_prxvt(tmp_path: Path, run: str, exploit_suffix: str = "", validator=None):
+def _gated_prxvt(
+    tmp_path: Path, run: str, exploit_suffix: str = "", validator=None, entries=None
+):
     """prxvt's PoC stage with one reproducer attempt: Exploit.sol gets
     ``exploit_suffix`` appended, the runner answers ``run``, and the
-    validator is scripted to ``validator`` (a Pass by default).  Returns
-    the outcome, the recording backend and the counting runner."""
-    entries = load_script_entries(PRXVT_CASE)
+    validator is scripted to ``validator`` (a Pass by default).  The
+    script is ``entries``, or else the case's own.  Returns the outcome,
+    the recording backend and the counting runner."""
+    entries = entries or load_script_entries(PRXVT_CASE)
     files = entries["poc_reproducer"][0]["files"]
     files["test/Exploit.sol"] += exploit_suffix
     if validator is not None:
@@ -355,7 +362,7 @@ class TestEngineGate:
     def test_validator_pass_over_failing_engine_does_not_validate(self, tmp_path):
         outcome, _, _ = _gated_prxvt(tmp_path, _FAILING_RUN)
         root = outcome.session.root
-        assert not (root / workspace.POC_VALIDATED_RESULT).exists()
+        assert not (root / workspace.REPRODUCER_DIR / "iter_0" / workspace.POC_VALIDATION).exists()
         assert not (root / workspace.POC_REPORT).exists()
         summary = _read(root, workspace.SESSION_SUMMARY)
         assert summary["poc"]["validated"] is False
@@ -477,6 +484,22 @@ class TestScanBeforeLaunch:
         }
         assert not (iter_dir / "forge_output.txt").exists()
         assert not (iter_dir / "run_result.json").exists()
+
+    def test_a_checksummed_role_address_taints_its_lowercase_use(self, tmp_path):
+        entries = load_script_entries(PRXVT_CASE)
+        roles = entries[ROLE_ANALYZER][-1]["root_cause"]["roles"]
+        checksummed = scenarios.PRXVT_HELPER.replace("f3fe", "F3fE")
+        roles["attacker_contracts"] = [
+            checksummed if a == scenarios.PRXVT_HELPER else a for a in roles["attacker_contracts"]
+        ]
+        assert checksummed in roles["attacker_contracts"]
+        outcome, _, runner = _gated_prxvt(
+            tmp_path, PRXVT_RUN_0, f"// {scenarios.PRXVT_HELPER}\n", entries=entries
+        )
+        assert runner.launches == 0
+        assert outcome.reject_log == [
+            {"stage": "poc", "reasons": ["uses_attacker_contract"], "actions": ["re_reproduce"]}
+        ]
 
 
 def _prxvt_attempts(tmp_path: Path, attempts: list[dict[str, str]], runs: list[str]):
@@ -610,15 +633,14 @@ class TestSessionMemo:
         assert set(adapter.calls.values()) == {1}
         root = outcome.session.root
         # The post-challenge batch asks again for the seed trace, the seed
-        # balance diff and the loan officer's metadata; each still lands in
-        # its own directory, byte for byte as the bootstrap wrote it.
+        # balance diff and the loan officer's metadata; its summary names
+        # the files the bootstrap landed, and it lands none of its own.
         seed = _fetched_files(root, 0)
         again = _fetched_files(root, 3)
         assert len(again) == 3 and set(again) <= set(seed)
-        for key, files in again.items():
-            assert [(root / f).read_bytes() for f in files] == [
-                (root / f).read_bytes() for f in seed[key]
-            ]
+        assert again == {key: seed[key] for key in again}
+        iter_3 = root / workspace.COLLECTION_DIR / "iter_3"
+        assert [p.name for p in iter_3.iterdir()] == ["data_collection_summary.json"]
 
     def test_two_sessions_each_fetch_their_seed(self, tmp_path):
         bundle = scenarios.build_prxvt_case(tmp_path / "case")
@@ -677,7 +699,7 @@ class TestSeedContext:
         assert sorted(f["request"]["kind"] for f in summary["failed"]) == [
             "contract_meta"
         ] * 4 + ["receipt_logs", "state_diff"]
-        assert summary["fetched_count"] == 3
+        assert len(summary["fetched"]) == 3
         first = backend.sent("root_cause_analyzer")[0]
         assert first.count("not available") == 6
 
@@ -978,3 +1000,43 @@ class TestSourceScan:
             ("a.sol", "42", 2),
         ]
         assert scan_for_addresses(sources, set()) == []
+
+    def test_a_mixed_case_needle_finds_its_lowercase_use(self):
+        addr = "0x" + "ab" * 20
+        sources = [("a.sol", f"x = {addr};\n")]
+        assert scan_for_addresses(sources, {"0x" + "aB" * 20}) == [("a.sol", addr, 1)]
+
+
+class TestCorrectnessChecks:
+    def test_one_failing_test_among_passing_ones_is_not_clean(self):
+        raw = PRXVT_RUN_0 + "\n[FAIL. Reason: revert: drained] testSecond()\n"
+        result = harness.parse_run_output(raw, fork_pinned=True)
+        assert [t.passed for t in result.tests] == [True, False]
+        assert harness.correctness_checks(result)["runs_clean"] is False
+
+    def test_a_compiled_run_with_no_test_result_is_not_clean(self):
+        result = harness.parse_run_output("Compiler run successful!\n", fork_pinned=True)
+        assert result.compiled and result.tests == ()
+        assert harness.correctness_checks(result) == {
+            "compiles": True,
+            "runs_clean": False,
+            "pinned_fork": True,
+        }
+
+
+class TestForkPin:
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, offset):
+        entries = load_script_entries(PRXVT_CASE)
+        definition = oracles.OracleDefinition.from_doc(entries["oracle_generator"][0])
+        files = dict(entries["poc_reproducer"][0]["files"])
+        pin = f"FORK_BLOCK = {definition.fork_block};"
+        assert pin in files["test/Exploit.sol"]
+        files["test/Exploit.sol"] = files["test/Exploit.sol"].replace(
+            pin, f"FORK_BLOCK = {definition.fork_block + offset};"
+        )
+        session = workspace.create_session(
+            tmp_path, SeedRef.from_strings(definition.chainid, [scenarios.PRXVT_SEED])
+        )
+        with pytest.raises(harness.ScaffoldError, match="pins fork block"):
+            harness.scaffold_project(session, files, definition)

@@ -155,9 +155,10 @@ class TestWholeWrites:
         session = workspace.create_session(tmp_path / "sessions", SeedRef.from_strings(1, [TX]))
         session.root.rename(tmp_path / "sessions" / "s0")
         (tmp_path / "sessions" / "s0" / workspace.SESSION_SUMMARY).write_text("{}")
-        validated = tmp_path / "sessions" / "s0" / workspace.POC_VALIDATED_RESULT
-        validated.parent.mkdir(parents=True)
-        validated.write_text('{"overall_status": "Pass"}')
+        attempt = tmp_path / "sessions" / "s0" / workspace.REPRODUCER_DIR / "iter_0"
+        attempt.mkdir(parents=True)
+        (attempt / workspace.ENGINE_VERDICT).write_text("{}")
+        (attempt / workspace.POC_VALIDATION).write_text('{"overall_status": "Pass"}')
         return tmp_path
 
     @staticmethod
@@ -218,9 +219,9 @@ class TestIterationDirs:
             (session.root / "stage" / f"iter_{k}").mkdir(parents=True)
         (session.root / "stage" / "iter_x").mkdir()
         (session.root / "stage" / "iter_3").write_text("")
-        assert [k for k, _ in workspace.iteration_dirs(session, "stage")] == [0, 1, 2, 10]
+        assert [k for k, _ in workspace.iteration_dirs(session.root, "stage")] == [0, 1, 2, 10]
         assert workspace.next_iteration_dir(session, "stage").name == "iter_11"
 
     def test_a_missing_parent_has_none(self, session):
-        assert workspace.iteration_dirs(session, "absent") == []
+        assert workspace.iteration_dirs(session.root, "absent") == []
         assert workspace.next_iteration_dir(session, "absent").name == "iter_0"
