@@ -233,6 +233,8 @@ class OpenAIChatBackend:
         return conversation_id
 
     def step(self, conversation_id: str, message: str) -> StepResult:
+        """Send ``message``; a failed call or a malformed body is a
+        ``BackendError``, and a null ``usage`` counts as no tokens."""
         history = self._histories.get(conversation_id)
         if history is None:
             raise BackendError(f"unknown conversation {conversation_id!r}")
@@ -247,14 +249,16 @@ class OpenAIChatBackend:
             doc = self.post(f"{self.base_url}/chat/completions", body, headers)
         except Exception as exc:
             raise BackendError(f"model call failed: {exc}") from exc
-        choice = doc["choices"][0]["message"]
-        text = choice.get("content") or ""
+        try:
+            text = doc["choices"][0]["message"].get("content") or ""
+            usage_doc = doc.get("usage") or {}
+            details = usage_doc.get("prompt_tokens_details") or {}
+            usage = Usage(
+                input_tokens=usage_doc.get("prompt_tokens", 0),
+                cached_input_tokens=details.get("cached_tokens", 0),
+                output_tokens=usage_doc.get("completion_tokens", 0),
+            )
+        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+            raise BackendError(f"malformed model reply: {type(exc).__name__}: {exc}") from None
         history.append({"role": "assistant", "content": text})
-        usage_doc = doc.get("usage", {})
-        details = usage_doc.get("prompt_tokens_details", {}) or {}
-        usage = Usage(
-            input_tokens=usage_doc.get("prompt_tokens", 0),
-            cached_input_tokens=details.get("cached_tokens", 0),
-            output_tokens=usage_doc.get("completion_tokens", 0),
-        )
         return StepResult(text=text, usage=usage)

@@ -34,7 +34,6 @@ import re
 import threading
 import weakref
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from queue import SimpleQueue
 from typing import Any, Callable, Sequence
@@ -245,13 +244,6 @@ def adapter_memo(adapter: ChainAdapter) -> SessionMemo:
     return SessionMemo(adapter, payloads)
 
 
-@dataclass
-class SeedBootstrap(CollectionSummary):
-    """Collection run zero: the seed summary plus a digest of its context."""
-
-    digest: str = ""
-
-
 def _called_contracts(traces: Sequence[dict[str, Any]]) -> list[str]:
     """Every address the traces call with a selector, sorted; a trace of
     unexpected shape adds none."""
@@ -288,8 +280,11 @@ def _land(
     return wrote
 
 
-def fetch_seed_artifacts(session: workspace.Session, fetches: SessionMemo) -> SeedBootstrap:
-    """Land the seed artifacts and a best-effort context around them.
+def fetch_seed_artifacts(
+    session: workspace.Session, fetches: SessionMemo
+) -> tuple[CollectionSummary, str]:
+    """Land the seed artifacts and a best-effort context around them, and
+    return collection run zero's summary with a digest of that context.
 
     The first batch fetches each seed transaction's metadata, trace and
     balance diff, beside its receipt logs and state diff.  A missing seed
@@ -301,7 +296,7 @@ def fetch_seed_artifacts(session: workspace.Session, fetches: SessionMemo) -> Se
     session's memo, which records where each payload lands.
     """
     seed = session.seed
-    summary = SeedBootstrap()
+    summary = CollectionSummary()
     diagnostics: list[str] = []
     requests = [
         DataRequest(kind=kind, chainid=seed.chainid, target=tx.value)
@@ -339,8 +334,7 @@ def fetch_seed_artifacts(session: workspace.Session, fetches: SessionMemo) -> Se
             continue
         relpath = f"{workspace.SEED_CONTEXT_DIR}/{_context_name(request)}"
         _land(session, fetches, summary, request, payload, relpath)
-    summary.digest = _context_digest(context)
-    return summary
+    return summary, _context_digest(context)
 
 
 # -- seed-context digest -------------------------------------------------------
@@ -431,7 +425,9 @@ def execute_data_requests(
 
     Each goes through ``fetches``, the session's memo; a payload the session
     already landed is not written again, and its entry names the file that
-    holds it.  ``iter_dir`` need not exist: the first write creates it, once
+    holds it.  A new payload lands directly in ``iter_dir``, named by
+    ``_safe_name`` and suffixed on a collision: no request field names the
+    file.  ``iter_dir`` need not exist: the first write creates it, once
     every fetch has returned.
     """
     summary = CollectionSummary()
@@ -441,12 +437,10 @@ def execute_data_requests(
             logger.info("request failed: %s %s: %s", request.kind, request.target, payload)
             summary.record_failure(request, str(payload))
             continue
-        name = request.out_path or _safe_name(request)
-        base, n = name, 1
+        stem = _safe_name(request).removesuffix(".json")
+        name, n = f"{stem}.json", 1
         while name in used_names:
-            stem, dot, ext = base.partition(".")
-            name = f"{stem}_{n}{dot}{ext}"
-            n += 1
+            name, n = f"{stem}_{n}.json", n + 1
         relpath = (iter_dir / name).relative_to(session.root).as_posix()
         if _land(session, fetches, summary, request, payload, relpath):
             used_names.add(name)

@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 
 
 def fixture_key(request: DataRequest) -> str:
-    """Stable content key for a request, independent of reason/out_path.
+    """Stable content key for a request, independent of its reason.
 
     The request hashes its fields once and keeps the key (``DataRequest.key``).
     """
@@ -46,10 +46,11 @@ def _json_file_stems(root: Path) -> set[str]:
 class FixtureStore:
     """Directory of recorded payloads, one JSON file per fixture key.
 
-    The store lists the names of its directory's files once, on its first
-    lookup, and its own ``save`` adds to that listing.  So a miss costs no
-    system call and a hit opens its file once.  A store does not see files
-    that another writer adds to the directory after its first lookup: make
+    ``load`` reads a request's payload and ``save`` records one; the store
+    offers no other lookup.  It lists its directory's file names once, on
+    the first ``load``, and its own ``save`` adds to that listing.  So a
+    miss costs no system call and a hit opens its file once.  A store does
+    not see files that another writer adds after its first ``load``: make
     a new store to see them.
     """
 
@@ -68,9 +69,6 @@ class FixtureStore:
                 if self._keys is None:
                     self._keys = _json_file_stems(self.root)
         return self._keys
-
-    def has(self, request: DataRequest) -> bool:
-        return fixture_key(request) in self._listing()
 
     def load(self, request: DataRequest) -> dict[str, Any]:
         key = fixture_key(request)
@@ -102,9 +100,6 @@ class FixtureStore:
             if self._keys is not None:
                 self._keys.add(key)
         return path
-
-    def keys(self) -> list[str]:
-        return sorted(self._listing())
 
 
 class ReplayAdapter:

@@ -6,7 +6,9 @@ normalized into the canonical document shapes defined in ``types``; callers
 never see provider-specific field names.  Transport errors, HTTP 408, 429
 and 5xx, and explorer rate limits are retried: ``RETRIES`` attempts in all,
 ``BACKOFF_S`` doubling between them, each call given ``TIMEOUT_S``.  Any
-other HTTP 4xx or error reply is final.
+other HTTP 4xx or error reply is final, and so is a malformed reply: a body
+that is not an object, an RPC body with no ``result``, or one a kind cannot
+normalise.  Each fails only its own request.
 """
 
 from __future__ import annotations
@@ -96,9 +98,9 @@ def disassemble(bytecode_hex: str) -> str:
 
 class ErrorReply(UpstreamError):
     """The node answered with a JSON-RPC error, the explorer with an error
-    other than a rate limit, or either with an HTTP 4xx status other than
-    408 and 429.  The same request gets the same answer, so it is final and
-    never retried."""
+    other than a rate limit, either with an HTTP 4xx status other than 408
+    and 429, or with a malformed reply.  The same request gets the same
+    answer, so it is final and never retried."""
 
 
 #: HTTP 4xx statuses that say "try again later", not "this request is wrong".
@@ -189,8 +191,10 @@ class LiveAdapter:
 
         def call() -> dict[str, Any]:
             doc = self.rpc_post(url, body, TIMEOUT_S)
-            if doc.get("error"):
-                raise ErrorReply(f"rpc {method} chain {chainid}: {doc['error']}")
+            if not isinstance(doc, dict):
+                raise ErrorReply(f"rpc {method} chain {chainid}: malformed reply")
+            if doc.get("error") or "result" not in doc:
+                raise ErrorReply(f"rpc {method} chain {chainid}: {doc.get('error') or 'no result'}")
             return doc
 
         return self._with_retries(call, f"rpc {method} chain {chainid}")["result"]
@@ -203,6 +207,8 @@ class LiveAdapter:
 
         def call() -> dict[str, Any]:
             doc = self.api_get(EXPLORER_API_URL, query, TIMEOUT_S)
+            if not isinstance(doc, dict):
+                raise ErrorReply("explorer: malformed reply")
             if str(doc.get("status")) == "0" and doc.get("message") != "No transactions found":
                 text = f"explorer: {doc.get('result') or doc.get('message')}"
                 if "rate limit" in text.lower():
@@ -218,7 +224,12 @@ class LiveAdapter:
         handler = getattr(self, f"_fetch_{request.kind}", None)
         if handler is None:
             raise UnsupportedRequest(f"live adapter cannot serve kind {request.kind!r}")
-        return handler(request)
+        try:
+            return handler(request)
+        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+            what = f"{type(exc).__name__}: {exc}"
+        # Raised outside the handler, so the error carries no frame of it.
+        raise ErrorReply(f"{request.kind} {request.target}: malformed reply ({what})")
 
     def _fetch_tx_metadata(self, request: DataRequest) -> dict[str, Any]:
         tx = self._rpc(request.chainid, "eth_getTransactionByHash", [request.target])

@@ -29,13 +29,12 @@ class DataRequest:
     block_lo: Optional[int] = None
     block_hi: Optional[int] = None
     reason: str = ""
-    out_path: Optional[str] = None
     extra: dict[str, Any] = field(default_factory=dict)
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def key(self) -> str:
-        """Stable content key, independent of ``reason`` and ``out_path``.
+        """Stable content key, independent of ``reason``.
 
         Hashed over the semantic fields (kind, chain, normalized target,
         block window, extras) by the first caller and kept on the request,
@@ -74,8 +73,6 @@ class DataRequest:
             doc["block_hi"] = self.block_hi
         if self.reason:
             doc["reason"] = self.reason
-        if self.out_path:
-            doc["out_path"] = self.out_path
         if self.extra:
             doc["extra"] = self.extra
         return doc
@@ -89,7 +86,6 @@ class DataRequest:
             block_lo=doc.get("block_lo"),
             block_hi=doc.get("block_hi"),
             reason=doc.get("reason", ""),
-            out_path=doc.get("out_path"),
             extra=dict(doc.get("extra", {})),
         )
 

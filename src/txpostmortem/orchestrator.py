@@ -601,7 +601,7 @@ class Orchestrator:
         started = self.clock()
         try:
             try:
-                bootstrap = fetch_seed_artifacts(session, fetches)
+                bootstrap, digest = fetch_seed_artifacts(session, fetches)
             except BootstrapError as exc:
                 outcome.stage = STAGE_FAILED
                 outcome.failure = f"bootstrap: {exc}; " + "; ".join(exc.diagnostics)
@@ -610,7 +610,7 @@ class Orchestrator:
             self._record_collection(outcome, bootstrap)
 
             outcome.stage = STAGE_ROOT_CAUSE
-            draft = self.run_root_cause_stage(outcome, fetches, bootstrap.digest)
+            draft = self.run_root_cause_stage(outcome, fetches, digest)
             if draft is None:
                 outcome.stage = STAGE_ABORTED_NON_ACT
                 return outcome

@@ -198,7 +198,6 @@ _DATA_REQUEST_SPEC = {
         },
         "optional": {
             "reason": "string",
-            "out_path": "string",
             "block_lo": {"nullable": "int"},
             "block_hi": {"nullable": "int"},
             "extra": "object",

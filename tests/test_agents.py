@@ -233,6 +233,29 @@ class TestOpenAIChatBackend:
         with pytest.raises(BackendError):
             backend.step(conv, "go")
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"error": {"message": "overloaded"}},
+            {"choices": []},
+            [{"choices": []}],
+            {"choices": [{"message": {"content": "fine"}}], "usage": ["prompt_tokens"]},
+        ],
+        ids=["error", "no-choice", "not-an-object", "usage-not-an-object"],
+    )
+    def test_a_malformed_body_is_a_backend_error(self, body):
+        backend = OpenAIChatBackend(api_key="k", post=lambda url, request, headers: body)
+        conv = backend.open_conversation("analyst", "p")
+        with pytest.raises(BackendError, match="malformed model reply"):
+            backend.step(conv, "go")
+
+    def test_a_null_usage_counts_as_no_tokens(self):
+        reply = {"choices": [{"message": {"content": "fine"}}], "usage": None}
+        backend, _ = self._backend([reply])
+        result = backend.step(backend.open_conversation("analyst", "p"), "go")
+        assert result.text == "fine"
+        assert result.usage == Usage(0, 0, 0)
+
     def test_concurrent_conversations_get_distinct_ids(self):
         backend, _ = self._backend([])
         opened: list[list[str]] = [[] for _ in range(8)]

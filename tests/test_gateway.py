@@ -22,6 +22,7 @@ from txpostmortem import workspace
 from txpostmortem.domain import Address, SeedRef, TxHash, UnsupportedChain
 from txpostmortem.gateway.base import (
     BootstrapError,
+    GatewayError,
     MissingCredential,
     MissingFixture,
     SharedResults,
@@ -74,9 +75,9 @@ class TestFixtureKey:
     def test_deterministic(self):
         assert fixture_key(_request()) == fixture_key(_request())
 
-    def test_ignores_reason_and_out_path(self):
+    def test_ignores_reason(self):
         plain = fixture_key(_request())
-        annotated = fixture_key(_request(reason="why not", out_path="here.json"))
+        annotated = fixture_key(_request(reason="why not"))
         assert plain == annotated
 
     def test_target_case_is_normalized(self):
@@ -112,12 +113,11 @@ class TestFixtureStore:
         store = FixtureStore(tmp_path)
         request = _request()
         store.save(request, {"root": {"x": 1}})
-        assert store.has(request)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{fixture_key(request)}.json"]
         assert store.load(request) == {"root": {"x": 1}}
 
     def test_missing_fixture(self, tmp_path):
         store = FixtureStore(tmp_path)
-        assert not store.has(_request())
         with pytest.raises(MissingFixture):
             store.load(_request())
 
@@ -160,9 +160,8 @@ class TestFixtureStore:
         with pytest.raises(MissingFixture):
             store.load(_request())
         store.save(_request(), {"root": {"x": 1}})
-        assert store.has(_request())
         assert store.load(_request()) == {"root": {"x": 1}}
-        assert store.keys() == [fixture_key(_request())]
+        assert [p.name for p in store.root.iterdir()] == [f"{fixture_key(_request())}.json"]
 
     def test_a_miss_makes_no_system_call_and_a_hit_one_open(self, tmp_path, monkeypatch):
         store = FixtureStore(tmp_path)
@@ -192,12 +191,15 @@ class TestFixtureStore:
         assert first.read_bytes() == second.read_bytes()
         assert first.read_bytes().endswith(b"\n")
 
-    def test_keys_sorted(self, tmp_path):
+    def test_each_fixture_is_a_file_named_by_its_key(self, tmp_path):
         store = FixtureStore(tmp_path)
-        store.save(_request(kind="txlist", target=ADDR), {"records": []})
-        store.save(_request(), {"root": {}})
-        assert store.keys() == sorted(store.keys())
-        assert len(store.keys()) == 2
+        requests = [_request(kind="txlist", target=ADDR), _request()]
+        store.save(requests[0], {"records": []})
+        store.save(requests[1], {"root": {}})
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"{fixture_key(request)}.json" for request in requests
+        )
+        assert FixtureStore(tmp_path).load(requests[0]) == {"records": []}
 
 
 class _StubAdapter:
@@ -284,9 +286,8 @@ class TestRequestTypes:
         doc = _request().to_doc()
         assert "block_lo" not in doc
         assert "reason" not in doc
-        assert "out_path" not in doc
         assert "extra" not in doc
-        rich = _request(block_lo=1, block_hi=2, reason="r", out_path="o", extra={"k": 1})
+        rich = _request(block_lo=1, block_hi=2, reason="r", extra={"k": 1})
         doc = rich.to_doc()
         assert doc["block_lo"] == 1 and doc["extra"] == {"k": 1}
 
@@ -364,7 +365,7 @@ class TestSeedBootstrap:
 
     def test_lands_three_artifacts_per_seed_tx(self, tmp_path):
         session = self._session(tmp_path)
-        summary = fetch_seed_artifacts(session, SessionMemo(_SeedAdapter()))
+        summary, _ = fetch_seed_artifacts(session, SessionMemo(_SeedAdapter()))
         assert len(summary.fetched) == 3
         seed_dir = session.root / workspace.SEED_DIR
         assert [p.name for p in seed_dir.iterdir()] == ["1"]
@@ -416,10 +417,10 @@ class _ContextAdapter:
 class TestSeedContext:
     def _bootstrap(self, tmp_path, adapter):
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
-        return session, fetch_seed_artifacts(session, SessionMemo(adapter))
+        return (session, *fetch_seed_artifacts(session, SessionMemo(adapter)))
 
     def test_context_lands_in_its_directory(self, tmp_path):
-        session, summary = self._bootstrap(tmp_path, _ContextAdapter(3))
+        session, summary, digest = self._bootstrap(tmp_path, _ContextAdapter(3))
         context = session.root / workspace.SEED_CONTEXT_DIR
         assert sorted(p.name for p in context.iterdir()) == sorted(
             [f"receipt_logs_{TX}.json", f"state_diff_{TX}.json"]
@@ -427,7 +428,7 @@ class TestSeedContext:
         )
         assert len(summary.fetched) == 3 + 5
         assert summary.failed == []
-        lines = summary.digest.splitlines()
+        lines = digest.splitlines()
         assert lines[0].startswith(f"Seed context already fetched into {workspace.SEED_CONTEXT_DIR}/")
         assert lines[1] == (
             f"- receipt_logs_{TX}.json: 3 logs: "
@@ -438,27 +439,27 @@ class TestSeedContext:
         ]
 
     def test_context_misses_are_recorded_not_fatal(self, tmp_path):
-        session, summary = self._bootstrap(
+        _, summary, digest = self._bootstrap(
             tmp_path, _ContextAdapter(2, fail_kinds={"receipt_logs", "contract_meta"})
         )
         assert [f["request"]["kind"] for f in summary.failed] == [
             "receipt_logs", "contract_meta", "contract_meta"
         ]
-        assert summary.digest.count("not available (stub failure for") == 3
+        assert digest.count("not available (stub failure for") == 3
 
     def test_digest_is_capped(self, tmp_path):
-        _, summary = self._bootstrap(tmp_path, _ContextAdapter(200))
+        _, summary, digest = self._bootstrap(tmp_path, _ContextAdapter(200))
         assert len(summary.fetched) == 3 + 2 + 200
-        assert len(summary.digest) <= SEED_DIGEST_CHARS
-        assert all(len(line) <= SEED_DIGEST_LINE_CHARS for line in summary.digest.splitlines())
-        assert summary.digest.endswith(f"more entries in {workspace.SEED_CONTEXT_DIR}/")
+        assert len(digest) <= SEED_DIGEST_CHARS
+        assert all(len(line) <= SEED_DIGEST_LINE_CHARS for line in digest.splitlines())
+        assert digest.endswith(f"more entries in {workspace.SEED_CONTEXT_DIR}/")
 
     def test_digest_ignores_answer_order(self, tmp_path):
-        _, expected = self._bootstrap(tmp_path / "a", _ContextAdapter(200))
+        _, expected, expected_digest = self._bootstrap(tmp_path / "a", _ContextAdapter(200))
         # Both batches answered later-first: 5 seed requests, then 200.
         slow = _LaterFirstAdapter(_ContextAdapter(200), 205, step=0.0002)
-        _, got = self._bootstrap(tmp_path / "b", slow)
-        assert got.digest.encode() == expected.digest.encode()
+        _, got, got_digest = self._bootstrap(tmp_path / "b", slow)
+        assert got_digest.encode() == expected_digest.encode()
         assert got.to_doc() == expected.to_doc()
 
 
@@ -480,14 +481,26 @@ class TestExecuteDataRequests:
         assert len(names) == 2
         assert len(set(names)) == 2
 
-    def test_out_path_is_honored(self, tmp_path):
+    def test_no_request_field_moves_a_landing(self, tmp_path):
+        """A payload lands directly in its batch's directory, whatever file
+        name the request carries or its target spells."""
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
-        iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
+        raw = (session.root / workspace.RAW_INPUT).read_bytes()
+        # Where the orchestrator lands its first analyst batch.
+        iter_dir = session.root / workspace.COLLECTION_DIR / "iter_1"
+        named = {"kind": "tx_trace", "chainid": 1, "target": TX, "out_path": "../../../../raw.json"}
         requests = [
-            DataRequest(kind="tx_trace", chainid=1, target=TX, out_path="custom.json")
+            DataRequest.from_doc(named),
+            DataRequest(kind="other", chainid=1, target="../../../../raw"),
         ]
-        execute_data_requests(session, requests, SessionMemo(_StubAdapter()), iter_dir)
-        assert (iter_dir / "custom.json").is_file()
+        summary = execute_data_requests(session, requests, SessionMemo(_CountingStub()), iter_dir)
+        relpaths = [path for entry in summary.fetched for path in entry["files"]]
+        assert len(relpaths) == 2
+        for relpath in relpaths:
+            assert (session.root / relpath).parent == iter_dir
+            assert (session.root / relpath).is_file()
+        assert (session.root / workspace.RAW_INPUT).read_bytes() == raw
+        workspace.open_session(session.root)
 
     def test_a_payload_the_session_holds_lands_once(self, tmp_path):
         """A repeat writes nothing and names the file that holds it, even
@@ -556,7 +569,7 @@ class TestAnswerOrder:
         seed = SeedRef(chainid=1, txs=txs)
         n = len(txs) * len(SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS)
         slow = _LaterFirstAdapter(_SeedAdapter(), n)
-        summary = fetch_seed_artifacts(
+        summary, _ = fetch_seed_artifacts(
             workspace.create_session(tmp_path / "a", seed), SessionMemo(slow)
         )
         assert [f["request"]["target"] for f in summary.fetched] == [
@@ -769,7 +782,9 @@ class TestOneKeyPerRequest:
             assert payloads[0] == {"root": {}}
             assert isinstance(payloads[1], MissingFixture)
         else:
-            assert store.keys() == sorted([fixture_key(hit), fixture_key(miss)])
+            assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(
+                [fixture_key(hit), fixture_key(miss)]
+            )
 
     def test_an_unserialisable_extra_fails_at_fetch_time(self, tmp_path):
         request = _request(extra={"slot": object()})
@@ -885,6 +900,16 @@ def _http_error(status: int) -> Exception:
     response = requests.Response()
     response.status_code = status
     return requests.HTTPError(f"{status} for url: http://node", response=response)
+
+
+#: JSON-RPC replies no seed kind can normalise, or may only partly.
+_MALFORMED_REPLIES = {
+    "list-result": {"jsonrpc": "2.0", "id": 1, "result": [{"blockNumber": "0x1"}]},
+    "string-result": {"jsonrpc": "2.0", "id": 1, "result": "0x1234"},
+    "no-result": {"jsonrpc": "2.0", "id": 1},
+    "bad-block-number": {"jsonrpc": "2.0", "id": 1, "result": {"blockNumber": "0xzz"}},
+    "not-an-object": ["jsonrpc", "2.0"],
+}
 
 
 class TestLiveAdapter:
@@ -1113,6 +1138,33 @@ class TestLiveAdapter:
         assert doc["records"][0]["txhash"] == TX
         assert doc["records"][0]["status"] is True
         assert doc["records"][0]["index"] == 0
+
+    @pytest.mark.parametrize("kind", SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS)
+    @pytest.mark.parametrize("reply", sorted(_MALFORMED_REPLIES))
+    def test_a_malformed_reply_fails_its_own_request(self, monkeypatch, reply, kind):
+        """It is final: one slot holds the error, and nothing is retried."""
+        sleeps, calls = [], []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+
+        def rpc_post(url, body, timeout):
+            calls.append(body["method"])
+            return json.loads(json.dumps(_MALFORMED_REPLIES[reply]))
+
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
+        requests = [
+            DataRequest(kind=kind, chainid=1, target=TX),
+            DataRequest(kind="other", chainid=1, target="anything"),
+        ]
+        payload, other = fetch_many(adapter, requests)
+        assert isinstance(payload, (dict, GatewayError))
+        assert isinstance(other, UnsupportedRequest)
+        if reply == "not-an-object":
+            assert isinstance(payload, live.ErrorReply)
+            assert len(calls) == 1
+        if reply == "bad-block-number" and kind == "tx_metadata":
+            assert isinstance(payload, live.ErrorReply)
+            assert f"tx_metadata {TX}" in str(payload)
+        assert sleeps == []
 
     def test_malformed_meta_target_fails_its_request_not_the_batch(self, tmp_path):
         calls = []

@@ -333,6 +333,33 @@ class TestEngine:
             report = evaluate_constraints(definition, {"x": measured})
             assert report.overall_pass is satisfied, measured
 
+    @pytest.mark.parametrize("kind", ["hard", "soft"])
+    @pytest.mark.parametrize(
+        "comparator, inclusive", [("ge", True), ("le", True), ("gt", False), ("lt", False)]
+    )
+    def test_a_measurement_at_the_bound_satisfies_only_an_inclusive_comparator(
+        self, kind, comparator, inclusive
+    ):
+        # The bound is 1000, less (ge, gt) or plus (le, lt) a soft slack of 500.
+        slack = 500 if kind == "soft" else 0
+        constraint = Constraint(
+            "C1",
+            kind,
+            Comparison("x", comparator, "1000"),
+            tolerance=Tolerance("absolute", slack) if slack else None,
+        )
+        definition = OracleDefinition(
+            chainid=1,
+            fork_block=10,
+            variables=(),
+            pre_checks=(),
+            hard=(constraint,) if kind == "hard" else (),
+            soft=(constraint,) if kind == "soft" else (),
+            success_criteria="x",
+        )
+        measured = 1000 - slack if comparator in ("ge", "gt") else 1000 + slack
+        assert evaluate_constraints(definition, {"x": measured}).overall_pass is inclusive
+
     def test_boolean_operands_fail_ordered_comparators(self):
         definition = OracleDefinition(
             chainid=1,

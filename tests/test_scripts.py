@@ -12,6 +12,7 @@ needs come from the environment and never from a flag."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import shutil
@@ -44,6 +45,32 @@ def test_lifecycle_demo_prints_the_prxvt_covering_set(tmp_path):
     assert lines[start + 1:] == [
         f"  {tx[:18]}... {phase}" for tx, phase in scenarios.PRXVT_LIFECYCLE
     ]
+
+
+def _mutants():
+    """``scripts/mutants.py`` as a module."""
+    spec = importlib.util.spec_from_file_location("mutants", REPO / "scripts" / "mutants.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_in_the_table_applies_to_the_tree_once():
+    """Each mutant still applies, so the gate's run tests what it says."""
+    entries = _mutants().load_table()
+    assert len(entries) >= 16
+    for entry in entries:
+        text = (REPO / entry["file"]).read_text(encoding="utf-8")
+        assert text.count(entry["before"]) == 1, entry["breaks"]
+        assert all((REPO / test.split("::")[0]).is_file() for test in entry["tests"])
+
+
+def test_a_mutant_text_found_twice_is_a_table_error(tmp_path):
+    mutants = _mutants()
+    (tmp_path / "f.py").write_text("x = 1\nx = 1\n")
+    with pytest.raises(mutants.TableError, match="2 times"):
+        mutants.apply_mutant(tmp_path, {"file": "f.py", "before": "x = 1", "after": "x = 2"})
+    assert (tmp_path / "f.py").read_text() == "x = 1\nx = 1\n"
 
 
 def test_module_entry_point_runs():

@@ -1006,6 +1006,10 @@ class TestSourceScan:
         sources = [("a.sol", f"x = {addr};\n")]
         assert scan_for_addresses(sources, {"0x" + "aB" * 20}) == [("a.sol", addr, 1)]
 
+    def test_the_longest_needle_at_a_place_is_reported(self):
+        sources = [("a.sol", "x = 0xABCD;\n")]
+        assert scan_for_addresses(sources, ["0xab", "0xabcd"]) == [("a.sol", "0xabcd", 1)]
+
 
 class TestCorrectnessChecks:
     def test_one_failing_test_among_passing_ones_is_not_clean(self):

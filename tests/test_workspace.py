@@ -200,6 +200,21 @@ class TestWholeWrites:
         assert self._temp_files(root) == []
 
 
+class TestWriteFile:
+    def test_a_taken_temporary_name_is_never_written_through(self, tmp_path, monkeypatch):
+        """The temporary file is made new: a link already at its name fails
+        the write and is neither followed nor moved onto the target."""
+        outside = tmp_path / "outside.txt"
+        outside.write_text("untouched")
+        target = tmp_path / "target.json"
+        monkeypatch.setattr(os, "urandom", bytes)
+        target.with_name(f".{target.name}.{bytes(8).hex()}.tmp").symlink_to(outside)
+        with pytest.raises(FileExistsError):
+            workspace.write_file(target, "{}")
+        assert outside.read_text() == "untouched"
+        assert not target.exists()
+
+
 class TestReadJson:
     def test_a_missing_file_is_not_found(self, tmp_path):
         with pytest.raises(workspace.ArtifactNotFound, match="absent.json"):
