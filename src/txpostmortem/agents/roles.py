@@ -19,6 +19,7 @@ document without checking it again.
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass
 from importlib import resources
@@ -68,7 +69,10 @@ class TurnBudgetExceeded(AgentError):
         super().__init__(f"{role} exhausted {turns} turn(s) without valid output{detail}")
 
 
+@functools.cache
 def load_template(role: str) -> str:
+    """The instruction template of ``role``, read once per process: the
+    package's templates never change while it runs."""
     if role not in ROLES:
         raise UnknownRole(role)
     return (

@@ -333,6 +333,43 @@ def _canonical_json(doc: Any) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def _as_bytes(data: str | bytes) -> bytes:
+    return data.encode("utf-8") if isinstance(data, str) else data
+
+
+def _holds(path: str | Path, data: bytes) -> bool:
+    """Whether ``path`` is a file, not a link, that holds ``data``."""
+    try:
+        with open(os.open(path, os.O_RDONLY | os.O_NOFOLLOW), "rb") as handle:
+            return handle.read() == data
+    except OSError:
+        return False
+
+
+def _holds_exactly(directory: Path, files: dict[str, str | bytes]) -> bool:
+    """Whether ``directory`` holds ``files`` byte for byte and nothing else:
+    no other file, no link and no directory that none of them is in."""
+    dirs = {rel[:k] for rel in files for k, char in enumerate(rel) if char == "/"}
+    pending, found = [(str(directory), "")], 0
+    try:
+        if os.path.islink(directory):
+            return False
+        while pending:
+            path, prefix = pending.pop()
+            with os.scandir(path) as entries:
+                for entry in entries:
+                    rel = prefix + entry.name
+                    if entry.is_dir(follow_symlinks=False) and rel in dirs:
+                        pending.append((entry.path, rel + "/"))
+                    elif rel in files and _holds(entry.path, _as_bytes(files[rel])):
+                        found += 1
+                    else:
+                        return False
+    except OSError:
+        return False
+    return found == len(files)
+
+
 def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, Any]:
     """Export every validated incident once, merging repeat attributions.
 
@@ -343,9 +380,13 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     the export reproduces the same tree.  Files are written whole, after all
     of an incident's documents are read: a corrupt one raises
     ``CorruptArtifact`` and leaves that incident's directory as it was.
-    Then each directory under ``out_dir`` whose ``incident.json`` the index
-    does not list is deleted, so exporting over an earlier export gives a
-    fresh export's tree; other files are left alone.
+    An incident directory that already holds exactly the files it would
+    get, byte for byte, is left as it is, and so is an ``index.json`` that
+    already holds the index; any other incident directory is deleted and
+    written anew.  Then each directory under ``out_dir`` whose
+    ``incident.json`` the index does not list is deleted, so exporting over
+    an earlier export gives a fresh export's tree; other files are left
+    alone.
     """
     out = Path(out_dir)
     incidents: dict[tuple[int, tuple[str, ...]], dict[str, Any]] = {}
@@ -401,13 +442,16 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
         }
         files["incident.json"] = _canonical_json(record)
         target = out / name
-        if target.exists():
-            shutil.rmtree(target)
-        for rel_path, data in files.items():
-            workspace.write_file(target / rel_path, data)
+        if not _holds_exactly(target, files):
+            if target.exists():
+                shutil.rmtree(target)
+            for rel_path, data in files.items():
+                workspace.write_file(target / rel_path, data)
         index.append(record)
     index_doc = {"count": len(index), "entries": index}
-    workspace.write_file(out / "index.json", _canonical_json(index_doc))
+    index_bytes = _as_bytes(_canonical_json(index_doc))
+    if not _holds(out / "index.json", index_bytes):
+        workspace.write_file(out / "index.json", index_bytes)
     exported = {record["dir"] for record in index}
     for stale in list(out.glob("*/incident.json")):
         if stale.parent.name not in exported:

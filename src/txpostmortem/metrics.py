@@ -12,7 +12,7 @@ from __future__ import annotations
 from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import workspace
 from .agents import Usage
@@ -155,22 +155,24 @@ def latency_summary(durations: Sequence[float]) -> dict[str, float | int]:
 # Session-summary aggregation.
 
 
-def load_session_summaries(sessions_dir: str | Path) -> list[dict[str, Any]]:
-    """Each session summary under ``sessions_dir``; an undecodable one raises
-    ``workspace.CorruptArtifact``, a malformed one ``MetricsError``."""
+def load_session_summaries(sessions_dir: str | Path) -> Iterator[dict[str, Any]]:
+    """Yield each session summary under ``sessions_dir`` in name order, read
+    and checked only when the consumer asks for it, so a report over many
+    sessions holds one summary at a time.  An undecodable one raises
+    ``workspace.CorruptArtifact``, a malformed one ``MetricsError``, at the
+    point the iteration reaches it."""
     root = Path(sessions_dir)
-    summaries = []
     for path in sorted(root.glob(f"*/{workspace.SESSION_SUMMARY}")):
         doc = workspace.read_json(path)
         errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
         if errors:
             raise MetricsError(f"{path}: not a session summary: {'; '.join(errors)}")
-        summaries.append(doc)
-    return summaries
+        yield doc
 
 
-def sessions_report(summaries: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Aggregate usage, cost, and latency across finished sessions.
+def sessions_report(summaries: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
+    """Aggregate usage, cost, and latency across finished sessions, reading
+    ``summaries`` once.
 
     Latency is summarized per whole session, per stage and per role, since
     any grain can be the unit of interest.  Summaries key role latencies

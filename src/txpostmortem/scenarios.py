@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-import shutil
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -187,10 +187,21 @@ def _copy_case(name: str, case_dir: str | Path) -> CaseBundle:
     """Copy the committed tree of case ``name`` into ``case_dir``.
 
     Every file is a real copy, never a link, so a caller may edit the built
-    case in place without touching the committed data.
+    case in place without touching the committed data; a build over an
+    earlier one overwrites its files in place.  Each directory is made once
+    and each file read and written once, with no metadata copied; links in
+    the committed tree are followed, as ``shutil.copytree`` follows them.
     """
     root = Path(case_dir)
-    shutil.copytree(CASES_DIR / name, root, copy_function=shutil.copyfile, dirs_exist_ok=True)
+    source = str(CASES_DIR / name)
+    for src_dir, _, file_names in os.walk(source, followlinks=True):
+        dst_dir = str(root) + src_dir[len(source):]
+        os.makedirs(dst_dir, exist_ok=True)
+        for file_name in file_names:
+            with open(os.path.join(src_dir, file_name), "rb") as src:
+                data = src.read()
+            with open(os.path.join(dst_dir, file_name), "wb") as dst:
+                dst.write(data)
     expected = json.loads((root / "expected.json").read_text(encoding="utf-8"))
     logger.info("built case %s at %s", name, root)
     return CaseBundle(

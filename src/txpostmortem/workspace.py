@@ -5,11 +5,20 @@ seed input, per-role iteration artifacts, final reports, and the scaffolded
 exploit project.
 
 Every file the program writes (session artifacts, queue seeds, fixtures,
-dataset exports) goes through ``write_file``: a temp file renamed over the
+dataset exports) goes through ``write_file``: a temp file beside the target,
+named ``.<name>.<random hex>.tmp`` with plain strings, renamed over the
 target, so a killed run leaves the old file or the whole new one, with the
-mode ``open()`` gives.  Every JSON file it reads back goes through
+mode ``open()`` gives.  A directory is made by the first write that needs
+it: the temp file is opened first, and only a missing parent makes the
+directories and opens it again.  Every JSON file it reads back goes through
 ``read_json``, which raises ``ArtifactNotFound`` for a missing file and
 ``CorruptArtifact`` for an unreadable or undecodable one.
+
+Every artifact path goes through ``resolve_inside``.  A relative path with
+no ``..`` part is checked by ``lstat`` on each of its components below the
+session root, which was resolved once; when none is a link the path is
+taken as written.  Any other path (absolute, with ``..``, or through a link)
+is resolved in full and refused if it leaves the root.
 
 Every schema lives in ``SCHEMAS``, and each document is checked against its
 schema once.  A model-written document (analysis, challenge, root cause,
@@ -26,9 +35,11 @@ import json
 import logging
 import os
 import re
+import stat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
+from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -492,15 +503,135 @@ class Session:
 
 
 def _dump_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, byte for byte.
+
+    ``json`` indents in pure Python through nested closures that form a
+    reference cycle on every call; these module functions form none and
+    take about half the time.  Strings go through json's own C
+    ``encode_basestring``, numbers through ``int.__repr__`` and
+    ``float.__repr__`` (``NaN`` and ``±Infinity`` as json writes them),
+    tuples are lists, and an empty container is ``{}`` or ``[]``.  A value
+    json refuses raises ``TypeError``, a circular document ``ValueError``.
+    """
+    return _encode(doc, "\n", set()) + "\n"
+
+
+def _encode(value: Any, newline: str, open_ids: set[int]) -> str:
+    """``value`` as json writes it at the indent ``newline`` ends with;
+    ``open_ids`` holds the ids of the containers being written around it."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is dict:
+        return _encode_dict(value, newline, open_ids)
+    if kind is list:
+        return _encode_list(value, newline, open_ids)
+    if kind is int:
+        return int.__repr__(value)
+    # json's own order of checks, for the other types and for subclasses.
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_str(value)
+    if isinstance(value, (list, tuple)):
+        return _encode_list(value, newline, open_ids)
+    if isinstance(value, dict):
+        return _encode_dict(value, newline, open_ids)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+_INFINITY = float("inf")
+
+
+def _float_str(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _key_str(key: Any) -> str:
+    """A non-string object key as json writes it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_str(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _enter(container: Any, open_ids: set[int]) -> int:
+    marker = id(container)
+    if marker in open_ids:
+        raise ValueError("Circular reference detected")
+    open_ids.add(marker)
+    return marker
+
+
+def _encode_list(items: Any, newline: str, open_ids: set[int]) -> str:
+    if not items:
+        return "[]"
+    marker = _enter(items, open_ids)
+    inner = newline + "  "
+    parts = []
+    for item in items:
+        parts.append(_encode(item, inner, open_ids))
+    open_ids.remove(marker)
+    return "[" + inner + ("," + inner).join(parts) + newline + "]"
+
+
+def _encode_dict(members: Any, newline: str, open_ids: set[int]) -> str:
+    if not members:
+        return "{}"
+    marker = _enter(members, open_ids)
+    inner = newline + "  "
+    parts = []
+    for key, item in members.items():
+        name = _encode_str(key if type(key) is str else _key_str(key))
+        parts.append(name + ": " + _encode(item, inner, open_ids))
+    open_ids.remove(marker)
+    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+
+
+_TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 
 
 def write_file(target: Path, data: str | bytes) -> None:
-    """Write ``data`` (text as UTF-8) to ``target`` whole or not at all,
-    making its parent directories first."""
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW, 0o666)
+    """Write ``data`` (text as UTF-8) to ``target`` whole or not at all.
+
+    The temp file ``.<name>.<random hex>.tmp`` beside the target is made new
+    (``O_EXCL | O_NOFOLLOW``), so a link at its name is never written
+    through, and renamed over the target; on any failure it is removed.
+    Its name is built with ``os.path``: pathlib interns every name it
+    parses, and a random name per write grows the interpreter's table of
+    interned strings.  The parent directories are made only when the first
+    open finds one missing, and the open is tried once more.
+    """
+    parent, name = os.path.split(target)
+    tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, _TEMP_FLAGS, 0o666)
+    except FileNotFoundError:
+        os.makedirs(parent, exist_ok=True)
+        fd = os.open(tmp, _TEMP_FLAGS, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data.encode("utf-8") if isinstance(data, str) else data)
@@ -525,8 +656,32 @@ def read_json(path: Path) -> Any:
 
 def resolve_inside(session: Session, relpath: str | Path) -> Path:
     """Resolve ``relpath`` under the session root, refusing traversal
-    outside it."""
+    outside it.
+
+    The result is ``(root / relpath).resolve()`` on the resolved root, or
+    ``PathEscapeError`` when that lies outside it.  A relative path with no
+    ``..`` part gets there without a full resolve: each of its components
+    below the root is ``lstat``-ed in turn, and when none is a link (a
+    missing one ends the walk, since nothing below it can be a link) the
+    path is the root joined with its parts.  An absolute path, a ``..``
+    part or a link anywhere below the root takes the full resolve.
+    """
     root = session.resolved_root
+    text = os.fspath(relpath)
+    if not text.startswith("/"):
+        parts = [part for part in text.split("/") if part and part != "."]
+        if ".." not in parts:
+            path = os.fspath(root)
+            for part in parts:
+                path += "/" + part
+                try:
+                    if stat.S_ISLNK(os.lstat(path).st_mode):
+                        break
+                except OSError:
+                    # Missing, or under a file: nothing below is a link.
+                    return root.joinpath(*parts)
+            else:
+                return root.joinpath(*parts)
     candidate = (root / relpath).resolve()
     if candidate != root and root not in candidate.parents:
         raise PathEscapeError(f"path escapes session root: {relpath}")
@@ -547,7 +702,8 @@ def create_session(
     attributions: list[str] | None = None,
     now: datetime | None = None,
 ) -> Session:
-    """Create the session directory skeleton and record the seed input."""
+    """Claim the session directory and record the seed input; the
+    directories below it are made by the writes that need them."""
     base = Path(base_dir)
     stamp = (now or datetime.now(timezone.utc)).strftime("%Y%m%dT%H%M%SZ")
     prefix = seed.primary.value[2:10]
@@ -562,8 +718,6 @@ def create_session(
         except FileExistsError:
             bump += 1
             session_id = f"{stamp}_{prefix}-{bump}"
-    for sub in (SEED_DIR, POC_STAGE_DIR, EVALUATION_DIR):
-        (root / sub).mkdir(parents=True, exist_ok=True)
     session = Session(session_id=session_id, root=root, seed=seed)
     write_artifact(session, RAW_INPUT, raw_input_doc(seed), schema_id="raw_input")
     write_artifact(

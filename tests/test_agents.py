@@ -297,6 +297,21 @@ class TestTemplates:
         with pytest.raises(UnknownRole):
             load_template("barista")
 
+    def test_each_template_is_read_once(self, monkeypatch):
+        files = roles.resources.files
+        reads = []
+
+        def counting_files(package):
+            reads.append(package)
+            return files(package)
+
+        load_template.cache_clear()
+        monkeypatch.setattr(roles.resources, "files", counting_files)
+        texts = [load_template(role) for role in ROLES * 3]
+        assert texts == [files("txpostmortem").joinpath(f"templates/{role}.txt").read_text(
+            encoding="utf-8") for role in ROLES * 3]
+        assert len(reads) == len(ROLES)
+
     @staticmethod
     def _placeholders(text: str) -> set[str]:
         found = set()

@@ -118,6 +118,17 @@ class TestCaseTree:
             case, _CONSTANTS[case]["chainid"], _CONSTANTS[case]["seed"]
         )
 
+    def test_a_build_over_an_edited_case_restores_the_committed_bytes(self, case, tmp_path):
+        bundle = scenarios.CASE_BUILDERS[case](tmp_path / case)
+        source = scenarios.CASES_DIR / case
+        edited = bundle.root / "expected.json"
+        script = next(p for p in sorted(bundle.script_dir.iterdir()) if p.is_file())
+        edited.write_text("{}", encoding="utf-8")
+        script.write_bytes(script.read_bytes() * 2)
+        scenarios.CASE_BUILDERS[case](tmp_path / case)
+        assert edited.read_bytes() == (source / "expected.json").read_bytes()
+        assert script.read_bytes() == (source / "script" / script.name).read_bytes()
+
 
 def _matches(relpath: str, pattern: str) -> bool:
     """Whether a setuptools package-data glob names ``relpath``; ``*`` never

@@ -3,7 +3,9 @@ txpostmortem`` in their own interpreters, so that a script importing a name
 the package no longer has fails here, and the covering set the demo prints;
 the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
-bundled cases; the budget flags; the rejection of malformed flags, of flags
+bundled cases; an export over an earlier one, which leaves unchanged
+incidents alone and writes edited ones anew; the budget flags; the
+rejection of malformed flags, of flags
 a command would ignore and of malformed files the commands read; and the
 paper's checklist table as ``txpostmortem metrics --baseline`` prints it.
 
@@ -374,6 +376,88 @@ def test_an_incident_gone_from_the_sessions_leaves_the_export(prxvt_run, tmp_pat
     tree = _tree(out)
     assert tree.pop("notes/keep.txt") == b"mine"
     assert tree == _tree(fresh)
+
+
+def _one_incident_export(prxvt_run, tmp_path, capsys) -> tuple[Path, Path]:
+    """The sessions directory holding prxvt's session, and its export."""
+    sessions = tmp_path / "s"
+    shutil.copytree(prxvt_run.session_root, sessions / prxvt_run.session_root.name)
+    out = tmp_path / "out"
+    code, index = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    assert (code, index["count"]) == (0, 1)
+    return sessions, out
+
+
+def test_an_unchanged_incident_is_not_written_again(prxvt_run, tmp_path, capsys):
+    sessions, out = _one_incident_export(prxvt_run, tmp_path, capsys)
+    inodes = {path: path.stat().st_ino for path in out.rglob("*")}
+    code, _ = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    assert code == 0
+    assert {path: path.stat().st_ino for path in out.rglob("*")} == inodes
+
+
+def _edit_bytes(incident: Path) -> None:
+    path = incident / "root_cause.json"
+    path.write_bytes(path.read_bytes().replace(b"{", b"[", 1))
+
+
+def _edit_a_project_file(incident: Path) -> None:
+    path = next(p for p in sorted((incident / "poc").rglob("*")) if p.is_file())
+    path.write_bytes(path.read_bytes() + b"\n")
+
+
+def _add_a_file(incident: Path) -> None:
+    (incident / "poc" / "extra.txt").write_text("not exported", encoding="utf-8")
+
+
+def _add_an_empty_directory(incident: Path) -> None:
+    (incident / "poc" / "empty").mkdir()
+
+
+def _remove_a_file(incident: Path) -> None:
+    (incident / "incident.json").unlink()
+
+
+def _link_a_file(incident: Path) -> None:
+    path = incident / "root_cause.json"
+    copy = incident.parent / "root_cause_copy.json"
+    copy.write_bytes(path.read_bytes())
+    path.unlink()
+    path.symlink_to(copy)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_edit_bytes, _edit_a_project_file, _add_a_file, _add_an_empty_directory,
+     _remove_a_file, _link_a_file],
+    ids=["edited-bytes", "edited-project-file", "added-file", "added-empty-directory",
+         "removed-file", "file-made-a-link"],
+)
+def test_an_edited_incident_is_written_anew(edit, prxvt_run, tmp_path, capsys):
+    """An incident directory that differs from what the export writes, in
+    any file's bytes or in the set of entries, is replaced by a fresh
+    export's."""
+    sessions, out = _one_incident_export(prxvt_run, tmp_path, capsys)
+    (incident,) = [path.parent for path in out.glob("*/incident.json")]
+    edit(incident)
+    _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    fresh = tmp_path / "fresh"
+    _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(fresh))
+    tree = _tree(out)
+    tree.pop("root_cause_copy.json", None)
+    assert tree == _tree(fresh)
+    assert not any(path.is_symlink() for path in out.rglob("*"))
+    assert sorted(p.relative_to(out) for p in out.rglob("*") if p.is_dir()) == sorted(
+        p.relative_to(fresh) for p in fresh.rglob("*") if p.is_dir()
+    )
+
+
+def test_an_edited_index_is_written_anew(prxvt_run, tmp_path, capsys):
+    sessions, out = _one_incident_export(prxvt_run, tmp_path, capsys)
+    expected = (out / "index.json").read_bytes()
+    (out / "index.json").write_bytes(expected.replace(b'"count": 1', b'"count": 7'))
+    _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    assert (out / "index.json").read_bytes() == expected
 
 
 class TestChecklistTable:

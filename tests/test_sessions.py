@@ -17,6 +17,7 @@ import shutil
 import signal
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -927,6 +928,65 @@ class TestMetricsReport:
             prxvt_run.doc["session_id"]: ("0.0147", _scripted_usage(7).to_doc()),
             valinity_run.doc["session_id"]: ("0.0231", _scripted_usage(11).to_doc()),
         }
+
+    @staticmethod
+    def _sessions(tmp_path: Path, runs, count: int) -> Path:
+        """``count`` sessions directories holding the runs' summaries in turn."""
+        sessions = tmp_path / f"sessions_{count}"
+        for k in range(count):
+            (sessions / f"{k:03d}").mkdir(parents=True)
+            shutil.copyfile(
+                runs[k % len(runs)].session_root / workspace.SESSION_SUMMARY,
+                sessions / f"{k:03d}" / workspace.SESSION_SUMMARY,
+            )
+        return sessions
+
+    def test_a_report_over_the_summaries_equals_one_over_their_list(
+        self, prxvt_run, valinity_run, tmp_path
+    ):
+        sessions = self._sessions(tmp_path, (prxvt_run, valinity_run), 4)
+        summaries = metrics.load_session_summaries(sessions)
+        assert iter(summaries) is summaries
+        assert metrics.sessions_report(summaries) == metrics.sessions_report(
+            list(metrics.load_session_summaries(sessions))
+        )
+
+    def test_a_malformed_summary_after_good_ones_fails_the_command(
+        self, prxvt_run, valinity_run, tmp_path, capsys
+    ):
+        sessions = self._sessions(tmp_path, (prxvt_run, valinity_run), 2)
+        (sessions / "zz").mkdir()
+        (sessions / "zz" / workspace.SESSION_SUMMARY).write_text('{"usage": {}}')
+        assert cli.main(["metrics", "--sessions", str(sessions)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "zz" in captured.err
+
+    def test_a_report_holds_one_summary_at_a_time(self, prxvt_run, valinity_run, tmp_path):
+        """Each summary past the sixth raises the report's peak by less than
+        one decoded summary takes: the report keeps a row and the latencies
+        of each session, not its summary."""
+        runs = (prxvt_run, valinity_run)
+
+        def peak(count: int) -> int:
+            sessions = self._sessions(tmp_path, runs, count)
+            tracemalloc.start()
+            try:
+                metrics.sessions_report(metrics.load_session_summaries(sessions))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        text = (valinity_run.session_root / workspace.SESSION_SUMMARY).read_text()
+        tracemalloc.start()
+        try:
+            decoded = json.loads(text)
+            one_summary = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert decoded["session_id"]
+        assert (peak(60) - peak(6)) / 54 < one_summary
 
 
 class TestCheckOnce:

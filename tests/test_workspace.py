@@ -1,10 +1,13 @@
 """The session path guard: every artifact read and write stays inside the
-session directory; concurrent sessions each claim a directory of their own;
-every file the program writes is written whole, and every JSON file it reads
-back fails as one ``WorkspaceError``."""
+session directory, and the walk below the root agrees with a full resolve;
+concurrent sessions each claim a directory of their own; every file the
+program writes is written whole, its directories made by the first write
+that needs them; ``_dump_json`` writes what ``json.dumps`` writes; and every
+JSON file it reads back fails as one ``WorkspaceError``."""
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import stat
@@ -14,10 +17,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from txpostmortem import cli, monitor, workspace
+from txpostmortem import cli, monitor, scenarios, workspace
 from txpostmortem.domain import SeedRef
 from txpostmortem.gateway import DataRequest, FixtureStore, MissingFixture
+from txpostmortem.orchestrator import Orchestrator
 
 TX = "0x" + "ab" * 32
 
@@ -62,10 +68,115 @@ class TestResolveInside:
             return real_resolve(self, strict)
 
         monkeypatch.setattr(path_type, "resolve", counting_resolve)
+        reopened = workspace.open_session(session.root)
         for n in range(3):
-            workspace.write_artifact(session, f"artifacts/{n}.json", {})
-        # One resolution per candidate path; none for the root.
-        assert len(resolved) == 3
+            workspace.write_artifact(reopened, f"artifacts/{n}.json", {})
+        # The root once, for the session handle; an in-session path without
+        # links not at all.
+        assert resolved == [session.root]
+
+
+def _reference_resolve_inside(session: workspace.Session, relpath) -> Path:
+    """``resolve_inside`` as a full resolve of every path: the result its
+    walk must agree with."""
+    root = session.root.resolve()
+    candidate = (root / relpath).resolve()
+    if candidate != root and root not in candidate.parents:
+        raise workspace.PathEscapeError(f"path escapes session root: {relpath}")
+    return candidate
+
+
+def _resolved_or_refused(resolve, session, relpath):
+    try:
+        return resolve(session, relpath)
+    except workspace.PathEscapeError:
+        return "refused"
+
+
+@pytest.fixture(scope="module")
+def linked_session(tmp_path_factory):
+    """A session whose tree holds, under the names the paths below use, a
+    link to a directory inside it (``a/a/a``), a link out of it
+    (``a/x.json``), a dangling link (``a/a/x.json``) and a file where a
+    path may expect a directory (``x.json``)."""
+    base = tmp_path_factory.mktemp("linked")
+    outside = base / "outside"
+    outside.mkdir()
+    session = workspace.create_session(base / "sessions", SeedRef.from_strings(1, [TX]))
+    root = session.root
+    (root / "a" / "a").mkdir(parents=True)
+    (root / "a" / "a" / "a").symlink_to("..", target_is_directory=True)
+    (root / "a" / "x.json").symlink_to(outside, target_is_directory=True)
+    (root / "a" / "a" / "x.json").symlink_to(root / "absent")
+    (root / "x.json").write_text("{}")
+    return session
+
+
+_PARTS = st.sampled_from(["a", "x.json", ".", "..", ""])
+
+
+class TestResolveInsideWalk:
+    """The walk below the root gives what a full resolve gives: the same
+    path, or the same refusal."""
+
+    @pytest.mark.parametrize(
+        "relpath",
+        ["", ".", "a", "a/a/x.json", "x.json/a", "a/a/a/a", "a/x.json", "a/x.json/x.json",
+         "a/a/a/x.json", "a/..", "a/a/..", "..", "a/../..", "/x.json", "{root}/a/a"],
+        ids=["empty", "dot", "plain", "dangling-link", "file-as-directory", "link-inside",
+             "link-outside", "below-link-outside", "link-then-link-outside", "dot-dot-back",
+             "dot-dot-inside", "dot-dot-out", "dot-dot-past-root", "absolute-outside",
+             "absolute-inside"],
+    )
+    def test_agrees_with_a_full_resolve(self, linked_session, relpath):
+        relpath = relpath.format(root=linked_session.root)
+        assert _resolved_or_refused(workspace.resolve_inside, linked_session, relpath) == (
+            _resolved_or_refused(_reference_resolve_inside, linked_session, relpath)
+        )
+
+    @given(
+        parts=st.lists(_PARTS, max_size=6),
+        absolute=st.booleans(),
+        as_path=st.booleans(),
+    )
+    def test_agrees_with_a_full_resolve_on_any_path(self, linked_session, parts, absolute,
+                                                      as_path):
+        relpath = "/".join(parts)
+        if absolute:
+            relpath = f"{linked_session.root}/{relpath}"
+        if as_path:
+            relpath = Path(relpath)
+        assert _resolved_or_refused(workspace.resolve_inside, linked_session, relpath) == (
+            _resolved_or_refused(_reference_resolve_inside, linked_session, relpath)
+        )
+
+    @pytest.mark.parametrize("name", sorted(scenarios.CASE_BUILDERS))
+    def test_a_bundled_session_resolves_only_its_root(self, name, tmp_path, monkeypatch):
+        """One ``realpath`` walk per session, its root's, and no ``mkdir``
+        of a directory that is already there."""
+        bundle = scenarios.CASE_BUILDERS[name](tmp_path / "case")
+        (tmp_path / "sessions").mkdir()
+        walks, taken = [], []
+        realpath, mkdir = os.path.realpath, os.mkdir
+
+        def counting_realpath(path, *args, **kwargs):
+            walks.append(os.fspath(path))
+            return realpath(path, *args, **kwargs)
+
+        def counting_mkdir(path, *args, **kwargs):
+            try:
+                return mkdir(path, *args, **kwargs)
+            except FileExistsError:
+                taken.append(path)
+                raise
+
+        monkeypatch.setattr(os.path, "realpath", counting_realpath)
+        monkeypatch.setattr(os, "mkdir", counting_mkdir)
+        orch = Orchestrator(bundle.backend(), bundle.adapter(), bundle.runner(), clock=lambda: 0.0)
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "sessions"))
+        assert outcome.stage == "done"
+        assert walks == [str(outcome.session.root)]
+        assert taken == []
 
 
 class TestCreateSession:
@@ -213,6 +324,117 @@ class TestWriteFile:
             workspace.write_file(target, "{}")
         assert outside.read_text() == "untouched"
         assert not target.exists()
+
+    def test_directories_are_made_by_the_first_write_that_needs_them(
+        self, tmp_path, monkeypatch
+    ):
+        made = []
+        mkdir = os.mkdir
+
+        def recording_mkdir(path, *args, **kwargs):
+            made.append(os.fspath(path))
+            return mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "mkdir", recording_mkdir)
+        for name in ("x.json", "y.json"):
+            workspace.write_file(tmp_path / "a" / "b" / name, name)
+        assert made == [str(tmp_path / "a"), str(tmp_path / "a" / "b")]
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == ["x.json", "y.json"]
+        assert (tmp_path / "a" / "b" / "y.json").read_text() == "y.json"
+
+
+_JSON_KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0]),
+    st.text(),
+    st.text(st.characters(max_codepoint=0x1F)),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_JSON_KEYS, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+def _json_dumps(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+class TestDumpJson:
+    """``_dump_json`` writes what ``json.dumps(indent=2, ensure_ascii=False)``
+    writes, refuses what it refuses, and leaves no reference cycle."""
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"é": "ü\u2028\x00\x1f\"\\/", "日本": ["\ud7ff", "\U0001f600"]},
+            {"empty": [[], {}, ()], "nested": {"a": {}, "b": [[]]}},
+            [],
+            {},
+            (),
+            [float("nan"), float("inf"), float("-inf"), -0.0, 1e300, 5e-324, 0.1],
+            [2**100, -(2**70), 0, True, False, None],
+            {1: "int", 2.5: "float", True: "bool", None: "none", float("nan"): "nan"},
+            ("tuple", ("inside",)),
+            "top-level string",
+            7,
+        ],
+        ids=["non-ascii-and-control", "empty-containers", "empty-list", "empty-object",
+             "empty-tuple", "floats", "ints-and-constants", "non-string-keys", "tuples",
+             "string", "int"],
+    )
+    def test_matches_json_dumps(self, doc):
+        assert workspace._dump_json(doc) == _json_dumps(doc)
+
+    @settings(max_examples=500)
+    @given(doc=_JSON_DOCS)
+    def test_matches_json_dumps_on_any_document(self, doc):
+        assert workspace._dump_json(doc) == _json_dumps(doc)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{1, 2}, b"bytes", {"nested": [frozenset()]}, {(1, 2): "tuple key"}, object()],
+        ids=["set", "bytes", "nested-set", "tuple-key", "object"],
+    )
+    def test_what_json_refuses_is_a_type_error(self, doc):
+        with pytest.raises(TypeError):
+            _json_dumps(doc)
+        with pytest.raises(TypeError):
+            workspace._dump_json(doc)
+
+    def test_a_circular_document_is_a_value_error(self):
+        circular_list: list = [1]
+        circular_list.append({"back": circular_list})
+        circular_dict: dict = {}
+        circular_dict["self"] = [circular_dict]
+        for doc in (circular_list, circular_dict):
+            with pytest.raises(ValueError, match="Circular reference"):
+                workspace._dump_json(doc)
+
+    def test_a_shared_subdocument_is_not_circular(self):
+        shared = {"k": [1]}
+        doc = [shared, shared, {"again": shared}]
+        assert workspace._dump_json(doc) == _json_dumps(doc)
+
+    def test_leaves_no_reference_cycle(self, prxvt_run):
+        doc = json.loads((prxvt_run.session_root / workspace.ROOT_CAUSE_DOC).read_text())
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(50):
+                workspace._dump_json(doc)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReadJson:
