@@ -11,6 +11,21 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable
 
+# ``sha256`` is CPython's built-in SHA-256, for request keys and fresh role
+# addresses.  ``hashlib`` maps OpenSSL's libcrypto, about 3.5 MB of resident
+# memory, for a hash those need once each; CPython's ``random`` makes the
+# same choice for its SHA-512: the lean module first, ``hashlib`` only on an
+# interpreter built without it.  Digests are the same either way.  Live runs
+# load OpenSSL through ``requests`` for TLS anyway; offline ones (replays,
+# ``evaluate``, ``metrics``, ``dataset export``) never do.
+try:
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
+
 
 class DomainError(Exception):
     """Base class for value-level validation errors."""

@@ -7,12 +7,11 @@ analysis code never touches loose dicts.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..domain import Address, TxHash
+from ..domain import Address, TxHash, sha256
 
 #: Encodes a request's identity for its key; made once, where ``json.dumps``
 #: with these options would build an encoder per call.
@@ -40,6 +39,8 @@ class DataRequest:
         block window, extras) by the first caller and kept on the request,
         so ``extra`` must not change once the key has been read.  A request
         whose ``extra`` is not JSON fails here, at fetch time, every time.
+        The hash is ``domain.sha256``, CPython's built-in one, which loads
+        no OpenSSL.
         """
         if self._key is None:
             identity = {
@@ -51,7 +52,7 @@ class DataRequest:
                 "extra": self.extra,
             }
             blob = _KEY_ENCODER.encode(identity)
-            digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+            digest = sha256(blob.encode("utf-8")).hexdigest()[:16]
             object.__setattr__(self, "_key", f"{self.kind}_{self.chainid}_{digest}")
         return self._key
 

@@ -10,13 +10,12 @@ never satisfy its oracles by replaying attacker-controlled identities.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import re
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Optional, Sequence, Union
 
-from .domain import Address, validate_chain
+from .domain import Address, sha256, validate_chain
 
 logger = logging.getLogger(__name__)
 
@@ -54,7 +53,7 @@ class TaintedBinding(OracleError):
 
 def fresh_role_address(name: str) -> Address:
     """Deterministic test address for a role variable, derived from its name."""
-    digest = hashlib.sha256(f"txpostmortem/fresh-role:{name}".encode()).digest()
+    digest = sha256(f"txpostmortem/fresh-role:{name}".encode()).digest()
     return Address("0x" + digest[:20].hex())
 
 

@@ -1,11 +1,19 @@
-"""Value types: canonical hex forms and chain guards."""
+"""Value types: canonical hex forms and chain guards; the built-in SHA-256."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import txpostmortem
 from txpostmortem.domain import (
     SUPPORTED_CHAINS,
     Address,
@@ -15,8 +23,11 @@ from txpostmortem.domain import (
     SeedRef,
     TxHash,
     UnsupportedChain,
+    sha256,
     validate_chain,
 )
+from txpostmortem.gateway import DataRequest
+from txpostmortem.oracles import fresh_role_address
 
 hex_digits = "0123456789abcdefABCDEF"
 hex64 = st.text(alphabet=hex_digits, min_size=64, max_size=64)
@@ -121,3 +132,82 @@ class TestSeedRef:
     def test_coerces_plain_strings(self):
         seed = SeedRef(chainid=8453, txs=("0x" + "AB" * 32,))  # type: ignore[arg-type]
         assert seed.primary.value == "0x" + "ab" * 32
+
+
+_SRC = Path(txpostmortem.__file__).resolve().parents[1]
+
+#: Runs the offline commands through ``cli.main`` in a fresh interpreter and
+#: prints which OpenSSL modules it loaded.
+_OFFLINE_COMMANDS = """
+import contextlib, io, json, sys
+from pathlib import Path
+
+import txpostmortem
+from txpostmortem import cli
+
+work = Path(sys.argv[1])
+
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(list(argv))
+    assert code == 0, (argv, code)
+    return json.loads(out.getvalue())
+
+
+doc = run("postmortem", "--case", "prxvt", "--workdir", str(work))
+assert doc["outcome"]["stage"] == "done", doc["outcome"]
+run("evaluate", "--session", doc["session_root"])
+run("metrics", "--sessions", str(work / "sessions"))
+index = run("dataset", "export", "--sessions", str(work / "sessions"), "--out", str(work / "out"))
+assert index["count"] == 1, index
+print(json.dumps(sorted({"_hashlib", "ssl"} & set(sys.modules))))
+"""
+
+#: Imports the package where neither built-in SHA-256 module can be
+#: imported, and prints a request key and a fresh role address.
+_WITHOUT_BUILTIN_SHA256 = """
+import json, sys
+
+sys.modules["_sha2"] = None
+sys.modules["_sha256"] = None
+from txpostmortem.gateway import DataRequest
+from txpostmortem.oracles import fresh_role_address
+
+key = DataRequest(kind="tx_trace", chainid=1, target=sys.argv[1]).key
+print(json.dumps([key, fresh_role_address("attacker").value, "hashlib" in sys.modules]))
+"""
+
+
+def _python(*argv: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-X", "dev", *argv],
+        env=dict(os.environ, PYTHONPATH=str(_SRC)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+class TestSha256:
+    @settings(max_examples=500)
+    @given(data=st.binary(max_size=512))
+    def test_digest_matches_hashlib(self, data: bytes):
+        assert sha256(data).digest() == hashlib.sha256(data).digest()
+
+    def test_offline_commands_load_no_openssl(self, tmp_path):
+        """A replay, its evaluation, metrics and an export load neither
+        ``_hashlib`` nor ``ssl``."""
+        assert json.loads(_python("-c", _OFFLINE_COMMANDS, str(tmp_path))) == []
+
+    def test_without_the_builtin_modules_keys_come_from_hashlib(self):
+        target = "0x" + "ab" * 32
+        key, address, fell_back = json.loads(
+            _python("-c", _WITHOUT_BUILTIN_SHA256, target)
+        )
+        assert fell_back
+        assert key == DataRequest(kind="tx_trace", chainid=1, target=target).key
+        assert address == fresh_role_address("attacker").value

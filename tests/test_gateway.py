@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
-import hashlib
 import io
 import itertools
 import json
@@ -50,6 +49,7 @@ from txpostmortem.gateway.fixtures import (
     fixture_key,
 )
 from txpostmortem.gateway import fixtures, live
+from txpostmortem.gateway import types as gateway_types
 from txpostmortem.gateway.live import LiveAdapter, disassemble
 from txpostmortem.gateway.types import DataRequest, TxRecord
 from txpostmortem.lifecycle import DEFAULT_WINDOW
@@ -769,13 +769,13 @@ class TestOneKeyPerRequest:
         else:
             adapter = RecordingAdapter(_StubAdapter(), store)
         hashes = []
-        sha256 = hashlib.sha256
+        sha256 = gateway_types.sha256
 
         def counting_sha256(*args):
             hashes.append(args)
             return sha256(*args)
 
-        monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+        monkeypatch.setattr(gateway_types, "sha256", counting_sha256)
         payloads = fetch_many(SessionMemo(adapter), [hit, miss])
         assert len(hashes) == 2
         if inner == "replay":
