@@ -12,7 +12,9 @@ mode ``open()`` gives.  A directory is made by the first write that needs
 it: the temp file is opened first, and only a missing parent makes the
 directories and opens it again.  Every JSON file it reads back goes through
 ``read_json``, which raises ``ArtifactNotFound`` for a missing file and
-``CorruptArtifact`` for an unreadable or undecodable one.
+``CorruptArtifact`` for an unreadable or undecodable one.  A session's JSON
+artifacts are written by ``write_artifact`` as compact JSON with non-ASCII
+kept; queue seeds, fixtures and dataset exports keep their indented form.
 
 Every artifact path goes through ``resolve_inside``.  A relative path with
 no ``..`` part is checked by ``lstat`` on each of its components below the
@@ -39,7 +41,6 @@ import stat
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
-from json.encoder import encode_basestring as _encode_str
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -503,112 +504,8 @@ class Session:
 
 
 def _dump_json(doc: Any) -> str:
-    """``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``, byte for byte.
-
-    ``json`` indents in pure Python through nested closures that form a
-    reference cycle on every call; these module functions form none and
-    take about half the time.  Strings go through json's own C
-    ``encode_basestring``, numbers through ``int.__repr__`` and
-    ``float.__repr__`` (``NaN`` and ``±Infinity`` as json writes them),
-    tuples are lists, and an empty container is ``{}`` or ``[]``.  A value
-    json refuses raises ``TypeError``, a circular document ``ValueError``.
-    """
-    return _encode(doc, "\n", set()) + "\n"
-
-
-def _encode(value: Any, newline: str, open_ids: set[int]) -> str:
-    """``value`` as json writes it at the indent ``newline`` ends with;
-    ``open_ids`` holds the ids of the containers being written around it."""
-    kind = type(value)
-    if kind is str:
-        return _encode_str(value)
-    if kind is dict:
-        return _encode_dict(value, newline, open_ids)
-    if kind is list:
-        return _encode_list(value, newline, open_ids)
-    if kind is int:
-        return int.__repr__(value)
-    # json's own order of checks, for the other types and for subclasses.
-    if isinstance(value, str):
-        return _encode_str(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_str(value)
-    if isinstance(value, (list, tuple)):
-        return _encode_list(value, newline, open_ids)
-    if isinstance(value, dict):
-        return _encode_dict(value, newline, open_ids)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-
-
-_INFINITY = float("inf")
-
-
-def _float_str(value: float) -> str:
-    if value != value:
-        return "NaN"
-    if value == _INFINITY:
-        return "Infinity"
-    if value == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(value)
-
-
-def _key_str(key: Any) -> str:
-    """A non-string object key as json writes it."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_str(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
-def _enter(container: Any, open_ids: set[int]) -> int:
-    marker = id(container)
-    if marker in open_ids:
-        raise ValueError("Circular reference detected")
-    open_ids.add(marker)
-    return marker
-
-
-def _encode_list(items: Any, newline: str, open_ids: set[int]) -> str:
-    if not items:
-        return "[]"
-    marker = _enter(items, open_ids)
-    inner = newline + "  "
-    parts = []
-    for item in items:
-        parts.append(_encode(item, inner, open_ids))
-    open_ids.remove(marker)
-    return "[" + inner + ("," + inner).join(parts) + newline + "]"
-
-
-def _encode_dict(members: Any, newline: str, open_ids: set[int]) -> str:
-    if not members:
-        return "{}"
-    marker = _enter(members, open_ids)
-    inner = newline + "  "
-    parts = []
-    for key, item in members.items():
-        name = _encode_str(key if type(key) is str else _key_str(key))
-        parts.append(name + ": " + _encode(item, inner, open_ids))
-    open_ids.remove(marker)
-    return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    """``doc`` as compact JSON with non-ASCII kept, and a final newline."""
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW

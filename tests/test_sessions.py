@@ -203,12 +203,15 @@ def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
 
 
 class TestWrongStageRejection:
-    def test_poc_code_in_root_cause_stage_reanalyzes(self, tmp_path):
-        """A PoC-stage code parses as other:; an incomplete lifecycle is the
-        analyzer's to complete. Both send the draft back to the analyzer."""
+    def test_a_root_cause_stage_reject_reanalyzes(self, tmp_path):
+        """A PoC-stage code parses as other:; an incomplete lifecycle,
+        speculative language and unknown content are the analyzer's to fix.
+        Each sends the draft back to the analyzer."""
         for code, reason in (
             ("uses_attacker_contract", "other:uses_attacker_contract"),
             ("incomplete_act_lifecycle", "incomplete_act_lifecycle"),
+            ("unknown_content", "unknown_content"),
+            ("speculative_language", "speculative_language"),
         ):
             entries = load_script_entries(PRXVT_CASE)
             entries["root_cause_challenger"].insert(

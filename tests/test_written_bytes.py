@@ -74,14 +74,18 @@ def _sub_documents(doc: Any) -> Iterator[Any]:
 
 @pytest.mark.parametrize("name", sorted(scenarios.CASE_BUILDERS))
 def test_each_fact_is_written_once(tmp_path, name):
-    """No two files of a session hold the same bytes, and no JSON file is a
-    sub-document of another.  The one copy left is the root cause: the
-    analysis that carries it is written before the challenger accepts it."""
+    """No two files of a session hold the same bytes, each JSON file is in
+    compact form, and no JSON file is a sub-document of another.  The one
+    copy left is the root cause: the analysis that carries it is written
+    before the challenger accepts it."""
     files = session_files(name, tmp_path)
     first: dict[bytes, str] = {}
     for rel, data in files.items():
         assert first.setdefault(data, rel) == rel, (rel, first[data])
     docs = {rel: json.loads(data) for rel, data in files.items() if rel.endswith(".json")}
+    for rel, doc in docs.items():
+        compact = json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
+        assert files[rel].decode("utf-8") == compact, rel
     prefix = f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_ANALYZER}/iter_"
     accepted = max(
         (rel for rel in docs if rel.startswith(prefix)),
