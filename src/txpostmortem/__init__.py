@@ -34,7 +34,6 @@ from .gateway import (
 from .harness import SimulatedRunner, SubprocessRunner, scaffold_project
 from .lifecycle import LifecycleSet, ParticipantSet, mine_lifecycle
 from .oracles import (
-    OracleDefinition,
     bind_variables,
     evaluate_constraints,
     normalize_definition,
@@ -59,7 +58,6 @@ __all__ = [
     "LiveAdapter",
     "ModelBackend",
     "OpenAIChatBackend",
-    "OracleDefinition",
     "Orchestrator",
     "ParticipantSet",
     "RecordingAdapter",

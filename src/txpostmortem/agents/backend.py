@@ -131,15 +131,19 @@ class ScriptedBackend:
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "ScriptedBackend":
-        """Load ``<role>_<n>.json`` files from a script directory."""
+        """Load ``<role>_<n>.json`` files from a script directory.  Each
+        role's indices must run 0, 1, 2, ... with no gap and none repeated."""
         path = Path(path)
         staged: dict[str, dict[int, dict[str, Any]]] = {}
         for entry in sorted(path.glob("*.json")):
             match = _SCRIPT_FILE.match(entry.name)
             if not match:
                 continue
-            doc = json.loads(entry.read_text(encoding="utf-8"))
-            staged.setdefault(match["role"], {})[int(match["index"])] = doc
+            by_index = staged.setdefault(match["role"], {})
+            index = int(match["index"])
+            if index in by_index:
+                raise BackendError(f"script index {index} repeated by {entry.name}")
+            by_index[index] = json.loads(entry.read_text(encoding="utf-8"))
         entries: dict[str, list[dict[str, Any]]] = {}
         for role, by_index in staged.items():
             ordered = [by_index[i] for i in sorted(by_index)]

@@ -11,9 +11,10 @@ turn from the caller's budget.
 backend hands over as data, or else parses the reply text once with
 ``extract_json_document``.  ``_CONTRACTS`` holds each role's contract, its
 schema in ``workspace.SCHEMAS`` plus its cross-field rule, and is the only
-check of a role's document.  ``run_role`` returns the accepted document
-itself, or for the oracle generator the normalized ``OracleDefinition``;
-the orchestrator reads the fields the schema guarantees and writes the
+check of a role's document.  ``run_role`` returns the checked document; the
+oracle generator's rule checks it with ``oracles.normalize_definition`` and
+hands back that function's copy, which only fills in default tolerances.
+The orchestrator reads the fields the schema guarantees and writes the
 document without checking it again.
 """
 
@@ -24,7 +25,7 @@ import logging
 from dataclasses import dataclass
 from importlib import resources
 from string import Template
-from typing import Any, Callable
+from typing import Any, Callable, Optional
 
 from .. import oracles, workspace
 from .backend import ModelBackend, Usage, extract_json_document
@@ -98,8 +99,11 @@ def build_role_prompt(role: str, session: workspace.Session) -> str:
 # --------------------------------------------------------------------------
 # Output contracts.
 
+#: A contract's answer: the checked document, or None and the errors.
+_Checked = tuple[Optional[dict[str, Any]], list[str]]
 
-def _evidence_closure(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+
+def _evidence_closure(doc: dict[str, Any]) -> _Checked:
     """A final analysis carries the root-cause document for the challenger
     to attack."""
     if doc["data_requests"]:
@@ -111,30 +115,27 @@ def _evidence_closure(doc: dict[str, Any]) -> tuple[Any, list[str]]:
     return (None, errors) if errors else (doc, [])
 
 
-def _pass_has_no_missing_evidence(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+def _pass_has_no_missing_evidence(doc: dict[str, Any]) -> _Checked:
     if doc["status"] == "Pass" and doc["missing_evidence"]:
         return None, ["missing_evidence: must be empty when status is Pass"]
     return doc, []
 
 
-def _normalized_definition(doc: dict[str, Any]) -> tuple[Any, list[str]]:
-    """The document parsed and normalized once into an ``OracleDefinition``,
-    whose semantic checks run as it is normalized."""
+def _normalized_definition(doc: dict[str, Any]) -> _Checked:
+    """The definition's semantic checks, run as it is normalized."""
     try:
-        return oracles.normalize_definition(oracles.OracleDefinition.from_doc(doc)), []
+        return oracles.normalize_definition(doc), []
     except oracles.InvalidDefinition as exc:
         return None, exc.errors
-    except Exception as exc:
-        return None, [f"definition: {exc}"]
 
 
-def _at_least_one_file(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+def _at_least_one_file(doc: dict[str, Any]) -> _Checked:
     if not doc["files"]:
         return None, ["files: at least one project file required"]
     return doc, []
 
 
-def _reject_has_reasons(doc: dict[str, Any]) -> tuple[Any, list[str]]:
+def _reject_has_reasons(doc: dict[str, Any]) -> _Checked:
     if doc["overall_status"] == "Reject" and not doc.get("reject_reasons"):
         return None, ["reject_reasons: required when overall_status is Reject"]
     return doc, []
@@ -142,9 +143,8 @@ def _reject_has_reasons(doc: dict[str, Any]) -> tuple[Any, list[str]]:
 
 #: Each role's contract: the ``workspace.SCHEMAS`` id its document must
 #: meet, then the cross-field rule that a schema-valid document must pass.
-#: A rule returns what the role yields (the document itself, or for the
-#: oracle generator its ``OracleDefinition``) or the errors that reject it.
-_CONTRACTS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[Any, list[str]]]]] = {
+#: A rule returns the checked document or the errors that reject it.
+_CONTRACTS: dict[str, tuple[str, Callable[[dict[str, Any]], _Checked]]] = {
     ROLE_ANALYZER: ("analysis_result", _evidence_closure),
     ROLE_CHALLENGER: ("challenge_result", _pass_has_no_missing_evidence),
     ROLE_ORACLE_GENERATOR: ("oracle_definition", _normalized_definition),
@@ -153,7 +153,7 @@ _CONTRACTS: dict[str, tuple[str, Callable[[dict[str, Any]], tuple[Any, list[str]
 }
 
 
-def validate_role_output(role: str, doc: Any) -> tuple[Any, list[str]]:
+def validate_role_output(role: str, doc: Any) -> _Checked:
     """Check a role's document against its contract; returns (accepted
     output, errors), with output None whenever there are errors."""
     try:
@@ -166,9 +166,9 @@ def validate_role_output(role: str, doc: Any) -> tuple[Any, list[str]]:
 
 @dataclass
 class RoleRun:
-    """Outcome of one role invocation: the accepted output plus accounting."""
+    """Outcome of one role invocation: the accepted document plus accounting."""
 
-    output: Any
+    output: dict[str, Any]
     turns_used: int
     usage: Usage
 
@@ -182,10 +182,9 @@ def run_role(
 ) -> RoleRun:
     """Drive one role until its contract accepts a document or turns run out.
 
-    Returns the accepted output: the document, or the generator's
-    ``OracleDefinition``.  Each reply is parsed at most once, here, when
-    the backend handed over no document.  Every backend step consumes one
-    turn.  Invalid documents are retried
+    Returns the accepted document.  Each reply is parsed at most once, here,
+    when the backend handed over no document.  Every backend step consumes
+    one turn.  Invalid documents are retried
     with the validation errors echoed back; the retry costs a turn too.
     Running out of turns raises ``TurnBudgetExceeded`` with what they cost.
     """

@@ -186,11 +186,15 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     attempt = _last_judged_attempt(session.root)
     if attempt is None:
         raise UsageError("session has no reproduction verdicts to judge")
-    verdict = workspace.read_json(attempt / workspace.ENGINE_VERDICT)
+    path = attempt / workspace.ENGINE_VERDICT
+    verdict = workspace.read_json(path)
+    errors = workspace.check_document(verdict, workspace.SCHEMAS["poc_validation"])
+    if errors:
+        raise workspace.CorruptArtifact(f"{path}: not an engine verdict: {'; '.join(errors)}")
     return {
         "project_root": str(project_root),
         "root_cause": workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC),
-        "correctness": verdict.get("rubric", {}).get("correctness", {}),
+        "correctness": verdict["rubric"].get("correctness", {}),
         "oracle_pass": _validated(attempt),
     }
 

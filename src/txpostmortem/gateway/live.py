@@ -40,8 +40,12 @@ RETRIES = 3
 BACKOFF_S = 0.5
 TIMEOUT_S = 30.0
 
-#: Prestate diffs an adapter keeps for the kinds that share them.
-PRESTATE_CACHE_SIZE = 16
+#: Per-transaction node answers (receipts, prestate diffs) an adapter keeps
+#: for the kinds that share them.
+SHARED_CACHE_SIZE = 32
+
+#: The tracer options that make ``debug_traceTransaction`` a prestate diff.
+_PRESTATE_DIFF = {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}
 
 #: Lines of the mnemonic listing kept for one contract.
 DISASSEMBLY_LINES = 4096
@@ -163,9 +167,10 @@ class LiveAdapter:
         self.rpc_post = rpc_post
         self.api_get = api_get
         self._rpc_ids = itertools.count(1)
-        # One prestateTracer diff per (chain, tx) serves both balance_diff
-        # and state_diff; the first caller fetches, the others wait on it.
-        self._prestate = SharedResults(maxsize=PRESTATE_CACHE_SIZE)
+        # One receipt per (chain, tx) serves both tx_metadata and
+        # receipt_logs, and one prestateTracer diff both balance_diff and
+        # state_diff; the first caller fetches, the others wait on it.
+        self._per_tx = SharedResults(maxsize=SHARED_CACHE_SIZE)
 
     # -- transport ---------------------------------------------------------
 
@@ -238,7 +243,7 @@ class LiveAdapter:
         if tx.get("blockNumber") is None:
             # Pending: no block, no receipt, and nothing a window can be mined around.
             raise UpstreamError(f"transaction pending: {request.target}")
-        receipt = self._rpc(request.chainid, "eth_getTransactionReceipt", [request.target]) or {}
+        receipt = self._shared_rpc(request, "eth_getTransactionReceipt") or {}
         return {
             "txhash": request.normalized_target(),
             "chainid": request.chainid,
@@ -276,18 +281,17 @@ class LiveAdapter:
 
         return {"root": convert(frame)}
 
-    def _prestate_diff(self, request: DataRequest) -> dict[str, Any]:
-        return self._prestate.get(
-            (request.chainid, request.normalized_target()),
-            lambda: self._rpc(
-                request.chainid,
-                "debug_traceTransaction",
-                [request.target, {"tracer": "prestateTracer", "tracerConfig": {"diffMode": True}}],
-            ),
+    def _shared_rpc(self, request: DataRequest, method: str, *options: Any) -> Any:
+        """The node's answer to ``method`` for the request's transaction,
+        with ``options`` after the hash, asked once for all kinds that read
+        it."""
+        return self._per_tx.get(
+            (request.chainid, request.normalized_target(), method, repr(options)),
+            lambda: self._rpc(request.chainid, method, [request.target, *options]),
         )
 
     def _fetch_balance_diff(self, request: DataRequest) -> dict[str, Any]:
-        diff = self._prestate_diff(request)
+        diff = self._shared_rpc(request, "debug_traceTransaction", _PRESTATE_DIFF)
         entries = []
         pre, post = diff.get("pre", {}), diff.get("post", {})
         for account in sorted(set(pre) | set(post)):
@@ -307,11 +311,11 @@ class LiveAdapter:
         return {"entries": entries}
 
     def _fetch_state_diff(self, request: DataRequest) -> dict[str, Any]:
-        diff = self._prestate_diff(request)
+        diff = self._shared_rpc(request, "debug_traceTransaction", _PRESTATE_DIFF)
         return {"pre": diff.get("pre", {}), "post": diff.get("post", {})}
 
     def _fetch_receipt_logs(self, request: DataRequest) -> dict[str, Any]:
-        receipt = self._rpc(request.chainid, "eth_getTransactionReceipt", [request.target]) or {}
+        receipt = self._shared_rpc(request, "eth_getTransactionReceipt") or {}
         return {"logs": receipt.get("logs", [])}
 
     def _fetch_txlist(self, request: DataRequest) -> dict[str, Any]:

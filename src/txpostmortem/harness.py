@@ -16,10 +16,9 @@ import signal
 import subprocess
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Protocol
+from typing import Any, Iterable, Mapping, Optional, Protocol
 
 from . import workspace
-from .oracles import OracleDefinition
 
 logger = logging.getLogger(__name__)
 
@@ -58,11 +57,10 @@ class ScaffoldError(HarnessError):
 @dataclass(frozen=True)
 class PoCProject:
     """A scaffolded exploit test project rooted inside a session: its
-    root, the files written there, and whether the test pins a fork block
-    (``scaffold_project`` has checked that block against the definition's)."""
+    root, and whether the test pins a fork block (``scaffold_project`` has
+    checked that block against the definition's)."""
 
     root: Path
-    files: tuple[str, ...]
     fork_pinned: bool
 
 
@@ -82,24 +80,24 @@ def detect_fork_block(test_source: str) -> Optional[int]:
     return None
 
 
-def project_readme(definition: OracleDefinition) -> str:
+def project_readme(definition: Mapping[str, Any]) -> str:
     return (
         "# Exploit reproduction\n\n"
-        f"Fork-pinned Foundry test for chain {definition.chainid} at block "
-        f"{definition.fork_block}.\n\n"
+        f"Fork-pinned Foundry test for chain {definition['chainid']} at block "
+        f"{definition['fork_block']}.\n\n"
         "Run with an archival RPC endpoint for the incident chain:\n\n"
         "```sh\n"
         f"{RUN_COMMAND_TEMPLATE}\n"
         "```\n\n"
         "Success criteria:\n\n"
-        f"{definition.success_criteria}\n"
+        f"{definition['success_criteria']}\n"
     )
 
 
 def scaffold_project(
     session: workspace.Session,
     files: Mapping[str, str],
-    definition: OracleDefinition,
+    definition: Mapping[str, Any],
 ) -> PoCProject:
     """Write the reproducer's files under ``forge_poc/`` and sanity-check them.
 
@@ -132,10 +130,10 @@ def scaffold_project(
             raise ScaffoldError(f"project file in a build directory: {name}")
 
     pinned = detect_fork_block(files[TEST_FILE])
-    if pinned is not None and pinned != definition.fork_block:
+    if pinned is not None and pinned != definition["fork_block"]:
         raise ScaffoldError(
             f"test pins fork block {pinned} but the oracle definition says "
-            f"{definition.fork_block}"
+            f"{definition['fork_block']}"
         )
 
     root = session.root / workspace.FORGE_PROJECT_DIR
@@ -154,11 +152,7 @@ def scaffold_project(
         workspace.write_text_artifact(
             session, f"{workspace.FORGE_PROJECT_DIR}/{name}", content
         )
-    return PoCProject(
-        root=root,
-        files=tuple(sorted(staged)),
-        fork_pinned=pinned is not None,
-    )
+    return PoCProject(root=root, fork_pinned=pinned is not None)
 
 
 class ProjectRunner(Protocol):
@@ -210,13 +204,19 @@ class SimulatedRunner:
 
     @classmethod
     def from_dir(cls, path: str | Path) -> "SimulatedRunner":
-        """Load ``run_<n>.txt`` files as the queue; other files are ignored."""
-        ordered: list[tuple[int, str]] = []
-        for entry in Path(path).glob("*.txt"):
+        """Load ``run_<n>.txt`` files as the queue; other files are ignored.
+        The indices must run 0, 1, 2, ... with no gap and none repeated."""
+        by_index: dict[int, str] = {}
+        for entry in sorted(Path(path).glob("*.txt")):
             match = re.match(r"^run_(\d+)$", entry.stem)
             if match:
-                ordered.append((int(match.group(1)), entry.read_text(encoding="utf-8")))
-        return cls([text for _, text in sorted(ordered)])
+                index = int(match.group(1))
+                if index in by_index:
+                    raise HarnessError(f"transcript index {index} repeated by {entry.name}")
+                by_index[index] = entry.read_text(encoding="utf-8")
+        if sorted(by_index) != list(range(len(by_index))):
+            raise HarnessError(f"transcripts have gaps: indices {sorted(by_index)}")
+        return cls([by_index[i] for i in range(len(by_index))])
 
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
         if self.queue:
@@ -238,7 +238,6 @@ class RunResult:
     tests: tuple[TestOutcome, ...]
     fork_pinned: bool
     duration_seconds: Optional[float]
-    raw_output: str
 
     def to_doc(self) -> dict:
         return {
@@ -284,7 +283,6 @@ def parse_run_output(raw: str, fork_pinned: bool) -> RunResult:
         tests=tuple(tests),
         fork_pinned=fork_pinned,
         duration_seconds=duration,
-        raw_output=raw,
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import workspace
-from .agents import Usage
+from .agents import InvalidUsage, Usage
 
 
 class MetricsError(Exception):
@@ -160,13 +160,18 @@ def load_session_summaries(sessions_dir: str | Path) -> Iterator[dict[str, Any]]
     and checked only when the consumer asks for it, so a report over many
     sessions holds one summary at a time.  An undecodable one raises
     ``workspace.CorruptArtifact``, a malformed one ``MetricsError``, at the
-    point the iteration reaches it."""
+    point the iteration reaches it.  A summary is malformed when it breaks
+    its schema or holds usage that no ``Usage`` can hold."""
     root = Path(sessions_dir)
     for path in sorted(root.glob(f"*/{workspace.SESSION_SUMMARY}")):
         doc = workspace.read_json(path)
         errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
         if errors:
             raise MetricsError(f"{path}: not a session summary: {'; '.join(errors)}")
+        try:
+            Usage.from_doc(doc["usage"])
+        except InvalidUsage as exc:
+            raise MetricsError(f"{path}: not a session summary: {exc}") from exc
         yield doc
 
 

@@ -1,27 +1,32 @@
 """Semantic success oracles for exploit reproductions.
 
-An oracle definition pins a fork block and declares, over named runtime
-observations, the hard constraints that must hold exactly and the soft
-constraints that must hold within a recorded tolerance.  Role variables
-(attacker, helpers) carry no addresses in the definition; they are bound to
-fresh deterministic test addresses at evaluation time so a reproduction can
-never satisfy its oracles by replaying attacker-controlled identities.
+An oracle definition is one JSON document, in the form
+``workspace.SCHEMAS["oracle_definition"]`` fixes.  It pins a fork block and
+declares, over named runtime observations, the ``pre_check`` and ``hard``
+constraints that must hold exactly and the ``soft`` constraints that must
+hold within a recorded tolerance.  ``normalize_definition`` checks a
+schema-valid document and returns a copy with each soft constraint's
+default tolerance filled in; that copy is what a session records and what
+every function here reads.  Role variables (attacker, helpers) carry
+``"address": null``.  ``bind_variables`` returns a copy that binds them to
+fresh deterministic test addresses, so a reproduction can never satisfy its
+oracles by replaying attacker-controlled identities, and leaves the
+definition it was given as it was.
 """
 
 from __future__ import annotations
 
-import logging
 import re
-from dataclasses import dataclass, replace
-from typing import Any, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Container, Iterator, Mapping, Optional, Sequence, Union
 
-from .domain import Address, sha256, validate_chain
-
-logger = logging.getLogger(__name__)
+from .domain import Address, InvalidAddress, UnsupportedChain, sha256, validate_chain
 
 COMPARATORS = ("eq", "gt", "lt", "ge", "le", "within_tolerance")
 VARIABLE_KINDS = ("victim_contract", "asset", "attacker_role", "helper_role")
 ROLE_KINDS = ("attacker_role", "helper_role")
+#: The constraint lists of a definition, in the order they are evaluated.
+CONSTRAINT_KINDS = ("pre_check", "hard", "soft")
 
 #: Default soft tolerance: 10% of the expected magnitude, in basis points.
 DEFAULT_TOLERANCE_BPS = 1000
@@ -57,143 +62,18 @@ def fresh_role_address(name: str) -> Address:
     return Address("0x" + digest[:20].hex())
 
 
-@dataclass(frozen=True)
-class Comparison:
-    lhs: str
-    comparator: str
-    rhs: str
-
-    def to_doc(self) -> dict:
-        return {"lhs": self.lhs, "comparator": self.comparator, "rhs": self.rhs}
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Comparison":
-        return cls(lhs=doc["lhs"], comparator=doc["comparator"], rhs=doc["rhs"])
-
-
-@dataclass(frozen=True)
-class Tolerance:
-    kind: str  # "relative_bps" | "absolute"
-    value: int
-    rationale: str = ""
-
-    def slack_for(self, expected: int) -> int:
-        if self.kind == "absolute":
-            return self.value
-        return abs(expected) * self.value // 10000
-
-    def to_doc(self) -> dict:
-        doc = {"kind": self.kind, "value": self.value}
-        if self.rationale:
-            doc["rationale"] = self.rationale
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "Tolerance":
-        return cls(kind=doc["kind"], value=doc["value"], rationale=doc.get("rationale", ""))
-
-
-@dataclass(frozen=True)
-class Constraint:
-    constraint_id: str
-    kind: str  # "hard" | "soft" | "pre_check"
-    check: Comparison
-    description: str = ""
-    tolerance: Optional[Tolerance] = None
-
-    def to_doc(self) -> dict:
-        doc: dict[str, Any] = {"id": self.constraint_id, "check": self.check.to_doc()}
-        if self.description:
-            doc["description"] = self.description
-        if self.tolerance is not None:
-            doc["tolerance"] = self.tolerance.to_doc()
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any], kind: str) -> "Constraint":
-        return cls(
-            constraint_id=doc["id"],
-            kind=kind,
-            check=Comparison.from_doc(doc["check"]),
-            description=doc.get("description", ""),
-            tolerance=Tolerance.from_doc(doc["tolerance"]) if doc.get("tolerance") else None,
-        )
-
-
-@dataclass(frozen=True)
-class OracleVariable:
-    name: str
-    kind: str
-    address: Optional[Address] = None
-
-    def to_doc(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "address": self.address.value if self.address else None,
-        }
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "OracleVariable":
-        return cls(
-            name=doc["name"],
-            kind=doc["kind"],
-            address=Address(doc["address"]) if doc.get("address") else None,
-        )
-
-
-@dataclass(frozen=True)
-class OracleDefinition:
-    chainid: int
-    fork_block: int
-    variables: tuple[OracleVariable, ...]
-    pre_checks: tuple[Constraint, ...]
-    hard: tuple[Constraint, ...]
-    soft: tuple[Constraint, ...]
-    success_criteria: str
-    setup: str = ""
-
-    def all_constraints(self) -> tuple[Constraint, ...]:
-        return self.pre_checks + self.hard + self.soft
-
-    def variable_map(self) -> dict[str, OracleVariable]:
-        return {v.name: v for v in self.variables}
-
-    def to_doc(self) -> dict:
-        doc: dict[str, Any] = {
-            "chainid": self.chainid,
-            "fork_block": self.fork_block,
-            "variables": [v.to_doc() for v in self.variables],
-            "pre_check": [c.to_doc() for c in self.pre_checks],
-            "hard": [c.to_doc() for c in self.hard],
-            "soft": [c.to_doc() for c in self.soft],
-            "success_criteria": self.success_criteria,
-        }
-        if self.setup:
-            doc["setup"] = self.setup
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: Mapping[str, Any]) -> "OracleDefinition":
-        return cls(
-            chainid=doc["chainid"],
-            fork_block=doc["fork_block"],
-            variables=tuple(OracleVariable.from_doc(v) for v in doc.get("variables", [])),
-            pre_checks=tuple(
-                Constraint.from_doc(c, "pre_check") for c in doc.get("pre_check", [])
-            ),
-            hard=tuple(Constraint.from_doc(c, "hard") for c in doc.get("hard", [])),
-            soft=tuple(Constraint.from_doc(c, "soft") for c in doc.get("soft", [])),
-            success_criteria=doc.get("success_criteria", ""),
-            setup=doc.get("setup", ""),
-        )
-
-
 # --------------------------------------------------------------------------
 # Validation and normalization.
 
 
-def _token_class(token: str, variables: Mapping[str, OracleVariable]) -> str:
+def _constraints(definition: Mapping[str, Any]) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Each constraint with its kind, in ``CONSTRAINT_KINDS`` order."""
+    for kind in CONSTRAINT_KINDS:
+        for constraint in definition[kind]:
+            yield kind, constraint
+
+
+def _token_class(token: str, variables: Container[str]) -> str:
     if _INT_LITERAL.match(token):
         return "int"
     if token in ("true", "false"):
@@ -207,108 +87,119 @@ def _token_class(token: str, variables: Mapping[str, OracleVariable]) -> str:
     return "invalid"
 
 
-def validate_definition(definition: OracleDefinition) -> list[str]:
-    """Structural and referential checks; returns all problems found."""
+def validate_definition(definition: Mapping[str, Any]) -> list[str]:
+    """Semantic and referential checks of a schema-valid definition; returns
+    all problems found."""
     errors: list[str] = []
     try:
-        validate_chain(definition.chainid)
-    except Exception as exc:
+        validate_chain(definition["chainid"])
+    except UnsupportedChain as exc:
         errors.append(str(exc))
-    if definition.fork_block <= 0:
-        errors.append(f"fork_block must be positive, got {definition.fork_block}")
+    if definition["fork_block"] <= 0:
+        errors.append(f"fork_block must be positive, got {definition['fork_block']}")
 
-    variables = {}
-    for var in definition.variables:
-        if var.kind not in VARIABLE_KINDS:
-            errors.append(f"variable {var.name}: unknown kind {var.kind!r}")
-        if var.name in variables:
-            errors.append(f"variable {var.name}: duplicate name")
-        variables[var.name] = var
-        if var.kind in ROLE_KINDS and var.address is not None:
+    variables: set[str] = set()
+    for var in definition["variables"]:
+        name, kind, address = var["name"], var["kind"], var["address"]
+        if kind not in VARIABLE_KINDS:
+            errors.append(f"variable {name}: unknown kind {kind!r}")
+        if name in variables:
+            errors.append(f"variable {name}: duplicate name")
+        variables.add(name)
+        if kind in ROLE_KINDS and address is not None:
             errors.append(
-                f"variable {var.name}: {var.kind} must not carry an address; "
+                f"variable {name}: {kind} must not carry an address; "
                 "roles are bound to fresh addresses at evaluation time"
             )
-        if var.kind not in ROLE_KINDS and var.address is None:
-            errors.append(f"variable {var.name}: {var.kind} requires an address")
+        if kind not in ROLE_KINDS:
+            if address is None:
+                errors.append(f"variable {name}: {kind} requires an address")
+            else:
+                try:
+                    Address(address)
+                except InvalidAddress as exc:
+                    errors.append(f"variable {name}: {exc}")
 
     seen_ids: set[str] = set()
-    for constraint in definition.all_constraints():
-        cid = constraint.constraint_id
+    for kind, constraint in _constraints(definition):
+        cid, check = constraint["id"], constraint["check"]
         if cid in seen_ids:
             errors.append(f"constraint {cid}: duplicate id")
         seen_ids.add(cid)
-        if constraint.check.comparator not in COMPARATORS:
-            errors.append(f"constraint {cid}: unknown comparator {constraint.check.comparator!r}")
-        for side, token in (("lhs", constraint.check.lhs), ("rhs", constraint.check.rhs)):
-            if _token_class(token, variables) == "invalid":
-                errors.append(f"constraint {cid}: {side} {token!r} is not a literal, "
+        if check["comparator"] not in COMPARATORS:
+            errors.append(f"constraint {cid}: unknown comparator {check['comparator']!r}")
+        for side in ("lhs", "rhs"):
+            if _token_class(check[side], variables) == "invalid":
+                errors.append(f"constraint {cid}: {side} {check[side]!r} is not a literal, "
                               "variable, or observation name")
-        if constraint.kind in ("hard", "pre_check"):
-            if constraint.check.comparator == "within_tolerance":
+        if kind != "soft":
+            if check["comparator"] == "within_tolerance":
                 errors.append(f"constraint {cid}: within_tolerance is soft-only")
-            if constraint.tolerance is not None:
-                errors.append(f"constraint {cid}: {constraint.kind} constraints are exact")
+            if "tolerance" in constraint:
+                errors.append(f"constraint {cid}: {kind} constraints are exact")
     return errors
 
 
-def normalize_definition(definition: OracleDefinition) -> OracleDefinition:
-    """Materialize the default soft tolerance so the recorded definition is
-    self-contained; raises InvalidDefinition when validation fails."""
-    soft = tuple(
-        c
-        if c.tolerance is not None
-        else replace(
-            c,
-            tolerance=Tolerance(
-                kind="relative_bps",
-                value=DEFAULT_TOLERANCE_BPS,
-                rationale="default relative tolerance (10%)",
-            ),
-        )
-        for c in definition.soft
-    )
-    normalized = replace(definition, soft=soft)
-    errors = validate_definition(normalized)
+def normalize_definition(definition: Mapping[str, Any]) -> dict[str, Any]:
+    """A copy of a schema-valid definition with the default tolerance
+    written into each soft constraint that has none, so the recorded
+    definition is self-contained; raises InvalidDefinition when validation
+    fails."""
+    errors = validate_definition(definition)
     if errors:
         raise InvalidDefinition(errors)
-    return normalized
+    return {
+        **definition,
+        "soft": [
+            constraint
+            if "tolerance" in constraint
+            else {
+                **constraint,
+                "tolerance": {
+                    "kind": "relative_bps",
+                    "value": DEFAULT_TOLERANCE_BPS,
+                    "rationale": "default relative tolerance (10%)",
+                },
+            }
+            for constraint in definition["soft"]
+        ],
+    }
 
 
-def observation_names(definition: OracleDefinition) -> list[str]:
+def observation_names(definition: Mapping[str, Any]) -> list[str]:
     """Identifiers the runner must report, in first-reference order."""
-    variables = definition.variable_map()
+    variables = {var["name"] for var in definition["variables"]}
     names: list[str] = []
-    for constraint in definition.all_constraints():
-        for token in (constraint.check.lhs, constraint.check.rhs):
+    for _, constraint in _constraints(definition):
+        for token in (constraint["check"]["lhs"], constraint["check"]["rhs"]):
             if _token_class(token, variables) == "observation" and token not in names:
                 names.append(token)
     return names
 
 
 def bind_variables(
-    definition: OracleDefinition,
+    definition: Mapping[str, Any],
     deny: set[Address] | frozenset[Address] = frozenset(),
-) -> OracleDefinition:
-    """Fill role variables with addresses, refusing attacker-side identities.
+) -> dict[str, Any]:
+    """A copy of ``definition`` whose role variables carry addresses,
+    refusing attacker-side identities.
 
     Each role variable gets a deterministic fresh address derived from its
     name.
     """
     bound = []
-    for var in definition.variables:
-        if var.kind in ROLE_KINDS:
-            address = fresh_role_address(var.name)
+    for var in definition["variables"]:
+        if var["kind"] in ROLE_KINDS:
+            address = fresh_role_address(var["name"])
             if address in deny:
                 raise TaintedBinding(
-                    f"role {var.name} bound to deny-listed address {address}"
+                    f"role {var['name']} bound to deny-listed address {address}"
                 )
-            bound.append(replace(var, address=address))
-        else:
-            if var.address is None:
-                raise UnboundRole(f"variable {var.name} has no address")
-            bound.append(var)
-    return replace(definition, variables=tuple(bound))
+            var = {**var, "address": address.value}
+        elif var["address"] is None:
+            raise UnboundRole(f"variable {var['name']} has no address")
+        bound.append(var)
+    return {**definition, "variables": bound}
 
 
 # --------------------------------------------------------------------------
@@ -365,10 +256,11 @@ class VerdictReport:
 
 def _resolve(
     token: str,
-    variables: Mapping[str, OracleVariable],
+    variables: Mapping[str, Mapping[str, Any]],
     observations: Mapping[str, ObsValue],
 ) -> tuple[Optional[ObsValue], str]:
-    """Resolve a token to a concrete value, or (None, why-not)."""
+    """Resolve a token to a concrete value, or (None, why-not); addresses
+    resolve lowercased."""
     kind = _token_class(token, variables)
     if kind == "int":
         return int(token), ""
@@ -377,10 +269,10 @@ def _resolve(
     if kind == "address":
         return token.lower(), ""
     if kind == "variable":
-        var = variables[token]
-        if var.address is None:
+        address = variables[token]["address"]
+        if address is None:
             return None, f"unbound variable {token}"
-        return var.address.value, ""
+        return address.lower(), ""
     if kind == "observation":
         if token in observations:
             value = observations[token]
@@ -409,14 +301,21 @@ def _exact_compare(comparator: str, lhs: ObsValue, rhs: ObsValue) -> tuple[bool,
     return False, f"unknown comparator {comparator}"
 
 
+def _slack(tolerance: Mapping[str, Any], expected: int) -> int:
+    """How far a soft measurement may miss ``expected``."""
+    if tolerance["kind"] == "absolute":
+        return tolerance["value"]
+    return abs(expected) * tolerance["value"] // 10000
+
+
 def _soft_compare(
-    comparator: str, measured: ObsValue, expected: ObsValue, tolerance: Tolerance
+    comparator: str, measured: ObsValue, expected: ObsValue, tolerance: Mapping[str, Any]
 ) -> tuple[bool, str]:
     if isinstance(measured, bool) or isinstance(expected, bool) or not (
         isinstance(measured, int) and isinstance(expected, int)
     ):
         return False, "soft constraints need integer operands"
-    slack = tolerance.slack_for(expected)
+    slack = _slack(tolerance, expected)
     if comparator in ("within_tolerance", "eq"):
         return abs(measured - expected) <= slack, ""
     if comparator == "ge":
@@ -431,30 +330,25 @@ def _soft_compare(
 
 
 def _evaluate_one(
-    constraint: Constraint,
-    variables: Mapping[str, OracleVariable],
+    kind: str,
+    constraint: Mapping[str, Any],
+    variables: Mapping[str, Mapping[str, Any]],
     observations: Mapping[str, ObsValue],
 ) -> ConstraintResult:
-    measured, why_lhs = _resolve(constraint.check.lhs, variables, observations)
-    expected, why_rhs = _resolve(constraint.check.rhs, variables, observations)
+    check = constraint["check"]
+    measured, why_lhs = _resolve(check["lhs"], variables, observations)
+    expected, why_rhs = _resolve(check["rhs"], variables, observations)
     if measured is None or expected is None:
-        return ConstraintResult(
-            constraint_id=constraint.constraint_id,
-            kind=constraint.kind,
-            satisfied=False,
-            measured=measured,
-            expected=expected,
-            reason=why_lhs or why_rhs,
-        )
-    if constraint.kind == "soft":
+        ok, reason = False, why_lhs or why_rhs
+    elif kind == "soft":
         ok, reason = _soft_compare(
-            constraint.check.comparator, measured, expected, constraint.tolerance
+            check["comparator"], measured, expected, constraint["tolerance"]
         )
     else:
-        ok, reason = _exact_compare(constraint.check.comparator, measured, expected)
+        ok, reason = _exact_compare(check["comparator"], measured, expected)
     return ConstraintResult(
-        constraint_id=constraint.constraint_id,
-        kind=constraint.kind,
+        constraint_id=constraint["id"],
+        kind=kind,
         satisfied=ok,
         measured=measured,
         expected=expected,
@@ -463,23 +357,24 @@ def _evaluate_one(
 
 
 def evaluate_constraints(
-    definition: OracleDefinition,
+    definition: Mapping[str, Any],
     observations: Mapping[str, ObsValue],
 ) -> VerdictReport:
     """Evaluate every pre-check and constraint; Pass means all satisfied.
     ``definition`` is as ``normalize_definition`` returns it, so every soft
-    constraint carries its tolerance.
+    constraint carries its tolerance, and as ``bind_variables`` binds it.
 
     A missing observation never crashes evaluation; the affected constraint
     is reported unsatisfied with an insufficient-observation reason.
     """
-    variables = definition.variable_map()
-    pre = tuple(_evaluate_one(c, variables, observations) for c in definition.pre_checks)
-    main = tuple(
-        _evaluate_one(c, variables, observations)
-        for c in definition.hard + definition.soft
-    )
-    overall = all(r.satisfied for r in pre) and all(r.satisfied for r in main)
+    variables = {var["name"]: var for var in definition["variables"]}
+    pre: list[ConstraintResult] = []
+    main: list[ConstraintResult] = []
+    for kind, constraint in _constraints(definition):
+        result = _evaluate_one(kind, constraint, variables, observations)
+        (pre if kind == "pre_check" else main).append(result)
     return VerdictReport(
-        pre_check_results=pre, constraint_results=main, overall_pass=overall
+        pre_check_results=tuple(pre),
+        constraint_results=tuple(main),
+        overall_pass=all(r.satisfied for r in pre + main),
     )

@@ -23,9 +23,10 @@ written beside the engine's; a PoC is validated only when both pass.  Any
 error ends the session failed, with a terminal summary.
 
 A role turn (``_turn``) hands back what ``agents.run_role`` returns: the
-role's document as its contract in ``agents.roles`` accepted it, or the
-oracle generator's normalized definition.  The orchestrator reads the
-fields the contract's schema guarantees and writes the document as it
+role's document as its contract in ``agents.roles`` accepted it.  The
+oracle definition is that document too, with its default tolerances
+filled in, and its variables are bound in a copy.  The orchestrator reads
+the fields the contract's schema guarantees and writes each document as it
 came, without a second check; only the documents it builds itself
 (collection summaries, engine verdicts, the session summary) are checked
 as they are written.
@@ -225,7 +226,7 @@ def render_root_cause_report(draft: dict[str, Any], seed: SeedRef) -> str:
 
 
 def render_poc_report(
-    definition: oracles.OracleDefinition,
+    definition: dict[str, Any],
     verdict: oracles.VerdictReport,
     iterations: int,
     rejects: int,
@@ -233,8 +234,8 @@ def render_poc_report(
     lines = [
         "# Reproduction report",
         "",
-        f"- Chain: {definition.chainid}",
-        f"- Fork block: {definition.fork_block}",
+        f"- Chain: {definition['chainid']}",
+        f"- Fork block: {definition['fork_block']}",
         f"- Project: `{workspace.FORGE_PROJECT_DIR}/`",
         f"- Run command: `{harness.RUN_COMMAND_TEMPLATE}`",
         f"- Reproducer iterations: {iterations} ({rejects} rejected)",
@@ -246,7 +247,7 @@ def render_poc_report(
     for result in verdict.pre_check_results + verdict.constraint_results:
         status = "satisfied" if result.satisfied else "UNSATISFIED"
         lines.append(f"- `{result.constraint_id}` ({result.kind}): {status}")
-    lines += ["", "## Success criteria", "", definition.success_criteria]
+    lines += ["", "## Success criteria", "", definition["success_criteria"]]
     return "\n".join(lines) + "\n"
 
 
@@ -304,7 +305,9 @@ class Orchestrator:
         finally:
             outcome.latencies[stage] = self.clock() - started
 
-    def _turn(self, outcome: SessionOutcome, stage: str, role: str, message: str) -> Any:
+    def _turn(
+        self, outcome: SessionOutcome, stage: str, role: str, message: str
+    ) -> dict[str, Any]:
         """Run one role within the stage's turn budget; returns what its
         contract accepted.
 
@@ -447,12 +450,10 @@ class Orchestrator:
 
     def run_poc_stage(self, outcome: SessionOutcome, draft: dict[str, Any]) -> None:
         with self._stage(STAGE_POC, outcome):
-            definition: oracles.OracleDefinition = self._turn(
+            definition = self._turn(
                 outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
             )
-            workspace.write_artifact(
-                outcome.session, workspace.ORACLE_DEFINITION, definition.to_doc()
-            )
+            workspace.write_artifact(outcome.session, workspace.ORACLE_DEFINITION, definition)
             roles = draft["roles"]
             # The reject code a source hit on each attacker-side address earns.
             taint = {
@@ -465,7 +466,7 @@ class Orchestrator:
             }
             bound = oracles.bind_variables(definition, frozenset(Address(a) for a in taint))
             expected = oracles.observation_names(bound)
-            request = json.dumps(definition.to_doc(), indent=2)
+            request = json.dumps(definition, indent=2)
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
                 verdict, codes = self._reproduce_once(
@@ -495,8 +496,8 @@ class Orchestrator:
         self,
         outcome: SessionOutcome,
         message: str,
-        definition: oracles.OracleDefinition,
-        bound: oracles.OracleDefinition,
+        definition: dict[str, Any],
+        bound: dict[str, Any],
         expected: list[str],
         taint: dict[str, str],
     ) -> tuple[Optional[oracles.VerdictReport], list[str]]:

@@ -23,12 +23,17 @@ taken as written.  Any other path (absolute, with ``..``, or through a link)
 is resolved in full and refused if it leaves the root.
 
 Every schema lives in ``SCHEMAS``, and each document is checked against its
-schema once.  A model-written document (analysis, challenge, root cause,
-oracle definition, reproducer project, validator verdict) is checked when
-its role returns, by ``agents.roles.validate_role_output``, and written
-as accepted.  A document the program builds itself (raw input, sources,
-collection summaries, engine verdicts, evaluation results, the session
-summary) is checked as it is written, by ``write_artifact(schema_id=...)``.
+schema once in a session.  A model-written document (analysis, challenge,
+root cause, oracle definition, reproducer project, validator verdict) is
+checked when its role returns, by ``agents.roles.validate_role_output``,
+and written as accepted.  The pipeline reads a role's document as that
+checked document, with no class mirroring its fields; the oracle
+definition is the generator's document with its default tolerances filled
+in.  A document the program builds itself (raw input, sources, collection
+summaries, engine verdicts, evaluation results, the session summary) is
+checked as it is written, by ``write_artifact(schema_id=...)``.  A command
+that reads a finished session's engine verdict or summary back checks it
+again, since the file may have changed on disk.
 """
 
 from __future__ import annotations
@@ -470,7 +475,7 @@ SCHEMAS: dict[str, Any] = {
                         }
                     }
                 },
-                "latencies": "object",
+                "latencies": {"map_of": "number"},
                 "fetched_items": "int",
                 "poc": {
                     "object": {

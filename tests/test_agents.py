@@ -148,6 +148,13 @@ class TestScriptedBackend:
         with pytest.raises(BackendError):
             ScriptedBackend.from_dir(tmp_path)
 
+    def test_from_dir_rejects_a_repeated_index(self, tmp_path):
+        (tmp_path / "analyst_0.json").write_text('{"n": 1}')
+        (tmp_path / "analyst_1.json").write_text('{"n": 2}')
+        (tmp_path / "analyst_01.json").write_text('{"n": 3}')
+        with pytest.raises(BackendError, match="repeated"):
+            ScriptedBackend.from_dir(tmp_path)
+
 
 class TestJsonExtraction:
     def test_fenced_block(self):

@@ -1286,6 +1286,29 @@ class TestLiveAdapterCalls:
         assert sorted(params[0] for params in calls) == txs
         assert all(not isinstance(p, Exception) for p in payloads)
 
+    def test_the_seed_batch_asks_for_each_receipt_once(self, tmp_path):
+        replies = {
+            "eth_getTransactionByHash": {"blockNumber": "0x10", "from": ADDR, "to": ADDR},
+            "eth_getTransactionReceipt": {"gasUsed": "0x5", "status": "0x1", "logs": []},
+            "callTracer": {"type": "CALL", "from": ADDR, "to": ADDR},
+            "prestateTracer": _PRESTATE,
+        }
+        methods = []
+
+        def rpc_post(url, body, timeout):
+            method, params = body["method"], body["params"]
+            methods.append(method)
+            return {"result": replies[params[1]["tracer"] if len(params) > 1 else method]}
+
+        txs = ["0x" + f"{i:02x}" * 32 for i in range(1, 4)]
+        session = workspace.create_session(tmp_path, SeedRef.from_strings(1, txs))
+        adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
+        summary, _ = fetch_seed_artifacts(session, SessionMemo(adapter))
+        assert summary.failed == []
+        assert len(summary.fetched) == len(txs) * 5
+        assert methods.count("eth_getTransactionReceipt") == len(txs)
+        assert methods.count("debug_traceTransaction") == 2 * len(txs)
+
     def test_a_failed_prestate_call_is_not_kept(self):
         replies = iter([{"error": {"code": -32000, "message": "busy"}}, {"result": _PRESTATE}])
         adapter, calls = self._prestate_adapter(lambda: next(replies))

@@ -11,19 +11,16 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from txpostmortem import workspace
+from txpostmortem.agents import ROLE_ORACLE_GENERATOR, validate_role_output
 from txpostmortem.domain import Address
 from txpostmortem.oracles import (
     DEFAULT_TOLERANCE_BPS,
-    Comparison,
-    Constraint,
     InvalidDefinition,
-    OracleDefinition,
-    OracleVariable,
     TaintedBinding,
-    Tolerance,
     UnboundRole,
     VerdictReport,
     bind_variables,
@@ -41,36 +38,46 @@ GAIN = 206_730 * 10**18
 LOSS = -229_700 * 10**18
 
 
-def reference_definition() -> OracleDefinition:
-    return OracleDefinition(
+def constraint(cid: str, lhs: str, comparator: str, rhs: str, **extra) -> dict:
+    return {"id": cid, "check": {"lhs": lhs, "comparator": comparator, "rhs": rhs}, **extra}
+
+
+def relative(bps: int) -> dict:
+    return {"kind": "relative_bps", "value": bps}
+
+
+def make_definition(**fields) -> dict:
+    """A definition with no variables or constraints, then ``fields``."""
+    return {
+        "chainid": 1,
+        "fork_block": 10,
+        "variables": [],
+        "pre_check": [],
+        "hard": [],
+        "soft": [],
+        "success_criteria": "x",
+        **fields,
+    }
+
+
+def reference_definition() -> dict:
+    return make_definition(
         chainid=8453,
         fork_block=40_230_817,
-        variables=(
-            OracleVariable("staking_pool", "victim_contract", VICTIM),
-            OracleVariable("attacker", "attacker_role", None),
-        ),
-        pre_checks=(
-            Constraint("P1", "pre_check", Comparison("fork_pinned", "eq", "true")),
-        ),
-        hard=(
-            Constraint("H1", "hard", Comparison("reward_inflated", "eq", "true")),
-            Constraint("H2", "hard", Comparison("attacker_token_delta", "gt", "0")),
-            Constraint("H3", "hard", Comparison("pool_token_delta", "lt", "0")),
-        ),
-        soft=(
-            Constraint(
-                "S1",
-                "soft",
-                Comparison("attacker_token_delta", "ge", str(GAIN)),
-                tolerance=Tolerance("relative_bps", 1000),
-            ),
-            Constraint(
-                "S2",
-                "soft",
-                Comparison("pool_token_delta", "le", str(LOSS)),
-                tolerance=Tolerance("relative_bps", 1000),
-            ),
-        ),
+        variables=[
+            {"name": "staking_pool", "kind": "victim_contract", "address": VICTIM.value},
+            {"name": "attacker", "kind": "attacker_role", "address": None},
+        ],
+        pre_check=[constraint("P1", "fork_pinned", "eq", "true")],
+        hard=[
+            constraint("H1", "reward_inflated", "eq", "true"),
+            constraint("H2", "attacker_token_delta", "gt", "0"),
+            constraint("H3", "pool_token_delta", "lt", "0"),
+        ],
+        soft=[
+            constraint("S1", "attacker_token_delta", "ge", str(GAIN), tolerance=relative(1000)),
+            constraint("S2", "pool_token_delta", "le", str(LOSS), tolerance=relative(1000)),
+        ],
         success_criteria="rewards drained without matching staked principal",
     )
 
@@ -84,19 +91,26 @@ def passing_observations() -> dict:
     }
 
 
+def within(expected: int, measured: int, tolerance: dict) -> bool:
+    """Whether one ``within_tolerance`` soft constraint passes."""
+    soft = [constraint("S1", "x", "within_tolerance", str(expected), tolerance=tolerance)]
+    return evaluate_constraints(make_definition(soft=soft), {"x": measured}).overall_pass
+
+
 class TestTolerance:
     def test_absolute_slack_ignores_magnitude(self):
-        assert Tolerance("absolute", 500).slack_for(10**30) == 500
-        assert Tolerance("absolute", 500).slack_for(0) == 500
+        for expected in (10**30, 0):
+            assert within(expected, expected + 500, {"kind": "absolute", "value": 500})
+            assert not within(expected, expected + 501, {"kind": "absolute", "value": 500})
 
     @given(
         expected=st.integers(min_value=-(10**24), max_value=10**24),
         bps=st.integers(min_value=0, max_value=10_000),
     )
     def test_relative_slack_formula(self, expected: int, bps: int):
-        slack = Tolerance("relative_bps", bps).slack_for(expected)
-        assert slack == abs(expected) * bps // 10_000
-        assert slack >= 0
+        slack = abs(expected) * bps // 10_000
+        assert within(expected, expected - slack, relative(bps))
+        assert not within(expected, expected - slack - 1, relative(bps))
 
 
 class TestValidation:
@@ -104,116 +118,144 @@ class TestValidation:
         assert validate_definition(reference_definition()) == []
 
     def test_role_variables_must_not_carry_addresses(self):
-        definition = reference_definition()
-        bad = definition.variables[:1] + (
-            OracleVariable("attacker", "attacker_role", ATTACKER_EOA),
-        )
-        errors = validate_definition(
-            OracleDefinition(
-                **{**_as_kwargs(definition), "variables": bad}
-            )
-        )
+        doc = reference_definition()
+        doc["variables"][1]["address"] = ATTACKER_EOA.value
+        errors = validate_definition(doc)
         assert any("must not carry an address" in e for e in errors)
 
     def test_concrete_variables_need_addresses(self):
-        definition = reference_definition()
-        bad = (
-            OracleVariable("staking_pool", "victim_contract", None),
-        ) + definition.variables[1:]
-        errors = validate_definition(
-            OracleDefinition(**{**_as_kwargs(definition), "variables": bad})
-        )
+        doc = reference_definition()
+        doc["variables"][0]["address"] = None
+        errors = validate_definition(doc)
         assert any("requires an address" in e for e in errors)
 
+    def test_a_malformed_variable_address_is_an_error(self):
+        doc = reference_definition()
+        doc["variables"][0]["address"] = "0x1234"
+        errors = validate_definition(doc)
+        assert any(e.startswith("variable staking_pool:") for e in errors)
+
     def test_within_tolerance_is_soft_only(self):
-        definition = reference_definition()
-        bad = definition.hard + (
-            Constraint("H9", "hard", Comparison("x", "within_tolerance", "5")),
-        )
-        errors = validate_definition(
-            OracleDefinition(**{**_as_kwargs(definition), "hard": bad})
-        )
+        doc = reference_definition()
+        doc["hard"].append(constraint("H9", "x", "within_tolerance", "5"))
+        errors = validate_definition(doc)
         assert any("within_tolerance is soft-only" in e for e in errors)
 
     def test_hard_constraints_are_exact(self):
-        definition = reference_definition()
-        bad = definition.hard[:2] + (
-            Constraint(
-                "H3",
-                "hard",
-                Comparison("pool_token_delta", "lt", "0"),
-                tolerance=Tolerance("absolute", 1),
-            ),
-        )
-        errors = validate_definition(
-            OracleDefinition(**{**_as_kwargs(definition), "hard": bad})
-        )
+        doc = reference_definition()
+        doc["hard"][2]["tolerance"] = {"kind": "absolute", "value": 1}
+        errors = validate_definition(doc)
         assert any("constraints are exact" in e for e in errors)
 
     def test_duplicate_constraint_ids_rejected(self):
-        definition = reference_definition()
-        bad = definition.hard + (
-            Constraint("H1", "hard", Comparison("y", "eq", "1")),
-        )
-        errors = validate_definition(
-            OracleDefinition(**{**_as_kwargs(definition), "hard": bad})
-        )
+        doc = reference_definition()
+        doc["hard"].append(constraint("H1", "y", "eq", "1"))
+        errors = validate_definition(doc)
         assert any("duplicate id" in e for e in errors)
 
     def test_unknown_comparator_and_bad_token(self):
-        definition = reference_definition()
-        bad = (
-            Constraint("HX", "hard", Comparison("a b", "almost", "1")),
-        )
-        errors = validate_definition(
-            OracleDefinition(**{**_as_kwargs(definition), "hard": bad})
-        )
+        doc = reference_definition()
+        doc["hard"] = [constraint("HX", "a b", "almost", "1")]
+        errors = validate_definition(doc)
         assert any("unknown comparator" in e for e in errors)
         assert any("not a literal" in e for e in errors)
 
     def test_normalize_fills_default_soft_tolerance(self):
-        definition = reference_definition()
-        stripped = OracleDefinition(
-            **{
-                **_as_kwargs(definition),
-                "soft": tuple(
-                    Constraint(c.constraint_id, "soft", c.check) for c in definition.soft
-                ),
-            }
-        )
-        normalized = normalize_definition(stripped)
-        for constraint in normalized.soft:
-            assert constraint.tolerance is not None
-            assert constraint.tolerance.kind == "relative_bps"
-            assert constraint.tolerance.value == DEFAULT_TOLERANCE_BPS
+        doc = reference_definition()
+        for soft in doc["soft"]:
+            del soft["tolerance"]
+        normalized = normalize_definition(doc)
+        for soft in normalized["soft"]:
+            assert soft["tolerance"]["kind"] == "relative_bps"
+            assert soft["tolerance"]["value"] == DEFAULT_TOLERANCE_BPS
+        assert all("tolerance" not in soft for soft in doc["soft"])
 
     def test_normalize_raises_on_invalid(self):
-        definition = reference_definition()
-        bad = OracleDefinition(**{**_as_kwargs(definition), "fork_block": 0})
         with pytest.raises(InvalidDefinition):
-            normalize_definition(bad)
+            normalize_definition(dict(reference_definition(), fork_block=0))
 
-    def test_doc_roundtrip(self):
-        definition = normalize_definition(reference_definition())
-        assert OracleDefinition.from_doc(definition.to_doc()) == definition
-
-    def test_doc_uses_pre_check_key(self):
-        doc = reference_definition().to_doc()
-        assert "pre_check" in doc
-        assert "pre_checks" not in doc
+    def test_normalize_is_idempotent(self):
+        doc = reference_definition()
+        del doc["soft"][0]["tolerance"]
+        normalized = normalize_definition(doc)
+        assert normalize_definition(normalized) == normalized
 
 
-def _as_kwargs(definition: OracleDefinition) -> dict:
-    return {
-        "chainid": definition.chainid,
-        "fork_block": definition.fork_block,
-        "variables": definition.variables,
-        "pre_checks": definition.pre_checks,
-        "hard": definition.hard,
-        "soft": definition.soft,
-        "success_criteria": definition.success_criteria,
-        "setup": definition.setup,
-    }
+def _sometimes(common, rare) -> st.SearchStrategy:
+    """``common`` seven draws in eight, ``rare`` otherwise."""
+    return st.integers(0, 7).flatmap(lambda k: rare if k == 0 else common)
+
+
+#: Each field is mostly valid, so that some documents pass and the others
+#: break one rule or a few.
+_ADDRESSES = _sometimes(
+    st.sampled_from([VICTIM.value, VICTIM.value.upper().replace("0X", "0x")]),
+    st.sampled_from(["0x1234", "", "0x" + "zz" * 20]),
+)
+_TOKENS = _sometimes(
+    st.sampled_from(["x", "y", "v0", "v1", "1000", "-5", "true", VICTIM.value]),
+    st.sampled_from(["a b", "0x12", "", "X-1", "0x" + "AB" * 20]),
+)
+_COMPARATORS = st.sampled_from(["eq", "gt", "lt", "ge", "le", "within_tolerance"])
+_TOLERANCES = _sometimes(
+    st.none(),
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["relative_bps", "absolute"]), "value": st.integers(-5, 10**4)}
+    ),
+)
+
+
+@st.composite
+def _constraints(draw, prefix: str) -> list[dict]:
+    docs = []
+    for k in range(draw(st.integers(0, 2))):
+        cid = draw(_sometimes(st.just(f"{prefix}{k}"), st.just("C0")))
+        tolerance = draw(_TOLERANCES)
+        extra = {} if tolerance is None else {"tolerance": tolerance}
+        docs.append(constraint(cid, draw(_TOKENS), draw(_COMPARATORS), draw(_TOKENS), **extra))
+    return docs
+
+
+@st.composite
+def _variables(draw) -> list[dict]:
+    docs = []
+    for k in range(draw(st.integers(0, 2))):
+        name = draw(_sometimes(st.just(f"v{k}"), st.sampled_from(["v0", "x", "true"])))
+        kind = draw(st.sampled_from(["victim_contract", "asset", "attacker_role", "helper_role"]))
+        if kind.endswith("_role"):
+            address = draw(_sometimes(st.none(), _ADDRESSES))
+        else:
+            address = draw(_sometimes(_ADDRESSES, st.none()))
+        docs.append({"name": name, "kind": kind, "address": address})
+    return docs
+
+
+_GENERATOR_DOCUMENTS = st.builds(
+    make_definition,
+    chainid=_sometimes(st.sampled_from([1, 8453]), st.just(7)),
+    fork_block=_sometimes(st.integers(1, 10**8), st.integers(-1, 0)),
+    variables=_variables(),
+    pre_check=_constraints("P"),
+    hard=_constraints("H"),
+    soft=_constraints("S"),
+)
+
+
+@settings(max_examples=500)
+@given(doc=_GENERATOR_DOCUMENTS)
+def test_the_generator_contract_returns_the_document_or_errors(doc):
+    """Whatever a schema-valid generator document holds (bad or mixed-case
+    addresses, unknown tokens, repeated ids, hard constraints with a
+    tolerance), its contract answers with the normalized document or with
+    errors, and never raises."""
+    assert workspace.check_document(doc, workspace.SCHEMAS["oracle_definition"]) == []
+    output, errors = validate_role_output(ROLE_ORACLE_GENERATOR, doc)
+    if errors:
+        assert output is None
+    else:
+        assert {**output, "soft": doc["soft"]} == doc
+        assert all("tolerance" in soft for soft in output["soft"])
+        evaluate_constraints(bind_variables(output), {})
 
 
 class TestObservationNames:
@@ -233,10 +275,12 @@ class TestBinding:
         assert fresh_role_address("attacker").value == "0x" + digest[:20].hex()
 
     def test_unbound_roles_get_fresh_addresses(self):
-        bound = bind_variables(reference_definition())
-        by_name = bound.variable_map()
-        assert by_name["attacker"].address == fresh_role_address("attacker")
-        assert by_name["staking_pool"].address == VICTIM
+        doc = reference_definition()
+        bound = bind_variables(doc)
+        by_name = {var["name"]: var["address"] for var in bound["variables"]}
+        assert by_name["attacker"] == fresh_role_address("attacker").value
+        assert by_name["staking_pool"] == VICTIM.value
+        assert doc == reference_definition()
 
     def test_fresh_address_landing_in_deny_set_is_refused(self):
         fresh = fresh_role_address("attacker")
@@ -244,14 +288,8 @@ class TestBinding:
             bind_variables(reference_definition(), deny=frozenset({fresh}))
 
     def test_concrete_variable_without_address_is_an_error(self):
-        definition = reference_definition()
-        broken = OracleDefinition(
-            **{
-                **_as_kwargs(definition),
-                "variables": (
-                    OracleVariable("staking_pool", "victim_contract", None),
-                ),
-            }
+        broken = make_definition(
+            variables=[{"name": "staking_pool", "kind": "victim_contract", "address": None}]
         )
         with pytest.raises(UnboundRole):
             bind_variables(broken)
@@ -313,25 +351,8 @@ class TestEngine:
         assert not evaluate_constraints(reference_definition(), observations).overall_pass
 
     def test_a_measurement_exactly_the_slack_away_is_satisfied(self):
-        definition = OracleDefinition(
-            chainid=1,
-            fork_block=10,
-            variables=(),
-            pre_checks=(),
-            hard=(),
-            soft=(
-                Constraint(
-                    "S1",
-                    "soft",
-                    Comparison("x", "within_tolerance", "1000"),
-                    tolerance=Tolerance("absolute", 500),
-                ),
-            ),
-            success_criteria="x",
-        )
         for measured, satisfied in ((500, True), (1500, True), (499, False), (1501, False)):
-            report = evaluate_constraints(definition, {"x": measured})
-            assert report.overall_pass is satisfied, measured
+            assert within(1000, measured, {"kind": "absolute", "value": 500}) is satisfied
 
     @pytest.mark.parametrize("kind", ["hard", "soft"])
     @pytest.mark.parametrize(
@@ -342,50 +363,28 @@ class TestEngine:
     ):
         # The bound is 1000, less (ge, gt) or plus (le, lt) a soft slack of 500.
         slack = 500 if kind == "soft" else 0
-        constraint = Constraint(
-            "C1",
-            kind,
-            Comparison("x", comparator, "1000"),
-            tolerance=Tolerance("absolute", slack) if slack else None,
-        )
-        definition = OracleDefinition(
-            chainid=1,
-            fork_block=10,
-            variables=(),
-            pre_checks=(),
-            hard=(constraint,) if kind == "hard" else (),
-            soft=(constraint,) if kind == "soft" else (),
-            success_criteria="x",
-        )
+        extra = {"tolerance": {"kind": "absolute", "value": slack}} if slack else {}
+        doc = make_definition(**{kind: [constraint("C1", "x", comparator, "1000", **extra)]})
         measured = 1000 - slack if comparator in ("ge", "gt") else 1000 + slack
-        assert evaluate_constraints(definition, {"x": measured}).overall_pass is inclusive
+        assert evaluate_constraints(doc, {"x": measured}).overall_pass is inclusive
 
     def test_boolean_operands_fail_ordered_comparators(self):
-        definition = OracleDefinition(
-            chainid=1,
-            fork_block=10,
-            variables=(),
-            pre_checks=(),
-            hard=(Constraint("H1", "hard", Comparison("flagged", "gt", "0")),),
-            soft=(),
-            success_criteria="x",
-        )
-        report = evaluate_constraints(definition, {"flagged": True})
+        doc = make_definition(hard=[constraint("H1", "flagged", "gt", "0")])
+        report = evaluate_constraints(doc, {"flagged": True})
         assert report.overall_pass is False
         assert "integer operands" in report.constraint_results[0].reason
 
     def test_address_comparison_is_case_insensitive(self):
-        definition = OracleDefinition(
-            chainid=1,
-            fork_block=10,
-            variables=(OracleVariable("pool", "victim_contract", VICTIM),),
-            pre_checks=(),
-            hard=(Constraint("H1", "hard", Comparison("winner", "eq", "pool")),),
-            soft=(),
-            success_criteria="x",
+        mixed = VICTIM.value.upper().replace("0X", "0x")
+        doc = make_definition(
+            variables=[{"name": "pool", "kind": "victim_contract", "address": mixed}],
+            hard=[
+                constraint("H1", "winner", "eq", "pool"),
+                constraint("H2", "pool", "eq", VICTIM.value),
+            ],
         )
-        report = evaluate_constraints(definition, {"winner": VICTIM.value.upper().replace("0X", "0x")})
-        assert report.overall_pass is True
+        for winner in (mixed, VICTIM.value):
+            assert evaluate_constraints(doc, {"winner": winner}).overall_pass is True
 
     @given(
         expected=st.integers(min_value=1, max_value=10**24),
@@ -396,27 +395,8 @@ class TestEngine:
     def test_widening_tolerance_never_flips_pass_to_reject(
         self, expected: int, measured: int, narrow: int, widen_by: int
     ):
-        def verdict(bps: int) -> bool:
-            definition = OracleDefinition(
-                chainid=1,
-                fork_block=10,
-                variables=(),
-                pre_checks=(),
-                hard=(),
-                soft=(
-                    Constraint(
-                        "S1",
-                        "soft",
-                        Comparison("x", "within_tolerance", str(expected)),
-                        tolerance=Tolerance("relative_bps", bps),
-                    ),
-                ),
-                success_criteria="x",
-            )
-            return evaluate_constraints(definition, {"x": measured}).overall_pass
-
-        if verdict(narrow):
-            assert verdict(narrow + widen_by)
+        if within(expected, measured, relative(narrow)):
+            assert within(expected, measured, relative(narrow + widen_by))
 
     def test_tolerance_monotonicity_bulk(self):
         # Deterministic sweep: once a soft check passes at some width it
@@ -429,23 +409,9 @@ class TestEngine:
             widths = sorted(rng.randint(0, 10_000) for _ in range(4))
             results = []
             for bps in widths:
-                constraint = Constraint(
-                    "S1",
-                    "soft",
-                    Comparison("x", comparator, str(expected)),
-                    tolerance=Tolerance("relative_bps", bps),
-                )
-                definition = OracleDefinition(
-                    chainid=1,
-                    fork_block=10,
-                    variables=(),
-                    pre_checks=(),
-                    hard=(),
-                    soft=(constraint,),
-                    success_criteria="x",
-                )
+                soft = constraint("S1", "x", comparator, str(expected), tolerance=relative(bps))
                 results.append(
-                    evaluate_constraints(definition, {"x": measured}).overall_pass
+                    evaluate_constraints(make_definition(soft=[soft]), {"x": measured}).overall_pass
                 )
             # Non-decreasing sequence of verdicts.
             for earlier, later in zip(results, results[1:]):

@@ -313,6 +313,45 @@ def test_truncated_session_file_fails_closed(argv, truncated, prxvt_run, tmp_pat
     assert truncated in err
 
 
+_VERDICT = f"{workspace.REPRODUCER_DIR}/iter_0/{workspace.ENGINE_VERDICT}"
+
+
+@pytest.mark.parametrize(
+    "argv, rel, edit",
+    [
+        (
+            ["metrics", "--sessions", "{tmp}/s"],
+            workspace.SESSION_SUMMARY,
+            lambda doc: {
+                **doc,
+                "usage": {**doc["usage"], "cached_input_tokens": doc["usage"]["input_tokens"] + 1},
+            },
+        ),
+        (
+            ["metrics", "--sessions", "{tmp}/s"],
+            workspace.SESSION_SUMMARY,
+            lambda doc: {**doc, "latencies": {**doc["latencies"], "session": "slow"}},
+        ),
+        (["evaluate", "--session", "{session}"], _VERDICT, lambda doc: []),
+        (["evaluate", "--session", "{session}"], _VERDICT, lambda doc: {"rubric": []}),
+    ],
+    ids=["cached-over-input", "latency-not-a-number", "verdict-not-an-object",
+         "verdict-rubric-not-an-object"],
+)
+def test_a_malformed_session_document_fails_closed(argv, rel, edit, prxvt_run, tmp_path, capsys):
+    """A session document that decodes but that the command cannot read
+    ends it with exit 1 and one ``error:`` line naming the file."""
+    root = tmp_path / "s" / prxvt_run.session_root.name
+    shutil.copytree(prxvt_run.session_root, root)
+    path = root / rel
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))),
+                    encoding="utf-8")
+    assert cli.main([arg.format(tmp=tmp_path, session=root) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert Path(rel).name in err
+
+
 @pytest.mark.parametrize("verdict", [None, '{"overall_status": "Pa', "[]"],
                          ids=["missing", "truncated", "not-an-object"])
 def test_an_unreadable_verdict_is_not_exported(verdict, prxvt_run, tmp_path, capsys):

@@ -191,6 +191,21 @@ class TestModelInput:
         for conversation, message in documents:
             assert message not in backend.prompts[conversation]
 
+    @pytest.mark.parametrize("case", sorted(scenarios.CASE_BUILDERS))
+    def test_role_variables_stay_unbound_in_the_definition(self, tmp_path, case):
+        """Binding works on a copy: the written definition and the
+        reproducer's message both carry each role variable's null address."""
+        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        backend = _RecordingBackend(bundle.backend())
+        orch = Orchestrator(backend=backend, adapter=bundle.adapter(), runner=bundle.runner())
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "done"
+        written = _read(outcome.session.root, workspace.ORACLE_DEFINITION)
+        sent = json.loads(backend.sent(ROLE_REPRODUCER)[0])
+        assert sent == written
+        roles = [v for v in written["variables"] if v["kind"] in oracles.ROLE_KINDS]
+        assert roles and all(v["address"] is None for v in roles)
+
 
 def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
     bundle = scenarios.build_prxvt_case(tmp_path / "case")
@@ -258,13 +273,26 @@ class TestWrongStageRejection:
 
 class TestSimulatedRunner:
     def test_plays_run_transcripts_in_launch_order(self, tmp_path):
-        for name, text in (("run_10", "ten"), ("run_2", "two"), ("0xabc", "x")):
-            (tmp_path / f"{name}.txt").write_text(text, encoding="utf-8")
+        # run_10 sorts before run_2 as text, so the order must be numeric.
+        for n in range(11):
+            (tmp_path / f"run_{n}.txt").write_text(str(n), encoding="utf-8")
+        (tmp_path / "0xabc.txt").write_text("x", encoding="utf-8")
         (tmp_path / "notes.md").write_text("stray", encoding="utf-8")
         runner = SimulatedRunner.from_dir(tmp_path)
-        assert [runner.run(None), runner.run(None)] == ["two", "ten"]
+        assert [runner.run(None) for _ in range(11)] == [str(n) for n in range(11)]
         with pytest.raises(HarnessError):
             runner.run(None)
+
+    @pytest.mark.parametrize(
+        "names",
+        [("run_0", "run_2"), ("run_1",), ("run_0", "run_1", "run_01")],
+        ids=["gap", "no-run-0", "repeated"],
+    )
+    def test_a_gap_or_a_repeated_index_is_refused(self, tmp_path, names):
+        for name in names:
+            (tmp_path / f"{name}.txt").write_text(name, encoding="utf-8")
+        with pytest.raises(HarnessError, match="gaps|repeated"):
+            SimulatedRunner.from_dir(tmp_path)
 
 
 def _process_state(pid: int) -> tuple[str, str] | None:
@@ -288,7 +316,7 @@ class TestSubprocessRunner:
                          encoding="utf-8")
         forge.chmod(0o755)
         monkeypatch.setattr(harness, "RUN_TIMEOUT_S", 1)
-        project = harness.PoCProject(root=tmp_path, files=(), fork_pinned=True)
+        project = harness.PoCProject(root=tmp_path, fork_pinned=True)
         try:
             started = time.monotonic()
             with pytest.raises(HarnessError, match="timed out"):
@@ -545,10 +573,10 @@ class TestFreshProject:
 
     def test_build_directories_outlive_the_attempt(self, tmp_path):
         entries = load_script_entries(PRXVT_CASE)
-        definition = oracles.OracleDefinition.from_doc(entries["oracle_generator"][0])
+        definition = entries["oracle_generator"][0]
         files = self._files()
         session = workspace.create_session(
-            tmp_path, SeedRef.from_strings(definition.chainid, [scenarios.PRXVT_SEED])
+            tmp_path, SeedRef.from_strings(definition["chainid"], [scenarios.PRXVT_SEED])
         )
         stale = dict(files, **{"src/Old.sol": "//\n"})
         first = harness.scaffold_project(session, stale, definition)
@@ -562,8 +590,8 @@ class TestFreshProject:
             for p in second.root.rglob("*")
             if p.is_file()
         ]
-        assert sorted(on_disk) == sorted([*second.files, *built])
-        assert "src/Old.sol" not in second.files
+        staged = {*files, harness.CONFIG_FILE, harness.README_FILE}
+        assert sorted(on_disk) == sorted([*staged, *built])
 
     @pytest.mark.parametrize("build_dir", harness.BUILD_DIRS)
     def test_sources_in_a_build_directory_are_refused(self, tmp_path, build_dir):
@@ -1095,15 +1123,15 @@ class TestForkPin:
     @pytest.mark.parametrize("offset", [-1, 1])
     def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, offset):
         entries = load_script_entries(PRXVT_CASE)
-        definition = oracles.OracleDefinition.from_doc(entries["oracle_generator"][0])
+        definition = entries["oracle_generator"][0]
         files = dict(entries["poc_reproducer"][0]["files"])
-        pin = f"FORK_BLOCK = {definition.fork_block};"
+        pin = f"FORK_BLOCK = {definition['fork_block']};"
         assert pin in files["test/Exploit.sol"]
         files["test/Exploit.sol"] = files["test/Exploit.sol"].replace(
-            pin, f"FORK_BLOCK = {definition.fork_block + offset};"
+            pin, f"FORK_BLOCK = {definition['fork_block'] + offset};"
         )
         session = workspace.create_session(
-            tmp_path, SeedRef.from_strings(definition.chainid, [scenarios.PRXVT_SEED])
+            tmp_path, SeedRef.from_strings(definition["chainid"], [scenarios.PRXVT_SEED])
         )
         with pytest.raises(harness.ScaffoldError, match="pins fork block"):
             harness.scaffold_project(session, files, definition)
