@@ -188,7 +188,7 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
         raise UsageError("session has no reproduction verdicts to judge")
     path = attempt / workspace.ENGINE_VERDICT
     verdict = workspace.read_json(path)
-    errors = workspace.check_document(verdict, workspace.SCHEMAS["poc_validation"])
+    errors = workspace.check_document(verdict, workspace.SCHEMAS["engine_verdict"])
     if errors:
         raise workspace.CorruptArtifact(f"{path}: not an engine verdict: {'; '.join(errors)}")
     return {

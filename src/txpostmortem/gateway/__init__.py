@@ -25,7 +25,6 @@ from .fixtures import FixtureStore, RecordingAdapter, ReplayAdapter, fixture_key
 from .live import LiveAdapter, disassemble
 from .types import (
     BalanceDelta,
-    CollectionSummary,
     DataRequest,
     TraceNode,
     TxRecord,
@@ -35,7 +34,6 @@ __all__ = [
     "BalanceDelta",
     "BootstrapError",
     "ChainAdapter",
-    "CollectionSummary",
     "DataRequest",
     "FETCH_WORKERS",
     "FixtureStore",

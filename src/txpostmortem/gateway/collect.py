@@ -42,7 +42,7 @@ from .. import workspace
 from ..domain import SUPPORTED_CHAINS, DomainError
 from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
 from .fixtures import fixture_key
-from .types import CollectionSummary, DataRequest, TraceNode, TxRecord
+from .types import DataRequest, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
 
@@ -263,12 +263,12 @@ def _called_contracts(traces: Sequence[dict[str, Any]]) -> list[str]:
 def _land(
     session: workspace.Session,
     fetches: SessionMemo,
-    summary: CollectionSummary,
+    summary: dict[str, Any],
     request: DataRequest,
     payload: dict[str, Any],
     relpath: str,
 ) -> bool:
-    """Record ``request`` in ``summary`` with the file that holds its
+    """List ``request`` as fetched in ``summary`` with the file that holds its
     payload: where the session first landed it, or else ``relpath``, written
     now.  Returns whether it wrote ``relpath``."""
     key = fixture_key(request)
@@ -276,13 +276,13 @@ def _land(
     if wrote:
         workspace.write_artifact(session, relpath, payload)
         fetches.landed[key] = relpath
-    summary.record_success(request, [fetches.landed[key]])
+    summary["fetched"].append({"request": request.to_doc(), "files": [fetches.landed[key]]})
     return wrote
 
 
 def fetch_seed_artifacts(
     session: workspace.Session, fetches: SessionMemo
-) -> tuple[CollectionSummary, str]:
+) -> tuple[dict[str, Any], str]:
     """Land the seed artifacts and a best-effort context around them, and
     return collection run zero's summary with a digest of that context.
 
@@ -296,7 +296,7 @@ def fetch_seed_artifacts(
     session's memo, which records where each payload lands.
     """
     seed = session.seed
-    summary = CollectionSummary()
+    summary: dict[str, Any] = {"fetched": [], "failed": []}
     diagnostics: list[str] = []
     requests = [
         DataRequest(kind=kind, chainid=seed.chainid, target=tx.value)
@@ -312,7 +312,7 @@ def fetch_seed_artifacts(
             request, payload = next(results)
             if isinstance(payload, GatewayError):
                 diagnostics.append(f"{kind} {tx.value}: {payload}")
-                summary.record_failure(request, str(payload))
+                summary["failed"].append({"request": request.to_doc(), "error": str(payload)})
                 continue
             relpath = f"{tx_dir}/{_SEED_FILENAMES[kind]}"
             _land(session, fetches, summary, request, payload, relpath)
@@ -330,7 +330,7 @@ def fetch_seed_artifacts(
     context += zip(contracts, fetch_many(fetches, contracts))
     for request, payload in context:
         if isinstance(payload, GatewayError):
-            summary.record_failure(request, str(payload))
+            summary["failed"].append({"request": request.to_doc(), "error": str(payload)})
             continue
         relpath = f"{workspace.SEED_CONTEXT_DIR}/{_context_name(request)}"
         _land(session, fetches, summary, request, payload, relpath)
@@ -420,7 +420,7 @@ def execute_data_requests(
     requests: list[DataRequest],
     fetches: SessionMemo,
     iter_dir: Path,
-) -> CollectionSummary:
+) -> dict[str, Any]:
     """Serve a batch of analyst data requests into one iteration directory.
 
     Each goes through ``fetches``, the session's memo; a payload the session
@@ -430,12 +430,12 @@ def execute_data_requests(
     file.  ``iter_dir`` need not exist: the first write creates it, once
     every fetch has returned.
     """
-    summary = CollectionSummary()
+    summary: dict[str, Any] = {"fetched": [], "failed": []}
     used_names: set[str] = set()
     for request, payload in zip(requests, fetch_many(fetches, requests)):
         if isinstance(payload, GatewayError):
             logger.info("request failed: %s %s: %s", request.kind, request.target, payload)
-            summary.record_failure(request, str(payload))
+            summary["failed"].append({"request": request.to_doc(), "error": str(payload)})
             continue
         stem = _safe_name(request).removesuffix(".json")
         name, n = f"{stem}.json", 1

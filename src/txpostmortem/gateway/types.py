@@ -2,7 +2,8 @@
 
 Adapters return raw JSON documents, which the record/replay layer and the
 workspace persist as they are; ``from_doc`` turns one into a dataclass, so
-analysis code never touches loose dicts.
+analysis code never touches loose dicts.  A collection summary has no type:
+each batch builds the ``{"fetched": [...], "failed": [...]}`` it writes.
 """
 
 from __future__ import annotations
@@ -174,20 +175,3 @@ class BalanceDelta:
             delta=doc["delta"],
             decimals=doc.get("decimals", 18),
         )
-
-
-@dataclass
-class CollectionSummary:
-    """Outcome of one batch of data requests: what landed where, what failed."""
-
-    fetched: list[dict[str, Any]] = field(default_factory=list)
-    failed: list[dict[str, Any]] = field(default_factory=list)
-
-    def record_success(self, request: DataRequest, files: list[str]) -> None:
-        self.fetched.append({"request": request.to_doc(), "files": list(files)})
-
-    def record_failure(self, request: DataRequest, error: str) -> None:
-        self.failed.append({"request": request.to_doc(), "error": error})
-
-    def to_doc(self) -> dict[str, Any]:
-        return {"fetched": self.fetched, "failed": self.failed}

@@ -3,7 +3,9 @@
 The harness turns a reproducer's file map into a Foundry project pinned to
 the oracle definition's fork block, runs it through an injectable runner
 (real ``forge`` subprocess or a simulated transcript player), and parses the
-output into structured results plus named runtime observations.
+output into the run result plus named runtime observations.  The run result
+is the ``run_result.json`` document the session writes, with no class
+mirroring its fields.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import shutil
 import signal
 import subprocess
 from dataclasses import dataclass
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any, Iterable, Mapping, Optional, Protocol
 
 from . import workspace
@@ -104,9 +106,12 @@ def scaffold_project(
     The project must contain exactly one exploit test at ``test/Exploit.sol``;
     a missing ``foundry.toml`` gets a default, and the README with the run
     command template is always (re)generated.  A fork block pinned in the
-    test must equal the oracle definition's fork block.  No file may lie
-    under ``BUILD_DIRS``, where the source scan, the evaluator and the
-    dataset export do not look.
+    test must equal the oracle definition's fork block.  Every name must be
+    a relative file path in canonical form (no ``.``, ``..`` or empty part,
+    no trailing ``/``), and none may lie under another staged name,
+    ``CONFIG_FILE`` and ``README_FILE`` included.  No file may lie under
+    ``BUILD_DIRS``, where the source scan, the evaluator and the dataset
+    export do not look.
 
     Each attempt gets a fresh project: whatever an earlier attempt left
     under ``forge_poc/`` is deleted first, except ``BUILD_DIRS``.
@@ -122,12 +127,18 @@ def scaffold_project(
         raise ScaffoldError(
             f"project must contain exactly one exploit test; extra: {sorted(extra_tests)}"
         )
-    for name in files:
-        parts = Path(name).parts
-        if Path(name).is_absolute() or ".." in parts:
-            raise ScaffoldError(f"unsafe project path: {name}")
-        if parts and parts[0] in BUILD_DIRS:
+    staged = dict(files)
+    staged.setdefault(CONFIG_FILE, DEFAULT_FOUNDRY_TOML)
+    staged[README_FILE] = project_readme(definition)
+    for name in staged:
+        path = PurePosixPath(name)
+        if name == "." or path.as_posix() != name or path.is_absolute() or ".." in path.parts:
+            raise ScaffoldError(f"project path not in canonical relative form: {name!r}")
+        if path.parts[0] in BUILD_DIRS:
             raise ScaffoldError(f"project file in a build directory: {name}")
+        for parent in path.parents[:-1]:
+            if parent.as_posix() in staged:
+                raise ScaffoldError(f"project file {name} lies under the file {parent}")
 
     pinned = detect_fork_block(files[TEST_FILE])
     if pinned is not None and pinned != definition["fork_block"]:
@@ -145,9 +156,6 @@ def scaffold_project(
                 shutil.rmtree(entry)
             else:
                 entry.unlink()
-    staged = dict(files)
-    staged.setdefault(CONFIG_FILE, DEFAULT_FOUNDRY_TOML)
-    staged[README_FILE] = project_readme(definition)
     for name, content in staged.items():
         workspace.write_text_artifact(
             session, f"{workspace.FORGE_PROJECT_DIR}/{name}", content
@@ -224,45 +232,14 @@ class SimulatedRunner:
         raise HarnessError("no transcript left for this run")
 
 
-@dataclass(frozen=True)
-class TestOutcome:
-    name: str
-    passed: bool
-    reverted: bool
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class RunResult:
-    compiled: bool
-    tests: tuple[TestOutcome, ...]
-    fork_pinned: bool
-    duration_seconds: Optional[float]
-
-    def to_doc(self) -> dict:
-        return {
-            "compiled": self.compiled,
-            "tests": [
-                {
-                    "name": t.name,
-                    "passed": t.passed,
-                    "reverted": t.reverted,
-                    "reason": t.reason,
-                }
-                for t in self.tests
-            ],
-            "fork_pinned": self.fork_pinned,
-            "duration_seconds": self.duration_seconds,
-        }
-
-
 _TEST_LINE = re.compile(r"\[(PASS|FAIL[^\]]*)\]\s+([A-Za-z_][A-Za-z0-9_]*)\s*\(")
 _DURATION = re.compile(r"finished in\s+([0-9.]+)\s*(ms|s)\b")
 _COMPILE_FAIL = re.compile(r"Compiler run failed|^Error\s*[:(]", re.MULTILINE)
 
 
-def parse_run_output(raw: str, fork_pinned: bool) -> RunResult:
-    """Parse forge-style output; never raises, garbage parses as not-compiled."""
+def parse_run_output(raw: str, fork_pinned: bool) -> dict[str, Any]:
+    """Parse forge-style output into the ``run_result.json`` document;
+    never raises, garbage parses as not-compiled."""
     compiled = False
     if not _COMPILE_FAIL.search(raw):
         compiled = bool(
@@ -273,29 +250,29 @@ def parse_run_output(raw: str, fork_pinned: bool) -> RunResult:
         passed = status == "PASS"
         reverted = (not passed) and "revert" in status.lower()
         reason = "" if passed else status[len("FAIL") :].strip(".:, ")
-        tests.append(TestOutcome(name=name, passed=passed, reverted=reverted, reason=reason))
+        tests.append({"name": name, "passed": passed, "reverted": reverted, "reason": reason})
     duration = None
     match = _DURATION.search(raw)
     if match:
         duration = float(match.group(1)) / (1000.0 if match.group(2) == "ms" else 1.0)
-    return RunResult(
-        compiled=compiled,
-        tests=tuple(tests),
-        fork_pinned=fork_pinned,
-        duration_seconds=duration,
-    )
-
-
-def correctness_checks(result: RunResult) -> dict[str, bool]:
-    """The three execution-level checks every reproduction must clear, as
-    the ``rubric.correctness`` mapping: the project compiles, every test
-    passes, and the test pins the fork block."""
     return {
-        "compiles": result.compiled,
-        "runs_clean": result.compiled
-        and bool(result.tests)
-        and all(t.passed for t in result.tests),
-        "pinned_fork": result.fork_pinned,
+        "compiled": compiled,
+        "tests": tests,
+        "fork_pinned": fork_pinned,
+        "duration_seconds": duration,
+    }
+
+
+def correctness_checks(result: Mapping[str, Any]) -> dict[str, bool]:
+    """The three execution-level checks a ``parse_run_output`` document must
+    clear, as the ``rubric.correctness`` mapping: the project compiles,
+    every test passes, and the test pins the fork block."""
+    return {
+        "compiles": result["compiled"],
+        "runs_clean": result["compiled"]
+        and bool(result["tests"])
+        and all(t["passed"] for t in result["tests"]),
+        "pinned_fork": result["fork_pinned"],
     }
 
 

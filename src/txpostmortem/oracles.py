@@ -12,18 +12,19 @@ every function here reads.  Role variables (attacker, helpers) carry
 fresh deterministic test addresses, so a reproduction can never satisfy its
 oracles by replaying attacker-controlled identities, and leaves the
 definition it was given as it was.
+
+``evaluate_constraints`` returns one result document per constraint and
+``engine_verdict`` builds the engine verdict from them: both are the
+documents a session writes, with no class mirroring their fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any, Container, Iterator, Mapping, Optional, Sequence, Union
 
 from .domain import Address, InvalidAddress, UnsupportedChain, sha256, validate_chain
 
-COMPARATORS = ("eq", "gt", "lt", "ge", "le", "within_tolerance")
-VARIABLE_KINDS = ("victim_contract", "asset", "attacker_role", "helper_role")
 ROLE_KINDS = ("attacker_role", "helper_role")
 #: The constraint lists of a definition, in the order they are evaluated.
 CONSTRAINT_KINDS = ("pre_check", "hard", "soft")
@@ -89,7 +90,8 @@ def _token_class(token: str, variables: Container[str]) -> str:
 
 def validate_definition(definition: Mapping[str, Any]) -> list[str]:
     """Semantic and referential checks of a schema-valid definition; returns
-    all problems found."""
+    all problems found.  The schema alone fixes variable kinds and
+    comparators."""
     errors: list[str] = []
     try:
         validate_chain(definition["chainid"])
@@ -101,8 +103,6 @@ def validate_definition(definition: Mapping[str, Any]) -> list[str]:
     variables: set[str] = set()
     for var in definition["variables"]:
         name, kind, address = var["name"], var["kind"], var["address"]
-        if kind not in VARIABLE_KINDS:
-            errors.append(f"variable {name}: unknown kind {kind!r}")
         if name in variables:
             errors.append(f"variable {name}: duplicate name")
         variables.add(name)
@@ -126,8 +126,6 @@ def validate_definition(definition: Mapping[str, Any]) -> list[str]:
         if cid in seen_ids:
             errors.append(f"constraint {cid}: duplicate id")
         seen_ids.add(cid)
-        if check["comparator"] not in COMPARATORS:
-            errors.append(f"constraint {cid}: unknown comparator {check['comparator']!r}")
         for side in ("lhs", "rhs"):
             if _token_class(check[side], variables) == "invalid":
                 errors.append(f"constraint {cid}: {side} {check[side]!r} is not a literal, "
@@ -204,54 +202,6 @@ def bind_variables(
 
 # --------------------------------------------------------------------------
 # Evaluation.
-
-
-@dataclass(frozen=True)
-class ConstraintResult:
-    constraint_id: str
-    kind: str
-    satisfied: bool
-    measured: Optional[ObsValue] = None
-    expected: Optional[ObsValue] = None
-    reason: str = ""
-
-    def to_doc(self) -> dict:
-        doc: dict[str, Any] = {
-            "id": self.constraint_id,
-            "kind": self.kind,
-            "satisfied": self.satisfied,
-        }
-        if self.measured is not None:
-            doc["measured"] = self.measured
-        if self.expected is not None:
-            doc["expected"] = self.expected
-        if self.reason:
-            doc["reason"] = self.reason
-        return doc
-
-
-@dataclass(frozen=True)
-class VerdictReport:
-    """Pass/Reject verdict with per-constraint outcomes in definition order."""
-
-    pre_check_results: tuple[ConstraintResult, ...]
-    constraint_results: tuple[ConstraintResult, ...]
-    overall_pass: bool
-
-    def to_validation_doc(
-        self, rubric: Mapping[str, Any], reject_reasons: Sequence[str]
-    ) -> dict:
-        """The verdict as a ``poc_validation`` document; it rejects exactly
-        when ``reject_reasons`` is non-empty."""
-        doc: dict[str, Any] = {
-            "overall_status": "Reject" if reject_reasons else "Pass",
-            "oracle_results": [r.to_doc() for r in self.constraint_results],
-            "pre_check_results": [r.to_doc() for r in self.pre_check_results],
-            "rubric": dict(rubric),
-        }
-        if reject_reasons:
-            doc["reject_reasons"] = list(reject_reasons)
-        return doc
 
 
 def _resolve(
@@ -334,7 +284,7 @@ def _evaluate_one(
     constraint: Mapping[str, Any],
     variables: Mapping[str, Mapping[str, Any]],
     observations: Mapping[str, ObsValue],
-) -> ConstraintResult:
+) -> dict[str, Any]:
     check = constraint["check"]
     measured, why_lhs = _resolve(check["lhs"], variables, observations)
     expected, why_rhs = _resolve(check["rhs"], variables, observations)
@@ -346,21 +296,22 @@ def _evaluate_one(
         )
     else:
         ok, reason = _exact_compare(check["comparator"], measured, expected)
-    return ConstraintResult(
-        constraint_id=constraint["id"],
-        kind=kind,
-        satisfied=ok,
-        measured=measured,
-        expected=expected,
-        reason=reason,
-    )
+    result: dict[str, Any] = {"id": constraint["id"], "kind": kind, "satisfied": ok}
+    if measured is not None:
+        result["measured"] = measured
+    if expected is not None:
+        result["expected"] = expected
+    if reason:
+        result["reason"] = reason
+    return result
 
 
 def evaluate_constraints(
     definition: Mapping[str, Any],
     observations: Mapping[str, ObsValue],
-) -> VerdictReport:
-    """Evaluate every pre-check and constraint; Pass means all satisfied.
+) -> list[dict[str, Any]]:
+    """One result document per pre-check and constraint, in
+    ``CONSTRAINT_KINDS`` order; Pass means every one is satisfied.
     ``definition`` is as ``normalize_definition`` returns it, so every soft
     constraint carries its tolerance, and as ``bind_variables`` binds it.
 
@@ -368,13 +319,26 @@ def evaluate_constraints(
     is reported unsatisfied with an insufficient-observation reason.
     """
     variables = {var["name"]: var for var in definition["variables"]}
-    pre: list[ConstraintResult] = []
-    main: list[ConstraintResult] = []
-    for kind, constraint in _constraints(definition):
-        result = _evaluate_one(kind, constraint, variables, observations)
-        (pre if kind == "pre_check" else main).append(result)
-    return VerdictReport(
-        pre_check_results=tuple(pre),
-        constraint_results=tuple(main),
-        overall_pass=all(r.satisfied for r in pre + main),
-    )
+    return [
+        _evaluate_one(kind, constraint, variables, observations)
+        for kind, constraint in _constraints(definition)
+    ]
+
+
+def engine_verdict(
+    results: Sequence[Mapping[str, Any]],
+    rubric: dict[str, Any],
+    reject_reasons: Sequence[str],
+) -> dict[str, Any]:
+    """The engine verdict document over ``evaluate_constraints`` results,
+    in the form ``workspace.SCHEMAS["engine_verdict"]`` fixes; it rejects
+    exactly when ``reject_reasons`` is non-empty."""
+    doc: dict[str, Any] = {
+        "overall_status": "Reject" if reject_reasons else "Pass",
+        "oracle_results": [r for r in results if r["kind"] != "pre_check"],
+        "pre_check_results": [r for r in results if r["kind"] == "pre_check"],
+        "rubric": rubric,
+    }
+    if reject_reasons:
+        doc["reject_reasons"] = list(reject_reasons)
+    return doc

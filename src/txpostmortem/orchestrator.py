@@ -29,7 +29,8 @@ filled in, and its variables are bound in a copy.  The orchestrator reads
 the fields the contract's schema guarantees and writes each document as it
 came, without a second check; only the documents it builds itself
 (collection summaries, engine verdicts, the session summary) are checked
-as they are written.
+as they are written.  Collection summaries, oracle results, engine verdicts
+and run results are built as the documents the session writes.
 
 Each role run is charged once, as it ends, straight to the session outcome
 (``Orchestrator._turn``): its turns to its stage and its tokens to the
@@ -65,7 +66,6 @@ from .domain import Address, SeedRef
 from .gateway import (
     BootstrapError,
     ChainAdapter,
-    CollectionSummary,
     DataRequest,
     SessionMemo,
     execute_data_requests,
@@ -227,7 +227,7 @@ def render_root_cause_report(draft: dict[str, Any], seed: SeedRef) -> str:
 
 def render_poc_report(
     definition: dict[str, Any],
-    verdict: oracles.VerdictReport,
+    verdict: dict[str, Any],
     iterations: int,
     rejects: int,
 ) -> str:
@@ -239,14 +239,14 @@ def render_poc_report(
         f"- Project: `{workspace.FORGE_PROJECT_DIR}/`",
         f"- Run command: `{harness.RUN_COMMAND_TEMPLATE}`",
         f"- Reproducer iterations: {iterations} ({rejects} rejected)",
-        f"- Oracle verdict: {'Pass' if verdict.overall_pass else 'Reject'}",
+        f"- Oracle verdict: {verdict['overall_status']}",
         "",
         "## Oracle results",
         "",
     ]
-    for result in verdict.pre_check_results + verdict.constraint_results:
-        status = "satisfied" if result.satisfied else "UNSATISFIED"
-        lines.append(f"- `{result.constraint_id}` ({result.kind}): {status}")
+    for result in verdict["pre_check_results"] + verdict["oracle_results"]:
+        status = "satisfied" if result["satisfied"] else "UNSATISFIED"
+        lines.append(f"- `{result['id']}` ({result['kind']}): {status}")
     lines += ["", "## Success criteria", "", definition["success_criteria"]]
     return "\n".join(lines) + "\n"
 
@@ -336,19 +336,19 @@ class Orchestrator:
 
     # -- collection ---------------------------------------------------------
 
-    def _record_collection(self, outcome: SessionOutcome, summary: CollectionSummary) -> None:
-        """Write one collection run's summary into ``iter_<runs so far>`` and
-        count the run and its fetched items.  Runs are numbered densely from
-        the seed's ``iter_0``."""
+    def _record_collection(self, outcome: SessionOutcome, summary: dict[str, Any]) -> None:
+        """Write one collection run's summary document into
+        ``iter_<runs so far>`` and count the run and its fetched items.  Runs
+        are numbered densely from the seed's ``iter_0``."""
         iteration = outcome.collection_runs_total
         workspace.write_artifact(
             outcome.session,
             f"{workspace.COLLECTION_DIR}/iter_{iteration}/data_collection_summary.json",
-            summary.to_doc(),
+            summary,
             schema_id="collection_summary",
         )
         outcome.collection_runs_total += 1
-        outcome.fetched_items += len(summary.fetched)
+        outcome.fetched_items += len(summary["fetched"])
 
     def _collect(
         self, outcome: SessionOutcome, fetches: SessionMemo, requests: list[DataRequest]
@@ -500,11 +500,12 @@ class Orchestrator:
         bound: dict[str, Any],
         expected: list[str],
         taint: dict[str, str],
-    ) -> tuple[Optional[oracles.VerdictReport], list[str]]:
+    ) -> tuple[Optional[dict[str, Any]], list[str]]:
         """One reproducer round on ``message``, the stage's serialised
         oracle definition plus the previous attempt's reject codes; no
-        reject codes means the PoC is validated.  The verdict is None when
-        nothing ran.
+        reject codes means the PoC is validated.  Returns the engine
+        verdict document, or None for a project that failed to scaffold or
+        to launch.
 
         The engine decides what code can check.  The sources are scanned
         for attacker addresses before the runner is launched: a hit is
@@ -549,14 +550,14 @@ class Orchestrator:
         hits = [{"file": f, "address": a, "line": n} for f, a, n in taint_hits]
         rubric: dict[str, Any] = {"attacker_address_hits": hits}
         # A project the scan refused never ran, so no oracle was evaluated.
-        verdict = oracles.VerdictReport((), (), False)
+        results: list[dict[str, Any]] = []
         if raw is not None:
             result = harness.parse_run_output(raw, project.fork_pinned)
             workspace.write_text_artifact(session, rel / "forge_output.txt", raw)
             checks = harness.correctness_checks(result)
             obs_report = harness.extract_observations(raw, expected)
-            verdict = oracles.evaluate_constraints(bound, obs_report.observations)
-            if not (verdict.overall_pass and all(checks.values())):
+            results = oracles.evaluate_constraints(bound, obs_report.observations)
+            if not (all(r["satisfied"] for r in results) and all(checks.values())):
                 reasons = [REASON_ORACLE_FAILED]
             rubric = {
                 "correctness": checks,
@@ -564,13 +565,12 @@ class Orchestrator:
                 "observation_warnings": list(obs_report.warnings),
                 "attacker_address_hits": hits,
             }
-        engine_doc = verdict.to_validation_doc(rubric=rubric, reject_reasons=reasons)
+        verdict = oracles.engine_verdict(results, rubric, reasons)
         workspace.write_artifact(
-            session, rel / workspace.ENGINE_VERDICT, engine_doc, schema_id="poc_validation"
+            session, rel / workspace.ENGINE_VERDICT, verdict, schema_id="engine_verdict"
         )
-        if raw is None:
-            return None, reasons
-        workspace.write_artifact(session, rel / "run_result.json", result.to_doc())
+        if raw is not None:
+            workspace.write_artifact(session, rel / "run_result.json", result)
         if reasons:
             return verdict, reasons
 
@@ -579,7 +579,7 @@ class Orchestrator:
             STAGE_POC,
             ROLE_VALIDATOR,
             json.dumps(
-                {"engine_verdict": engine_doc, "observations": obs_report.observations},
+                {"engine_verdict": verdict, "observations": obs_report.observations},
                 indent=2,
             ),
         )

@@ -31,9 +31,12 @@ checked document, with no class mirroring its fields; the oracle
 definition is the generator's document with its default tolerances filled
 in.  A document the program builds itself (raw input, sources, collection
 summaries, engine verdicts, evaluation results, the session summary) is
-checked as it is written, by ``write_artifact(schema_id=...)``.  A command
-that reads a finished session's engine verdict or summary back checks it
-again, since the file may have changed on disk.
+checked as it is written, by ``write_artifact(schema_id=...)``.  The engine
+verdict has its own ``engine_verdict`` schema, which fixes the rubric the
+engine writes; the validator's ``poc_validation`` allows any rubric object.
+A command that reads a finished session's engine verdict or summary back
+checks it again against the same schema, since the file may have changed
+on disk.
 """
 
 from __future__ import annotations
@@ -255,6 +258,8 @@ _CONSTRAINT_SPEC = {
     }
 }
 
+_ADDRESS_HIT_SPEC = {"object": {"required": {"file": "string", "address": "string", "line": "int"}}}
+
 _LIFECYCLE_PHASES = ["funding", "setup", "exploit", "exit"]
 
 _EVALUATION_ENTRY_SPEC = {
@@ -267,6 +272,36 @@ _EVALUATION_ENTRY_SPEC = {
         }
     }
 }
+
+
+def _poc_verdict_spec(rubric: Any) -> dict[str, Any]:
+    """A verdict on one reproduction attempt, whose rubric meets ``rubric``."""
+    return {
+        "object": {
+            "required": {
+                "overall_status": {"enum": ["Pass", "Reject"]},
+                "oracle_results": {
+                    "array_of": {
+                        "object": {
+                            "required": {"id": "string", "satisfied": "bool"},
+                            "optional": {
+                                "kind": "string",
+                                "measured": "any",
+                                "expected": "any",
+                                "reason": "string",
+                            },
+                        }
+                    }
+                },
+                "rubric": rubric,
+            },
+            "optional": {
+                "reject_reasons": {"array_of": "string"},
+                "pre_check_results": {"array_of": "object"},
+            },
+        }
+    }
+
 
 SCHEMAS: dict[str, Any] = {
     "raw_input": {
@@ -409,31 +444,19 @@ SCHEMAS: dict[str, Any] = {
             "optional": {"notes": "string"},
         }
     },
-    "poc_validation": {
-        "object": {
-            "required": {
-                "overall_status": {"enum": ["Pass", "Reject"]},
-                "oracle_results": {
-                    "array_of": {
-                        "object": {
-                            "required": {"id": "string", "satisfied": "bool"},
-                            "optional": {
-                                "kind": "string",
-                                "measured": "any",
-                                "expected": "any",
-                                "reason": "string",
-                            },
-                        }
-                    }
+    "poc_validation": _poc_verdict_spec("object"),
+    "engine_verdict": _poc_verdict_spec(
+        {
+            "object": {
+                "required": {"attacker_address_hits": {"array_of": _ADDRESS_HIT_SPEC}},
+                "optional": {
+                    "correctness": {"map_of": "bool"},
+                    "observations_missing": {"array_of": "string"},
+                    "observation_warnings": {"array_of": "string"},
                 },
-                "rubric": "object",
-            },
-            "optional": {
-                "reject_reasons": {"array_of": "string"},
-                "pre_check_results": {"array_of": "object"},
-            },
+            }
         }
-    },
+    ),
     "evaluation_result": {
         "map_of": {
             "object": {

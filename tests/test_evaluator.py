@@ -181,11 +181,29 @@ class TestEvaluateCommand:
             [entry] = body["evaluation_history"]
             assert (entry["round"], entry["action"], entry["result"]) == (0, ACTION_INITIAL, True)
 
-    def test_corrupt_engine_verdict_is_an_error_not_a_crash(self, session_root, capsys):
-        latest = max(
+    @staticmethod
+    def _last_engine_verdict(session_root):
+        return max(
             (session_root / workspace.REPRODUCER_DIR).glob("iter_*/engine_verdict.json"),
             key=lambda path: int(path.parent.name.split("_")[1]),
         )
+
+    def test_corrupt_engine_verdict_is_an_error_not_a_crash(self, session_root, capsys):
+        latest = self._last_engine_verdict(session_root)
         latest.write_text(latest.read_text(encoding="utf-8")[:40], encoding="utf-8")
         assert cli.main(["evaluate", "--session", str(session_root)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_a_malformed_rubric_correctness_is_an_error(self, session_root, capsys):
+        # A list where the engine writes a map of checks passes the
+        # validator's schema, but not the engine verdict's.
+        latest = self._last_engine_verdict(session_root)
+        verdict = json.loads(latest.read_text(encoding="utf-8"))
+        verdict["rubric"]["correctness"] = []
+        assert workspace.check_document(verdict, workspace.SCHEMAS["poc_validation"]) == []
+        latest.write_text(json.dumps(verdict), encoding="utf-8")
+        assert cli.main(["evaluate", "--session", str(session_root)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "rubric.correctness" in err
+        assert err.count("\n") == 1
+        assert not (session_root / workspace.EVALUATION_DIR).exists()

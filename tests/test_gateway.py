@@ -366,7 +366,7 @@ class TestSeedBootstrap:
     def test_lands_three_artifacts_per_seed_tx(self, tmp_path):
         session = self._session(tmp_path)
         summary, _ = fetch_seed_artifacts(session, SessionMemo(_SeedAdapter()))
-        assert len(summary.fetched) == 3
+        assert len(summary["fetched"]) == 3
         seed_dir = session.root / workspace.SEED_DIR
         assert [p.name for p in seed_dir.iterdir()] == ["1"]
         assert sorted(p.name for p in (seed_dir / "1" / TX).iterdir()) == [
@@ -426,8 +426,8 @@ class TestSeedContext:
             [f"receipt_logs_{TX}.json", f"state_diff_{TX}.json"]
             + [f"contract_meta_0x{i:040x}.json" for i in (1, 2, 3)]
         )
-        assert len(summary.fetched) == 3 + 5
-        assert summary.failed == []
+        assert len(summary["fetched"]) == 3 + 5
+        assert summary["failed"] == []
         lines = digest.splitlines()
         assert lines[0].startswith(f"Seed context already fetched into {workspace.SEED_CONTEXT_DIR}/")
         assert lines[1] == (
@@ -442,14 +442,14 @@ class TestSeedContext:
         _, summary, digest = self._bootstrap(
             tmp_path, _ContextAdapter(2, fail_kinds={"receipt_logs", "contract_meta"})
         )
-        assert [f["request"]["kind"] for f in summary.failed] == [
+        assert [f["request"]["kind"] for f in summary["failed"]] == [
             "receipt_logs", "contract_meta", "contract_meta"
         ]
         assert digest.count("not available (stub failure for") == 3
 
     def test_digest_is_capped(self, tmp_path):
         _, summary, digest = self._bootstrap(tmp_path, _ContextAdapter(200))
-        assert len(summary.fetched) == 3 + 2 + 200
+        assert len(summary["fetched"]) == 3 + 2 + 200
         assert len(digest) <= SEED_DIGEST_CHARS
         assert all(len(line) <= SEED_DIGEST_LINE_CHARS for line in digest.splitlines())
         assert digest.endswith(f"more entries in {workspace.SEED_CONTEXT_DIR}/")
@@ -460,7 +460,7 @@ class TestSeedContext:
         slow = _LaterFirstAdapter(_ContextAdapter(200), 205, step=0.0002)
         _, got, got_digest = self._bootstrap(tmp_path / "b", slow)
         assert got_digest.encode() == expected_digest.encode()
-        assert got.to_doc() == expected.to_doc()
+        assert got == expected
 
 
 class TestExecuteDataRequests:
@@ -475,8 +475,8 @@ class TestExecuteDataRequests:
             DataRequest(kind="tx_trace", chainid=1, target=TX, block_hi=7),  # name collision
         ]
         summary = execute_data_requests(session, requests, SessionMemo(_StubAdapter()), iter_dir)
-        assert len(summary.fetched) == 2
-        assert len(summary.failed) == 1
+        assert len(summary["fetched"]) == 2
+        assert len(summary["failed"]) == 1
         names = sorted(p.name for p in iter_dir.glob("*.json"))
         assert len(names) == 2
         assert len(set(names)) == 2
@@ -494,7 +494,7 @@ class TestExecuteDataRequests:
             DataRequest(kind="other", chainid=1, target="../../../../raw"),
         ]
         summary = execute_data_requests(session, requests, SessionMemo(_CountingStub()), iter_dir)
-        relpaths = [path for entry in summary.fetched for path in entry["files"]]
+        relpaths = [path for entry in summary["fetched"] for path in entry["files"]]
         assert len(relpaths) == 2
         for relpath in relpaths:
             assert (session.root / relpath).parent == iter_dir
@@ -510,10 +510,10 @@ class TestExecuteDataRequests:
         held = DataRequest(kind="tx_trace", chainid=1, target=TX)
         failed = DataRequest(kind="tx_metadata", chainid=1, target=TX)
         first = execute_data_requests(session, [failed], memo, session.root / "a")
-        assert [entry["request"] for entry in first.failed] == [failed.to_doc()]
+        assert [entry["request"] for entry in first["failed"]] == [failed.to_doc()]
         second = execute_data_requests(session, [held, held], memo, session.root / "b")
         third = execute_data_requests(session, [failed, held], memo, session.root / "c")
-        assert [entry["files"] for entry in second.fetched + third.fetched] == [
+        assert [entry["files"] for entry in second["fetched"] + third["fetched"]] == [
             [f"b/tx_trace_{TX[:24]}.json"],
             [f"b/tx_trace_{TX[:24]}.json"],
             [f"c/tx_metadata_{TX[:24]}.json"],
@@ -550,7 +550,7 @@ class TestAnswerOrder:
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
         summary = execute_data_requests(session, requests, SessionMemo(adapter), iter_dir)
         files = {p.name: p.read_bytes() for p in sorted(iter_dir.iterdir())}
-        return summary.to_doc(), files
+        return summary, files
 
     def test_data_requests(self, tmp_path):
         requests = _one_request_per_kind()
@@ -572,7 +572,7 @@ class TestAnswerOrder:
         summary, _ = fetch_seed_artifacts(
             workspace.create_session(tmp_path / "a", seed), SessionMemo(slow)
         )
-        assert [f["request"]["target"] for f in summary.fetched] == [
+        assert [f["request"]["target"] for f in summary["fetched"]] == [
             tx for tx in txs for _ in range(3)
         ]
         with pytest.raises(BootstrapError) as info:
@@ -1187,8 +1187,8 @@ class TestLiveAdapter:
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
         summary = execute_data_requests(session, [good, bad], SessionMemo(adapter), iter_dir)
-        assert [entry["request"] for entry in summary.fetched] == [good.to_doc()]
-        assert [entry["request"] for entry in summary.failed] == [bad.to_doc()]
+        assert [entry["request"] for entry in summary["fetched"]] == [good.to_doc()]
+        assert [entry["request"] for entry in summary["failed"]] == [bad.to_doc()]
         # The malformed target never reaches the explorer or the node.
         assert calls == ["getsourcecode"]
 
@@ -1304,8 +1304,8 @@ class TestLiveAdapterCalls:
         session = workspace.create_session(tmp_path, SeedRef.from_strings(1, txs))
         adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
         summary, _ = fetch_seed_artifacts(session, SessionMemo(adapter))
-        assert summary.failed == []
-        assert len(summary.fetched) == len(txs) * 5
+        assert summary["failed"] == []
+        assert len(summary["fetched"]) == len(txs) * 5
         assert methods.count("eth_getTransactionReceipt") == len(txs)
         assert methods.count("debug_traceTransaction") == 2 * len(txs)
 

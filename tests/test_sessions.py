@@ -593,9 +593,21 @@ class TestFreshProject:
         staged = {*files, harness.CONFIG_FILE, harness.README_FILE}
         assert sorted(on_disk) == sorted([*staged, *built])
 
-    @pytest.mark.parametrize("build_dir", harness.BUILD_DIRS)
-    def test_sources_in_a_build_directory_are_refused(self, tmp_path, build_dir):
-        name = f"{build_dir}/Attack.sol"
+    @pytest.mark.parametrize(
+        "name",
+        [
+            *(pytest.param(f"{d}/Attack.sol", id=d) for d in harness.BUILD_DIRS),
+            # Names that are no plain file path, or that lie under a file.
+            ".",
+            "",
+            "./test",
+            "test/./",
+            "foundry.toml/x",
+            "README.md/x",
+            "test/Exploit.sol/x",
+        ],
+    )
+    def test_sources_in_a_build_directory_are_refused(self, tmp_path, name):
         files = dict(self._files(), **{name: f"// {scenarios.PRXVT_HELPER}\n"})
         outcome, runner = _prxvt_attempts(tmp_path, [files], [PRXVT_RUN_0])
         assert runner.launches == 0
@@ -1106,12 +1118,12 @@ class TestCorrectnessChecks:
     def test_one_failing_test_among_passing_ones_is_not_clean(self):
         raw = PRXVT_RUN_0 + "\n[FAIL. Reason: revert: drained] testSecond()\n"
         result = harness.parse_run_output(raw, fork_pinned=True)
-        assert [t.passed for t in result.tests] == [True, False]
+        assert [t["passed"] for t in result["tests"]] == [True, False]
         assert harness.correctness_checks(result)["runs_clean"] is False
 
     def test_a_compiled_run_with_no_test_result_is_not_clean(self):
         result = harness.parse_run_output("Compiler run successful!\n", fork_pinned=True)
-        assert result.compiled and result.tests == ()
+        assert result["compiled"] and result["tests"] == []
         assert harness.correctness_checks(result) == {
             "compiles": True,
             "runs_clean": False,
