@@ -13,7 +13,6 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Protocol
 
 logger = logging.getLogger(__name__)
@@ -112,8 +111,6 @@ DEFAULT_MODEL = "gpt-5"
 #: overrides it; tests rely on it being deterministic.
 SCRIPTED_STEP_USAGE = Usage(input_tokens=1200, cached_input_tokens=800, output_tokens=150)
 
-_SCRIPT_FILE = re.compile(r"^(?P<role>[a-z_]+)_(?P<index>\d+)\.json$")
-
 
 class ScriptedBackend:
     """Replays canned role outputs in call order.
@@ -128,31 +125,6 @@ class ScriptedBackend:
         self._cursor: dict[str, int] = {}
         self._conversations: dict[str, str] = {}
         self._conv_seq = 0
-
-    @classmethod
-    def from_dir(cls, path: str | Path) -> "ScriptedBackend":
-        """Load ``<role>_<n>.json`` files from a script directory.  Each
-        role's indices must run 0, 1, 2, ... with no gap and none repeated."""
-        path = Path(path)
-        staged: dict[str, dict[int, dict[str, Any]]] = {}
-        for entry in sorted(path.glob("*.json")):
-            match = _SCRIPT_FILE.match(entry.name)
-            if not match:
-                continue
-            by_index = staged.setdefault(match["role"], {})
-            index = int(match["index"])
-            if index in by_index:
-                raise BackendError(f"script index {index} repeated by {entry.name}")
-            by_index[index] = json.loads(entry.read_text(encoding="utf-8"))
-        entries: dict[str, list[dict[str, Any]]] = {}
-        for role, by_index in staged.items():
-            ordered = [by_index[i] for i in sorted(by_index)]
-            if sorted(by_index) != list(range(len(by_index))):
-                raise BackendError(
-                    f"script for role {role} has gaps: indices {sorted(by_index)}"
-                )
-            entries[role] = ordered
-        return cls(entries)
 
     def open_conversation(self, role: str, system_prompt: str) -> str:
         self._conv_seq += 1

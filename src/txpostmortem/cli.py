@@ -6,11 +6,16 @@ aggregate session metrics, scan a social feed for incident candidates,
 record or replay single evidence fixtures, and export validated incidents
 as a benchmark dataset.
 
-Exit codes: 0 success, 1 pipeline or stage failure, 2 usage errors.
-Command-line flags are the only settings; each has its default in the
-parser. Credentials come from the environment alone: ``OPENAI_API_KEY``
-for the live backend, ``ETHERSCAN_API_KEY`` for explorer queries, and any
-``${NAME}`` variable an ``--rpc-map`` endpoint template references.
+``postmortem --case`` replays a recorded case offline, either a bundled
+case by name or any case directory (``scenarios.build_case``), while
+``postmortem --chainid/--tx`` runs live against the model and the chain.
+
+Exit codes: 0 success, 1 pipeline or stage failure or a malformed input
+file, 2 usage errors.  Command-line flags are the only settings; each has
+its default in the parser.  Credentials come from the environment alone:
+``OPENAI_API_KEY`` for a live run, ``ETHERSCAN_API_KEY`` for explorer
+queries, and any ``${NAME}`` variable an ``--rpc-map`` endpoint template
+references.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from . import evaluator, harness, metrics, monitor, scenarios, workspace
-from .agents import DEFAULT_MODEL, OpenAIChatBackend, ScriptedBackend
+from .agents import DEFAULT_MODEL, OpenAIChatBackend
 from .domain import DomainError, SeedRef, validate_chain
 from .gateway import (
     DataRequest,
@@ -59,84 +64,44 @@ def _print_doc(doc: Any) -> None:
 # postmortem
 
 
-def _scripted_stack(
-    fixtures: str | Path | None,
-    script: str | Path | None,
-    transcripts: str | Path | None,
-) -> tuple[ScriptedBackend, ReplayAdapter, harness.SimulatedRunner]:
-    missing = [
-        flag
-        for flag, value in (
-            ("--fixtures", fixtures),
-            ("--script", script),
-            ("--transcripts", transcripts),
-        )
-        if not value
-    ]
-    if missing:
-        raise UsageError(
-            "scripted backend needs " + ", ".join(missing)
-        )
-    return (
-        ScriptedBackend.from_dir(script),
-        ReplayAdapter(FixtureStore(fixtures)),
-        harness.SimulatedRunner.from_dir(transcripts),
-    )
-
-
-#: Flags only the live backend reads.
-_LIVE_FLAGS = ("--rpc-map", "--record-fixtures", "--model")
-#: Flags a bundled case fixes itself; it runs on the scripted backend.
-_CASE_FLAGS = ("--chainid", "--tx", "--fixtures", "--script", "--transcripts")
-
-
-def _reject_flags(args: argparse.Namespace, flags: Sequence[str], why: str) -> None:
-    """Refuse any of ``flags`` that was given, rather than ignore it."""
-    given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
-    if given:
-        raise UsageError(f"{why}; drop {', '.join(given)}")
-
-
 def cmd_postmortem(args: argparse.Namespace) -> int:
     workdir = Path(args.workdir)
     rpc_url = None
-    if args.backend == "scripted":
-        _reject_flags(args, _LIVE_FLAGS, "the scripted backend makes no live fetches")
-
     if args.case:
-        if args.backend == "live":
-            raise UsageError("--case replays a scripted case; drop --backend live")
-        _reject_flags(args, _CASE_FLAGS, "--case fixes the seed and its replay inputs")
-        bundle = scenarios.CASE_BUILDERS[args.case](workdir / "cases" / args.case)
-        seed = bundle.seed()
-        backend, adapter, runner = _scripted_stack(
-            bundle.fixtures_dir, bundle.script_dir, bundle.transcripts_dir
+        # A flag the replay would ignore is refused rather than ignored.
+        flags = ("--chainid", "--tx", "--rpc-map", "--record-fixtures", "--model")
+        given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
+        if given:
+            raise UsageError(f"--case replays a recorded case; drop {', '.join(given)}")
+        source = Path(args.case).resolve()
+        case_dir = workdir / "cases" / source.name
+        # A copy inside its source is copied into itself, deeper on each run.
+        if args.case not in scenarios.CASE_BUILDERS and case_dir.resolve().is_relative_to(source):
+            raise UsageError("--workdir lies inside the --case directory")
+        bundle = scenarios.build_case(args.case, case_dir)
+        seed, backend, adapter, runner = (
+            bundle.seed(), bundle.backend(), bundle.adapter(), bundle.runner()
         )
     else:
         if not args.chainid or not args.tx:
-            raise UsageError("need --chainid and at least one --tx (or --case)")
+            raise UsageError("need --case, or --chainid and at least one --tx")
         try:
             seed = SeedRef.from_strings(args.chainid, args.tx)
         except DomainError as exc:
             raise UsageError(f"bad --chainid/--tx: {exc}") from exc
-        if args.backend == "scripted":
-            backend, adapter, runner = _scripted_stack(
-                args.fixtures, args.script, args.transcripts
-            )
-        else:
-            api_key = os.environ.get("OPENAI_API_KEY")
-            if not api_key:
-                raise UsageError("live backend needs OPENAI_API_KEY in the environment")
-            backend = OpenAIChatBackend(api_key=api_key, model=args.model or DEFAULT_MODEL)
-            rpc_map = load_rpc_map(args.rpc_map)
-            live = LiveAdapter(rpc_map=rpc_map)
-            adapter = (
-                RecordingAdapter(live, FixtureStore(args.record_fixtures))
-                if args.record_fixtures
-                else live
-            )
-            runner = harness.SubprocessRunner()
-            rpc_url = resolve_rpc_url(seed.chainid, dict(os.environ), rpc_map)
+        api_key = os.environ.get("OPENAI_API_KEY")
+        if not api_key:
+            raise UsageError("a live run needs OPENAI_API_KEY in the environment")
+        backend = OpenAIChatBackend(api_key=api_key, model=args.model or DEFAULT_MODEL)
+        rpc_map = load_rpc_map(args.rpc_map)
+        live = LiveAdapter(rpc_map=rpc_map)
+        adapter = (
+            RecordingAdapter(live, FixtureStore(args.record_fixtures))
+            if args.record_fixtures
+            else live
+        )
+        runner = harness.SubprocessRunner()
+        rpc_url = resolve_rpc_url(seed.chainid, dict(os.environ), rpc_map)
 
     budgets = dataclasses.replace(
         Budgets(),
@@ -490,11 +455,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     post.add_argument("--chainid", type=int)
     post.add_argument("--tx", action="append", help="seed transaction hash (repeatable)")
-    post.add_argument("--case", choices=sorted(scenarios.CASE_BUILDERS))
-    post.add_argument("--backend", choices=("scripted", "live"), default="scripted")
-    post.add_argument("--fixtures", help="recorded evidence directory")
-    post.add_argument("--script", help="scripted role outputs directory")
-    post.add_argument("--transcripts", help="canned test-run transcripts directory")
+    post.add_argument(
+        "--case", help="replay a bundled case by name, or a case directory"
+    )
     post.add_argument("--workdir", default=DEFAULT_WORKDIR)
     post.add_argument("--rpc-map", dest="rpc_map", help="chain-id to endpoint map")
     post.add_argument(
@@ -503,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="record live fetches into this fixture directory",
     )
     post.add_argument(
-        "--model", help=f"model name for the live backend (default {DEFAULT_MODEL})"
+        "--model", help=f"model name for a live run (default {DEFAULT_MODEL})"
     )
     post.add_argument("--attribution", action="append")
     post.add_argument("--stage-turns", dest="stage_turns", type=int)
@@ -564,7 +527,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (GatewayError, workspace.WorkspaceError, harness.HarnessError,
+    except (DomainError, GatewayError, workspace.WorkspaceError, harness.HarnessError,
             evaluator.EvaluatorError, metrics.MetricsError, monitor.MonitorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

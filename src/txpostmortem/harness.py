@@ -111,7 +111,8 @@ def scaffold_project(
     no trailing ``/``), and none may lie under another staged name,
     ``CONFIG_FILE`` and ``README_FILE`` included.  No file may lie under
     ``BUILD_DIRS``, where the source scan, the evaluator and the dataset
-    export do not look.
+    export do not look.  A name the file system refuses (a NUL byte, a
+    component too long) raises ``ScaffoldError`` too.
 
     Each attempt gets a fresh project: whatever an earlier attempt left
     under ``forge_poc/`` is deleted first, except ``BUILD_DIRS``.
@@ -157,9 +158,12 @@ def scaffold_project(
             else:
                 entry.unlink()
     for name, content in staged.items():
-        workspace.write_text_artifact(
-            session, f"{workspace.FORGE_PROJECT_DIR}/{name}", content
-        )
+        try:
+            workspace.write_text_artifact(
+                session, f"{workspace.FORGE_PROJECT_DIR}/{name}", content
+            )
+        except (OSError, ValueError) as exc:
+            raise ScaffoldError(f"project file {name} cannot be written: {exc}") from exc
     return PoCProject(root=root, fork_pinned=pinned is not None)
 
 
@@ -209,22 +213,6 @@ class SimulatedRunner:
 
     def __init__(self, queue: list[str] | None = None):
         self.queue = list(queue or [])
-
-    @classmethod
-    def from_dir(cls, path: str | Path) -> "SimulatedRunner":
-        """Load ``run_<n>.txt`` files as the queue; other files are ignored.
-        The indices must run 0, 1, 2, ... with no gap and none repeated."""
-        by_index: dict[int, str] = {}
-        for entry in sorted(Path(path).glob("*.txt")):
-            match = re.match(r"^run_(\d+)$", entry.stem)
-            if match:
-                index = int(match.group(1))
-                if index in by_index:
-                    raise HarnessError(f"transcript index {index} repeated by {entry.name}")
-                by_index[index] = entry.read_text(encoding="utf-8")
-        if sorted(by_index) != list(range(len(by_index))):
-            raise HarnessError(f"transcripts have gaps: indices {sorted(by_index)}")
-        return cls([by_index[i] for i in range(len(by_index))])
 
     def run(self, project: PoCProject, rpc_url: Optional[str] = None) -> str:
         if self.queue:

@@ -1,13 +1,19 @@
 """Self-contained incident case bundles for fully offline pipeline runs.
 
-Each case is committed data under ``data/cases/<name>/``: recorded chain
-fixtures (``fixtures/``), scripted role outputs (``script/``), canned
-test-run transcripts (``transcripts/``) and an ``expected.json`` stating
-what a replay of the case must produce.  A builder copies that tree into a
-working directory.  The two cases are complementary: the staking-rewards
-case is the straight-through path (challenger passes first try, one
-reproduction), while the loan-cap case exercises every rejection route the
-pipeline has (evidence re-collection plus two distinct PoC rejections).
+This module is the one place that knows what a replay case is: a directory
+of recorded chain fixtures (``fixtures/``), scripted role outputs
+(``script/<role>_<n>.json``), canned test-run transcripts
+(``transcripts/run_<n>.txt``) and an ``expected.json`` stating what a
+replay of the case must produce.  ``build_case`` copies a case into a
+working directory, and ``load_numbered`` reads its numbered files for the
+scripted backend and the transcript runner.  A case directory whose
+``expected.json`` names a ``base`` is an overlay on that bundled case.
+
+Two cases are committed as data under ``data/cases/<name>/``.  They are
+complementary: the staking-rewards case is the straight-through path
+(challenger passes first try, one reproduction), while the loan-cap case
+exercises every rejection route the pipeline has (evidence re-collection
+plus two distinct PoC rejections).
 
 The constants below name the incidents' transactions, accounts and oracles
 for the monitor, lifecycle and session tests.  No code regenerates the data,
@@ -17,13 +23,14 @@ fixture store's own keys.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
+from . import workspace
 from .agents import ScriptedBackend
 from .domain import Address, SeedRef
 from .gateway import FixtureStore, ReplayAdapter
@@ -147,6 +154,41 @@ VAL_PARTICIPANTS = ParticipantSet(
 # ==========================================================================
 # Bundle assembly.
 
+#: A numbered replay file's name without its suffix: ``<stem>_<n>``.
+_NUMBERED = re.compile(r"^(?P<stem>[a-z_]+)_(?P<index>[0-9]+)$")
+
+
+def load_numbered(directory: str | Path, suffix: str) -> dict[str, list[Any]]:
+    """The ``<stem>_<n><suffix>`` files in ``directory`` by stem, in index
+    order: JSON objects for ``.json``, text otherwise.  Other files are
+    ignored, and a missing directory holds none.  Each stem's indices must
+    run 0, 1, 2, ... with no gap and none repeated; a gap, a repeated index
+    or a file that does not decode raises ``CorruptArtifact``."""
+    staged: dict[str, dict[int, Any]] = {}
+    for path in sorted(Path(directory).glob("*" + suffix)):
+        match = _NUMBERED.match(path.name[: -len(suffix)])
+        if not match:
+            continue
+        by_index = staged.setdefault(match["stem"], {})
+        index = int(match["index"])
+        if index in by_index:
+            raise workspace.CorruptArtifact(f"{path}: index {index} repeated")
+        if suffix == ".json":
+            by_index[index] = workspace.read_json(path)
+            if not isinstance(by_index[index], dict):
+                raise workspace.CorruptArtifact(f"{path}: not a JSON object")
+            continue
+        try:
+            by_index[index] = path.read_text(encoding="utf-8")
+        except ValueError as exc:
+            raise workspace.CorruptArtifact(f"{path}: {exc}") from exc
+    for stem, by_index in staged.items():
+        if sorted(by_index) != list(range(len(by_index))):
+            raise workspace.CorruptArtifact(
+                f"{directory}: {stem} indices have gaps: {sorted(by_index)}"
+            )
+    return {stem: [found[i] for i in sorted(found)] for stem, found in staged.items()}
+
 
 @dataclass(frozen=True)
 class CaseBundle:
@@ -177,50 +219,69 @@ class CaseBundle:
         return ReplayAdapter(FixtureStore(self.fixtures_dir))
 
     def backend(self) -> ScriptedBackend:
-        return ScriptedBackend.from_dir(self.script_dir)
+        return ScriptedBackend(load_numbered(self.script_dir, ".json"))
 
     def runner(self) -> SimulatedRunner:
-        return SimulatedRunner.from_dir(self.transcripts_dir)
+        return SimulatedRunner(load_numbered(self.transcripts_dir, ".txt").get("run"))
 
 
-def _copy_case(name: str, case_dir: str | Path) -> CaseBundle:
-    """Copy the committed tree of case ``name`` into ``case_dir``.
+def build_case(case: str | Path, case_dir: str | Path) -> CaseBundle:
+    """Copy ``case`` into ``case_dir`` and return its bundle.
+
+    ``case`` is the name of a bundled case or any directory laid out as one.
+    A case whose ``expected.json`` names a bundled case as its ``base`` is an
+    overlay: the base is built first and the overlay's files are copied on
+    top, so the seed comes from the base and the golden from the overlay.
 
     Every file is a real copy, never a link, so a caller may edit the built
-    case in place without touching the committed data; a build over an
-    earlier one overwrites its files in place.  Each directory is made once
-    and each file read and written once, with no metadata copied; links in
-    the committed tree are followed, as ``shutil.copytree`` follows them.
+    case in place without touching its source; a build over an earlier one
+    overwrites its files in place.  Each directory is made once and each
+    file read and written once, with no metadata copied; links in the
+    source are followed, as ``shutil.copytree`` follows them.
     """
-    root = Path(case_dir)
-    source = str(CASES_DIR / name)
-    for src_dir, _, file_names in os.walk(source, followlinks=True):
-        dst_dir = str(root) + src_dir[len(source):]
+    if case in CASE_BUILDERS:
+        source = CASES_DIR / case
+    elif os.path.isdir(case):
+        source = Path(case)
+    else:
+        raise workspace.ArtifactNotFound(f"{case}: neither a bundled case nor a directory")
+    path = source / "expected.json"
+    expected = workspace.read_json(path)
+    seed_doc = expected
+    if isinstance(expected, dict) and "base" in expected:
+        base = expected["base"]
+        if not isinstance(base, str) or base not in CASE_BUILDERS:
+            raise workspace.CorruptArtifact(f"{path}: base is not a bundled case")
+        seed_doc = build_case(base, case_dir).expected
+    if not (isinstance(seed_doc, dict) and "chainid" in seed_doc and "seed" in seed_doc):
+        raise workspace.CorruptArtifact(f"{path}: names no chainid and seed")
+    root, top = str(case_dir), str(source)
+    for src_dir, _, file_names in os.walk(top, followlinks=True):
+        dst_dir = root + src_dir[len(top):]
         os.makedirs(dst_dir, exist_ok=True)
         for file_name in file_names:
             with open(os.path.join(src_dir, file_name), "rb") as src:
                 data = src.read()
             with open(os.path.join(dst_dir, file_name), "wb") as dst:
                 dst.write(data)
-    expected = json.loads((root / "expected.json").read_text(encoding="utf-8"))
-    logger.info("built case %s at %s", name, root)
+    logger.info("built case %s at %s", source.name, root)
     return CaseBundle(
-        name=name,
-        chainid=expected["chainid"],
-        seed_txhash=expected["seed"],
-        root=root,
+        name=source.name,
+        chainid=seed_doc["chainid"],
+        seed_txhash=seed_doc["seed"],
+        root=Path(root),
         expected=expected,
     )
 
 
 def build_prxvt_case(case_dir: str | Path) -> CaseBundle:
     """Staking-rewards drain on chain 8453; straight-through pipeline path."""
-    return _copy_case("prxvt", case_dir)
+    return build_case("prxvt", case_dir)
 
 
 def build_valinity_case(case_dir: str | Path) -> CaseBundle:
     """Loan-cap disparity drain on chain 1; exercises every rejection route."""
-    return _copy_case("valinity", case_dir)
+    return build_case("valinity", case_dir)
 
 
 CASE_BUILDERS: dict[str, Callable[[str | Path], CaseBundle]] = {

@@ -5,7 +5,8 @@ writes each) that every module asserting against them shares one run.
 The suite as a whole must pass with no network access, so an autouse
 guard refuses every socket connection attempt.  Tests that edit a case's
 script or transcripts load them with ``load_script_entries`` and
-``load_transcripts``.
+``load_transcripts``, through ``scenarios.load_numbered`` as
+``CaseBundle.backend`` and ``CaseBundle.runner`` read them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 from hypothesis import settings
 
 from txpostmortem import scenarios
-from txpostmortem.agents import ScriptedBackend
 from txpostmortem.harness import SimulatedRunner
 from txpostmortem.orchestrator import Orchestrator, SessionOutcome
 from txpostmortem.scenarios import CaseBundle
@@ -34,15 +34,14 @@ DATA_DIR = Path(__file__).parent / "data"
 
 
 def load_script_entries(case_root: Path) -> dict[str, list[dict[str, Any]]]:
-    """A case's scripted role outputs by role, in step order, read as
-    ``CaseBundle.backend`` reads them and parsed afresh on each call, so that
-    a test may edit them."""
-    return ScriptedBackend.from_dir(case_root / "script")._entries
+    """A case's scripted role outputs by role, in step order, parsed afresh
+    on each call, so that a test may edit them."""
+    return scenarios.load_numbered(case_root / "script", ".json")
 
 
 def load_transcripts(case_root: Path) -> list[str]:
     """A case's run transcripts in launch order."""
-    return SimulatedRunner.from_dir(case_root / "transcripts").queue
+    return scenarios.load_numbered(case_root / "transcripts", ".txt")["run"]
 
 
 @dataclass

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from txpostmortem import workspace
+from txpostmortem import scenarios, workspace
 from txpostmortem.agents import roles
 from txpostmortem.agents.backend import (
     SCRIPTED_STEP_USAGE,
@@ -133,27 +133,32 @@ class TestScriptedBackend:
         assert result.text == "prose"
         assert result.usage == Usage(9, 4, 2)
 
-    def test_from_dir_orders_and_ignores_strays(self, tmp_path):
+    def test_script_loader_orders_and_ignores_strays(self, tmp_path):
         (tmp_path / "analyst_1.json").write_text('{"n": 2}')
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "README.txt").write_text("not a script")
-        backend = ScriptedBackend.from_dir(tmp_path)
+        backend = ScriptedBackend(scenarios.load_numbered(tmp_path, ".json"))
         conv = backend.open_conversation("analyst", "p")
         assert backend.step(conv, "go").structured_output == {"n": 1}
         assert backend.step(conv, "go").structured_output == {"n": 2}
 
-    def test_from_dir_rejects_gaps(self, tmp_path):
+    def test_script_loader_rejects_gaps(self, tmp_path):
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "analyst_2.json").write_text('{"n": 3}')
-        with pytest.raises(BackendError):
-            ScriptedBackend.from_dir(tmp_path)
+        with pytest.raises(workspace.CorruptArtifact, match="gaps"):
+            scenarios.load_numbered(tmp_path, ".json")
 
-    def test_from_dir_rejects_a_repeated_index(self, tmp_path):
+    def test_script_loader_rejects_a_repeated_index(self, tmp_path):
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "analyst_1.json").write_text('{"n": 2}')
         (tmp_path / "analyst_01.json").write_text('{"n": 3}')
-        with pytest.raises(BackendError, match="repeated"):
-            ScriptedBackend.from_dir(tmp_path)
+        with pytest.raises(workspace.CorruptArtifact, match="repeated"):
+            scenarios.load_numbered(tmp_path, ".json")
+
+    def test_script_loader_rejects_an_undecodable_file(self, tmp_path):
+        (tmp_path / "analyst_0.json").write_text('{"n": ')
+        with pytest.raises(workspace.CorruptArtifact, match="analyst_0.json"):
+            scenarios.load_numbered(tmp_path, ".json")
 
 
 class TestJsonExtraction:

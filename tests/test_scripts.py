@@ -3,11 +3,12 @@ txpostmortem`` in their own interpreters, so that a script importing a name
 the package no longer has fails here, and the covering set the demo prints;
 the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
-bundled cases; an export over an earlier one, which leaves unchanged
-incidents alone and writes edited ones anew; the budget flags; the
-rejection of malformed flags, of flags
-a command would ignore and of malformed files the commands read; and the
-paper's checklist table as ``txpostmortem metrics --baseline`` prints it.
+bundled cases; the ``prxvt_non_act`` overlay replayed as a case directory;
+an export over an earlier one, which leaves unchanged incidents alone and
+writes edited ones anew; the budget flags; the rejection of malformed
+flags, of flags a command would ignore and of malformed files the commands
+read, replay case files included; and the paper's checklist table as
+``txpostmortem metrics --baseline`` prints it.
 
 Flags are the command line's only settings. The credentials a live run
 needs come from the environment and never from a flag."""
@@ -170,10 +171,6 @@ class TestBudgetFlags:
         assert doc["outcome"]["failure"] == failure
 
 
-_SCRIPTED_SEED = ["--chainid", "1", "--tx", "0x" + "ab" * 32, "--fixtures", "{tmp}",
-                  "--script", "{tmp}", "--transcripts", "{tmp}"]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -184,21 +181,17 @@ _SCRIPTED_SEED = ["--chainid", "1", "--tx", "0x" + "ab" * 32, "--fixtures", "{tm
         ["monitor", "--feed", "{doc}", "--queue", "{tmp}/queue", "--fixtures", "{tmp}",
          "--chains", "1,999999"],
         ["metrics", "--sessions", "{tmp}", "--baseline", "{doc}"],
-        ["postmortem", "--case", "prxvt", "--backend", "live"],
-        ["postmortem", "--case", "prxvt", "--fixtures", "{tmp}"],
-        ["postmortem", "--case", "prxvt", "--script", "{tmp}"],
-        ["postmortem", "--case", "prxvt", "--transcripts", "{tmp}"],
         ["postmortem", "--case", "prxvt", "--rpc-map", "{doc}"],
         ["postmortem", "--case", "prxvt", "--record-fixtures", "{tmp}/rec"],
-        ["postmortem", *_SCRIPTED_SEED, "--rpc-map", "{doc}"],
-        ["postmortem", *_SCRIPTED_SEED, "--record-fixtures", "{tmp}/rec"],
         ["postmortem", "--case", "prxvt", "--model", "nope"],
-        ["postmortem", *_SCRIPTED_SEED, "--model", "nope"],
+        ["postmortem", "--case", "prxvt", "--chainid", "1"],
+        ["postmortem", "--case", "prxvt", "--tx", "0x" + "ab" * 32],
+        ["postmortem", "--tx", "0x" + "ab" * 32],
+        ["postmortem", "--case", "{tmp}"],
     ],
     ids=["bad-tx", "unsupported-chain", "bad-chains", "unsupported-chains",
-         "baseline-not-a-list", "case-live", "case-fixtures", "case-script",
-         "case-transcripts", "case-rpc-map", "case-record-fixtures",
-         "scripted-rpc-map", "scripted-record-fixtures", "case-model", "scripted-model"],
+         "baseline-not-a-list", "case-rpc-map", "case-record-fixtures", "case-model",
+         "case-chainid", "case-tx", "no-case-no-chainid", "workdir-inside-case"],
 )
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     """A flag the command would ignore is refused too, before any work."""
@@ -273,10 +266,15 @@ def _validated_session(**files: str) -> dict[str, str]:
             ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
             "sources.json",
         ),
+        (
+            {},
+            ["postmortem", "--case", "{tmp}/nope", "--workdir", "{tmp}/work"],
+            "nope: neither a bundled case nor a directory",
+        ),
     ],
     ids=["feed-line-not-an-object", "summary-not-json", "summary-not-an-object",
          "summary-without-fields", "raw-without-targets", "raw-with-a-bad-hash",
-         "sources-not-json", "sources-not-an-object"],
+         "sources-not-json", "sources-not-an-object", "case-not-a-directory"],
 )
 def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
     """A malformed file a command reads ends it with exit 1 and one
@@ -289,6 +287,57 @@ def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named in err
+
+
+@pytest.mark.parametrize(
+    "rel, data, named",
+    [
+        ("script/root_cause_analyzer_4.json", b"{}", "root_cause_analyzer indices have gaps"),
+        ("script/root_cause_analyzer_01.json", b"{}", "index 1 repeated"),
+        ("script/root_cause_analyzer_0.json", b"{", "root_cause_analyzer_0.json"),
+        ("script/root_cause_analyzer_0.json", b"[1]", "not a JSON object"),
+        ("transcripts/run_2.txt", b"", "run indices have gaps"),
+        ("transcripts/run_00.txt", b"", "run_00.txt: index 0 repeated"),
+        ("transcripts/run_0.txt", b"\xff\xfe", "run_0.txt"),
+        ("expected.json", b"{", "expected.json"),
+        ("expected.json", b'{"base": "nope"}', "base is not a bundled case"),
+        ("expected.json", b"{}", "names no chainid and seed"),
+        ("expected.json", b'{"chainid": 1, "seed": "0xzz"}', "'0xzz'"),
+    ],
+    ids=["script-gap", "script-repeated", "script-undecodable", "script-not-an-object",
+         "transcripts-gap", "transcripts-repeated", "transcripts-undecodable",
+         "expected-undecodable", "expected-unknown-base", "expected-without-seed",
+         "expected-bad-seed"],
+)
+def test_malformed_replay_case_fails_closed(rel, data, named, tmp_path, capsys):
+    """A case directory with a malformed file, here an overlay on prxvt,
+    ends ``postmortem --case`` with exit 1 and one ``error:`` line, not a
+    traceback, before any session starts."""
+    case = tmp_path / "case"
+    (case / rel).parent.mkdir(parents=True)
+    (case / "expected.json").write_text('{"base": "prxvt"}', encoding="utf-8")
+    (case / rel).write_bytes(data)
+    argv = ["postmortem", "--case", str(case), "--workdir", str(tmp_path / "work")]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "work" / "sessions").exists()
+
+
+def test_the_non_act_overlay_replays_through_the_cli(tmp_path, capsys):
+    """``--case`` takes a case directory; the overlay replays prxvt's seed
+    and ends where its golden says."""
+    overlay = REPO / "tests" / "data" / "cases" / "prxvt_non_act"
+    code, doc = _cli(capsys, "postmortem", "--case", str(overlay), "--workdir", str(tmp_path))
+    assert code == 0
+    raw = json.loads((Path(doc["session_root"]) / "raw.json").read_text(encoding="utf-8"))
+    assert raw["targets"] == [{"chainid": scenarios.PRXVT_CHAIN, "txhash": scenarios.PRXVT_SEED}]
+    golden = json.loads((overlay / "expected.json").read_text(encoding="utf-8"))["session"]
+    for key, want in golden.items():
+        assert doc.get(key) == want, key
+    assert Path(doc["session_root"]).parent == tmp_path / "sessions"
+    assert (tmp_path / "cases" / "prxvt_non_act" / "transcripts" / "run_0.txt").is_file()
 
 
 @pytest.mark.parametrize(

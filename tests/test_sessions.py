@@ -278,7 +278,7 @@ class TestSimulatedRunner:
             (tmp_path / f"run_{n}.txt").write_text(str(n), encoding="utf-8")
         (tmp_path / "0xabc.txt").write_text("x", encoding="utf-8")
         (tmp_path / "notes.md").write_text("stray", encoding="utf-8")
-        runner = SimulatedRunner.from_dir(tmp_path)
+        runner = SimulatedRunner(scenarios.load_numbered(tmp_path, ".txt")["run"])
         assert [runner.run(None) for _ in range(11)] == [str(n) for n in range(11)]
         with pytest.raises(HarnessError):
             runner.run(None)
@@ -291,8 +291,8 @@ class TestSimulatedRunner:
     def test_a_gap_or_a_repeated_index_is_refused(self, tmp_path, names):
         for name in names:
             (tmp_path / f"{name}.txt").write_text(name, encoding="utf-8")
-        with pytest.raises(HarnessError, match="gaps|repeated"):
-            SimulatedRunner.from_dir(tmp_path)
+        with pytest.raises(workspace.CorruptArtifact, match="gaps|repeated"):
+            scenarios.load_numbered(tmp_path, ".txt")
 
 
 def _process_state(pid: int) -> tuple[str, str] | None:
@@ -605,6 +605,9 @@ class TestFreshProject:
             "foundry.toml/x",
             "README.md/x",
             "test/Exploit.sol/x",
+            # Names the file system refuses.
+            pytest.param("src/a\x00b.sol", id="nul-byte"),
+            pytest.param("src/" + "a" * 300 + ".sol", id="long-component"),
         ],
     )
     def test_sources_in_a_build_directory_are_refused(self, tmp_path, name):
@@ -931,8 +934,7 @@ class TestNonActRoute:
         # The overlay replaces prxvt's final analysis with a non-ACT one and
         # holds the golden of the session that ends on it.
         reason = "the drained rewards were never claimable by an unprivileged account"
-        bundle = scenarios.build_prxvt_case(tmp_path / "case")
-        shutil.copytree(DATA_DIR / "cases" / "prxvt_non_act", bundle.root, dirs_exist_ok=True)
+        bundle = scenarios.build_case(DATA_DIR / "cases" / "prxvt_non_act", tmp_path / "case")
         runner = _CountingRunner(bundle.runner())
         orch = Orchestrator(backend=bundle.backend(), adapter=bundle.adapter(), runner=runner)
         outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
@@ -944,7 +946,7 @@ class TestNonActRoute:
         assert f"- Why not ACT: {reason}" in report
         summary = _read(root, workspace.SESSION_SUMMARY)
         assert summary["poc"]["reproducer_iterations"] == 0
-        for key, want in _read(bundle.root, "expected.json")["session"].items():
+        for key, want in bundle.expected["session"].items():
             assert summary.get(key) == want, key
         assert not (root / workspace.REPRODUCER_DIR).exists()
         assert runner.launches == 0
