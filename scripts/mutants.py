@@ -37,7 +37,7 @@ TIMEOUT_S = 120
 #: What a copy of the tree leaves out: version control, caches and outputs.
 _NOT_COPIED = shutil.ignore_patterns(
     ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".benchmarks",
-    ".perfbench_work", "miner_demo", "postmortem_runs", "*.egg-info", "build",
+    ".perfbench_work", "postmortem_runs", "*.egg-info", "build",
 )
 
 

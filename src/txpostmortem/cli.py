@@ -151,14 +151,21 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     attempt = _last_judged_attempt(session.root)
     if attempt is None:
         raise UsageError("session has no reproduction verdicts to judge")
-    path = attempt / workspace.ENGINE_VERDICT
-    verdict = workspace.read_json(path)
-    errors = workspace.check_document(verdict, workspace.SCHEMAS["engine_verdict"])
-    if errors:
-        raise workspace.CorruptArtifact(f"{path}: not an engine verdict: {'; '.join(errors)}")
+    root_cause = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC)
+    verdict_path = attempt / workspace.ENGINE_VERDICT
+    verdict = workspace.read_json(verdict_path)
+    for path, doc, schema in (
+        (root_cause_path, root_cause, "root_cause"),
+        (verdict_path, verdict, "engine_verdict"),
+    ):
+        errors = workspace.check_document(doc, workspace.SCHEMAS[schema])
+        if errors:
+            raise workspace.CorruptArtifact(
+                f"{path}: fails the {schema} schema: {'; '.join(errors)}"
+            )
     return {
         "project_root": str(project_root),
-        "root_cause": workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC),
+        "root_cause": root_cause,
         "correctness": verdict["rubric"].get("correctness", {}),
         "oracle_pass": _validated(attempt),
     }

@@ -19,7 +19,6 @@ from .collect import (
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
-    fetch_txlists,
 )
 from .fixtures import FixtureStore, RecordingAdapter, ReplayAdapter, fixture_key
 from .live import LiveAdapter, disassemble
@@ -54,7 +53,6 @@ __all__ = [
     "execute_data_requests",
     "fetch_many",
     "fetch_seed_artifacts",
-    "fetch_txlists",
     "fixture_key",
     "load_rpc_map",
     "resolve_rpc_url",

@@ -3,7 +3,8 @@
 These functions sit between the orchestrator and the adapter: they issue
 requests, land payloads as workspace artifacts, and fold results into
 collection summaries.  Per-request failures never abort a batch; only a
-missing seed artifact is fatal to the seed bootstrap.
+missing seed artifact is fatal to the seed bootstrap.  The lifecycle miner
+fetches its transaction lists with ``fetch_many`` too, and lands nothing.
 
 The requests of one batch are independent, so ``fetch_many`` waits on all
 of them at once.  A batch runs as lanes, at most ``FETCH_WORKERS`` per
@@ -42,7 +43,7 @@ from .. import workspace
 from ..domain import SUPPORTED_CHAINS, DomainError
 from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
 from .fixtures import fixture_key
-from .types import DataRequest, TraceNode, TxRecord
+from .types import DataRequest, TraceNode
 
 logger = logging.getLogger(__name__)
 
@@ -446,29 +447,3 @@ def execute_data_requests(
             used_names.add(name)
     return summary
 
-
-# -- typed helpers -----------------------------------------------------------
-
-
-def fetch_txlists(
-    adapter: ChainAdapter,
-    chainid: int,
-    addresses: Sequence[str],
-    block_lo: int | None = None,
-    block_hi: int | None = None,
-) -> list[list[TxRecord]]:
-    """Each address's transactions in order; the first failure in address
-    order is raised once every list has been fetched."""
-    requests = [
-        DataRequest(
-            kind="txlist", chainid=chainid, target=address, block_lo=block_lo, block_hi=block_hi
-        )
-        for address in addresses
-    ]
-    lists = []
-    for payload in fetch_many(adapter, requests):
-        if isinstance(payload, GatewayError):
-            raise payload
-        records = [TxRecord.from_doc(doc) for doc in payload.get("records", [])]
-        lists.append(sorted(records, key=TxRecord.order_key))
-    return lists

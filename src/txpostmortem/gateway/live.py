@@ -8,7 +8,8 @@ and 5xx, and explorer rate limits are retried: ``RETRIES`` attempts in all,
 ``BACKOFF_S`` doubling between them, each call given ``TIMEOUT_S``.  Any
 other HTTP 4xx or error reply is final, and so is a malformed reply: a body
 that is not an object, an RPC body with no ``result``, or one a kind cannot
-normalise.  Each fails only its own request.
+normalise.  So is a request whose chain has no endpoint or whose target is
+not an address: ``UnsupportedRequest``.  Each fails only its own request.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ import os
 import time
 from typing import Any, Callable, Mapping, Optional
 
-from ..domain import Address, InvalidAddress
+from ..domain import Address, DomainError
 from .base import (
+    GatewayError,
     MissingCredential,
     SharedResults,
     UnsupportedRequest,
@@ -231,10 +233,15 @@ class LiveAdapter:
             raise UnsupportedRequest(f"live adapter cannot serve kind {request.kind!r}")
         try:
             return handler(request)
+        except DomainError as exc:
+            # A chain or target the request names is invalid, such as a
+            # model-written one: final, and a failure of its request only.
+            error: GatewayError = UnsupportedRequest(f"{request.kind} {request.target}: {exc}")
         except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
             what = f"{type(exc).__name__}: {exc}"
+            error = ErrorReply(f"{request.kind} {request.target}: malformed reply ({what})")
         # Raised outside the handler, so the error carries no frame of it.
-        raise ErrorReply(f"{request.kind} {request.target}: malformed reply ({what})")
+        raise error
 
     def _fetch_tx_metadata(self, request: DataRequest) -> dict[str, Any]:
         tx = self._rpc(request.chainid, "eth_getTransactionByHash", [request.target])
@@ -349,11 +356,7 @@ class LiveAdapter:
         return {"records": records}
 
     def _fetch_contract_meta(self, request: DataRequest) -> dict[str, Any]:
-        try:
-            address = Address(request.target)
-        except InvalidAddress as exc:
-            # A model-written target: final, and a failure of its request only.
-            raise UnsupportedRequest(f"contract_meta target: {exc}") from None
+        address = Address(request.target)
         doc: dict[str, Any] = {
             "address": address.value,
             "chainid": request.chainid,

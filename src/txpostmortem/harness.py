@@ -73,10 +73,18 @@ _FORK_BLOCK_PATTERNS = (
 )
 
 
+#: A comment, or a string literal, which may hold ``//`` or ``/*``.
+_COMMENT_OR_STRING = re.compile(
+    r"//[^\n]*|/\*.*?(?:\*/|\Z)|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.DOTALL
+)
+
+
 def detect_fork_block(test_source: str) -> Optional[int]:
-    """Find the pinned fork block in test source, if any."""
+    """Find the pinned fork block in test source, if any.  A pin inside a
+    comment or a string literal does not count."""
+    code = _COMMENT_OR_STRING.sub(lambda m: '""' if m[0][0] in "\"'" else " ", test_source)
     for pattern in _FORK_BLOCK_PATTERNS:
-        match = pattern.search(test_source)
+        match = pattern.search(code)
         if match:
             return int(match.group(1).replace("_", ""))
     return None

@@ -1,12 +1,11 @@
 """Lifecycle mining: from one seed transaction to a minimal incident set.
 
 ``extract_participants`` turns the seed's trace and balance diffs into role
-candidates, and ``mine_lifecycle`` fetches the adversaries' transaction
-lists around the seed.  ``_analyse`` then does each step over that universe
-once: block order, the seed check, the clusters of repeated entrypoint
-calls, the qualifying exploit clusters and one funding, setup, exploit or
-exit label per record.  ``classify_phases``, ``covers`` and
-``select_covering_set`` all read it.
+candidates.  ``mine_lifecycle`` is the one selection path: it fetches the
+adversaries' transaction lists around the seed, and ``_analyse`` does each
+step over that universe once (block order, the seed check, the clusters of
+repeated entrypoint calls, the qualifying exploit clusters and one funding,
+setup, exploit or exit label per record) before the covering set is picked.
 
 All heuristics here are deterministic; they produce candidates for the
 analyst roles to confirm, not final judgments.
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .domain import Address, TxHash
-from .gateway import ChainAdapter, DataRequest, adapter_memo, fetch_txlists
+from .gateway import ChainAdapter, DataRequest, GatewayError, adapter_memo, fetch_many
 from .gateway.types import BalanceDelta, TraceNode, TxRecord
 
 logger = logging.getLogger(__name__)
@@ -143,10 +142,6 @@ def exploit_clusters(
     ]
 
 
-def _span(cluster: TxCluster) -> set[TxHash]:
-    return {cluster.members[0].txhash, cluster.members[-1].txhash}
-
-
 def _analyse(
     records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
 ) -> tuple[list[TxRecord], dict[TxHash, str], list[TxCluster]]:
@@ -183,14 +178,6 @@ def _analyse(
     return universe, phases, qualifying
 
 
-def classify_phases(
-    records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
-) -> dict[TxHash, str]:
-    """Assign one lifecycle phase to every record in the universe; raises
-    ``MinerError`` when the seed is not among the records."""
-    return _analyse(records, seed, participants)[1]
-
-
 @dataclass(frozen=True)
 class LifecycleEntry:
     txhash: TxHash
@@ -208,77 +195,28 @@ class LifecycleSet:
         return [e.txhash.value for e in self.entries]
 
 
-def covers(
-    subset: set[TxHash],
-    records: Iterable[TxRecord],
-    seed: TxHash,
-    participants: ParticipantSet,
-) -> bool:
-    """True when ``subset`` holds the seed, both ends of every qualifying
-    exploit cluster, and a witness of every other phase in the universe."""
-    _, phases, qualifying = _analyse(records, seed, participants)
-    if seed not in subset or not all(_span(c) <= subset for c in qualifying):
-        return False
-    return set(phases.values()) - {"exploit"} <= {phases.get(h) for h in subset}
-
-
-def select_covering_set(
-    records: Iterable[TxRecord], seed: TxHash, participants: ParticipantSet
-) -> LifecycleSet:
-    """Pick the minimal lifecycle set: seed, cluster spans, phase witnesses.
-
-    Every member other than the seed is forced by some coverage requirement,
-    so dropping any one of them breaks coverage.  A missing phase is
-    witnessed by its first record, or by its last for exit.
-    """
-    return _covering_set(seed, *_analyse(records, seed, participants))
-
-
-def _covering_set(
-    seed: TxHash,
-    universe: list[TxRecord],
-    phases: dict[TxHash, str],
-    qualifying: list[TxCluster],
-) -> LifecycleSet:
-    """``select_covering_set`` over the answer of ``_analyse``."""
-    chosen: set[TxHash] = {seed}
-    for cluster in qualifying:
-        chosen |= _span(cluster)
-    witnessed = {phases[h] for h in chosen}
-    for phase in ("funding", "setup", "exit"):
-        members = [h for h, p in phases.items() if p == phase]  # block order
-        if members and phase not in witnessed:
-            chosen.add(members[-1] if phase == "exit" else members[0])
-
-    entries = tuple(
-        LifecycleEntry(
-            txhash=record.txhash,
-            phase=phases[record.txhash],
-            block_number=record.block_number,
-        )
-        for record in universe
-        if record.txhash in chosen
-    )
-    return LifecycleSet(entries=entries)
-
-
 def mine_lifecycle(
     adapter: ChainAdapter,
     chainid: int,
     seed: TxHash,
     participants: ParticipantSet,
 ) -> tuple[LifecycleSet, list[TxRecord]]:
-    """Fetch adversary transaction lists around the seed and select the set.
+    """Fetch adversary transaction lists around the seed and pick the minimal
+    lifecycle set: the seed, both ends of every qualifying exploit cluster,
+    and a witness of every other phase, its first record or, for exit, its
+    last.  Each member but the seed is forced by one of these, so dropping
+    any one breaks coverage.  Raises ``MinerError`` when the seed is not in
+    the window.
 
     The seed's block comes from its ``tx_metadata``, fetched through
     ``adapter_memo(adapter)``: after ``monitor.resolve_chains`` on the same
     adapter it is the payload the probe wave found, read from memory, and
     given a ``SessionMemo`` it comes through that memo.  The lists are fetched
-    concurrently once the seed's block is known, straight from the adapter
-    since a window may reach past the chain head, and merged in
-    sorted-account order, so the first account to list a transaction
-    supplies its record.  ``_analyse`` sorts the merged records once, and
-    that block-ordered universe is returned.
+    concurrently, straight from the adapter since a window may reach past the
+    chain head; the first failure in account order is raised once every list
+    has been fetched.  They are merged in sorted-account order, so the first
+    account to list a transaction supplies its record, and ``_analyse`` sorts
+    the merged records once; that block-ordered universe is returned.
     """
     metadata = adapter_memo(adapter).fetch(
         DataRequest(kind="tx_metadata", chainid=chainid, target=str(seed))
@@ -286,18 +224,37 @@ def mine_lifecycle(
     seed_block = metadata.get("block_number", 0)
     lo = max(0, seed_block - DEFAULT_WINDOW)
     hi = seed_block + DEFAULT_WINDOW
-    accounts = sorted(participants.adversaries)
+    requests = [
+        DataRequest(kind="txlist", chainid=chainid, target=account.value, block_lo=lo, block_hi=hi)
+        for account in sorted(participants.adversaries)
+    ]
     merged: dict[TxHash, TxRecord] = {}
-    for records in fetch_txlists(adapter, chainid, [a.value for a in accounts], lo, hi):
-        for record in records:
+    for payload in fetch_many(adapter, requests):
+        if isinstance(payload, GatewayError):
+            raise payload
+        for doc in payload.get("records", []):
+            record = TxRecord.from_doc(doc)
             merged.setdefault(record.txhash, record)
     universe, phases, qualifying = _analyse(merged.values(), seed, participants)
-    lifecycle = _covering_set(seed, universe, phases, qualifying)
+
+    chosen: set[TxHash] = {seed}
+    for cluster in qualifying:
+        chosen |= {cluster.members[0].txhash, cluster.members[-1].txhash}
+    witnessed = {phases[h] for h in chosen}
+    for phase in ("funding", "setup", "exit"):
+        members = [h for h, p in phases.items() if p == phase]  # block order
+        if members and phase not in witnessed:
+            chosen.add(members[-1] if phase == "exit" else members[0])
+    entries = tuple(
+        LifecycleEntry(record.txhash, phases[record.txhash], record.block_number)
+        for record in universe
+        if record.txhash in chosen
+    )
     logger.info(
         "mined %d-tx lifecycle from %d records in window [%d, %d]",
-        len(lifecycle.entries),
+        len(entries),
         len(universe),
         lo,
         hi,
     )
-    return lifecycle, universe
+    return LifecycleSet(entries=entries), universe

@@ -101,7 +101,6 @@ ROOT_CAUSE_STAGE_DIR = "artifacts/root_cause"
 #: One ``iter_k`` per gateway collection run; ``iter_0`` is the seed fetch.
 #: Each holds its summary and the payloads the session had not landed before.
 COLLECTION_DIR = "artifacts/root_cause/data_collector"
-POC_STAGE_DIR = "artifacts/poc"
 #: One ``iter_k`` per reproduction attempt.
 REPRODUCER_DIR = "artifacts/poc/poc_reproducer"
 #: The engine's verdict on an attempt, in that attempt's ``iter_k``.

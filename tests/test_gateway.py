@@ -40,7 +40,6 @@ from txpostmortem.gateway.collect import (
     execute_data_requests,
     fetch_many,
     fetch_seed_artifacts,
-    fetch_txlists,
 )
 from txpostmortem.gateway.fixtures import (
     FixtureStore,
@@ -52,7 +51,7 @@ from txpostmortem.gateway import fixtures, live
 from txpostmortem.gateway import types as gateway_types
 from txpostmortem.gateway.live import LiveAdapter, disassemble
 from txpostmortem.gateway.types import DataRequest, TxRecord
-from txpostmortem.lifecycle import DEFAULT_WINDOW
+from txpostmortem.lifecycle import DEFAULT_WINDOW, ParticipantSet, mine_lifecycle
 from txpostmortem.scenarios import (
     VAL_CHAIN,
     VAL_EOA,
@@ -796,23 +795,35 @@ class TestOneKeyPerRequest:
 
 class TestTypedFetchers:
     def test_txlist_is_sorted_by_order_key(self, tmp_path):
+        """The miner merges the txlists in account order, the first account
+        to list a transaction supplying its record, and sorts the merged
+        records by ``order_key``."""
+        other = "0x" + "ef" * 20  # listed after ADDR
+
+        def row(n, block, index, value=0):
+            return {"txhash": "0x" + f"{n:02x}" * 32, "block_number": block, "from": ADDR,
+                    "to": ADDR, "selector": None, "value": value, "gas_used": 1,
+                    "effective_gas_price": 1, "status": True, "index": index}
+
         store = FixtureStore(tmp_path)
-        request = DataRequest(kind="txlist", chainid=1, target=ADDR)
-        rows = [
-            {"txhash": "0x" + "01" * 32, "block_number": 9, "from": ADDR, "to": ADDR,
-             "selector": None, "value": 0, "gas_used": 1, "effective_gas_price": 1,
-             "status": True, "index": 1},
-            {"txhash": "0x" + "02" * 32, "block_number": 3, "from": ADDR, "to": ADDR,
-             "selector": None, "value": 0, "gas_used": 1, "effective_gas_price": 1,
-             "status": True, "index": 0},
-            {"txhash": "0x" + "03" * 32, "block_number": 9, "from": ADDR, "to": ADDR,
-             "selector": None, "value": 0, "gas_used": 1, "effective_gas_price": 1,
-             "status": True, "index": 0},
-        ]
-        store.save(request, {"records": rows})
-        [records] = fetch_txlists(ReplayAdapter(store), 1, [ADDR])
-        assert [r.block_number for r in records] == [3, 9, 9]
-        assert [r.index for r in records] == [0, 0, 1]
+        seed = row(3, 9, 0)["txhash"]
+        store.save(DataRequest(kind="tx_metadata", chainid=1, target=seed), {"block_number": 9})
+        for account, rows in ((ADDR, [row(1, 9, 1), row(2, 3, 0)]),
+                              (other, [row(3, 9, 0), row(1, 9, 1, value=7)])):
+            request = DataRequest(kind="txlist", chainid=1, target=account, block_lo=0,
+                                  block_hi=9 + DEFAULT_WINDOW)
+            store.save(request, {"records": rows})
+        participants = ParticipantSet(
+            origin=Address(ADDR),
+            adversary_eoas=frozenset({Address(ADDR)}),
+            adversary_contracts=frozenset({Address(other)}),
+            victims=frozenset(),
+            helpers=frozenset(),
+        )
+        _, universe = mine_lifecycle(ReplayAdapter(store), 1, TxHash(seed), participants)
+        assert [(r.block_number, r.index) for r in universe] == [(3, 0), (9, 0), (9, 1)]
+        assert [r.txhash.value[:4] for r in universe] == ["0x02", "0x03", "0x01"]
+        assert [r.value for r in universe] == [0, 0, 0]
 
     def test_storage_slot_round_trip(self, tmp_path):
         store = FixtureStore(tmp_path)
@@ -835,12 +846,13 @@ class TestCaseFixtures:
         adapter = valinity_run.bundle.adapter()
         lo = VAL_SEED_BLOCK - DEFAULT_WINDOW
         hi = VAL_SEED_BLOCK + DEFAULT_WINDOW
-        eoa, eoa_2, router = fetch_txlists(
-            adapter, VAL_CHAIN, [VAL_EOA, VAL_EOA_2, VAL_ROUTER], lo, hi
-        )
-        assert len(eoa) == 14
-        assert eoa_2 == []
-        assert len(router) == 2
+        counts = [
+            len(adapter.fetch(DataRequest(
+                kind="txlist", chainid=VAL_CHAIN, target=account, block_lo=lo, block_hi=hi
+            ))["records"])
+            for account in (VAL_EOA, VAL_EOA_2, VAL_ROUTER)
+        ]
+        assert counts == [14, 0, 2]
 
     def test_replaying_twice_is_byte_identical(self, valinity_run):
         adapter = valinity_run.bundle.adapter()
@@ -1191,6 +1203,29 @@ class TestLiveAdapter:
         assert [entry["request"] for entry in summary["failed"]] == [bad.to_doc()]
         # The malformed target never reaches the explorer or the node.
         assert calls == ["getsourcecode"]
+
+    def test_a_chain_without_an_endpoint_fails_its_request_not_the_batch(self, monkeypatch):
+        """Chain 5 is not supported and chain 10 has no endpoint in the map:
+        each fails its own request, finally, and chain 1 is served."""
+        sleeps = []
+        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        urls = []
+
+        def rpc_post(url, body, timeout):
+            urls.append(url)
+            return {"result": "0x2a"}
+
+        requests = [
+            DataRequest(kind="storage_slot", chainid=chainid, target=ADDR)
+            for chainid in (1, 5, 10)
+        ]
+        served, unsupported, unconfigured = fetch_many(self._adapter(rpc_post=rpc_post), requests)
+        assert served["value_hex"] == "0x2a"
+        assert isinstance(unsupported, UnsupportedRequest)
+        assert "unsupported chain id 5" in str(unsupported)
+        assert isinstance(unconfigured, UnsupportedRequest)
+        assert "no RPC endpoint configured for chain 10" in str(unconfigured)
+        assert (urls, sleeps) == (["http://node"], [])
 
     def test_storage_slot_hexifies_int_blocks(self):
         slots = []

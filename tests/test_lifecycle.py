@@ -1,8 +1,9 @@
 """Lifecycle mining: role extraction, phase labels, covering-set minimality.
 
-The selection algorithm is checked against exhaustive subset enumeration on
-every universe small enough to enumerate, so minimality is never taken on
-faith.
+``mine_lifecycle`` is checked, over an in-memory adapter, against exhaustive
+subset enumeration on every universe small enough to enumerate, so
+minimality is never taken on faith.  The coverage rule it must meet is
+written out here, as ``covers``, apart from the miner's own selection.
 """
 
 from __future__ import annotations
@@ -20,12 +21,10 @@ from txpostmortem.lifecycle import (
     DEFAULT_WINDOW,
     MinerError,
     ParticipantSet,
-    classify_phases,
+    _analyse,
     cluster_records,
-    covers,
     extract_participants,
     mine_lifecycle,
-    select_covering_set,
 )
 from txpostmortem.monitor import resolve_chains
 from txpostmortem.scenarios import (
@@ -79,6 +78,51 @@ def _rec(
     )
 
 
+class MemoryAdapter:
+    """A node that knows the seed's block, and an explorer that lists every
+    one of ``records``, in the given order, for each account."""
+
+    def __init__(self, records, seed):
+        self.records = records
+        self.seed_block = next((r.block_number for r in records if r.txhash == seed), 0)
+
+    def fetch(self, request):
+        if request.kind == "tx_metadata":
+            return {"block_number": self.seed_block}
+        assert request.kind == "txlist"
+        return {"records": [_doc(r) for r in self.records]}
+
+
+def _doc(record: TxRecord) -> dict:
+    return {
+        "txhash": record.txhash.value,
+        "block_number": record.block_number,
+        "from": record.from_address.value,
+        "to": record.to_address.value if record.to_address else None,
+        "selector": record.selector,
+        "value": record.value,
+        "gas_used": record.gas_used,
+        "effective_gas_price": record.effective_gas_price,
+        "status": record.status,
+        "index": record.index,
+    }
+
+
+def mine(records, seed, participants=PARTICIPANTS):
+    """``mine_lifecycle`` over ``records`` as the whole window."""
+    return mine_lifecycle(MemoryAdapter(records, seed), 1, seed, participants)
+
+
+def covers(subset, universe, seed, participants) -> bool:
+    """True when ``subset`` holds the seed, both ends of every qualifying
+    exploit cluster, and a witness of every other phase in the universe."""
+    _, phases, qualifying = _analyse(universe, seed, participants)
+    spans = [{c.members[0].txhash, c.members[-1].txhash} for c in qualifying]
+    if seed not in subset or not all(span <= subset for span in spans):
+        return False
+    return set(phases.values()) - {"exploit"} <= {phases.get(h) for h in subset}
+
+
 def brute_force_minimum(universe, seed, participants) -> int:
     """Smallest covering subset size, by exhaustive ascending enumeration."""
     hashes = [r.txhash for r in universe]
@@ -89,13 +133,14 @@ def brute_force_minimum(universe, seed, participants) -> int:
     raise AssertionError("universe has no covering subset at all")
 
 
-def assert_selection_is_minimal(universe, seed, participants):
-    lifecycle = select_covering_set(universe, seed, participants)
-    chosen = {e.txhash for e in lifecycle.entries}
+def assert_selection_is_minimal(records, seed, participants):
+    mined, universe = mine(records, seed, participants)
+    assert universe == sorted(records, key=TxRecord.order_key)
+    chosen = {e.txhash for e in mined.entries}
     assert seed in chosen
     assert covers(chosen, universe, seed, participants)
     assert len(chosen) == brute_force_minimum(universe, seed, participants)
-    return lifecycle
+    return mined
 
 
 class TestExtractParticipants:
@@ -192,7 +237,9 @@ class TestClustering:
             _rec(11, 130, VICTIM, SEL_RUN),  # exploit: same cluster as seed
             _rec(20, 140, OUTSIDER, None),  # exit: adversary acts after exploit
         ]
-        phases = classify_phases(records, seed.txhash, PARTICIPANTS)
+        # Every record is a cluster end or the one witness of its phase.
+        phases = {e.txhash: e.phase for e in mine(records, seed.txhash)[0].entries}
+        assert len(phases) == len(records)
         assert phases[seed.txhash] == "exploit"
         assert phases[records[0].txhash] == "funding"
         assert phases[records[1].txhash] == "setup"
@@ -202,8 +249,8 @@ class TestClustering:
 
     def test_seed_alone_is_the_exploit(self):
         seed = _rec(1, 100, VICTIM, SEL_RUN)
-        phases = classify_phases([seed], seed.txhash, PARTICIPANTS)
-        assert phases == {seed.txhash: "exploit"}
+        mined, _ = mine([seed], seed.txhash)
+        assert [(e.txhash, e.phase) for e in mined.entries] == [(seed.txhash, "exploit")]
 
 
 class TestCoverage:
@@ -211,11 +258,9 @@ class TestCoverage:
         absent = TxHash("0x" + "99" * 32)
         records = [_rec(1, 100, VICTIM, SEL_RUN)]
         with pytest.raises(MinerError):
+            mine(records, absent)
+        with pytest.raises(MinerError):
             covers({absent}, records, absent, PARTICIPANTS)
-        with pytest.raises(MinerError):
-            classify_phases(records, absent, PARTICIPANTS)
-        with pytest.raises(MinerError):
-            select_covering_set(records, absent, PARTICIPANTS)
 
     def test_subset_without_seed_never_covers(self):
         seed = _rec(1, 100, VICTIM, SEL_RUN)
@@ -358,9 +403,9 @@ class TestBundledIncidents:
     def test_a_mine_sorts_its_universe_once(
         self, request, monkeypatch, case, chainid, seed, participants, listed, universe_size
     ):
-        """Each account's list is sorted as it is fetched, and the merged
-        universe once more: one ``order_key`` call per listed record and one
-        per universe record."""
+        """The merged universe is sorted once, and no account's list on its
+        own: one ``order_key`` call per universe record, fewer than the
+        records listed."""
         adapter = request.getfixturevalue(f"{case}_run").bundle.adapter()
         calls = []
         order_key = TxRecord.order_key
@@ -372,7 +417,7 @@ class TestBundledIncidents:
         monkeypatch.setattr(TxRecord, "order_key", counting_order_key)
         _, universe = mine_lifecycle(adapter, chainid, TxHash(seed), participants)
         assert len(universe) == universe_size
-        assert len(calls) == listed + universe_size
+        assert len(calls) == universe_size < listed
 
     def test_window_default_radius(self):
         assert DEFAULT_WINDOW == 5000

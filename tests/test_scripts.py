@@ -1,7 +1,5 @@
-"""Entry points run end to end: the bundled demo script and ``python -m
-txpostmortem`` in their own interpreters, so that a script importing a name
-the package no longer has fails here, and the covering set the demo prints;
-the whole command-line pipeline
+"""Entry points run end to end: ``python -m txpostmortem`` in its own
+interpreter; the mutant table against the tree; the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
 bundled cases; the ``prxvt_non_act`` overlay replayed as a case directory;
 an export over an earlier one, which leaves unchanged incidents alone and
@@ -28,26 +26,6 @@ import pytest
 from txpostmortem import CASE_BUILDERS, cli, scenarios, workspace
 
 REPO = Path(__file__).resolve().parents[1]
-
-
-@pytest.mark.parametrize(
-    "script",
-    [["mine_lifecycle_demo.py"]],
-    ids=lambda argv: argv[0],
-)
-def test_script_exits_cleanly(script, tmp_path):
-    result = _run_script(script, tmp_path / "work")
-    assert result.returncode == 0, result.stderr
-
-
-def test_lifecycle_demo_prints_the_prxvt_covering_set(tmp_path):
-    result = _run_script(["mine_lifecycle_demo.py"], tmp_path / "work")
-    assert result.returncode == 0, result.stderr
-    lines = result.stdout.splitlines()
-    start = next(k for k, line in enumerate(lines) if line.startswith("selected covering set"))
-    assert lines[start + 1:] == [
-        f"  {tx[:18]}... {phase}" for tx, phase in scenarios.PRXVT_LIFECYCLE
-    ]
 
 
 def _mutants():
@@ -125,18 +103,6 @@ def test_cli_pipeline_over_the_bundled_cases(tmp_path, capsys):
         assert (code, index["count"]) == (0, 2)
         trees.append(_tree(out))
     assert trees[0] == trees[1]
-
-
-def _run_script(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / argv[0]), *argv[1:],
-         "--workdir", str(workdir)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
 
 
 def _postmortem(tmp_path: Path, capsys, *flags: str) -> tuple[int, dict]:
@@ -399,6 +365,20 @@ def test_a_malformed_session_document_fails_closed(argv, rel, edit, prxvt_run, t
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert Path(rel).name in err
+
+
+def test_a_root_cause_that_is_not_one_is_not_judged(prxvt_run, tmp_path, capsys):
+    """``evaluate`` checks the root cause it reads against its schema: a list
+    ends it with exit 1 and one ``error:`` line, and no evaluation is written."""
+    root = tmp_path / prxvt_run.session_root.name
+    shutil.copytree(prxvt_run.session_root, root)
+    shutil.rmtree(root / workspace.EVALUATION_DIR, ignore_errors=True)
+    (root / workspace.ROOT_CAUSE_DOC).write_text("[]", encoding="utf-8")
+    assert cli.main(["evaluate", "--session", str(root)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert workspace.ROOT_CAUSE_DOC in err
+    assert not (root / workspace.EVALUATION_DIR).exists()
 
 
 @pytest.mark.parametrize("verdict", [None, '{"overall_status": "Pa', "[]"],

@@ -1134,18 +1134,40 @@ class TestCorrectnessChecks:
 
 
 class TestForkPin:
-    @pytest.mark.parametrize("offset", [-1, 1])
-    def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, offset):
+    def _scaffold(self, tmp_path, edits):
+        """Scaffold prxvt's first test with each ``(old, new)`` of ``edits``
+        applied to its source."""
         entries = load_script_entries(PRXVT_CASE)
         definition = entries["oracle_generator"][0]
         files = dict(entries["poc_reproducer"][0]["files"])
-        pin = f"FORK_BLOCK = {definition['fork_block']};"
-        assert pin in files["test/Exploit.sol"]
-        files["test/Exploit.sol"] = files["test/Exploit.sol"].replace(
-            pin, f"FORK_BLOCK = {definition['fork_block'] + offset};"
-        )
+        for old, new in edits:
+            assert old in files["test/Exploit.sol"]
+            files["test/Exploit.sol"] = files["test/Exploit.sol"].replace(old, new)
         session = workspace.create_session(
             tmp_path, SeedRef.from_strings(definition["chainid"], [scenarios.PRXVT_SEED])
         )
+        return harness.scaffold_project(session, files, definition)
+
+    @pytest.mark.parametrize("offset", [-1, 1])
+    def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, offset):
+        block = scenarios.PRXVT_FORK_BLOCK
         with pytest.raises(harness.ScaffoldError, match="pins fork block"):
-            harness.scaffold_project(session, files, definition)
+            self._scaffold(tmp_path, [(f"= {block};", f"= {block + offset};")])
+
+    def test_a_pin_inside_a_comment_does_not_count(self, tmp_path):
+        project = self._scaffold(tmp_path, [
+            ("uint256 constant FORK_BLOCK = 40230817;",
+             "// FORK_BLOCK = 40230817\n    /* vm.rollFork(40230817); */"),
+            ('vm.envString("RPC_URL"), FORK_BLOCK)', 'vm.envString("RPC_URL"))'),
+        ])
+        assert not project.fork_pinned
+
+    def test_a_pin_after_a_url_literal_counts(self, tmp_path):
+        edits = [
+            ("uint256 constant FORK_BLOCK = 40230817;", ""),
+            ('vm.envString("RPC_URL"), FORK_BLOCK)', '"https://rpc.example", 40_230_817)'),
+        ]
+        assert self._scaffold(tmp_path, edits).fork_pinned
+        edits[1] = (edits[1][0], '"https://rpc.example", 19_000_000)')
+        with pytest.raises(harness.ScaffoldError, match="pins fork block 19000000"):
+            self._scaffold(tmp_path / "off", edits)
