@@ -143,26 +143,15 @@ def _last_judged_attempt(session_root: Path) -> Path | None:
 def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     """Assemble the judgment inputs for a finished session's reproduction."""
     project_root = session.root / workspace.FORGE_PROJECT_DIR
-    root_cause_path = session.root / workspace.ROOT_CAUSE_DOC
     if not project_root.is_dir():
         raise UsageError(f"session has no {workspace.FORGE_PROJECT_DIR}/ project")
-    if not root_cause_path.is_file():
+    if not (session.root / workspace.ROOT_CAUSE_DOC).is_file():
         raise UsageError(f"session has no {workspace.ROOT_CAUSE_DOC}")
     attempt = _last_judged_attempt(session.root)
     if attempt is None:
         raise UsageError("session has no reproduction verdicts to judge")
-    root_cause = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC)
-    verdict_path = attempt / workspace.ENGINE_VERDICT
-    verdict = workspace.read_json(verdict_path)
-    for path, doc, schema in (
-        (root_cause_path, root_cause, "root_cause"),
-        (verdict_path, verdict, "engine_verdict"),
-    ):
-        errors = workspace.check_document(doc, workspace.SCHEMAS[schema])
-        if errors:
-            raise workspace.CorruptArtifact(
-                f"{path}: fails the {schema} schema: {'; '.join(errors)}"
-            )
+    root_cause = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC, "root_cause")
+    verdict = workspace.read_json(attempt / workspace.ENGINE_VERDICT, "engine_verdict")
     return {
         "project_root": str(project_root),
         "root_cause": root_cause,
@@ -193,9 +182,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     report = metrics.sessions_report(summaries)
     if args.baseline:
         try:
-            rows = json.loads(Path(args.baseline).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise UsageError(f"unreadable baseline rows: {exc}") from exc
+            rows = workspace.read_json(Path(args.baseline))
+        except workspace.WorkspaceError as exc:
+            raise UsageError(str(exc)) from exc
         if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
             raise UsageError(
                 f"baseline file {args.baseline} must hold a JSON list of objects"
@@ -305,10 +294,6 @@ _EXPORT_DOCS = (workspace.ROOT_CAUSE_DOC, workspace.ORACLE_DEFINITION)
 _EXPORT_TEXT = (workspace.ROOT_CAUSE_REPORT, workspace.POC_REPORT)
 
 
-def _canonical_json(doc: Any) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _as_bytes(data: str | bytes) -> bytes:
     return data.encode("utf-8") if isinstance(data, str) else data
 
@@ -352,8 +337,8 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     An incident (``SeedRef.incident_key``) goes to ``<chainid>_<first tx[2:10]>``;
     in key order, a name already taken gets ``-1``, ``-2``, ….  Deterministic
     by construction: sessions are visited in name order, JSON is re-serialized
-    canonically, and project files are copied byte for byte, so re-running
-    the export reproduces the same tree.  Files are written whole, after all
+    by ``workspace.dump_indented``, and project files are copied byte for
+    byte, so re-running the export reproduces the same tree.  Files are written whole, after all
     of an incident's documents are read: a corrupt one raises
     ``CorruptArtifact`` and leaves that incident's directory as it was.
     An incident directory that already holds exactly the files it would
@@ -374,12 +359,7 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             continue
         session = workspace.open_session(root)
         key = session.seed.incident_key
-        sources = workspace.read_artifact(session, workspace.SOURCES_META)
-        errors = workspace.check_document(sources, workspace.SCHEMAS["sources"])
-        if errors:
-            raise workspace.CorruptArtifact(
-                f"{root / workspace.SOURCES_META}: {'; '.join(errors)}"
-            )
+        sources = workspace.read_artifact(session, workspace.SOURCES_META, "sources")
         entry = incidents.setdefault(
             key, {"session": session, "attempt": attempt, "attributions": set()}
         )
@@ -397,9 +377,9 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
                 doc = workspace.read_json(session.root / rel)
             except workspace.ArtifactNotFound:
                 continue
-            files[Path(rel).name] = _canonical_json(doc)
+            files[Path(rel).name] = workspace.dump_indented(doc)
         validation = workspace.read_json(entry["attempt"] / workspace.POC_VALIDATION)
-        files["poc_validated_result.json"] = _canonical_json(validation)
+        files["poc_validated_result.json"] = workspace.dump_indented(validation)
         for rel in _EXPORT_TEXT:
             src = session.root / rel
             if src.is_file():
@@ -416,7 +396,7 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
             "attributions": sorted(entry["attributions"]),
             "source_session": session.session_id,
         }
-        files["incident.json"] = _canonical_json(record)
+        files["incident.json"] = workspace.dump_indented(record)
         target = out / name
         if not _holds_exactly(target, files):
             if target.exists():
@@ -425,7 +405,7 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
                 workspace.write_file(target / rel_path, data)
         index.append(record)
     index_doc = {"count": len(index), "entries": index}
-    index_bytes = _as_bytes(_canonical_json(index_doc))
+    index_bytes = _as_bytes(workspace.dump_indented(index_doc))
     if not _holds(out / "index.json", index_bytes):
         workspace.write_file(out / "index.json", index_bytes)
     exported = {record["dir"] for record in index}

@@ -8,15 +8,14 @@ only to key them by request.
 
 from __future__ import annotations
 
-import json
 import logging
 import string
 import threading
 from collections import OrderedDict
-from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Hashable, Mapping, Optional, Protocol, TypeVar
 
+from .. import workspace
 from ..domain import UnsupportedChain, validate_chain
 from .types import DataRequest
 
@@ -153,20 +152,17 @@ class SharedResults:
 
 
 def load_rpc_map(path: str | Path | None = None) -> dict[int, str]:
-    """Load the chain-id to RPC URL template map.
-
-    Templates may reference environment variables as ``${NAME}``.
-    """
+    """Load the chain-id to RPC URL template map at ``path``, or the
+    packaged one.  Templates may reference environment variables as
+    ``${NAME}``.  A map that breaks the ``rpc_map`` schema or has a key that
+    is not a decimal chain id raises ``workspace.CorruptArtifact``."""
     if path is None:
-        text = (
-            resources.files("txpostmortem")
-            .joinpath("data/chainid_rpc_map.json")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        text = Path(path).read_text(encoding="utf-8")
-    raw = json.loads(text)
-    return {int(chainid): url for chainid, url in raw.items()}
+        path = Path(__file__).parent.parent / "data" / "chainid_rpc_map.json"
+    doc = workspace.read_json(Path(path), "rpc_map")
+    for chainid in doc:
+        if not chainid.isdecimal():
+            raise workspace.CorruptArtifact(f"{path}: key {chainid!r} is not a decimal chain id")
+    return {int(chainid): url for chainid, url in doc.items()}
 
 
 def resolve_rpc_url(chainid: int, env: Mapping[str, str], rpc_map: Mapping[int, str]) -> str:

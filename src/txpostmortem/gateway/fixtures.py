@@ -8,7 +8,6 @@ request computes its key once, however many layers ask for it.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
@@ -71,15 +70,20 @@ class FixtureStore:
         return self._keys
 
     def load(self, request: DataRequest) -> dict[str, Any]:
+        """The payload recorded for ``request``.  No file for it raises
+        ``MissingFixture``; a file that does not decode, or holds no
+        ``payload`` object, raises ``workspace.CorruptArtifact``."""
         key = fixture_key(request)
         if key in self._listing():
+            path = self.path_for(key)
             try:
-                handle = self.path_for(key).open("r", encoding="utf-8")
-            except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+                doc = workspace.read_json(path)
+            except workspace.ArtifactNotFound:
                 pass  # gone or replaced since the listing: a miss
             else:
-                with handle:
-                    return json.load(handle)["payload"]
+                if isinstance(doc, dict) and isinstance(doc.get("payload"), dict):
+                    return doc["payload"]
+                raise workspace.CorruptArtifact(f"{path}: holds no payload object")
         raise MissingFixture(
             f"no fixture for {request.kind} {request.target} on chain "
             f"{request.chainid} (key {key})"
@@ -92,9 +96,7 @@ class FixtureStore:
         key = fixture_key(request)
         path = self.path_for(key)
         doc = {"request": request.to_doc(), "payload": payload}
-        workspace.write_file(
-            path, json.dumps(doc, indent=2, ensure_ascii=False, sort_keys=True) + "\n"
-        )
+        workspace.write_file(path, workspace.dump_indented(doc))
         # After the write, so that a listing made meanwhile holds the key too.
         with self._lock:
             if self._keys is not None:

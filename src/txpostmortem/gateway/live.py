@@ -338,7 +338,7 @@ class LiveAdapter:
             },
         )
         records = []
-        for i, row in enumerate(rows or []):
+        for row in rows or []:
             records.append(
                 {
                     "txhash": row["hash"].lower(),
@@ -350,7 +350,7 @@ class LiveAdapter:
                     "gas_used": _hex_int(row.get("gasUsed")),
                     "effective_gas_price": _hex_int(row.get("gasPrice")),
                     "status": str(row.get("isError", "0")) == "0",
-                    "index": i,
+                    "index": _hex_int(row.get("transactionIndex")),
                 }
             )
         return {"records": records}

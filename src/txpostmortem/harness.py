@@ -66,10 +66,11 @@ class PoCProject:
     fork_pinned: bool
 
 
+#: A literal block in the fork call wins; else the ``FORK_BLOCK`` constant.
 _FORK_BLOCK_PATTERNS = (
-    re.compile(r"FORK_BLOCK\s*=\s*([0-9_]+)"),
-    re.compile(r"createSelectFork\s*\([^,)]*,\s*([0-9_]+)\s*\)"),
+    re.compile(r"createSelectFork\s*\((?:[^,()]|\([^()]*\))*,\s*([0-9_]+)\s*\)"),
     re.compile(r"rollFork\s*\(\s*([0-9_]+)\s*\)"),
+    re.compile(r"\bFORK_BLOCK\s*=\s*([0-9_]+)"),
 )
 
 

@@ -158,16 +158,13 @@ def latency_summary(durations: Sequence[float]) -> dict[str, float | int]:
 def load_session_summaries(sessions_dir: str | Path) -> Iterator[dict[str, Any]]:
     """Yield each session summary under ``sessions_dir`` in name order, read
     and checked only when the consumer asks for it, so a report over many
-    sessions holds one summary at a time.  An undecodable one raises
-    ``workspace.CorruptArtifact``, a malformed one ``MetricsError``, at the
-    point the iteration reaches it.  A summary is malformed when it breaks
-    its schema or holds usage that no ``Usage`` can hold."""
+    sessions holds one summary at a time.  At the point the iteration
+    reaches it, a summary that does not decode or breaks the
+    ``session_summary`` schema raises ``workspace.CorruptArtifact``, and one
+    that holds usage no ``Usage`` can hold raises ``MetricsError``."""
     root = Path(sessions_dir)
     for path in sorted(root.glob(f"*/{workspace.SESSION_SUMMARY}")):
-        doc = workspace.read_json(path)
-        errors = workspace.check_document(doc, workspace.SCHEMAS["session_summary"])
-        if errors:
-            raise MetricsError(f"{path}: not a session summary: {'; '.join(errors)}")
+        doc = workspace.read_json(path, "session_summary")
         try:
             Usage.from_doc(doc["usage"])
         except InvalidUsage as exc:

@@ -357,7 +357,7 @@ def run_monitor(
         first_hash = candidate.seed.primary.value
         name = f"incident_{index:04d}_{candidate.seed.chainid}_{first_hash[2:10]}.json"
         target = queue_path / name
-        workspace.write_file(target, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        workspace.write_file(target, workspace.dump_indented(payload))
         outcome.enqueued.append(target)
         processed_at = datetime.now(timezone.utc)
         if processed_at < candidate.first_post.timestamp:

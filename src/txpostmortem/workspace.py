@@ -10,11 +10,13 @@ named ``.<name>.<random hex>.tmp`` with plain strings, renamed over the
 target, so a killed run leaves the old file or the whole new one, with the
 mode ``open()`` gives.  A directory is made by the first write that needs
 it: the temp file is opened first, and only a missing parent makes the
-directories and opens it again.  Every JSON file it reads back goes through
-``read_json``, which raises ``ArtifactNotFound`` for a missing file and
-``CorruptArtifact`` for an unreadable or undecodable one.  A session's JSON
-artifacts are written by ``write_artifact`` as compact JSON with non-ASCII
-kept; queue seeds, fixtures and dataset exports keep their indented form.
+directories and opens it again.  Every JSON file the program reads goes
+through ``read_json``, which raises ``ArtifactNotFound`` for a missing file
+and ``CorruptArtifact``, naming the file, for one that does not decode or,
+given a schema id, breaks that schema.  JSON is written in two forms, both
+with non-ASCII kept: compact for session artifacts (``write_artifact``),
+and indented with sorted keys for the files people read, queue seeds,
+fixtures and dataset exports (``dump_indented``).
 
 Every artifact path goes through ``resolve_inside``.  A relative path with
 no ``..`` part is checked by ``lstat`` on each of its components below the
@@ -34,9 +36,9 @@ summaries, engine verdicts, evaluation results, the session summary) is
 checked as it is written, by ``write_artifact(schema_id=...)``.  The engine
 verdict has its own ``engine_verdict`` schema, which fixes the rubric the
 engine writes; the validator's ``poc_validation`` allows any rubric object.
-A command that reads a finished session's engine verdict or summary back
-checks it again against the same schema, since the file may have changed
-on disk.
+A command that reads a finished session's documents back checks them again
+against the same schemas (``read_json(path, schema_id)``), since the files
+may have changed on disk.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ class WorkspaceError(Exception):
 
 
 class SchemaError(WorkspaceError):
-    """Document failed structural validation; ``errors`` lists field paths."""
+    """A document to be written fails its schema; ``errors`` lists field
+    paths.  A document read back that fails raises ``CorruptArtifact``."""
 
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
@@ -317,6 +320,7 @@ SCHEMAS: dict[str, Any] = {
         }
     },
     "sources": {"object": {"required": {"attributions": {"array_of": "string"}}}},
+    "rpc_map": {"map_of": "string"},
     "analysis_result": {
         "object": {
             "required": {
@@ -535,6 +539,11 @@ def _dump_json(doc: Any) -> str:
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
 
 
+def dump_indented(doc: Any) -> str:
+    """``doc`` as indented JSON with sorted keys, for people to read."""
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 
 
@@ -568,14 +577,27 @@ def write_file(target: Path, data: str | bytes) -> None:
         raise
 
 
-def read_json(path: Path) -> Any:
-    """The JSON document at ``path``."""
+def _schema(schema_id: str) -> Any:
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return SCHEMAS[schema_id]
+    except KeyError:
+        raise UnknownSchema(f"unknown schema id {schema_id!r}") from None
+
+
+def read_json(path: Path, schema_id: str | None = None) -> Any:
+    """The JSON document at ``path``, checked against ``SCHEMAS[schema_id]``
+    when a schema id is given."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise ArtifactNotFound(f"{path}: no such file") from exc
     except (OSError, ValueError) as exc:
         raise CorruptArtifact(f"{path}: {exc}") from exc
+    if schema_id is not None:
+        errors = check_document(doc, _schema(schema_id))
+        if errors:
+            raise CorruptArtifact(f"{path}: fails the {schema_id} schema: {'; '.join(errors)}")
+    return doc
 
 
 def resolve_inside(session: Session, relpath: str | Path) -> Path:
@@ -658,11 +680,7 @@ def open_session(root: str | Path) -> Session:
     """Re-open an existing session directory from its raw input."""
     root = Path(root)
     raw_path = root / RAW_INPUT
-    doc = read_json(raw_path)
-    errors = check_document(doc, SCHEMAS["raw_input"])
-    if errors:
-        raise SchemaError(errors)
-    targets = doc["targets"]
+    targets = read_json(raw_path, "raw_input")["targets"]
     try:
         seed = SeedRef.from_strings(targets[0]["chainid"], [t["txhash"] for t in targets])
     except (IndexError, DomainError) as exc:
@@ -678,9 +696,7 @@ def write_artifact(
 ) -> Path:
     """Validate (when a schema id is given) and atomically write a JSON doc."""
     if schema_id is not None:
-        if schema_id not in SCHEMAS:
-            raise UnknownSchema(f"unknown schema id {schema_id!r}")
-        errors = check_document(doc, SCHEMAS[schema_id])
+        errors = check_document(doc, _schema(schema_id))
         if errors:
             raise SchemaError(errors)
     target = resolve_inside(session, relpath)
@@ -695,8 +711,9 @@ def write_text_artifact(session: Session, relpath: str | Path, text: str) -> Pat
     return target
 
 
-def read_artifact(session: Session, relpath: str | Path) -> Any:
-    return read_json(resolve_inside(session, relpath))
+def read_artifact(session: Session, relpath: str | Path, schema_id: str | None = None) -> Any:
+    """Read a JSON artifact, checked as ``read_json`` checks it."""
+    return read_json(resolve_inside(session, relpath), schema_id)
 
 
 _ITER_RE = re.compile(r"^iter_(\d+)$")

@@ -1151,6 +1151,41 @@ class TestLiveAdapter:
         assert doc["records"][0]["status"] is True
         assert doc["records"][0]["index"] == 0
 
+    def test_mined_rows_of_one_block_keep_their_place_in_it(self):
+        """Two accounts' explorer lists both reach block 10: the universe
+        orders their rows by ``transactionIndex``, not by where each row
+        sits in its own account's list."""
+        other = "0x" + "ef" * 20
+
+        def row(n, block, index):
+            return {"hash": "0x" + f"{n:02x}" * 32, "blockNumber": str(block), "from": ADDR,
+                    "to": other, "input": "0x", "value": "0", "gasUsed": "1",
+                    "gasPrice": "1", "isError": "0", "transactionIndex": str(index)}
+
+        lists = {ADDR: [row(3, 10, 7)], other: [row(1, 9, 0), row(2, 10, 0)]}
+        def api_get(url, params, timeout):
+            return {"status": "1", "result": lists[params["address"]]}
+
+        live_adapter = self._adapter(api_get=api_get, env={"ETHERSCAN_API_KEY": "k"})
+
+        class SeedAtBlock10:
+            def fetch(self, request):
+                if request.kind == "tx_metadata":
+                    return {"block_number": 10}
+                return live_adapter.fetch(request)
+
+        participants = ParticipantSet(
+            origin=Address(ADDR),
+            adversary_eoas=frozenset({Address(ADDR)}),
+            adversary_contracts=frozenset({Address(other)}),
+            victims=frozenset(),
+            helpers=frozenset(),
+        )
+        seed = TxHash("0x" + "03" * 32)
+        _, universe = mine_lifecycle(SeedAtBlock10(), 1, seed, participants)
+        assert [r.txhash.value[:4] for r in universe] == ["0x01", "0x02", "0x03"]
+        assert [r.index for r in universe] == [0, 0, 7]
+
     @pytest.mark.parametrize("kind", SEED_ARTIFACT_KINDS + SEED_CONTEXT_KINDS)
     @pytest.mark.parametrize("reply", sorted(_MALFORMED_REPLIES))
     def test_a_malformed_reply_fails_its_own_request(self, monkeypatch, reply, kind):

@@ -24,6 +24,7 @@ from pathlib import Path
 import pytest
 
 from txpostmortem import CASE_BUILDERS, cli, scenarios, workspace
+from txpostmortem.gateway import DataRequest
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -173,6 +174,19 @@ def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
 
 _RAW_BAD_HASH = json.dumps({"targets": [{"chainid": 1, "txhash": "0xzz"}]})
 
+_POSTED_TX = "0x" + "ab" * 32
+#: The fixture a probe of ``_POSTED_TX`` on chain 1 reads.
+_PROBED = f"fix/{DataRequest(kind='tx_metadata', chainid=1, target=_POSTED_TX).key}.json"
+_FEED = json.dumps(
+    {"source_id": "post-0", "timestamp": "2025-01-01T00:00:00Z",
+     "text": f"Exploit alert: drain in {_POSTED_TX}"}
+)
+_MONITOR = ["monitor", "--feed", "{tmp}/feed.jsonl", "--queue", "{tmp}/queue"]
+_MONITOR_FIXTURES = _MONITOR + ["--fixtures", "{tmp}/fix", "--chains", "1"]
+_MONITOR_RPC_MAP = _MONITOR + ["--rpc-map", "{tmp}/map.json"]
+_REPLAY = ["fixtures", "replay", "--fixtures", "{tmp}/fix", "--chainid", "1",
+           "--kind", "tx_metadata", "--target", _POSTED_TX]
+
 
 def _validated_session(**files: str) -> dict[str, str]:
     """Files of one exported-looking session ``s/0``, with ``files`` on top."""
@@ -217,6 +231,15 @@ def _validated_session(**files: str) -> dict[str, str]:
             ["evaluate", "--session", "{tmp}/s/0"],
             "raw.json",
         ),
+        ({"s/0/raw.json": "{}"}, ["evaluate", "--session", "{tmp}/s/0"], "raw.json"),
+        ({"feed.jsonl": _FEED, _PROBED: "{"}, _MONITOR_FIXTURES, _PROBED),
+        ({_PROBED: "{"}, _REPLAY, _PROBED),
+        ({"feed.jsonl": _FEED, _PROBED: '{"request": {}}'}, _MONITOR_FIXTURES, _PROBED),
+        ({_PROBED: '{"payload": []}'}, _REPLAY, _PROBED),
+        ({"feed.jsonl": _FEED, "map.json": "{"}, _MONITOR_RPC_MAP, "map.json"),
+        ({"feed.jsonl": _FEED, "map.json": '{"x": "http://node"}'}, _MONITOR_RPC_MAP, "map.json"),
+        ({"feed.jsonl": _FEED, "map.json": '{"1": 7}'}, _MONITOR_RPC_MAP, "map.json"),
+        ({"feed.jsonl": _FEED}, _MONITOR_RPC_MAP, "map.json"),
         (
             _validated_session(**{"raw.json": _RAW_BAD_HASH}),
             ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
@@ -239,7 +262,11 @@ def _validated_session(**files: str) -> dict[str, str]:
         ),
     ],
     ids=["feed-line-not-an-object", "summary-not-json", "summary-not-an-object",
-         "summary-without-fields", "raw-without-targets", "raw-with-a-bad-hash",
+         "summary-without-fields", "raw-without-targets", "raw-empty-object",
+         "monitor-fixture-not-json", "replay-fixture-not-json",
+         "monitor-fixture-without-payload", "replay-fixture-payload-not-an-object",
+         "rpc-map-not-json", "rpc-map-key-not-a-chain-id", "rpc-map-url-not-a-string",
+         "rpc-map-missing", "raw-with-a-bad-hash",
          "sources-not-json", "sources-not-an-object", "case-not-a-directory"],
 )
 def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
@@ -251,7 +278,7 @@ def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
     assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ")
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
 
 
@@ -454,6 +481,20 @@ def _one_incident_export(prxvt_run, tmp_path, capsys) -> tuple[Path, Path]:
     code, index = _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
     assert (code, index["count"]) == (0, 1)
     return sessions, out
+
+
+def test_the_export_keeps_non_ascii_text(prxvt_run, tmp_path, capsys):
+    """Exported documents are UTF-8 text, not ``\\u`` escapes."""
+    sessions = tmp_path / "s"
+    root = sessions / prxvt_run.session_root.name
+    shutil.copytree(prxvt_run.session_root, root)
+    doc = json.loads((root / "root_cause.json").read_text(encoding="utf-8"))
+    doc["mechanism"] = "Überschuss — drain"
+    (root / "root_cause.json").write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "out"
+    _cli(capsys, "dataset", "export", "--sessions", str(sessions), "--out", str(out))
+    (exported,) = out.glob("*/root_cause.json")
+    assert '"mechanism": "Überschuss — drain"' in exported.read_text(encoding="utf-8")
 
 
 def test_an_unchanged_incident_is_not_written_again(prxvt_run, tmp_path, capsys):

@@ -1148,11 +1148,27 @@ class TestForkPin:
         )
         return harness.scaffold_project(session, files, definition)
 
-    @pytest.mark.parametrize("offset", [-1, 1])
-    def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, offset):
-        block = scenarios.PRXVT_FORK_BLOCK
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            (f"= {scenarios.PRXVT_FORK_BLOCK};", f"= {scenarios.PRXVT_FORK_BLOCK - 1};"),
+            (f"= {scenarios.PRXVT_FORK_BLOCK};", f"= {scenarios.PRXVT_FORK_BLOCK + 1};"),
+            # The constant holds the right block, but the fork is at block 1.
+            ('(vm.envString("RPC_URL"), FORK_BLOCK)', '("x", 1)'),
+            ('vm.envString("RPC_URL"), FORK_BLOCK)', 'vm.envString("RPC_URL"), 1)'),
+        ],
+        ids=["-1", "1", "literal-fork-beside-the-constant", "literal-fork-after-a-call"],
+    )
+    def test_a_test_pinned_off_the_fork_block_is_refused(self, tmp_path, old, new):
         with pytest.raises(harness.ScaffoldError, match="pins fork block"):
-            self._scaffold(tmp_path, [(f"= {block};", f"= {block + offset};")])
+            self._scaffold(tmp_path, [(old, new)])
+
+    def test_a_constant_named_after_fork_block_is_not_a_pin(self, tmp_path):
+        project = self._scaffold(tmp_path, [
+            ("uint256 constant FORK_BLOCK = 40230817;", "uint256 constant OLD_FORK_BLOCK = 1;"),
+            ('vm.envString("RPC_URL"), FORK_BLOCK)', 'vm.envString("RPC_URL"))'),
+        ])
+        assert not project.fork_pinned
 
     def test_a_pin_inside_a_comment_does_not_count(self, tmp_path):
         project = self._scaffold(tmp_path, [

@@ -428,6 +428,19 @@ class TestReadJson:
         with pytest.raises(workspace.CorruptArtifact, match="doc.json"):
             workspace.read_json(path)
 
+    def test_a_document_that_breaks_its_schema_is_corrupt(self, tmp_path):
+        path = tmp_path / "raw.json"
+        path.write_text('{"targets": [{"chainid": "1"}]}', encoding="utf-8")
+        assert workspace.read_json(path) == {"targets": [{"chainid": "1"}]}
+        with pytest.raises(
+            workspace.CorruptArtifact,
+            match=r"raw\.json: fails the raw_input schema: "
+            r"targets\[0\]\.chainid: expected integer; targets\[0\]\.txhash: required",
+        ):
+            workspace.read_json(path, "raw_input")
+        with pytest.raises(workspace.UnknownSchema):
+            workspace.read_json(path, "no_such_schema")
+
 
 class TestIterationDirs:
     def test_lists_iteration_directories_in_numeric_order(self, session):
