@@ -106,6 +106,8 @@ class ModelBackend(Protocol):
 
 #: Model the live backend asks for unless told otherwise.
 DEFAULT_MODEL = "gpt-5"
+#: The endpoint the live backend posts each step to.
+CHAT_COMPLETIONS_URL = "https://api.openai.com/v1/chat/completions"
 
 #: Fixed per-step usage reported by the scripted backend unless an entry
 #: overrides it; tests rely on it being deterministic.
@@ -183,12 +185,10 @@ class OpenAIChatBackend:
         self,
         api_key: str,
         model: str = DEFAULT_MODEL,
-        base_url: str = "https://api.openai.com/v1",
         post: Optional[Callable[[str, dict[str, Any], dict[str, str]], dict[str, Any]]] = None,
     ):
         self.api_key = api_key
         self.model = model
-        self.base_url = base_url.rstrip("/")
         self.post = post or self._default_post
         self._histories: dict[str, list[dict[str, str]]] = {}
         # ``next`` on a count is one step, so threads opening conversations
@@ -222,7 +222,7 @@ class OpenAIChatBackend:
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         try:
-            doc = self.post(f"{self.base_url}/chat/completions", body, headers)
+            doc = self.post(CHAT_COMPLETIONS_URL, body, headers)
         except Exception as exc:
             raise BackendError(f"model call failed: {exc}") from exc
         try:

@@ -132,31 +132,42 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _last_judged_attempt(session_root: Path) -> Path | None:
-    """The last reproducer ``iter_k`` that holds an engine verdict, if any."""
-    for _, path in reversed(workspace.iteration_dirs(session_root, workspace.REPRODUCER_DIR)):
-        if (path / workspace.ENGINE_VERDICT).is_file():
-            return path
-    return None
+def _last_attempt(session_root: Path) -> tuple[Path, dict[str, Any] | None] | None:
+    """The last reproducer ``iter_k`` and its validator verdict, read
+    through the ``poc_validation`` schema; the verdict is None only when the
+    attempt holds none.  None when the session made no attempt."""
+    attempts = workspace.iteration_dirs(session_root, workspace.REPRODUCER_DIR)
+    if not attempts:
+        return None
+    attempt = attempts[-1][1]
+    try:
+        return attempt, workspace.read_json(attempt / workspace.POC_VALIDATION, "poc_validation")
+    except workspace.ArtifactNotFound:
+        return attempt, None
 
 
 def evaluation_context(session: workspace.Session) -> dict[str, Any]:
-    """Assemble the judgment inputs for a finished session's reproduction."""
+    """Assemble the judgment inputs for a finished session's last attempt,
+    the only one whose project ``forge_poc/`` holds; an attempt with no
+    engine verdict, whose project never ran, is refused."""
     project_root = session.root / workspace.FORGE_PROJECT_DIR
     if not project_root.is_dir():
         raise UsageError(f"session has no {workspace.FORGE_PROJECT_DIR}/ project")
     if not (session.root / workspace.ROOT_CAUSE_DOC).is_file():
         raise UsageError(f"session has no {workspace.ROOT_CAUSE_DOC}")
-    attempt = _last_judged_attempt(session.root)
-    if attempt is None:
-        raise UsageError("session has no reproduction verdicts to judge")
+    last = _last_attempt(session.root)
+    if last is None:
+        raise UsageError("session has no reproduction attempts to judge")
+    attempt, validation = last
+    if not (attempt / workspace.ENGINE_VERDICT).is_file():
+        raise UsageError(f"{attempt}: the last reproduction attempt has no engine verdict")
     root_cause = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC, "root_cause")
     verdict = workspace.read_json(attempt / workspace.ENGINE_VERDICT, "engine_verdict")
     return {
         "project_root": str(project_root),
         "root_cause": root_cause,
         "correctness": verdict["rubric"].get("correctness", {}),
-        "oracle_pass": _validated(attempt),
+        "oracle_pass": validation is not None and validation["overall_status"] == "Pass",
     }
 
 
@@ -281,16 +292,8 @@ def cmd_fixtures(args: argparse.Namespace) -> int:
 # dataset export
 
 
-def _validated(attempt: Path) -> bool:
-    """Whether the validator passed ``attempt``; a missing or corrupt verdict did not."""
-    try:
-        doc = workspace.read_json(attempt / workspace.POC_VALIDATION)
-    except workspace.WorkspaceError:
-        return False
-    return isinstance(doc, dict) and doc.get("overall_status") == "Pass"
-
-
-_EXPORT_DOCS = (workspace.ROOT_CAUSE_DOC, workspace.ORACLE_DEFINITION)
+_EXPORT_DOCS = ((workspace.ROOT_CAUSE_DOC, "root_cause"),
+                (workspace.ORACLE_DEFINITION, "oracle_definition"))
 _EXPORT_TEXT = (workspace.ROOT_CAUSE_REPORT, workspace.POC_REPORT)
 
 
@@ -334,13 +337,17 @@ def _holds_exactly(directory: Path, files: dict[str, str | bytes]) -> bool:
 def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, Any]:
     """Export every validated incident once, merging repeat attributions.
 
+    A session is exported when the validator passed its last attempt, the
+    only one whose project ``forge_poc/`` holds; a corrupt verdict, or a
+    missing or corrupt root cause or oracle definition, raises.
+
     An incident (``SeedRef.incident_key``) goes to ``<chainid>_<first tx[2:10]>``;
     in key order, a name already taken gets ``-1``, ``-2``, ….  Deterministic
     by construction: sessions are visited in name order, JSON is re-serialized
     by ``workspace.dump_indented``, and project files are copied byte for
-    byte, so re-running the export reproduces the same tree.  Files are written whole, after all
-    of an incident's documents are read: a corrupt one raises
-    ``CorruptArtifact`` and leaves that incident's directory as it was.
+    byte, so re-running the export reproduces the same tree.  Files are
+    written whole, after all of an incident's documents are read, so an
+    error leaves that incident's directory as it was.
     An incident directory that already holds exactly the files it would
     get, byte for byte, is left as it is, and so is an ``index.json`` that
     already holds the index; any other incident directory is deleted and
@@ -353,15 +360,15 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
     incidents: dict[tuple[int, tuple[str, ...]], dict[str, Any]] = {}
     summaries = Path(sessions_dir).glob("*/" + workspace.SESSION_SUMMARY)
     for root in sorted(p.parent for p in summaries):
-        attempt = _last_judged_attempt(root)
-        if not (attempt and _validated(attempt)):
+        last = _last_attempt(root)
+        if not (last and last[1] and last[1]["overall_status"] == "Pass"):
             logger.info("skipping %s: no validated reproduction", root.name)
             continue
         session = workspace.open_session(root)
         key = session.seed.incident_key
         sources = workspace.read_artifact(session, workspace.SOURCES_META, "sources")
         entry = incidents.setdefault(
-            key, {"session": session, "attempt": attempt, "attributions": set()}
+            key, {"session": session, "validation": last[1], "attributions": set()}
         )
         entry["attributions"] |= set(sources["attributions"])
     index: list[dict[str, Any]] = []
@@ -371,15 +378,11 @@ def export_dataset(sessions_dir: str | Path, out_dir: str | Path) -> dict[str, A
         base = f"{chainid}_{txs[0][2:10]}"
         name = f"{base}-{taken[base]}" if taken[base] else base
         taken[base] += 1
-        files: dict[str, str | bytes] = {}
-        for rel in _EXPORT_DOCS:
-            try:
-                doc = workspace.read_json(session.root / rel)
-            except workspace.ArtifactNotFound:
-                continue
-            files[Path(rel).name] = workspace.dump_indented(doc)
-        validation = workspace.read_json(entry["attempt"] / workspace.POC_VALIDATION)
-        files["poc_validated_result.json"] = workspace.dump_indented(validation)
+        files: dict[str, str | bytes] = {
+            Path(rel).name: workspace.dump_indented(workspace.read_json(session.root / rel, schema))
+            for rel, schema in _EXPORT_DOCS
+        }
+        files["poc_validated_result.json"] = workspace.dump_indented(entry["validation"])
         for rel in _EXPORT_TEXT:
             src = session.root / rel
             if src.is_file():

@@ -200,7 +200,7 @@ def heuristic_quality_checks(
 
     # Incident constants: literals recorded during analysis (calldata blobs,
     # raw amounts) plus the incident transaction hashes themselves.
-    needles = {str(c) for c in root_cause.get("incident_constants", [])}
+    needles = set(root_cause.get("incident_constants", []))
     needles.update(entry.get("txhash", "") for entry in root_cause.get("lifecycle", []))
     constant_hits = harness.scan_for_addresses(sources, needles)
     results["no_attacker_designed_constants"] = (

@@ -71,6 +71,12 @@ class _FetchPool:
     are ever started; a thread whose lane has returned waits for the next.
     They are daemon threads: between calls they only wait on the queue, so
     they never hold up the interpreter's exit.
+
+    Not a ``concurrent.futures.ThreadPoolExecutor``: one shared executor,
+    the caller still running the first lane, fed perfbench ``triage``
+    257-262 posts/s against this pool's 271-285, lower in each of 6
+    alternating 10 s pairs (seeds 1-6, 2-CPU Xeon, Python 3.11), and
+    added 0.3 MB of peak RSS.
     """
 
     def __init__(self, max_threads: int):

@@ -304,8 +304,6 @@ class LiveAdapter:
         for account in sorted(set(pre) | set(post)):
             before = _hex_int(pre.get(account, {}).get("balance"))
             after = _hex_int(post.get(account, {}).get("balance"), before)
-            if account in post and "balance" not in post[account]:
-                after = before
             if after != before:
                 entries.append(
                     {

@@ -102,9 +102,6 @@ class TxRecord:
     to_address: Optional[Address]
     selector: Optional[str]
     value: int
-    gas_used: int
-    effective_gas_price: int
-    status: bool
     index: int = 0
 
     def order_key(self) -> tuple[int, int]:
@@ -119,9 +116,6 @@ class TxRecord:
             to_address=Address(doc["to"]) if doc.get("to") else None,
             selector=doc.get("selector"),
             value=doc.get("value", 0),
-            gas_used=doc.get("gas_used", 0),
-            effective_gas_price=doc.get("effective_gas_price", 0),
-            status=bool(doc.get("status", True)),
             index=doc.get("index", 0),
         )
 
@@ -133,10 +127,7 @@ class TraceNode:
     call_type: str
     from_address: Address
     to_address: Optional[Address]
-    value: int = 0
-    gas_used: int = 0
     selector: Optional[str] = None
-    error: Optional[str] = None
     children: tuple["TraceNode", ...] = ()
 
     def walk(self):
@@ -150,10 +141,7 @@ class TraceNode:
             call_type=doc["call_type"],
             from_address=Address(doc["from"]),
             to_address=Address(doc["to"]) if doc.get("to") else None,
-            value=doc.get("value", 0),
-            gas_used=doc.get("gas_used", 0),
             selector=doc.get("selector"),
-            error=doc.get("error"),
             children=tuple(cls.from_doc(c) for c in doc.get("children", [])),
         )
 
@@ -165,7 +153,6 @@ class BalanceDelta:
     address: Address
     asset: str
     delta: int
-    decimals: int = 18
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "BalanceDelta":
@@ -173,5 +160,4 @@ class BalanceDelta:
             address=Address(doc["address"]),
             asset=doc["asset"],
             delta=doc["delta"],
-            decimals=doc.get("decimals", 18),
         )

@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
@@ -64,10 +64,8 @@ class AmbiguousChain(MonitorError):
 @dataclass(frozen=True)
 class Post:
     source_id: str
-    author: str
     timestamp: datetime
     text: str
-    url: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.text:
@@ -86,10 +84,8 @@ class Post:
             stamp = stamp.replace(tzinfo=timezone.utc)
         return cls(
             source_id=str(doc["source_id"]),
-            author=str(doc.get("author", "")),
             timestamp=stamp,
             text=str(doc["text"]),
-            url=doc.get("url"),
         )
 
 

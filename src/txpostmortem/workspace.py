@@ -408,6 +408,7 @@ SCHEMAS: dict[str, Any] = {
                 "violated_invariant": "string",
                 "fork_block": "int",
             },
+            "optional": {"incident_constants": {"array_of": "string"}},
         }
     },
     "oracle_definition": {

@@ -11,6 +11,7 @@ script or transcripts load them with ``load_script_entries`` and
 
 from __future__ import annotations
 
+import json
 import socket
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Any
 import pytest
 from hypothesis import settings
 
-from txpostmortem import scenarios
+from txpostmortem import scenarios, workspace
 from txpostmortem.harness import SimulatedRunner
 from txpostmortem.orchestrator import Orchestrator, SessionOutcome
 from txpostmortem.scenarios import CaseBundle
@@ -31,6 +32,37 @@ settings.register_profile("suite", deadline=None)
 settings.load_profile("suite")
 
 DATA_DIR = Path(__file__).parent / "data"
+
+
+#: The documents by which ``dataset export`` takes a session as validated,
+#: by path under the session root: a root cause, an oracle definition and,
+#: in the last reproduction attempt ``iter_0``, a passing validator verdict,
+#: each with no more than its schema requires.
+VALIDATED_SESSION_DOCS = {
+    workspace.ROOT_CAUSE_DOC: json.dumps({
+        "chainid": 1,
+        "seed": ["0x" + "ab" * 32],
+        "act": {"is_act": True},
+        "lifecycle": [],
+        "all_relevant_txs": [],
+        "roles": {"attacker_eoas": [], "attacker_contracts": [], "victim_contracts": []},
+        "mechanism": "m",
+        "violated_invariant": "i",
+        "fork_block": 1,
+    }),
+    workspace.ORACLE_DEFINITION: json.dumps({
+        "chainid": 1,
+        "fork_block": 1,
+        "variables": [],
+        "pre_check": [],
+        "hard": [],
+        "soft": [],
+        "success_criteria": "s",
+    }),
+    f"{workspace.REPRODUCER_DIR}/iter_0/{workspace.POC_VALIDATION}": json.dumps(
+        {"overall_status": "Pass", "oracle_results": [], "rubric": {}}
+    ),
+}
 
 
 def load_script_entries(case_root: Path) -> dict[str, list[dict[str, Any]]]:

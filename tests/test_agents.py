@@ -421,6 +421,13 @@ class TestTypedOutputs:
         assert output["data_requests"] == []
         assert output["root_cause"]["fork_block"] == 10
 
+    def test_final_analysis_with_non_string_incident_constants_is_refused(self):
+        doc = _analysis_doc(final=True)
+        doc["root_cause"]["incident_constants"] = 5
+        output, errors = validate_role_output(ROLE_ANALYZER, doc)
+        assert output is None
+        assert errors == ["incident_constants: expected array"]
+
     def test_challenger_pass_must_have_no_missing_evidence(self):
         doc = {"status": "Pass", "feedback": "ok", "missing_evidence": ["trace"]}
         output, errors = validate_role_output(ROLE_CHALLENGER, doc)

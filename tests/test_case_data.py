@@ -5,9 +5,10 @@ No code regenerates a case's fixtures, scripts, transcripts or
 fixture sits under the key its recorded request hashes to and in the bytes
 ``FixtureStore.save`` writes, scripts and transcripts are numbered the way
 their loaders read them, and ``expected.json`` agrees with the constants the
-monitor, lifecycle and session tests use.  A last test checks that every
-data file of the package is listed in ``pyproject.toml``'s package data, so
-an installed package carries its cases."""
+monitor, lifecycle and session tests use and with the observations its last
+transcript prints.  A last test checks that every data file of the package
+is listed in ``pyproject.toml``'s package data, so an installed package
+carries its cases."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from txpostmortem import scenarios
+from txpostmortem import harness, scenarios
 from txpostmortem.agents import ROLES
 from txpostmortem.gateway import DataRequest, FixtureStore, fixture_key
 
@@ -101,6 +102,26 @@ class TestCaseTree:
         expected = json.loads(path.read_text(encoding="utf-8"))
         for key, want in _CONSTANTS[case].items():
             assert expected[key] == want, key
+
+    def test_the_last_transcript_shows_the_expected_observations(self, case):
+        """The case's last run transcript, the run that passed, yields
+        exactly the golden ``observations``, none missing and none repeated,
+        and prints every golden ``forge_log_lines`` entry.  ``profit`` is
+        left unread until a structured ACT profit is checked in integer
+        wei (ROADMAP item 12)."""
+        root = scenarios.CASES_DIR / case
+        expected = json.loads((root / "expected.json").read_text(encoding="utf-8"))
+        transcript = scenarios.load_numbered(root / "transcripts", ".txt")["run"][-1]
+        report = harness.extract_observations(transcript, list(expected["observations"]))
+        assert (report.missing, report.warnings) == ((), ())
+        # The golden writes integers as decimal strings.
+        found = {
+            name: str(value) if type(value) is int else value
+            for name, value in report.observations.items()
+        }
+        assert found == expected["observations"]
+        for line in expected.get("forge_log_lines", []):
+            assert line in transcript, line
 
     def test_builder_copies_the_tree(self, case, tmp_path):
         bundle = scenarios.CASE_BUILDERS[case](tmp_path / case)

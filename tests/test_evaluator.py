@@ -16,6 +16,7 @@ from txpostmortem.evaluator import (
     FAILURE_REASON,
     METRIC_KEYS,
     evaluate_project,
+    heuristic_quality_checks,
     write_reports,
 )
 
@@ -108,6 +109,26 @@ class TestDegradation:
         assert degraded.results == {key: (False, FAILURE_REASON) for key in METRIC_KEYS}
 
 
+class TestHeuristicChecks:
+    _SOURCE = "contract Exploit {\n    uint256 constant AMOUNT = 13370000000000000000000;\n}\n"
+
+    @pytest.mark.parametrize(
+        "constants, want",
+        [
+            (["13370000000000000000000"], (False, "incident constant at src/Exploit.sol:2")),
+            ([], (True, "no incident-specific constant is hard-coded")),
+        ],
+        ids=["hard-coded", "none-recorded"],
+    )
+    def test_q3_finds_the_recorded_incident_constants(self, constants, want, tmp_path):
+        """Q3 looks for the literals the analyzer recorded in
+        ``incident_constants``, as well as the lifecycle hashes."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "Exploit.sol").write_text(self._SOURCE, encoding="utf-8")
+        checks = heuristic_quality_checks(tmp_path, {"incident_constants": constants})
+        assert checks["no_attacker_designed_constants"] == want
+
+
 class TestWriteReports:
     def test_written_reports_pass_their_schema(self, tmp_path):
         session = workspace.create_session(
@@ -187,6 +208,23 @@ class TestEvaluateCommand:
             (session_root / workspace.REPRODUCER_DIR).glob("iter_*/engine_verdict.json"),
             key=lambda path: int(path.parent.name.split("_")[1]),
         )
+
+    def test_a_last_attempt_without_an_engine_verdict_is_not_judged(self, session_root, capsys):
+        """A last attempt whose project failed to launch has no engine
+        verdict, and ``forge_poc/`` holds its sources, not those an earlier
+        attempt ran: ``evaluate`` ends with exit 2 and one ``error:`` line
+        naming the attempt, and writes no evaluation."""
+        (*_, (k, _)) = workspace.iteration_dirs(session_root, workspace.REPRODUCER_DIR)
+        attempt = session_root / workspace.REPRODUCER_DIR / f"iter_{k + 1}"
+        attempt.mkdir()
+        (attempt / "harness_error.json").write_text(
+            json.dumps({"error": "launch failed", "phase": "run"}), encoding="utf-8"
+        )
+        assert cli.main(["evaluate", "--session", str(session_root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"iter_{k + 1}:" in err
+        assert not (session_root / workspace.EVALUATION_DIR).exists()
 
     def test_corrupt_engine_verdict_is_an_error_not_a_crash(self, session_root, capsys):
         latest = self._last_engine_verdict(session_root)

@@ -298,9 +298,6 @@ class TestRequestTypes:
             to_address=None,
             selector=None,
             value=0,
-            gas_used=21000,
-            effective_gas_price=10,
-            status=True,
         )
         doc = {
             "txhash": TX,
@@ -326,9 +323,6 @@ class TestRequestTypes:
                 to_address=ADDR,
                 selector=None,
                 value=0,
-                gas_used=1,
-                effective_gas_price=1,
-                status=True,
                 index=index,
             )
             for i, (block, index) in enumerate(blocks)

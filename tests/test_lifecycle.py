@@ -72,9 +72,6 @@ def _rec(
         to_address=to,
         selector=selector,
         value=value,
-        gas_used=50_000,
-        effective_gas_price=10,
-        status=True,
     )
 
 
@@ -101,9 +98,6 @@ def _doc(record: TxRecord) -> dict:
         "to": record.to_address.value if record.to_address else None,
         "selector": record.selector,
         "value": record.value,
-        "gas_used": record.gas_used,
-        "effective_gas_price": record.effective_gas_price,
-        "status": record.status,
         "index": record.index,
     }
 

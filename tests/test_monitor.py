@@ -322,7 +322,6 @@ class TestConcurrentProbes:
 def _post(source_id: str, *hashes: TxHash) -> Post:
     return Post(
         source_id=source_id,
-        author="watcher",
         timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
         text="incident: " + " and ".join(h.value for h in hashes),
     )
@@ -559,7 +558,6 @@ class TestOneWavePerFeed:
         posts = [
             Post(
                 source_id=f"p{k}",
-                author="watcher",
                 timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
                 text="quiet day on chain",
             )

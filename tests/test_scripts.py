@@ -22,6 +22,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import VALIDATED_SESSION_DOCS
 
 from txpostmortem import CASE_BUILDERS, cli, scenarios, workspace
 from txpostmortem.gateway import DataRequest
@@ -190,14 +191,13 @@ _REPLAY = ["fixtures", "replay", "--fixtures", "{tmp}/fix", "--chainid", "1",
 
 def _validated_session(**files: str) -> dict[str, str]:
     """Files of one exported-looking session ``s/0``, with ``files`` on top."""
-    attempt = f"s/0/{workspace.REPRODUCER_DIR}/iter_0"
     return {
         "s/0/session_summary.json": "{}",
-        f"{attempt}/{workspace.ENGINE_VERDICT}": "{}",
-        f"{attempt}/{workspace.POC_VALIDATION}": '{"overall_status": "Pass"}',
+        "s/0/sources.json": '{"attributions": ["manual"]}',
         "s/0/raw.json": json.dumps(
             {"targets": [{"chainid": 1, "txhash": "0x" + "ab" * 32}]}
         ),
+        **{f"s/0/{rel}": text for rel, text in VALIDATED_SESSION_DOCS.items()},
         **{f"s/0/{name}": text for name, text in files.items()},
     }
 
@@ -256,6 +256,11 @@ def _validated_session(**files: str) -> dict[str, str]:
             "sources.json",
         ),
         (
+            _validated_session(**{workspace.ORACLE_DEFINITION: '{"chainid": 1}'}),
+            ["dataset", "export", "--sessions", "{tmp}/s", "--out", "{tmp}/out"],
+            "oracle_definition.json: fails the oracle_definition schema",
+        ),
+        (
             {},
             ["postmortem", "--case", "{tmp}/nope", "--workdir", "{tmp}/work"],
             "nope: neither a bundled case nor a directory",
@@ -267,7 +272,8 @@ def _validated_session(**files: str) -> dict[str, str]:
          "monitor-fixture-without-payload", "replay-fixture-payload-not-an-object",
          "rpc-map-not-json", "rpc-map-key-not-a-chain-id", "rpc-map-url-not-a-string",
          "rpc-map-missing", "raw-with-a-bad-hash",
-         "sources-not-json", "sources-not-an-object", "case-not-a-directory"],
+         "sources-not-json", "sources-not-an-object", "oracle-definition-without-fields",
+         "case-not-a-directory"],
 )
 def test_malformed_file_fails_closed(files, argv, named, tmp_path, capsys):
     """A malformed file a command reads ends it with exit 1 and one
@@ -408,19 +414,31 @@ def test_a_root_cause_that_is_not_one_is_not_judged(prxvt_run, tmp_path, capsys)
     assert not (root / workspace.EVALUATION_DIR).exists()
 
 
-@pytest.mark.parametrize("verdict", [None, '{"overall_status": "Pa', "[]"],
-                         ids=["missing", "truncated", "not-an-object"])
+@pytest.mark.parametrize(
+    "verdict",
+    [None, '{"overall_status": "Pa', "[]", '{"overall_status": "Pass"}'],
+    ids=["missing", "truncated", "not-an-object", "breaks-the-schema"],
+)
 def test_an_unreadable_verdict_is_not_exported(verdict, prxvt_run, tmp_path, capsys):
+    """A last attempt with no validator verdict is skipped; one whose
+    verdict is unreadable ends the export with exit 1 and one ``error:``
+    line naming the file, and nothing is exported."""
     root = tmp_path / "s" / prxvt_run.session_root.name
     shutil.copytree(prxvt_run.session_root, root)
     (*_, (_, attempt)) = workspace.iteration_dirs(root, workspace.REPRODUCER_DIR)
     path = attempt / workspace.POC_VALIDATION
     path.unlink()
-    if verdict is not None:
-        path.write_text(verdict, encoding="utf-8")
-    code, index = _cli(capsys, "dataset", "export", "--sessions", str(tmp_path / "s"),
-                       "--out", str(tmp_path / "out"))
-    assert (code, index["count"]) == (0, 0)
+    argv = ["dataset", "export", "--sessions", str(tmp_path / "s"), "--out", str(tmp_path / "out")]
+    if verdict is None:
+        code, index = _cli(capsys, *argv)
+        assert (code, index["count"]) == (0, 0)
+        return
+    path.write_text(verdict, encoding="utf-8")
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_incidents_sharing_a_first_tx_export_apart(prxvt_run, tmp_path, capsys):

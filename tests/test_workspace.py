@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from conftest import VALIDATED_SESSION_DOCS
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -232,7 +233,6 @@ def _write_session_artifact(root: Path) -> Path:
 def _write_queue_seed(root: Path) -> Path:
     post = monitor.Post(
         source_id="post-0",
-        author="watcher",
         timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
         text=f"Exploit alert: drain in {TX}",
     )
@@ -266,10 +266,10 @@ class TestWholeWrites:
         session = workspace.create_session(tmp_path / "sessions", SeedRef.from_strings(1, [TX]))
         session.root.rename(tmp_path / "sessions" / "s0")
         (tmp_path / "sessions" / "s0" / workspace.SESSION_SUMMARY).write_text("{}")
-        attempt = tmp_path / "sessions" / "s0" / workspace.REPRODUCER_DIR / "iter_0"
-        attempt.mkdir(parents=True)
-        (attempt / workspace.ENGINE_VERDICT).write_text("{}")
-        (attempt / workspace.POC_VALIDATION).write_text('{"overall_status": "Pass"}')
+        for rel, text in VALIDATED_SESSION_DOCS.items():
+            path = tmp_path / "sessions" / "s0" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
         return tmp_path
 
     @staticmethod
