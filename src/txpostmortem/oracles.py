@@ -15,13 +15,16 @@ definition it was given as it was.
 
 ``evaluate_constraints`` returns one result document per constraint and
 ``engine_verdict`` builds the engine verdict from them: both are the
-documents a session writes, with no class mirroring their fields.
+documents a session writes, with no class mirroring their fields.  One
+rule compares every constraint: a pre-check or hard constraint is a soft
+one with zero slack, and only an exact ``eq`` also compares addresses and
+booleans.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Container, Iterator, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Container, Iterator, Mapping, Optional, Sequence, Union
 
 from .domain import Address, InvalidAddress, UnsupportedChain, sha256, validate_chain
 
@@ -209,46 +212,21 @@ def _resolve(
     variables: Mapping[str, Mapping[str, Any]],
     observations: Mapping[str, ObsValue],
 ) -> tuple[Optional[ObsValue], str]:
-    """Resolve a token to a concrete value, or (None, why-not); addresses
-    resolve lowercased."""
+    """Resolve a token of a bound definition to a concrete value, or (None,
+    why-not) for an unreported observation; addresses resolve lowercased."""
     kind = _token_class(token, variables)
     if kind == "int":
         return int(token), ""
     if kind == "bool":
         return token == "true", ""
-    if kind == "address":
-        return token.lower(), ""
-    if kind == "variable":
-        address = variables[token]["address"]
-        if address is None:
-            return None, f"unbound variable {token}"
-        return address.lower(), ""
     if kind == "observation":
-        if token in observations:
-            value = observations[token]
-            if isinstance(value, str):
-                return value.lower(), ""
-            return value, ""
-        return None, f"insufficient observation: {token} not reported"
-    return None, f"unresolvable token {token!r}"
-
-
-def _exact_compare(comparator: str, lhs: ObsValue, rhs: ObsValue) -> tuple[bool, str]:
-    if comparator == "eq":
-        return lhs == rhs, ""
-    if isinstance(lhs, bool) or isinstance(rhs, bool) or not (
-        isinstance(lhs, int) and isinstance(rhs, int)
-    ):
-        return False, f"comparator {comparator} needs integer operands"
-    if comparator == "gt":
-        return lhs > rhs, ""
-    if comparator == "lt":
-        return lhs < rhs, ""
-    if comparator == "ge":
-        return lhs >= rhs, ""
-    if comparator == "le":
-        return lhs <= rhs, ""
-    return False, f"unknown comparator {comparator}"
+        if token not in observations:
+            return None, f"insufficient observation: {token} not reported"
+        value = observations[token]
+        return (value.lower() if isinstance(value, str) else value), ""
+    if kind == "variable":
+        token = variables[token]["address"]
+    return token.lower(), ""
 
 
 def _slack(tolerance: Mapping[str, Any], expected: int) -> int:
@@ -258,25 +236,16 @@ def _slack(tolerance: Mapping[str, Any], expected: int) -> int:
     return abs(expected) * tolerance["value"] // 10000
 
 
-def _soft_compare(
-    comparator: str, measured: ObsValue, expected: ObsValue, tolerance: Mapping[str, Any]
-) -> tuple[bool, str]:
-    if isinstance(measured, bool) or isinstance(expected, bool) or not (
-        isinstance(measured, int) and isinstance(expected, int)
-    ):
-        return False, "soft constraints need integer operands"
-    slack = _slack(tolerance, expected)
-    if comparator in ("within_tolerance", "eq"):
-        return abs(measured - expected) <= slack, ""
-    if comparator == "ge":
-        return measured >= expected - slack, ""
-    if comparator == "gt":
-        return measured > expected - slack, ""
-    if comparator == "le":
-        return measured <= expected + slack, ""
-    if comparator == "lt":
-        return measured < expected + slack, ""
-    return False, f"unknown comparator {comparator}"
+#: Whether ``measured`` meets ``expected`` under each comparator, missing it
+#: by at most ``slack``: zero for a pre-check or a hard constraint.
+_COMPARATORS: dict[str, Callable[[int, int, int], bool]] = {
+    "eq": lambda measured, expected, slack: abs(measured - expected) <= slack,
+    "gt": lambda measured, expected, slack: measured > expected - slack,
+    "ge": lambda measured, expected, slack: measured >= expected - slack,
+    "lt": lambda measured, expected, slack: measured < expected + slack,
+    "le": lambda measured, expected, slack: measured <= expected + slack,
+}
+_COMPARATORS["within_tolerance"] = _COMPARATORS["eq"]
 
 
 def _evaluate_one(
@@ -286,16 +255,18 @@ def _evaluate_one(
     observations: Mapping[str, ObsValue],
 ) -> dict[str, Any]:
     check = constraint["check"]
+    comparator = check["comparator"]
     measured, why_lhs = _resolve(check["lhs"], variables, observations)
     expected, why_rhs = _resolve(check["rhs"], variables, observations)
     if measured is None or expected is None:
         ok, reason = False, why_lhs or why_rhs
-    elif kind == "soft":
-        ok, reason = _soft_compare(
-            check["comparator"], measured, expected, constraint["tolerance"]
-        )
+    elif type(measured) is int and type(expected) is int:  # not bool
+        slack = _slack(constraint["tolerance"], expected) if kind == "soft" else 0
+        ok, reason = _COMPARATORS[comparator](measured, expected, slack), ""
+    elif kind != "soft" and comparator == "eq":
+        ok, reason = measured == expected, ""
     else:
-        ok, reason = _exact_compare(check["comparator"], measured, expected)
+        ok, reason = False, f"{kind} {comparator} needs integer operands"
     result: dict[str, Any] = {"id": constraint["id"], "kind": kind, "satisfied": ok}
     if measured is not None:
         result["measured"] = measured
@@ -315,8 +286,11 @@ def evaluate_constraints(
     ``definition`` is as ``normalize_definition`` returns it, so every soft
     constraint carries its tolerance, and as ``bind_variables`` binds it.
 
-    A missing observation never crashes evaluation; the affected constraint
-    is reported unsatisfied with an insufficient-observation reason.
+    Each comparator is one rule: a measurement may miss its bound by a soft
+    constraint's slack, and by zero for a pre-check or hard constraint.
+    Only an exact ``eq`` also compares addresses and booleans.  A missing
+    observation never crashes evaluation; the affected constraint is
+    reported unsatisfied with an insufficient-observation reason.
     """
     variables = {var["name"]: var for var in definition["variables"]}
     return [

@@ -9,18 +9,20 @@ message carries a digest of that context.  In the root-cause stage the
 gateway fetches each batch of evidence the analyzer requests, with no model
 turn of its own, until the analyzer closes its evidence; the draft then
 goes to the challenger, and rejections route back by reason.  The PoC stage
-generates oracles once and serialises them once as the reproducer's
-message, then loops reproducer and harness run until the reproduction
-passes or budgets run out.  Each attempt is scaffolded, scanned, then
-launched: a project whose sources name an attacker address is rejected
-before the runner sees it.  A project that fails to scaffold or to launch
-leaves ``harness_error.json`` with its phase and no engine verdict.  Every
-other attempt gets one engine verdict, written in one place: the scan's
-hits, and for a run the oracles and the compile, clean-run and
-pinned-fork checks, with reject codes from the validator's vocabulary.
-Only a run the engine passes gets a validator turn, whose verdict is
-written beside the engine's; a PoC is validated only when both pass.  Any
-error ends the session failed, with a terminal summary.
+generates oracles once, then loops reproducer and harness run until the
+reproduction passes or budgets run out.  Each document a model reads is the
+compact bytes the session writes (``workspace.dump_compact``): the
+challenger and the oracle generator read ``root_cause.json``, and the
+reproducer's first message is ``oracle_definition.json``.  Each attempt is
+scaffolded, scanned, then launched: a project whose sources name an
+attacker address is rejected before the runner sees it.  A project that
+fails to scaffold or to launch leaves ``harness_error.json`` with its phase
+and no engine verdict.  Every other attempt gets one engine verdict,
+written in one place: the scan's hits, and for a run the oracles and the
+compile, clean-run and pinned-fork checks, with reject codes from the
+validator's vocabulary.  Only a run the engine passes gets a validator
+turn, whose verdict is written beside the engine's; a PoC is validated only
+when both pass.  Any error ends the session failed, with a terminal summary.
 
 A role turn (``_turn``) hands back what ``agents.run_role`` returns: the
 role's document as its contract in ``agents.roles`` accepted it.  The
@@ -42,7 +44,6 @@ becomes the session summary.
 
 from __future__ import annotations
 
-import json
 import logging
 import time
 from contextlib import contextmanager
@@ -56,6 +57,7 @@ from .agents import (
     ROLE_ORACLE_GENERATOR,
     ROLE_REPRODUCER,
     ROLE_VALIDATOR,
+    BackendError,
     ModelBackend,
     TurnBudgetExceeded,
     Usage,
@@ -406,7 +408,7 @@ class Orchestrator:
                     return None
 
                 challenge = self._turn(
-                    outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, json.dumps(draft, indent=2)
+                    outcome, STAGE_ROOT_CAUSE, ROLE_CHALLENGER, workspace.dump_compact(draft)
                 )
                 workspace.write_artifact(
                     session,
@@ -451,7 +453,7 @@ class Orchestrator:
     def run_poc_stage(self, outcome: SessionOutcome, draft: dict[str, Any]) -> None:
         with self._stage(STAGE_POC, outcome):
             definition = self._turn(
-                outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, json.dumps(draft, indent=2)
+                outcome, STAGE_POC, ROLE_ORACLE_GENERATOR, workspace.dump_compact(draft)
             )
             workspace.write_artifact(outcome.session, workspace.ORACLE_DEFINITION, definition)
             roles = draft["roles"]
@@ -466,7 +468,7 @@ class Orchestrator:
             }
             bound = oracles.bind_variables(definition, frozenset(Address(a) for a in taint))
             expected = oracles.observation_names(bound)
-            request = json.dumps(definition, indent=2)
+            request = workspace.dump_compact(definition)
             feedback = ""
             for attempt in range(self.budgets.reproducer_iterations):
                 verdict, codes = self._reproduce_once(
@@ -578,9 +580,8 @@ class Orchestrator:
             outcome,
             STAGE_POC,
             ROLE_VALIDATOR,
-            json.dumps(
-                {"engine_verdict": verdict, "observations": obs_report.observations},
-                indent=2,
+            workspace.dump_compact(
+                {"engine_verdict": verdict, "observations": obs_report.observations}
             ),
         )
         workspace.write_artifact(session, rel / workspace.POC_VALIDATION, validation)
@@ -625,9 +626,11 @@ class Orchestrator:
             return outcome
         except Exception as exc:
             # Whatever the model, the chain or the runner raised, the
-            # session ends failed at the stage it reached.
-            logger.warning("session %s failed", session.session_id, exc_info=True)
+            # session ends failed at the stage it reached; only a failure
+            # that is not the model's is logged with its traceback.
             outcome.failure = f"{outcome.stage}: {type(exc).__name__}: {exc}"
+            logger.warning("session %s failed: %s", session.session_id, outcome.failure,
+                           exc_info=not isinstance(exc, BackendError))
             outcome.stage = STAGE_FAILED
             return outcome
         finally:

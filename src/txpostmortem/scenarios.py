@@ -23,6 +23,7 @@ fixture store's own keys.
 
 from __future__ import annotations
 
+import functools
 import logging
 import os
 import re
@@ -274,17 +275,8 @@ def build_case(case: str | Path, case_dir: str | Path) -> CaseBundle:
     )
 
 
-def build_prxvt_case(case_dir: str | Path) -> CaseBundle:
-    """Staking-rewards drain on chain 8453; straight-through pipeline path."""
-    return build_case("prxvt", case_dir)
-
-
-def build_valinity_case(case_dir: str | Path) -> CaseBundle:
-    """Loan-cap disparity drain on chain 1; exercises every rejection route."""
-    return build_case("valinity", case_dir)
-
-
+#: A builder per directory under ``CASES_DIR``, named without listing it
+#: at import: ``CASE_BUILDERS[name](case_dir)`` is ``build_case(name, case_dir)``.
 CASE_BUILDERS: dict[str, Callable[[str | Path], CaseBundle]] = {
-    "prxvt": build_prxvt_case,
-    "valinity": build_valinity_case,
+    name: functools.partial(build_case, name) for name in ("prxvt", "valinity")
 }

@@ -14,9 +14,11 @@ directories and opens it again.  Every JSON file the program reads goes
 through ``read_json``, which raises ``ArtifactNotFound`` for a missing file
 and ``CorruptArtifact``, naming the file, for one that does not decode or,
 given a schema id, breaks that schema.  JSON is written in two forms, both
-with non-ASCII kept: compact for session artifacts (``write_artifact``),
-and indented with sorted keys for the files people read, queue seeds,
-fixtures and dataset exports (``dump_indented``).
+with non-ASCII kept.  ``dump_compact`` is the one encoder for session
+artifacts (``write_artifact``) and for the documents a model is sent, so a
+model reads the bytes the session writes.  ``dump_indented``, indented with
+sorted keys, is for the files people read: queue seeds, fixtures and
+dataset exports.
 
 Every artifact path goes through ``resolve_inside``.  A relative path with
 no ``..`` part is checked by ``lstat`` on each of its components below the
@@ -535,7 +537,7 @@ class Session:
         return self.root.resolve()
 
 
-def _dump_json(doc: Any) -> str:
+def dump_compact(doc: Any) -> str:
     """``doc`` as compact JSON with non-ASCII kept, and a final newline."""
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":")) + "\n"
 
@@ -701,7 +703,7 @@ def write_artifact(
         if errors:
             raise SchemaError(errors)
     target = resolve_inside(session, relpath)
-    write_file(target, _dump_json(doc))
+    write_file(target, dump_compact(doc))
     return target
 
 

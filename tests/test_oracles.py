@@ -8,6 +8,7 @@ single hard observation pushed out of range must turn Pass into Reject.
 from __future__ import annotations
 
 import hashlib
+import operator
 import random
 
 import pytest
@@ -360,6 +361,16 @@ def _failed_ids(results: list[dict]) -> list[str]:
     return [r["id"] for r in results if not r["satisfied"]]
 
 
+#: Each comparator a pre-check or hard constraint may use, as Python's own.
+_EXACT = {
+    "eq": operator.eq,
+    "gt": operator.gt,
+    "ge": operator.ge,
+    "lt": operator.lt,
+    "le": operator.le,
+}
+
+
 class TestEngine:
     def test_reference_observations_pass(self):
         results = evaluate_constraints(reference_definition(), passing_observations())
@@ -425,6 +436,35 @@ class TestEngine:
         doc = make_definition(**{kind: [constraint("C1", "x", comparator, "1000", **extra)]})
         measured = 1000 - slack if comparator in ("ge", "gt") else 1000 + slack
         assert passes(evaluate_constraints(doc, {"x": measured})) is inclusive
+
+    @settings(max_examples=500)
+    @given(
+        measured=st.integers(),
+        expected=st.integers(),
+        other=st.sampled_from([True, False, VICTIM.value, ATTACKER_EOA.value]),
+        other_is_lhs=st.booleans(),
+    )
+    def test_zero_slack_is_exact_and_only_an_exact_eq_compares_non_integers(
+        self, measured, expected, other, other_is_lhs
+    ):
+        """A pre-check, a hard constraint and a soft one with zero absolute
+        slack agree on any two integers; a soft constraint with a boolean or
+        address operand is unsatisfied under every comparator."""
+        zero = {"kind": "absolute", "value": 0}
+        for comparator, holds in _EXACT.items():
+            doc = make_definition(
+                pre_check=[constraint("P1", "x", comparator, "y")],
+                hard=[constraint("H1", "x", comparator, "y")],
+                soft=[constraint("S1", "x", comparator, "y", tolerance=zero)],
+            )
+            results = evaluate_constraints(doc, {"x": measured, "y": expected})
+            assert [r["satisfied"] for r in results] == [holds(measured, expected)] * 3
+        lhs, rhs = (other, expected) if other_is_lhs else (measured, other)
+        for comparator in [*_EXACT, "within_tolerance"]:
+            doc = make_definition(soft=[constraint("S1", "x", comparator, "y", tolerance=zero)])
+            [result] = evaluate_constraints(doc, {"x": lhs, "y": rhs})
+            assert result["satisfied"] is False
+            assert "integer operands" in result["reason"]
 
     def test_boolean_operands_fail_ordered_comparators(self):
         doc = make_definition(hard=[constraint("H1", "flagged", "gt", "0")])

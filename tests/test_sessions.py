@@ -15,6 +15,8 @@ import json
 import os
 import shutil
 import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -207,8 +209,26 @@ class TestModelInput:
         assert roles and all(v["address"] is None for v in roles)
 
 
+    @pytest.mark.parametrize("case", sorted(scenarios.CASE_BUILDERS))
+    def test_each_document_sent_is_the_file_the_session_writes(self, tmp_path, case):
+        """The oracle generator and the challenger's passing turn read the
+        bytes of ``root_cause.json``; the reproducer's first message is
+        ``oracle_definition.json``."""
+        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        backend = _RecordingBackend(bundle.backend())
+        orch = Orchestrator(backend=backend, adapter=bundle.adapter(), runner=bundle.runner())
+        outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
+        assert outcome.stage == "done"
+        root = outcome.session.root
+        root_cause = (root / workspace.ROOT_CAUSE_DOC).read_text(encoding="utf-8")
+        definition = (root / workspace.ORACLE_DEFINITION).read_text(encoding="utf-8")
+        assert backend.sent(ROLE_ORACLE_GENERATOR) == [root_cause]
+        assert backend.sent(ROLE_CHALLENGER)[-1] == root_cause
+        assert backend.sent(ROLE_REPRODUCER)[0] == definition
+
+
 def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
-    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    bundle = scenarios.build_case("prxvt", tmp_path / "case")
     orch = Orchestrator(
         backend=ScriptedBackend(entries),
         adapter=bundle.adapter(),
@@ -363,7 +383,7 @@ def _gated_prxvt(
     files["test/Exploit.sol"] += exploit_suffix
     if validator is not None:
         entries["poc_validator"] = [validator]
-    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    bundle = scenarios.build_case("prxvt", tmp_path / "case")
     backend = _RecordingBackend(ScriptedBackend(entries))
     runner = _CountingRunner(SimulatedRunner(queue=[run]))
     orch = Orchestrator(
@@ -541,7 +561,7 @@ def _prxvt_attempts(tmp_path: Path, attempts: list[dict[str, str]], runs: list[s
     entries = load_script_entries(PRXVT_CASE)
     (reproduction,) = entries["poc_reproducer"]
     entries["poc_reproducer"] = [dict(reproduction, files=files) for files in attempts]
-    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    bundle = scenarios.build_case("prxvt", tmp_path / "case")
     runner = _CountingRunner(SimulatedRunner(queue=list(runs)))
     orch = Orchestrator(
         backend=ScriptedBackend(entries),
@@ -670,7 +690,7 @@ def _fetched_files(root: Path, iteration: int) -> dict[str, list[str]]:
 
 class TestSessionMemo:
     def test_repeated_requests_hit_the_adapter_once(self, tmp_path):
-        bundle = scenarios.build_valinity_case(tmp_path / "case")
+        bundle = scenarios.build_case("valinity", tmp_path / "case")
         adapter = _CountingAdapter(bundle.adapter())
         orch = Orchestrator(
             backend=bundle.backend(), adapter=adapter, runner=bundle.runner()
@@ -690,7 +710,7 @@ class TestSessionMemo:
         assert [p.name for p in iter_3.iterdir()] == ["data_collection_summary.json"]
 
     def test_two_sessions_each_fetch_their_seed(self, tmp_path):
-        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        bundle = scenarios.build_case("prxvt", tmp_path / "case")
         entries = {
             role: docs * 2 for role, docs in load_script_entries(PRXVT_CASE).items()
         }
@@ -725,7 +745,7 @@ class _FailingKinds:
 
 
 def _bootstrap_prxvt(tmp_path: Path, failing: set[str]):
-    bundle = scenarios.build_prxvt_case(tmp_path / "case")
+    bundle = scenarios.build_case("prxvt", tmp_path / "case")
     backend = _RecordingBackend(bundle.backend())
     orch = Orchestrator(
         backend=backend,
@@ -751,7 +771,7 @@ class TestSeedContext:
         assert first.count("not available") == 6
 
     def test_first_message_carries_the_digest(self, tmp_path):
-        bundle = scenarios.build_valinity_case(tmp_path / "case")
+        bundle = scenarios.build_case("valinity", tmp_path / "case")
         backend = _RecordingBackend(bundle.backend())
         orch = Orchestrator(
             backend=backend, adapter=bundle.adapter(), runner=bundle.runner()
@@ -820,7 +840,7 @@ class TestFailClosed:
         _assert_failed_closed(outcome, "poc: OracleError: cannot bind")
 
     def test_adapter_os_error(self, tmp_path):
-        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        bundle = scenarios.build_case("prxvt", tmp_path / "case")
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
@@ -830,7 +850,7 @@ class TestFailClosed:
         _assert_failed_closed(outcome, "root_cause: OSError: socket closed fetching txlist")
 
     def test_a_raising_batch_leaves_no_collection_dir(self, tmp_path):
-        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        bundle = scenarios.build_case("prxvt", tmp_path / "case")
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
@@ -858,6 +878,24 @@ class TestBackendFailure:
         assert persisted["outcome"]["stage"] == "failed"
         assert persisted["outcome"]["failure"].startswith("root_cause: ScriptExhausted: ")
         assert workspace.check_document(persisted, workspace.SCHEMAS["session_summary"]) == []
+
+    def test_a_case_short_of_transcripts_logs_one_line(self, tmp_path):
+        """valinity without its second run transcript exhausts the
+        reproducer's script: the command exits 1 and the model-side failure
+        is one WARNING line naming it, with no traceback."""
+        case = tmp_path / "case"
+        scenarios.build_case("valinity", case)
+        (case / "transcripts" / "run_1.txt").unlink()
+        run = subprocess.run(
+            [sys.executable, "-m", "txpostmortem", "postmortem", "--case", str(case),
+             "--workdir", str(tmp_path / "work")],
+            env={**os.environ, "PYTHONPATH": str(Path(scenarios.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 1
+        assert json.loads(run.stdout)["outcome"]["failure"].startswith("poc: ScriptExhausted: ")
+        [line] = run.stderr.splitlines()
+        assert "ScriptExhausted" in line
 
     @pytest.mark.parametrize(
         "role, kept, analyzer_dirs",
@@ -888,7 +926,7 @@ def _recorded_session(tmp_path: Path, name: str):
     is prxvt whose challenger never sends a valid document, under a 6-turn
     stage budget.  Returns the outcome and the backend."""
     if name == "turn-exhaustion":
-        bundle = scenarios.build_prxvt_case(tmp_path / "case")
+        bundle = scenarios.build_case("prxvt", tmp_path / "case")
         entries = load_script_entries(PRXVT_CASE)
         entries[ROLE_CHALLENGER] = [_INVALID_CHALLENGE] * 3
         inner, budgets = ScriptedBackend(entries), Budgets(stage_turns=6)
@@ -1065,7 +1103,7 @@ class TestCheckOnce:
 
         monkeypatch.setattr(workspace, "check_document", counting_check)
         monkeypatch.setattr(oracles, "validate_definition", counting_validate)
-        bundle = getattr(scenarios, f"build_{name}_case")(tmp_path / "case")
+        bundle = scenarios.build_case(name, tmp_path / "case")
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=bundle.adapter(),

@@ -2,7 +2,7 @@
 session directory, and the walk below the root agrees with a full resolve;
 concurrent sessions each claim a directory of their own; every file the
 program writes is written whole, its directories made by the first write
-that needs them; ``_dump_json`` writes compact JSON that reads back as the
+that needs them; ``dump_compact`` writes compact JSON that reads back as the
 document; and every JSON file it reads back fails as one ``WorkspaceError``."""
 
 from __future__ import annotations
@@ -344,7 +344,7 @@ class TestWriteFile:
 
 
 class TestDumpJson:
-    """``_dump_json`` writes compact JSON, non-ASCII kept, that reads back as
+    """``dump_compact`` writes compact JSON, non-ASCII kept, that reads back as
     the document; it refuses what ``json`` refuses and leaves no reference
     cycle."""
 
@@ -370,14 +370,14 @@ class TestDumpJson:
     def test_matches_json_dumps(self, doc):
         """The text is the compact form of its own parse, and that parse is
         the document as ``json.dumps`` writes it."""
-        text = workspace._dump_json(doc)
+        text = workspace.dump_compact(doc)
         parsed = json.loads(text)
         assert text == json.dumps(parsed, ensure_ascii=False, separators=(",", ":")) + "\n"
         assert json.dumps(parsed) == json.dumps(doc)
 
     def test_non_ascii_is_written_as_itself(self):
         doc = {"é": "é"}
-        text = workspace._dump_json(doc)
+        text = workspace.dump_compact(doc)
         assert text == '{"é":"é"}\n'
         assert json.loads(text) == doc
 
@@ -388,7 +388,7 @@ class TestDumpJson:
     )
     def test_what_json_refuses_is_a_type_error(self, doc):
         with pytest.raises(TypeError):
-            workspace._dump_json(doc)
+            workspace.dump_compact(doc)
 
     def test_a_circular_document_is_a_value_error(self):
         circular_list: list = [1]
@@ -397,12 +397,12 @@ class TestDumpJson:
         circular_dict["self"] = [circular_dict]
         for doc in (circular_list, circular_dict):
             with pytest.raises(ValueError, match="Circular reference"):
-                workspace._dump_json(doc)
+                workspace.dump_compact(doc)
 
     def test_a_shared_subdocument_is_not_circular(self):
         shared = {"k": [1]}
         doc = [shared, shared, {"again": shared}]
-        assert json.loads(workspace._dump_json(doc)) == doc
+        assert json.loads(workspace.dump_compact(doc)) == doc
 
     def test_leaves_no_reference_cycle(self, prxvt_run):
         doc = json.loads((prxvt_run.session_root / workspace.ROOT_CAUSE_DOC).read_text())
@@ -410,7 +410,7 @@ class TestDumpJson:
         gc.disable()
         try:
             for _ in range(50):
-                workspace._dump_json(doc)
+                workspace.dump_compact(doc)
             assert gc.collect() == 0
         finally:
             gc.enable()
