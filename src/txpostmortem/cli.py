@@ -7,8 +7,9 @@ record or replay single evidence fixtures, and export validated incidents
 as a benchmark dataset.
 
 ``postmortem --case`` replays a recorded case offline, either a bundled
-case by name or any case directory (``scenarios.build_case``), while
-``postmortem --chainid/--tx`` runs live against the model and the chain.
+case by name or any case directory, read where it lies and never written
+(``scenarios.open_case``), while ``postmortem --chainid/--tx`` runs live
+against the model and the chain.
 
 Exit codes: 0 success, 1 pipeline or stage failure or a malformed input
 file, 2 usage errors.  Command-line flags are the only settings; each has
@@ -73,12 +74,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
         given = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_"))]
         if given:
             raise UsageError(f"--case replays a recorded case; drop {', '.join(given)}")
-        source = Path(args.case).resolve()
-        case_dir = workdir / "cases" / source.name
-        # A copy inside its source is copied into itself, deeper on each run.
-        if args.case not in scenarios.CASE_BUILDERS and case_dir.resolve().is_relative_to(source):
-            raise UsageError("--workdir lies inside the --case directory")
-        bundle = scenarios.build_case(args.case, case_dir)
+        bundle = scenarios.open_case(args.case)
         seed, backend, adapter, runner = (
             bundle.seed(), bundle.backend(), bundle.adapter(), bundle.runner()
         )

@@ -9,7 +9,6 @@ request computes its key once, however many layers ask for it.
 from __future__ import annotations
 
 import logging
-import os
 import threading
 from pathlib import Path
 from typing import Any
@@ -29,53 +28,44 @@ def fixture_key(request: DataRequest) -> str:
     return request.key
 
 
-def _json_file_stems(root: Path) -> set[str]:
-    """Stems of the ``*.json`` names in ``root`` that ``Path.is_file`` accepts."""
-    try:
-        with os.scandir(root) as entries:
-            return {
-                entry.name[: -len(".json")]
-                for entry in entries
-                if entry.name.endswith(".json") and entry.is_file()
-            }
-    except (FileNotFoundError, NotADirectoryError):
-        return set()
-
-
 class FixtureStore:
-    """Directory of recorded payloads, one JSON file per fixture key.
+    """Directories of recorded payloads, one JSON file per fixture key.
 
-    ``load`` reads a request's payload and ``save`` records one; the store
-    offers no other lookup.  It lists its directory's file names once, on
+    ``load`` reads a request's payload and ``save`` records one in the first
+    directory; the store offers no other lookup.  The directories are a
+    lookup chain (``workspace.files_in_chain``): a fixture in an earlier one
+    hides a later one's under the same key.  The store lists them once, on
     the first ``load``, and its own ``save`` adds to that listing.  So a
     miss costs no system call and a hit opens its file once.  A store does
     not see files that another writer adds after its first ``load``: make
     a new store to see them.
     """
 
-    def __init__(self, root: str | Path):
-        self.root = Path(root)
-        #: Keys of the files in ``root``, listed on the first lookup.
-        self._keys: set[str] | None = None
+    def __init__(self, *roots: str | Path):
+        self.roots = tuple(Path(root) for root in roots)
+        #: Where ``save`` writes.
+        self.root = self.roots[0]
+        #: The file of each key in ``roots``, listed on the first lookup.
+        self._paths: dict[str, Path] | None = None
         self._lock = threading.Lock()
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
-    def _listing(self) -> set[str]:
-        if self._keys is None:
+    def _listing(self) -> dict[str, Path]:
+        if self._paths is None:
             with self._lock:
-                if self._keys is None:
-                    self._keys = _json_file_stems(self.root)
-        return self._keys
+                if self._paths is None:
+                    self._paths = workspace.files_in_chain(self.roots, ".json")
+        return self._paths
 
     def load(self, request: DataRequest) -> dict[str, Any]:
         """The payload recorded for ``request``.  No file for it raises
         ``MissingFixture``; a file that does not decode, or holds no
         ``payload`` object, raises ``workspace.CorruptArtifact``."""
         key = fixture_key(request)
-        if key in self._listing():
-            path = self.path_for(key)
+        path = self._listing().get(key)
+        if path is not None:
             try:
                 doc = workspace.read_json(path)
             except workspace.ArtifactNotFound:
@@ -99,8 +89,8 @@ class FixtureStore:
         workspace.write_file(path, workspace.dump_indented(doc))
         # After the write, so that a listing made meanwhile holds the key too.
         with self._lock:
-            if self._keys is not None:
-                self._keys.add(key)
+            if self._paths is not None:
+                self._paths[key] = path
         return path
 
 

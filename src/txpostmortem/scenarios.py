@@ -4,10 +4,11 @@ This module is the one place that knows what a replay case is: a directory
 of recorded chain fixtures (``fixtures/``), scripted role outputs
 (``script/<role>_<n>.json``), canned test-run transcripts
 (``transcripts/run_<n>.txt``) and an ``expected.json`` stating what a
-replay of the case must produce.  ``build_case`` copies a case into a
-working directory, and ``load_numbered`` reads its numbered files for the
-scripted backend and the transcript runner.  A case directory whose
-``expected.json`` names a ``base`` is an overlay on that bundled case.
+replay of the case must produce.  ``open_case`` reads a case where it
+lies and writes nothing, and ``load_numbered`` reads its numbered files for
+the scripted backend and the transcript runner.  A case directory whose
+``expected.json`` names a ``base`` is an overlay on that bundled case: each
+file is looked up in the overlay first, then in the base.
 
 Two cases are committed as data under ``data/cases/<name>/``.  They are
 complementary: the staking-rewards case is the straight-through path
@@ -24,12 +25,11 @@ fixture store's own keys.
 from __future__ import annotations
 
 import functools
-import logging
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from . import workspace
 from .agents import ScriptedBackend
@@ -37,8 +37,6 @@ from .domain import Address, SeedRef
 from .gateway import FixtureStore, ReplayAdapter
 from .harness import SimulatedRunner
 from .lifecycle import ParticipantSet
-
-logger = logging.getLogger(__name__)
 
 #: The committed case trees, one directory per entry of ``CASE_BUILDERS``.
 CASES_DIR = Path(__file__).parent / "data" / "cases"
@@ -159,15 +157,15 @@ VAL_PARTICIPANTS = ParticipantSet(
 _NUMBERED = re.compile(r"^(?P<stem>[a-z_]+)_(?P<index>[0-9]+)$")
 
 
-def load_numbered(directory: str | Path, suffix: str) -> dict[str, list[Any]]:
-    """The ``<stem>_<n><suffix>`` files in ``directory`` by stem, in index
-    order: JSON objects for ``.json``, text otherwise.  Other files are
-    ignored, and a missing directory holds none.  Each stem's indices must
-    run 0, 1, 2, ... with no gap and none repeated; a gap, a repeated index
-    or a file that does not decode raises ``CorruptArtifact``."""
+def load_numbered(directories: Sequence[str | Path], suffix: str) -> dict[str, list[Any]]:
+    """The ``<stem>_<n><suffix>`` files of the lookup chain ``directories``
+    (``workspace.files_in_chain``) by stem, in index order: JSON objects for
+    ``.json``, text otherwise.  Other files are ignored.  Each stem's indices
+    must run 0, 1, 2, ... with no gap and none repeated; a gap, a repeated
+    index or a file that does not decode raises ``CorruptArtifact``."""
     staged: dict[str, dict[int, Any]] = {}
-    for path in sorted(Path(directory).glob("*" + suffix)):
-        match = _NUMBERED.match(path.name[: -len(suffix)])
+    for name, path in sorted(workspace.files_in_chain(directories, suffix).items()):
+        match = _NUMBERED.match(name)
         if not match:
             continue
         by_index = staged.setdefault(match["stem"], {})
@@ -186,97 +184,88 @@ def load_numbered(directory: str | Path, suffix: str) -> dict[str, list[Any]]:
     for stem, by_index in staged.items():
         if sorted(by_index) != list(range(len(by_index))):
             raise workspace.CorruptArtifact(
-                f"{directory}: {stem} indices have gaps: {sorted(by_index)}"
+                f"{directories[0]}: {stem} indices have gaps: {sorted(by_index)}"
             )
     return {stem: [found[i] for i in sorted(found)] for stem, found in staged.items()}
 
 
 @dataclass(frozen=True)
 class CaseBundle:
-    """One materialized case directory plus its replay expectations."""
+    """One case, read where it lies, plus its replay expectations.  Each of
+    its subdirectories is read across ``roots``, the case's directory and
+    then, for an overlay, its base's."""
 
     name: str
     chainid: int
     seed_txhash: str
-    root: Path
+    roots: tuple[Path, ...]
     expected: dict[str, Any]
+
+    @property
+    def root(self) -> Path:
+        return self.roots[0]
 
     @property
     def fixtures_dir(self) -> Path:
         return self.root / "fixtures"
 
-    @property
-    def script_dir(self) -> Path:
-        return self.root / "script"
-
-    @property
-    def transcripts_dir(self) -> Path:
-        return self.root / "transcripts"
-
     def seed(self) -> SeedRef:
         return SeedRef.from_strings(self.chainid, [self.seed_txhash])
 
     def adapter(self) -> ReplayAdapter:
-        return ReplayAdapter(FixtureStore(self.fixtures_dir))
+        return ReplayAdapter(FixtureStore(*(root / "fixtures" for root in self.roots)))
 
     def backend(self) -> ScriptedBackend:
-        return ScriptedBackend(load_numbered(self.script_dir, ".json"))
+        return ScriptedBackend(load_numbered([root / "script" for root in self.roots], ".json"))
 
     def runner(self) -> SimulatedRunner:
-        return SimulatedRunner(load_numbered(self.transcripts_dir, ".txt").get("run"))
+        chain = [root / "transcripts" for root in self.roots]
+        return SimulatedRunner(load_numbered(chain, ".txt").get("run"))
 
 
-def build_case(case: str | Path, case_dir: str | Path) -> CaseBundle:
-    """Copy ``case`` into ``case_dir`` and return its bundle.
+def open_case(case: str | Path) -> CaseBundle:
+    """The bundle of ``case``, read where it lies; nothing is written.
 
     ``case`` is the name of a bundled case or any directory laid out as one.
     A case whose ``expected.json`` names a bundled case as its ``base`` is an
-    overlay: the base is built first and the overlay's files are copied on
-    top, so the seed comes from the base and the golden from the overlay.
-
-    Every file is a real copy, never a link, so a caller may edit the built
-    case in place without touching its source; a build over an earlier one
-    overwrites its files in place.  Each directory is made once and each
-    file read and written once, with no metadata copied; links in the
-    source are followed, as ``shutil.copytree`` follows them.
+    overlay: its lookup chain is its own directory, then the base's, so the
+    seed comes from the base and the golden from the overlay.
     """
     if case in CASE_BUILDERS:
-        source = CASES_DIR / case
+        root = CASES_DIR / case
     elif os.path.isdir(case):
-        source = Path(case)
+        root = Path(case)
     else:
         raise workspace.ArtifactNotFound(f"{case}: neither a bundled case nor a directory")
-    path = source / "expected.json"
+    path = root / "expected.json"
     expected = workspace.read_json(path)
-    seed_doc = expected
+    roots, seed_doc = (root,), expected
     if isinstance(expected, dict) and "base" in expected:
         base = expected["base"]
         if not isinstance(base, str) or base not in CASE_BUILDERS:
             raise workspace.CorruptArtifact(f"{path}: base is not a bundled case")
-        seed_doc = build_case(base, case_dir).expected
+        base_bundle = open_case(base)
+        roots, seed_doc = (root, *base_bundle.roots), base_bundle.expected
     if not (isinstance(seed_doc, dict) and "chainid" in seed_doc and "seed" in seed_doc):
         raise workspace.CorruptArtifact(f"{path}: names no chainid and seed")
-    root, top = str(case_dir), str(source)
-    for src_dir, _, file_names in os.walk(top, followlinks=True):
-        dst_dir = root + src_dir[len(top):]
-        os.makedirs(dst_dir, exist_ok=True)
-        for file_name in file_names:
-            with open(os.path.join(src_dir, file_name), "rb") as src:
-                data = src.read()
-            with open(os.path.join(dst_dir, file_name), "wb") as dst:
-                dst.write(data)
-    logger.info("built case %s at %s", source.name, root)
     return CaseBundle(
-        name=source.name,
+        name=root.name,
         chainid=seed_doc["chainid"],
         seed_txhash=seed_doc["seed"],
-        root=Path(root),
+        roots=roots,
         expected=expected,
     )
 
 
-#: A builder per directory under ``CASES_DIR``, named without listing it
-#: at import: ``CASE_BUILDERS[name](case_dir)`` is ``build_case(name, case_dir)``.
+def _open_in(name: str, path: str | Path) -> CaseBundle:
+    os.makedirs(path, exist_ok=True)
+    return open_case(name)
+
+
+#: The bundled cases by name.  ``perfbench/workloads.py`` calls
+#: ``CASE_BUILDERS[name](path)`` and makes its set-up's files under the
+#: ``path`` it names, so each entry makes that directory and then opens
+#: the case in place.
 CASE_BUILDERS: dict[str, Callable[[str | Path], CaseBundle]] = {
-    name: functools.partial(build_case, name) for name in ("prxvt", "valinity")
+    name: functools.partial(_open_in, name) for name in ("prxvt", "valinity")
 }

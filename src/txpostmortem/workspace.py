@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 from .domain import DomainError, SeedRef
 
@@ -601,6 +601,23 @@ def read_json(path: Path, schema_id: str | None = None) -> Any:
         if errors:
             raise CorruptArtifact(f"{path}: fails the {schema_id} schema: {'; '.join(errors)}")
     return doc
+
+
+def files_in_chain(directories: Sequence[str | Path], suffix: str) -> dict[str, Path]:
+    """The ``<stem><suffix>`` files across a lookup chain of directories, by
+    stem: a file in an earlier directory hides a later one's of the same
+    name.  Only what ``os.DirEntry.is_file`` accepts counts, and a missing
+    directory holds none."""
+    found: dict[str, Path] = {}
+    for directory in directories:
+        try:
+            with os.scandir(directory) as entries:
+                for entry in entries:
+                    if entry.name.endswith(suffix) and entry.is_file():
+                        found.setdefault(entry.name[: -len(suffix)], Path(directory, entry.name))
+        except (FileNotFoundError, NotADirectoryError):
+            pass
+    return found
 
 
 def resolve_inside(session: Session, relpath: str | Path) -> Path:

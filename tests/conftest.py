@@ -1,12 +1,15 @@
-"""Shared fixtures: both demo cases are materialized and replayed once.
+"""Shared fixtures: both demo cases are replayed once, read in place.
 
 The two scripted sessions are expensive enough (a few hundred artifact
 writes each) that every module asserting against them shares one run.
 The suite as a whole must pass with no network access, so an autouse
-guard refuses every socket connection attempt.  Tests that edit a case's
-script or transcripts load them with ``load_script_entries`` and
-``load_transcripts``, through ``scenarios.load_numbered`` as
-``CaseBundle.backend`` and ``CaseBundle.runner`` read them.
+guard refuses every socket connection attempt.  A replay reads its case
+where it lies (``scenarios.open_case``), an overlay before its base, and
+never writes it.  Tests that edit a case's script or transcripts load them
+with ``load_script_entries`` and ``load_transcripts``, through
+``scenarios.load_numbered`` as ``CaseBundle.backend`` and
+``CaseBundle.runner`` read them, and edit the loaded copy; a test that
+edits a case's files copies the case first.
 """
 
 from __future__ import annotations
@@ -68,12 +71,12 @@ VALIDATED_SESSION_DOCS = {
 def load_script_entries(case_root: Path) -> dict[str, list[dict[str, Any]]]:
     """A case's scripted role outputs by role, in step order, parsed afresh
     on each call, so that a test may edit them."""
-    return scenarios.load_numbered(case_root / "script", ".json")
+    return scenarios.load_numbered([case_root / "script"], ".json")
 
 
 def load_transcripts(case_root: Path) -> list[str]:
     """A case's run transcripts in launch order."""
-    return scenarios.load_numbered(case_root / "transcripts", ".txt")["run"]
+    return scenarios.load_numbered([case_root / "transcripts"], ".txt")["run"]
 
 
 @dataclass
@@ -92,7 +95,7 @@ class ReplayRun:
 
 
 def run_case(name: str, root: Path) -> ReplayRun:
-    bundle = scenarios.CASE_BUILDERS[name](root / name)
+    bundle = scenarios.open_case(name)
     runner = bundle.runner()
     orch = Orchestrator(backend=bundle.backend(), adapter=bundle.adapter(), runner=runner)
     started = time.monotonic()

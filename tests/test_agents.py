@@ -137,7 +137,7 @@ class TestScriptedBackend:
         (tmp_path / "analyst_1.json").write_text('{"n": 2}')
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "README.txt").write_text("not a script")
-        backend = ScriptedBackend(scenarios.load_numbered(tmp_path, ".json"))
+        backend = ScriptedBackend(scenarios.load_numbered([tmp_path], ".json"))
         conv = backend.open_conversation("analyst", "p")
         assert backend.step(conv, "go").structured_output == {"n": 1}
         assert backend.step(conv, "go").structured_output == {"n": 2}
@@ -146,19 +146,19 @@ class TestScriptedBackend:
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "analyst_2.json").write_text('{"n": 3}')
         with pytest.raises(workspace.CorruptArtifact, match="gaps"):
-            scenarios.load_numbered(tmp_path, ".json")
+            scenarios.load_numbered([tmp_path], ".json")
 
     def test_script_loader_rejects_a_repeated_index(self, tmp_path):
         (tmp_path / "analyst_0.json").write_text('{"n": 1}')
         (tmp_path / "analyst_1.json").write_text('{"n": 2}')
         (tmp_path / "analyst_01.json").write_text('{"n": 3}')
         with pytest.raises(workspace.CorruptArtifact, match="repeated"):
-            scenarios.load_numbered(tmp_path, ".json")
+            scenarios.load_numbered([tmp_path], ".json")
 
     def test_script_loader_rejects_an_undecodable_file(self, tmp_path):
         (tmp_path / "analyst_0.json").write_text('{"n": ')
         with pytest.raises(workspace.CorruptArtifact, match="analyst_0.json"):
-            scenarios.load_numbered(tmp_path, ".json")
+            scenarios.load_numbered([tmp_path], ".json")
 
 
 class TestJsonExtraction:

@@ -111,7 +111,7 @@ class TestCaseTree:
         wei (ROADMAP item 12)."""
         root = scenarios.CASES_DIR / case
         expected = json.loads((root / "expected.json").read_text(encoding="utf-8"))
-        transcript = scenarios.load_numbered(root / "transcripts", ".txt")["run"][-1]
+        transcript = scenarios.load_numbered([root / "transcripts"], ".txt")["run"][-1]
         report = harness.extract_observations(transcript, list(expected["observations"]))
         assert (report.missing, report.warnings) == ((), ())
         # The golden writes integers as decimal strings.
@@ -122,33 +122,6 @@ class TestCaseTree:
         assert found == expected["observations"]
         for line in expected.get("forge_log_lines", []):
             assert line in transcript, line
-
-    def test_builder_copies_the_tree(self, case, tmp_path):
-        bundle = scenarios.CASE_BUILDERS[case](tmp_path / case)
-        source = scenarios.CASES_DIR / case
-        files = sorted(p.relative_to(source) for p in source.rglob("*") if p.is_file())
-        assert sorted(p.relative_to(bundle.root) for p in bundle.root.rglob("*")
-                      if p.is_file()) == files
-        for rel in files:
-            built = bundle.root / rel
-            # A real copy, so that editing a built case leaves the data alone.
-            assert not built.is_symlink(), rel
-            assert built.stat().st_ino != (source / rel).stat().st_ino, rel
-            assert built.read_bytes() == (source / rel).read_bytes(), rel
-        assert (bundle.name, bundle.chainid, bundle.seed_txhash) == (
-            case, _CONSTANTS[case]["chainid"], _CONSTANTS[case]["seed"]
-        )
-
-    def test_a_build_over_an_edited_case_restores_the_committed_bytes(self, case, tmp_path):
-        bundle = scenarios.CASE_BUILDERS[case](tmp_path / case)
-        source = scenarios.CASES_DIR / case
-        edited = bundle.root / "expected.json"
-        script = next(p for p in sorted(bundle.script_dir.iterdir()) if p.is_file())
-        edited.write_text("{}", encoding="utf-8")
-        script.write_bytes(script.read_bytes() * 2)
-        scenarios.CASE_BUILDERS[case](tmp_path / case)
-        assert edited.read_bytes() == (source / "expected.json").read_bytes()
-        assert script.read_bytes() == (source / "script" / script.name).read_bytes()
 
 
 def _matches(relpath: str, pattern: str) -> bool:

@@ -2,6 +2,7 @@
 interpreter; the mutant table against the tree; the whole command-line pipeline
 (``postmortem``, ``evaluate``, ``metrics``, ``dataset export``) over both
 bundled cases; the ``prxvt_non_act`` overlay replayed as a case directory;
+replays that leave every case tree's bytes as they were;
 an export over an earlier one, which leaves unchanged incidents alone and
 writes edited ones anew; the budget flags; the rejection of malformed
 flags, of flags a command would ignore and of malformed files the commands
@@ -13,6 +14,7 @@ needs come from the environment and never from a flag."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -28,6 +30,8 @@ from txpostmortem import CASE_BUILDERS, cli, scenarios, workspace
 from txpostmortem.gateway import DataRequest
 
 REPO = Path(__file__).resolve().parents[1]
+#: The overlay cases the tests replay, each a directory over a bundled case.
+CASE_OVERLAYS = REPO / "tests" / "data" / "cases"
 
 
 def _mutants():
@@ -155,11 +159,10 @@ class TestBudgetFlags:
         ["postmortem", "--case", "prxvt", "--chainid", "1"],
         ["postmortem", "--case", "prxvt", "--tx", "0x" + "ab" * 32],
         ["postmortem", "--tx", "0x" + "ab" * 32],
-        ["postmortem", "--case", "{tmp}"],
     ],
     ids=["bad-tx", "unsupported-chain", "bad-chains", "unsupported-chains",
          "baseline-not-a-list", "case-rpc-map", "case-record-fixtures", "case-model",
-         "case-chainid", "case-tx", "no-case-no-chainid", "workdir-inside-case"],
+         "case-chainid", "case-tx", "no-case-no-chainid"],
 )
 def test_malformed_input_is_a_usage_error(argv, tmp_path, capsys):
     """A flag the command would ignore is refused too, before any work."""
@@ -325,9 +328,9 @@ def test_malformed_replay_case_fails_closed(rel, data, named, tmp_path, capsys):
 
 
 def test_the_non_act_overlay_replays_through_the_cli(tmp_path, capsys):
-    """``--case`` takes a case directory; the overlay replays prxvt's seed
-    and ends where its golden says."""
-    overlay = REPO / "tests" / "data" / "cases" / "prxvt_non_act"
+    """``--case`` takes a case directory; the overlay replays prxvt's seed,
+    read in place, and ends where its golden says."""
+    overlay = CASE_OVERLAYS / "prxvt_non_act"
     code, doc = _cli(capsys, "postmortem", "--case", str(overlay), "--workdir", str(tmp_path))
     assert code == 0
     raw = json.loads((Path(doc["session_root"]) / "raw.json").read_text(encoding="utf-8"))
@@ -336,7 +339,30 @@ def test_the_non_act_overlay_replays_through_the_cli(tmp_path, capsys):
     for key, want in golden.items():
         assert doc.get(key) == want, key
     assert Path(doc["session_root"]).parent == tmp_path / "sessions"
-    assert (tmp_path / "cases" / "prxvt_non_act" / "transcripts" / "run_0.txt").is_file()
+    assert not (tmp_path / "cases").exists()
+
+
+def _case_hashes() -> dict[str, str]:
+    return {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for top in (scenarios.CASES_DIR, CASE_OVERLAYS)
+        for path in sorted(top.rglob("*"))
+        if path.is_file()
+    }
+
+
+def test_replays_leave_the_case_data_alone(tmp_path, capsys):
+    """Every bundled case and the overlay replay from where they lie: no
+    byte under the case trees changes, and each workdir holds only the
+    sessions."""
+    before = _case_hashes()
+    cases = [*sorted(CASE_BUILDERS), str(CASE_OVERLAYS / "prxvt_non_act")]
+    for k, case in enumerate(cases):
+        workdir = tmp_path / f"work_{k}"
+        code, _ = _cli(capsys, "postmortem", "--case", case, "--workdir", str(workdir))
+        assert code == 0, case
+        assert [p.name for p in workdir.iterdir()] == ["sessions"], case
+    assert _case_hashes() == before
 
 
 @pytest.mark.parametrize(

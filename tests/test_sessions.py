@@ -48,7 +48,7 @@ from txpostmortem.harness import (
 )
 from txpostmortem.orchestrator import Budgets, Orchestrator
 
-#: The committed prxvt tree, which every built prxvt case copies.
+#: The committed prxvt tree, which every prxvt replay reads in place.
 PRXVT_CASE = scenarios.CASES_DIR / "prxvt"
 (PRXVT_RUN_0,) = load_transcripts(PRXVT_CASE)
 
@@ -176,7 +176,7 @@ class _RecordingBackend:
 class TestModelInput:
     @pytest.mark.parametrize("case", sorted(scenarios.CASE_BUILDERS))
     def test_no_document_is_sent_twice(self, tmp_path, case):
-        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        bundle = scenarios.open_case(case)
         backend = _RecordingBackend(bundle.backend())
         orch = Orchestrator(
             backend=backend, adapter=bundle.adapter(), runner=bundle.runner()
@@ -197,7 +197,7 @@ class TestModelInput:
     def test_role_variables_stay_unbound_in_the_definition(self, tmp_path, case):
         """Binding works on a copy: the written definition and the
         reproducer's message both carry each role variable's null address."""
-        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        bundle = scenarios.open_case(case)
         backend = _RecordingBackend(bundle.backend())
         orch = Orchestrator(backend=backend, adapter=bundle.adapter(), runner=bundle.runner())
         outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
@@ -214,7 +214,7 @@ class TestModelInput:
         """The oracle generator and the challenger's passing turn read the
         bytes of ``root_cause.json``; the reproducer's first message is
         ``oracle_definition.json``."""
-        bundle = scenarios.CASE_BUILDERS[case](tmp_path / "case")
+        bundle = scenarios.open_case(case)
         backend = _RecordingBackend(bundle.backend())
         orch = Orchestrator(backend=backend, adapter=bundle.adapter(), runner=bundle.runner())
         outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
@@ -228,7 +228,7 @@ class TestModelInput:
 
 
 def _run_prxvt(tmp_path: Path, entries: dict, runner: SimulatedRunner):
-    bundle = scenarios.build_case("prxvt", tmp_path / "case")
+    bundle = scenarios.open_case("prxvt")
     orch = Orchestrator(
         backend=ScriptedBackend(entries),
         adapter=bundle.adapter(),
@@ -298,7 +298,7 @@ class TestSimulatedRunner:
             (tmp_path / f"run_{n}.txt").write_text(str(n), encoding="utf-8")
         (tmp_path / "0xabc.txt").write_text("x", encoding="utf-8")
         (tmp_path / "notes.md").write_text("stray", encoding="utf-8")
-        runner = SimulatedRunner(scenarios.load_numbered(tmp_path, ".txt")["run"])
+        runner = SimulatedRunner(scenarios.load_numbered([tmp_path], ".txt")["run"])
         assert [runner.run(None) for _ in range(11)] == [str(n) for n in range(11)]
         with pytest.raises(HarnessError):
             runner.run(None)
@@ -312,7 +312,7 @@ class TestSimulatedRunner:
         for name in names:
             (tmp_path / f"{name}.txt").write_text(name, encoding="utf-8")
         with pytest.raises(workspace.CorruptArtifact, match="gaps|repeated"):
-            scenarios.load_numbered(tmp_path, ".txt")
+            scenarios.load_numbered([tmp_path], ".txt")
 
 
 def _process_state(pid: int) -> tuple[str, str] | None:
@@ -383,7 +383,7 @@ def _gated_prxvt(
     files["test/Exploit.sol"] += exploit_suffix
     if validator is not None:
         entries["poc_validator"] = [validator]
-    bundle = scenarios.build_case("prxvt", tmp_path / "case")
+    bundle = scenarios.open_case("prxvt")
     backend = _RecordingBackend(ScriptedBackend(entries))
     runner = _CountingRunner(SimulatedRunner(queue=[run]))
     orch = Orchestrator(
@@ -561,7 +561,7 @@ def _prxvt_attempts(tmp_path: Path, attempts: list[dict[str, str]], runs: list[s
     entries = load_script_entries(PRXVT_CASE)
     (reproduction,) = entries["poc_reproducer"]
     entries["poc_reproducer"] = [dict(reproduction, files=files) for files in attempts]
-    bundle = scenarios.build_case("prxvt", tmp_path / "case")
+    bundle = scenarios.open_case("prxvt")
     runner = _CountingRunner(SimulatedRunner(queue=list(runs)))
     orch = Orchestrator(
         backend=ScriptedBackend(entries),
@@ -690,7 +690,7 @@ def _fetched_files(root: Path, iteration: int) -> dict[str, list[str]]:
 
 class TestSessionMemo:
     def test_repeated_requests_hit_the_adapter_once(self, tmp_path):
-        bundle = scenarios.build_case("valinity", tmp_path / "case")
+        bundle = scenarios.open_case("valinity")
         adapter = _CountingAdapter(bundle.adapter())
         orch = Orchestrator(
             backend=bundle.backend(), adapter=adapter, runner=bundle.runner()
@@ -710,7 +710,7 @@ class TestSessionMemo:
         assert [p.name for p in iter_3.iterdir()] == ["data_collection_summary.json"]
 
     def test_two_sessions_each_fetch_their_seed(self, tmp_path):
-        bundle = scenarios.build_case("prxvt", tmp_path / "case")
+        bundle = scenarios.open_case("prxvt")
         entries = {
             role: docs * 2 for role, docs in load_script_entries(PRXVT_CASE).items()
         }
@@ -745,7 +745,7 @@ class _FailingKinds:
 
 
 def _bootstrap_prxvt(tmp_path: Path, failing: set[str]):
-    bundle = scenarios.build_case("prxvt", tmp_path / "case")
+    bundle = scenarios.open_case("prxvt")
     backend = _RecordingBackend(bundle.backend())
     orch = Orchestrator(
         backend=backend,
@@ -771,7 +771,7 @@ class TestSeedContext:
         assert first.count("not available") == 6
 
     def test_first_message_carries_the_digest(self, tmp_path):
-        bundle = scenarios.build_case("valinity", tmp_path / "case")
+        bundle = scenarios.open_case("valinity")
         backend = _RecordingBackend(bundle.backend())
         orch = Orchestrator(
             backend=backend, adapter=bundle.adapter(), runner=bundle.runner()
@@ -840,7 +840,7 @@ class TestFailClosed:
         _assert_failed_closed(outcome, "poc: OracleError: cannot bind")
 
     def test_adapter_os_error(self, tmp_path):
-        bundle = scenarios.build_case("prxvt", tmp_path / "case")
+        bundle = scenarios.open_case("prxvt")
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
@@ -850,7 +850,7 @@ class TestFailClosed:
         _assert_failed_closed(outcome, "root_cause: OSError: socket closed fetching txlist")
 
     def test_a_raising_batch_leaves_no_collection_dir(self, tmp_path):
-        bundle = scenarios.build_case("prxvt", tmp_path / "case")
+        bundle = scenarios.open_case("prxvt")
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=_RaisingAdapter(bundle.adapter(), "txlist"),
@@ -884,7 +884,7 @@ class TestBackendFailure:
         reproducer's script: the command exits 1 and the model-side failure
         is one WARNING line naming it, with no traceback."""
         case = tmp_path / "case"
-        scenarios.build_case("valinity", case)
+        shutil.copytree(scenarios.CASES_DIR / "valinity", case)
         (case / "transcripts" / "run_1.txt").unlink()
         run = subprocess.run(
             [sys.executable, "-m", "txpostmortem", "postmortem", "--case", str(case),
@@ -926,12 +926,12 @@ def _recorded_session(tmp_path: Path, name: str):
     is prxvt whose challenger never sends a valid document, under a 6-turn
     stage budget.  Returns the outcome and the backend."""
     if name == "turn-exhaustion":
-        bundle = scenarios.build_case("prxvt", tmp_path / "case")
+        bundle = scenarios.open_case("prxvt")
         entries = load_script_entries(PRXVT_CASE)
         entries[ROLE_CHALLENGER] = [_INVALID_CHALLENGE] * 3
         inner, budgets = ScriptedBackend(entries), Budgets(stage_turns=6)
     else:
-        bundle = scenarios.CASE_BUILDERS[name](tmp_path / "case")
+        bundle = scenarios.open_case(name)
         inner, budgets = bundle.backend(), Budgets()
     backend = _RecordingBackend(inner)
     orch = Orchestrator(
@@ -972,7 +972,7 @@ class TestNonActRoute:
         # The overlay replaces prxvt's final analysis with a non-ACT one and
         # holds the golden of the session that ends on it.
         reason = "the drained rewards were never claimable by an unprivileged account"
-        bundle = scenarios.build_case(DATA_DIR / "cases" / "prxvt_non_act", tmp_path / "case")
+        bundle = scenarios.open_case(DATA_DIR / "cases" / "prxvt_non_act")
         runner = _CountingRunner(bundle.runner())
         orch = Orchestrator(backend=bundle.backend(), adapter=bundle.adapter(), runner=runner)
         outcome = orch.run_postmortem(bundle.seed(), str(tmp_path / "runs"))
@@ -1103,7 +1103,7 @@ class TestCheckOnce:
 
         monkeypatch.setattr(workspace, "check_document", counting_check)
         monkeypatch.setattr(oracles, "validate_definition", counting_validate)
-        bundle = scenarios.build_case(name, tmp_path / "case")
+        bundle = scenarios.open_case(name)
         orch = Orchestrator(
             backend=bundle.backend(),
             adapter=bundle.adapter(),

@@ -155,7 +155,7 @@ class TestResolveInsideWalk:
     def test_a_bundled_session_resolves_only_its_root(self, name, tmp_path, monkeypatch):
         """One ``realpath`` walk per session, its root's, and no ``mkdir``
         of a directory that is already there."""
-        bundle = scenarios.CASE_BUILDERS[name](tmp_path / "case")
+        bundle = scenarios.open_case(name)
         (tmp_path / "sessions").mkdir()
         walks, taken = [], []
         realpath, mkdir = os.path.realpath, os.mkdir

@@ -35,7 +35,7 @@ CREATED = datetime(2025, 1, 1, tzinfo=timezone.utc)
 def session_files(name: str, root: Path) -> dict[str, bytes]:
     """Run and evaluate case ``name`` under ``root``; the bytes of each file
     of its session, keyed by path inside the session."""
-    bundle = scenarios.CASE_BUILDERS[name](root / "case")
+    bundle = scenarios.open_case(name)
     orch = Orchestrator(bundle.backend(), bundle.adapter(), bundle.runner(), clock=lambda: 0.0)
     pinned = functools.partial(workspace.create_session, now=CREATED)
     with mock.patch.object(workspace, "create_session", pinned):
