@@ -3,7 +3,8 @@
 Every specialist role talks to a backend through the same two calls, so the
 whole pipeline runs identically against a live model service or a scripted
 stand-in.  The scripted backend replays canned outputs keyed by role and
-call order and is the workhorse of the offline test suite.
+call order and is the workhorse of the offline test suite.  The live one
+posts through ``transport``, the package's one HTTP client and retry policy.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import logging
 import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Optional, Protocol
+
+from ..transport import post_json, with_retries
 
 logger = logging.getLogger(__name__)
 
@@ -189,19 +192,12 @@ class OpenAIChatBackend:
     ):
         self.api_key = api_key
         self.model = model
-        self.post = post or self._default_post
+        # Each attempt of a step is given 600 s.
+        self.post = post or (lambda url, body, headers: post_json(url, body, 600.0, headers))
         self._histories: dict[str, list[dict[str, str]]] = {}
         # ``next`` on a count is one step, so threads opening conversations
         # at once never share an id.
         self._ids = itertools.count(1)
-
-    @staticmethod
-    def _default_post(url: str, body: dict[str, Any], headers: dict[str, str]) -> dict[str, Any]:
-        import requests
-
-        response = requests.post(url, json=body, headers=headers, timeout=600)
-        response.raise_for_status()
-        return response.json()
 
     def open_conversation(self, role: str, system_prompt: str) -> str:
         conversation_id = f"{role}#{next(self._ids)}"
@@ -209,8 +205,8 @@ class OpenAIChatBackend:
         return conversation_id
 
     def step(self, conversation_id: str, message: str) -> StepResult:
-        """Send ``message``; a failed call or a malformed body is a
-        ``BackendError``, and a null ``usage`` counts as no tokens."""
+        """Send ``message`` under the retry policy; a failed call or a malformed
+        body is a ``BackendError``, and a null ``usage`` counts as no tokens."""
         history = self._histories.get(conversation_id)
         if history is None:
             raise BackendError(f"unknown conversation {conversation_id!r}")
@@ -222,10 +218,8 @@ class OpenAIChatBackend:
         }
         headers = {"Authorization": f"Bearer {self.api_key}"}
         try:
-            doc = self.post(CHAT_COMPLETIONS_URL, body, headers)
-        except Exception as exc:
-            raise BackendError(f"model call failed: {exc}") from exc
-        try:
+            doc = with_retries(lambda: self.post(CHAT_COMPLETIONS_URL, body, headers),
+                               "model call", BackendError, BackendError)
             text = doc["choices"][0]["message"].get("content") or ""
             usage_doc = doc.get("usage") or {}
             details = usage_doc.get("prompt_tokens_details") or {}
@@ -234,7 +228,7 @@ class OpenAIChatBackend:
                 cached_input_tokens=details.get("cached_tokens", 0),
                 output_tokens=usage_doc.get("completion_tokens", 0),
             )
-        except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        except (KeyError, IndexError, TypeError, AttributeError, ValueError) as exc:
             raise BackendError(f"malformed model reply: {type(exc).__name__}: {exc}") from None
         history.append({"role": "assistant", "content": text})
         return StepResult(text=text, usage=usage)

@@ -16,7 +16,7 @@ from typing import Iterable
 # memory, for a hash those need once each; CPython's ``random`` makes the
 # same choice for its SHA-512: the lean module first, ``hashlib`` only on an
 # interpreter built without it.  Digests are the same either way.  Live runs
-# load OpenSSL through ``requests`` for TLS anyway; offline ones (replays,
+# load OpenSSL through ``urllib.request`` for TLS anyway; offline ones (replays,
 # ``evaluate``, ``metrics``, ``dataset export``) never do.
 try:
     from _sha2 import sha256  # CPython 3.12 and later

@@ -8,16 +8,12 @@ request computes its key once, however many layers ask for it.
 
 from __future__ import annotations
 
-import logging
-import threading
 from pathlib import Path
 from typing import Any
 
 from .. import workspace
 from .base import ChainAdapter, MissingFixture
 from .types import DataRequest
-
-logger = logging.getLogger(__name__)
 
 
 def fixture_key(request: DataRequest) -> str:
@@ -34,37 +30,28 @@ class FixtureStore:
     ``load`` reads a request's payload and ``save`` records one in the first
     directory; the store offers no other lookup.  The directories are a
     lookup chain (``workspace.files_in_chain``): a fixture in an earlier one
-    hides a later one's under the same key.  The store lists them once, on
-    the first ``load``, and its own ``save`` adds to that listing.  So a
-    miss costs no system call and a hit opens its file once.  A store does
-    not see files that another writer adds after its first ``load``: make
-    a new store to see them.
+    hides a later one's under the same key.  The store lists them when it
+    is made, and its own ``save`` adds to that listing, so a miss costs no
+    system call and a hit opens its file once.  It does not see files that
+    another writer adds after it is made.
     """
 
     def __init__(self, *roots: str | Path):
         self.roots = tuple(Path(root) for root in roots)
         #: Where ``save`` writes.
         self.root = self.roots[0]
-        #: The file of each key in ``roots``, listed on the first lookup.
-        self._paths: dict[str, Path] | None = None
-        self._lock = threading.Lock()
+        #: The file of each key in ``roots``, listed when the store is made.
+        self._paths = workspace.files_in_chain(self.roots, ".json")
 
     def path_for(self, key: str) -> Path:
         return self.root / f"{key}.json"
-
-    def _listing(self) -> dict[str, Path]:
-        if self._paths is None:
-            with self._lock:
-                if self._paths is None:
-                    self._paths = workspace.files_in_chain(self.roots, ".json")
-        return self._paths
 
     def load(self, request: DataRequest) -> dict[str, Any]:
         """The payload recorded for ``request``.  No file for it raises
         ``MissingFixture``; a file that does not decode, or holds no
         ``payload`` object, raises ``workspace.CorruptArtifact``."""
         key = fixture_key(request)
-        path = self._listing().get(key)
+        path = self._paths.get(key)
         if path is not None:
             try:
                 doc = workspace.read_json(path)
@@ -87,10 +74,7 @@ class FixtureStore:
         path = self.path_for(key)
         doc = {"request": request.to_doc(), "payload": payload}
         workspace.write_file(path, workspace.dump_indented(doc))
-        # After the write, so that a listing made meanwhile holds the key too.
-        with self._lock:
-            if self._paths is not None:
-                self._paths[key] = path
+        self._paths[key] = path
         return path
 
 

@@ -1,15 +1,14 @@
 """Live chain adapter: JSON-RPC node plus explorer API, with retries.
 
-Network access is isolated behind two injectable callables (``rpc_post`` and
-``api_get``) so the adapter logic is testable without sockets.  Payloads are
-normalized into the canonical document shapes defined in ``types``; callers
-never see provider-specific field names.  Transport errors, HTTP 408, 429
-and 5xx, and explorer rate limits are retried: ``RETRIES`` attempts in all,
-``BACKOFF_S`` doubling between them, each call given ``TIMEOUT_S``.  Any
-other HTTP 4xx or error reply is final, and so is a malformed reply: a body
-that is not an object, an RPC body with no ``result``, or one a kind cannot
-normalise.  So is a request whose chain has no endpoint or whose target is
-not an address: ``UnsupportedRequest``.  Each fails only its own request.
+Network access goes through two injectable callables, ``rpc_post`` and
+``api_get`` (by default ``transport.post_json`` and ``get_json``), so the
+adapter logic is testable without sockets.  Payloads are normalized into the
+canonical shapes of ``types``.  Each call, given ``TIMEOUT_S``, runs under
+the one retry policy, ``transport.with_retries``, which retries an explorer
+rate limit too.  An error reply is final, and so is a malformed one: not an
+object, an RPC body with no ``result``, or one a kind cannot normalise.  So
+is a request whose chain has no endpoint or whose target is not an address:
+``UnsupportedRequest``.  Each fails only its own request.
 """
 
 from __future__ import annotations
@@ -17,10 +16,10 @@ from __future__ import annotations
 import itertools
 import logging
 import os
-import time
 from typing import Any, Callable, Mapping, Optional
 
 from ..domain import Address, DomainError
+from ..transport import TransientReply, get_json, post_json, with_retries
 from .base import (
     GatewayError,
     MissingCredential,
@@ -36,10 +35,7 @@ logger = logging.getLogger(__name__)
 
 EXPLORER_API_URL = "https://api.etherscan.io/v2/api"
 
-#: Attempts per upstream call, the wait before the second (doubled before
-#: each later one), and each attempt's transport timeout.
-RETRIES = 3
-BACKOFF_S = 0.5
+#: Each attempt's transport timeout.
 TIMEOUT_S = 30.0
 
 #: Per-transaction node answers (receipts, prestate diffs) an adapter keeps
@@ -103,41 +99,9 @@ def disassemble(bytecode_hex: str) -> str:
 
 
 class ErrorReply(UpstreamError):
-    """The node answered with a JSON-RPC error, the explorer with an error
-    other than a rate limit, either with an HTTP 4xx status other than 408
-    and 429, or with a malformed reply.  The same request gets the same
-    answer, so it is final and never retried."""
-
-
-#: HTTP 4xx statuses that say "try again later", not "this request is wrong".
-_RETRIED_4XX = (408, 429)
-
-
-def _final_status(exc: Exception) -> int | None:
-    """The HTTP status of a transport error that retrying cannot change, or
-    None.  The status is read from ``exc.response.status_code`` when there
-    is one, as ``requests`` sets it; other transports carry none and are
-    retried."""
-    status = getattr(getattr(exc, "response", None), "status_code", None)
-    if isinstance(status, int) and 400 <= status < 500 and status not in _RETRIED_4XX:
-        return status
-    return None
-
-
-def _default_rpc_post(url: str, body: dict[str, Any], timeout: float) -> dict[str, Any]:
-    import requests
-
-    response = requests.post(url, json=body, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
-
-
-def _default_api_get(url: str, params: dict[str, Any], timeout: float) -> dict[str, Any]:
-    import requests
-
-    response = requests.get(url, params=params, timeout=timeout)
-    response.raise_for_status()
-    return response.json()
+    """A JSON-RPC error, an explorer error other than a rate limit, an HTTP
+    4xx other than 408 and 429, or a malformed reply.  The same request gets
+    the same answer, so it is final and never retried."""
 
 
 def _hex_int(value: Any, default: int = 0) -> int:
@@ -161,8 +125,8 @@ class LiveAdapter:
         self,
         env: Mapping[str, str] | None = None,
         rpc_map: Mapping[int, str] | None = None,
-        rpc_post: Callable[[str, dict[str, Any], float], dict[str, Any]] = _default_rpc_post,
-        api_get: Callable[[str, dict[str, Any], float], dict[str, Any]] = _default_api_get,
+        rpc_post: Callable[[str, dict[str, Any], float], dict[str, Any]] = post_json,
+        api_get: Callable[[str, dict[str, Any], float], dict[str, Any]] = get_json,
     ):
         self.env = dict(os.environ if env is None else env)
         self.rpc_map = load_rpc_map() if rpc_map is None else rpc_map
@@ -176,35 +140,18 @@ class LiveAdapter:
 
     # -- transport ---------------------------------------------------------
 
-    def _with_retries(self, call: Callable[[], dict[str, Any]], what: str) -> dict[str, Any]:
-        last: Exception | None = None
-        for attempt in range(RETRIES):
-            try:
-                return call()
-            except ErrorReply:
-                raise
-            except Exception as exc:  # transport errors are opaque; retry them
-                if (status := _final_status(exc)) is not None:
-                    raise ErrorReply(f"{what}: HTTP {status}: {exc}") from exc
-                last = exc
-                logger.warning("%s failed (attempt %d/%d): %s", what, attempt + 1, RETRIES, exc)
-                if attempt + 1 < RETRIES:
-                    time.sleep(BACKOFF_S * (2**attempt))
-        raise UpstreamError(f"{what} failed after {RETRIES} attempts: {last}")
-
     def _rpc(self, chainid: int, method: str, params: list[Any]) -> Any:
         url = resolve_rpc_url(chainid, self.env, self.rpc_map)
         body = {"jsonrpc": "2.0", "id": next(self._rpc_ids), "method": method, "params": params}
-
-        def call() -> dict[str, Any]:
-            doc = self.rpc_post(url, body, TIMEOUT_S)
-            if not isinstance(doc, dict):
-                raise ErrorReply(f"rpc {method} chain {chainid}: malformed reply")
-            if doc.get("error") or "result" not in doc:
-                raise ErrorReply(f"rpc {method} chain {chainid}: {doc.get('error') or 'no result'}")
-            return doc
-
-        return self._with_retries(call, f"rpc {method} chain {chainid}")["result"]
+        what = f"rpc {method} chain {chainid}"
+        doc = with_retries(
+            lambda: self.rpc_post(url, body, TIMEOUT_S), what, ErrorReply, UpstreamError
+        )
+        if not isinstance(doc, dict):
+            raise ErrorReply(f"{what}: malformed reply")
+        if doc.get("error") or "result" not in doc:
+            raise ErrorReply(f"{what}: {doc.get('error') or 'no result'}")
+        return doc["result"]
 
     def _explorer(self, chainid: int, params: dict[str, Any]) -> Any:
         key = self.env.get("ETHERSCAN_API_KEY")
@@ -219,11 +166,12 @@ class LiveAdapter:
             if str(doc.get("status")) == "0" and doc.get("message") != "No transactions found":
                 text = f"explorer: {doc.get('result') or doc.get('message')}"
                 if "rate limit" in text.lower():
-                    raise UpstreamError(text)  # transient: retried after a backoff
+                    raise TransientReply(text)
                 raise ErrorReply(text)
             return doc
 
-        return self._with_retries(call, f"explorer {params.get('action')} chain {chainid}")["result"]
+        what = f"explorer {params.get('action')} chain {chainid}"
+        return with_retries(call, what, ErrorReply, UpstreamError)["result"]
 
     # -- per-kind fetchers --------------------------------------------------
 
@@ -335,22 +283,21 @@ class LiveAdapter:
                 "sort": "asc",
             },
         )
-        records = []
-        for row in rows or []:
-            records.append(
-                {
-                    "txhash": row["hash"].lower(),
-                    "block_number": _hex_int(row.get("blockNumber")),
-                    "from": row.get("from", "").lower(),
-                    "to": (row.get("to") or "").lower() or None,
-                    "selector": _selector_of(row.get("input")),
-                    "value": _hex_int(row.get("value")),
-                    "gas_used": _hex_int(row.get("gasUsed")),
-                    "effective_gas_price": _hex_int(row.get("gasPrice")),
-                    "status": str(row.get("isError", "0")) == "0",
-                    "index": _hex_int(row.get("transactionIndex")),
-                }
-            )
+        records = [
+            {
+                "txhash": row["hash"].lower(),
+                "block_number": _hex_int(row.get("blockNumber")),
+                "from": row.get("from", "").lower(),
+                "to": (row.get("to") or "").lower() or None,
+                "selector": _selector_of(row.get("input")),
+                "value": _hex_int(row.get("value")),
+                "gas_used": _hex_int(row.get("gasUsed")),
+                "effective_gas_price": _hex_int(row.get("gasPrice")),
+                "status": str(row.get("isError", "0")) == "0",
+                "index": _hex_int(row.get("transactionIndex")),
+            }
+            for row in rows or []
+        ]
         return {"records": records}
 
     def _fetch_contract_meta(self, request: DataRequest) -> dict[str, Any]:

@@ -3,9 +3,10 @@
 The two scripted sessions are expensive enough (a few hundred artifact
 writes each) that every module asserting against them shares one run.
 The suite as a whole must pass with no network access, so an autouse
-guard refuses every socket connection attempt.  A replay reads its case
-where it lies (``scenarios.open_case``), an overlay before its base, and
-never writes it.  Tests that edit a case's script or transcripts load them
+guard refuses every socket connection to a host other than the loopback
+address ``127.0.0.1``, where the transport tests serve.  A replay reads its
+case where it lies (``scenarios.open_case``), an overlay before its base,
+and never writes it.  Tests that edit a case's script or transcripts load them
 with ``load_script_entries`` and ``load_transcripts``, through
 ``scenarios.load_numbered`` as ``CaseBundle.backend`` and
 ``CaseBundle.runner`` read them, and edit the loaded copy; a test that
@@ -109,11 +110,17 @@ def run_case(name: str, root: Path) -> ReplayRun:
     )
 
 
+#: The one host the suite may connect to.
+LOOPBACK = "127.0.0.1"
+
+
 @pytest.fixture(autouse=True, scope="session")
 def no_network():
     real_connect = socket.socket.connect
 
     def refused(self, address):
+        if isinstance(address, tuple) and address[0] == LOOPBACK:
+            return real_connect(self, address)
         raise RuntimeError(f"test attempted a network connection: {address!r}")
 
     socket.socket.connect = refused

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from txpostmortem import scenarios, workspace
+from txpostmortem import scenarios, transport, workspace
 from txpostmortem.agents import roles
 from txpostmortem.agents.backend import (
     SCRIPTED_STEP_USAGE,
@@ -236,14 +236,22 @@ class TestOpenAIChatBackend:
         assert result.text == '{"verdict": "Pass"}'
         assert result.structured_output is None
 
-    def test_transport_errors_become_backend_errors(self):
+    def test_transport_errors_become_backend_errors(self, monkeypatch):
+        """A transport error is retried under the shared policy; when the
+        retries are used up it is one ``BackendError``."""
+        sleeps, posts = [], []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+
         def post(url, body, headers):
+            posts.append(url)
             raise OSError("boom")
 
         backend = OpenAIChatBackend(api_key="k", post=post)
         conv = backend.open_conversation("analyst", "p")
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="after 3 attempts: boom"):
             backend.step(conv, "go")
+        assert len(posts) == transport.RETRIES == 3
+        assert sleeps == [0.5, 1.0]
 
     @pytest.mark.parametrize(
         "body",

@@ -137,7 +137,7 @@ class TestSeedRef:
 _SRC = Path(txpostmortem.__file__).resolve().parents[1]
 
 #: Runs the offline commands through ``cli.main`` in a fresh interpreter and
-#: prints which OpenSSL modules it loaded.
+#: prints which OpenSSL and HTTP modules it loaded.
 _OFFLINE_COMMANDS = """
 import contextlib, io, json, sys
 from pathlib import Path
@@ -162,7 +162,8 @@ run("evaluate", "--session", doc["session_root"])
 run("metrics", "--sessions", str(work / "sessions"))
 index = run("dataset", "export", "--sessions", str(work / "sessions"), "--out", str(work / "out"))
 assert index["count"] == 1, index
-print(json.dumps(sorted({"_hashlib", "ssl"} & set(sys.modules))))
+network = {"_hashlib", "ssl", "urllib.request", "http.client", "requests"}
+print(json.dumps(sorted(network & set(sys.modules))))
 """
 
 #: Imports the package where neither built-in SHA-256 module can be
@@ -200,7 +201,8 @@ class TestSha256:
 
     def test_offline_commands_load_no_openssl(self, tmp_path):
         """A replay, its evaluation, metrics and an export load neither
-        ``_hashlib`` nor ``ssl``."""
+        ``_hashlib`` nor ``ssl``, nor any HTTP client: ``urllib.request``,
+        ``http.client`` or ``requests``."""
         assert json.loads(_python("-c", _OFFLINE_COMMANDS, str(tmp_path))) == []
 
     def test_without_the_builtin_modules_keys_come_from_hashlib(self):

@@ -11,13 +11,14 @@ import os
 import sys
 import threading
 import time
+import urllib.error
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from txpostmortem import workspace
+from txpostmortem import transport, workspace
 from txpostmortem.domain import Address, SeedRef, TxHash, UnsupportedChain
 from txpostmortem.gateway.base import (
     BootstrapError,
@@ -901,11 +902,8 @@ def _metadata_rpc(responses: dict[str, dict]):
 
 
 def _http_error(status: int) -> Exception:
-    """What ``requests`` raises for a reply with this HTTP status."""
-    requests = pytest.importorskip("requests")
-    response = requests.Response()
-    response.status_code = status
-    return requests.HTTPError(f"{status} for url: http://node", response=response)
+    """What the transport raises for a reply with this HTTP status."""
+    return urllib.error.HTTPError("http://node", status, "Refused", None, None)
 
 
 #: JSON-RPC replies no seed kind can normalise, or may only partly.
@@ -972,7 +970,7 @@ class TestLiveAdapter:
 
     def test_retries_then_upstream_error(self, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         attempts = []
 
         def rpc_post(url, body, timeout):
@@ -982,9 +980,9 @@ class TestLiveAdapter:
         adapter = self._adapter(rpc_post=rpc_post)
         with pytest.raises(UpstreamError) as info:
             adapter.fetch(DataRequest(kind="tx_metadata", chainid=1, target=TX))
-        assert attempts == [live.TIMEOUT_S] * live.RETRIES
-        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
-        assert f"{live.RETRIES} attempts" in str(info.value)
+        assert attempts == [live.TIMEOUT_S] * transport.RETRIES
+        assert sleeps == [transport.BACKOFF_S * 2**k for k in range(transport.RETRIES - 1)]
+        assert f"{transport.RETRIES} attempts" in str(info.value)
 
     def test_rpc_error_payloads_are_upstream_errors(self):
         def rpc_post(url, body, timeout):
@@ -996,7 +994,7 @@ class TestLiveAdapter:
 
     def test_rpc_error_reply_is_final(self, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         calls = []
 
         def rpc_post(url, body, timeout):
@@ -1012,7 +1010,7 @@ class TestLiveAdapter:
 
     def test_transport_errors_are_retried(self, monkeypatch):
         sleeps = []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         replies = iter([OSError("connection reset"), {"result": "0x2a"}])
         calls = []
 
@@ -1027,11 +1025,11 @@ class TestLiveAdapter:
         doc = adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
         assert doc["value_hex"] == "0x2a"
         assert len(calls) == 2
-        assert sleeps == [live.BACKOFF_S]
+        assert sleeps == [transport.BACKOFF_S]
 
     def _failing_rpc_adapter(self, monkeypatch, error):
         sleeps, calls = [], []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
 
         def rpc_post(url, body, timeout):
             calls.append(body["method"])
@@ -1040,20 +1038,10 @@ class TestLiveAdapter:
         adapter = LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=rpc_post)
         return adapter, calls, sleeps
 
-    @pytest.mark.parametrize("status", [400, 404])
+    @pytest.mark.parametrize("status", [400, 403, 404])
     def test_http_client_error_is_final(self, monkeypatch, status):
         adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, _http_error(status))
         with pytest.raises(live.ErrorReply, match=f"HTTP {status}"):
-            adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
-        assert calls == ["eth_getStorageAt"]
-        assert sleeps == []
-
-    def test_status_is_read_from_any_transport(self, monkeypatch):
-        class Rejected(Exception):
-            response = type("Reply", (), {"status_code": 403})()
-
-        adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, Rejected("forbidden"))
-        with pytest.raises(live.ErrorReply, match="HTTP 403"):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
         assert calls == ["eth_getStorageAt"]
         assert sleeps == []
@@ -1063,21 +1051,20 @@ class TestLiveAdapter:
         adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, _http_error(status))
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
-        assert calls == ["eth_getStorageAt"] * live.RETRIES
-        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
+        assert calls == ["eth_getStorageAt"] * transport.RETRIES
+        assert sleeps == [transport.BACKOFF_S * 2**k for k in range(transport.RETRIES - 1)]
 
     def test_connection_error_is_retried(self, monkeypatch):
-        requests = pytest.importorskip("requests")
-        error = requests.ConnectionError("connection reset")
+        error = urllib.error.URLError(ConnectionResetError(104, "connection reset"))
         adapter, calls, sleeps = self._failing_rpc_adapter(monkeypatch, error)
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="storage_slot", chainid=1, target=ADDR))
-        assert calls == ["eth_getStorageAt"] * live.RETRIES
-        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
+        assert calls == ["eth_getStorageAt"] * transport.RETRIES
+        assert sleeps == [transport.BACKOFF_S * 2**k for k in range(transport.RETRIES - 1)]
 
     def _explorer_adapter(self, monkeypatch, reply):
         sleeps, calls = [], []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
 
         def api_get(url, params, timeout):
             calls.append(params["action"])
@@ -1101,8 +1088,8 @@ class TestLiveAdapter:
         adapter, calls, sleeps = self._explorer_adapter(monkeypatch, reply)
         with pytest.raises(UpstreamError, match="after 3 attempts"):
             adapter.fetch(DataRequest(kind="txlist", chainid=1, target=ADDR))
-        assert calls == ["txlist"] * live.RETRIES
-        assert sleeps == [live.BACKOFF_S * 2**k for k in range(live.RETRIES - 1)]
+        assert calls == ["txlist"] * transport.RETRIES
+        assert sleeps == [transport.BACKOFF_S * 2**k for k in range(transport.RETRIES - 1)]
 
     def test_explorer_no_transactions_is_empty(self, monkeypatch):
         reply = {"status": "0", "message": "No transactions found", "result": []}
@@ -1185,7 +1172,7 @@ class TestLiveAdapter:
     def test_a_malformed_reply_fails_its_own_request(self, monkeypatch, reply, kind):
         """It is final: one slot holds the error, and nothing is retried."""
         sleeps, calls = [], []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
 
         def rpc_post(url, body, timeout):
             calls.append(body["method"])
@@ -1237,7 +1224,7 @@ class TestLiveAdapter:
         """Chain 5 is not supported and chain 10 has no endpoint in the map:
         each fails its own request, finally, and chain 1 is served."""
         sleeps = []
-        monkeypatch.setattr(live.time, "sleep", sleeps.append)
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
         urls = []
 
         def rpc_post(url, body, timeout):
