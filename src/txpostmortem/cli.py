@@ -163,6 +163,7 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
         "project_root": str(project_root),
         "root_cause": root_cause,
         "correctness": verdict["rubric"].get("correctness", {}),
+        "attacker_address_hits": verdict["rubric"]["attacker_address_hits"],
         "oracle_pass": validation is not None and validation["overall_status"] == "Pass",
     }
 

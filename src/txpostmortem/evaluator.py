@@ -130,7 +130,8 @@ class HeuristicEvaluator:
     """Deterministic evaluator over run evidence and static source scans.
 
     Correctness comes from the harness checks and the oracle verdict in the
-    context; quality comes from heuristic_quality_checks.
+    context; quality comes from heuristic_quality_checks, over the engine's
+    recorded attacker-address hits.
     """
 
     def initial(self, context: Mapping[str, Any]) -> dict[str, tuple[bool, str]]:
@@ -150,11 +151,11 @@ class HeuristicEvaluator:
                 "fork pinning detected in the project sources",
             ),
         }
-        quality = heuristic_quality_checks(
-            Path(context["project_root"]), context.get("root_cause", {})
-        )
-        for key, (result, reason) in quality.items():
-            stance[key] = (result, reason)
+        stance.update(heuristic_quality_checks(
+            Path(context["project_root"]),
+            context.get("root_cause", {}),
+            context["attacker_address_hits"],
+        ))
         return stance
 
 
@@ -163,93 +164,67 @@ class HeuristicEvaluator:
 
 _ASSERT_RE = re.compile(r"\b(assert\w*|require)\s*\(")
 _LABEL_RE = re.compile(r"\b(vm\.label|makeAddr|vm\.addr)\s*\(")
-_COMMENT_RE = re.compile(r"(^\s*//|/\*|^\s*\*)")
-_EXTERNAL_CALL_RE = re.compile(r"\.\w+\s*\(")
+_CALL_RE = re.compile(r"\.\w+\s*\(")
 
 
-def _spans(hits: list[tuple[str, str, int]]) -> str:
-    return ", ".join(f"{rel}:{lineno}" for rel, _, lineno in hits[:5])
+def _finding(
+    hits: list[tuple[str, str, int]], found: str, absent: str, wanted: bool = False
+) -> tuple[bool, str]:
+    """Whether ``hits`` were ``wanted``, with ``found`` at their first five
+    spans as the reason, or ``absent`` when there are none."""
+    spans = ", ".join(f"{rel}:{lineno}" for rel, _, lineno in hits[:5])
+    return bool(hits) == wanted, f"{found} at {spans}" if hits else absent
 
 
 def heuristic_quality_checks(
-    project_root: Path, root_cause: Mapping[str, Any]
+    project_root: Path, root_cause: Mapping[str, Any], address_hits: list[Mapping[str, Any]]
 ) -> dict[str, tuple[bool, str]]:
-    """Deterministic Q1 to Q6 suggestions with evidence spans in the reasons."""
+    """Deterministic Q1 to Q6 suggestions with evidence spans in the reasons.
+
+    Q1 and Q2 read ``address_hits``, the engine's scan of these sources for
+    attacker-side addresses (``rubric.attacker_address_hits``).  Q4 to Q6
+    read each line's code (``harness.code_of``), so a comment holds no
+    assertion, call or label; a line a comment touches is a comment line.
+    """
     sources = harness.solidity_sources(project_root)
-    roles = root_cause.get("roles", {})
-    attacker_contracts = set(roles.get("attacker_contracts", []))
-    attacker_all = attacker_contracts | set(roles.get("attacker_eoas", []))
-
-    results: dict[str, tuple[bool, str]] = {}
-
-    contract_hits = harness.scan_for_addresses(sources, attacker_contracts)
-    results["no_attacker_side_artifacts"] = (
-        not contract_hits,
-        "no attacker-deployed contract is referenced"
-        if not contract_hits
-        else f"attacker contract referenced at {_spans(contract_hits)}",
-    )
-
-    address_hits = harness.scan_for_addresses(sources, attacker_all)
-    results["no_real_attacker_side_address"] = (
-        not address_hits,
-        "no attacker-side address appears in the sources"
-        if not address_hits
-        else f"attacker address at {_spans(address_hits)}",
-    )
-
+    contracts = {a.lower() for a in root_cause.get("roles", {}).get("attacker_contracts", [])}
+    hits = [(hit["file"], hit["address"], hit["line"]) for hit in address_hits]
     # Incident constants: literals recorded during analysis (calldata blobs,
     # raw amounts) plus the incident transaction hashes themselves.
     needles = set(root_cause.get("incident_constants", []))
     needles.update(entry.get("txhash", "") for entry in root_cause.get("lifecycle", []))
-    constant_hits = harness.scan_for_addresses(sources, needles)
-    results["no_attacker_designed_constants"] = (
-        not constant_hits,
-        "no incident-specific constant is hard-coded"
-        if not constant_hits
-        else f"incident constant at {_spans(constant_hits)}",
-    )
-
-    assert_hits = [
-        (rel, "assert", i)
+    lines = [
+        (rel, i, *pair)
         for rel, text in sources
-        for i, line in enumerate(text.splitlines(), start=1)
-        if _ASSERT_RE.search(line)
+        for i, pair in enumerate(zip(text.splitlines(), harness.code_of(text).splitlines()), 1)
     ]
-    results["has_success_predicate"] = (
-        bool(assert_hits),
-        f"assertions at {_spans(assert_hits)}"
-        if assert_hits
-        else "no assertion statements found",
-    )
-
-    comment_lines = 0
-    call_lines = 0
-    for _, text in sources:
-        for line in text.splitlines():
-            if _COMMENT_RE.search(line):
-                comment_lines += 1
-            elif _EXTERNAL_CALL_RE.search(line):
-                call_lines += 1
-    commented_enough = comment_lines >= max(2, call_lines // 5)
-    results["has_explanatory_comments"] = (
-        commented_enough,
-        f"{comment_lines} comment line(s) against {call_lines} call line(s)",
-    )
-
-    label_hits = [
-        (rel, "label", i)
-        for rel, text in sources
-        for i, line in enumerate(text.splitlines(), start=1)
-        if _LABEL_RE.search(line)
-    ]
-    results["uses_address_labels"] = (
-        bool(label_hits),
-        f"address labels at {_spans(label_hits)}"
-        if label_hits
-        else "no vm.label or makeAddr usage found",
-    )
-    return results
+    comment_lines = sum(line != code for _, _, line, code in lines)
+    call_lines = sum(line == code and bool(_CALL_RE.search(code)) for _, _, line, code in lines)
+    return {
+        "no_attacker_side_artifacts": _finding(
+            [hit for hit in hits if hit[1] in contracts],
+            "attacker contract referenced", "no attacker-deployed contract is referenced",
+        ),
+        "no_real_attacker_side_address": _finding(
+            hits, "attacker address", "no attacker-side address appears in the sources"
+        ),
+        "no_attacker_designed_constants": _finding(
+            harness.scan_for_addresses(sources, needles),
+            "incident constant", "no incident-specific constant is hard-coded",
+        ),
+        "has_success_predicate": _finding(
+            [(rel, "", i) for rel, i, _, code in lines if _ASSERT_RE.search(code)],
+            "assertions", "no assertion statements found", wanted=True,
+        ),
+        "has_explanatory_comments": (
+            comment_lines >= max(2, call_lines // 5),
+            f"{comment_lines} comment line(s) against {call_lines} call line(s)",
+        ),
+        "uses_address_labels": _finding(
+            [(rel, "", i) for rel, i, _, code in lines if _LABEL_RE.search(code)],
+            "address labels", "no vm.label or makeAddr usage found", wanted=True,
+        ),
+    }
 
 
 # --------------------------------------------------------------------------

@@ -74,16 +74,26 @@ _FORK_BLOCK_PATTERNS = (
 )
 
 
-#: A comment, or a string literal, which may hold ``//`` or ``/*``.
+#: A comment, or a string literal, which may hold ``//`` or ``/*``: the one
+#: rule for what a comment is in every check on project sources.
 _COMMENT_OR_STRING = re.compile(
     r"//[^\n]*|/\*.*?(?:\*/|\Z)|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'", re.DOTALL
 )
 
 
+def code_of(source: str) -> str:
+    """``source`` with each comment blanked to a space and its line breaks,
+    so every line keeps its number; string literals stay as they are."""
+    return _COMMENT_OR_STRING.sub(
+        lambda m: m[0] if m[0][0] in "\"'" else " " + "\n" * (len(m[0].splitlines()) - 1),
+        source,
+    )
+
+
 def detect_fork_block(test_source: str) -> Optional[int]:
     """Find the pinned fork block in test source, if any.  A pin inside a
     comment or a string literal does not count."""
-    code = _COMMENT_OR_STRING.sub(lambda m: '""' if m[0][0] in "\"'" else " ", test_source)
+    code = _COMMENT_OR_STRING.sub('""', code_of(test_source))
     for pattern in _FORK_BLOCK_PATTERNS:
         match = pattern.search(code)
         if match:
@@ -326,18 +336,30 @@ def solidity_sources(project_root: Path) -> list[tuple[str, str]]:
 def scan_for_addresses(
     sources: list[tuple[str, str]], needles: Iterable[str]
 ) -> list[tuple[str, str, int]]:
-    """Find needles (addresses or other literals) in sources, ignoring case.
+    """Find needles (addresses or other literals) in the code of sources
+    (``code_of``), ignoring case.  An address also hits, as a whole literal,
+    in its decimal ``uint160`` form, in hex with its leading zeros dropped
+    and as ``hex"<its 40 digits>"``.
 
     Returns one (file, needle, line) per occurrence, in file, line and
     column order; needles are reported lowercased.
     """
-    wanted = sorted({n.lower() for n in needles if n}, key=len, reverse=True)
-    if not wanted:
+    forms = {n: n for n in {n.lower() for n in needles if n}}
+    for needle in [n for n in forms if re.fullmatch("0x[0-9a-f]{40}", n)]:
+        digits = needle[2:]
+        for form in (str(int(digits, 16)), "0x" + (digits.lstrip("0") or "0"), f'hex"{digits}"'):
+            forms.setdefault(form, needle)
+    if not forms:
         return []
-    pattern = re.compile("|".join(map(re.escape, wanted)))
+    # A whole-literal form checks its left edge after its first character, so
+    # each alternative starts with a literal, which the regex engine skips to.
+    pattern = re.compile("|".join(
+        re.escape(f) if forms[f] == f else rf"{f[0]}(?<!\w.){re.escape(f[1:])}(?!\w)"
+        for f in sorted(forms, key=len, reverse=True)
+    ))
     return [
-        (rel, match.group(), line_no)
+        (rel, forms[match.group()], line_no)
         for rel, text in sources
-        for line_no, line in enumerate(text.splitlines(), 1)
+        for line_no, line in enumerate(code_of(text).splitlines(), 1)
         for match in pattern.finditer(line.lower())
     ]

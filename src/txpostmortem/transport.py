@@ -1,7 +1,8 @@
 """The package's one HTTP client and its one retry policy, which both live
 paths share: the chain node and explorer (``gateway.live``) and the model
-service (``agents.backend``).  ``urllib.request`` loads ``ssl``, which no
-offline run needs, so it is imported only when a request is sent."""
+service (``agents.backend``).  ``urllib.request`` and ``http.client`` load
+``ssl``, which no offline run needs, so they are imported only when a
+request is sent."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ class TransientReply(Exception):
 
 def _send(url: str, timeout: float, data: bytes | None = None,
           headers: dict[str, str] | None = None) -> Any:
+    import http.client
     import urllib.request
 
     request = urllib.request.Request(url, data, headers or {})
@@ -34,6 +36,8 @@ def _send(url: str, timeout: float, data: bytes | None = None,
     except HTTPError as exc:
         exc.close()  # it holds the reply's body open
         raise
+    except http.client.HTTPException as exc:  # a truncated or garbled reply
+        raise TransientReply(f"{type(exc).__name__}: {exc}") from exc
     return json.loads(body)
 
 
@@ -55,9 +59,10 @@ def with_retries(call: Callable[[], Any], what: str, final: Callable[[str], Exce
                  exhausted: Callable[[str], Exception]) -> Any:
     """``call()``, tried up to ``RETRIES`` times, ``BACKOFF_S`` doubling between
     tries, while it raises an HTTP 408, 429 or 5xx, any other ``OSError`` (a
-    refused or reset connection, a timeout) or ``TransientReply``.  Any other
-    HTTP status raises ``final`` at once, and a last failed try ``exhausted``.
-    Anything else passes through, such as a body that is not JSON."""
+    refused or reset connection, a timeout) or ``TransientReply`` (a rate
+    limit, or a reply cut short or garbled).  Any other HTTP status raises
+    ``final`` at once, and a last failed try ``exhausted``.  Anything else
+    passes through, such as a body that is not JSON."""
     last: Exception | None = None
     for attempt in range(RETRIES):
         if attempt:

@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from txpostmortem import cli, workspace
+from txpostmortem import cli, scenarios, workspace
 from txpostmortem.domain import SeedRef
 from txpostmortem.evaluator import (
     ACTION_INITIAL,
@@ -21,7 +21,7 @@ from txpostmortem.evaluator import (
 )
 
 C1 = "compiles_under_foundry"
-Q1 = METRIC_KEYS[3]
+Q1, Q2, _, Q4, _, Q6 = METRIC_KEYS[3:]
 
 
 class _FixedJudge:
@@ -125,8 +125,42 @@ class TestHeuristicChecks:
         ``incident_constants``, as well as the lifecycle hashes."""
         (tmp_path / "src").mkdir()
         (tmp_path / "src" / "Exploit.sol").write_text(self._SOURCE, encoding="utf-8")
-        checks = heuristic_quality_checks(tmp_path, {"incident_constants": constants})
+        checks = heuristic_quality_checks(tmp_path, {"incident_constants": constants}, [])
         assert checks["no_attacker_designed_constants"] == want
+
+    @pytest.mark.parametrize(
+        "body, want",
+        [
+            ("    // assertEq(a, b);\n    // vm.label(a, \"Attacker\");\n", (False, False)),
+            ("    /* assertEq(a, b);\n       vm.label(a, \"Attacker\"); */\n", (False, False)),
+            ("    assertEq(a, b);\n    vm.label(a, \"Attacker\");\n", (True, True)),
+        ],
+        ids=["line-comments", "block-comment", "code"],
+    )
+    def test_an_assertion_or_label_in_a_comment_does_not_count(self, body, want, tmp_path):
+        (tmp_path / "test").mkdir()
+        source = f"contract T {{\n  function testX() public {{\n{body}  }}\n}}\n"
+        (tmp_path / "test" / "Exploit.sol").write_text(source, encoding="utf-8")
+        checks = heuristic_quality_checks(tmp_path, {}, [])
+        assert (checks[Q4][0], checks[Q6][0]) == want
+
+    def test_q1_and_q2_read_the_recorded_hits_not_the_sources(self, tmp_path):
+        """The engine's scan is the record: a hit it names fails Q2 (and Q1
+        for an attacker contract) though the sources hold no such address."""
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "Exploit.sol").write_text(self._SOURCE, encoding="utf-8")
+        eoa, contract = "0x" + "aa" * 20, "0x" + "bB" * 20
+        roles = {"roles": {"attacker_eoas": [eoa], "attacker_contracts": [contract]}}
+        # The engine reports each address lower-cased.
+        hits = [
+            {"file": "test/Exploit.sol", "address": eoa, "line": 7},
+            {"file": "src/Gone.sol", "address": contract.lower(), "line": 2},
+        ]
+        checks = heuristic_quality_checks(tmp_path, roles, hits)
+        assert checks[Q1] == (False, "attacker contract referenced at src/Gone.sol:2")
+        assert checks[Q2] == (False, "attacker address at test/Exploit.sol:7, src/Gone.sol:2")
+        clean = heuristic_quality_checks(tmp_path, roles, [])
+        assert clean[Q1][0] and clean[Q2][0]
 
 
 class TestWriteReports:
@@ -245,3 +279,19 @@ class TestEvaluateCommand:
         assert err.startswith("error: ") and "rubric.correctness" in err
         assert err.count("\n") == 1
         assert not (session_root / workspace.EVALUATION_DIR).exists()
+
+    def test_a_recorded_hit_fails_q2_though_the_sources_are_clean(self, session_root, capsys):
+        """``evaluate`` takes Q1 and Q2 from the last engine verdict's
+        ``attacker_address_hits``; it does not scan the sources again."""
+        latest = self._last_engine_verdict(session_root)
+        verdict = json.loads(latest.read_text(encoding="utf-8"))
+        assert verdict["rubric"]["attacker_address_hits"] == []
+        hit = {"file": "test/Exploit.sol", "address": scenarios.PRXVT_EOA, "line": 1}
+        verdict["rubric"]["attacker_address_hits"] = [hit]
+        latest.write_text(json.dumps(verdict), encoding="utf-8")
+        assert scenarios.PRXVT_EOA not in (
+            session_root / workspace.FORGE_PROJECT_DIR / "test" / "Exploit.sol"
+        ).read_text(encoding="utf-8").lower()
+        assert cli.main(["evaluate", "--session", str(session_root)]) == 1
+        final = json.loads(capsys.readouterr().out)["final"]
+        assert {key for key, result in final.items() if not result} == {Q2}

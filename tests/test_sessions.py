@@ -25,8 +25,10 @@ from pathlib import Path
 
 import pytest
 from conftest import DATA_DIR, load_script_entries, load_transcripts
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from txpostmortem import cli, harness, metrics, oracles, scenarios, workspace
+from txpostmortem import cli, evaluator, harness, metrics, oracles, scenarios, workspace
 from txpostmortem.agents import (
     ROLE_ANALYZER,
     ROLE_CHALLENGER,
@@ -468,19 +470,20 @@ class TestEngineGate:
             ),
             pytest.param(
                 PRXVT_RUN_0,
-                f"// {scenarios.PRXVT_HELPER}\n",
+                f"address constant TAINT = {scenarios.PRXVT_HELPER};\n",
                 ["uses_attacker_contract"],
                 id="attacker-contract",
             ),
             pytest.param(
                 PRXVT_RUN_0,
-                f"// {scenarios.PRXVT_EOA.upper().replace('0X', '0x')}\n",
+                f"address constant TAINT = {scenarios.PRXVT_EOA.upper().replace('0X', '0x')};\n",
                 ["uses_attacker_designed_values"],
                 id="attacker-eoa",
             ),
             pytest.param(
                 _FAILING_RUN,
-                f"// {scenarios.PRXVT_EOA} {scenarios.PRXVT_ORCH}\n",
+                f"address constant EOA = {scenarios.PRXVT_EOA};"
+                f" address constant ORCH = {scenarios.PRXVT_ORCH};\n",
                 # A tainted project is never run, so the failing run is
                 # never seen.
                 ["uses_attacker_contract", "uses_attacker_designed_values"],
@@ -514,7 +517,7 @@ class TestScanBeforeLaunch:
             "test/Exploit.sol"
         ]
         outcome, backend, runner = _gated_prxvt(
-            tmp_path, PRXVT_RUN_0, exploit_suffix=f"// {address}\n"
+            tmp_path, PRXVT_RUN_0, exploit_suffix=f"address constant TAINT = {address};\n"
         )
         assert runner.launches == 0
         assert backend.sent("poc_validator") == []
@@ -546,12 +549,43 @@ class TestScanBeforeLaunch:
         ]
         assert checksummed in roles["attacker_contracts"]
         outcome, _, runner = _gated_prxvt(
-            tmp_path, PRXVT_RUN_0, f"// {scenarios.PRXVT_HELPER}\n", entries=entries
+            tmp_path,
+            PRXVT_RUN_0,
+            f"address constant TAINT = {scenarios.PRXVT_HELPER};\n",
+            entries=entries,
         )
         assert runner.launches == 0
         assert outcome.reject_log == [
             {"stage": "poc", "reasons": ["uses_attacker_contract"], "actions": ["re_reproduce"]}
         ]
+
+    @pytest.mark.parametrize(
+        "comment",
+        ["// attacker was {}\n", "/* the helper at\n   {} */\n"],
+        ids=["line-comment", "block-comment"],
+    )
+    @pytest.mark.parametrize(
+        "address", [scenarios.PRXVT_HELPER, scenarios.PRXVT_EOA], ids=["contract", "eoa"]
+    )
+    def test_an_address_only_in_a_comment_is_launched_and_validates(
+        self, tmp_path, comment, address
+    ):
+        """A comment is no code: the attempt runs, validates, records no
+        hit, and the evaluator's Q1 to Q3 hold for it."""
+        outcome, _, runner = _gated_prxvt(tmp_path, PRXVT_RUN_0, comment.format(address))
+        assert runner.launches == 1
+        assert outcome.poc_validated is True
+        assert outcome.reject_log == []
+        root = outcome.session.root
+        verdict = _read(root, f"{workspace.REPRODUCER_DIR}/iter_0/engine_verdict.json")
+        assert verdict["rubric"]["attacker_address_hits"] == []
+        exploit = (root / workspace.FORGE_PROJECT_DIR / "test" / "Exploit.sol").read_text(
+            encoding="utf-8"
+        )
+        assert address in exploit
+        context = cli.evaluation_context(workspace.open_session(root))
+        stance = evaluator.HeuristicEvaluator().initial(context)
+        assert [stance[key][0] for key in evaluator.METRIC_KEYS[3:6]] == [True, True, True]
 
 
 def _prxvt_attempts(tmp_path: Path, attempts: list[dict[str, str]], runs: list[str]):
@@ -581,7 +615,9 @@ class TestFreshProject:
 
     def test_an_earlier_attempts_file_is_not_scanned_again(self, tmp_path):
         files = self._files()
-        tainted = dict(files, **{"src/Attack.sol": f"// {scenarios.PRXVT_HELPER}\n"})
+        tainted = dict(
+            files, **{"src/Attack.sol": f"address constant TAINT = {scenarios.PRXVT_HELPER};\n"}
+        )
         outcome, runner = _prxvt_attempts(tmp_path, [tainted, files], [PRXVT_RUN_0])
         assert outcome.reject_log == [
             {"stage": "poc", "reasons": ["uses_attacker_contract"], "actions": ["re_reproduce"]}
@@ -1152,6 +1188,55 @@ class TestSourceScan:
     def test_the_longest_needle_at_a_place_is_reported(self):
         sources = [("a.sol", "x = 0xABCD;\n")]
         assert scan_for_addresses(sources, ["0xab", "0xabcd"]) == [("a.sol", "0xabcd", 1)]
+
+    def test_a_hit_after_a_block_comment_keeps_its_line(self):
+        addr = "0x" + "ab" * 20
+        sources = [("a.sol", f"/* one\n   two\n*/ x = {addr}; // {addr}\ny = {addr};\n")]
+        assert scan_for_addresses(sources, {addr}) == [("a.sol", addr, 3), ("a.sol", addr, 4)]
+
+    def test_a_short_hex_needle_gets_no_numeric_forms(self):
+        """Only an address (40 hex digits) also hits as a decimal or a
+        zero-stripped literal, so ``0x01`` never matches every ``1``."""
+        sources = [("a.sol", "x = 1; y = 0x1; z = 0x01;\n")]
+        assert scan_for_addresses(sources, {"0x01"}) == [("a.sol", "0x01", 1)]
+
+    def test_a_numeric_form_hits_only_as_a_whole_literal(self):
+        needle = "0x" + "00" * 19 + "2a"
+        sources = [("a.sol", "a = 420; b = 142; c = 0x2ab; d = x42; e = uint160(42);\n42;\n")]
+        assert scan_for_addresses(sources, {needle}) == [("a.sol", needle, 1), ("a.sol", needle, 2)]
+
+    #: Each form an address may take in Solidity source.
+    _FORMS = {
+        "lower-case": lambda value, mask: f"0x{value:040x}",
+        # A drawn mix of cases, the EIP-55 checksum's among them.
+        "checksummed": lambda value, mask: "0x" + "".join(
+            c.upper() if mask >> i & 1 else c for i, c in enumerate(f"{value:040x}")
+        ),
+        "zero-stripped": lambda value, mask: hex(value),
+        "decimal": lambda value, mask: f"address(uint160({value}))",
+        "hex-string": lambda value, mask: f'hex"{value:040x}"',
+        "quoted": lambda value, mask: f'vm.parseAddress("0x{value:040x}")',
+    }
+
+    @given(
+        value=st.integers(0, 2**160 - 1),
+        form=st.sampled_from(sorted(_FORMS)),
+        mask=st.integers(0, 2**40 - 1),
+    )
+    @example(  # EIP-55's own example, in its checksummed case
+        value=0x5AAEB6053F3E94C9B9A09F33669435E7EF1BEAED,
+        form="checksummed",
+        mask=int("".join("1" if c.isupper() else "0" for c in reversed(
+            "5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed"
+        )), 2),
+    )
+    def test_every_form_of_an_address_hits_once_on_its_line(self, value, form, mask):
+        """Each form of any 160-bit needle gives one hit on its line, and
+        the same text inside ``//`` or ``/* */`` gives none."""
+        needle = f"0x{value:040x}"
+        text = self._FORMS[form](value, mask)
+        source = f"/* {text}\n   {text} */\n// {text}\naddress a = {text}; // {text}\n"
+        assert scan_for_addresses([("a.sol", source)], {needle}) == [("a.sol", needle, 4)]
 
 
 class TestCorrectnessChecks:

@@ -1,9 +1,10 @@
 """The one HTTP client and its one retry policy, driven over loopback.
 
 A ``ThreadingHTTPServer`` on 127.0.0.1 answers every request with one
-scripted reply and records what it was sent.  The default transports of
-``LiveAdapter`` (an RPC kind and an explorer kind) and of
-``OpenAIChatBackend`` talk to it; the backoffs are recorded, not slept.
+scripted reply, which may end before its declared length, and records what
+it was sent.  The default transports of ``LiveAdapter`` (an RPC kind and an
+explorer kind) and of ``OpenAIChatBackend`` talk to it; the backoffs are
+recorded, not slept.
 """
 
 from __future__ import annotations
@@ -49,6 +50,8 @@ class Loopback:
     url: str
     status: int = 200
     body: bytes = b"{}"
+    #: Bytes the declared ``Content-Length`` promises beyond the body.
+    missing: int = 0
     seen: list[Seen] = field(default_factory=list)
     sleeps: list[float] = field(default_factory=list)
 
@@ -66,7 +69,7 @@ def loopback(monkeypatch):
         )
         handler.send_response(state.status)
         handler.send_header("Content-Type", "application/json")
-        handler.send_header("Content-Length", str(len(state.body)))
+        handler.send_header("Content-Length", str(len(state.body) + state.missing))
         handler.end_headers()
         handler.wfile.write(state.body)
 
@@ -215,4 +218,17 @@ def test_a_closed_port_is_retried(loopback, monkeypatch, name):
         client.call(_closed_port_url(), monkeypatch)
     assert not isinstance(info.value, ErrorReply)
     assert loopback.seen == []
+    assert loopback.sleeps == ALL_BACKOFFS
+
+
+@pytest.mark.parametrize("name", sorted(CLIENTS))
+def test_a_reply_shorter_than_its_content_length_is_retried(loopback, monkeypatch, name):
+    """``http.client.IncompleteRead`` is no ``OSError``; the transport turns
+    it into ``TransientReply``, so it is retried as a reset connection is."""
+    client = CLIENTS[name]
+    loopback.reply(200, {"jsonrpc": "2.0", "id": 1, "result": "0x2a"})
+    loopback.missing = 16
+    with pytest.raises(client.exhausted, match="after 3 attempts: IncompleteRead"):
+        client.call(loopback.url, monkeypatch)
+    assert len(loopback.seen) == transport.RETRIES
     assert loopback.sleeps == ALL_BACKOFFS
