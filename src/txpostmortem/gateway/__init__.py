@@ -1,6 +1,7 @@
 """Chain data gateway: typed requests, record/replay fixtures, live access."""
 
 from .base import (
+    LOOKUP_BATCH,
     BootstrapError,
     ChainAdapter,
     GatewayError,
@@ -9,7 +10,9 @@ from .base import (
     UnsupportedRequest,
     UpstreamError,
     load_rpc_map,
+    lookup_members,
     resolve_rpc_url,
+    tx_lookup,
 )
 from .collect import (
     FETCH_WORKERS,
@@ -37,6 +40,7 @@ __all__ = [
     "FETCH_WORKERS",
     "FixtureStore",
     "GatewayError",
+    "LOOKUP_BATCH",
     "LiveAdapter",
     "MissingCredential",
     "MissingFixture",
@@ -55,5 +59,7 @@ __all__ = [
     "fetch_seed_artifacts",
     "fixture_key",
     "load_rpc_map",
+    "lookup_members",
     "resolve_rpc_url",
+    "tx_lookup",
 ]

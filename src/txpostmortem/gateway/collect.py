@@ -8,8 +8,9 @@ fetches its transaction lists with ``fetch_many`` too, and lands nothing.
 
 The requests of one batch are independent, so ``fetch_many`` waits on all
 of them at once.  A batch runs as lanes, at most ``FETCH_WORKERS`` per
-chain, each taking its chain's next request until none is left: a batch
-probing every chain for a hash is one wave, and a batch on one chain keeps
+chain, each taking its chain's next request until none is left: the
+monitor's batch of one ``tx_lookup`` per chain is one wave of
+``len(SUPPORTED_CHAINS)`` lanes, and a batch on one chain keeps
 ``FETCH_WORKERS`` in flight.  The calling thread runs one lane itself and
 hands each other lane, as one item on a queue, to the process's one fetch
 pool, whose threads are started only when no idle one is left and are kept
@@ -24,8 +25,9 @@ repeats is answered from the payload it already holds and writes nothing,
 and its summary entry names the file that holds it.  Outside a session,
 ``adapter_memo`` gives a ``SessionMemo`` whose payloads belong to the
 adapter object itself and are dropped with it: the monitor's probe wave
-fetches through it, and so does the lifecycle miner's seed lookup, which
-is then answered from the wave's payload.
+fetches through it, keeping each transaction a lookup found as its
+``tx_metadata`` payload, and so does the lifecycle miner's seed lookup,
+which is then answered from that payload.
 """
 
 from __future__ import annotations
@@ -41,7 +43,14 @@ from typing import Any, Callable, Sequence
 
 from .. import workspace
 from ..domain import SUPPORTED_CHAINS, DomainError
-from .base import BootstrapError, ChainAdapter, GatewayError, SharedResults
+from .base import (
+    BootstrapError,
+    ChainAdapter,
+    GatewayError,
+    SharedResults,
+    lookup_members,
+    tx_lookup,
+)
 from .fixtures import fixture_key
 from .types import DataRequest, TraceNode
 
@@ -216,6 +225,11 @@ class SessionMemo:
     for it.  A failure is not kept, so a later batch asks the adapter again.
     Given ``payloads``, it keeps them there, as ``adapter_memo`` does with its
     adapter's table.  ``landed`` holds the file each payload first landed in.
+
+    A ``tx_lookup`` is memoised per member, under the key of the member's
+    ``tx_metadata`` request: the members it neither holds nor waits on go
+    to the adapter as one lookup, each found one is kept as that request's
+    payload, and a member not found is not kept.
     """
 
     def __init__(self, adapter: ChainAdapter, payloads: SharedResults | None = None):
@@ -224,7 +238,30 @@ class SessionMemo:
         self.landed: dict[str, str] = {}
 
     def fetch(self, request: DataRequest) -> dict[str, Any]:
+        if request.kind == "tx_lookup":
+            return self._lookup(request)
         return self._payloads.get(fixture_key(request), lambda: self.adapter.fetch(request))
+
+    def _lookup(self, request: DataRequest) -> dict[str, Any]:
+        members = {fixture_key(member): member for member in lookup_members(request)}
+
+        def compute(keys: list[str]) -> dict[str, dict[str, Any]]:
+            asked = tx_lookup(request.chainid, [members[key].target for key in keys])
+            found = self.adapter.fetch(asked)["found"]
+            return {
+                key: found[hashed]
+                for key in keys
+                if (hashed := members[key].normalized_target()) in found
+            }
+
+        kept = self._payloads.get_many(list(members), compute)
+        return {
+            "found": {
+                member.normalized_target(): kept[key]
+                for key, member in members.items()
+                if key in kept
+            }
+        }
 
 
 #: Payloads by adapter, for ``adapter_memo``.  A value must not refer to its

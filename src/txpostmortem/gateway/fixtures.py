@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import workspace
-from .base import ChainAdapter, MissingFixture
+from .base import ChainAdapter, MissingFixture, lookup_members
 from .types import DataRequest
 
 
@@ -79,13 +79,25 @@ class FixtureStore:
 
 
 class ReplayAdapter:
-    """Serves fetches exclusively from a fixture store; misses are errors."""
+    """Serves fetches exclusively from a fixture store; misses are errors.
+
+    A ``tx_lookup`` is answered from each member's own ``tx_metadata``
+    fixture, a member with none being not found, so a lookup has no
+    fixture of its own."""
 
     def __init__(self, store: FixtureStore):
         self.store = store
 
     def fetch(self, request: DataRequest) -> dict[str, Any]:
-        return self.store.load(request)
+        if request.kind != "tx_lookup":
+            return self.store.load(request)
+        found = {}
+        for member in lookup_members(request):
+            try:
+                found[member.normalized_target()] = self.store.load(member)
+            except MissingFixture:
+                pass
+        return {"found": found}
 
 
 class RecordingAdapter:

@@ -8,7 +8,10 @@ the one retry policy, ``transport.with_retries``, which retries an explorer
 rate limit too.  An error reply is final, and so is a malformed one: not an
 object, an RPC body with no ``result``, or one a kind cannot normalise.  So
 is a request whose chain has no endpoint or whose target is not an address:
-``UnsupportedRequest``.  Each fails only its own request.
+``UnsupportedRequest``.  Each fails only its own request.  A ``tx_lookup``
+is sent as JSON-RPC batches, whose reply must be a list: an item's error,
+or a member document that is malformed, makes its member a miss, not the
+lookup a failure.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import logging
 import os
 from typing import Any, Callable, Mapping, Optional
 
+from .. import workspace
 from ..domain import Address, DomainError
 from ..transport import TransientReply, get_json, post_json, with_retries
 from .base import (
@@ -27,6 +31,7 @@ from .base import (
     UnsupportedRequest,
     UpstreamError,
     load_rpc_map,
+    lookup_members,
     resolve_rpc_url,
 )
 from .types import DataRequest
@@ -118,6 +123,39 @@ def _selector_of(input_data: Optional[str]) -> Optional[str]:
     return None
 
 
+#: A batch item that carries no result: an error, or no reply at all.
+_NO_RESULT = object()
+
+#: What reading a reply that is not of the expected shape raises.
+_MALFORMED = (AttributeError, KeyError, TypeError, ValueError, IndexError)
+
+
+def _metadata_doc(
+    request: DataRequest, tx: dict[str, Any], receipt: dict[str, Any]
+) -> dict[str, Any]:
+    """The ``tx_metadata`` payload of a mined transaction and its receipt.
+    One that breaks ``workspace.SCHEMAS["tx_metadata"]`` raises
+    ``ErrorReply``; a field that cannot be read raises one of
+    ``_MALFORMED``."""
+    doc = {
+        "txhash": request.normalized_target(),
+        "chainid": request.chainid,
+        "block_number": _hex_int(tx.get("blockNumber")),
+        "from": tx.get("from", "").lower(),
+        "to": (tx.get("to") or "").lower() or None,
+        "value": _hex_int(tx.get("value")),
+        "nonce": _hex_int(tx.get("nonce")),
+        "gas_used": _hex_int(receipt.get("gasUsed")),
+        "effective_gas_price": _hex_int(receipt.get("effectiveGasPrice", tx.get("gasPrice"))),
+        "status": _hex_int(receipt.get("status"), 1),
+        "selector": _selector_of(tx.get("input")),
+    }
+    errors = workspace.check_document(doc, workspace.SCHEMAS["tx_metadata"])
+    if errors:
+        raise ErrorReply(f"tx_metadata {request.target}: malformed reply ({'; '.join(errors)})")
+    return doc
+
+
 class LiveAdapter:
     """Fetches evidence from a JSON-RPC node and an explorer API."""
 
@@ -153,6 +191,32 @@ class LiveAdapter:
             raise ErrorReply(f"{what}: {doc.get('error') or 'no result'}")
         return doc["result"]
 
+    def _rpc_batch(self, chainid: int, method: str, targets: list[str]) -> list[Any]:
+        """The node's answer to ``method`` for each of ``targets``, asked in
+        one JSON-RPC batch and matched to its item by ``id``.  An item whose
+        reply is missing or carries an error, or has no ``result``, answers
+        ``_NO_RESULT``; a reply that is not a list fails the whole batch."""
+        url = resolve_rpc_url(chainid, self.env, self.rpc_map)
+        ids = [next(self._rpc_ids) for _ in targets]
+        body = [
+            {"jsonrpc": "2.0", "id": rpc_id, "method": method, "params": [target]}
+            for rpc_id, target in zip(ids, targets)
+        ]
+        what = f"rpc batch of {len(body)} {method} chain {chainid}"
+        doc = with_retries(
+            lambda: self.rpc_post(url, body, TIMEOUT_S), what, ErrorReply, UpstreamError
+        )
+        if not isinstance(doc, list):
+            raise ErrorReply(f"{what}: malformed reply")
+        replies = {item.get("id"): item for item in doc if isinstance(item, dict)}
+        answers = []
+        for rpc_id in ids:
+            item = replies.get(rpc_id, {})
+            answers.append(
+                _NO_RESULT if item.get("error") or "result" not in item else item["result"]
+            )
+        return answers
+
     def _explorer(self, chainid: int, params: dict[str, Any]) -> Any:
         key = self.env.get("ETHERSCAN_API_KEY")
         if not key:
@@ -185,7 +249,7 @@ class LiveAdapter:
             # A chain or target the request names is invalid, such as a
             # model-written one: final, and a failure of its request only.
             error: GatewayError = UnsupportedRequest(f"{request.kind} {request.target}: {exc}")
-        except (AttributeError, KeyError, TypeError, ValueError, IndexError) as exc:
+        except _MALFORMED as exc:
             what = f"{type(exc).__name__}: {exc}"
             error = ErrorReply(f"{request.kind} {request.target}: malformed reply ({what})")
         # Raised outside the handler, so the error carries no frame of it.
@@ -199,21 +263,38 @@ class LiveAdapter:
             # Pending: no block, no receipt, and nothing a window can be mined around.
             raise UpstreamError(f"transaction pending: {request.target}")
         receipt = self._shared_rpc(request, "eth_getTransactionReceipt") or {}
-        return {
-            "txhash": request.normalized_target(),
-            "chainid": request.chainid,
-            "block_number": _hex_int(tx.get("blockNumber")),
-            "from": tx.get("from", "").lower(),
-            "to": (tx.get("to") or "").lower() or None,
-            "value": _hex_int(tx.get("value")),
-            "nonce": _hex_int(tx.get("nonce")),
-            "gas_used": _hex_int(receipt.get("gasUsed")),
-            "effective_gas_price": _hex_int(
-                receipt.get("effectiveGasPrice", tx.get("gasPrice"))
-            ),
-            "status": _hex_int(receipt.get("status"), 1),
-            "selector": _selector_of(tx.get("input")),
-        }
+        return _metadata_doc(request, tx, receipt)
+
+    def _fetch_tx_lookup(self, request: DataRequest) -> dict[str, Any]:
+        """Two batches: every member's transaction, then the receipt of each
+        one mined.  A member the node has not got, has only pending, answers
+        with an error, or whose document ``_metadata_doc`` refuses is left
+        out, and the other members are still found."""
+        members = lookup_members(request)
+        txs = self._rpc_batch(
+            request.chainid, "eth_getTransactionByHash", [m.target for m in members]
+        )
+        mined = [
+            (member, tx)
+            for member, tx in zip(members, txs)
+            if isinstance(tx, dict) and tx.get("blockNumber") is not None
+        ]
+        receipts = (
+            self._rpc_batch(
+                request.chainid, "eth_getTransactionReceipt", [m.target for m, _ in mined]
+            )
+            if mined
+            else []
+        )
+        found = {}
+        for (member, tx), receipt in zip(mined, receipts):
+            if receipt is _NO_RESULT:
+                continue
+            try:
+                found[member.normalized_target()] = _metadata_doc(member, tx, receipt or {})
+            except (ErrorReply, *_MALFORMED):
+                continue
+        return {"found": found}
 
     def _fetch_tx_trace(self, request: DataRequest) -> dict[str, Any]:
         frame = self._rpc(

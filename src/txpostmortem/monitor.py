@@ -6,17 +6,18 @@ probing the gateway, and accepted incidents are enqueued as bare seed
 payloads carrying no narrative context.
 
 A feed's hashes are resolved together, by one ``fetch_many`` batch holding
-one probe per distinct hash and chain.  ``fetch_many`` caps what is in
-flight per chain, not per batch, so a feed naming up to ``FETCH_WORKERS``
-distinct hashes has all its probes in flight at once and costs one round
-trip.  The batch runs as ``min(FETCH_WORKERS, hashes)`` lanes per chain on
-the shared fetch pool, which holds at most ``FETCH_WORKERS ×
-len(SUPPORTED_CHAINS)`` threads per process and reuses them from feed to
-feed.  A hash that several posts repeat is probed once.  The wave fetches
-through ``adapter_memo``, so the payloads it finds are kept for as long as
-the adapter lives: mining a seed's lifecycle afterwards reads the seed's
-metadata from memory.  A probe that found nothing is not kept, so the next
-feed asks again.
+one ``tx_lookup`` per chain that asks it about every distinct hash at once
+(one per ``LOOKUP_BATCH`` hashes on a longer feed).  A live chain answers a
+lookup with one JSON-RPC batch, so the wave costs one round trip and, for
+a feed of up to ``LOOKUP_BATCH`` hashes, runs as one lane per chain on the
+shared fetch pool: ``len(SUPPORTED_CHAINS)`` lanes, the calling thread
+running one of them, whatever the number of hashes.  A hash that several
+posts repeat is asked about once.  The wave fetches through
+``adapter_memo``, which keeps each member a lookup found as the payload of
+its ``tx_metadata`` request for as long as the adapter lives: mining a
+seed's lifecycle afterwards reads the seed's metadata from memory, and a
+later wave asks no chain again about a hash it found there.  A member that
+was not found is not kept, so the next feed asks again.
 """
 
 from __future__ import annotations
@@ -31,7 +32,14 @@ from typing import Any, Iterable, Iterator, Protocol, Sequence
 
 from . import workspace
 from .domain import SUPPORTED_CHAINS, SeedRef, TxHash
-from .gateway import ChainAdapter, DataRequest, GatewayError, adapter_memo, fetch_many
+from .gateway import (
+    LOOKUP_BATCH,
+    ChainAdapter,
+    GatewayError,
+    adapter_memo,
+    fetch_many,
+    tx_lookup,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -114,9 +122,10 @@ def read_feed(path: str | Path) -> Iterator[Post]:
 # --------------------------------------------------------------------------
 # Hash extraction and chain resolution.
 
-# Maximal 0x+64-hex tokens: hex characters on either side disqualify a match,
-# so addresses (40 hex) and longer blobs are never mistaken for tx hashes.
-_TX_HASH_RE = re.compile(r"(?<![0-9a-fA-F])0x[0-9a-fA-F]{64}(?![0-9a-fA-F])")
+# Maximal 0x+64-hex tokens, the prefix in either case as ``TxHash`` takes
+# it: hex characters on either side disqualify a match, so addresses (40
+# hex) and longer blobs are never mistaken for tx hashes.
+_TX_HASH_RE = re.compile(r"(?<![0-9a-fA-F])0[xX][0-9a-fA-F]{64}(?![0-9a-fA-F])")
 
 
 def extract_tx_hashes(text: str) -> list[TxHash]:
@@ -134,16 +143,19 @@ def resolve_chains(
 ) -> dict[str, list[int]]:
     """Probe every chain for every transaction, all in one wave.
 
-    The probes go out as one ``fetch_many`` batch, one per distinct hash
-    and chain, so the call takes as long as the slowest probe.  Up to
-    ``FETCH_WORKERS`` hashes are all in flight together, as
-    ``min(FETCH_WORKERS, hashes)`` lanes per chain on the shared fetch
-    pool, capped at ``FETCH_WORKERS × len(SUPPORTED_CHAINS)`` threads per
-    process.  The batch goes through ``adapter_memo(adapter)``: each
-    payload found is kept for the adapter's life, as a transaction hash
-    addresses data that does not change once mined, and a later wave or
-    ``lifecycle.mine_lifecycle`` on the same adapter reads it from there.
-    Misses are not kept and are probed again by the next call.
+    The wave is one ``fetch_many`` batch of ``tx_lookup`` requests, one
+    per chain and ``LOOKUP_BATCH`` distinct hashes, so the call takes as
+    long as the slowest lookup.  Up to ``LOOKUP_BATCH`` hashes cost one
+    lane per chain on the shared fetch pool, and more hashes at most
+    ``FETCH_WORKERS`` lanes per chain.  The batch goes through
+    ``adapter_memo(adapter)``, which keeps each transaction found for the
+    adapter's life as its ``tx_metadata`` payload, as a transaction hash
+    addresses data that does not change once mined: a later wave on the
+    same adapter asks no chain about it again, and
+    ``lifecycle.mine_lifecycle`` reads it from there.  Misses are not kept
+    and are asked about again by the next call.  A lookup that fails, such
+    as one whose node does not answer or refuses the batch, finds nothing
+    on its chain and is logged as a warning naming the chain.
 
     Returns, for each distinct hash in first-appearance order and keyed by
     its value, the chains that have it, in probe order: none, one, or
@@ -152,18 +164,23 @@ def resolve_chains(
     probe_order = tuple(chains)
     distinct = list(dict.fromkeys(txhash.value for txhash in txhashes))
     requests = [
-        DataRequest(kind="tx_metadata", chainid=chainid, target=value)
-        for value in distinct
+        tx_lookup(chainid, distinct[start : start + LOOKUP_BATCH])
         for chainid in probe_order
+        for start in range(0, len(distinct), LOOKUP_BATCH)
     ]
-    # Each hash's probes are consecutive, in probe order.
-    payloads = iter(fetch_many(adapter_memo(adapter), requests))
+    found: set[tuple[int, str]] = set()
+    for request, payload in zip(requests, fetch_many(adapter_memo(adapter), requests)):
+        if isinstance(payload, GatewayError):
+            logger.warning(
+                "tx_lookup of %d hashes failed on chain %d, so none counts as found there: %s",
+                len(request.extra["txhashes"]),
+                request.chainid,
+                payload,
+            )
+            continue
+        found.update((request.chainid, txhash) for txhash in payload["found"])
     return {
-        value: [
-            chainid
-            for chainid, payload in zip(probe_order, payloads)
-            if not isinstance(payload, GatewayError)
-        ]
+        value: [chainid for chainid in probe_order if (chainid, value) in found]
         for value in distinct
     }
 
@@ -175,7 +192,7 @@ def resolve_chain(
 ) -> int:
     """Probe every chain for one transaction, all at once.
 
-    One ``resolve_chains`` wave of one probe per chain.  Exactly one hit
+    One ``resolve_chains`` wave of one lookup per chain.  Exactly one hit
     resolves; zero raises ChainNotFound; several raise AmbiguousChain
     carrying every match, in probe order, so the caller can arbitrate.
     """
@@ -276,8 +293,8 @@ def dedupe_and_filter(
     order, and each relevant post's hashes are extracted once, so a
     malformed post fails the feed before any probe is sent.
     Then the distinct hashes of the relevant posts, in first-appearance
-    order, are resolved by one ``resolve_chains`` call: one wave with at
-    most ``FETCH_WORKERS`` probes in flight per chain.  Hashes named only
+    order, are resolved by one ``resolve_chains`` call: one wave of one
+    ``tx_lookup`` per chain (per ``LOOKUP_BATCH`` hashes).  Hashes named only
     in irrelevant posts are never probed.  Posts repeating a hash reuse its
     answer, and each still logs its own notes.
     """

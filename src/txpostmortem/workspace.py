@@ -40,7 +40,10 @@ verdict has its own ``engine_verdict`` schema, which fixes the rubric the
 engine writes; the validator's ``poc_validation`` allows any rubric object.
 A command that reads a finished session's documents back checks them again
 against the same schemas (``read_json(path, schema_id)``), since the files
-may have changed on disk.
+may have changed on disk.  ``SCHEMAS`` also holds the schemas of two
+adapter payload kinds: ``tx_metadata``, which the live adapter checks on
+each such document it builds, alone or as a lookup member, and
+``tx_lookup``, a map of them.
 """
 
 from __future__ import annotations
@@ -307,6 +310,26 @@ def _poc_verdict_spec(rubric: Any) -> dict[str, Any]:
     }
 
 
+#: A ``tx_metadata`` payload as the live adapter builds it.
+_TX_METADATA_SPEC = {
+    "object": {
+        "required": {
+            "txhash": "string",
+            "chainid": "int",
+            "block_number": "int",
+            "from": "string",
+            "to": {"nullable": "string"},
+            "value": "int",
+            "nonce": "int",
+            "gas_used": "int",
+            "effective_gas_price": "int",
+            "status": "int",
+            "selector": {"nullable": "string"},
+        }
+    }
+}
+
+
 SCHEMAS: dict[str, Any] = {
     "raw_input": {
         "object": {
@@ -516,6 +539,10 @@ SCHEMAS: dict[str, Any] = {
             "optional": {"reject_log": "array", "turns": "object"},
         }
     },
+    # Chain adapter payloads; ``LiveAdapter`` checks each ``tx_metadata``
+    # document it builds.
+    "tx_metadata": _TX_METADATA_SPEC,
+    "tx_lookup": {"object": {"required": {"found": {"map_of": _TX_METADATA_SPEC}}}},
 }
 
 

@@ -10,14 +10,19 @@ and never writes it.  Tests that edit a case's script or transcripts load them
 with ``load_script_entries`` and ``load_transcripts``, through
 ``scenarios.load_numbered`` as ``CaseBundle.backend`` and
 ``CaseBundle.runner`` read them, and edit the loaded copy; a test that
-edits a case's files copies the case first.
+edits a case's files copies the case first.  Tests that probe chains for
+transactions, as the monitor does, use one stand-in node, ``ChainsAdapter``
+(and ``PeakAdapter``, which also measures overlap), which answers a
+``tx_lookup`` member by member.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -26,6 +31,7 @@ import pytest
 from hypothesis import settings
 
 from txpostmortem import scenarios, workspace
+from txpostmortem.gateway import DataRequest, MissingFixture
 from txpostmortem.harness import SimulatedRunner
 from txpostmortem.orchestrator import Orchestrator, SessionOutcome
 from txpostmortem.scenarios import CaseBundle
@@ -143,3 +149,70 @@ def prxvt_run(case_root: Path) -> ReplayRun:
 @pytest.fixture(scope="session")
 def valinity_run(case_root: Path) -> ReplayRun:
     return run_case("valinity", case_root)
+
+
+class ChainsAdapter:
+    """A node on every chain that has each transaction of ``hosts`` on the
+    chains listed for it, and no other.
+
+    It answers a ``tx_metadata`` request, and a ``tx_lookup`` member by
+    member, reading the hashes from ``extra["txhashes"]`` itself.  A found
+    transaction's payload is ``{"txhash": <hash>, "chainid": <chain>}``.
+    It keeps every request in ``calls``, each ``(chain, hash)`` it was
+    asked about in ``asked``, and the most threads seen alive during a
+    call in ``threads``.  Each call runs ``wait(request)``, where a
+    subclass may hold it.
+    """
+
+    def __init__(self, hosts: dict[str, set[int]]):
+        self.hosts = hosts
+        self.calls: list[DataRequest] = []
+        self.asked: list[tuple[int, str]] = []
+        self.threads = 0
+        self._lock = threading.Lock()
+
+    def fetch(self, request: DataRequest) -> dict:
+        lookup = request.kind == "tx_lookup"
+        txhashes = request.extra["txhashes"] if lookup else [request.target]
+        with self._lock:
+            self.calls.append(request)
+            self.asked += [(request.chainid, txhash) for txhash in txhashes]
+            self.threads = max(self.threads, threading.active_count())
+        self.wait(request)
+        found = {
+            txhash: {"txhash": txhash, "chainid": request.chainid}
+            for txhash in txhashes
+            if request.chainid in self.hosts.get(txhash, set())
+        }
+        if lookup:
+            return {"found": found}
+        if not found:
+            raise MissingFixture(f"{request.target} not on {request.chainid}")
+        return found[request.target]
+
+    def wait(self, request: DataRequest) -> None:
+        pass
+
+
+class PeakAdapter(ChainsAdapter):
+    """Keeps, per chain, the most calls seen in flight at once.  Every call
+    is held 10 ms, or until ``parties`` calls are in flight together."""
+
+    def __init__(self, hosts: dict[str, set[int]], parties: int | None = None):
+        super().__init__(hosts)
+        self.barrier = threading.Barrier(parties, timeout=5) if parties else None
+        self.in_flight: Counter[int] = Counter()
+        self.peaks: Counter[int] = Counter()
+
+    def wait(self, request: DataRequest) -> None:
+        with self._lock:
+            self.in_flight[request.chainid] += 1
+            self.peaks[request.chainid] = max(
+                self.peaks[request.chainid], self.in_flight[request.chainid]
+            )
+        if self.barrier:
+            self.barrier.wait()
+        else:
+            time.sleep(0.01)
+        with self._lock:
+            self.in_flight[request.chainid] -= 1

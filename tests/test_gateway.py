@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -12,15 +13,18 @@ import sys
 import threading
 import time
 import urllib.error
+from collections import Counter
 from pathlib import Path
 
 import pytest
+from conftest import ChainsAdapter, PeakAdapter
 from hypothesis import given
 from hypothesis import strategies as st
 
 from txpostmortem import transport, workspace
-from txpostmortem.domain import Address, SeedRef, TxHash, UnsupportedChain
+from txpostmortem.domain import SUPPORTED_CHAINS, Address, SeedRef, TxHash, UnsupportedChain
 from txpostmortem.gateway.base import (
+    LOOKUP_BATCH,
     BootstrapError,
     GatewayError,
     MissingCredential,
@@ -29,7 +33,9 @@ from txpostmortem.gateway.base import (
     UnsupportedRequest,
     UpstreamError,
     load_rpc_map,
+    lookup_members,
     resolve_rpc_url,
+    tx_lookup,
 )
 from txpostmortem.gateway.collect import (
     SEED_ARTIFACT_KINDS,
@@ -63,6 +69,16 @@ from txpostmortem.scenarios import (
 
 TX = "0x" + "ab" * 32
 ADDR = "0x" + "cd" * 20
+
+
+#: Block bounds of every JSON scalar type a request may carry.
+_BOUNDS = st.none() | st.integers() | st.booleans() | st.floats()
+#: Nested JSON values, as ``extra`` may hold.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
 
 
 def _request(**overrides) -> DataRequest:
@@ -106,6 +122,36 @@ class TestFixtureKey:
         assert chain == "10"
         assert len(digest) == 16
         int(digest, 16)
+
+    @given(
+        kind=st.sampled_from([*workspace.DATA_REQUEST_KINDS, "tx_lookup"]) | st.text(),
+        chainid=st.sampled_from(sorted(SUPPORTED_CHAINS)) | st.integers(),
+        target=st.sampled_from([TX, TX.upper(), f" {ADDR} ", ""]) | st.text(),
+        block_lo=_BOUNDS,
+        block_hi=_BOUNDS,
+        extra=st.dictionaries(st.text(), _JSON_VALUES, max_size=4),
+    )
+    def test_the_key_is_the_hash_of_the_sorted_compact_identity(
+        self, kind, chainid, target, block_lo, block_hi, extra
+    ):
+        """Fixture files are named by the key, so its bytes never change:
+        the first 16 hex digits of the SHA-256 of the request's identity
+        as ``json.dumps`` writes it with sorted keys and no spaces."""
+        request = DataRequest(
+            kind=kind, chainid=chainid, target=target,
+            block_lo=block_lo, block_hi=block_hi, extra=extra,
+        )
+        identity = {
+            "kind": kind,
+            "chainid": chainid,
+            "target": request.normalized_target(),
+            "block_lo": block_lo,
+            "block_hi": block_hi,
+            "extra": extra,
+        }
+        blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        assert request.key == f"{kind}_{chainid}_{digest}"
 
 
 class TestFixtureStore:
@@ -273,6 +319,28 @@ class TestRecordReplayClosure:
         adapter = LiveAdapter(env={}, rpc_map={1: "http://node"})
         with pytest.raises(UnsupportedRequest):
             adapter.fetch(DataRequest(kind="other", chainid=1, target="anything"))
+
+    def test_a_lookup_is_replayed_from_its_members_fixtures(self, tmp_path):
+        metadata = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+        FixtureStore(tmp_path).save(metadata, {"txhash": TX, "block_number": 7})
+        replay = ReplayAdapter(FixtureStore(tmp_path))
+        lookup = tx_lookup(1, ["0x" + "ef" * 32, TX.upper().replace("0X", "0x")])
+        assert replay.fetch(lookup) == {"found": {TX: {"txhash": TX, "block_number": 7}}}
+        assert [p.name for p in tmp_path.iterdir()] == [f"{fixture_key(metadata)}.json"]
+
+    def test_a_lookup_is_not_a_kind_a_model_may_request(self):
+        assert "tx_lookup" not in workspace.DATA_REQUEST_KINDS
+
+    @pytest.mark.parametrize(
+        "txhashes", [[], [TX] * (LOOKUP_BATCH + 1), TX, [TX, 7]],
+        ids=["none", "too-many", "not-a-list", "not-a-string"],
+    )
+    def test_a_malformed_lookup_is_refused(self, txhashes):
+        request = DataRequest(kind="tx_lookup", chainid=1, target="", extra={"txhashes": txhashes})
+        with pytest.raises(UnsupportedRequest, match="tx_lookup"):
+            lookup_members(request)
+        [refused] = fetch_many(LiveAdapter(env={}, rpc_map={1: "http://node"}), [request])
+        assert isinstance(refused, UnsupportedRequest)
 
 
 class TestRequestTypes:
@@ -654,6 +722,61 @@ class TestSessionMemo:
         assert inner.calls == 2
 
 
+class TestMemoisedLookup:
+    """A ``tx_lookup`` through a ``SessionMemo`` is memoised per member."""
+
+    OTHER = "0x" + "ef" * 32
+
+    def test_found_members_answer_later_metadata_requests(self):
+        inner = ChainsAdapter({TX: {1}})
+        memo = SessionMemo(inner)
+        assert memo.fetch(tx_lookup(1, [TX, self.OTHER])) == {
+            "found": {TX: {"txhash": TX, "chainid": 1}}
+        }
+        request = DataRequest(kind="tx_metadata", chainid=1, target=TX.upper().replace("0X", "0x"))
+        assert memo.fetch(request) == {"txhash": TX, "chainid": 1}
+        assert [r.kind for r in inner.calls] == ["tx_lookup"]
+
+    def test_a_later_lookup_asks_only_for_its_misses(self):
+        inner = ChainsAdapter({TX: {1}})
+        memo = SessionMemo(inner)
+        memo.fetch(tx_lookup(1, [TX, self.OTHER]))
+        inner.hosts[self.OTHER] = {1}
+        found = memo.fetch(tx_lookup(1, [self.OTHER, TX]))["found"]
+        assert list(found) == [self.OTHER, TX]
+        assert [r.extra["txhashes"] for r in inner.calls] == [[TX, self.OTHER], [self.OTHER]]
+        assert memo.fetch(tx_lookup(1, [TX, self.OTHER]))["found"] == found
+        assert len(inner.calls) == 2
+
+    def test_overlapping_lookups_under_fast_switching_ask_each_member_once(self):
+        hashes = ["0x" + f"{k:064x}" for k in range(1, 9)]
+        inner = PeakAdapter({h: {1} for h in hashes})
+        memo = SessionMemo(inner)
+        # Twelve lookups on one chain, each held 10 ms, as FETCH_WORKERS lanes.
+        requests = [tx_lookup(1, hashes[k : k + 4]) for k in range(0, 8, 2)] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads = fetch_many(memo, requests)
+        finally:
+            sys.setswitchinterval(interval)
+        assert Counter(inner.asked) == {(1, h): 1 for h in hashes}
+        assert [list(p["found"]) for p in payloads] == [r.extra["txhashes"] for r in requests]
+
+    def test_a_failed_lookup_keeps_nothing(self):
+        class Down(ChainsAdapter):
+            def wait(self, request):
+                if len(self.calls) == 1:
+                    raise UpstreamError("node down")
+
+        inner = Down({TX: {1}})
+        memo = SessionMemo(inner)
+        [failed] = fetch_many(memo, [tx_lookup(1, [TX])])
+        assert isinstance(failed, UpstreamError)
+        assert memo.fetch(tx_lookup(1, [TX]))["found"] == {TX: {"txhash": TX, "chainid": 1}}
+        assert len(inner.calls) == 2
+
+
 class TestSharedResults:
     def test_waiters_get_the_first_callers_failure_and_it_is_not_kept(self):
         results = SharedResults()
@@ -748,6 +871,123 @@ class TestSharedResults:
         assert got == ["first", "first"]
         assert results.get("other", lambda: "not asked") == "other"
         assert results.get("k", lambda: "again") == "again"
+
+
+class TestSharedResultsMany:
+    """``get_many``: one claiming pass, one compute, members kept or dropped
+    one by one."""
+
+    def test_found_keys_are_kept_and_misses_asked_again(self):
+        results = SharedResults()
+        results.get("kept", lambda: "K")
+        asked = []
+
+        def compute(keys):
+            asked.append(keys)
+            return {"a": "A", "unasked": "U"}
+
+        assert results.get_many(["kept", "a", "b"], compute) == {"kept": "K", "a": "A"}
+        assert results.get_many(["a", "b", "b"], compute) == {"a": "A"}
+        assert asked == [["a", "b"], ["b"]]
+        assert results.get("b", lambda: "B") == "B"
+        assert results.get_many(["b"], compute) == {"b": "B"}
+        assert results.get("unasked", lambda: "computed") == "computed"
+        assert len(asked) == 2
+
+    def _hold(self, results, keys, found):
+        """Start a ``get_many`` of ``keys`` whose compute waits for the
+        returned event, then answers ``found``; return the event, the
+        thread and where its answer lands."""
+        started, release, got = threading.Event(), threading.Event(), []
+
+        def compute(claimed):
+            started.set()
+            release.wait(5)
+            return found
+
+        thread = threading.Thread(target=lambda: got.append(results.get_many(keys, compute)))
+        thread.start()
+        started.wait(5)
+        return release, thread, got
+
+    def test_keys_another_caller_holds_are_waited_on(self):
+        results = SharedResults()
+        release, first, first_got = self._hold(results, ["a", "b"], {"a": "A"})
+        asked, got = [], []
+
+        def compute(keys):
+            asked.append(keys)
+            return {"c": "C"}
+
+        second = threading.Thread(
+            target=lambda: got.append(results.get_many(["a", "b", "c"], compute))
+        )
+        second.start()
+        while results._entries["a"].gate is None or results._entries["b"].gate is None:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, second):
+            thread.join(5)
+        assert not first.is_alive() and not second.is_alive()
+        assert first_got == [{"a": "A"}]
+        assert got == [{"a": "A", "c": "C"}]
+        assert asked == [["c"]]
+
+    def test_a_get_waiting_on_a_miss_computes_it(self):
+        results = SharedResults()
+        release, first, _ = self._hold(results, ["k"], {})
+        got = []
+        waiter = threading.Thread(target=lambda: got.append(results.get("k", lambda: "mine")))
+        waiter.start()
+        while results._entries["k"].gate is None:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, waiter):
+            thread.join(5)
+        assert not first.is_alive() and not waiter.is_alive()
+        assert got == ["mine"]
+        assert results.get("k", lambda: "not asked") == "mine"
+
+    def test_a_failed_compute_fails_its_claimed_keys_only(self):
+        results = SharedResults()
+        results.get("kept", lambda: "K")
+
+        def failing(keys):
+            raise UpstreamError("node down")
+
+        with pytest.raises(UpstreamError, match="node down"):
+            results.get_many(["kept", "a"], failing)
+        assert results.get("kept", lambda: "not asked") == "K"
+        assert results.get("a", lambda: "again") == "again"
+
+    def test_a_held_key_whose_caller_failed_is_a_miss(self):
+        results = SharedResults()
+        started, release = threading.Event(), threading.Event()
+
+        def failing():
+            started.set()
+            release.wait(5)
+            raise UpstreamError("busy")
+
+        def call():
+            with pytest.raises(UpstreamError):
+                results.get("a", failing)
+
+        first = threading.Thread(target=call)
+        first.start()
+        started.wait(5)
+        got = []
+        waiter = threading.Thread(
+            target=lambda: got.append(results.get_many(["a", "b"], lambda keys: {"b": "B"}))
+        )
+        waiter.start()
+        while results._entries["a"].gate is None:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, waiter):
+            thread.join(5)
+        assert not first.is_alive() and not waiter.is_alive()
+        assert got == [{"b": "B"}]
 
 
 class TestOneKeyPerRequest:
@@ -1267,6 +1507,189 @@ _PRESTATE = {
     "pre": {ADDR: {"balance": "0x10", "nonce": 1}, "0x" + "ef" * 20: {"balance": "0x5"}},
     "post": {ADDR: {"balance": "0x4"}, "0x" + "ef" * 20: {"nonce": 2}},
 }
+
+
+def _node_tx(block: int) -> dict:
+    return {
+        "blockNumber": hex(block),
+        "from": ADDR,
+        "to": None,
+        "value": "0x0",
+        "nonce": "0x1",
+        "gasPrice": "0x5",
+        "input": "0xa9059cbb",
+    }
+
+
+class _BatchNode:
+    """A JSON-RPC node that answers a batch, or a single call, from
+    ``txs`` and ``receipts`` by hash.  A ``(method, hash)`` in ``errors``
+    gets an error item, one in ``silent`` no item at all, and a hash absent
+    from its table a ``null`` result.  ``order`` rearranges each batch
+    reply; every body sent is kept."""
+
+    def __init__(self, txs, receipts, errors=(), silent=(), order=lambda items: items):
+        self.tables = {"eth_getTransactionByHash": txs, "eth_getTransactionReceipt": receipts}
+        self.errors, self.silent = set(errors), set(silent)
+        self.order = order
+        self.bodies = []
+
+    def _answer(self, item):
+        txhash = item["params"][0]
+        if (item["method"], txhash) in self.errors:
+            return {"jsonrpc": "2.0", "id": item["id"], "error": {"code": -32000, "message": "no"}}
+        result = self.tables[item["method"]].get(txhash)
+        return {"jsonrpc": "2.0", "id": item["id"], "result": result}
+
+    def __call__(self, url, body, timeout):
+        self.bodies.append(body)
+        if isinstance(body, dict):
+            return self._answer(body)
+        return self.order([
+            self._answer(item)
+            for item in body
+            if (item["method"], item["params"][0]) not in self.silent
+        ])
+
+
+class TestLiveLookup:
+    """``tx_lookup`` on the live path: one batch of transactions, then one
+    of the receipts of those mined."""
+
+    HASHES = ["0x" + f"{k:02x}" * 32 for k in range(1, 5)]
+
+    def _adapter(self, node):
+        return LiveAdapter(env={}, rpc_map={1: "http://node"}, rpc_post=node)
+
+    def test_replies_in_any_order_are_matched_by_id(self):
+        txs = {h: _node_tx(100 + k) for k, h in enumerate(self.HASHES)}
+        receipts = {
+            h: {"gasUsed": hex(21000 + k), "status": "0x1"} for k, h in enumerate(self.HASHES)
+        }
+        node = _BatchNode(txs, receipts, order=lambda items: items[1:][::-1] + items[:1])
+        found = self._adapter(node).fetch(tx_lookup(1, self.HASHES))["found"]
+        assert [len(body) for body in node.bodies] == [4, 4]
+        assert [body[0]["method"] for body in node.bodies] == [
+            "eth_getTransactionByHash",
+            "eth_getTransactionReceipt",
+        ]
+        assert list(found) == self.HASHES
+        assert [found[h]["block_number"] for h in self.HASHES] == [100, 101, 102, 103]
+        assert [found[h]["gas_used"] for h in self.HASHES] == [21000, 21001, 21002, 21003]
+        # Each found document is the one tx_metadata builds.
+        single = self._adapter(_BatchNode(txs, receipts))
+        for h in self.HASHES:
+            assert found[h] == single.fetch(DataRequest(kind="tx_metadata", chainid=1, target=h))
+
+    @pytest.mark.parametrize(
+        "miss",
+        ["tx-error", "tx-null", "tx-pending", "tx-no-reply", "receipt-error", "receipt-no-reply"],
+    )
+    def test_each_kind_of_miss_leaves_its_member_out(self, miss):
+        found_hash, missed = self.HASHES[0], self.HASHES[1]
+        txs = {found_hash: _node_tx(100), missed: _node_tx(101)}
+        receipts = {found_hash: {"status": "0x1"}, missed: {"status": "0x1"}}
+        receipt = miss.startswith("receipt")
+        method = "eth_getTransactionReceipt" if receipt else "eth_getTransactionByHash"
+        errors = {(method, missed)} if miss.endswith("error") else set()
+        silent = {(method, missed)} if miss.endswith("no-reply") else set()
+        if miss == "tx-null":
+            del txs[missed]
+        elif miss == "tx-pending":
+            txs[missed]["blockNumber"] = None
+        node = _BatchNode(txs, receipts, errors, silent)
+        payload = self._adapter(node).fetch(tx_lookup(1, [found_hash, missed]))
+        assert payload == {"found": {found_hash: payload["found"][found_hash]}}
+        receipts_asked = [item["params"][0] for item in node.bodies[1]]
+        mined = [found_hash, missed] if receipt else [found_hash]
+        assert receipts_asked == mined
+
+    def test_a_null_receipt_is_found_with_defaults(self):
+        node = _BatchNode({TX: _node_tx(100)}, {})
+        found = self._adapter(node).fetch(tx_lookup(1, [TX]))["found"]
+        assert found[TX]["status"] == 1 and found[TX]["gas_used"] == 0
+
+    def test_nothing_mined_sends_no_receipt_batch(self):
+        node = _BatchNode({}, {})
+        assert self._adapter(node).fetch(tx_lookup(1, self.HASHES)) == {"found": {}}
+        assert len(node.bodies) == 1
+
+    @pytest.mark.parametrize(
+        "reply",
+        [{"jsonrpc": "2.0", "id": 1, "error": {"code": -32600, "message": "batch too large"}},
+         "0x1", None],
+        ids=["error-object", "string", "null"],
+    )
+    def test_a_reply_that_is_not_a_list_is_one_error_for_the_lookup(self, monkeypatch, reply):
+        sleeps, calls = [], []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+
+        def rpc_post(url, body, timeout):
+            calls.append(body)
+            return reply
+
+        [payload] = fetch_many(self._adapter(rpc_post), [tx_lookup(1, self.HASHES)])
+        assert isinstance(payload, live.ErrorReply)
+        assert "malformed reply" in str(payload)
+        assert len(calls) == 1
+        assert sleeps == []
+
+    def test_a_transport_error_is_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(transport.time, "sleep", sleeps.append)
+        node = _BatchNode({TX: _node_tx(100)}, {TX: {"status": "0x1"}})
+        failures = [OSError("connection reset")]
+
+        def rpc_post(url, body, timeout):
+            if failures:
+                raise failures.pop()
+            return node(url, body, timeout)
+
+        found = self._adapter(rpc_post).fetch(tx_lookup(1, [TX]))["found"]
+        assert found[TX]["block_number"] == 100
+        assert sleeps == [transport.BACKOFF_S]
+        assert len(node.bodies) == 2
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["nonce-off-the-schema", "value-not-hex", "from-null", "tx-not-an-object",
+         "receipt-not-an-object"],
+    )
+    def test_a_malformed_member_is_a_miss_beside_a_found_one(self, bad):
+        good, malformed = self.HASHES[0], self.HASHES[1]
+        txs = {good: _node_tx(100), malformed: _node_tx(101)}
+        receipts = {good: {"status": "0x1"}, malformed: {"status": "0x1"}}
+        if bad == "nonce-off-the-schema":
+            txs[malformed]["nonce"] = True
+        elif bad == "value-not-hex":
+            txs[malformed]["value"] = "0xzz"
+        elif bad == "from-null":
+            txs[malformed]["from"] = None
+        elif bad == "tx-not-an-object":
+            txs[malformed] = "0x1"
+        else:
+            receipts[malformed] = "0x1"
+        payload = self._adapter(_BatchNode(txs, receipts)).fetch(
+            tx_lookup(1, [malformed, good])
+        )
+        assert list(payload["found"]) == [good]
+        assert payload["found"][good]["block_number"] == 100
+        assert workspace.check_document(payload, workspace.SCHEMAS["tx_lookup"]) == []
+
+    def test_a_tx_metadata_document_off_the_schema_fails_its_request(self):
+        tx = {**_node_tx(100), "nonce": True}
+        node = _BatchNode({TX: tx}, {TX: {"status": "0x1"}})
+        request = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+        with pytest.raises(live.ErrorReply, match="malformed reply.*nonce: expected integer"):
+            self._adapter(node).fetch(request)
+
+    def test_every_batch_item_has_its_own_id(self):
+        node = _BatchNode({}, {})
+        adapter = self._adapter(node)
+        for _ in range(2):
+            adapter.fetch(tx_lookup(1, self.HASHES))
+        ids = [item["id"] for body in node.bodies for item in body]
+        assert len(ids) == 2 * len(self.HASHES) == len(set(ids))
 
 
 class TestLiveAdapterCalls:

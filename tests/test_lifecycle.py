@@ -366,16 +366,16 @@ class TestBundledIncidents:
             universe, TxHash(VAL_SEED), VAL_PARTICIPANTS
         )
 
-    def test_mining_after_resolving_reads_the_seed_from_the_probe(self, prxvt_run):
+    def test_mining_after_resolving_makes_no_metadata_call(self, prxvt_run):
         class Counting:
             def __init__(self, inner):
                 self.inner = inner
-                self.calls: Counter[tuple[str, int, str]] = Counter()
+                self.calls: Counter[tuple[str, int]] = Counter()
                 self._lock = threading.Lock()
 
             def fetch(self, request):
                 with self._lock:
-                    self.calls[(request.kind, request.chainid, request.target)] += 1
+                    self.calls[(request.kind, request.chainid)] += 1
                 return self.inner.fetch(request)
 
         adapter = Counting(prxvt_run.bundle.adapter())
@@ -383,9 +383,10 @@ class TestBundledIncidents:
         assert resolve_chains([seed], adapter) == {seed.value: [PRXVT_CHAIN]}
         lifecycle, _ = mine_lifecycle(adapter, PRXVT_CHAIN, seed, PRXVT_PARTICIPANTS)
         assert lifecycle.hashes() == [tx for tx, _ in PRXVT_LIFECYCLE]
-        assert adapter.calls[("tx_metadata", PRXVT_CHAIN, seed.value)] == 1
-        metadata = [key for key in adapter.calls.elements() if key[0] == "tx_metadata"]
-        assert len(metadata) == len(SUPPORTED_CHAINS)
+        lookups = Counter(c for kind, c in adapter.calls.elements() if kind == "tx_lookup")
+        assert lookups == {chainid: 1 for chainid in SUPPORTED_CHAINS}
+        # The seed's metadata comes from the wave, so no tx_metadata call.
+        assert {kind for kind, _ in adapter.calls} == {"tx_lookup", "txlist"}
 
     @pytest.mark.parametrize(
         "case, chainid, seed, participants, listed, universe_size",

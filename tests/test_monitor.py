@@ -1,5 +1,5 @@
-"""Feed monitor: concurrent chain probes, one resolution per hash and one
-probe wave per feed."""
+"""Feed monitor: hash extraction, concurrent chain probes, one resolution
+per hash and one probe wave per feed, of one ``tx_lookup`` per chain."""
 
 from __future__ import annotations
 
@@ -15,14 +15,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from conftest import ChainsAdapter, PeakAdapter
 
 from txpostmortem import monitor, scenarios
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
 from txpostmortem.gateway import (
     FETCH_WORKERS,
+    LOOKUP_BATCH,
     LiveAdapter,
     MissingFixture,
     SessionMemo,
+    UpstreamError,
     adapter_memo,
     collect,
     fetch_many,
@@ -49,53 +52,6 @@ STRAY_TX = TxHash("0x" + "ef" * 32)
 HOME, SECOND = DEFAULT_PROBE_ORDER[1], DEFAULT_PROBE_ORDER[9]
 
 
-class _ChainsAdapter:
-    """Finds each transaction on the chains listed for it; counts every call
-    and keeps the most threads seen alive during one."""
-
-    def __init__(self, hosts: dict[str, set[int]]):
-        self.hosts = hosts
-        self.calls: list[DataRequest] = []
-        self.threads = 0
-        self._lock = threading.Lock()
-
-    def fetch(self, request: DataRequest) -> dict:
-        with self._lock:
-            self.calls.append(request)
-            self.threads = max(self.threads, threading.active_count())
-        self.wait(request)
-        if request.chainid not in self.hosts.get(request.target, set()):
-            raise MissingFixture(f"{request.target} not on {request.chainid}")
-        return {"txhash": request.target, "chainid": request.chainid}
-
-    def wait(self, request: DataRequest) -> None:
-        pass
-
-
-class _PeakAdapter(_ChainsAdapter):
-    """Keeps, per chain, the most calls seen in flight at once.  Every call
-    is held 10 ms, or until ``parties`` calls are in flight together."""
-
-    def __init__(self, hosts: dict[str, set[int]], parties: int | None = None):
-        super().__init__(hosts)
-        self.barrier = threading.Barrier(parties, timeout=5) if parties else None
-        self.in_flight: Counter[int] = Counter()
-        self.peaks: Counter[int] = Counter()
-
-    def wait(self, request: DataRequest) -> None:
-        with self._lock:
-            self.in_flight[request.chainid] += 1
-            self.peaks[request.chainid] = max(
-                self.peaks[request.chainid], self.in_flight[request.chainid]
-            )
-        if self.barrier:
-            self.barrier.wait()
-        else:
-            time.sleep(0.01)
-        with self._lock:
-            self.in_flight[request.chainid] -= 1
-
-
 def _probes(chains, txs=(TX,)) -> list[DataRequest]:
     return [
         DataRequest(kind="tx_metadata", chainid=chainid, target=tx.value)
@@ -108,21 +64,41 @@ def _hashes(n: int) -> list[TxHash]:
     return [TxHash("0x" + f"{k + 1:064x}") for k in range(n)]
 
 
+class TestExtraction:
+    def test_hashes_in_first_appearance_order_without_repeats(self):
+        text = f"first {OTHER_TX.value}, then {TX.value}, again {OTHER_TX.value}"
+        assert monitor.extract_tx_hashes(text) == [OTHER_TX, TX]
+
+    def test_an_upper_case_prefix_is_a_hash(self):
+        upper = "0X" + "AB" * 32
+        assert monitor.extract_tx_hashes(f"see {upper}") == [TX]
+        assert monitor.extract_tx_hashes(f"{upper} is {TX.value}") == [TX]
+
+    @pytest.mark.parametrize(
+        "token",
+        ["0x" + "cd" * 20, "0x" + "ab" * 33, "0x" + "ab" * 31 + "a", "f0x" + "ab" * 32],
+        ids=["address", "longer-blob", "odd-length", "hex-before"],
+    )
+    def test_other_hex_is_not_a_hash(self, token):
+        assert monitor.extract_tx_hashes(f"see {token} here") == []
+
+
 class TestConcurrentProbes:
     @pytest.mark.parametrize(
         "n", [2, FETCH_WORKERS, 2 * FETCH_WORKERS, len(SUPPORTED_CHAINS)]
     )
-    def test_probes_overlap(self, n):
-        adapter = _PeakAdapter({TX.value: {HOME}}, parties=n)
+    def test_every_chains_lookup_is_in_flight_at_once(self, n):
+        adapter = PeakAdapter({TX.value: {HOME}}, parties=n)
         before = threading.active_count()
         assert resolve_chain(TX, adapter, DEFAULT_PROBE_ORDER[:n]) == HOME
-        assert len(adapter.calls) == n
+        assert [r.kind for r in adapter.calls] == ["tx_lookup"] * n
+        assert sorted(adapter.asked) == sorted((c, TX.value) for c in DEFAULT_PROBE_ORDER[:n])
         assert adapter.threads - before <= n
 
     def test_in_flight_per_chain_never_exceeds_the_cap(self):
         # Twice the cap on one chain, then a probe on every chain.
         requests = _probes([HOME] * 2 * FETCH_WORKERS) + _probes(DEFAULT_PROBE_ORDER)
-        adapter = _PeakAdapter({TX.value: {HOME}})
+        adapter = PeakAdapter({TX.value: {HOME}})
         payloads = fetch_many(adapter, requests)
         assert len(adapter.calls) == len(requests)
         assert set(adapter.peaks) == set(SUPPORTED_CHAINS)
@@ -130,7 +106,7 @@ class TestConcurrentProbes:
         assert sum(not isinstance(p, MissingFixture) for p in payloads) == 1 + 2 * FETCH_WORKERS
 
     def test_single_chain_batch_peaks_at_the_cap(self):
-        adapter = _PeakAdapter({TX.value: {HOME}}, parties=FETCH_WORKERS)
+        adapter = PeakAdapter({TX.value: {HOME}}, parties=FETCH_WORKERS)
         before = threading.active_count()
         payloads = fetch_many(adapter, _probes([HOME] * 2 * FETCH_WORKERS))
         assert payloads == [{"txhash": TX.value, "chainid": HOME}] * 2 * FETCH_WORKERS
@@ -141,7 +117,7 @@ class TestConcurrentProbes:
         requests = _probes(DEFAULT_PROBE_ORDER[:6], (TX, OTHER_TX, STRAY_TX))
         position = {(r.chainid, r.target): k for k, r in enumerate(requests)}
 
-        class LaterAnswersFirst(_ChainsAdapter):
+        class LaterAnswersFirst(ChainsAdapter):
             def wait(self, request):
                 time.sleep(0.002 * (len(requests) - position[request.chainid, request.target]))
 
@@ -152,7 +128,7 @@ class TestConcurrentProbes:
         ]
 
     def test_ambiguous_matches_keep_probe_order(self):
-        class LaterAnswersFirst(_ChainsAdapter):
+        class LaterAnswersFirst(ChainsAdapter):
             def wait(self, request):
                 time.sleep(0.05 if request.chainid == HOME else 0.0)
 
@@ -163,11 +139,11 @@ class TestConcurrentProbes:
 
     def test_no_host_raises_chain_not_found(self):
         with pytest.raises(ChainNotFound) as info:
-            resolve_chain(TX, _ChainsAdapter({}))
+            resolve_chain(TX, ChainsAdapter({}))
         assert info.value.txhash == TX.value
 
     def test_other_errors_propagate_and_no_fetch_outlives_the_call(self):
-        class Broken(_ChainsAdapter):
+        class Broken(ChainsAdapter):
             in_flight = 0
 
             def fetch(self, request):
@@ -194,10 +170,27 @@ class TestConcurrentProbes:
         time.sleep(0.05)
         assert len(adapter.calls) == calls
 
+    def test_a_failed_lookup_is_logged_and_finds_nothing_on_its_chain(self, caplog):
+        class SecondRefuses(ChainsAdapter):
+            def wait(self, request):
+                if request.chainid == SECOND:
+                    raise UpstreamError("batch too large")
+
+        hashes = _hashes(3)
+        adapter = SecondRefuses({h.value: {HOME, SECOND} for h in hashes})
+        with caplog.at_level("WARNING", logger="txpostmortem.monitor"):
+            resolved = resolve_chains(hashes, adapter, [HOME, SECOND])
+        assert resolved == {h.value: [HOME] for h in hashes}
+        [record] = caplog.records
+        assert record.getMessage() == (
+            f"tx_lookup of 3 hashes failed on chain {SECOND}, so none counts as found"
+            " there: batch too large"
+        )
+
     def test_the_first_error_in_request_order_propagates(self):
         earlier_started = threading.Event()
 
-        class TwoBugs(_ChainsAdapter):
+        class TwoBugs(ChainsAdapter):
             def wait(self, request):
                 if request.chainid == HOME:
                     earlier_started.set()
@@ -213,7 +206,7 @@ class TestConcurrentProbes:
     def test_a_second_call_starts_no_thread(self, monkeypatch):
         n = len(SUPPORTED_CHAINS)
         requests = _probes(DEFAULT_PROBE_ORDER)
-        fetch_many(_PeakAdapter({TX.value: {HOME}}, parties=n), requests)
+        fetch_many(PeakAdapter({TX.value: {HOME}}, parties=n), requests)
         # The first call's threads go idle once its lanes have returned.
         time.sleep(0.05)
         started = []
@@ -224,7 +217,7 @@ class TestConcurrentProbes:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", counting_start)
-        adapter = _PeakAdapter({TX.value: {HOME}}, parties=n)
+        adapter = PeakAdapter({TX.value: {HOME}}, parties=n)
         payloads = fetch_many(adapter, requests)
         assert len(adapter.calls) == n
         assert sum(not isinstance(p, MissingFixture) for p in payloads) == 1
@@ -246,7 +239,7 @@ class TestConcurrentProbes:
         monkeypatch.setattr(threading.Thread, "start", counting_start)
         callers = []
 
-        class CallerNoting(_PeakAdapter):
+        class CallerNoting(PeakAdapter):
             def wait(self, request):
                 callers.append(threading.current_thread() is threading.main_thread())
                 super().wait(request)
@@ -261,7 +254,7 @@ class TestConcurrentProbes:
         requests = _probes(DEFAULT_PROBE_ORDER, _hashes(5))
         every_chain = set(SUPPORTED_CHAINS)
         adapters = [
-            _PeakAdapter({r.target: every_chain for r in requests}) for _ in range(2)
+            PeakAdapter({r.target: every_chain for r in requests}) for _ in range(2)
         ]
         results = [None, None]
         go = threading.Event()
@@ -299,9 +292,9 @@ class TestConcurrentProbes:
 
         def rpc_post(url, body, timeout):
             with lock:
-                ids.append(body["id"])
+                ids.extend(item["id"] for item in body)
             time.sleep(0.001)
-            return {"jsonrpc": "2.0", "id": body["id"], "result": None}
+            return [{"jsonrpc": "2.0", "id": item["id"], "result": None} for item in body]
 
         adapter = LiveAdapter(
             env={},
@@ -330,9 +323,9 @@ def _post(source_id: str, *hashes: TxHash) -> Post:
 class TestResolveOncePerFeed:
     def test_repeated_hash_is_probed_once(self):
         posts = [_post("p1", TX), _post("p2", TX)]
-        adapter = _ChainsAdapter({TX.value: {HOME}})
+        adapter = ChainsAdapter({TX.value: {HOME}})
         accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
-        assert len(adapter.calls) == len(SUPPORTED_CHAINS)
+        assert sorted(adapter.asked) == sorted((c, TX.value) for c in SUPPORTED_CHAINS)
         assert accepted == [
             IncidentCandidate(seed=SeedRef(chainid=HOME, txs=(TX,)), first_post=posts[0])
         ]
@@ -340,9 +333,10 @@ class TestResolveOncePerFeed:
 
     def test_notes_are_still_logged_per_post(self):
         posts = [_post("p1", OTHER_TX, STRAY_TX), _post("p2", STRAY_TX, OTHER_TX)]
-        adapter = _ChainsAdapter({OTHER_TX.value: {HOME, SECOND}})
+        adapter = ChainsAdapter({OTHER_TX.value: {HOME, SECOND}})
         accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
-        assert len(adapter.calls) == 2 * len(SUPPORTED_CHAINS)
+        assert len(adapter.calls) == len(SUPPORTED_CHAINS)
+        assert len(adapter.asked) == 2 * len(SUPPORTED_CHAINS)
         assert accepted == [
             IncidentCandidate(
                 seed=SeedRef(chainid=HOME, txs=(OTHER_TX,)), first_post=posts[0]
@@ -367,7 +361,7 @@ class TestResolveOncePerFeed:
         traceback, so its objects are freed when it ends, not at the next
         full collection."""
         posts = [_post("p1", OTHER_TX, STRAY_TX, TX), _post("p2", STRAY_TX, OTHER_TX)]
-        adapter = _ChainsAdapter({OTHER_TX.value: {HOME, SECOND}, TX.value: {HOME}})
+        adapter = ChainsAdapter({OTHER_TX.value: {HOME, SECOND}, TX.value: {HOME}})
         gc.collect()
         gc.disable()
         try:
@@ -378,28 +372,33 @@ class TestResolveOncePerFeed:
 
 
 class TestProbePayloadsOutliveTheWave:
-    """A wave's payloads are kept for its adapter's life; its misses are not."""
+    """A wave's found members are kept for its adapter's life; its misses
+    are not."""
 
-    def test_a_failed_probe_is_asked_again_by_the_next_wave(self):
-        adapter = _ChainsAdapter({TX.value: {HOME}})
+    def test_a_found_member_is_not_asked_again_and_a_miss_is(self):
+        adapter = ChainsAdapter({TX.value: {HOME}})
         answers = resolve_chains([TX, STRAY_TX], adapter)
         assert answers == {TX.value: [HOME], STRAY_TX.value: []}
-        first = adapter.calls[:]
+        first = adapter.asked[:]
         assert len(first) == 2 * len(SUPPORTED_CHAINS)
-        # The stray hash turns up: the next wave asks every probe again but
-        # the one that found something.
+        # The stray hash turns up: the next wave asks about every pair of
+        # hash and chain again but the one that found something.
         adapter.hosts[STRAY_TX.value] = {SECOND}
         answers = resolve_chains([TX, STRAY_TX], adapter)
         assert answers == {TX.value: [HOME], STRAY_TX.value: [SECOND]}
-        again = adapter.calls[len(first):]
-        assert sorted((r.chainid, r.target) for r in again) == sorted(
-            (r.chainid, r.target) for r in first if (r.chainid, r.target) != (HOME, TX.value)
-        )
+        again = adapter.asked[len(first):]
+        assert sorted(again) == sorted(pair for pair in first if pair != (HOME, TX.value))
+        # Now both are found wherever they are: a third wave asks only the
+        # chains that had neither.
+        answers = resolve_chains([TX, STRAY_TX], adapter)
+        assert answers == {TX.value: [HOME], STRAY_TX.value: [SECOND]}
+        third = adapter.asked[len(first) + len(again):]
+        assert sorted(third) == sorted(pair for pair in again if pair != (SECOND, STRAY_TX.value))
 
     def test_the_table_goes_with_the_adapter(self):
         gc.collect()
         before = len(collect._ADAPTER_PAYLOADS)
-        adapter = _ChainsAdapter({TX.value: {HOME}})
+        adapter = ChainsAdapter({TX.value: {HOME}})
         assert resolve_chains([TX], adapter) == {TX.value: [HOME]}
         assert len(collect._ADAPTER_PAYLOADS) == before + 1
         gone = weakref.ref(adapter)
@@ -408,9 +407,9 @@ class TestProbePayloadsOutliveTheWave:
         assert gone() is None
         assert len(collect._ADAPTER_PAYLOADS) == before
 
-    def test_two_concurrent_waves_fetch_each_key_once(self):
+    def test_two_concurrent_waves_ask_about_each_hash_and_chain_once(self):
         every_chain = set(SUPPORTED_CHAINS)
-        adapter = _PeakAdapter({TX.value: every_chain, OTHER_TX.value: every_chain})
+        adapter = PeakAdapter({TX.value: every_chain, OTHER_TX.value: every_chain})
         go = threading.Event()
         answers = [None, None]
 
@@ -425,7 +424,7 @@ class TestProbePayloadsOutliveTheWave:
         for caller in callers:
             caller.join(10)
         assert not any(caller.is_alive() for caller in callers)
-        probes = Counter((r.chainid, r.target) for r in adapter.calls)
+        probes = Counter(adapter.asked)
         assert len(probes) == 2 * len(SUPPORTED_CHAINS)
         assert set(probes.values()) == {1}
         for answer in answers:
@@ -434,7 +433,7 @@ class TestProbePayloadsOutliveTheWave:
             ] * 2
 
     def test_a_session_memo_is_its_own_adapter_memo(self):
-        memo = SessionMemo(_ChainsAdapter({}))
+        memo = SessionMemo(ChainsAdapter({}))
         assert adapter_memo(memo) is memo
 
 
@@ -454,13 +453,12 @@ class TestOneWavePerFeed:
     def test_every_hash_of_a_feed_is_in_flight_at_once(self):
         txs = _hashes(3)
         posts = [_post("p1", txs[0]), _post("p2", txs[1], txs[0]), _post("p3", txs[2])]
-        adapter = _PeakAdapter(
-            {tx.value: {HOME} for tx in txs}, parties=3 * len(SUPPORTED_CHAINS)
-        )
+        adapter = PeakAdapter({tx.value: {HOME} for tx in txs}, parties=len(SUPPORTED_CHAINS))
         before = threading.active_count()
         accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
-        assert len(adapter.calls) == 3 * len(SUPPORTED_CHAINS)
-        assert adapter.threads - before <= 3 * len(SUPPORTED_CHAINS)
+        assert len(adapter.calls) == len(SUPPORTED_CHAINS)
+        assert len(adapter.asked) == 3 * len(SUPPORTED_CHAINS)
+        assert adapter.threads - before <= len(SUPPORTED_CHAINS)
         assert [c.seed for c in accepted] == [
             SeedRef(chainid=HOME, txs=(txs[0],)),
             SeedRef(chainid=HOME, txs=(txs[1], txs[0])),
@@ -468,24 +466,48 @@ class TestOneWavePerFeed:
         ]
         assert log == []
 
-    def test_many_hashes_keep_the_per_chain_cap(self):
+    def test_a_ten_hash_feed_starts_at_most_one_thread_per_chain(self, monkeypatch):
+        # A pool of its own, so that no idle thread of an earlier test is reused.
+        monkeypatch.setattr(
+            collect, "_POOL", collect._FetchPool(FETCH_WORKERS * len(SUPPORTED_CHAINS))
+        )
+        started = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
         txs = _hashes(10)
         posts = [_post(f"p{k}", tx) for k, tx in enumerate(txs)]
-        adapter = _PeakAdapter({tx.value: {SECOND} for tx in txs})
-        before = threading.active_count()
+        adapter = PeakAdapter({tx.value: {SECOND} for tx in txs})
         accepted, _ = dedupe_and_filter(posts, adapter, ScriptedClassifier())
-        assert len(adapter.calls) == 10 * len(SUPPORTED_CHAINS)
-        assert set(adapter.peaks) == set(SUPPORTED_CHAINS)
-        assert max(adapter.peaks.values()) <= FETCH_WORKERS
-        assert adapter.threads - before <= FETCH_WORKERS * len(SUPPORTED_CHAINS)
+        assert len(started) <= len(SUPPORTED_CHAINS)
+        assert adapter.peaks == {chainid: 1 for chainid in SUPPORTED_CHAINS}
         assert [c.seed.txs for c in accepted] == [(tx,) for tx in txs]
+
+    @pytest.mark.parametrize("batch", [LOOKUP_BATCH, 3], ids=["one-lookup", "four-lookups"])
+    def test_every_distinct_hash_is_asked_about_on_every_chain_once(self, monkeypatch, batch):
+        """However many lookups a chain's share of the wave takes, each
+        distinct hash of the feed is in exactly one of them, on every chain."""
+        monkeypatch.setattr(monitor, "LOOKUP_BATCH", batch)
+        txs = _hashes(10)
+        posts = [_post(f"p{k}", tx, txs[k - 1]) for k, tx in enumerate(txs)]
+        adapter = ChainsAdapter({txs[4].value: {HOME}})
+        accepted, _ = dedupe_and_filter(posts, adapter, ScriptedClassifier())
+        lookups = -(-len(txs) // batch)
+        assert len(adapter.calls) == lookups * len(SUPPORTED_CHAINS)
+        assert all(len(r.extra["txhashes"]) <= batch for r in adapter.calls)
+        assert Counter(adapter.asked) == {(c, tx.value): 1 for c in SUPPORTED_CHAINS for tx in txs}
+        assert [c.first_post.source_id for c in accepted] == ["p4"]
 
     def test_answers_are_sliced_per_hash_in_probe_order(self):
         txs = _hashes(3)
         hosts = {txs[0].value: {SECOND, HOME}, txs[2].value: {SECOND}}
         position = {chainid: k for k, chainid in enumerate(DEFAULT_PROBE_ORDER)}
 
-        class LaterAnswersFirst(_ChainsAdapter):
+        class LaterAnswersFirst(ChainsAdapter):
             def wait(self, request):
                 time.sleep(0.001 * (len(position) - position[request.chainid]))
 
@@ -506,10 +528,10 @@ class TestOneWavePerFeed:
             _post("spam", txs[3]),
         ]
         classifier = _RecordingClassifier({"noise", "spam"})
-        adapter = _ChainsAdapter({tx.value: {HOME} for tx in txs})
+        adapter = ChainsAdapter({tx.value: {HOME} for tx in txs})
         accepted, log = dedupe_and_filter(posts, adapter, classifier)
         assert classifier.seen == ["p1", "noise", "p2", "spam"]
-        assert {request.target for request in adapter.calls} == {txs[0].value, txs[2].value}
+        assert {txhash for _, txhash in adapter.asked} == {txs[0].value, txs[2].value}
         assert [c.first_post.source_id for c in accepted] == ["p1", "p2"]
         assert log == [
             {"event": "irrelevant_post", "post": "noise"},
@@ -533,7 +555,7 @@ class TestOneWavePerFeed:
             return extract(text)
 
         monkeypatch.setattr(monitor, "extract_tx_hashes", counting_extract)
-        adapter = _ChainsAdapter(
+        adapter = ChainsAdapter(
             {
                 scenarios.PRXVT_SEED: {scenarios.PRXVT_CHAIN},
                 scenarios.VAL_SEED: {scenarios.VAL_CHAIN},
@@ -563,7 +585,7 @@ class TestOneWavePerFeed:
             )
             for k in range(3)
         ]
-        adapter = _ChainsAdapter({})
+        adapter = ChainsAdapter({})
         accepted, log = dedupe_and_filter(posts, adapter, ScriptedClassifier())
         assert accepted == []
         assert adapter.calls == []
@@ -583,7 +605,7 @@ class TestOneWavePerFeed:
             for post in (_post("p1", TX), _post("p2", OTHER_TX))
         ]
         feed.write_text("\n".join(lines + ["{not json"]) + "\n", encoding="utf-8")
-        adapter = _ChainsAdapter({TX.value: {HOME}, OTHER_TX.value: {HOME}})
+        adapter = ChainsAdapter({TX.value: {HOME}, OTHER_TX.value: {HOME}})
         queue = tmp_path / "queue"
         with pytest.raises(FeedError, match=":3: invalid JSON"):
             run_monitor(read_feed(feed), adapter, queue)

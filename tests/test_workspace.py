@@ -17,13 +17,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
-from conftest import VALIDATED_SESSION_DOCS
+from conftest import VALIDATED_SESSION_DOCS, ChainsAdapter
 from hypothesis import given
 from hypothesis import strategies as st
 
 from txpostmortem import cli, monitor, scenarios, workspace
 from txpostmortem.domain import SeedRef
-from txpostmortem.gateway import DataRequest, FixtureStore, MissingFixture
+from txpostmortem.gateway import DataRequest, FixtureStore
 from txpostmortem.orchestrator import Orchestrator
 
 TX = "0x" + "ab" * 32
@@ -216,15 +216,6 @@ class TestCreateSession:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(s.session_id for s in sessions)
 
 
-class _HomeChain:
-    """Finds every transaction on chain 1 only."""
-
-    def fetch(self, request: DataRequest) -> dict:
-        if request.chainid != 1:
-            raise MissingFixture(request.target)
-        return {"txhash": request.target, "chainid": 1}
-
-
 def _write_session_artifact(root: Path) -> Path:
     session = workspace.open_session(root / "sessions" / "s0")
     return workspace.write_artifact(session, "artifacts/doc.json", {"n": 1})
@@ -236,7 +227,8 @@ def _write_queue_seed(root: Path) -> Path:
         timestamp=datetime(2025, 1, 1, tzinfo=timezone.utc),
         text=f"Exploit alert: drain in {TX}",
     )
-    outcome = monitor.run_monitor([post], _HomeChain(), root / "queue", chains=(1,))
+    adapter = ChainsAdapter({TX: {1}})
+    outcome = monitor.run_monitor([post], adapter, root / "queue", chains=(1,))
     return outcome.enqueued[0]
 
 
