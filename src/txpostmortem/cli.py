@@ -128,7 +128,7 @@ def cmd_postmortem(args: argparse.Namespace) -> int:
 # evaluate
 
 
-def _last_attempt(session_root: Path) -> tuple[Path, dict[str, Any] | None] | None:
+def _last_attempt(session_root: Path) -> tuple[str, dict[str, Any] | None] | None:
     """The last reproducer ``iter_k`` and its validator verdict, read
     through the ``poc_validation`` schema; the verdict is None only when the
     attempt holds none.  None when the session made no attempt."""
@@ -136,8 +136,9 @@ def _last_attempt(session_root: Path) -> tuple[Path, dict[str, Any] | None] | No
     if not attempts:
         return None
     attempt = attempts[-1][1]
+    path = os.path.join(attempt, workspace.POC_VALIDATION)
     try:
-        return attempt, workspace.read_json(attempt / workspace.POC_VALIDATION, "poc_validation")
+        return attempt, workspace.read_json(path, "poc_validation")
     except workspace.ArtifactNotFound:
         return attempt, None
 
@@ -155,10 +156,11 @@ def evaluation_context(session: workspace.Session) -> dict[str, Any]:
     if last is None:
         raise UsageError("session has no reproduction attempts to judge")
     attempt, validation = last
-    if not (attempt / workspace.ENGINE_VERDICT).is_file():
+    verdict_path = os.path.join(attempt, workspace.ENGINE_VERDICT)
+    if not os.path.isfile(verdict_path):
         raise UsageError(f"{attempt}: the last reproduction attempt has no engine verdict")
     root_cause = workspace.read_artifact(session, workspace.ROOT_CAUSE_DOC, "root_cause")
-    verdict = workspace.read_json(attempt / workspace.ENGINE_VERDICT, "engine_verdict")
+    verdict = workspace.read_json(verdict_path, "engine_verdict")
     return {
         "project_root": str(project_root),
         "root_cause": root_cause,
@@ -237,7 +239,7 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     outcome = monitor.run_monitor(posts, adapter, args.queue, chains=chains)
     _print_doc(
         {
-            "enqueued": [str(p) for p in outcome.enqueued],
+            "enqueued": outcome.enqueued,
             "candidates": len(outcome.candidates),
             "log": outcome.log,
             "latencies": outcome.latencies,

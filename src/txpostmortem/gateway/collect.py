@@ -37,7 +37,6 @@ import re
 import threading
 import weakref
 from collections import deque
-from pathlib import Path
 from queue import SimpleQueue
 from typing import Any, Callable, Sequence
 
@@ -463,9 +462,10 @@ def execute_data_requests(
     session: workspace.Session,
     requests: list[DataRequest],
     fetches: SessionMemo,
-    iter_dir: Path,
+    iter_dir: str,
 ) -> dict[str, Any]:
-    """Serve a batch of analyst data requests into one iteration directory.
+    """Serve a batch of analyst data requests into one iteration directory,
+    ``iter_dir``, given relative to the session root.
 
     Each goes through ``fetches``, the session's memo; a payload the session
     already landed is not written again, and its entry names the file that
@@ -485,7 +485,7 @@ def execute_data_requests(
         name, n = f"{stem}.json", 1
         while name in used_names:
             name, n = f"{stem}_{n}.json", n + 1
-        relpath = (iter_dir / name).relative_to(session.root).as_posix()
+        relpath = f"{iter_dir}/{name}"
         if _land(session, fetches, summary, request, payload, relpath):
             used_names.add(name)
     return summary

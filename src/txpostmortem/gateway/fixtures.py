@@ -8,6 +8,7 @@ request computes its key once, however many layers ask for it.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any
 
@@ -74,7 +75,7 @@ class FixtureStore:
         path = self.path_for(key)
         doc = {"request": request.to_doc(), "payload": payload}
         workspace.write_file(path, workspace.dump_indented(doc))
-        self._paths[key] = path
+        self._paths[key] = os.fspath(path)
         return path
 
 

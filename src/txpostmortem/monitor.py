@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -99,10 +100,9 @@ class Post:
 
 def read_feed(path: str | Path) -> Iterator[Post]:
     """Iterate Post records from a JSON-lines file; malformed lines are fatal."""
-    feed_path = Path(path)
-    if not feed_path.is_file():
-        raise FeedError(f"feed file not found: {feed_path}")
-    with feed_path.open(encoding="utf-8") as handle:
+    if not os.path.isfile(path):
+        raise FeedError(f"feed file not found: {path}")
+    with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
@@ -110,13 +110,13 @@ def read_feed(path: str | Path) -> Iterator[Post]:
             try:
                 doc = json.loads(line)
             except ValueError as exc:
-                raise FeedError(f"{feed_path}:{lineno}: invalid JSON") from exc
+                raise FeedError(f"{path}:{lineno}: invalid JSON") from exc
             if not isinstance(doc, dict):
-                raise FeedError(f"{feed_path}:{lineno}: not a JSON object")
+                raise FeedError(f"{path}:{lineno}: not a JSON object")
             try:
                 yield Post.from_doc(doc)
             except (KeyError, MonitorError) as exc:
-                raise FeedError(f"{feed_path}:{lineno}: {exc}") from exc
+                raise FeedError(f"{path}:{lineno}: {exc}") from exc
 
 
 # --------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def dedupe_and_filter(
 
 @dataclass
 class MonitorOutcome:
-    enqueued: list[Path] = field(default_factory=list)
+    enqueued: list[str] = field(default_factory=list)
     candidates: list[IncidentCandidate] = field(default_factory=list)
     log: list[dict[str, Any]] = field(default_factory=list)
     latencies: list[dict[str, Any]] = field(default_factory=list)
@@ -358,8 +358,7 @@ def run_monitor(
 
     Seeds are written whole (``workspace.write_file``): a killed monitor
     leaves no torn seed under a seed's name, only a dot-named temp file."""
-    queue_path = Path(queue_dir)
-    queue_path.mkdir(parents=True, exist_ok=True)
+    os.makedirs(queue_dir, exist_ok=True)
     accepted, log = dedupe_and_filter(
         posts, adapter, classifier or ScriptedClassifier(), chains
     )
@@ -369,7 +368,7 @@ def run_monitor(
         payload = workspace.raw_input_doc(candidate.seed)
         first_hash = candidate.seed.primary.value
         name = f"incident_{index:04d}_{candidate.seed.chainid}_{first_hash[2:10]}.json"
-        target = queue_path / name
+        target = os.path.join(queue_dir, name)
         workspace.write_file(target, workspace.dump_indented(payload))
         outcome.enqueued.append(target)
         processed_at = datetime.now(timezone.utc)

@@ -360,7 +360,7 @@ class Orchestrator:
         creates it once every fetch has returned, so a batch whose fetches
         raise leaves no directory behind."""
         session = outcome.session
-        iter_dir = session.root / workspace.COLLECTION_DIR / f"iter_{outcome.collection_runs_total}"
+        iter_dir = f"{workspace.COLLECTION_DIR}/iter_{outcome.collection_runs_total}"
         summary = execute_data_requests(session, requests, fetches, iter_dir)
         self._record_collection(outcome, summary)
 
@@ -392,9 +392,7 @@ class Orchestrator:
                     session, f"{workspace.ROOT_CAUSE_STAGE_DIR}/{ROLE_ANALYZER}"
                 )
                 workspace.write_artifact(
-                    session,
-                    iter_dir.relative_to(session.root) / "current_analysis_result.json",
-                    analysis,
+                    session, f"{iter_dir}/current_analysis_result.json", analysis
                 )
                 if analysis["data_requests"]:
                     requests = [DataRequest.from_doc(d) for d in analysis["data_requests"]]
@@ -521,12 +519,11 @@ class Orchestrator:
         session = outcome.session
         reproduction = self._turn(outcome, STAGE_POC, ROLE_REPRODUCER, message)
         # Allocated once the turn returns, as the analyzer's is.
-        iter_dir = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
-        rel = iter_dir.relative_to(session.root)
+        rel = workspace.next_iteration_dir(session, workspace.REPRODUCER_DIR)
         files = reproduction["files"]
         workspace.write_artifact(
             session,
-            rel / "project_manifest.json",
+            f"{rel}/project_manifest.json",
             {"files": sorted(files), "notes": reproduction.get("notes", "")},
         )
         phase, raw = "scaffold", None
@@ -545,7 +542,7 @@ class Orchestrator:
         except harness.HarnessError as exc:
             logger.info("project failed to %s: %s", phase, exc)
             workspace.write_artifact(
-                session, rel / "harness_error.json", {"error": str(exc), "phase": phase}
+                session, f"{rel}/harness_error.json", {"error": str(exc), "phase": phase}
             )
             return None, ["other:project failed to scaffold or launch"]
 
@@ -555,7 +552,7 @@ class Orchestrator:
         results: list[dict[str, Any]] = []
         if raw is not None:
             result = harness.parse_run_output(raw, project.fork_pinned)
-            workspace.write_text_artifact(session, rel / "forge_output.txt", raw)
+            workspace.write_text_artifact(session, f"{rel}/forge_output.txt", raw)
             checks = harness.correctness_checks(result)
             obs_report = harness.extract_observations(raw, expected)
             results = oracles.evaluate_constraints(bound, obs_report.observations)
@@ -569,10 +566,10 @@ class Orchestrator:
             }
         verdict = oracles.engine_verdict(results, rubric, reasons)
         workspace.write_artifact(
-            session, rel / workspace.ENGINE_VERDICT, verdict, schema_id="engine_verdict"
+            session, f"{rel}/{workspace.ENGINE_VERDICT}", verdict, schema_id="engine_verdict"
         )
         if raw is not None:
-            workspace.write_artifact(session, rel / "run_result.json", result)
+            workspace.write_artifact(session, f"{rel}/run_result.json", result)
         if reasons:
             return verdict, reasons
 
@@ -584,7 +581,7 @@ class Orchestrator:
                 {"engine_verdict": verdict, "observations": obs_report.observations}
             ),
         )
-        workspace.write_artifact(session, rel / workspace.POC_VALIDATION, validation)
+        workspace.write_artifact(session, f"{rel}/{workspace.POC_VALIDATION}", validation)
         if validation["overall_status"] == "Pass":
             return verdict, []
         return verdict, _reject_codes(validation.get("reject_reasons", []), POC_REASONS)

@@ -178,7 +178,8 @@ def load_numbered(directories: Sequence[str | Path], suffix: str) -> dict[str, l
                 raise workspace.CorruptArtifact(f"{path}: not a JSON object")
             continue
         try:
-            by_index[index] = path.read_text(encoding="utf-8")
+            with open(path, encoding="utf-8") as handle:
+                by_index[index] = handle.read()
         except ValueError as exc:
             raise workspace.CorruptArtifact(f"{path}: {exc}") from exc
     for stem, by_index in staged.items():

@@ -26,6 +26,17 @@ session root, which was resolved once; when none is a link the path is
 taken as written.  Any other path (absolute, with ``..``, or through a link)
 is resolved in full and refused if it leaves the root.
 
+File names on the hot paths are plain strings, built by ``os.path`` or
+taken from ``os.DirEntry.path``: the fixture and case listings
+(``files_in_chain``) and what reads them, queue seeds, temp files, the
+artifact paths ``resolve_inside`` returns and the writers pass on, and the
+``iter_k`` directories.  CPython's ``pathlib`` interns every component it
+parses, and these names die with their store or session, so each new store
+or session would intern them again, filling the interpreter's table of
+interned strings until it is rebuilt at a larger size.  ``Session.root``
+and the case directories stay ``Path`` objects, made once per session or
+case.
+
 Every schema lives in ``SCHEMAS``, and each document is checked against its
 schema once in a session.  A model-written document (analysis, challenge,
 root cause, oracle definition, reproducer project, validator verdict) is
@@ -577,16 +588,14 @@ def dump_indented(doc: Any) -> str:
 _TEMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 
 
-def write_file(target: Path, data: str | bytes) -> None:
+def write_file(target: str | Path, data: str | bytes) -> None:
     """Write ``data`` (text as UTF-8) to ``target`` whole or not at all.
 
     The temp file ``.<name>.<random hex>.tmp`` beside the target is made new
     (``O_EXCL | O_NOFOLLOW``), so a link at its name is never written
     through, and renamed over the target; on any failure it is removed.
-    Its name is built with ``os.path``: pathlib interns every name it
-    parses, and a random name per write grows the interpreter's table of
-    interned strings.  The parent directories are made only when the first
-    open finds one missing, and the open is tried once more.
+    The parent directories are made only when the first open finds one
+    missing, and the open is tried once more.
     """
     parent, name = os.path.split(target)
     tmp = os.path.join(parent, f".{name}.{os.urandom(8).hex()}.tmp")
@@ -614,11 +623,12 @@ def _schema(schema_id: str) -> Any:
         raise UnknownSchema(f"unknown schema id {schema_id!r}") from None
 
 
-def read_json(path: Path, schema_id: str | None = None) -> Any:
+def read_json(path: str | Path, schema_id: str | None = None) -> Any:
     """The JSON document at ``path``, checked against ``SCHEMAS[schema_id]``
     when a schema id is given."""
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise ArtifactNotFound(f"{path}: no such file") from exc
     except (OSError, ValueError) as exc:
@@ -630,41 +640,41 @@ def read_json(path: Path, schema_id: str | None = None) -> Any:
     return doc
 
 
-def files_in_chain(directories: Sequence[str | Path], suffix: str) -> dict[str, Path]:
-    """The ``<stem><suffix>`` files across a lookup chain of directories, by
-    stem: a file in an earlier directory hides a later one's of the same
-    name.  Only what ``os.DirEntry.is_file`` accepts counts, and a missing
-    directory holds none."""
-    found: dict[str, Path] = {}
+def files_in_chain(directories: Sequence[str | Path], suffix: str) -> dict[str, str]:
+    """The path of each ``<stem><suffix>`` file across a lookup chain of
+    directories, by stem: a file in an earlier directory hides a later
+    one's of the same name.  Only what ``os.DirEntry.is_file`` accepts
+    counts, and a missing directory holds none."""
+    found: dict[str, str] = {}
     for directory in directories:
         try:
             with os.scandir(directory) as entries:
                 for entry in entries:
                     if entry.name.endswith(suffix) and entry.is_file():
-                        found.setdefault(entry.name[: -len(suffix)], Path(directory, entry.name))
+                        found.setdefault(entry.name[: -len(suffix)], entry.path)
         except (FileNotFoundError, NotADirectoryError):
             pass
     return found
 
 
-def resolve_inside(session: Session, relpath: str | Path) -> Path:
+def resolve_inside(session: Session, relpath: str | Path) -> str:
     """Resolve ``relpath`` under the session root, refusing traversal
     outside it.
 
-    The result is ``(root / relpath).resolve()`` on the resolved root, or
-    ``PathEscapeError`` when that lies outside it.  A relative path with no
-    ``..`` part gets there without a full resolve: each of its components
-    below the root is ``lstat``-ed in turn, and when none is a link (a
-    missing one ends the walk, since nothing below it can be a link) the
-    path is the root joined with its parts.  An absolute path, a ``..``
-    part or a link anywhere below the root takes the full resolve.
+    The result is ``(root / relpath).resolve()`` on the resolved root, as a
+    string, or ``PathEscapeError`` when that lies outside it.  A relative
+    path with no ``..`` part gets there without a full resolve: each of its
+    components below the root is ``lstat``-ed in turn, and when none is a
+    link (a missing one ends the walk, since nothing below it can be a
+    link) the path is the root joined with its parts.  An absolute path, a
+    ``..`` part or a link anywhere below the root takes the full resolve.
     """
     root = session.resolved_root
     text = os.fspath(relpath)
     if not text.startswith("/"):
         parts = [part for part in text.split("/") if part and part != "."]
         if ".." not in parts:
-            path = os.fspath(root)
+            base = path = os.fspath(root)
             for part in parts:
                 path += "/" + part
                 try:
@@ -672,13 +682,13 @@ def resolve_inside(session: Session, relpath: str | Path) -> Path:
                         break
                 except OSError:
                     # Missing, or under a file: nothing below is a link.
-                    return root.joinpath(*parts)
+                    return os.path.join(base, *parts)
             else:
-                return root.joinpath(*parts)
+                return os.path.join(base, *parts)
     candidate = (root / relpath).resolve()
     if candidate != root and root not in candidate.parents:
         raise PathEscapeError(f"path escapes session root: {relpath}")
-    return candidate
+    return os.fspath(candidate)
 
 
 def raw_input_doc(seed: SeedRef) -> dict[str, Any]:
@@ -740,8 +750,9 @@ def write_artifact(
     relpath: str | Path,
     doc: Any,
     schema_id: str | None = None,
-) -> Path:
-    """Validate (when a schema id is given) and atomically write a JSON doc."""
+) -> str:
+    """Validate (when a schema id is given) and atomically write a JSON doc;
+    returns its path."""
     if schema_id is not None:
         errors = check_document(doc, _schema(schema_id))
         if errors:
@@ -751,8 +762,9 @@ def write_artifact(
     return target
 
 
-def write_text_artifact(session: Session, relpath: str | Path, text: str) -> Path:
-    """Atomically write a text artifact (reports, project sources)."""
+def write_text_artifact(session: Session, relpath: str | Path, text: str) -> str:
+    """Atomically write a text artifact (reports, project sources); returns
+    its path."""
     target = resolve_inside(session, relpath)
     write_file(target, text)
     return target
@@ -766,22 +778,30 @@ def read_artifact(session: Session, relpath: str | Path, schema_id: str | None =
 _ITER_RE = re.compile(r"^iter_(\d+)$")
 
 
-def iteration_dirs(root: Path, parent: str | Path) -> list[tuple[int, Path]]:
+def iteration_dirs(root: str | Path, parent: str) -> list[tuple[int, str]]:
     """The ``(k, path)`` of each ``iter_k`` directory under ``parent``, a
     directory relative to the session root ``root``, in ``k`` order."""
-    base = root / parent
-    return sorted(
-        (int(m.group(1)), entry)
-        for entry in (base.iterdir() if base.is_dir() else [])
-        if (m := _ITER_RE.match(entry.name)) and entry.is_dir()
-    )
+    try:
+        with os.scandir(os.path.join(root, parent)) as entries:
+            return sorted(
+                (int(m.group(1)), entry.path)
+                for entry in entries
+                if (m := _ITER_RE.match(entry.name)) and entry.is_dir()
+            )
+    except (FileNotFoundError, NotADirectoryError):
+        return []
 
 
-def next_iteration_dir(session: Session, parent: str | Path) -> Path:
+def next_iteration_dir(session: Session, parent: str) -> str:
     """Allocate the next dense ``iter_k`` directory under ``parent``, a
-    directory relative to the session root."""
+    directory relative to the session root; returns its path relative to
+    the root, ``<parent>/iter_k``."""
     existing = iteration_dirs(session.root, parent)
     k = existing[-1][0] + 1 if existing else 0
-    path = session.root / parent / f"iter_{k}"
-    path.mkdir(parents=True, exist_ok=False)
-    return path
+    relpath = f"{parent}/iter_{k}"
+    path = os.path.join(session.root, relpath)
+    try:
+        os.mkdir(path)
+    except FileNotFoundError:
+        os.makedirs(path)
+    return relpath

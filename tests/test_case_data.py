@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from txpostmortem import harness, scenarios
+from txpostmortem import harness, scenarios, workspace
 from txpostmortem.agents import ROLES
 from txpostmortem.gateway import DataRequest, FixtureStore, fixture_key
 
@@ -122,6 +122,25 @@ class TestCaseTree:
         assert found == expected["observations"]
         for line in expected.get("forge_log_lines", []):
             assert line in transcript, line
+
+
+def test_every_tx_metadata_fixture_meets_its_schema():
+    """Each committed ``tx_metadata`` payload, of a bundled case or of an
+    overlay under ``tests/data/cases``, meets ``SCHEMAS["tx_metadata"]``,
+    the schema of what ``LiveAdapter`` builds and of each lookup member."""
+    docs = {
+        path: json.loads(path.read_text(encoding="utf-8"))
+        for cases in (scenarios.CASES_DIR, REPO / "tests" / "data" / "cases")
+        for path in sorted(cases.glob("*/fixtures/*.json"))
+    }
+    payloads = {
+        path.name: doc["payload"]
+        for path, doc in docs.items()
+        if doc["request"]["kind"] == "tx_metadata"
+    }
+    assert len(payloads) == 3
+    for name, payload in payloads.items():
+        assert workspace.check_document(payload, workspace.SCHEMAS["tx_metadata"]) == [], name
 
 
 def _matches(relpath: str, pattern: str) -> bool:

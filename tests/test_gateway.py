@@ -539,7 +539,7 @@ class TestExecuteDataRequests:
         summary = execute_data_requests(session, requests, SessionMemo(_StubAdapter()), iter_dir)
         assert len(summary["fetched"]) == 2
         assert len(summary["failed"]) == 1
-        names = sorted(p.name for p in iter_dir.glob("*.json"))
+        names = sorted(p.name for p in (session.root / iter_dir).glob("*.json"))
         assert len(names) == 2
         assert len(set(names)) == 2
 
@@ -549,7 +549,7 @@ class TestExecuteDataRequests:
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
         raw = (session.root / workspace.RAW_INPUT).read_bytes()
         # Where the orchestrator lands its first analyst batch.
-        iter_dir = session.root / workspace.COLLECTION_DIR / "iter_1"
+        iter_dir = f"{workspace.COLLECTION_DIR}/iter_1"
         named = {"kind": "tx_trace", "chainid": 1, "target": TX, "out_path": "../../../../raw.json"}
         requests = [
             DataRequest.from_doc(named),
@@ -559,7 +559,7 @@ class TestExecuteDataRequests:
         relpaths = [path for entry in summary["fetched"] for path in entry["files"]]
         assert len(relpaths) == 2
         for relpath in relpaths:
-            assert (session.root / relpath).parent == iter_dir
+            assert (session.root / relpath).parent == session.root / iter_dir
             assert (session.root / relpath).is_file()
         assert (session.root / workspace.RAW_INPUT).read_bytes() == raw
         workspace.open_session(session.root)
@@ -571,10 +571,10 @@ class TestExecuteDataRequests:
         memo = SessionMemo(_CountingStub(failures=1))
         held = DataRequest(kind="tx_trace", chainid=1, target=TX)
         failed = DataRequest(kind="tx_metadata", chainid=1, target=TX)
-        first = execute_data_requests(session, [failed], memo, session.root / "a")
+        first = execute_data_requests(session, [failed], memo, "a")
         assert [entry["request"] for entry in first["failed"]] == [failed.to_doc()]
-        second = execute_data_requests(session, [held, held], memo, session.root / "b")
-        third = execute_data_requests(session, [failed, held], memo, session.root / "c")
+        second = execute_data_requests(session, [held, held], memo, "b")
+        third = execute_data_requests(session, [failed, held], memo, "c")
         assert [entry["files"] for entry in second["fetched"] + third["fetched"]] == [
             [f"b/tx_trace_{TX[:24]}.json"],
             [f"b/tx_trace_{TX[:24]}.json"],
@@ -611,7 +611,7 @@ class TestAnswerOrder:
         session = workspace.create_session(tmp_path, SeedRef(chainid=1, txs=(TX,)))
         iter_dir = workspace.next_iteration_dir(session, workspace.ROOT_CAUSE_STAGE_DIR)
         summary = execute_data_requests(session, requests, SessionMemo(adapter), iter_dir)
-        files = {p.name: p.read_bytes() for p in sorted(iter_dir.iterdir())}
+        files = {p.name: p.read_bytes() for p in sorted((session.root / iter_dir).iterdir())}
         return summary, files
 
     def test_data_requests(self, tmp_path):

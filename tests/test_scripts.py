@@ -452,7 +452,7 @@ def test_an_unreadable_verdict_is_not_exported(verdict, prxvt_run, tmp_path, cap
     root = tmp_path / "s" / prxvt_run.session_root.name
     shutil.copytree(prxvt_run.session_root, root)
     (*_, (_, attempt)) = workspace.iteration_dirs(root, workspace.REPRODUCER_DIR)
-    path = attempt / workspace.POC_VALIDATION
+    path = Path(attempt, workspace.POC_VALIDATION)
     path.unlink()
     argv = ["dataset", "export", "--sessions", str(tmp_path / "s"), "--out", str(tmp_path / "out")]
     if verdict is None:

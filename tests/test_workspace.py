@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import json
 import os
+import shutil
 import stat
 import sys
 import threading
@@ -37,7 +38,7 @@ def session(tmp_path):
 class TestResolveInside:
     def test_in_session_path_is_accepted(self, session):
         target = workspace.resolve_inside(session, "artifacts/x/../y.json")
-        assert target == session.root.resolve() / "artifacts" / "y.json"
+        assert target == os.fspath(session.root.resolve() / "artifacts" / "y.json")
         workspace.write_artifact(session, "artifacts/y.json", {"ok": True})
         assert workspace.read_artifact(session, "artifacts/y.json") == {"ok": True}
 
@@ -89,7 +90,7 @@ def _reference_resolve_inside(session: workspace.Session, relpath) -> Path:
 
 def _resolved_or_refused(resolve, session, relpath):
     try:
-        return resolve(session, relpath)
+        return os.fspath(resolve(session, relpath))
     except workspace.PathEscapeError:
         return "refused"
 
@@ -218,7 +219,7 @@ class TestCreateSession:
 
 def _write_session_artifact(root: Path) -> Path:
     session = workspace.open_session(root / "sessions" / "s0")
-    return workspace.write_artifact(session, "artifacts/doc.json", {"n": 1})
+    return Path(workspace.write_artifact(session, "artifacts/doc.json", {"n": 1}))
 
 
 def _write_queue_seed(root: Path) -> Path:
@@ -229,7 +230,7 @@ def _write_queue_seed(root: Path) -> Path:
     )
     adapter = ChainsAdapter({TX: {1}})
     outcome = monitor.run_monitor([post], adapter, root / "queue", chains=(1,))
-    return outcome.enqueued[0]
+    return Path(outcome.enqueued[0])
 
 
 def _write_fixture(root: Path) -> Path:
@@ -441,8 +442,77 @@ class TestIterationDirs:
         (session.root / "stage" / "iter_x").mkdir()
         (session.root / "stage" / "iter_3").write_text("")
         assert [k for k, _ in workspace.iteration_dirs(session.root, "stage")] == [0, 1, 2, 10]
-        assert workspace.next_iteration_dir(session, "stage").name == "iter_11"
+        assert workspace.next_iteration_dir(session, "stage") == "stage/iter_11"
+        assert (session.root / "stage" / "iter_11").is_dir()
 
     def test_a_missing_parent_has_none(self, session):
         assert workspace.iteration_dirs(session.root, "absent") == []
-        assert workspace.next_iteration_dir(session, "absent").name == "iter_0"
+        assert workspace.next_iteration_dir(session, "absent") == "absent/iter_0"
+        assert (session.root / "absent" / "iter_0").is_dir()
+
+
+def _interned_while(monkeypatch: pytest.MonkeyPatch, run) -> list[str]:
+    """The strings passed to ``sys.intern`` while ``run()`` runs: CPython's
+    pathlib interns each component of every path it parses."""
+    interned: list[str] = []
+    intern = sys.intern
+
+    def counting(text: str) -> str:
+        interned.append(text)
+        return intern(text)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "intern", counting)
+        run()
+    return interned
+
+
+class TestPlainStringNames:
+    """Fixture, case and session file names stay plain strings, so a new
+    store or session interns no name per file it lists, reads or writes."""
+
+    def test_a_store_interns_no_name_per_fixture(self, tmp_path, monkeypatch):
+        """Listing a store and loading each fixture interns as many strings
+        for five fixtures as for every fixture of both cases."""
+        sources = {
+            path.name: path
+            for name in sorted(scenarios.CASE_BUILDERS)
+            for path in (scenarios.CASES_DIR / name / "fixtures").iterdir()
+        }
+        requests = {
+            name: DataRequest.from_doc(workspace.read_json(path)["request"])
+            for name, path in sources.items()
+        }
+        counts = {}
+        for label, names in (("few", sorted(sources)[:5]), ("all", sorted(sources))):
+            directory = tmp_path / label
+            directory.mkdir()
+            for name in names:
+                shutil.copyfile(sources[name], directory / name)
+
+            def list_and_load() -> None:
+                store = FixtureStore(directory)
+                for name in names:
+                    store.load(requests[name])
+
+            counts[label] = len(_interned_while(monkeypatch, list_and_load))
+        assert len(sources) > 5
+        assert counts["all"] == counts["few"]
+
+    def test_a_replay_session_keeps_within_its_budget(self, tmp_path, monkeypatch):
+        """A prxvt session, its case read and its orchestrator built,
+        interns few names beyond the components of the directories it was
+        given: its root's and the project's fixed names (18), not one per
+        artifact, fixture or script file (78 or more when either the
+        listings or the artifact paths are ``Path`` objects).  A first
+        session runs untallied, since it also loads the role templates."""
+        bundle = scenarios.open_case("prxvt")
+
+        def replay() -> None:
+            orch = Orchestrator(bundle.backend(), bundle.adapter(), bundle.runner())
+            assert orch.run_postmortem(bundle.seed(), str(tmp_path)).stage == "done"
+
+        replay()
+        given = set(tmp_path.parts) | set(bundle.root.parts)
+        interned = [text for text in _interned_while(monkeypatch, replay) if text not in given]
+        assert len(interned) <= 30, sorted(interned)
