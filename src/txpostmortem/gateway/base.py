@@ -70,10 +70,11 @@ def tx_lookup(chainid: int, txhashes: Sequence[str]) -> DataRequest:
     )
 
 
-def lookup_members(request: DataRequest) -> list[DataRequest]:
-    """The ``tx_metadata`` request of each hash a ``tx_lookup`` names, in
-    its order.  A lookup naming no hashes, or more than ``LOOKUP_BATCH``,
-    or anything but a list of strings, raises ``UnsupportedRequest``."""
+def lookup_hashes(request: DataRequest) -> list[str]:
+    """The hashes a ``tx_lookup`` names, in its order: the one check of a
+    lookup's hash list.  A lookup naming no hashes, or more than
+    ``LOOKUP_BATCH``, or anything but a list of strings, raises
+    ``UnsupportedRequest``."""
     txhashes = request.extra.get("txhashes")
     if (
         not isinstance(txhashes, list)
@@ -83,9 +84,15 @@ def lookup_members(request: DataRequest) -> list[DataRequest]:
         raise UnsupportedRequest(
             f"tx_lookup needs a list of 1 to {LOOKUP_BATCH} hashes in extra['txhashes']"
         )
+    return txhashes
+
+
+def lookup_members(request: DataRequest) -> list[DataRequest]:
+    """The ``tx_metadata`` request of each hash a ``tx_lookup`` names
+    (``lookup_hashes``), in its order."""
     return [
         DataRequest(kind="tx_metadata", chainid=request.chainid, target=txhash)
-        for txhash in txhashes
+        for txhash in lookup_hashes(request)
     ]
 
 
@@ -112,19 +119,21 @@ class ChainAdapter(Protocol):
 
 
 class _Pending:
-    """A key whose first call is still running.
+    """The keys one call is still computing: one key for ``get``, every key
+    a ``get_many`` call claimed.
 
-    ``gate`` is made, held, only when a second caller arrives.  The first
-    caller then leaves its result or failure here and releases the gate,
-    and each waiter releases it again for the next.  With no waiter the
-    outcome is not left here, so a failure ties no traceback to it.
+    ``gate`` is made, held, only when a second caller arrives.  The call
+    then leaves its results by key, or its failure, here and releases the
+    gate, and each waiter releases it again for the next and reads its own
+    key's outcome.  With no waiter the outcome is not left here, so a
+    failure ties no traceback to it.
     """
 
-    __slots__ = ("gate", "result", "error")
+    __slots__ = ("gate", "results", "error")
 
     def __init__(self) -> None:
         self.gate: Optional[threading.Lock] = None
-        self.result: Any = None
+        self.results: Mapping[Hashable, Any] = {}
         self.error: Optional[BaseException] = None
 
 
@@ -141,8 +150,9 @@ class SharedResults:
     With ``maxsize`` the oldest keys are dropped first.  Safe to use from
     several threads at once.
 
-    A key holds its result, or a ``_Pending`` while its first call runs, so
-    a lookup with no one to wait for makes no lock, event or future.
+    A key holds its result, or its call's ``_Pending`` while that call
+    runs, so a lookup with no one to wait for makes no lock, event or
+    future, and a ``get_many`` call makes one ``_Pending`` for all its keys.
     """
 
     def __init__(self, maxsize: Optional[int] = None):
@@ -166,15 +176,16 @@ class SharedResults:
             entry.gate.release()
             if entry.error is not None:
                 raise entry.error
-            if entry.result is not _ABSENT:
-                return entry.result
+            result = entry.results.get(key, _ABSENT)
+            if result is not _ABSENT:
+                return result
             # A ``get_many`` call did not find the key: ask again.
         try:
             result = compute()
         except BaseException as exc:
-            self._settle(key, pending, None, exc)
+            self._settle(pending, (key,), {}, exc)
             raise
-        self._settle(key, pending, result, None)
+        self._settle(pending, (key,), {key: result}, None)
         return result
 
     def get_many(
@@ -193,35 +204,36 @@ class SharedResults:
         on, and counts as found only if that caller found it.
         """
         found: dict[Hashable, T] = {}
-        claimed: dict[Hashable, _Pending] = {}
+        claimed: list[Hashable] = []
         held: dict[Hashable, _Pending] = {}
+        pending = _Pending()
         with self._lock:
+            entries = self._entries
             for key in keys:
-                entry = self._entries.get(key, _ABSENT)
+                entry = entries.get(key, _ABSENT)
                 if entry is _ABSENT:
-                    claimed[key] = self._entries[key] = _Pending()
+                    entries[key] = pending
+                    claimed.append(key)
+                elif entry is pending:
+                    pass  # named twice
                 elif type(entry) is not _Pending:
                     found[key] = entry
-                elif key not in claimed:
+                else:
                     held[key] = self._bind(entry)
             self._trim()
         if claimed:
             try:
-                results = compute(list(claimed))
+                results = compute(claimed)
             except BaseException as exc:
-                for key, pending in claimed.items():
-                    self._settle(key, pending, None, exc)
+                self._settle(pending, claimed, {}, exc)
                 raise
-            for key, pending in claimed.items():
-                result = results.get(key, _ABSENT)
-                self._settle(key, pending, result, None)
-                if result is not _ABSENT:
-                    found[key] = result
-        for key, pending in held.items():
-            pending.gate.acquire()
-            pending.gate.release()
-            if pending.error is None and pending.result is not _ABSENT:
-                found[key] = pending.result
+            self._settle(pending, claimed, results, None)
+            found.update((key, results[key]) for key in claimed if key in results)
+        for key, entry in held.items():
+            entry.gate.acquire()
+            entry.gate.release()
+            if entry.error is None and (result := entry.results.get(key, _ABSENT)) is not _ABSENT:
+                found[key] = result
         return found
 
     def _bind(self, entry: _Pending) -> _Pending:
@@ -237,20 +249,28 @@ class SharedResults:
             self._entries.popitem(last=False)
 
     def _settle(
-        self, key: Hashable, pending: _Pending, result: Any, error: Optional[BaseException]
+        self,
+        pending: _Pending,
+        keys: Sequence[Hashable],
+        results: Mapping[Hashable, Any],
+        error: Optional[BaseException],
     ) -> None:
-        """Replace ``pending`` by its result, or drop it on failure or when
-        the result is ``_ABSENT`` (not found), then let its waiters read the
-        outcome.  Once ``pending`` has left the table no caller can make a
-        gate for it, so ``gate`` is final here."""
+        """In one pass under the lock, replace each of ``keys`` that still
+        holds ``pending`` by its result in ``results``, or drop it on
+        failure or when ``results`` has none for it (not found); then let
+        the waiters read the outcome.  Once ``pending`` has left the table
+        no caller can make a gate for it, so ``gate`` is final here."""
         with self._lock:
-            if self._entries.get(key) is pending:
-                if error is None and result is not _ABSENT:
-                    self._entries[key] = result
-                else:
-                    del self._entries[key]
+            entries = self._entries
+            for key in keys:
+                if entries.get(key) is pending:
+                    result = results.get(key, _ABSENT)
+                    if error is None and result is not _ABSENT:
+                        entries[key] = result
+                    else:
+                        del entries[key]
         if pending.gate is not None:
-            pending.result, pending.error = result, error
+            pending.results, pending.error = results, error
             pending.gate.release()
 
 

@@ -21,8 +21,9 @@ request order, so a batch lands the same bytes however its answers
 interleave.
 
 A session fetches and lands through one ``SessionMemo``: a request it
-repeats is answered from the payload it already holds and writes nothing,
-and its summary entry names the file that holds it.  Outside a session,
+repeats (the same ``DataRequest.identity``) is answered from the payload it
+already holds and writes nothing, and its summary entry names the file
+that holds it.  Outside a session,
 ``adapter_memo`` gives a ``SessionMemo`` whose payloads belong to the
 adapter object itself and are dropped with it: the monitor's probe wave
 fetches through it, keeping each transaction a lookup found as its
@@ -47,11 +48,10 @@ from .base import (
     ChainAdapter,
     GatewayError,
     SharedResults,
-    lookup_members,
+    lookup_hashes,
     tx_lookup,
 )
-from .fixtures import fixture_key
-from .types import DataRequest, TraceNode
+from .types import DataRequest, Identity, TraceNode, metadata_identities
 
 logger = logging.getLogger(__name__)
 
@@ -218,49 +218,50 @@ def fetch_many(
 class SessionMemo:
     """A ``ChainAdapter`` that fetches each request once per session.
 
-    It keeps every successful payload by ``fixture_key`` for as long as it
-    lives, one postmortem session, and hands the same payload to every later
-    request for that key; a request made while the first is in flight waits
-    for it.  A failure is not kept, so a later batch asks the adapter again.
-    Given ``payloads``, it keeps them there, as ``adapter_memo`` does with its
-    adapter's table.  ``landed`` holds the file each payload first landed in.
+    It keeps every successful payload by the request's ``identity`` for as
+    long as it lives, one postmortem session, and hands the same payload to
+    every later request with that identity; a request made while the first
+    is in flight waits for it.  A failure is not kept, so a later batch asks
+    the adapter again.  Given ``payloads``, it keeps them there, as
+    ``adapter_memo`` does with its adapter's table.  ``landed`` holds the
+    file each payload first landed in, by identity.  The memo hashes no
+    request: ``fixture_key`` only names fixture files.
 
-    A ``tx_lookup`` is memoised per member, under the key of the member's
-    ``tx_metadata`` request: the members it neither holds nor waits on go
-    to the adapter as one lookup, each found one is kept as that request's
-    payload, and a member not found is not kept.
+    A ``tx_lookup`` is memoised per member, under the identity of the
+    member's ``tx_metadata`` request, built from the hash list itself: the
+    members it neither holds nor waits on go to the adapter as one lookup,
+    each found one is kept as that request's payload, and a member not
+    found is not kept.
     """
 
     def __init__(self, adapter: ChainAdapter, payloads: SharedResults | None = None):
         self.adapter = adapter
         self._payloads = SharedResults() if payloads is None else payloads
-        self.landed: dict[str, str] = {}
+        self.landed: dict[Identity, str] = {}
 
     def fetch(self, request: DataRequest) -> dict[str, Any]:
         if request.kind == "tx_lookup":
             return self._lookup(request)
-        return self._payloads.get(fixture_key(request), lambda: self.adapter.fetch(request))
+        return self._payloads.get(request.identity, lambda: self.adapter.fetch(request))
 
     def _lookup(self, request: DataRequest) -> dict[str, Any]:
-        members = {fixture_key(member): member for member in lookup_members(request)}
+        txhashes = lookup_hashes(request)
+        # Each member's hash by its identity, whose ``[2]`` is the hash
+        # normalized, as a lookup's payload keys it.
+        members = metadata_identities(request.chainid, txhashes)
 
-        def compute(keys: list[str]) -> dict[str, dict[str, Any]]:
-            asked = tx_lookup(request.chainid, [members[key].target for key in keys])
+        def compute(keys: list[Identity]) -> dict[Identity, dict[str, Any]]:
+            # Every hash claimed, none twice: the adapter gets the request itself.
+            asked = (
+                request
+                if len(keys) == len(txhashes)
+                else tx_lookup(request.chainid, [members[key] for key in keys])
+            )
             found = self.adapter.fetch(asked)["found"]
-            return {
-                key: found[hashed]
-                for key in keys
-                if (hashed := members[key].normalized_target()) in found
-            }
+            return {key: found[key[2]] for key in keys if key[2] in found}
 
         kept = self._payloads.get_many(list(members), compute)
-        return {
-            "found": {
-                member.normalized_target(): kept[key]
-                for key, member in members.items()
-                if key in kept
-            }
-        }
+        return {"found": {key[2]: kept[key] for key in members if key in kept}}
 
 
 #: Payloads by adapter, for ``adapter_memo``.  A value must not refer to its
@@ -272,8 +273,9 @@ _ADAPTER_PAYLOADS_LOCK = threading.Lock()
 def adapter_memo(adapter: ChainAdapter) -> SessionMemo:
     """A ``SessionMemo`` over ``adapter`` whose payloads live as long as it.
 
-    Every memo made for one adapter object shares one table, which is
-    dropped with the adapter.  A ``SessionMemo`` is returned unchanged, so
+    Every memo made for one adapter object shares one table, keyed by
+    request identity as every ``SessionMemo`` is, which is dropped with the
+    adapter.  A ``SessionMemo`` is returned unchanged, so
     code running inside a session fetches through the session's memo.  Use
     it only for data that cannot change once it exists, such as what a
     transaction hash addresses.
@@ -314,7 +316,7 @@ def _land(
     """List ``request`` as fetched in ``summary`` with the file that holds its
     payload: where the session first landed it, or else ``relpath``, written
     now.  Returns whether it wrote ``relpath``."""
-    key = fixture_key(request)
+    key = request.identity
     wrote = key not in fetches.landed
     if wrote:
         workspace.write_artifact(session, relpath, payload)

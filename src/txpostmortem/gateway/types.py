@@ -10,13 +10,42 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ..domain import Address, TxHash, sha256
 
 #: Encodes a request's identity for its key; made once, where ``json.dumps``
 #: with these options would build an encoder per call.
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+#: What a request is, as ``DataRequest.identity`` gives it: kind, chain id,
+#: normalized target, block window and canonical ``extra``.
+Identity = tuple[str, Any, str, Any, Any, str]
+
+
+def normalize_target(target: str) -> str:
+    """``target`` stripped, with a ``0x`` hex string lowercased."""
+    target = target.strip()
+    if target[:2] in ("0x", "0X"):
+        return "0x" + target[2:].lower()
+    return target
+
+
+def _exact(value: Any) -> Any:
+    """``value`` if it is an int or None, else its JSON text: ``==`` takes
+    ``1``, ``1.0`` and ``True`` as one value, which the key writes apart."""
+    return value if value is None or type(value) is int else _KEY_ENCODER.encode(value)
+
+
+def metadata_identities(chainid: int, txhashes: Iterable[str]) -> dict[Identity, str]:
+    """Each hash by the identity of its ``tx_metadata`` request on chain
+    ``chainid``, as ``DataRequest.identity`` gives it, with no request made;
+    an identity's third field is the hash normalized."""
+    chain = _exact(chainid)
+    return {
+        ("tx_metadata", chain, normalize_target(txhash), None, None, "{}"): txhash
+        for txhash in txhashes
+    }
 
 
 @dataclass(frozen=True)
@@ -33,8 +62,26 @@ class DataRequest:
     _key: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
+    def identity(self) -> Identity:
+        """What this request asks for, as a tuple: kind, chain id, normalized
+        target, block window and ``extra`` as canonical JSON, but not
+        ``reason``.  These are the fields ``key`` hashes, and two requests
+        have equal identities exactly when they have equal keys, so memos
+        key by it and hash nothing.  A request whose ``extra`` is not JSON
+        fails here, at fetch time, every time."""
+        return (
+            self.kind,
+            _exact(self.chainid),
+            self.normalized_target(),
+            _exact(self.block_lo),
+            _exact(self.block_hi),
+            _KEY_ENCODER.encode(self.extra),
+        )
+
+    @property
     def key(self) -> str:
-        """Stable content key, independent of ``reason``.
+        """Stable content key, independent of ``reason``: the name of the
+        request's fixture file.
 
         Hashed over the semantic fields (kind, chain, normalized target,
         block window, extras) by the first caller and kept on the request,
@@ -58,10 +105,7 @@ class DataRequest:
         return self._key
 
     def normalized_target(self) -> str:
-        target = self.target.strip()
-        if target[:2] in ("0x", "0X"):
-            return "0x" + target[2:].lower()
-        return target
+        return normalize_target(self.target)
 
     def to_doc(self) -> dict[str, Any]:
         doc: dict[str, Any] = {

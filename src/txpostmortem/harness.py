@@ -333,13 +333,27 @@ def solidity_sources(project_root: Path) -> list[tuple[str, str]]:
     return sources
 
 
+#: A number literal written with ``_`` separators, in a lowercased line; a
+#: digit run inside an identifier (``v_1_0``, ``_1_0``) is not one.
+_SEPARATED_NUMBER = re.compile(r"(?<![\w$])(?:0x[0-9a-f]+(?:_+[0-9a-f]+)+|[0-9]+(?:_+[0-9]+)+)")
+
+
+def _join_separated_numbers(line: str) -> str:
+    """``line`` with the ``_`` separators taken out of its number literals."""
+    if "_" not in line:
+        return line
+    return _SEPARATED_NUMBER.sub(lambda match: match.group().replace("_", ""), line)
+
+
 def scan_for_addresses(
     sources: list[tuple[str, str]], needles: Iterable[str]
 ) -> list[tuple[str, str, int]]:
     """Find needles (addresses or other literals) in the code of sources
-    (``code_of``), ignoring case.  An address also hits, as a whole literal,
-    in its decimal ``uint160`` form, in hex with its leading zeros dropped
-    and as ``hex"<its 40 digits>"``.
+    (``code_of``), ignoring case and the ``_`` separators of number
+    literals.  An address also hits, as a whole literal, in its decimal
+    ``uint160`` form, in hex with its leading zeros dropped and as
+    ``hex"<its 40 digits>"`` or ``hex'<its 40 digits>'``.  An address built
+    at run time is not found.
 
     Returns one (file, needle, line) per occurrence, in file, line and
     column order; needles are reported lowercased.
@@ -347,7 +361,12 @@ def scan_for_addresses(
     forms = {n: n for n in {n.lower() for n in needles if n}}
     for needle in [n for n in forms if re.fullmatch("0x[0-9a-f]{40}", n)]:
         digits = needle[2:]
-        for form in (str(int(digits, 16)), "0x" + (digits.lstrip("0") or "0"), f'hex"{digits}"'):
+        for form in (
+            str(int(digits, 16)),
+            "0x" + (digits.lstrip("0") or "0"),
+            f'hex"{digits}"',
+            f"hex'{digits}'",
+        ):
             forms.setdefault(form, needle)
     if not forms:
         return []
@@ -361,5 +380,5 @@ def scan_for_addresses(
         (rel, forms[match.group()], line_no)
         for rel, text in sources
         for line_no, line in enumerate(code_of(text).splitlines(), 1)
-        for match in pattern.finditer(line.lower())
+        for match in pattern.finditer(_join_separated_numbers(line.lower()))
     ]

@@ -11,13 +11,16 @@ one ``tx_lookup`` per chain that asks it about every distinct hash at once
 lookup with one JSON-RPC batch, so the wave costs one round trip and, for
 a feed of up to ``LOOKUP_BATCH`` hashes, runs as one lane per chain on the
 shared fetch pool: ``len(SUPPORTED_CHAINS)`` lanes, the calling thread
-running one of them, whatever the number of hashes.  A hash that several
-posts repeat is asked about once.  The wave fetches through
+running one of them, whatever the number of hashes.  The lanes' own work
+runs one at a time under the GIL, so it is kept to constant work per
+(chain, hash): no request object, hash or exception per member.  A hash
+that several posts repeat is asked about once.  The wave fetches through
 ``adapter_memo``, which keeps each member a lookup found as the payload of
-its ``tx_metadata`` request for as long as the adapter lives: mining a
-seed's lifecycle afterwards reads the seed's metadata from memory, and a
-later wave asks no chain again about a hash it found there.  A member that
-was not found is not kept, so the next feed asks again.
+its ``tx_metadata`` request, keyed by that request's identity, for as long
+as the adapter lives: mining a seed's lifecycle afterwards reads the
+seed's metadata from memory, and a later wave asks no chain again about a
+hash it found there.  A member that was not found is not kept, so the
+next feed asks again.
 """
 
 from __future__ import annotations
@@ -152,10 +155,14 @@ def resolve_chains(
     adapter's life as its ``tx_metadata`` payload, as a transaction hash
     addresses data that does not change once mined: a later wave on the
     same adapter asks no chain about it again, and
-    ``lifecycle.mine_lifecycle`` reads it from there.  Misses are not kept
-    and are asked about again by the next call.  A lookup that fails, such
-    as one whose node does not answer or refuses the batch, finds nothing
-    on its chain and is logged as a warning naming the chain.
+    ``lifecycle.mine_lifecycle`` reads it from there.  The memo keys each
+    member by its request's identity, built from the hash list, and hashes
+    none; ``fixture_key`` only names fixture files, so a ``ReplayAdapter``
+    hashes a member only on a chain whose store holds ``tx_metadata``
+    fixtures.  Misses are not kept and are asked about again by the next
+    call.  A lookup that fails, such as one whose node does not answer or
+    refuses the batch, finds nothing on its chain and is logged as a
+    warning naming the chain.
 
     Returns, for each distinct hash in first-appearance order and keyed by
     its value, the chains that have it, in probe order: none, one, or

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 from conftest import ChainsAdapter, PeakAdapter
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from txpostmortem import transport, workspace
@@ -59,6 +59,7 @@ from txpostmortem.gateway import types as gateway_types
 from txpostmortem.gateway.live import LiveAdapter, disassemble
 from txpostmortem.gateway.types import DataRequest, TxRecord
 from txpostmortem.lifecycle import DEFAULT_WINDOW, ParticipantSet, mine_lifecycle
+from txpostmortem.monitor import resolve_chains
 from txpostmortem.scenarios import (
     VAL_CHAIN,
     VAL_EOA,
@@ -152,6 +153,46 @@ class TestFixtureKey:
         blob = json.dumps(identity, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         assert request.key == f"{kind}_{chainid}_{digest}"
+
+
+#: One request's fields, drawn from few values so that two draws often
+#: agree, and with the values ``==`` takes as one that JSON writes apart.
+_TARGET_SPELLINGS = st.builds(
+    lambda target, upper, prefix, pad: pad + prefix + (str.upper if upper else str)(target[2:]) + pad,
+    st.sampled_from([TX, "0x" + "ef" * 32, ADDR]),
+    st.booleans(),
+    st.sampled_from(["0x", "0X"]),
+    st.sampled_from(["", " ", "\t"]),
+)
+_NEAR_BOUNDS = st.none() | st.sampled_from([0, 1, True, False, 0.0, -0.0, 1.0])
+_REQUESTS = st.builds(
+    DataRequest,
+    kind=st.sampled_from(["tx_metadata", "tx_trace"]),
+    chainid=st.sampled_from([1, 8453, True, 1.0]),
+    target=_TARGET_SPELLINGS,
+    block_lo=_NEAR_BOUNDS,
+    block_hi=_NEAR_BOUNDS,
+    reason=st.sampled_from(["", "why"]),
+    extra=st.dictionaries(
+        st.sampled_from(["slot", "block"]), st.sampled_from([0, 0.0, False, "0", None]), max_size=2
+    ),
+)
+
+
+class TestRequestIdentity:
+    """Memos key a request by ``identity``, and fixture files by ``key``:
+    the two must tell the same requests apart."""
+
+    @given(first=_REQUESTS, second=_REQUESTS)
+    @example(first=_request(block_lo=1), second=_request(block_lo=2))
+    @example(first=_request(block_lo=1), second=_request(block_lo=True))
+    @example(first=_request(extra={"slot": 0}), second=_request(extra={"slot": 0.0}))
+    def test_equal_identities_exactly_when_equal_keys(self, first, second):
+        assert (first.identity == second.identity) == (first.key == second.key)
+
+    def test_the_identity_leaves_out_the_reason_and_hashes_nothing(self, monkeypatch):
+        monkeypatch.setattr(gateway_types, "sha256", None)
+        assert _request(reason="why").identity == _request(target=f" {TX.upper()} ").identity
 
 
 class TestFixtureStore:
@@ -328,6 +369,16 @@ class TestRecordReplayClosure:
         assert replay.fetch(lookup) == {"found": {TX: {"txhash": TX, "block_number": 7}}}
         assert [p.name for p in tmp_path.iterdir()] == [f"{fixture_key(metadata)}.json"]
 
+    def test_a_save_on_a_new_chain_is_found_by_the_next_lookup(self, tmp_path):
+        store = FixtureStore(tmp_path)
+        replay = ReplayAdapter(store)
+        # A fixture of another kind on the chain holds no transaction.
+        store.save(_request(chainid=10), {"root": {}})
+        assert replay.fetch(tx_lookup(10, [TX])) == {"found": {}}
+        store.save(DataRequest(kind="tx_metadata", chainid=10, target=TX), {"txhash": TX})
+        assert replay.fetch(tx_lookup(10, [TX])) == {"found": {TX: {"txhash": TX}}}
+        assert replay.fetch(tx_lookup(1, [TX])) == {"found": {}}
+
     def test_a_lookup_is_not_a_kind_a_model_may_request(self):
         assert "tx_lookup" not in workspace.DATA_REQUEST_KINDS
 
@@ -335,12 +386,23 @@ class TestRecordReplayClosure:
         "txhashes", [[], [TX] * (LOOKUP_BATCH + 1), TX, [TX, 7]],
         ids=["none", "too-many", "not-a-list", "not-a-string"],
     )
-    def test_a_malformed_lookup_is_refused(self, txhashes):
+    def test_a_malformed_lookup_is_refused(self, tmp_path, txhashes):
+        """By the one check, whichever adapter or memo is asked first."""
         request = DataRequest(kind="tx_lookup", chainid=1, target="", extra={"txhashes": txhashes})
         with pytest.raises(UnsupportedRequest, match="tx_lookup"):
             lookup_members(request)
-        [refused] = fetch_many(LiveAdapter(env={}, rpc_map={1: "http://node"}), [request])
-        assert isinstance(refused, UnsupportedRequest)
+        store = FixtureStore(tmp_path)
+        store.save(DataRequest(kind="tx_metadata", chainid=1, target=TX), {"txhash": TX})
+        adapters = [
+            LiveAdapter(env={}, rpc_map={1: "http://node"}),
+            ReplayAdapter(store),
+            ReplayAdapter(FixtureStore(tmp_path / "empty")),
+            SessionMemo(_StubAdapter()),
+        ]
+        for adapter in adapters:
+            [refused] = fetch_many(adapter, [request])
+            assert isinstance(refused, UnsupportedRequest), adapter
+            assert "tx_lookup" in str(refused)
 
 
 class TestRequestTypes:
@@ -948,6 +1010,38 @@ class TestSharedResultsMany:
         assert got == ["mine"]
         assert results.get("k", lambda: "not asked") == "mine"
 
+    def test_each_waiter_reads_its_own_keys_outcome(self):
+        """One call settles all its keys at once; a waiter on each reads
+        that key's result, or computes it when the call did not find it."""
+        results = SharedResults()
+        release, first, first_got = self._hold(results, ["a", "b", "c"], {"b": "B"})
+        bound = []
+        bind = results._bind
+
+        def counting_bind(entry):
+            bound.append(entry)
+            return bind(entry)
+
+        # The call's three keys share one gate; a waiter is bound to the
+        # call once it has passed through ``_bind``.
+        results._bind = counting_bind
+        got = {}
+        waiters = [
+            threading.Thread(target=lambda key=key: got.update({key: results.get(key, key.upper)}))
+            for key in "abc"
+        ]
+        for waiter in waiters:
+            waiter.start()
+        while len(bound) < 3:
+            time.sleep(0.001)
+        release.set()
+        for thread in (first, *waiters):
+            thread.join(5)
+        assert not first.is_alive() and not any(w.is_alive() for w in waiters)
+        assert first_got == [{"b": "B"}]
+        assert got == {"a": "A", "b": "B", "c": "C"}
+        assert results.get_many(["a", "b", "c"], lambda keys: {}) == got
+
     def test_a_failed_compute_fails_its_claimed_keys_only(self):
         results = SharedResults()
         results.get("kept", lambda: "K")
@@ -1019,6 +1113,39 @@ class TestOneKeyPerRequest:
             assert sorted(p.stem for p in tmp_path.iterdir()) == sorted(
                 [fixture_key(hit), fixture_key(miss)]
             )
+
+    @pytest.mark.parametrize("n", [1, 5, LOOKUP_BATCH + 1])
+    def test_a_wave_hashes_only_members_on_chains_holding_metadata(
+        self, tmp_path, monkeypatch, n
+    ):
+        """Across ``n`` distinct hashes on every chain, a member is hashed,
+        once, only to name its file on a chain whose store holds a
+        ``tx_metadata`` fixture; a chain holding another kind hashes none,
+        and the memo hashes nothing, in the first wave or the next."""
+        txhashes = [TxHash("0x" + f"{k + 1:064x}") for k in range(n)]
+        store = FixtureStore(tmp_path)
+        for chainid in (1, 8453):
+            store.save(
+                DataRequest(kind="tx_metadata", chainid=chainid, target=txhashes[-1].value),
+                {"txhash": txhashes[-1].value},
+            )
+        store.save(DataRequest(kind="tx_trace", chainid=10, target=txhashes[0].value), {})
+        hashes = []
+        sha256 = gateway_types.sha256
+
+        def counting_sha256(*args):
+            hashes.append(args)
+            return sha256(*args)
+
+        monkeypatch.setattr(gateway_types, "sha256", counting_sha256)
+        adapter = ReplayAdapter(store)
+        answer = resolve_chains(txhashes, adapter)
+        assert answer[txhashes[-1].value] == [1, 8453]
+        assert all(answer[tx.value] == [] for tx in txhashes[:-1])
+        assert len(hashes) == 2 * n
+        # The found members are kept, so the next wave hashes only the misses.
+        assert resolve_chains(txhashes, adapter) == answer
+        assert len(hashes) == 2 * n + 2 * (n - 1)
 
     def test_an_unserialisable_extra_fails_at_fetch_time(self, tmp_path):
         request = _request(extra={"slot": object()})

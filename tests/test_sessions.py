@@ -1205,6 +1205,21 @@ class TestSourceScan:
         sources = [("a.sol", "a = 420; b = 142; c = 0x2ab; d = x42; e = uint160(42);\n42;\n")]
         assert scan_for_addresses(sources, {needle}) == [("a.sol", needle, 1), ("a.sol", needle, 2)]
 
+    def test_separators_are_taken_out_of_number_literals_only(self):
+        """``4_2`` and ``0x2_a`` are the number 42; ``_4_2`` and ``v_4_2``
+        are identifiers, where an ``_`` is kept."""
+        needle = "0x" + "00" * 19 + "2a"
+        sources = [("a.sol", "uint _4_2 = v_4_2 + $4_2;\nx = 4_2;\ny = 0x2_a;\n")]
+        assert scan_for_addresses(sources, {needle}) == [("a.sol", needle, 2), ("a.sol", needle, 3)]
+        # A plain needle hits anywhere in the code, so only the kept ``_``
+        # keeps it out of the identifiers.
+        assert scan_for_addresses(sources, {"42"}) == [("a.sol", "42", 2)]
+
+    def test_a_single_quoted_hex_string_hits(self):
+        needle = "0x" + "ab" * 20
+        sources = [("a.sol", f"address a = address(bytes20(hex'{'AB' * 20}'));\n")]
+        assert scan_for_addresses(sources, {needle}) == [("a.sol", needle, 1)]
+
     #: Each form an address may take in Solidity source.
     _FORMS = {
         "lower-case": lambda value, mask: f"0x{value:040x}",
@@ -1215,6 +1230,9 @@ class TestSourceScan:
         "zero-stripped": lambda value, mask: hex(value),
         "decimal": lambda value, mask: f"address(uint160({value}))",
         "hex-string": lambda value, mask: f'hex"{value:040x}"',
+        "hex-string-single-quoted": lambda value, mask: f"hex'{value:040x}'",
+        "separated-decimal": lambda value, mask: f"address(uint160({value:_d}))",
+        "separated-hex": lambda value, mask: f"address(uint160({value:#_x}))",
         "quoted": lambda value, mask: f'vm.parseAddress("0x{value:040x}")',
     }
 
