@@ -13,7 +13,7 @@ import string
 import threading
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Hashable, Mapping, Optional, Protocol, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Iterable, Mapping, Optional, Protocol, TypeVar
 
 from .. import workspace
 from ..domain import UnsupportedChain, validate_chain
@@ -60,7 +60,7 @@ class BootstrapError(GatewayError):
 LOOKUP_BATCH = 100
 
 
-def tx_lookup(chainid: int, txhashes: Sequence[str]) -> DataRequest:
+def tx_lookup(chainid: int, txhashes: Iterable[str]) -> DataRequest:
     """One request asking chain ``chainid`` about each of ``txhashes``, at
     most ``LOOKUP_BATCH`` of them.  Its payload is ``{"found": {<hash>:
     <tx_metadata payload>}}``, keyed by each found hash's normalised form;
@@ -119,21 +119,21 @@ class ChainAdapter(Protocol):
 
 
 class _Pending:
-    """The keys one call is still computing: one key for ``get``, every key
-    a ``get_many`` call claimed.
+    """A key's ``get`` call still in flight, the one thing a caller waits
+    on: ``kept`` and ``keep`` pass over it.
 
     ``gate`` is made, held, only when a second caller arrives.  The call
-    then leaves its results by key, or its failure, here and releases the
-    gate, and each waiter releases it again for the next and reads its own
-    key's outcome.  With no waiter the outcome is not left here, so a
-    failure ties no traceback to it.
+    then leaves its result, or its failure, here and releases the gate, and
+    each waiter releases it again for the next and reads the outcome.  With
+    no waiter the outcome is not left here, so a failure ties no traceback
+    to it.
     """
 
-    __slots__ = ("gate", "results", "error")
+    __slots__ = ("gate", "result", "error")
 
     def __init__(self) -> None:
         self.gate: Optional[threading.Lock] = None
-        self.results: Mapping[Hashable, Any] = {}
+        self.result: Any = None
         self.error: Optional[BaseException] = None
 
 
@@ -143,16 +143,17 @@ _ABSENT = object()
 class SharedResults:
     """Results by key, each computed once by its first caller.
 
-    Callers that ask for a key while its first call is running wait on that
-    call.  A failure goes to the callers already waiting and is not kept, so
-    the next caller computes again.  ``get_many`` computes many keys in one
-    call, and drops a key that call did not find as it drops a failure.
-    With ``maxsize`` the oldest keys are dropped first.  Safe to use from
-    several threads at once.
+    ``get`` is the one waiting rule: a caller that asks for a key while its
+    first call is running waits on that call.  A failure goes to the
+    callers already waiting and is not kept, so the next caller computes
+    again.  ``kept`` and ``keep`` read and add results computed elsewhere
+    and never wait: a ``tx_lookup`` keeps its members so, as the wave that
+    sends it names each (chain, hash) once.  With ``maxsize`` the oldest
+    keys are dropped first.  Safe to use from several threads at once.
 
     A key holds its result, or its call's ``_Pending`` while that call
     runs, so a lookup with no one to wait for makes no lock, event or
-    future, and a ``get_many`` call makes one ``_Pending`` for all its keys.
+    future.
     """
 
     def __init__(self, maxsize: Optional[int] = None):
@@ -161,87 +162,52 @@ class SharedResults:
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], T]) -> T:
-        while True:
-            with self._lock:
-                entry = self._entries.get(key, _ABSENT)
-                if entry is _ABSENT:
-                    pending = self._entries[key] = _Pending()
-                    self._trim()
-                    break
-                if type(entry) is not _Pending:
-                    return entry
-                self._bind(entry)
-            # Made before the lock was let go, so the first caller sees it.
+        with self._lock:
+            entry = self._entries.get(key, _ABSENT)
+            if entry is _ABSENT:
+                pending = self._entries[key] = _Pending()
+                self._trim()
+            elif type(entry) is not _Pending:
+                return entry
+            elif entry.gate is None:
+                # Made before the lock is let go, so the first caller sees it.
+                entry.gate = threading.Lock()
+                entry.gate.acquire()
+        if entry is not _ABSENT:
             entry.gate.acquire()
             entry.gate.release()
             if entry.error is not None:
                 raise entry.error
-            result = entry.results.get(key, _ABSENT)
-            if result is not _ABSENT:
-                return result
-            # A ``get_many`` call did not find the key: ask again.
+            return entry.result
         try:
             result = compute()
         except BaseException as exc:
-            self._settle(pending, (key,), {}, exc)
+            self._settle(key, pending, None, exc)
             raise
-        self._settle(pending, (key,), {key: result}, None)
+        self._settle(key, pending, result, None)
         return result
 
-    def get_many(
-        self,
-        keys: Sequence[Hashable],
-        compute: Callable[[list[Hashable]], Mapping[Hashable, T]],
-    ) -> dict[Hashable, T]:
-        """The results found for ``keys``, by key.
-
-        One pass under the lock claims each key that is neither kept nor
-        in flight, and ``compute(claimed)`` answers them in one call with
-        the result of each key it found.  A found key is kept; one it did
-        not find is dropped, and the next caller computes it again.  If
-        ``compute`` raises, each claimed key fails as in ``get`` and the
-        error propagates.  A key another caller is computing is then waited
-        on, and counts as found only if that caller found it.
-        """
-        found: dict[Hashable, T] = {}
-        claimed: list[Hashable] = []
-        held: dict[Hashable, _Pending] = {}
-        pending = _Pending()
+    def kept(self, keys: Iterable[Hashable]) -> dict[Hashable, Any]:
+        """The results kept for ``keys``, by key, in one pass under the lock;
+        a key whose call is still in flight is left out, not waited on."""
         with self._lock:
             entries = self._entries
-            for key in keys:
-                entry = entries.get(key, _ABSENT)
-                if entry is _ABSENT:
-                    entries[key] = pending
-                    claimed.append(key)
-                elif entry is pending:
-                    pass  # named twice
-                elif type(entry) is not _Pending:
-                    found[key] = entry
-                else:
-                    held[key] = self._bind(entry)
-            self._trim()
-        if claimed:
-            try:
-                results = compute(claimed)
-            except BaseException as exc:
-                self._settle(pending, claimed, {}, exc)
-                raise
-            self._settle(pending, claimed, results, None)
-            found.update((key, results[key]) for key in claimed if key in results)
-        for key, entry in held.items():
-            entry.gate.acquire()
-            entry.gate.release()
-            if entry.error is None and (result := entry.results.get(key, _ABSENT)) is not _ABSENT:
-                found[key] = result
-        return found
+            return {
+                key: entry
+                for key in keys
+                if (entry := entries.get(key, _ABSENT)) is not _ABSENT
+                and type(entry) is not _Pending
+            }
 
-    def _bind(self, entry: _Pending) -> _Pending:
-        """Make ``entry``'s gate, held, if no waiter has; under the lock."""
-        if entry.gate is None:
-            entry.gate = threading.Lock()
-            entry.gate.acquire()
-        return entry
+    def keep(self, results: Mapping[Hashable, Any]) -> None:
+        """Keep each of ``results`` under its key if the key holds nothing,
+        not even a call in flight, in one pass under the lock; then trim to
+        ``maxsize``."""
+        with self._lock:
+            entries = self._entries
+            for key, result in results.items():
+                entries.setdefault(key, result)
+            self._trim()
 
     def _trim(self) -> None:
         """Drop the oldest keys past ``maxsize``; under the lock."""
@@ -249,28 +215,19 @@ class SharedResults:
             self._entries.popitem(last=False)
 
     def _settle(
-        self,
-        pending: _Pending,
-        keys: Sequence[Hashable],
-        results: Mapping[Hashable, Any],
-        error: Optional[BaseException],
+        self, key: Hashable, pending: _Pending, result: Any, error: Optional[BaseException]
     ) -> None:
-        """In one pass under the lock, replace each of ``keys`` that still
-        holds ``pending`` by its result in ``results``, or drop it on
-        failure or when ``results`` has none for it (not found); then let
-        the waiters read the outcome.  Once ``pending`` has left the table
-        no caller can make a gate for it, so ``gate`` is final here."""
+        """Replace ``key``'s ``pending``, if it still holds it, by ``result``,
+        or drop it on failure; then wake the waiters.  Once ``pending`` has
+        left the table no caller can make its gate, so ``gate`` is final."""
         with self._lock:
-            entries = self._entries
-            for key in keys:
-                if entries.get(key) is pending:
-                    result = results.get(key, _ABSENT)
-                    if error is None and result is not _ABSENT:
-                        entries[key] = result
-                    else:
-                        del entries[key]
+            if self._entries.get(key) is pending:
+                if error is None:
+                    self._entries[key] = result
+                else:
+                    del self._entries[key]
         if pending.gate is not None:
-            pending.results, pending.error = results, error
+            pending.result, pending.error = result, error
             pending.gate.release()
 
 

@@ -219,19 +219,20 @@ class SessionMemo:
     """A ``ChainAdapter`` that fetches each request once per session.
 
     It keeps every successful payload by the request's ``identity`` for as
-    long as it lives, one postmortem session, and hands the same payload to
-    every later request with that identity; a request made while the first
-    is in flight waits for it.  A failure is not kept, so a later batch asks
-    the adapter again.  Given ``payloads``, it keeps them there, as
-    ``adapter_memo`` does with its adapter's table.  ``landed`` holds the
-    file each payload first landed in, by identity.  The memo hashes no
-    request: ``fixture_key`` only names fixture files.
+    long as it lives, one postmortem session, and hands it to every later
+    request with that identity; a request made while the first is in flight
+    waits for it (``SharedResults.get``, the one waiting rule).  A failure
+    is not kept, so a later batch asks again.  Given ``payloads``, it keeps
+    them there, as ``adapter_memo`` does.  ``landed`` holds the file each
+    payload first landed in, by identity.  The memo hashes no request:
+    ``fixture_key`` only names fixture files.
 
     A ``tx_lookup`` is memoised per member, under the identity of the
-    member's ``tx_metadata`` request, built from the hash list itself: the
-    members it neither holds nor waits on go to the adapter as one lookup,
-    each found one is kept as that request's payload, and a member not
-    found is not kept.
+    member's ``tx_metadata`` request, built from the hash list itself, and
+    waits on nothing, as its wave names each (chain, hash) once: the
+    members not kept go to the adapter as one lookup, and each one found is
+    kept unless its key holds a payload, or a ``get`` in flight, by then.
+    A miss, or a failed lookup, keeps nothing.
     """
 
     def __init__(self, adapter: ChainAdapter, payloads: SharedResults | None = None):
@@ -249,18 +250,19 @@ class SessionMemo:
         # Each member's hash by its identity, whose ``[2]`` is the hash
         # normalized, as a lookup's payload keys it.
         members = metadata_identities(request.chainid, txhashes)
-
-        def compute(keys: list[Identity]) -> dict[Identity, dict[str, Any]]:
-            # Every hash claimed, none twice: the adapter gets the request itself.
+        kept = self._payloads.kept(members)
+        missing = [key for key in members if key not in kept]
+        if missing:
+            # None kept, none named twice: the adapter gets the request itself.
             asked = (
                 request
-                if len(keys) == len(txhashes)
-                else tx_lookup(request.chainid, [members[key] for key in keys])
+                if len(missing) == len(txhashes)
+                else tx_lookup(request.chainid, [members[key] for key in missing])
             )
             found = self.adapter.fetch(asked)["found"]
-            return {key: found[key[2]] for key in keys if key[2] in found}
-
-        kept = self._payloads.get_many(list(members), compute)
+            new = {key: found[key[2]] for key in missing if key[2] in found}
+            self._payloads.keep(new)
+            kept.update(new)
         return {"found": {key[2]: kept[key] for key in members if key in kept}}
 
 
@@ -275,10 +277,11 @@ def adapter_memo(adapter: ChainAdapter) -> SessionMemo:
 
     Every memo made for one adapter object shares one table, keyed by
     request identity as every ``SessionMemo`` is, which is dropped with the
-    adapter.  A ``SessionMemo`` is returned unchanged, so
-    code running inside a session fetches through the session's memo.  Use
-    it only for data that cannot change once it exists, such as what a
-    transaction hash addresses.
+    adapter.  Only a ``get`` of one identity waits; a lookup, whose wave
+    names each (chain, hash) once, keeps what it found without waiting.  A
+    ``SessionMemo`` is returned unchanged, so code inside a session fetches
+    through the session's memo.  Use it only for data that cannot change
+    once it exists, such as what a transaction hash addresses.
     """
     if isinstance(adapter, SessionMemo):
         return adapter

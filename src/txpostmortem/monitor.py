@@ -13,14 +13,14 @@ a feed of up to ``LOOKUP_BATCH`` hashes, runs as one lane per chain on the
 shared fetch pool: ``len(SUPPORTED_CHAINS)`` lanes, the calling thread
 running one of them, whatever the number of hashes.  The lanes' own work
 runs one at a time under the GIL, so it is kept to constant work per
-(chain, hash): no request object, hash or exception per member.  A hash
-that several posts repeat is asked about once.  The wave fetches through
-``adapter_memo``, which keeps each member a lookup found as the payload of
-its ``tx_metadata`` request, keyed by that request's identity, for as long
-as the adapter lives: mining a seed's lifecycle afterwards reads the
-seed's metadata from memory, and a later wave asks no chain again about a
-hash it found there.  A member that was not found is not kept, so the
-next feed asks again.
+(chain, hash): no request object, hash or exception per member.  A wave
+names each (chain, hash) once.  It fetches through ``adapter_memo``,
+which keeps each member a lookup found, without waiting, as the payload
+of its ``tx_metadata`` request for as long as the adapter lives (only a
+``get`` of one request waits): mining a seed's lifecycle afterwards reads
+the seed's metadata from memory, and a later wave asks no chain again
+about a hash it found there.  A miss is not kept, so the next feed asks
+again.
 """
 
 from __future__ import annotations
@@ -148,18 +148,16 @@ def resolve_chains(
 
     The wave is one ``fetch_many`` batch of ``tx_lookup`` requests, one
     per chain and ``LOOKUP_BATCH`` distinct hashes, so the call takes as
-    long as the slowest lookup.  Up to ``LOOKUP_BATCH`` hashes cost one
-    lane per chain on the shared fetch pool, and more hashes at most
-    ``FETCH_WORKERS`` lanes per chain.  The batch goes through
-    ``adapter_memo(adapter)``, which keeps each transaction found for the
-    adapter's life as its ``tx_metadata`` payload, as a transaction hash
-    addresses data that does not change once mined: a later wave on the
-    same adapter asks no chain about it again, and
-    ``lifecycle.mine_lifecycle`` reads it from there.  The memo keys each
-    member by its request's identity, built from the hash list, and hashes
-    none; ``fixture_key`` only names fixture files, so a ``ReplayAdapter``
-    hashes a member only on a chain whose store holds ``tx_metadata``
-    fixtures.  Misses are not kept and are asked about again by the next
+    long as the slowest lookup.  A chain named twice is probed once, at its
+    first place, so the wave names each (chain, hash) once.  Up to
+    ``LOOKUP_BATCH`` hashes cost one lane per chain on the shared fetch
+    pool, and more at most ``FETCH_WORKERS`` lanes per chain.  The batch
+    goes through ``adapter_memo(adapter)``, which keeps each transaction
+    found, without waiting, as its ``tx_metadata`` payload for the
+    adapter's life (a ``get`` of one request is the memo's one waiting
+    rule): a later wave on the same adapter asks no chain about it again,
+    and ``lifecycle.mine_lifecycle`` reads it from there.  The memo hashes
+    no member.  Misses are not kept and are asked about again by the next
     call.  A lookup that fails, such as one whose node does not answer or
     refuses the batch, finds nothing on its chain and is logged as a
     warning naming the chain.
@@ -168,7 +166,7 @@ def resolve_chains(
     its value, the chains that have it, in probe order: none, one, or
     several for the caller to arbitrate.
     """
-    probe_order = tuple(chains)
+    probe_order = tuple(dict.fromkeys(chains))
     distinct = list(dict.fromkeys(txhash.value for txhash in txhashes))
     requests = [
         tx_lookup(chainid, distinct[start : start + LOOKUP_BATCH])

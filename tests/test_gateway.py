@@ -810,21 +810,6 @@ class TestMemoisedLookup:
         assert memo.fetch(tx_lookup(1, [TX, self.OTHER]))["found"] == found
         assert len(inner.calls) == 2
 
-    def test_overlapping_lookups_under_fast_switching_ask_each_member_once(self):
-        hashes = ["0x" + f"{k:064x}" for k in range(1, 9)]
-        inner = PeakAdapter({h: {1} for h in hashes})
-        memo = SessionMemo(inner)
-        # Twelve lookups on one chain, each held 10 ms, as FETCH_WORKERS lanes.
-        requests = [tx_lookup(1, hashes[k : k + 4]) for k in range(0, 8, 2)] * 3
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            payloads = fetch_many(memo, requests)
-        finally:
-            sys.setswitchinterval(interval)
-        assert Counter(inner.asked) == {(1, h): 1 for h in hashes}
-        assert [list(p["found"]) for p in payloads] == [r.extra["txhashes"] for r in requests]
-
     def test_a_failed_lookup_keeps_nothing(self):
         class Down(ChainsAdapter):
             def wait(self, request):
@@ -836,6 +821,83 @@ class TestMemoisedLookup:
         [failed] = fetch_many(memo, [tx_lookup(1, [TX])])
         assert isinstance(failed, UpstreamError)
         assert memo.fetch(tx_lookup(1, [TX]))["found"] == {TX: {"txhash": TX, "chainid": 1}}
+        assert len(inner.calls) == 2
+
+    def test_a_failed_lookup_leaves_what_earlier_lookups_kept(self):
+        class Down(ChainsAdapter):
+            def wait(self, request):
+                if len(self.calls) == 2:
+                    raise UpstreamError("node down")
+
+        inner = Down({TX: {1}, self.OTHER: {1}})
+        memo = SessionMemo(inner)
+        kept = memo.fetch(tx_lookup(1, [TX]))["found"][TX]
+        with pytest.raises(UpstreamError, match="node down"):
+            memo.fetch(tx_lookup(1, [TX, self.OTHER]))
+        assert [r.extra["txhashes"] for r in inner.calls] == [[TX], [self.OTHER]]
+        found = memo.fetch(tx_lookup(1, [self.OTHER, TX]))["found"]
+        assert found[TX] is kept
+        assert found[self.OTHER] == {"txhash": self.OTHER, "chainid": 1}
+        assert [r.extra["txhashes"] for r in inner.calls[2:]] == [[self.OTHER]]
+
+    def test_lookups_and_gets_under_fast_switching_agree_on_each_kept_member(self):
+        """Every ``get`` of a member, during overlapping lookups and after
+        them, returns the one payload the memo keeps for it."""
+        hashes = ["0x" + f"{k:064x}" for k in range(1, 9)]
+        hosts = {h: {1} for h in hashes[:6]}
+
+        class Slow(ChainsAdapter):
+            # A ``get`` outlasts a lookup, so lookups keep members while
+            # a ``get`` of them is in flight.
+            def wait(self, request):
+                time.sleep(0.002 if request.kind == "tx_metadata" else 0.001)
+
+        memo = SessionMemo(Slow(hosts))
+        lookups = [tx_lookup(1, hashes[k : k + 4]) for k in range(0, 8, 2)] * 3
+        gets = [DataRequest(kind="tx_metadata", chainid=1, target=h) for h in hashes[:6]] * 3
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            payloads = fetch_many(memo, [x for pair in zip(lookups, gets) for x in pair])
+        finally:
+            sys.setswitchinterval(interval)
+        assert [list(p["found"]) for p in payloads[::2]] == [
+            [h for h in r.extra["txhashes"] if h in hosts] for r in lookups
+        ]
+        for request, payload in zip(gets, payloads[1::2]):
+            assert memo.fetch(request) is payload
+            assert payload == {"txhash": request.target, "chainid": 1}
+
+    def test_a_lookup_racing_a_get_of_a_member_asks_again_and_keeps_the_gets_result(self):
+        """A member a ``get`` is computing is asked about again, not waited
+        on, and the ``get``'s result is the one kept."""
+        started, release = threading.Event(), threading.Event()
+
+        class HeldMetadata(ChainsAdapter):
+            def wait(self, request):
+                if request.kind == "tx_metadata":
+                    started.set()
+                    release.wait(5)
+
+        inner = HeldMetadata({TX: {1}, self.OTHER: {1}})
+        memo = SessionMemo(inner)
+        metadata = DataRequest(kind="tx_metadata", chainid=1, target=TX)
+        got = []
+        getter = threading.Thread(target=lambda: got.append(memo.fetch(metadata)))
+        getter.start()
+        started.wait(5)
+        found = memo.fetch(tx_lookup(1, [TX, self.OTHER]))["found"]
+        # The lookup returned while the ``get`` was still held.
+        assert getter.is_alive()
+        release.set()
+        getter.join(5)
+        assert not getter.is_alive()
+        assert found == {tx: {"txhash": tx, "chainid": 1} for tx in (TX, self.OTHER)}
+        assert inner.asked == [(1, TX), (1, TX), (1, self.OTHER)]
+        assert memo.fetch(metadata) is got[0] is not found[TX]
+        assert memo.fetch(tx_lookup(1, [self.OTHER, TX]))["found"] == {
+            self.OTHER: found[self.OTHER], TX: got[0]
+        }
         assert len(inner.calls) == 2
 
 
@@ -935,126 +997,36 @@ class TestSharedResults:
         assert results.get("k", lambda: "again") == "again"
 
 
-class TestSharedResultsMany:
-    """``get_many``: one claiming pass, one compute, members kept or dropped
-    one by one."""
+class TestKeptAndKeep:
+    """``kept`` and ``keep``: one pass under the lock each, waiting on no
+    call."""
 
-    def test_found_keys_are_kept_and_misses_asked_again(self):
+    def test_a_call_in_flight_is_neither_read_nor_overwritten(self):
         results = SharedResults()
         results.get("kept", lambda: "K")
-        asked = []
+        started, release = threading.Event(), threading.Event()
 
-        def compute(keys):
-            asked.append(keys)
-            return {"a": "A", "unasked": "U"}
-
-        assert results.get_many(["kept", "a", "b"], compute) == {"kept": "K", "a": "A"}
-        assert results.get_many(["a", "b", "b"], compute) == {"a": "A"}
-        assert asked == [["a", "b"], ["b"]]
-        assert results.get("b", lambda: "B") == "B"
-        assert results.get_many(["b"], compute) == {"b": "B"}
-        assert results.get("unasked", lambda: "computed") == "computed"
-        assert len(asked) == 2
-
-    def _hold(self, results, keys, found):
-        """Start a ``get_many`` of ``keys`` whose compute waits for the
-        returned event, then answers ``found``; return the event, the
-        thread and where its answer lands."""
-        started, release, got = threading.Event(), threading.Event(), []
-
-        def compute(claimed):
+        def slow():
             started.set()
             release.wait(5)
-            return found
+            return "computed"
 
-        thread = threading.Thread(target=lambda: got.append(results.get_many(keys, compute)))
-        thread.start()
-        started.wait(5)
-        return release, thread, got
-
-    def test_keys_another_caller_holds_are_waited_on(self):
-        results = SharedResults()
-        release, first, first_got = self._hold(results, ["a", "b"], {"a": "A"})
-        asked, got = [], []
-
-        def compute(keys):
-            asked.append(keys)
-            return {"c": "C"}
-
-        second = threading.Thread(
-            target=lambda: got.append(results.get_many(["a", "b", "c"], compute))
-        )
-        second.start()
-        while results._entries["a"].gate is None or results._entries["b"].gate is None:
-            time.sleep(0.001)
-        release.set()
-        for thread in (first, second):
-            thread.join(5)
-        assert not first.is_alive() and not second.is_alive()
-        assert first_got == [{"a": "A"}]
-        assert got == [{"a": "A", "c": "C"}]
-        assert asked == [["c"]]
-
-    def test_a_get_waiting_on_a_miss_computes_it(self):
-        results = SharedResults()
-        release, first, _ = self._hold(results, ["k"], {})
         got = []
-        waiter = threading.Thread(target=lambda: got.append(results.get("k", lambda: "mine")))
-        waiter.start()
-        while results._entries["k"].gate is None:
-            time.sleep(0.001)
+        first = threading.Thread(target=lambda: got.append(results.get("busy", slow)))
+        first.start()
+        started.wait(5)
+        assert results.kept(["kept", "busy", "none"]) == {"kept": "K"}
+        results.keep({"kept": "other", "busy": "other", "none": "N"})
+        assert first.is_alive()
         release.set()
-        for thread in (first, waiter):
-            thread.join(5)
-        assert not first.is_alive() and not waiter.is_alive()
-        assert got == ["mine"]
-        assert results.get("k", lambda: "not asked") == "mine"
+        first.join(5)
+        assert not first.is_alive()
+        assert got == ["computed"]
+        assert results.kept(["none", "busy", "kept"]) == {
+            "none": "N", "busy": "computed", "kept": "K"
+        }
 
-    def test_each_waiter_reads_its_own_keys_outcome(self):
-        """One call settles all its keys at once; a waiter on each reads
-        that key's result, or computes it when the call did not find it."""
-        results = SharedResults()
-        release, first, first_got = self._hold(results, ["a", "b", "c"], {"b": "B"})
-        bound = []
-        bind = results._bind
-
-        def counting_bind(entry):
-            bound.append(entry)
-            return bind(entry)
-
-        # The call's three keys share one gate; a waiter is bound to the
-        # call once it has passed through ``_bind``.
-        results._bind = counting_bind
-        got = {}
-        waiters = [
-            threading.Thread(target=lambda key=key: got.update({key: results.get(key, key.upper)}))
-            for key in "abc"
-        ]
-        for waiter in waiters:
-            waiter.start()
-        while len(bound) < 3:
-            time.sleep(0.001)
-        release.set()
-        for thread in (first, *waiters):
-            thread.join(5)
-        assert not first.is_alive() and not any(w.is_alive() for w in waiters)
-        assert first_got == [{"b": "B"}]
-        assert got == {"a": "A", "b": "B", "c": "C"}
-        assert results.get_many(["a", "b", "c"], lambda keys: {}) == got
-
-    def test_a_failed_compute_fails_its_claimed_keys_only(self):
-        results = SharedResults()
-        results.get("kept", lambda: "K")
-
-        def failing(keys):
-            raise UpstreamError("node down")
-
-        with pytest.raises(UpstreamError, match="node down"):
-            results.get_many(["kept", "a"], failing)
-        assert results.get("kept", lambda: "not asked") == "K"
-        assert results.get("a", lambda: "again") == "again"
-
-    def test_a_held_key_whose_caller_failed_is_a_miss(self):
+    def test_a_key_whose_get_failed_is_a_miss_that_keep_fills(self):
         results = SharedResults()
         started, release = threading.Event(), threading.Event()
 
@@ -1064,24 +1036,32 @@ class TestSharedResultsMany:
             raise UpstreamError("busy")
 
         def call():
-            with pytest.raises(UpstreamError):
+            with pytest.raises(UpstreamError, match="busy"):
                 results.get("a", failing)
 
         first = threading.Thread(target=call)
         first.start()
         started.wait(5)
-        got = []
-        waiter = threading.Thread(
-            target=lambda: got.append(results.get_many(["a", "b"], lambda keys: {"b": "B"}))
-        )
-        waiter.start()
-        while results._entries["a"].gate is None:
-            time.sleep(0.001)
+        results.keep({"a": "too soon"})
+        assert results.kept(["a"]) == {}
         release.set()
-        for thread in (first, waiter):
-            thread.join(5)
-        assert not first.is_alive() and not waiter.is_alive()
-        assert got == [{"b": "B"}]
+        first.join(5)
+        assert not first.is_alive()
+        assert results.kept(["a"]) == {}
+        results.keep({"a": "A"})
+        assert results.kept(["a"]) == {"a": "A"}
+        assert results.get("a", lambda: "not asked") == "A"
+
+    def test_keep_honours_maxsize_dropping_the_oldest_key_first(self):
+        results = SharedResults(maxsize=3)
+        results.get("a", lambda: "A")
+        results.keep({"b": "B", "c": "C"})
+        assert results.kept("abc") == {"a": "A", "b": "B", "c": "C"}
+        results.keep({"b": "again", "d": "D"})
+        assert results.kept("abcd") == {"b": "B", "c": "C", "d": "D"}
+        results.keep({"e": "E", "f": "F"})
+        assert results.kept("abcdef") == {"d": "D", "e": "E", "f": "F"}
+        assert results.get("b", lambda: "computed") == "computed"
 
 
 class TestOneKeyPerRequest:

@@ -13,11 +13,14 @@ import weakref
 from collections import Counter
 from datetime import datetime, timezone
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from conftest import ChainsAdapter, PeakAdapter
+from hypothesis import event, given
+from hypothesis import strategies as st
 
-from txpostmortem import monitor, scenarios
+from txpostmortem import cli, monitor, scenarios
 from txpostmortem.domain import SUPPORTED_CHAINS, SeedRef, TxHash
 from txpostmortem.gateway import (
     FETCH_WORKERS,
@@ -30,7 +33,7 @@ from txpostmortem.gateway import (
     collect,
     fetch_many,
 )
-from txpostmortem.gateway.types import DataRequest
+from txpostmortem.gateway.types import DataRequest, normalize_target
 from txpostmortem.monitor import (
     DEFAULT_PROBE_ORDER,
     AmbiguousChain,
@@ -407,7 +410,10 @@ class TestProbePayloadsOutliveTheWave:
         assert gone() is None
         assert len(collect._ADAPTER_PAYLOADS) == before
 
-    def test_two_concurrent_waves_ask_about_each_hash_and_chain_once(self):
+    def test_concurrent_waves_agree_and_leave_a_later_wave_nothing_to_ask(self):
+        """Two waves at once may each ask about a pair, as a lookup waits on
+        nothing, but both find the same chains, and what they found is kept
+        once: a third wave asks no chain about a found hash again."""
         every_chain = set(SUPPORTED_CHAINS)
         adapter = PeakAdapter({TX.value: every_chain, OTHER_TX.value: every_chain})
         go = threading.Event()
@@ -425,16 +431,89 @@ class TestProbePayloadsOutliveTheWave:
             caller.join(10)
         assert not any(caller.is_alive() for caller in callers)
         probes = Counter(adapter.asked)
-        assert len(probes) == 2 * len(SUPPORTED_CHAINS)
-        assert set(probes.values()) == {1}
+        assert set(probes) == {
+            (chainid, tx.value) for chainid in SUPPORTED_CHAINS for tx in (TX, OTHER_TX)
+        }
+        assert set(probes.values()) <= {1, 2}
         for answer in answers:
             assert [answer[tx.value] for tx in (TX, OTHER_TX)] == [
                 list(DEFAULT_PROBE_ORDER)
             ] * 2
+        asked = len(adapter.calls)
+        assert resolve_chains([OTHER_TX, TX], adapter) == answers[0]
+        assert len(adapter.calls) == asked
+        request = DataRequest(kind="tx_metadata", chainid=HOME, target=TX.value)
+        assert adapter_memo(adapter).fetch(request) == {"txhash": TX.value, "chainid": HOME}
+        assert len(adapter.calls) == asked
 
     def test_a_session_memo_is_its_own_adapter_memo(self):
         memo = SessionMemo(ChainsAdapter({}))
         assert adapter_memo(memo) is memo
+
+
+class TestOneWaveNamesEachPairOnce:
+    """The lookups of one wave name each (chain, hash) once, and each goes
+    to the adapter as the wave made it: what lets a lookup keep what it
+    found without claiming or waiting."""
+
+    def test_a_chain_named_twice_is_probed_once_at_its_first_place(self):
+        adapter = ChainsAdapter({TX.value: {HOME, SECOND}})
+        answers = resolve_chains([TX, STRAY_TX], adapter, [SECOND, HOME, SECOND, HOME])
+        assert answers == {TX.value: [SECOND, HOME], STRAY_TX.value: []}
+        assert Counter(adapter.asked) == {
+            (chainid, tx.value): 1 for chainid in (SECOND, HOME) for tx in (TX, STRAY_TX)
+        }
+
+    def test_a_chain_named_twice_on_the_command_line_finds_one_chain(self, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(json.dumps(
+            {"source_id": "p0", "timestamp": "2025-01-01T00:00:00Z",
+             "text": f"Exploit alert: drain in {scenarios.PRXVT_SEED}"}
+        ) + "\n")
+        chain = str(scenarios.PRXVT_CHAIN)
+        code = cli.main([
+            "monitor", "--feed", str(feed), "--queue", str(tmp_path / "queue"),
+            "--fixtures", str(scenarios.open_case("prxvt").fixtures_dir),
+            "--chains", f"{chain},{chain}",
+        ])
+        doc = json.loads(capsys.readouterr().out)
+        assert (code, len(doc["enqueued"]), doc["log"]) == (0, 1, [])
+
+    @given(
+        n=st.integers(1, 2 * LOOKUP_BATCH + 1),
+        repeats=st.lists(st.tuples(st.integers(0, 2 * LOOKUP_BATCH), st.booleans()), max_size=8),
+        chains=st.lists(st.sampled_from(DEFAULT_PROBE_ORDER), min_size=1, max_size=30),
+    )
+    def test_each_chain_and_hash_is_named_once_and_sent_as_named(self, n, repeats, chains):
+        event(f"lookups per chain: {-(-n // LOOKUP_BATCH)}")
+        distinct = [f"0x{'ab' * 28}{k:08x}" for k in range(n)]
+        txhashes = [TxHash(txhash) for txhash in distinct]
+        # Repeats of the hashes, some spelt in upper case, anywhere in the list.
+        for k, upper in repeats:
+            txhash = distinct[k % n]
+            spelt = "0X" + txhash[2:].upper() if upper else txhash
+            txhashes.insert(k % (len(txhashes) + 1), TxHash(spelt))
+        adapter = ChainsAdapter({distinct[0]: {chains[0]}})
+        named = []
+
+        def recording_fetch_many(memo, requests):
+            named.extend(requests)
+            return fetch_many(memo, requests)
+
+        with mock.patch.object(monitor, "fetch_many", recording_fetch_many):
+            answers = resolve_chains(txhashes, adapter, chains)
+        pairs = Counter(
+            (request.chainid, normalize_target(txhash))
+            for request in named
+            for txhash in request.extra["txhashes"]
+        )
+        assert pairs == {(chainid, txhash): 1 for chainid in chains for txhash in distinct}
+
+        def lookups(requests):
+            return sorted((r.kind, r.chainid, r.extra["txhashes"]) for r in requests)
+
+        assert lookups(adapter.calls) == lookups(named)
+        assert answers[distinct[0]] == [chains[0]]
 
 
 class _RecordingClassifier:
